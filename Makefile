@@ -11,8 +11,8 @@ CHAOS_SEEDS ?= 0xDA05 1 7
 export CHAOS_SEEDS
 
 .PHONY: test chaos bench bench-cache bench-rebuild bench-async \
-	bench-flows bench-tenants bench-fdb bench-hdf5 trace trace-cache \
-	timeline all
+	bench-flows bench-tenants bench-fdb bench-hdf5 bench-e2e trace \
+	trace-cache timeline all
 
 # Tier-1: the full fast suite (chaos determinism/scenario tests included).
 test:
@@ -105,6 +105,16 @@ bench-hdf5:
 		artifacts/BENCH_hdf5.rerun.stable.json
 	rm artifacts/BENCH_hdf5.rerun.json \
 		artifacts/BENCH_hdf5.rerun.stable.json
+
+# End-to-end benchmark (BENCHMARK.json): the driver's own smoke tests,
+# then the fig-1 workload in the contract form at the pinned seed with
+# the traced rep on. run.py exits non-zero on `"correct": false` (an
+# operation failed or a pinned modelled number moved); the driver spans
+# land in benchmarks/e2e/out/trace-fig1_fpp_dfs.json.
+bench-e2e:
+	$(PY) -m pytest benchmarks/e2e -q
+	$(PY) benchmarks/e2e/run.py --workload fig1_fpp_dfs --seed 0xDA05 \
+		--seconds 20 --trace 1
 
 # One instrumented fig-1 point: emit a Chrome trace + metrics snapshot
 # and validate the trace against the trace-event schema. The JSON lands

@@ -342,16 +342,22 @@ class RaftNode:
             self._send_append_entries(peer)
 
     def _advance_commit_index(self) -> None:
-        for index in range(self.last_log_index, self.commit_index, -1):
-            if self.log[index].term != self.current_term:
-                break  # Fig. 8: only commit own-term entries directly
-            replicas = 1 + sum(
-                1 for m in self.match_index.values() if m >= index
-            )
-            if replicas >= self._quorum():
-                self.commit_index = index
-                self._apply_committed()
-                break
+        if self.commit_index == self.last_log_index:
+            return  # a heartbeat reply: nothing left to commit
+        # The highest index a quorum holds is the quorum-th largest of the
+        # leader's own last index and its followers' match indices.
+        held = sorted(
+            [self.last_log_index, *self.match_index.values()], reverse=True
+        )
+        quorum = self._quorum()
+        if quorum > len(held):
+            return
+        index = held[quorum - 1]
+        # Fig. 8: only commit own-term entries directly. Log terms never
+        # decrease, so an own-term entry here means none above is older.
+        if index > self.commit_index and self.log[index].term == self.current_term:
+            self.commit_index = index
+            self._apply_committed()
 
     def _apply_committed(self) -> None:
         while self.last_applied < self.commit_index:

@@ -5,8 +5,8 @@ reduce, for simulation purposes, to the three primitives provided here:
 
 - :meth:`Endpoint.send` / :meth:`Endpoint.recv` — asynchronous message
   passing with latency + serialization delay,
-- :class:`Rpc` / :class:`RpcServer` — request/response with a server-side
-  handler task per request (handlers are generators and may perform
+- :class:`Rpc` / :class:`RpcServer` — request/response with one
+  server-side task per request (handlers are generators and may perform
   arbitrary simulated work before replying),
 - bulk transfers — RDMA-style byte movement expressed as fluid flows;
   the *caller* decides which links the flow crosses (client NIC, server
@@ -49,8 +49,11 @@ class Endpoint:
         self.sim: Simulator = fabric.sim
         self.addr = addr
         self.name = name
-        self._inbox: Queue = Queue(self.sim)
-        self._tagged: Dict[str, Queue] = {}
+        #: tag -> mailbox, made on first use ("" is the untagged inbox)
+        self._queues: Dict[str, Queue] = {}
+        #: tag -> callback that takes the message at delivery, in place of
+        #: a queue and a task blocked on it (:class:`Rpc` replies)
+        self._sinks: Dict[str, Callable[[Message], None]] = {}
         fabric.register_endpoint(name, self)
 
     # -- send/recv ---------------------------------------------------------
@@ -66,23 +69,22 @@ class Endpoint:
         message = Message(src=self.name, tag=tag, payload=payload, nbytes=nbytes)
         self.fabric.transmit(self.addr, target, message)
 
+    def _queue(self, tag: str) -> Queue:
+        queue = self._queues.get(tag)
+        if queue is None:
+            queue = self._queues[tag] = Queue(self.sim)
+        return queue
+
     def _deliver(self, message: Message) -> None:
-        if message.tag:
-            queue = self._tagged.get(message.tag)
-            if queue is None:
-                queue = self._tagged[message.tag] = Queue(self.sim)
-            queue.put(message)
+        sink = self._sinks.get(message.tag)
+        if sink is not None:
+            sink(message)
         else:
-            self._inbox.put(message)
+            self._queue(message.tag).put(message)
 
     def recv(self, tag: str = ""):
         """Awaitable for the next message (optionally on a specific tag)."""
-        if tag:
-            queue = self._tagged.get(tag)
-            if queue is None:
-                queue = self._tagged[tag] = Queue(self.sim)
-            return queue.get()
-        return self._inbox.get()
+        return self._queue(tag).get()
 
     def close(self) -> None:
         self.fabric.deregister_endpoint(self.name)
@@ -122,21 +124,24 @@ class RpcServer(Endpoint):
     def _dispatch_loop(self) -> Generator:
         while True:
             message = yield self.recv(tag="rpc-req")
+            # The serve task takes its first step once the dispatch CPU
+            # cost has elapsed: one event for the spawn and the sleep.
             self.sim.spawn(
-                self._serve(message), f"rpc:{self.name}:{message.payload['op']}"
+                self._serve(message, self.sim.now),
+                f"rpc:{self.name}:{message.payload['op']}",
+                delay=self.dispatch_overhead,
             )
 
-    def _serve(self, message: Message) -> Generator:
+    def _serve(self, message: Message, arrived: float) -> Generator:
         request = message.payload
         op = request["op"]
-        rpc_id = request["id"]
-        reply_to = request["reply_to"]
         handler = self._handlers.get(op)
         tracer = self.sim.tracer
         span = None
         if tracer is not None:
             # Adopt the caller's span (shipped in the request) as parent so
-            # the server-side work hangs off the client op in the trace.
+            # the server-side work hangs off the client op in the trace;
+            # the handler runs in this task, so its spans nest under ours.
             span = tracer.begin(
                 f"rpc.{op}",
                 "rpc",
@@ -144,8 +149,9 @@ class RpcServer(Endpoint):
                 parent_id=request.get("trace_ctx"),
                 attrs={"src": message.src},
             )
+            if span is not None:
+                span.start = arrived  # the dispatch cost is ours too
         try:
-            yield self.dispatch_overhead
             if self._unavailable is not None:
                 yield self.unavailable_delay
                 outcome = ("err", self._unavailable())
@@ -156,13 +162,7 @@ class RpcServer(Endpoint):
                 )
             else:
                 try:
-                    task = self.sim.spawn(
-                        handler(message.src, **request["args"]),
-                        f"h:{self.name}:{op}",
-                    )
-                    if tracer is not None:
-                        tracer.bind(task, span)
-                    result = yield task
+                    result = yield from handler(message.src, **request["args"])
                     outcome = ("ok", result)
                 except Exception as exc:  # noqa: BLE001 - shipped to caller
                     outcome = ("err", exc)
@@ -170,8 +170,8 @@ class RpcServer(Endpoint):
             if tracer is not None:
                 tracer.end(span)
         self.send(
-            reply_to,
-            {"id": rpc_id, "outcome": outcome},
+            request["reply_to"],
+            {"id": request["id"], "outcome": outcome},
             nbytes=request.get("rep_bytes", 256),
             tag="rpc-rep",
         )
@@ -184,16 +184,14 @@ class Rpc:
         self.endpoint = endpoint
         self.sim = endpoint.sim
         self._pending: Dict[int, Gate] = {}
-        self._collector = self.sim.spawn(
-            self._collect_loop(), f"rpc-cli:{endpoint.name}"
-        )
+        endpoint._sinks["rpc-rep"] = self._on_reply
 
-    def _collect_loop(self) -> Generator:
-        while True:
-            message = yield self.endpoint.recv(tag="rpc-rep")
-            gate = self._pending.pop(message.payload["id"], None)
-            if gate is not None:
-                gate.open(message.payload["outcome"])
+    def _on_reply(self, message: Message) -> None:
+        """Open the caller's gate at delivery; a reply nobody waits for
+        any more is dropped."""
+        gate = self._pending.pop(message.payload["id"], None)
+        if gate is not None:
+            gate.open(message.payload["outcome"])
 
     def call(
         self,

@@ -14,8 +14,8 @@ task currently being stepped, and each task carries its own span stack,
 so interleaved ranks never adopt each other's spans. Crossing a task
 boundary (client RPC -> server handler) is explicit: the caller ships
 ``tracer.current_span_id()`` inside the request and the server opens its
-span with that ``parent_id`` (and may :meth:`Tracer.bind` it onto the
-handler task so nested engine spans attach underneath).
+span with that ``parent_id``; the handler runs in the server's task, so
+nested engine spans attach underneath.
 
 The tracer never yields, never schedules events and never draws random
 numbers — enabling it cannot perturb a simulation (a property pinned by
@@ -40,7 +40,7 @@ class Span:
         "end",
         "attrs",
         "kind",
-        "_keys",
+        "_key",
     )
 
     def __init__(
@@ -62,7 +62,8 @@ class Span:
         self.end: Optional[float] = None
         self.attrs: Dict[str, Any] = {}
         self.kind = kind
-        self._keys: List[int] = []
+        #: tid of the task whose span stack holds this span while open
+        self._key: Optional[int] = None
 
     @property
     def duration(self) -> float:
@@ -162,7 +163,7 @@ class Tracer:
         if stack is None:
             stack = self._stacks[key] = []
         stack.append(span)
-        span._keys.append(key)
+        span._key = key
         self.spans.append(span)
         self._by_id[span.span_id] = span
         if attrs:
@@ -176,15 +177,13 @@ class Tracer:
         span.end = self.sim.now
         if attrs:
             span.attrs.update(attrs)
-        for key in span._keys:
-            stack = self._stacks.get(key)
-            if stack is None:
-                continue
+        stack = self._stacks.get(span._key)
+        if stack is not None:
             if span in stack:
                 stack.remove(span)
             if not stack:
-                del self._stacks[key]
-        span._keys.clear()
+                del self._stacks[span._key]
+        span._key = None
 
     def span(
         self,
@@ -243,18 +242,6 @@ class Tracer:
         if span is not None:
             span.kind = "i"
         return span
-
-    # ------------------------------------------------------------- binding
-    def bind(self, task, span: Optional[Span]) -> None:
-        """Seed ``task``'s span stack with ``span`` so spans opened inside
-        the (not yet started) task implicitly parent to it."""
-        if span is None or not self.enabled:
-            return
-        tid = getattr(task, "tid", None)
-        if tid is None:
-            return
-        self._stacks.setdefault(tid, []).insert(0, span)
-        span._keys.append(tid)
 
     # ------------------------------------------------------------- queries
     def children_index(self) -> Dict[int, List[Span]]:

@@ -168,7 +168,7 @@ class Task:
 
             target._subscribe(_joined)
         elif hasattr(yielded, "_subscribe"):
-            yielded._subscribe(lambda value=None: self._step(value))
+            yielded._subscribe(self._step)
         else:
             self._step(
                 None,
@@ -223,15 +223,16 @@ class Simulator:
         self._seq += 1
         heapq.heappush(self._heap, (self._now + delay, self._seq, callback, args))
 
-    def spawn(self, gen: TaskGen, name: str = "") -> Task:
-        """Start a new task from a generator; it begins at the current time."""
+    def spawn(self, gen: TaskGen, name: str = "", delay: float = 0.0) -> Task:
+        """Start a new task from a generator; it takes its first step
+        ``delay`` simulated seconds from now."""
         if not hasattr(gen, "send"):
             raise SimulationError(
                 f"spawn() needs a generator (got {type(gen).__name__}); "
                 "did you forget to call the generator function?"
             )
         task = Task(self, gen, name)
-        self.schedule(0.0, task._step)
+        self.schedule(delay, task._step)
         if self.timeline is not None:
             # Revive a parked metrics scraper (repro.obs.timeline); the
             # scraper parks whenever the heap drains so it cannot mask

@@ -151,8 +151,16 @@ class Semaphore:
             self._count += 1
 
     def held(self) -> Generator[Any, Any, "_SemGuard"]:
-        """Task helper: ``guard = yield from sem.held()`` ... ``guard.release()``."""
-        yield self.acquire()
+        """Task helper: ``guard = yield from sem.held()`` ... ``guard.release()``.
+
+        A free credit is taken without yielding. That cannot jump the
+        queue: :meth:`release` hands a credit straight to the oldest
+        waiter, so the count is only positive while nobody waits.
+        """
+        if self._count > 0:
+            self._count -= 1
+        else:
+            yield self.acquire()
         return _SemGuard(self)
 
 

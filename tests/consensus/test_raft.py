@@ -396,3 +396,76 @@ def test_rsvc_client_retries_through_election():
     task = sim.spawn(run_client())
     sim.run(until=20.0)
     assert task.result == {"uuid": "x"}
+
+
+# ------------------------------------------------------------ commit rule
+def _reference_commit_index(node):
+    """The downward scan ``_advance_commit_index`` used to run, kept as
+    the oracle for the quorum-th-largest rule that replaced it."""
+    for index in range(node.last_log_index, node.commit_index, -1):
+        if node.log[index].term != node.current_term:
+            break  # Fig. 8: only commit own-term entries directly
+        replicas = 1 + sum(1 for m in node.match_index.values() if m >= index)
+        if replicas >= node._quorum():
+            return index
+    return node.commit_index
+
+
+def _leader_in_state(n, terms, current_term, match, commit_index):
+    """An ``n``-node cluster's node 0 forced into a leader state (the
+    simulation is never run, so nothing else touches it)."""
+    from repro.consensus.raft import LogEntry
+
+    _sim, cluster = build_cluster(n)
+    node = cluster.nodes[0]
+    node.state = LEADER
+    node.current_term = current_term
+    node.log = [LogEntry(0, None)]
+    node.log += [LogEntry(term, ("cmd", i)) for i, term in enumerate(terms)]
+    node.match_index = dict(zip(node.peer_names, match))
+    node.commit_index = node.last_applied = commit_index
+    return node
+
+
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_commit_rule_matches_downward_scan_on_random_states(n):
+    import random
+
+    rng = random.Random(0xC0 + n)
+    committed = 0
+    for _ in range(400):
+        length = rng.randrange(0, 13)
+        terms = sorted(rng.randrange(1, 5) for _ in range(length))
+        # Own-term tail, or a newer term with nothing of its own logged yet.
+        current_term = (terms[-1] if terms else 1) + rng.randrange(0, 2)
+        match = [rng.randrange(0, length + 1) for _ in range(n - 1)]
+        if rng.random() < 0.2:
+            match = match[: rng.randrange(0, n)]  # peers not heard from yet
+        node = _leader_in_state(
+            n, terms, current_term, match, rng.randrange(0, length + 1)
+        )
+        before = node.commit_index
+        expected = _reference_commit_index(node)
+        node._advance_commit_index()
+        assert node.commit_index == expected, (terms, current_term, match, before)
+        assert node.last_applied == max(before, expected)
+        committed += expected > before
+    assert committed > 20  # the sweep does exercise the commit branch
+
+
+def test_commit_rule_leaves_a_stale_term_tail_alone():
+    # Every follower holds the whole log, but its tail is from term 2 and
+    # the leader is in term 3: Fig. 8 forbids committing it directly.
+    node = _leader_in_state(3, [1, 2, 2], 3, [3, 3], 1)
+    node._advance_commit_index()
+    assert node.commit_index == 1 == _reference_commit_index(node)
+    # One own-term entry on a quorum commits it and everything below.
+    node = _leader_in_state(3, [1, 2, 2, 3], 3, [4, 0], 1)
+    node._advance_commit_index()
+    assert node.commit_index == 4 == node.last_applied
+
+
+def test_commit_rule_on_a_single_node_cluster():
+    node = _leader_in_state(1, [1, 1], 1, [], 0)
+    node._advance_commit_index()
+    assert node.commit_index == 2

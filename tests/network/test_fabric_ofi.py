@@ -174,6 +174,137 @@ def test_concurrent_rpcs_matched_by_id():
     assert fast.result == "fast"
 
 
+# ------------------------------------------------------------ RPC plumbing
+def make_rpc_pair(handler_time=1e-3):
+    """A server on node b with a sleeping ``echo`` handler, a client on
+    node a, and lists recording service and reply order."""
+    sim, fabric = make_fabric()
+    a = fabric.add_node("a", 1e9)
+    b = fabric.add_node("b", 1e9)
+    server = RpcServer(fabric, b, "srv")
+    served = []
+
+    def echo(_src, token):
+        served.append(token)
+        yield handler_time
+        return token
+
+    server.register("echo", echo)
+    return sim, fabric, a, b, server, served
+
+
+def test_rpc_round_trip_costs_six_events_and_one_task():
+    sim, fabric, a, b, server, _served = make_rpc_pair()
+    client = Rpc(Endpoint(fabric, a, "cli"))
+    counts = {"schedule": 0, "spawn": 0}
+    schedule, spawn = sim.schedule, sim.spawn
+
+    def counting_schedule(*args):
+        counts["schedule"] += 1
+        schedule(*args)
+
+    def counting_spawn(*args, **kwargs):
+        counts["spawn"] += 1
+        return spawn(*args, **kwargs)
+
+    def caller():
+        # Count from inside the caller so its own spawn stays out.
+        sim.schedule, sim.spawn = counting_schedule, counting_spawn
+        yield from client.call("srv", "echo", {"token": 1})
+        return dict(counts)
+
+    task = sim.spawn(caller())
+    sim.run()
+    # deliver, dispatcher hop, serve, handler sleep, reply deliver, resume
+    assert task.result["schedule"] <= 6
+    assert task.result["spawn"] == 1
+
+
+def test_rpc_reply_time_is_the_sum_of_its_parts():
+    handler_time = 1e-3
+    sim, fabric, a, b, server, _served = make_rpc_pair(handler_time)
+    client = Rpc(Endpoint(fabric, a, "cli"))
+
+    def caller():
+        yield from client.call(
+            "srv", "echo", {"token": 1}, req_bytes=512, rep_bytes=4096
+        )
+        return sim.now
+
+    task = sim.spawn(caller())
+    sim.run()
+    expected = 0.0 + fabric.msg_delay(a, b, 512)
+    expected += server.dispatch_overhead
+    expected += handler_time
+    expected += fabric.msg_delay(b, a, 4096)
+    assert task.result == expected  # float-equal, not approx
+
+
+def test_rpcs_delivered_together_are_served_and_answered_fifo():
+    sim, fabric, a, b, server, served = make_rpc_pair()
+    answered = []
+    times = set()
+
+    def caller(client, token):
+        yield from client.call("srv", "echo", {"token": token})
+        answered.append(token)
+        times.add(sim.now)
+
+    for token in range(8):
+        client = Rpc(Endpoint(fabric, a, f"cli{token}"))
+        sim.spawn(caller(client, token))
+    sim.run()
+    assert served == list(range(8))
+    assert answered == list(range(8))
+    assert len(times) == 1  # same delays, so one reply timestamp
+
+
+def test_unavailable_server_is_checked_when_service_starts():
+    sim, fabric, a, b, server, served = make_rpc_pair()
+    server.unavailable_delay = 5e-3
+    client = Rpc(Endpoint(fabric, a, "cli"))
+    delivery = fabric.msg_delay(a, b, 256)
+    # Up at delivery, down by the time the dispatch cost has been paid.
+    sim.schedule(
+        delivery + server.dispatch_overhead / 2,
+        server.set_unavailable,
+        lambda: NetworkError("srv is down"),
+    )
+
+    def caller():
+        try:
+            yield from client.call("srv", "echo", {"token": 1})
+        except NetworkError as exc:
+            return (str(exc), sim.now)
+
+    task = sim.spawn(caller())
+    sim.run()
+    expected = 0.0 + delivery
+    expected += server.dispatch_overhead
+    expected += server.unavailable_delay
+    expected += fabric.msg_delay(b, a, 256)
+    assert task.result == ("srv is down", expected)
+    assert served == []
+
+    server.set_unavailable(None)
+    again = sim.spawn(client.call("srv", "echo", {"token": 2}))
+    sim.run()
+    assert again.result == 2
+
+
+def test_reply_with_no_pending_call_is_dropped():
+    sim, fabric, a, b, server, _served = make_rpc_pair()
+    client = Rpc(Endpoint(fabric, a, "cli"))
+    server.send(
+        "cli", {"id": -1, "outcome": ("ok", "stale")}, tag="rpc-rep"
+    )
+    sim.run()
+    assert not client._pending
+    task = sim.spawn(client.call("srv", "echo", {"token": 7}))
+    sim.run()
+    assert task.result == 7
+
+
 def test_server_node_builds_links():
     from repro.hardware import ServerNode, nextgenio_node
 

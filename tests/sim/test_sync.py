@@ -155,6 +155,45 @@ def test_semaphore_guard_release_idempotent():
     assert sem.available == 1
 
 
+def test_semaphore_held_free_credit_costs_no_event():
+    sim = Simulator()
+    sem = Semaphore(sim, 1)
+    scheduled = []
+    schedule = sim.schedule
+
+    def proc():
+        sim.schedule = lambda *args: (scheduled.append(args), schedule(*args))
+        guard = yield from sem.held()
+        assert sem.available == 0
+        guard.release()
+
+    sim.spawn(proc())
+    sim.run()
+    assert scheduled == []
+    assert sem.available == 1
+
+
+def test_semaphore_held_under_contention_wakes_fifo():
+    sim = Simulator()
+    sem = Semaphore(sim, 1)
+    order = []
+
+    def worker(i):
+        guard = yield from sem.held()
+        order.append((i, sim.now))
+        yield 1.0
+        guard.release()
+
+    for i in range(3):
+        sim.spawn(worker(i))
+    # A newcomer arriving in the instant a credit changes hands must
+    # queue behind the waiters, not take the fast path past them.
+    sim.schedule(1.0, sim.spawn, worker(3))
+    sim.run()
+    assert order == [(0, 0.0), (1, 1.0), (2, 2.0), (3, 3.0)]
+    assert sem.available == 1
+
+
 def test_lock_is_binary():
     sim = Simulator()
     lock = Lock(sim)
