@@ -45,10 +45,11 @@ bench-async:
 	$(PY) -m pytest benchmarks/bench_async_depth.py --benchmark-only \
 		--benchmark-json=artifacts/bench-async.json
 
-# Flow-solver throughput: churn scenarios + the 16x16 figure point under
-# both solvers. Writes artifacts/BENCH_flows.json and gates against the
-# committed baseline benchmarks/BENCH_flows.json (>20% normalized
-# ops/sec regression, byte-identity, solver-speedup floor).
+# Allocator throughput: churn scenarios + the 16x16 figure point under
+# the shipped allocator and the tests' global-solve oracle. Writes
+# artifacts/BENCH_flows.json and gates against the committed baseline
+# benchmarks/BENCH_flows.json (>20% normalized ops/sec regression,
+# byte-identity, solver-speedup floor).
 bench-flows:
 	mkdir -p artifacts
 	PYTHONPATH=src:benchmarks $(PY) benchmarks/bench_flows.py \

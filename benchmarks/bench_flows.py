@@ -6,12 +6,16 @@ Two layers:
   close / ``set_cap`` / ``set_link_capacity`` mutations on synthetic
   topologies shaped like the workloads we care about (the bipartite
   client-NIC x target pattern of the IOR figures, striped flows, and
-  disjoint islands where the incremental solver's component skipping
-  shines).  Reported as solver ops/sec: mutations divided by the
-  wall-clock seconds spent inside ``FlowNetwork._reallocate``.
+  disjoint islands where component skipping shines).  Reported as
+  solver ops/sec: mutations divided by the wall-clock seconds spent
+  inside ``FlowNetwork._reallocate``.
 - *Figure point*: the 16-node x 16-ppn fig-1 DFS point end to end under
-  both solvers — wall time, solver seconds, the solver speedup (the
+  both allocators — wall time, solver seconds, the solver speedup (the
   acceptance criterion: >= 5x), and byte-identity of the bandwidths.
+
+The two sides are the shipped ``MaxMinAllocator`` ("incremental") and
+the global-solve oracle from ``tests/network/oracle.py`` ("reference"),
+injected through ``FlowNetwork(sim, allocator=...)``.
 
 ``python benchmarks/bench_flows.py`` writes ``artifacts/BENCH_flows.json``
 (the ``make bench-flows`` artifact); ``--check`` additionally compares
@@ -19,12 +23,13 @@ against the committed baseline ``benchmarks/BENCH_flows.json`` and exits
 nonzero on a >20% ops/sec regression (see
 ``conftest.check_flows_regression``).  Raw ops/sec is machine-dependent,
 so the gate compares incremental/reference speedup ratios — the frozen
-reference solver doubles as a workload-matched machine calibrator.  A
+oracle doubles as a workload-matched machine calibrator.  A
 generic machine-speed calibration timing is still recorded per scenario
 for human cross-machine reading of the absolute numbers.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import random
@@ -35,10 +40,14 @@ import numpy as np
 
 from conftest import run_once
 
+# the oracle lives with the tests that use it as their reference
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+
 from repro.cluster import nextgenio
 from repro.ior import IorParams, run_ior
 from repro.network.flows import FlowNetwork
 from repro.sim import Simulator
+from tests.network.oracle import ReferenceAllocator, reference_allocator
 
 SOLVERS = ("reference", "incremental")
 
@@ -95,7 +104,7 @@ def topo_striped(net, rng):
 
 def topo_islands(net, rng):
     """16 disjoint 2-link islands: mutations touch one island at a time,
-    the incremental solver's best case (tiny components)."""
+    the shipped allocator's best case (tiny components)."""
     islands = [
         (net.add_link(f"i{i}a", 1e10), net.add_link(f"i{i}b", 3e9))
         for i in range(16)
@@ -120,7 +129,9 @@ def _churn_once(solver: str, scenario: str, n_ops: int = N_OPS) -> float:
     solver second.  Seeded: every call performs the identical ops."""
     rng = random.Random(0xF105)
     sim = Simulator()
-    net = FlowNetwork(sim, solver=solver)
+    net = FlowNetwork(
+        sim, allocator=ReferenceAllocator() if solver == "reference" else None
+    )
     maker = SCENARIOS[scenario](net, rng)
     flows = []
     for _ in range(n_ops):
@@ -168,7 +179,9 @@ def churn_pair(scenario: str, n_ops: int = N_OPS, trials: int = 3) -> dict:
 
 def run_figure_point(solver: str):
     """The 16x16 quick-scale fig-1 DFS FPP point under ``solver``."""
-    cluster = nextgenio(client_nodes=16, flow_solver=solver)
+    with (reference_allocator() if solver == "reference"
+          else contextlib.nullcontext()):
+        cluster = nextgenio(client_nodes=16)
     params = IorParams(api="DFS", file_per_proc=True, interleaved=False,
                       oclass="SX", block_size="16m", transfer_size="1m")
     t0 = time.perf_counter()

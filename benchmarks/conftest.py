@@ -40,7 +40,7 @@ FLOWS_BASELINE_PATH = os.path.join(
     os.path.dirname(__file__), "BENCH_flows.json"
 )
 
-#: fail the gate when normalized incremental-solver ops/sec drops more
+#: fail the gate when normalized shipped-allocator ops/sec drops more
 #: than this fraction below the committed baseline
 FLOWS_REGRESSION_THRESHOLD = 0.20
 
@@ -54,11 +54,12 @@ def check_flows_regression(current: dict, baseline: dict) -> list:
     """Compare a fresh bench_flows run against the committed baseline.
 
     Raw ops/sec is machine-dependent, so the gate compares each
-    scenario's incremental/reference *speedup ratio*: the reference
-    solver is frozen by definition (it is the oracle — its arithmetic
-    may never change), which makes it a workload-matched calibrator
-    measured on the same machine seconds apart.  A drop in the ratio
-    means the incremental solver itself got slower.  Returns a list of
+    scenario's incremental/reference *speedup ratio* ("incremental" is
+    the shipped allocator, "reference" the oracle in
+    ``tests/network/oracle.py``): the oracle is frozen by definition
+    (its arithmetic may never change), which makes it a workload-matched
+    calibrator measured on the same machine seconds apart.  A drop in
+    the ratio means the shipped allocator itself got slower.  Returns a list of
     human-readable failure strings (empty = gate passed).
     """
     failures = []
@@ -78,7 +79,7 @@ def check_flows_regression(current: dict, baseline: dict) -> list:
             )
     point = current.get("figure_point", {})
     if not point.get("byte_identical", False):
-        failures.append("figure point: solvers no longer byte-identical")
+        failures.append("figure point: allocators no longer byte-identical")
     # solver_speedup is a same-machine ratio; 4x is the acceptance floor
     # (>= 5x) minus CI-noise margin
     if point.get("solver_speedup", 0.0) < 4.0:

@@ -21,7 +21,6 @@ to cross-check a point).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 
@@ -49,9 +48,6 @@ def main(argv=None) -> int:
     parser.add_argument("--nodes", metavar="N,N,...",
                         help="explicit client-node counts for the sweep "
                              "axis, e.g. 8,16,32,64 (overrides --full)")
-    parser.add_argument("--solver", choices=["incremental", "reference"],
-                        help="flow-solver engine (default: incremental, "
-                             "or $REPRO_FLOW_SOLVER)")
     parser.add_argument("--trace-out", metavar="PATH",
                         help="run ONE instrumented fig-1 point instead of "
                              "the sweep and write its Chrome trace JSON")
@@ -74,11 +70,6 @@ def main(argv=None) -> int:
                         default="none",
                         help="client cache mode for the instrumented point")
     args = parser.parse_args(argv)
-
-    if args.solver:
-        # catch-all for code paths without an explicit flow_solver
-        # parameter (the traced point, the Lustre contrast)
-        os.environ["REPRO_FLOW_SOLVER"] = args.solver
 
     node_counts = FULL_NODE_COUNTS if args.full else QUICK_NODE_COUNTS
     if args.nodes:
@@ -115,15 +106,13 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 0
     if args.figure in ("1a", "1b", "all"):
-        fig1a, fig1b = fig1_fpp(node_counts, block, args.ppn,
-                                flow_solver=args.solver)
+        fig1a, fig1b = fig1_fpp(node_counts, block, args.ppn)
         if args.figure in ("1a", "all"):
             print(render_figure(fig1a), end="\n\n")
         if args.figure in ("1b", "all"):
             print(render_figure(fig1b), end="\n\n")
     if args.figure in ("2a", "2b", "all"):
-        fig2a, fig2b = fig2_shared(node_counts, block, args.ppn,
-                                   flow_solver=args.solver)
+        fig2a, fig2b = fig2_shared(node_counts, block, args.ppn)
         if args.figure in ("2a", "all"):
             print(render_figure(fig2a), end="\n\n")
         if args.figure in ("2b", "all"):

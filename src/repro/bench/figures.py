@@ -46,9 +46,8 @@ def _run_point(
     block_size,
     ppn: int,
     repetitions: int,
-    flow_solver: Optional[str] = None,
 ) -> Tuple[float, float]:
-    cluster = nextgenio(client_nodes=nodes, flow_solver=flow_solver)
+    cluster = nextgenio(client_nodes=nodes)
     params = IorParams(
         api=api,
         file_per_proc=file_per_proc,
@@ -68,7 +67,6 @@ def fig1_fpp(
     repetitions: int = 1,
     interfaces: Iterable[str] = FIG1_INTERFACES,
     oclasses: Iterable[str] = FIG1_OCLASSES,
-    flow_solver: Optional[str] = None,
 ) -> Tuple[FigureData, FigureData]:
     """Returns (fig1a_read, fig1b_write)."""
     read_fig = FigureData("Fig 1a", "IOR file-per-process: read",
@@ -83,7 +81,6 @@ def fig1_fpp(
             for nodes in node_counts:
                 write_bw, read_bw = _run_point(
                     nodes, api, oclass, True, block_size, ppn, repetitions,
-                    flow_solver=flow_solver,
                 )
                 read_series.add(nodes, read_bw)
                 write_series.add(nodes, write_bw)
@@ -99,7 +96,6 @@ def fig2_shared(
     repetitions: int = 1,
     interfaces: Iterable[str] = FIG2_INTERFACES,
     oclass: str = "SX",
-    flow_solver: Optional[str] = None,
 ) -> Tuple[FigureData, FigureData]:
     """Returns (fig2a_read, fig2b_write)."""
     read_fig = FigureData("Fig 2a", "IOR shared-file: read",
@@ -113,7 +109,6 @@ def fig2_shared(
         for nodes in node_counts:
             write_bw, read_bw = _run_point(
                 nodes, api, oclass, False, block_size, ppn, repetitions,
-                flow_solver=flow_solver,
             )
             read_series.add(nodes, read_bw)
             write_series.add(nodes, write_bw)

@@ -75,15 +75,9 @@ def build_cluster(
     fabric_spec: Optional[FabricSpec] = None,
     capacity_per_target: int = 64 * GiB,
     seed: int = 0xDA05,
-    flow_solver: Optional[str] = None,
 ) -> Cluster:
     """Assemble and boot a cluster; returns once the pool exists and the
-    metadata service has a stable leader.
-
-    ``flow_solver`` picks the bandwidth-allocation engine (``reference``
-    or ``incremental``); by default the ``REPRO_FLOW_SOLVER`` environment
-    variable decides.
-    """
+    metadata service has a stable leader."""
     sim = Simulator()
     rng = RngStreams(seed=seed)
     fspec = fabric_spec or FabricSpec()
@@ -93,7 +87,6 @@ def build_cluster(
         msg_bandwidth=fspec.msg_bandwidth,
         software_overhead=fspec.software_overhead,
         rpc_timeout=fspec.rpc_timeout,
-        flow_solver=flow_solver,
     )
     espec = engine_spec or EngineSpec()
     server_spec = NodeSpec(engines=2, engine=espec)
@@ -190,15 +183,13 @@ def build_lustre_cluster(
 
 
 def nextgenio(client_nodes: int = 4, seed: int = 0xDA05,
-              capacity_per_target: int = 192 * GiB,
-              flow_solver: Optional[str] = None) -> Cluster:
+              capacity_per_target: int = 192 * GiB) -> Cluster:
     """The paper's testbed: 8 servers, 2 engines each, Optane media."""
     return build_cluster(
         server_nodes=8,
         client_nodes=client_nodes,
         capacity_per_target=capacity_per_target,
         seed=seed,
-        flow_solver=flow_solver,
     )
 
 

@@ -39,13 +39,10 @@ class Fabric:
         msg_bandwidth: float = 11e9,
         software_overhead: float = 0.8e-6,
         rpc_timeout: float = 5e-3,
-        flow_solver: Optional[str] = None,
     ):
         self.sim = sim
-        #: bulk-data bandwidth allocator; ``flow_solver`` picks the
-        #: engine (``reference``/``incremental``, default from the
-        #: ``REPRO_FLOW_SOLVER`` environment variable)
-        self.flownet = FlowNetwork(sim, solver=flow_solver)
+        #: bulk-data bandwidth model
+        self.flownet = FlowNetwork(sim)
         #: one-way wire latency between any two distinct nodes
         self.base_latency = base_latency
         #: serialization bandwidth applied to small (non-flow) messages

@@ -1,4 +1,4 @@
-"""Max-min fair fluid-flow bandwidth allocation.
+"""Max-min fair fluid-flow bandwidth model: links, flows, transfers.
 
 Model
 -----
@@ -15,44 +15,14 @@ Model
   cost per op can never exceed ``x / o`` even on an idle network — the
   cap used by the stack is ``x / (x/r_link + o)`` folded in by callers).
 
-Allocation is *equal-rate progressive filling*: all unfixed flows grow at
-the same rate; when a link saturates, the flows crossing it are fixed;
-when a flow reaches its cap, it is fixed; repeat. This is the classic
-max-min fair allocation with heterogeneous consumption coefficients.
+Division of labour
+------------------
 
-Solver engine
--------------
-
-Reallocation is structured as register -> compute -> allocate (the psim
-``BandwidthAllocator`` idiom): mutations (open/close/``set_cap``/
-``set_link_capacity``) *register* dirty links and flows with the active
-solver; :meth:`FlowNetwork._reallocate` asks the solver to *plan* the
-set of flows whose rates may change, lets it *compute* new rates, then
-*allocates* — syncing and rescheduling only the affected transfers and
-sampling utilization gauges only for the affected links.
-
-Two solvers implement the compute phase:
-
-- :class:`ReferenceSolver` — the original pure-Python progressive
-  filling over *all* flows and links.  It is the oracle for the
-  differential test harness (``tests/network/test_solver_equivalence``)
-  and the byte-stability anchor for the pinned seed figures.
-- :class:`IncrementalSolver` (default) — tracks dirty links so a change
-  re-solves only the connected component of flows touching changed
-  links (flows in untouched components keep their rates *and* their
-  scheduled completion events), and runs progressive filling as numpy
-  vector operations over a flow x link incidence matrix.  The float
-  semantics mirror the reference solver operation-for-operation (fold
-  order of denominators, strict-< bottleneck tie-breaks, per-flow
-  denominator decrements with intermediate clamping), so on workloads
-  whose flow graph stays a single component — every IOR figure point —
-  the two solvers agree byte-for-byte, not just within tolerance.
-
-Select with ``REPRO_FLOW_SOLVER=reference|incremental`` (or the
-``solver=`` argument) to bisect determinism suspects.
-
-Reallocation happens only when the flow population changes (open/close/
-cap change), so steady phases — exactly what bulk-I/O benchmarks produce —
+:class:`FlowNetwork` keeps the links, flows and in-flight transfers;
+*which* rate each flow gets is the business of the allocator behind it
+(:mod:`repro.network.allocator`). Rates change in one place,
+:meth:`FlowNetwork._reallocate`, and only when the flow population
+changes, so steady phases — exactly what bulk-I/O benchmarks produce —
 cost almost nothing. In-flight :class:`Transfer` objects integrate their
 remaining bytes across rate changes, so completion times are exact under
 the fluid model.
@@ -61,27 +31,13 @@ the fluid model.
 from __future__ import annotations
 
 import heapq
-import logging
-import math
-import os
 import time
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import NetworkError
+from repro.network.allocator import EPS, Allocator, MaxMinAllocator
 from repro.sim.core import Simulator
 from repro.sim.sync import Gate
-
-_EPS = 1e-9
-
-#: rate assigned to flows with no binding constraint (no links, no cap):
-#: effectively instantaneous in the fluid model.
-_UNBOUNDED_RATE = 1e18
-
-SOLVER_ENV = "REPRO_FLOW_SOLVER"
-
-_LOG = logging.getLogger(__name__)
 
 
 class Link:
@@ -137,7 +93,7 @@ class Flow:
     def set_cap(self, cap: Optional[float]) -> None:
         """Change the intrinsic rate cap and reallocate."""
         self.cap = cap
-        self.network._solver.note_cap_changed(self)
+        self.network._allocator.touch_flow(self)
         self.network._reallocate()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -167,484 +123,34 @@ class Transfer:
         self.gate._subscribe(callback)
 
 
-# --------------------------------------------------------------------------
-# Solvers
-# --------------------------------------------------------------------------
-
-
-class ReferenceSolver:
-    """Global progressive filling, exactly as originally shipped.
-
-    Every reallocation re-solves all flows over all links in pure
-    Python.  Kept as the oracle for the differential equivalence suite
-    and as the byte-stability anchor: its arithmetic (and therefore the
-    pinned seed figures) must never drift.
-    """
-
-    name = "reference"
-
-    def __init__(self, net: "FlowNetwork"):
-        self.net = net
-
-    # -- register phase: global solver ignores dirtiness ------------------
-    def note_link_added(self, link: Link) -> None:
-        pass
-
-    def note_link_dirty(self, link: Link) -> None:
-        pass
-
-    def note_flow_added(self, flow: Flow) -> None:
-        pass
-
-    def note_flow_removed(self, flow: Flow) -> None:
-        pass
-
-    def note_cap_changed(self, flow: Flow) -> None:
-        pass
-
-    def plan(self) -> Tuple[List[Flow], List[Link]]:
-        net = self.net
-        if not net._flows:
-            return [], []
-        return net._flows, list(net._links.values())
-
-    # -- compute phase ----------------------------------------------------
-    def compute(self, flows: Sequence[Flow]) -> None:
-        net = self.net
-        n = len(flows)
-        remaining = {link: link.capacity for link in net._links.values()}
-        denom: Dict[Link, float] = {}
-        flow_links: Dict[Flow, List[Tuple[Link, float]]] = {}
-        for flow in flows:
-            flow.rate = 0.0
-            flow_links[flow] = flow.links
-            for link, weight in flow.links:
-                denom[link] = denom.get(link, 0.0) + weight
-
-        index = {flow: i for i, flow in enumerate(flows)}
-        unfixed = set(range(n))
-        level = 0.0  # common rate of all unfixed flows
-        guard = 0
-        while unfixed:
-            guard += 1
-            if guard > n + len(denom) + 2:
-                raise NetworkError("progressive filling failed to converge")
-            # Next link saturation point.
-            delta_link = math.inf
-            bottleneck: Optional[Link] = None
-            for link, d in denom.items():
-                if d > _EPS:
-                    step = remaining[link] / d
-                    if step < delta_link:
-                        delta_link = step
-                        bottleneck = link
-            # Next cap crossing.
-            delta_cap = math.inf
-            for i in unfixed:
-                cap = flows[i].cap
-                if cap is not None:
-                    headroom = cap - level
-                    if headroom < delta_cap:
-                        delta_cap = headroom
-            delta = min(delta_link, delta_cap)
-            if delta is math.inf:
-                # No binding constraint at all (flows with no links/caps):
-                # they are infinitely fast in the fluid model; pick a huge
-                # rate so transfers are effectively instantaneous.
-                for i in unfixed:
-                    flows[i].rate = _UNBOUNDED_RATE
-                break
-            if delta < 0:
-                delta = 0.0
-            level += delta
-            for link in denom:
-                remaining[link] -= delta * denom[link]
-
-            newly_fixed: List[int] = []
-            if delta_cap <= delta_link:
-                for i in list(unfixed):
-                    cap = flows[i].cap
-                    if cap is not None and cap - level <= _EPS:
-                        newly_fixed.append(i)
-            if delta_link <= delta_cap and bottleneck is not None:
-                for flow in bottleneck._flows:
-                    idx = index[flow]
-                    if idx in unfixed:
-                        newly_fixed.append(idx)
-            if not newly_fixed:
-                # Numerical corner: force-fix the bottleneck link's flows.
-                if bottleneck is not None:
-                    for flow in bottleneck._flows:
-                        idx = index[flow]
-                        if idx in unfixed:
-                            newly_fixed.append(idx)
-                if not newly_fixed:
-                    net._note_forced_exit(level, len(unfixed))
-                    break
-            for i in newly_fixed:
-                if i not in unfixed:
-                    continue
-                unfixed.discard(i)
-                flow = flows[i]
-                flow.rate = level
-                for link, weight in flow_links[flow]:
-                    denom[link] -= weight
-                    if denom[link] < _EPS:
-                        denom[link] = 0.0
-
-
-class IncrementalSolver:
-    """Dirty-link incremental, numpy-vectorized progressive filling.
-
-    Register phase: mutations mark links/flows dirty and keep a dense
-    flow x link incidence matrix up to date (rows are flow slots, columns
-    are link slots; both grow geometrically and freed rows are reused).
-
-    Compute phase: the dirty set is expanded to the connected component
-    of flows reachable through shared links; only that component is
-    re-solved.  Within the component the progressive-filling loop runs
-    on numpy vectors: link saturation steps, cap crossings and
-    remaining-capacity updates are whole-array operations, while the
-    per-flow denominator decrements replay the reference solver's exact
-    subtract-then-clamp sequence so the floats match bit-for-bit.
-
-    Flows outside the component keep their previous rates and their
-    already-scheduled completion events — the allocate phase never
-    touches them.
-    """
-
-    name = "incremental"
-
-    _INITIAL = 64
-
-    def __init__(self, net: "FlowNetwork"):
-        self.net = net
-        self._dirty_links: set = set()
-        self._dirty_flows: set = set()
-        # dense incidence matrix: rows = flow slots, cols = link slots
-        self._W = np.zeros((self._INITIAL, self._INITIAL))
-        self._caps = np.full(self._INITIAL, np.inf)
-        self._serials = np.zeros(self._INITIAL, dtype=np.int64)
-        self._linkcap = np.zeros(self._INITIAL)
-        self._row_of: Dict[Flow, int] = {}
-        self._flow_of_row: List[Optional[Flow]] = [None] * self._INITIAL
-        self._free_rows: List[int] = []
-        self._nrows = 0
-        self._col_of: Dict[Link, int] = {}
-        self._link_of_col: List[Link] = []
-        # per-flow compact rows: global col ids + matching weights, both
-        # as numpy arrays (vector decrements) and as python pairs (the
-        # scalar fast path for the common few-links-per-flow case)
-        self._cols_of: Dict[Flow, np.ndarray] = {}
-        self._wts_of: Dict[Flow, np.ndarray] = {}
-        self._cells_of: Dict[Flow, List[Tuple[int, float]]] = {}
-        # rows/cols of the last plan(), consumed by the same-call compute()
-        self._plan_rows = np.empty(0, dtype=np.intp)
-        self._plan_cols = np.empty(0, dtype=np.intp)
-
-    # -- registry growth --------------------------------------------------
-    def _grow_rows(self) -> None:
-        old = self._W
-        grown = np.zeros((old.shape[0] * 2, old.shape[1]))
-        grown[: old.shape[0]] = old
-        self._W = grown
-        caps = np.full(grown.shape[0], np.inf)
-        caps[: self._caps.shape[0]] = self._caps
-        self._caps = caps
-        serials = np.zeros(grown.shape[0], dtype=np.int64)
-        serials[: self._serials.shape[0]] = self._serials
-        self._serials = serials
-        self._flow_of_row.extend([None] * (grown.shape[0] - len(self._flow_of_row)))
-
-    def _grow_cols(self) -> None:
-        old = self._W
-        grown = np.zeros((old.shape[0], old.shape[1] * 2))
-        grown[:, : old.shape[1]] = old
-        self._W = grown
-        linkcap = np.zeros(grown.shape[1])
-        linkcap[: self._linkcap.shape[0]] = self._linkcap
-        self._linkcap = linkcap
-
-    # -- register phase ---------------------------------------------------
-    def note_link_added(self, link: Link) -> None:
-        col = len(self._link_of_col)
-        if col >= self._W.shape[1]:
-            self._grow_cols()
-        self._col_of[link] = col
-        self._link_of_col.append(link)
-        self._linkcap[col] = link.capacity
-
-    def note_link_dirty(self, link: Link) -> None:
-        self._linkcap[self._col_of[link]] = link.capacity
-        self._dirty_links.add(link)
-
-    def note_flow_added(self, flow: Flow) -> None:
-        if self._free_rows:
-            row = self._free_rows.pop()
-        else:
-            row = self._nrows
-            self._nrows += 1
-            if row >= self._W.shape[0]:
-                self._grow_rows()
-        self._row_of[flow] = row
-        # Accumulate weights per column in first-occurrence order (callers
-        # pre-aggregate per link, so this is normally a straight copy).
-        cols: List[int] = []
-        wts: List[float] = []
-        pos: Dict[int, int] = {}
-        for link, weight in flow.links:
-            c = self._col_of[link]
-            at = pos.get(c)
-            if at is None:
-                pos[c] = len(cols)
-                cols.append(c)
-                wts.append(weight)
-            else:
-                wts[at] += weight
-        col_arr = np.asarray(cols, dtype=np.intp)
-        wt_arr = np.asarray(wts)
-        self._cols_of[flow] = col_arr
-        self._wts_of[flow] = wt_arr
-        self._cells_of[flow] = list(zip(cols, wts))
-        if len(cols):
-            self._W[row, col_arr] = wt_arr
-        self._caps[row] = np.inf if flow.cap is None else flow.cap
-        self._serials[row] = flow._serial
-        self._flow_of_row[row] = flow
-        self._dirty_flows.add(flow)
-
-    def note_flow_removed(self, flow: Flow) -> None:
-        row = self._row_of.pop(flow, None)
-        if row is None:
-            return
-        cols = self._cols_of.pop(flow)
-        self._wts_of.pop(flow)
-        self._cells_of.pop(flow)
-        if cols.size:
-            self._W[row, cols] = 0.0
-        self._caps[row] = np.inf
-        self._serials[row] = 0
-        self._flow_of_row[row] = None
-        self._free_rows.append(row)
-        self._dirty_flows.discard(flow)
-        for link, _w in flow.links:
-            self._dirty_links.add(link)
-
-    def note_cap_changed(self, flow: Flow) -> None:
-        row = self._row_of.get(flow)
-        if row is None:
-            return
-        self._caps[row] = np.inf if flow.cap is None else flow.cap
-        self._dirty_flows.add(flow)
-
-    # -- plan: expand dirtiness to the connected component ----------------
-    def plan(self) -> Tuple[List[Flow], List[Link]]:
-        if not self._dirty_links and not self._dirty_flows:
-            return [], []
-        nr = self._nrows
-        nc = len(self._link_of_col)
-        row_of = self._row_of
-        fmask = np.zeros(nr, dtype=bool)
-        lmask = np.zeros(nc, dtype=bool)
-        for flow in self._dirty_flows:
-            fmask[row_of[flow]] = True
-        gauge_extras = [l for l in self._dirty_links if not l._flows]
-        for link in self._dirty_links:
-            lmask[self._col_of[link]] = True
-        self._dirty_links.clear()
-        self._dirty_flows.clear()
-        if not nr:
-            return [], []
-        # Fixpoint expansion over the incidence matrix: freed rows are
-        # zeroed, so only live flows join the component.
-        Wv = self._W[:nr, :nc]
-        count = -1
-        while True:
-            np.logical_or(fmask, Wv @ lmask > 0.0, out=fmask)
-            np.logical_or(lmask, fmask @ Wv > 0.0, out=lmask)
-            grown = int(fmask.sum()) + int(lmask.sum())
-            if grown == count:
-                break
-            count = grown
-        rows = np.nonzero(fmask)[0]
-        if not rows.size:
-            return [], []
-        rows = rows[np.argsort(self._serials[rows])]
-        flow_of_row = self._flow_of_row
-        flows = [flow_of_row[r] for r in rows]
-        # Links in first-touch order over the serial-sorted flows: this is
-        # the reference solver's denominator-dict insertion order, which
-        # the bottleneck argmin tie-break depends on.
-        if len(flows) == 1:
-            cols = self._cols_of[flows[0]]
-        else:
-            allc = np.concatenate([self._cols_of[f] for f in flows])
-            # first-occurrence position of every col: reversed fancy
-            # assignment makes the earliest write win
-            first = np.full(nc, -1, dtype=np.intp)
-            first[allc[::-1]] = np.arange(allc.size - 1, -1, -1)
-            hit = np.nonzero(first >= 0)[0]
-            cols = hit[np.argsort(first[hit])]
-        link_of_col = self._link_of_col
-        links = [link_of_col[c] for c in cols]
-        self._plan_rows = rows
-        self._plan_cols = cols
-        links.extend(gauge_extras)
-        return flows, links
-
-    # -- compute phase ----------------------------------------------------
-    def compute(self, flows: Sequence[Flow]) -> None:
-        n = len(flows)
-        cols_of = self._cols_of
-        rows = self._plan_rows
-        cols = self._plan_cols
-        m = len(cols)
-        inf = math.inf
-        if m:
-            W = self._W[np.ix_(rows, cols)]
-            if n > 1:
-                # accumulate folds rows sequentially, matching the
-                # reference's per-link flow-order summation rounding
-                denom = np.add.accumulate(W, axis=0)[-1]
-            else:
-                denom = W[0].copy()
-            remaining = self._linkcap[cols].astype(float)
-            # global col id -> local col position, for per-flow decrements
-            local = np.empty(len(self._link_of_col), dtype=np.intp)
-            local[cols] = np.arange(m)
-        else:
-            W = denom = remaining = np.empty(0)
-            local = None
-        # working copy: rows go to +inf as their flows fix, so the plain
-        # (C fast-path) caps.min() is exactly the masked min-over-unfixed,
-        # and `caps - level <= _EPS` self-excludes fixed rows
-        caps = self._caps[rows]
-        rates = np.zeros(n)
-        unfixed = np.ones(n, dtype=bool)
-        step = np.empty(m) if m else None
-        cells_of = self._cells_of
-        n_unfixed = n
-        level = 0.0
-        guard = 0
-        while n_unfixed:
-            guard += 1
-            if guard > n + m + 2:
-                raise NetworkError("progressive filling failed to converge")
-            if m:
-                step.fill(inf)
-                np.divide(remaining, denom, out=step, where=denom > _EPS)
-                j = int(step.argmin())  # first minimum: dict-order tie-break
-                delta_link = float(step[j])
-                bottleneck = j if delta_link != inf else None
-            else:
-                delta_link = inf
-                bottleneck = None
-            # min over unfixed of (cap - level): rounding is monotone, so
-            # subtracting after the min matches the reference's per-flow
-            # subtract-then-min float result exactly
-            delta_cap = float(caps.min()) - level
-            delta = delta_link if delta_link < delta_cap else delta_cap
-            if delta == inf:
-                rates[unfixed] = _UNBOUNDED_RATE
-                break
-            if delta < 0:
-                delta = 0.0
-            level += delta
-            if m:
-                remaining -= delta * denom
-
-            parts: List[np.ndarray] = []
-            if delta_cap <= delta_link:
-                parts.append(np.nonzero(caps - level <= _EPS)[0])
-            if delta_link <= delta_cap and bottleneck is not None:
-                hit = np.nonzero(unfixed & (W[:, bottleneck] > 0.0))[0]
-                if parts and parts[0].size and hit.size:
-                    hit = hit[~np.isin(hit, parts[0])]
-                parts.append(hit)
-            newly = (
-                np.concatenate(parts) if len(parts) > 1
-                else parts[0] if parts
-                else np.empty(0, dtype=np.intp)
-            )
-            if newly.size == 0:
-                if bottleneck is not None:
-                    newly = np.nonzero(unfixed & (W[:, bottleneck] > 0.0))[0]
-                if newly.size == 0:
-                    self.net._note_forced_exit(level, n_unfixed)
-                    break
-            if newly.size == n_unfixed:
-                # Terminal batch: every remaining flow fixes at this level,
-                # so the interleaved denominator decrements (which only
-                # matter for later iterations) can be skipped wholesale.
-                rates[newly] = level
-                break
-            for i in newly.tolist():
-                if not unfixed[i]:
-                    continue
-                unfixed[i] = False
-                n_unfixed -= 1
-                rates[i] = level
-                caps[i] = inf
-                cells = cells_of[flows[i]]
-                if len(cells) <= 8:
-                    # scalar path: flows touch a handful of links, and
-                    # python float ops beat fancy indexing at that size
-                    for gc, wt in cells:
-                        lc = local[gc]
-                        val = denom[lc] - wt
-                        denom[lc] = 0.0 if val < _EPS else val
-                else:
-                    gcols = cols_of[flows[i]]
-                    lc = local[gcols]
-                    vals = denom[lc] - self._wts_of[flows[i]]
-                    vals[vals < _EPS] = 0.0
-                    denom[lc] = vals
-
-        for i, flow in enumerate(flows):
-            flow.rate = float(rates[i])
-
-
-_SOLVERS = {
-    ReferenceSolver.name: ReferenceSolver,
-    IncrementalSolver.name: IncrementalSolver,
-}
-
-
 class FlowNetwork:
-    """Container of links and flows; performs max-min fair allocation.
+    """Links, flows and transfers; rates come from ``allocator``.
 
-    ``solver`` selects the allocation engine (``"reference"`` or
-    ``"incremental"``); when omitted, the ``REPRO_FLOW_SOLVER``
-    environment variable decides, defaulting to ``"incremental"``.
+    ``allocator`` is the bandwidth policy (an
+    :class:`~repro.network.allocator.Allocator`); the default is a fresh
+    :class:`~repro.network.allocator.MaxMinAllocator`. Tests inject the
+    global-solve oracle here.
     """
 
-    def __init__(self, sim: Simulator, solver: Optional[str] = None):
+    def __init__(self, sim: Simulator, allocator: Optional[Allocator] = None):
         self.sim = sim
         self._links: Dict[str, Link] = {}
-        self._flows: List[Flow] = []
+        #: live flows in open order (a dict for O(1) close)
+        self._flows: Dict[Flow, None] = {}
+        self._allocator = MaxMinAllocator() if allocator is None else allocator
         self.reallocations = 0
-        #: count of progressive-filling runs that hit the non-convergence
-        #: fallback (see :meth:`_note_forced_exit`)
-        self.forced_exits = 0
         #: cumulative wall-clock seconds spent in reallocation
         self.solver_seconds = 0.0
-        #: cumulative flows re-solved across reallocations (== flows *
-        #: reallocations for the reference solver; less when the
-        #: incremental solver skips untouched components)
+        #: cumulative flows re-solved across reallocations (less than
+        #: flows x reallocations when untouched components are skipped)
         self.solved_flows = 0
         self._next_serial = 0
-        name = solver or os.environ.get(SOLVER_ENV, "") or "incremental"
-        try:
-            self._solver = _SOLVERS[name](self)
-        except KeyError:
-            raise NetworkError(
-                f"unknown flow solver {name!r} "
-                f"(valid: {', '.join(sorted(_SOLVERS))})"
-            ) from None
 
     @property
-    def solver_name(self) -> str:
-        return self._solver.name
+    def forced_exits(self) -> int:
+        """Progressive-filling runs that hit the non-convergence fallback
+        (see :meth:`MaxMinAllocator._forced_exit`)."""
+        return self._allocator.forced_exits
 
     # -- topology ------------------------------------------------------------
     def add_link(self, name: str, capacity: float) -> Link:
@@ -652,7 +158,6 @@ class FlowNetwork:
             raise NetworkError(f"duplicate link {name!r}")
         link = Link(name, capacity)
         self._links[name] = link
-        self._solver.note_link_added(link)
         return link
 
     def link(self, name: str) -> Link:
@@ -670,7 +175,7 @@ class FlowNetwork:
                 f"link {link.name!r} needs positive capacity, got {capacity}"
             )
         link.capacity = float(capacity)
-        self._solver.note_link_dirty(link)
+        self._allocator.touch_link(link)
         self._reallocate()
 
     # -- flows ---------------------------------------------------------------
@@ -681,16 +186,20 @@ class FlowNetwork:
         label: str = "",
     ) -> Flow:
         """Register a new active flow and recompute the allocation."""
-        link_list = [(link, float(weight)) for link, weight in links if weight > 0]
         if cap is not None and cap <= 0:
             raise NetworkError(f"flow cap must be positive, got {cap}")
-        flow = Flow(self, link_list, cap, label)
+        # a link listed twice is crossed once, at the sum of its weights
+        weights: Dict[Link, float] = {}
+        for link, weight in links:
+            if weight > 0:
+                weights[link] = weights.get(link, 0.0) + float(weight)
+        flow = Flow(self, list(weights.items()), cap, label)
         self._next_serial += 1
         flow._serial = self._next_serial
-        for link, weight in link_list:
+        for link, weight in flow.links:
             link._flows[flow] = weight
-        self._flows.append(flow)
-        self._solver.note_flow_added(flow)
+        self._flows[flow] = None
+        self._allocator.add_flow(flow)
         self._reallocate()
         return flow
 
@@ -698,11 +207,11 @@ class FlowNetwork:
         """Deregister a flow (any unfinished transfers on it stall forever)."""
         if flow not in self._flows:
             return
-        self._flows.remove(flow)
+        del self._flows[flow]
         for link, _w in flow.links:
-            link._flows.pop(flow, None)
+            del link._flows[flow]
         flow.rate = 0.0
-        self._solver.note_flow_removed(flow)
+        self._allocator.remove_flow(flow)
         self._reallocate()
 
     # -- transfers -------------------------------------------------------------
@@ -721,17 +230,11 @@ class FlowNetwork:
             # stays >0 across a close() that strands transfers, which is
             # exactly the silent-hang signature the watchdog looks for.
             metrics.gauge("fabric.xfer.inflight").add(self.sim.now, 1)
-        self._schedule_completion(transfer)
-        return transfer
-
-    def _schedule_completion(self, transfer: Transfer) -> None:
         transfer._generation += 1
-        generation = transfer._generation
-        rate = transfer.flow.rate
-        if rate <= _EPS:
-            return  # stalled; a future reallocation reschedules
-        delay = transfer.remaining / rate
-        self.sim.schedule(delay, self._complete, transfer, generation)
+        if flow.rate > EPS:  # else stalled; a future reallocation reschedules
+            self.sim.schedule(transfer.remaining / flow.rate, self._complete,
+                              transfer, transfer._generation)
+        return transfer
 
     def _complete(self, transfer: Transfer, generation: int) -> None:
         if transfer.done or generation != transfer._generation:
@@ -752,85 +255,59 @@ class FlowNetwork:
             metrics.gauge("fabric.xfer.inflight").add(self.sim.now, -1)
         transfer.gate.open(self.sim.now)
 
-    def _sync_transfer(self, transfer: Transfer) -> None:
-        now = self.sim.now
-        elapsed = now - transfer.last_t
-        if elapsed > 0:
-            transfer.remaining -= transfer.flow.rate * elapsed
-            if transfer.remaining < 0:
-                transfer.remaining = 0.0
-            transfer.last_t = now
-
     # -- allocation --------------------------------------------------------------
     def _reallocate(self) -> None:
-        """Register -> compute -> allocate over the affected flow set."""
+        """Re-solve what the last mutation can affect and adopt the result:
+        the single place rates change."""
         self.reallocations += 1
         t0 = time.perf_counter()
-        flows, links = self._solver.plan()
+        allocator = self._allocator
+        exits = allocator.forced_exits
+        flows, links = allocator.compute()
         if flows:
+            self.solved_flows += len(flows)
             sim = self.sim
             now = sim.now
-            # Bring affected transfers up to date under the *old* rates
-            # (the body of _sync_transfer, inlined: this loop runs once
-            # per in-flight transfer per reallocation).
-            for flow in flows:
-                rate = flow.rate
-                for transfer in flow._transfers:
-                    elapsed = now - transfer.last_t
-                    if elapsed > 0:
-                        transfer.remaining -= rate * elapsed
-                        if transfer.remaining < 0:
-                            transfer.remaining = 0.0
-                        transfer.last_t = now
-            self._solver.compute(flows)
-            self.solved_flows += len(flows)
-            # Reschedule affected in-flight transfers under the new rates
-            # (_schedule_completion + Simulator.schedule, inlined; the
-            # heap tuple and completion time are built identically).
             heap = sim._heap
             push = heapq.heappush
             complete = self._complete
+            new_rate = allocator.rate
             for flow in flows:
-                rate = flow.rate
-                if rate <= _EPS:
-                    for transfer in flow._transfers:
-                        transfer._generation += 1  # stalls; reallocation later
-                    continue
+                old = flow.rate
+                rate = flow.rate = new_rate(flow)
                 for transfer in flow._transfers:
+                    # bring the transfer up to date under the *old* rate ...
+                    elapsed = now - transfer.last_t
+                    if elapsed > 0:
+                        transfer.remaining -= old * elapsed
+                        if transfer.remaining < 0:
+                            transfer.remaining = 0.0
+                        transfer.last_t = now
+                    # ... and reschedule it under the new one
+                    # (Simulator.schedule, inlined; a stalled flow waits
+                    # for a later reallocation)
                     transfer._generation += 1
-                    sim._seq += 1
-                    push(heap, (
-                        now + transfer.remaining / rate,
-                        sim._seq,
-                        complete,
-                        (transfer, transfer._generation),
-                    ))
+                    if rate > EPS:
+                        sim._seq += 1
+                        push(heap, (
+                            now + transfer.remaining / rate,
+                            sim._seq,
+                            complete,
+                            (transfer, transfer._generation),
+                        ))
         self.solver_seconds += time.perf_counter() - t0
 
         # Per-edge utilisation timelines: every reallocation is a change
         # point of the piecewise-constant fluid rates, so sampling here
-        # captures the exact utilisation curve of each affected link.
+        # captures the exact utilisation curve of each affected link —
+        # including the drop to zero when a link's last flow closes.
         metrics = self.sim.metrics
-        if metrics is not None and flows:
+        if metrics is not None:
             now = self.sim.now
             for link in links:
                 gauge = metrics.gauge(
                     f"fabric.link.utilization{{link={link.name}}}"
                 )
                 gauge.set(now, link.utilization())
-
-    def _note_forced_exit(self, level: float, n_unfixed: int) -> None:
-        """Progressive filling found a positive step but could fix no flow
-        (a floating-point corner: the step rounds to a level that crosses
-        no cap and saturates no link). The loop exits, leaving the
-        still-unfixed flows at their pre-solve rate of zero; transfers on
-        them stall until a later reallocation. Counted and logged so the
-        fallback is never silent."""
-        self.forced_exits += 1
-        if self.sim.metrics is not None:
-            self.sim.metrics.incr("fabric.solver.forced_exit")
-        _LOG.warning(
-            "progressive filling forced exit at level %.6g with %d unfixed "
-            "flow(s); their rates stay 0 until the next reallocation",
-            level, n_unfixed,
-        )
+            if allocator.forced_exits != exits:
+                metrics.incr("fabric.solver.forced_exit")

@@ -340,6 +340,42 @@ def test_utilization_reporting():
     assert link.utilization() == pytest.approx(0.25)
 
 
+def test_utilization_gauge_drops_when_last_flow_closes():
+    """Regression: closing the only flow on a link left an empty
+    component, sampling was skipped, and ``fabric.link.utilization``
+    read its last non-zero value forever."""
+    from repro.obs import install
+
+    sim, net = make_net()
+    install(sim, tracing=False, metrics=True)
+    busy = net.add_link("busy", 100.0)
+    other = net.add_link("other", 100.0)
+    keeper = net.open([(other, 1.0)], cap=50.0)
+    flow = net.open([(busy, 1.0)])
+    gauge = sim.metrics.gauge("fabric.link.utilization{link=busy}")
+    assert gauge.value == 1.0
+    sim.run(until=1.0)
+    net.close(flow)
+    sim.run(until=2.0)
+    assert gauge.value == busy.utilization() == 0.0
+    assert gauge.timeline[-1] == (1.0, 0.0)
+    # the untouched component was not resampled
+    assert len(sim.metrics.gauge(
+        "fabric.link.utilization{link=other}").timeline) == 1
+    net.close(keeper)
+
+
+def test_repeated_link_in_a_path_counts_once_with_summed_weight():
+    sim, net = make_net()
+    link = net.add_link("l", 90.0)
+    flow = net.open([(link, 1.0), (link, 0.5)])
+    assert flow.links == [(link, 1.5)]
+    assert flow.rate == pytest.approx(60.0)
+    assert link.utilization() == pytest.approx(1.0)
+    net.close(flow)
+    assert link.n_flows == 0
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     capacities=st.lists(st.floats(1.0, 1e4), min_size=1, max_size=5),

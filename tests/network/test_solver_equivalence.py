@@ -1,11 +1,12 @@
-"""Differential equivalence: IncrementalSolver vs the ReferenceSolver oracle.
+"""Differential equivalence: MaxMinAllocator vs the global-solve oracle.
 
-The incremental solver re-solves only the dirty connected component and
-runs progressive filling as numpy vector ops, but its float semantics are
-built to mirror the reference solver operation-for-operation.  This
-harness drives *randomized seeded sequences* of mutations — flow open /
-close / ``set_cap`` / ``set_link_capacity`` — through two mirrored
-networks, one per solver, over several topology shapes, and asserts:
+The shipped allocator re-solves only the dirty connected component,
+with a scalar or a numpy strategy by component size, but its float
+semantics mirror the oracle (``tests/network/oracle.py``)
+operation-for-operation.  This harness drives *randomized seeded
+sequences* of mutations — flow open / close / ``set_cap`` /
+``set_link_capacity`` — through two mirrored networks, one per
+allocator, over several topology shapes, and asserts:
 
 - per-flow rates match within ``_EPS``-scaled tolerance after every
   mutation (in practice they match exactly);
@@ -16,7 +17,7 @@ Shapes are chosen to exercise the solver's structural paths: single hot
 link (star), the bipartite client-NIC x target pattern of the IOR
 figures, striping with fractional weights, long chains (worst case for
 component expansion), sparse random graphs (many independent components
-— the incremental solver's best case), and disjoint islands.
+— the component skipping's best case), and disjoint islands.
 
 ``N_SEQUENCES`` x ``len(SHAPES)`` must stay >= 200 (the acceptance bar
 for this suite).
@@ -28,8 +29,13 @@ import zlib
 
 import pytest
 
-from repro.network.flows import _EPS, FlowNetwork
+from repro.network.allocator import EPS, UNBOUNDED_RATE, MaxMinAllocator
+from repro.network.flows import FlowNetwork
 from repro.sim import Simulator
+from tests.network.oracle import ReferenceAllocator
+
+#: one factory per side of a mirrored pair: oracle first
+ALLOCATORS = (ReferenceAllocator, MaxMinAllocator)
 
 #: randomized operation sequences per topology shape
 N_SEQUENCES = 40
@@ -103,7 +109,7 @@ def shape_sparse(net, rng):
 
 def shape_islands(net, rng):
     """Disjoint 2-link islands; mutations in one island must never
-    perturb the rates of another (the incremental solver skips them)."""
+    perturb the rates of another (the allocator skips them)."""
     islands = [
         (net.add_link(f"i{i}a", rng.uniform(20.0, 80.0)),
          net.add_link(f"i{i}b", rng.uniform(20.0, 80.0)))
@@ -131,14 +137,14 @@ SHAPES = {
 
 
 class MirroredPair:
-    """Two networks, one per solver, receiving identical mutations."""
+    """Two networks, one per allocator, receiving identical mutations."""
 
     def __init__(self, shape, seed):
         self.rng = random.Random(seed)
         self.sims = (Simulator(), Simulator())
         self.nets = tuple(
-            FlowNetwork(sim, solver=name)
-            for sim, name in zip(self.sims, ("reference", "incremental"))
+            FlowNetwork(sim, allocator=make())
+            for sim, make in zip(self.sims, ALLOCATORS)
         )
         # same seed for both builds => mirrored topologies; keep parallel
         # link lists so ops can address "the same link" on both sides
@@ -153,7 +159,7 @@ class MirroredPair:
         assert len(ref_flows) == len(inc_flows)
         for i, (rf, incf) in enumerate(zip(ref_flows, inc_flows)):
             scale = max(1.0, abs(rf.rate))
-            assert abs(rf.rate - incf.rate) <= _EPS * scale, (
+            assert abs(rf.rate - incf.rate) <= EPS * scale, (
                 f"flow {i}: reference rate {rf.rate!r} != "
                 f"incremental rate {incf.rate!r}"
             )
@@ -247,8 +253,7 @@ def test_suite_meets_acceptance_scale():
 def make_pair():
     sims = (Simulator(), Simulator())
     nets = tuple(
-        FlowNetwork(sim, solver=name)
-        for sim, name in zip(sims, ("reference", "incremental"))
+        FlowNetwork(sim, allocator=make()) for sim, make in zip(sims, ALLOCATORS)
     )
     return sims, nets
 
@@ -270,12 +275,10 @@ def test_corner_tiny_capacity_link():
 def test_corner_capless_linkfree_flow_is_unbounded():
     """A flow with no links and no cap has no binding constraint: both
     solvers assign the sentinel unbounded rate."""
-    from repro.network.flows import _UNBOUNDED_RATE
-
     _, nets = make_pair()
     for net in nets:
         flow = net.open([])
-        assert flow.rate == _UNBOUNDED_RATE
+        assert flow.rate == UNBOUNDED_RATE
 
 
 def test_corner_simultaneous_cap_and_link_saturation():
@@ -331,16 +334,25 @@ def test_forced_exit_residual_is_real():
     """The premise of the construction, pinned: the weight pair leaves a
     denominator residual above _EPS."""
     residual = ((FE_WBIG + FE_WSMALL) - FE_WBIG) - FE_WSMALL
-    assert residual > _EPS
+    assert residual > EPS
 
 
-@pytest.mark.parametrize("solver", ["reference", "incremental"])
-def test_forced_exit_degenerate_topology(solver, caplog):
+@pytest.mark.parametrize("make", ALLOCATORS)
+def test_forced_exit_degenerate_topology(make):
+    net = FlowNetwork(Simulator(), allocator=make())
+    a, b, c = _build_forced_exit(net)
+    assert net.forced_exits == 1
+    assert (a.rate, b.rate, c.rate) == (1e-12, 1e-12, 0.0)
+
+
+@pytest.mark.parametrize("scalar_cells", [320, -1], ids=["scalar", "dense"])
+def test_forced_exit_is_logged_by_both_strategies(scalar_cells, caplog):
     import logging
 
-    sim = Simulator()
-    net = FlowNetwork(sim, solver=solver)
-    with caplog.at_level(logging.WARNING, logger="repro.network.flows"):
+    allocator = MaxMinAllocator()
+    allocator.scalar_cells = scalar_cells
+    net = FlowNetwork(Simulator(), allocator=allocator)
+    with caplog.at_level(logging.WARNING, logger="repro.network.allocator"):
         a, b, c = _build_forced_exit(net)
     assert net.forced_exits == 1
     assert (a.rate, b.rate, c.rate) == (1e-12, 1e-12, 0.0)
@@ -354,7 +366,7 @@ def test_forced_exit_metric_counted():
 
     sim = Simulator()
     install(sim, tracing=False, metrics=True)
-    net = FlowNetwork(sim, solver="incremental")
+    net = FlowNetwork(sim)
     _build_forced_exit(net)
     assert net.forced_exits == 1
     assert sim.metrics.counter("fabric.solver.forced_exit").value == 1
