@@ -25,25 +25,14 @@ chaos:
 bench:
 	$(PY) -m pytest benchmarks/ --benchmark-only
 
-# Cache ablation alone: cached-vs-uncached DFuse FPP sweep.
-bench-cache:
+# One ablation alone under pytest-benchmark, JSON into artifacts/:
+#   bench-cache    cached-vs-uncached DFuse FPP sweep
+#   bench-rebuild  IOR FPP during rebuild vs healthy, by throttle fraction
+#   bench-async    throughput vs event-queue depth (DFS + native array)
+bench-cache bench-rebuild bench-async: bench-%:
 	mkdir -p artifacts
-	$(PY) -m pytest benchmarks/bench_cache.py --benchmark-only \
-		--benchmark-json=artifacts/bench-cache.json
-
-# Rebuild ablation alone: IOR FPP during rebuild vs healthy, swept
-# over the rebuild throttle fraction.
-bench-rebuild:
-	mkdir -p artifacts
-	$(PY) -m pytest benchmarks/bench_rebuild.py --benchmark-only \
-		--benchmark-json=artifacts/bench-rebuild.json
-
-# Async ablation alone: throughput vs event-queue depth for the
-# async-capable interfaces (DFS + native DAOS array).
-bench-async:
-	mkdir -p artifacts
-	$(PY) -m pytest benchmarks/bench_async_depth.py --benchmark-only \
-		--benchmark-json=artifacts/bench-async.json
+	$(PY) -m pytest benchmarks/bench_$**.py --benchmark-only \
+		--benchmark-json=artifacts/bench-$*.json
 
 # Allocator throughput: churn scenarios + the 16x16 figure point under
 # the shipped allocator and the tests' global-solve oracle. Writes
@@ -55,57 +44,32 @@ bench-flows:
 	PYTHONPATH=src:benchmarks $(PY) benchmarks/bench_flows.py \
 		--out artifacts/BENCH_flows.json --check
 
-# Multi-tenant serving sweep: tenant count x arrival rate x QoS on/off,
-# plus the chaos noisy-neighbour cell. The sweep is seeded end to end,
-# so it runs twice and the machine-independent projections must match
-# byte for byte — the artifact doubles as a determinism gate.
-bench-tenants:
+# $(call twice,NAME): benchmarks/bench_NAME.py is seeded end to end, so
+# it runs twice and the machine-independent projections (--stable-out:
+# the artifact minus wall times) must match byte for byte — the artifact
+# doubles as a determinism gate.
+define twice
 	mkdir -p artifacts
-	PYTHONPATH=src:benchmarks $(PY) benchmarks/bench_tenants.py \
-		--out artifacts/BENCH_tenants.json \
-		--stable-out artifacts/BENCH_tenants.stable.json
-	PYTHONPATH=src:benchmarks $(PY) benchmarks/bench_tenants.py \
-		--out artifacts/BENCH_tenants.rerun.json \
-		--stable-out artifacts/BENCH_tenants.rerun.stable.json
-	cmp artifacts/BENCH_tenants.stable.json \
-		artifacts/BENCH_tenants.rerun.stable.json
-	rm artifacts/BENCH_tenants.rerun.json \
-		artifacts/BENCH_tenants.rerun.stable.json
+	PYTHONPATH=src:benchmarks $(PY) benchmarks/bench_$(1).py \
+		--out artifacts/BENCH_$(1).json \
+		--stable-out artifacts/BENCH_$(1).stable.json
+	PYTHONPATH=src:benchmarks $(PY) benchmarks/bench_$(1).py \
+		--out artifacts/BENCH_$(1).rerun.json \
+		--stable-out artifacts/BENCH_$(1).rerun.stable.json
+	cmp artifacts/BENCH_$(1).stable.json \
+		artifacts/BENCH_$(1).rerun.stable.json
+	rm artifacts/BENCH_$(1).rerun.json \
+		artifacts/BENCH_$(1).rerun.stable.json
+endef
 
-# Field-database sweep: object size x backend x sync/async plus the
-# Lustre contrast and the 100k-field acceptance run. Seeded end to end:
-# runs twice and the machine-independent projections (which hash the
-# 100k run's full report and timeline JSON) must match byte for byte.
-bench-fdb:
-	mkdir -p artifacts
-	PYTHONPATH=src:benchmarks $(PY) benchmarks/bench_fdb.py \
-		--out artifacts/BENCH_fdb.json \
-		--stable-out artifacts/BENCH_fdb.stable.json
-	PYTHONPATH=src:benchmarks $(PY) benchmarks/bench_fdb.py \
-		--out artifacts/BENCH_fdb.rerun.json \
-		--stable-out artifacts/BENCH_fdb.rerun.stable.json
-	cmp artifacts/BENCH_fdb.stable.json \
-		artifacts/BENCH_fdb.rerun.stable.json
-	rm artifacts/BENCH_fdb.rerun.json \
-		artifacts/BENCH_fdb.rerun.stable.json
-
-# HDF5 interface sweep: posix-vol vs daos-vol vs DFS at the Figure 2
-# point, fpp + shared collective, sync vs --aio-depth 4. Seeded end to
-# end: runs twice and the machine-independent projections must match
-# byte for byte (which also pins the native paths to the pre-VOL seed
-# figures).
-bench-hdf5:
-	mkdir -p artifacts
-	PYTHONPATH=src:benchmarks $(PY) benchmarks/bench_hdf5.py \
-		--out artifacts/BENCH_hdf5.json \
-		--stable-out artifacts/BENCH_hdf5.stable.json
-	PYTHONPATH=src:benchmarks $(PY) benchmarks/bench_hdf5.py \
-		--out artifacts/BENCH_hdf5.rerun.json \
-		--stable-out artifacts/BENCH_hdf5.rerun.stable.json
-	cmp artifacts/BENCH_hdf5.stable.json \
-		artifacts/BENCH_hdf5.rerun.stable.json
-	rm artifacts/BENCH_hdf5.rerun.json \
-		artifacts/BENCH_hdf5.rerun.stable.json
+#   bench-tenants  tenant count x arrival rate x QoS on/off + the chaos
+#                  noisy-neighbour pair
+#   bench-fdb      object size x backend x sync/async, the Lustre
+#                  contrast, and the hashed 100k-field acceptance run
+#   bench-hdf5     posix-vol vs daos-vol vs DFS at the Figure 2 point
+#                  (also pins the native paths to the pre-VOL seed figures)
+bench-tenants bench-fdb bench-hdf5: bench-%:
+	$(call twice,$*)
 
 # End-to-end benchmark (BENCHMARK.json): the driver's own smoke tests,
 # then the fig-1 workload in the contract form at the pinned seed with
@@ -117,37 +81,34 @@ bench-e2e:
 	$(PY) benchmarks/e2e/run.py --workload fig1_fpp_dfs --seed 0xDA05 \
 		--seconds 20 --trace 1
 
-# One instrumented fig-1 point: emit a Chrome trace + metrics snapshot
-# and validate the trace against the trace-event schema. The JSON lands
-# in artifacts/ (uploaded as a CI artifact; open it at ui.perfetto.dev).
+# One instrumented fig-1 point per target, written to artifacts/ (open
+# the traces at ui.perfetto.dev) and schema-validated:
+#   trace        Chrome trace + metrics snapshot
+#   trace-cache  the same with the writeback cache on ("cache" layer spans)
+#   timeline     scraped every 2 ms, with one intentionally unmeetable SLO
+#                so the artifact shows a breach event end to end
+FIG1 = $(PY) benchmarks/run_figures.py --ppn 4
+VALIDATE = $(PY) -m repro.obs.validate
 trace:
 	mkdir -p artifacts
-	$(PY) benchmarks/run_figures.py --ppn 4 \
-		--trace-out artifacts/fig1-trace.json \
+	$(FIG1) --trace-out artifacts/fig1-trace.json \
 		--metrics-out artifacts/fig1-metrics.json
-	$(PY) -m repro.obs.validate artifacts/fig1-trace.json
+	$(VALIDATE) artifacts/fig1-trace.json
 
-# Continuous telemetry for the fig-1 DFS point: scrape the run every
-# 2 ms into a timeline JSON (per-window rates, gauge means, tail-latency
-# percentiles) with one intentionally-unmeetable SLO so the artifact
-# demonstrates a breach event end to end, then schema-validate it.
+trace-cache:
+	mkdir -p artifacts
+	$(FIG1) --cache-mode writeback \
+		--trace-out artifacts/fig1-cached-trace.json \
+		--metrics-out artifacts/fig1-cached-metrics.json
+	$(VALIDATE) artifacts/fig1-cached-trace.json
+
 timeline:
 	mkdir -p artifacts
-	$(PY) benchmarks/run_figures.py --ppn 4 \
-		--timeline-out artifacts/fig1-timeline.json \
+	$(FIG1) --timeline-out artifacts/fig1-timeline.json \
 		--timeline-interval 0.002 \
 		--slo "ior.write.latency p99 < 1e-9 over 1 windows" \
 		--trace-out artifacts/fig1-timeline-trace.json
-	$(PY) -m repro.obs.validate artifacts/fig1-timeline.json
-	$(PY) -m repro.obs.validate artifacts/fig1-timeline-trace.json
-
-# The same instrumented point with the writeback cache enabled: the
-# trace must validate with the extra "cache" layer spans present.
-trace-cache:
-	mkdir -p artifacts
-	$(PY) benchmarks/run_figures.py --ppn 4 --cache-mode writeback \
-		--trace-out artifacts/fig1-cached-trace.json \
-		--metrics-out artifacts/fig1-cached-metrics.json
-	$(PY) -m repro.obs.validate artifacts/fig1-cached-trace.json
+	$(VALIDATE) artifacts/fig1-timeline.json
+	$(VALIDATE) artifacts/fig1-timeline-trace.json
 
 all: test chaos

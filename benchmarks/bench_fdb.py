@@ -20,7 +20,6 @@ are hashed into the artifact, so the ``make bench-fdb`` double-run
 the artifact; ``REPRO_BENCH_FULL=1`` widens the size grid.
 """
 
-import argparse
 import hashlib
 import json
 import os
@@ -142,44 +141,13 @@ def run_sweep():
     }
 
 
-def _strip_wall(cell):
-    return {k: v for k, v in cell.items() if k != "wall_seconds"}
-
-
-def stable_json(doc) -> str:
-    """Serialisation used for the determinism gate: wall_seconds is the
-    one machine-dependent field, so it is stripped before comparing."""
-    pruned = {
-        "sweep": [_strip_wall(cell) for cell in doc["sweep"]],
-        "lustre": [_strip_wall(cell) for cell in doc["lustre"]],
-        "crossover_bytes": doc["crossover_bytes"],
-        "acceptance": _strip_wall(doc["acceptance"]),
-    }
-    return json.dumps(pruned, sort_keys=True, indent=2)
-
-
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", default="artifacts/BENCH_fdb.json")
-    parser.add_argument(
-        "--stable-out", default=None,
-        help="also write the machine-independent projection (the "
-             "determinism-gate bytes) to this path",
-    )
-    args = parser.parse_args(argv)
+    from conftest import write_artifact
 
-    doc = run_sweep()
-    os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
-    with open(args.out, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    if args.stable_out:
-        with open(args.stable_out, "w") as fh:
-            fh.write(stable_json(doc))
-            fh.write("\n")
-
+    doc, out = write_artifact(run_sweep, __doc__.splitlines()[0],
+                              "artifacts/BENCH_fdb.json", argv)
     acc = doc["acceptance"]
-    print(f"wrote {args.out}: {len(doc['sweep'])} sweep cells + "
+    print(f"wrote {out}: {len(doc['sweep'])} sweep cells + "
           f"{len(doc['lustre'])} lustre cells + 100k acceptance")
     cross = doc["crossover_bytes"]
     print(f"  kv->dfs archive crossover: "

@@ -19,8 +19,6 @@ Seeded end to end: ``make bench-hdf5`` runs the sweep twice and ``cmp``s
 the machine-independent projections byte for byte.
 """
 
-import argparse
-import json
 import os
 import sys
 import time
@@ -86,38 +84,12 @@ def run_sweep():
     return {"sweep": [_cell(*cell) for cell in CELLS]}
 
 
-def _strip_wall(cell):
-    return {k: v for k, v in cell.items() if k != "wall_seconds"}
-
-
-def stable_json(doc) -> str:
-    """Serialisation used for the determinism gate: wall_seconds is the
-    one machine-dependent field, so it is stripped before comparing."""
-    pruned = {"sweep": [_strip_wall(cell) for cell in doc["sweep"]]}
-    return json.dumps(pruned, sort_keys=True, indent=2)
-
-
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", default="artifacts/BENCH_hdf5.json")
-    parser.add_argument(
-        "--stable-out", default=None,
-        help="also write the machine-independent projection (the "
-             "determinism-gate bytes) to this path",
-    )
-    args = parser.parse_args(argv)
+    from conftest import write_artifact
 
-    doc = run_sweep()
-    os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
-    with open(args.out, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    if args.stable_out:
-        with open(args.stable_out, "w") as fh:
-            fh.write(stable_json(doc))
-            fh.write("\n")
-
-    print(f"wrote {args.out}: {len(doc['sweep'])} cells")
+    doc, out = write_artifact(run_sweep, __doc__.splitlines()[0],
+                              "artifacts/BENCH_hdf5.json", argv)
+    print(f"wrote {out}: {len(doc['sweep'])} cells")
     for cell in doc["sweep"]:
         mode = "fpp" if cell["file_per_proc"] else (
             "shared-coll" if cell["collective"] else "shared"

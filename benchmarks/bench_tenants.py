@@ -15,8 +15,6 @@ bench-tenants`` runs it twice and ``cmp``s the outputs — the artifact is
 a determinism gate as well as a perf record.
 """
 
-import argparse
-import json
 import os
 import sys
 import time
@@ -160,41 +158,13 @@ def run_sweep():
     return {"sweep": cells, "chaos": chaos}
 
 
-def stable_json(doc) -> str:
-    """Serialisation used for the determinism gate: wall_seconds is the
-    one machine-dependent field, so it is stripped before comparing."""
-    pruned = {
-        "sweep": [
-            {k: v for k, v in cell.items() if k != "wall_seconds"}
-            for cell in doc["sweep"]
-        ],
-        "chaos": doc["chaos"],
-    }
-    return json.dumps(pruned, sort_keys=True, indent=2)
-
-
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", default="artifacts/BENCH_tenants.json")
-    parser.add_argument(
-        "--stable-out", default=None,
-        help="also write the machine-independent projection (the "
-             "determinism-gate bytes) to this path",
-    )
-    args = parser.parse_args(argv)
+    from conftest import write_artifact
 
-    doc = run_sweep()
-    os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
-    with open(args.out, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    if args.stable_out:
-        with open(args.stable_out, "w") as fh:
-            fh.write(stable_json(doc))
-            fh.write("\n")
-
+    doc, out = write_artifact(run_sweep, __doc__.splitlines()[0],
+                              "artifacts/BENCH_tenants.json", argv)
     chaos_off, chaos_on = doc["chaos"]
-    print(f"wrote {args.out}: {len(doc['sweep'])} sweep cells + chaos pair")
+    print(f"wrote {out}: {len(doc['sweep'])} sweep cells + chaos pair")
     print(f"  chaos light p99: qos-off {chaos_off['light_latency']['p99']*1e3:.1f} ms "
           f"(breaches {chaos_off['slo_breaches']}), "
           f"qos-on {chaos_on['light_latency']['p99']*1e3:.1f} ms "

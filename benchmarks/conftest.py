@@ -6,6 +6,7 @@ paper-scale sweep (1..16 nodes, 64 MiB blocks) used to fill
 EXPERIMENTS.md — or run ``python benchmarks/run_figures.py --full``.
 """
 
+import argparse
 import json
 import os
 import sys
@@ -30,6 +31,44 @@ def bench_scale():
 def run_once(benchmark, fn):
     """Run ``fn`` exactly once under pytest-benchmark timing."""
     return benchmark.pedantic(fn, rounds=1, iterations=1)
+
+
+# -- seeded sweep artifacts (bench_tenants / bench_fdb / bench_hdf5) ---------
+
+
+def strip_wall(doc):
+    """``doc`` minus every ``wall_seconds`` key at any depth. Wall time
+    is the one machine-dependent field the sweeps record, so this is the
+    projection the double-run ``cmp`` gates (``make bench-*``) compare."""
+    if isinstance(doc, dict):
+        return {k: strip_wall(v) for k, v in doc.items()
+                if k != "wall_seconds"}
+    if isinstance(doc, (list, tuple)):
+        return [strip_wall(v) for v in doc]
+    return doc
+
+
+def write_artifact(run_sweep, description: str, default_out: str, argv=None):
+    """The command line the seeded sweep scripts share: run
+    ``run_sweep()``, write its document to ``--out`` and, when asked,
+    the :func:`strip_wall` projection to ``--stable-out``. Returns
+    ``(document, out path)`` for the caller's summary lines."""
+    parser = argparse.ArgumentParser(description=description)
+    parser.add_argument("--out", default=default_out)
+    parser.add_argument(
+        "--stable-out", default=None,
+        help="also write the machine-independent projection (the "
+             "determinism-gate bytes) to this path",
+    )
+    args = parser.parse_args(argv)
+    doc = run_sweep()
+    os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
+    for path, body in ((args.out, doc), (args.stable_out, strip_wall(doc))):
+        if path:
+            with open(path, "w") as fh:
+                json.dump(body, fh, sort_keys=True, indent=2)
+                fh.write("\n")
+    return doc, args.out
 
 
 # -- flow-solver perf gate (bench_flows.py / make bench-flows) ---------------

@@ -8,14 +8,16 @@ Usage::
     python benchmarks/run_figures.py --figure 1a     # one panel
     python benchmarks/run_figures.py --contrast      # the §IV claim
     python benchmarks/run_figures.py --nodes 16,32,64 --figure 1b
-    python benchmarks/run_figures.py --solver reference  # oracle solver
+    python benchmarks/run_figures.py --ppn 4 --trace-out trace.json
 
 The full sweep (1..16 client nodes x 16 ppn, 64 MiB blocks) regenerates
 the exact series reported in EXPERIMENTS.md.  ``--nodes`` overrides the
-node-count axis with an explicit comma-separated list; with the default
-incremental flow solver, sweeps up to 64-128 client nodes finish in
-minutes (the reference solver is quadratic in flow count — pick it only
-to cross-check a point).
+node-count axis with an explicit comma-separated list; sweeps up to
+64-128 client nodes finish in minutes.  Any observability flag (the
+group shared with the ``repro-*`` command lines, README "Observing a
+run") runs ONE instrumented fig-1 point instead of the sweep — single
+client node, DFS file-per-process, spans always on: a full sweep's span
+list would dwarf the figures it produces.
 """
 
 from __future__ import annotations
@@ -28,10 +30,18 @@ from repro.bench import (
     FULL_NODE_COUNTS,
     QUICK_NODE_COUNTS,
     fig1_fpp,
-    fig1_traced_point,
     fig2_shared,
     lustre_contrast,
     render_figure,
+)
+from repro.cluster import nextgenio
+from repro.ior import IorParams, run_ior
+from repro.obs.cli import (
+    add_arguments,
+    observe,
+    positive_int,
+    settings,
+    write_artifacts,
 )
 from repro.units import fmt_bw
 
@@ -44,31 +54,15 @@ def main(argv=None) -> int:
                         default="all")
     parser.add_argument("--contrast", action="store_true",
                         help="also run the DAOS-vs-Lustre contrast")
-    parser.add_argument("--ppn", type=int, default=16)
+    parser.add_argument("--ppn", type=positive_int, default=16)
     parser.add_argument("--nodes", metavar="N,N,...",
                         help="explicit client-node counts for the sweep "
                              "axis, e.g. 8,16,32,64 (overrides --full)")
-    parser.add_argument("--trace-out", metavar="PATH",
-                        help="run ONE instrumented fig-1 point instead of "
-                             "the sweep and write its Chrome trace JSON")
-    parser.add_argument("--metrics-out", metavar="PATH",
-                        help="with/instead of --trace-out: write the "
-                             "instrumented point's metrics dump")
-    parser.add_argument("--timeline-out", metavar="PATH",
-                        help="with/instead of --trace-out: write the "
-                             "instrumented point's time-series JSON")
-    parser.add_argument("--timeline-interval", type=float, default=0.01,
-                        metavar="SECONDS",
-                        help="scrape interval for --timeline-out "
-                             "(default 0.01 simulated seconds)")
-    parser.add_argument("--slo", action="append", default=[],
-                        metavar="RULE",
-                        help="SLO/stall rule for the instrumented point "
-                             "(repeatable; see repro.obs.slo)")
     parser.add_argument("--cache-mode",
                         choices=["none", "readonly", "writeback"],
                         default="none",
                         help="client cache mode for the instrumented point")
+    add_arguments(parser, default_interval=0.01)
     args = parser.parse_args(argv)
 
     node_counts = FULL_NODE_COUNTS if args.full else QUICK_NODE_COUNTS
@@ -85,23 +79,15 @@ def main(argv=None) -> int:
     block = "64m" if args.full else "16m"
 
     t0 = time.time()
-    if args.trace_out or args.metrics_out or args.timeline_out:
-        # Instrumented single point: the sweep itself stays untraced (a
-        # full sweep's span list would dwarf the figures it produces).
-        result = fig1_traced_point(
-            block_size=block,
-            ppn=args.ppn,
-            trace_out=args.trace_out,
-            metrics_out=args.metrics_out,
-            cache_mode=args.cache_mode,
-            timeline_out=args.timeline_out,
-            timeline_interval=args.timeline_interval,
-            slo=args.slo or None,
-        )
+    if settings(args)["metrics"]:
+        cluster = nextgenio(client_nodes=1)
+        observe(cluster, args, tracing=True)
+        params = IorParams(api="DFS", file_per_proc=True, oclass="SX",
+                           block_size=block, transfer_size="1m",
+                           cache_mode=args.cache_mode)
+        result = run_ior(cluster, params, ppn=args.ppn)
         print(result.summary())
-        for path in (args.trace_out, args.metrics_out, args.timeline_out):
-            if path:
-                print(f"wrote {path}", file=sys.stderr)
+        write_artifacts(cluster, args)
         print(f"(generated in {time.time() - t0:.1f}s wall time)",
               file=sys.stderr)
         return 0

@@ -13,7 +13,6 @@ from repro.bench.figures import (
     cache_fpp_sweep,
     rebuild_fpp_sweep,
     fig1_fpp,
-    fig1_traced_point,
     fig2_shared,
     lustre_contrast,
     FULL_NODE_COUNTS,
@@ -29,7 +28,6 @@ __all__ = [
     "cache_fpp_sweep",
     "rebuild_fpp_sweep",
     "fig1_fpp",
-    "fig1_traced_point",
     "fig2_shared",
     "lustre_contrast",
     "render_figure",

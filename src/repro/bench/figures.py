@@ -38,26 +38,31 @@ def _series_label(api: str, oclass: Optional[str] = None) -> str:
     return f"{name} {oclass}" if oclass else name
 
 
-def _run_point(
-    nodes: int,
-    api: str,
-    oclass: Optional[str],
-    file_per_proc: bool,
-    block_size,
-    ppn: int,
-    repetitions: int,
-) -> Tuple[float, float]:
-    cluster = nextgenio(client_nodes=nodes)
-    params = IorParams(
-        api=api,
-        file_per_proc=file_per_proc,
-        oclass=oclass,
-        block_size=block_size,
-        transfer_size="1m",
-        repetitions=repetitions,
-    )
-    result = run_ior(cluster, params, ppn=ppn)
-    return result.max_write_bw, result.max_read_bw
+def _ior_sweep(figure_id: str, title: str, xlabel: str, series, xs,
+               ppn: int, cell) -> Tuple[FigureData, FigureData]:
+    """The one loop behind every IOR figure; returns (read, write).
+
+    ``series`` is ``(label, key)`` pairs, one curve each; ``cell(key, x)``
+    boots the point at ``x`` on that curve and returns its ``(cluster,
+    IorParams keywords)``. Transfers are 1 MiB throughout. ``title`` has
+    one ``{}`` for the phase name.
+    """
+    read_fig = FigureData(f"{figure_id}a", title.format("read"),
+                          xlabel, "bandwidth")
+    write_fig = FigureData(f"{figure_id}b", title.format("write"),
+                           xlabel, "bandwidth")
+    for label, key in series:
+        read_series = Series(label)
+        write_series = Series(label)
+        for x in xs:
+            cluster, overrides = cell(key, x)
+            params = IorParams(transfer_size="1m", **overrides)
+            result = run_ior(cluster, params, ppn=ppn)
+            read_series.add(x, result.max_read_bw)
+            write_series.add(x, result.max_write_bw)
+        read_fig.series.append(read_series)
+        write_fig.series.append(write_series)
+    return read_fig, write_fig
 
 
 def fig1_fpp(
@@ -69,24 +74,17 @@ def fig1_fpp(
     oclasses: Iterable[str] = FIG1_OCLASSES,
 ) -> Tuple[FigureData, FigureData]:
     """Returns (fig1a_read, fig1b_write)."""
-    read_fig = FigureData("Fig 1a", "IOR file-per-process: read",
-                          "client nodes", "bandwidth")
-    write_fig = FigureData("Fig 1b", "IOR file-per-process: write",
-                           "client nodes", "bandwidth")
-    for api in interfaces:
-        for oclass in oclasses:
-            label = _series_label(api, oclass)
-            read_series = Series(label)
-            write_series = Series(label)
-            for nodes in node_counts:
-                write_bw, read_bw = _run_point(
-                    nodes, api, oclass, True, block_size, ppn, repetitions,
-                )
-                read_series.add(nodes, read_bw)
-                write_series.add(nodes, write_bw)
-            read_fig.series.append(read_series)
-            write_fig.series.append(write_series)
-    return read_fig, write_fig
+    oclasses = tuple(oclasses)
+    return _ior_sweep(
+        "Fig 1", "IOR file-per-process: {}", "client nodes",
+        [(_series_label(api, oclass), (api, oclass))
+         for api in interfaces for oclass in oclasses],
+        node_counts, ppn,
+        lambda key, nodes: (nextgenio(client_nodes=nodes), dict(
+            api=key[0], oclass=key[1], file_per_proc=True,
+            block_size=block_size, repetitions=repetitions,
+        )),
+    )
 
 
 def fig2_shared(
@@ -98,23 +96,15 @@ def fig2_shared(
     oclass: str = "SX",
 ) -> Tuple[FigureData, FigureData]:
     """Returns (fig2a_read, fig2b_write)."""
-    read_fig = FigureData("Fig 2a", "IOR shared-file: read",
-                          "client nodes", "bandwidth")
-    write_fig = FigureData("Fig 2b", "IOR shared-file: write",
-                           "client nodes", "bandwidth")
-    for api in interfaces:
-        label = _series_label(api)
-        read_series = Series(label)
-        write_series = Series(label)
-        for nodes in node_counts:
-            write_bw, read_bw = _run_point(
-                nodes, api, oclass, False, block_size, ppn, repetitions,
-            )
-            read_series.add(nodes, read_bw)
-            write_series.add(nodes, write_bw)
-        read_fig.series.append(read_series)
-        write_fig.series.append(write_series)
-    return read_fig, write_fig
+    return _ior_sweep(
+        "Fig 2", "IOR shared-file: {}", "client nodes",
+        [(_series_label(api), api) for api in interfaces],
+        node_counts, ppn,
+        lambda api, nodes: (nextgenio(client_nodes=nodes), dict(
+            api=api, oclass=oclass, file_per_proc=False,
+            block_size=block_size, repetitions=repetitions,
+        )),
+    )
 
 
 def cache_fpp_sweep(
@@ -130,29 +120,15 @@ def cache_fpp_sweep(
     the workload the caching tier targets. Returns (read, write)
     FigureData at each client-node count.
     """
-    read_fig = FigureData("Cache 1a", f"IOR fpp over {api}: read by cache mode",
-                          "client nodes", "bandwidth")
-    write_fig = FigureData("Cache 1b", f"IOR fpp over {api}: write by cache mode",
-                           "client nodes", "bandwidth")
-    for mode in modes:
-        read_series = Series(mode)
-        write_series = Series(mode)
-        for nodes in node_counts:
-            cluster = nextgenio(client_nodes=nodes)
-            params = IorParams(
-                api=api,
-                file_per_proc=True,
-                oclass="SX",
-                block_size=block_size,
-                transfer_size="1m",
-                cache_mode=mode,
-            )
-            result = run_ior(cluster, params, ppn=ppn)
-            read_series.add(nodes, result.max_read_bw)
-            write_series.add(nodes, result.max_write_bw)
-        read_fig.series.append(read_series)
-        write_fig.series.append(write_series)
-    return read_fig, write_fig
+    return _ior_sweep(
+        "Cache 1", f"IOR fpp over {api}: {{}} by cache mode", "client nodes",
+        [(mode, mode) for mode in modes],
+        node_counts, ppn,
+        lambda mode, nodes: (nextgenio(client_nodes=nodes), dict(
+            api=api, oclass="SX", file_per_proc=True,
+            block_size=block_size, cache_mode=mode,
+        )),
+    )
 
 
 def async_depth_sweep(
@@ -171,30 +147,15 @@ def async_depth_sweep(
     byte-identity invariant), so the curve's first two points coincide
     by construction. Returns (read, write) FigureData keyed on depth.
     """
-    read_fig = FigureData("Async 1a", "IOR fpp: read by queue depth",
-                          "aio queue depth", "bandwidth")
-    write_fig = FigureData("Async 1b", "IOR fpp: write by queue depth",
-                           "aio queue depth", "bandwidth")
-    for api in apis:
-        label = _series_label(api)
-        read_series = Series(label)
-        write_series = Series(label)
-        for depth in depths:
-            cluster = nextgenio(client_nodes=nodes)
-            params = IorParams(
-                api=api,
-                file_per_proc=True,
-                oclass=oclass,
-                block_size=block_size,
-                transfer_size="1m",
-                aio_queue_depth=depth,
-            )
-            result = run_ior(cluster, params, ppn=ppn)
-            read_series.add(depth, result.max_read_bw)
-            write_series.add(depth, result.max_write_bw)
-        read_fig.series.append(read_series)
-        write_fig.series.append(write_series)
-    return read_fig, write_fig
+    return _ior_sweep(
+        "Async 1", "IOR fpp: {} by queue depth", "aio queue depth",
+        [(_series_label(api), api) for api in apis],
+        depths, ppn,
+        lambda api, depth: (nextgenio(client_nodes=nodes), dict(
+            api=api, oclass=oclass, file_per_proc=True,
+            block_size=block_size, aio_queue_depth=depth,
+        )),
+    )
 
 
 def _open_rebuild_window(cluster, window_bytes: int) -> int:
@@ -254,81 +215,22 @@ def rebuild_fpp_sweep(
     """
     from repro.units import parse_size
 
-    read_fig = FigureData(
-        "Rebuild 1a", f"IOR fpp over {api}: read during rebuild",
-        "rebuild throttle fraction", "bandwidth",
-    )
-    write_fig = FigureData(
-        "Rebuild 1b", f"IOR fpp over {api}: write during rebuild",
-        "rebuild throttle fraction", "bandwidth",
-    )
-    params = IorParams(
-        api=api,
-        file_per_proc=True,
-        oclass=oclass,
-        block_size=block_size,
-        transfer_size="1m",
-    )
-    healthy = run_ior(nextgenio(client_nodes=nodes), params, ppn=ppn)
     window_bytes = parse_size(window)
-    healthy_read, healthy_write = Series("healthy"), Series("healthy")
-    rebuild_read = Series("during rebuild")
-    rebuild_write = Series("during rebuild")
-    for fraction in fractions:
+
+    def cell(racing: bool, fraction: float):
         cluster = nextgenio(client_nodes=nodes)
-        cluster.daos.rebuild.throttle.fraction = fraction
-        _open_rebuild_window(cluster, window_bytes)
-        result = run_ior(cluster, params, ppn=ppn)
-        healthy_read.add(fraction, healthy.max_read_bw)
-        healthy_write.add(fraction, healthy.max_write_bw)
-        rebuild_read.add(fraction, result.max_read_bw)
-        rebuild_write.add(fraction, result.max_write_bw)
-    read_fig.series.extend([healthy_read, rebuild_read])
-    write_fig.series.extend([healthy_write, rebuild_write])
-    return read_fig, write_fig
+        if racing:
+            cluster.daos.rebuild.throttle.fraction = fraction
+            _open_rebuild_window(cluster, window_bytes)
+        return cluster, dict(api=api, oclass=oclass, file_per_proc=True,
+                             block_size=block_size)
 
-
-def fig1_traced_point(
-    block_size="16m",
-    ppn: int = 16,
-    oclass: str = "SX",
-    trace_out: Optional[str] = None,
-    metrics_out: Optional[str] = None,
-    cache_mode: str = "none",
-    timeline_out: Optional[str] = None,
-    timeline_interval: float = 0.01,
-    slo=None,
-):
-    """One instrumented fig-1 point: single client node, DFS
-    file-per-process, with tracing + metrics enabled. Writes the Chrome
-    trace / metrics dump / timeline JSON when paths are given and
-    returns the IorResult (whose summary carries the per-layer
-    breakdown and, with a timeline, the sparkline block).
-    """
-    from repro.obs import write_chrome_trace, write_metrics, write_timeline
-
-    cluster = nextgenio(client_nodes=1)
-    cluster.observe(
-        timeline_interval=timeline_interval if timeline_out else None,
-        slo_rules=slo,
+    return _ior_sweep(
+        "Rebuild 1", f"IOR fpp over {api}: {{}} during rebuild",
+        "rebuild throttle fraction",
+        [("healthy", False), ("during rebuild", True)],
+        fractions, ppn, cell,
     )
-    params = IorParams(
-        api="DFS",
-        file_per_proc=True,
-        oclass=oclass,
-        block_size=block_size,
-        transfer_size="1m",
-        cache_mode=cache_mode,
-    )
-    result = run_ior(cluster, params, ppn=ppn)
-    if trace_out:
-        write_chrome_trace(cluster.sim.tracer, trace_out,
-                           timeline=result.timeline)
-    if metrics_out:
-        write_metrics(cluster.sim.metrics, metrics_out)
-    if timeline_out:
-        write_timeline(cluster.sim.timeline.store, timeline_out)
-    return result
 
 
 def lustre_contrast(

@@ -3,7 +3,8 @@
 :func:`nextgenio` builds the paper's testbed: 8 dual-engine server nodes
 (Optane DCPMM media) plus N client nodes, a pool spanning every target,
 and a POSIX container — everything IOR needs. :func:`small_cluster`
-is the cheap variant used throughout the test suite.
+is the cheap variant used throughout the test suite;
+:func:`build_system` is the DAOS-or-Lustre switch the command lines use.
 """
 
 from repro.cluster.builder import (
@@ -11,6 +12,7 @@ from repro.cluster.builder import (
     LustreCluster,
     build_cluster,
     build_lustre_cluster,
+    build_system,
     nextgenio,
     small_cluster,
 )
@@ -20,6 +22,7 @@ __all__ = [
     "LustreCluster",
     "build_cluster",
     "build_lustre_cluster",
+    "build_system",
     "nextgenio",
     "small_cluster",
 ]

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import List, Optional
 
 from repro.daos.client import DaosClient
 from repro.daos.system import DaosSystem, PoolMap
@@ -16,36 +16,22 @@ from repro.units import GiB
 
 
 @dataclass
-class Cluster:
-    """A booted system: simulator, fabric, nodes, DAOS, and a pool."""
+class _Machine:
+    """What both systems boot on: simulator, fabric, nodes and the run's
+    RNG streams, with the two verbs every front-end drives them by."""
 
     sim: Simulator
     fabric: Fabric
     servers: List[ServerNode]
     clients: List[ClientNode]
-    daos: DaosSystem
-    pool: PoolMap
     rng: RngStreams
-
-    def new_client(self, node_index: int = 0, name: str = "") -> DaosClient:
-        """A fresh libdaos client context on the given client node."""
-        return DaosClient(self.daos, self.clients[node_index], name)
 
     def run(self, gen, limit: float = 1e9):
         """Spawn a task and drive the simulation until it completes."""
         task = self.sim.spawn(gen)
         return self.sim.run_until_complete(task, limit=limit)
 
-    def inject(self, schedule, trace=None):
-        """Arm a :class:`~repro.faults.FaultSchedule` on this cluster;
-        returns the armed :class:`~repro.faults.FaultInjector` (its
-        ``trace`` carries the deterministic event record)."""
-        from repro.faults.injector import FaultInjector
-
-        return FaultInjector(self, schedule, trace=trace).arm()
-
     def observe(self, tracing: bool = True, metrics: bool = True,
-                seed: Optional[int] = None,
                 timeline_interval: Optional[float] = None,
                 slo_rules=None):
         """Enable span tracing and/or metrics on this cluster's simulator;
@@ -62,10 +48,56 @@ class Cluster:
             self.sim,
             tracing=tracing,
             metrics=metrics,
-            seed=self.rng.seed if seed is None else seed,
+            seed=self.rng.seed,
             timeline_interval=timeline_interval,
             slo_rules=slo_rules,
         )
+
+
+def _machine(server_nodes: int, client_nodes: int, server_name: str,
+             engine_spec: Optional[EngineSpec],
+             fabric_spec: Optional[FabricSpec], seed: int) -> _Machine:
+    """Dual-engine servers and engine-less clients on one fabric."""
+    sim = Simulator()
+    fspec = fabric_spec or FabricSpec()
+    fabric = Fabric(
+        sim,
+        base_latency=fspec.base_latency,
+        msg_bandwidth=fspec.msg_bandwidth,
+        software_overhead=fspec.software_overhead,
+        rpc_timeout=fspec.rpc_timeout,
+    )
+    server_spec = NodeSpec(engines=2, engine=engine_spec or EngineSpec())
+    client_spec = NodeSpec(engines=0)
+    servers = [
+        ServerNode(fabric, f"{server_name}{i}", server_spec)
+        for i in range(server_nodes)
+    ]
+    clients = [
+        ClientNode(fabric, f"client{i}", client_spec)
+        for i in range(client_nodes)
+    ]
+    return _Machine(sim, fabric, servers, clients, RngStreams(seed=seed))
+
+
+@dataclass
+class Cluster(_Machine):
+    """A booted system: simulator, fabric, nodes, DAOS, and a pool."""
+
+    daos: DaosSystem
+    pool: PoolMap
+
+    def new_client(self, node_index: int = 0, name: str = "") -> DaosClient:
+        """A fresh libdaos client context on the given client node."""
+        return DaosClient(self.daos, self.clients[node_index], name)
+
+    def inject(self, schedule, trace=None):
+        """Arm a :class:`~repro.faults.FaultSchedule` on this cluster;
+        returns the armed :class:`~repro.faults.FaultInjector` (its
+        ``trace`` carries the deterministic event record)."""
+        from repro.faults.injector import FaultInjector
+
+        return FaultInjector(self, schedule, trace=trace).arm()
 
 
 def build_cluster(
@@ -78,26 +110,9 @@ def build_cluster(
 ) -> Cluster:
     """Assemble and boot a cluster; returns once the pool exists and the
     metadata service has a stable leader."""
-    sim = Simulator()
-    rng = RngStreams(seed=seed)
-    fspec = fabric_spec or FabricSpec()
-    fabric = Fabric(
-        sim,
-        base_latency=fspec.base_latency,
-        msg_bandwidth=fspec.msg_bandwidth,
-        software_overhead=fspec.software_overhead,
-        rpc_timeout=fspec.rpc_timeout,
-    )
-    espec = engine_spec or EngineSpec()
-    server_spec = NodeSpec(engines=2, engine=espec)
-    client_spec = NodeSpec(engines=0)
-    servers = [
-        ServerNode(fabric, f"server{i}", server_spec) for i in range(server_nodes)
-    ]
-    clients = [
-        ClientNode(fabric, f"client{i}", client_spec) for i in range(client_nodes)
-    ]
-    daos = DaosSystem(sim, fabric, servers, rng=rng)
+    m = _machine(server_nodes, client_nodes, "server", engine_spec,
+                 fabric_spec, seed)
+    daos = DaosSystem(m.sim, m.fabric, m.servers, rng=m.rng)
 
     def boot():
         pool = yield from daos.create_pool(
@@ -105,40 +120,21 @@ def build_cluster(
         )
         return pool
 
-    task = sim.spawn(boot(), "boot")
-    pool = sim.run_until_complete(task, limit=60.0)
-    return Cluster(sim, fabric, servers, clients, daos, pool, rng)
+    task = m.sim.spawn(boot(), "boot")
+    pool = m.sim.run_until_complete(task, limit=60.0)
+    return Cluster(**vars(m), daos=daos, pool=pool)
 
 
 @dataclass
-class LustreCluster:
+class LustreCluster(_Machine):
     """A booted Lustre system on the same hardware model."""
 
-    sim: Simulator
-    fabric: Fabric
-    servers: List[ServerNode]
-    clients: List[ClientNode]
     fs: "object"  # LustreFs
 
     def mount(self, node_index: int = 0, name: str = ""):
         from repro.lustre.client import LustreMount
 
         return LustreMount(self.fs, self.clients[node_index], name)
-
-    def run(self, gen, limit: float = 1e9):
-        task = self.sim.spawn(gen)
-        return self.sim.run_until_complete(task, limit=limit)
-
-    def observe(self, tracing: bool = True, metrics: bool = True,
-                seed: int = 0xDA05,
-                timeline_interval: Optional[float] = None,
-                slo_rules=None):
-        """Enable span tracing and/or metrics (see :meth:`Cluster.observe`)."""
-        from repro.obs import install
-
-        return install(self.sim, tracing=tracing, metrics=metrics, seed=seed,
-                       timeline_interval=timeline_interval,
-                       slo_rules=slo_rules)
 
 
 def build_lustre_cluster(
@@ -154,32 +150,24 @@ def build_lustre_cluster(
     from repro.lustre.fs import LustreFs
     from repro.units import MiB
 
-    sim = Simulator()
-    fspec = FabricSpec()
-    fabric = Fabric(
-        sim,
-        base_latency=fspec.base_latency,
-        msg_bandwidth=fspec.msg_bandwidth,
-        software_overhead=fspec.software_overhead,
-        rpc_timeout=fspec.rpc_timeout,
-    )
-    espec = engine_spec or EngineSpec()
-    server_spec = NodeSpec(engines=2, engine=espec)
-    servers = [
-        ServerNode(fabric, f"oss{i}", server_spec) for i in range(server_nodes)
-    ]
-    clients = [
-        ClientNode(fabric, f"client{i}", NodeSpec(engines=0))
-        for i in range(client_nodes)
-    ]
+    m = _machine(server_nodes, client_nodes, "oss", engine_spec, None, seed)
     fs = LustreFs(
-        sim,
-        fabric,
-        servers,
+        m.sim,
+        m.fabric,
+        m.servers,
         default_stripe_count=stripe_count,
         default_stripe_size=stripe_size or MiB,
     )
-    return LustreCluster(sim, fabric, servers, clients, fs)
+    return LustreCluster(**vars(m), fs=fs)
+
+
+def build_system(lustre: bool, server_nodes: int, client_nodes: int,
+                 seed: int = 0xDA05):
+    """The cluster a front-end runs on: the Lustre baseline or DAOS, on
+    the same hardware and seed — the one place that choice is made."""
+    build = build_lustre_cluster if lustre else build_cluster
+    return build(server_nodes=server_nodes, client_nodes=client_nodes,
+                 seed=seed)
 
 
 def nextgenio(client_nodes: int = 4, seed: int = 0xDA05,

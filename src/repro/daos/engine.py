@@ -18,6 +18,7 @@ first-writer tree-creation accounting used by that path.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, Generator, Set, Tuple
 
 from repro.daos.vos.container import EpochClock, VosContainer
@@ -28,7 +29,6 @@ from repro.network.fabric import Fabric
 from repro.network.ofi import RpcServer
 from repro.sim.core import Simulator
 from repro.sim.sync import Semaphore
-from repro.sim.trace import Stats
 
 
 class Engine:
@@ -48,7 +48,8 @@ class Engine:
         self.rank = engine_rank
         self.name = f"engine:{engine_rank}"
         self.server = RpcServer(fabric, slot.node.addr, self.name)
-        self.stats = Stats(sim)
+        #: event counts (rpcs, tree_creates, tree_warms, crashes, restarts)
+        self.stats: Counter = Counter()
         #: shared system epoch clock (None → shards use private clocks)
         self.clock = clock
         #: pool shards: pool_uuid -> local target index -> VosPool
@@ -118,12 +119,12 @@ class Engine:
                 return 0.0
             self._trees_created.add(key)
             self._trees_warmed.add(key)
-            self.stats.incr("tree_creates")
+            self.stats["tree_creates"] += 1
             return self.spec.shard_first_write_cost
         if key in self._trees_warmed:
             return 0.0
         self._trees_warmed.add(key)
-        self.stats.incr("tree_warms")
+        self.stats["tree_warms"] += 1
         return self.spec.shard_first_read_cost
 
     # ------------------------------------------------------------- map fencing
@@ -157,7 +158,7 @@ class Engine:
         if not self.up:
             return
         self.up = False
-        self.stats.incr("crashes")
+        self.stats["crashes"] += 1
         self.server.set_unavailable(
             lambda: DerTimedOut(f"{self.name} is down")
         )
@@ -167,7 +168,7 @@ class Engine:
         if self.up:
             return
         self.up = True
-        self.stats.incr("restarts")
+        self.stats["restarts"] += 1
         self.server.set_unavailable(None)
 
     # ------------------------------------------------------------- RPC timing
@@ -219,7 +220,7 @@ class Engine:
             else None
         )
         try:
-            self.stats.incr("rpcs")
+            self.stats["rpcs"] += 1
             cost = self.spec.per_rpc_cpu + media_ops * (
                 self.spec.module.access_latency + self.media_latency_extra
             )

@@ -40,7 +40,7 @@ from repro.fdb.mapping import (
     field_file,
     make_mapping,
 )
-from repro.fdb.report import build_report, latency_stats, render_report
+from repro.fdb.report import build_report, render_report
 from repro.fdb.retriever import RETRIEVE_SPAN, Retriever
 from repro.fdb.run import (
     BACKENDS,
@@ -85,7 +85,6 @@ __all__ = [
     "default_index",
     "field_dir",
     "field_file",
-    "latency_stats",
     "make_fields",
     "make_index",
     "make_mapping",

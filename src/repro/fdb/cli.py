@@ -9,19 +9,27 @@ parameter queries and prints the run report::
     python -m repro.fdb --backend lustre --report-out report.json
     python -m repro.fdb --backend array --trace --timeline-out tl.json
 
-Exit status is the number of SLO breaches (clamped to 1), so scripted
-sweeps can gate on it.
+Exit status is 1 when any SLO rule was breached, so scripted sweeps can
+gate on it.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import sys
 from typing import List, Optional
 
+from repro.errors import DerInval
 from repro.fdb.report import build_report, render_report
-from repro.fdb.run import BACKENDS, FdbParams, run_fdb
+from repro.fdb.run import BACKENDS, FdbParams, archive_and_retrieve, boot
+from repro.obs.cli import (
+    add_arguments,
+    observe,
+    positive_int,
+    settings,
+    timeline_store,
+    write_artifacts,
+    write_json,
+)
 from repro.units import MiB, parse_size
 
 
@@ -31,15 +39,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="NWP field database on the simulated DAOS stack",
     )
     grid = parser.add_argument_group("field grid")
-    grid.add_argument("--params", type=int, default=4,
+    grid.add_argument("--params", type=positive_int, default=4,
                       help="parameter count (default 4)")
-    grid.add_argument("--levels", type=int, default=1,
+    grid.add_argument("--levels", type=positive_int, default=1,
                       help="level count (default 1)")
-    grid.add_argument("--steps", type=int, default=4,
+    grid.add_argument("--steps", type=positive_int, default=4,
                       help="forecast-step count (default 4)")
-    grid.add_argument("--members", type=int, default=1,
+    grid.add_argument("--members", type=positive_int, default=1,
                       help="ensemble-member count (default 1)")
-    grid.add_argument("--dates", type=int, default=1,
+    grid.add_argument("--dates", type=positive_int, default=1,
                       help="cycle-date count (default 1)")
     grid.add_argument("--field-size", type=parse_size, default=2 * MiB,
                       metavar="SIZE",
@@ -57,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="SIZE",
                        help="array/file chunk size (default 1m)")
     pipe = parser.add_argument_group("pipeline")
-    pipe.add_argument("--depth", type=int, default=8, metavar="N",
+    pipe.add_argument("--depth", type=positive_int, default=8, metavar="N",
                       help="event-queue depth (default 8)")
     pipe.add_argument("--sync", action="store_true",
                       help="blocking one-field-at-a-time I/O instead of "
@@ -69,31 +77,19 @@ def build_parser() -> argparse.ArgumentParser:
                       help="retrieve only this parameter (repeatable; "
                            "default: all archived parameters)")
     geom = parser.add_argument_group("cluster geometry")
-    geom.add_argument("--servers", type=int, default=2)
-    geom.add_argument("--clients", type=int, default=1)
+    geom.add_argument("--servers", type=positive_int, default=2)
+    geom.add_argument("--clients", type=positive_int, default=1)
     geom.add_argument("--seed", type=int, default=0xDA05)
-    obs = parser.add_argument_group("observability")
+    obs = add_arguments(parser, default_interval=1.0)
     obs.add_argument("--trace", action="store_true",
                      help="record spans and report per-layer breakdowns")
-    obs.add_argument("--timeline-interval", type=float, default=None,
-                     metavar="SECONDS",
-                     help="attach the sim-time metrics scraper at this "
-                          "interval (enables the timeline)")
-    obs.add_argument("--slo", action="append", default=[], metavar="RULE",
-                     help="SLO/stall rule per scrape window, e.g. "
-                          "'fdb.field.latency{backend=kv,phase=archive} "
-                          "p99 < 0.01 over 3 windows'; repeatable")
-    obs.add_argument("--timeline-out", metavar="PATH",
-                     help="write the run's time-series JSON")
     obs.add_argument("--report-out", metavar="PATH",
                      help="write the run report JSON")
     return parser
 
 
 def params_from_args(args) -> FdbParams:
-    interval = args.timeline_interval
-    if args.slo and interval is None:
-        interval = 1.0  # rules need windows to evaluate over
+    wanted = settings(args, tracing=args.trace)  # echoed in the report
     return FdbParams(
         backend=args.backend,
         index=args.index,
@@ -112,29 +108,24 @@ def params_from_args(args) -> FdbParams:
         chunk_bytes=args.chunk_size,
         seed=args.seed,
         retrieve_params=tuple(args.retrieve_param),
-        tracing=args.trace,
-        timeline_interval=interval,
+        tracing=wanted["tracing"],
+        timeline_interval=wanted["timeline_interval"],
         slo_rules=tuple(args.slo),
     )
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    result, cluster = run_fdb(params_from_args(args))
-    store = cluster.sim.timeline.store if cluster.sim.timeline else None
-    report = build_report(result, store=store)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    params = params_from_args(args)
+    try:
+        cluster = boot(params)
+    except DerInval as exc:
+        parser.error(str(exc))
+    observe(cluster, args, tracing=args.trace)
+    result = archive_and_retrieve(cluster, params)
+    report = build_report(result, store=timeline_store(cluster))
     print(render_report(report))
-    if args.report_out:
-        with open(args.report_out, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-        print(f"report written to {args.report_out}", file=sys.stderr)
-    if args.timeline_out:
-        from repro.obs import write_timeline
-
-        write_timeline(store, args.timeline_out)
-        print(f"timeline written to {args.timeline_out}", file=sys.stderr)
+    write_json(report, args.report_out, "report")
+    write_artifacts(cluster, args)
     return 1 if report["slo_breaches"] else 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via module main
-    raise SystemExit(main())

@@ -2,10 +2,9 @@
 
 The archiver and retriever keep *exact* per-field latency samples, so
 the tails here are nearest-rank order statistics over the real sample
-set — the same discipline as the serving reports (whose
-:func:`~repro.tenants.report.exact_quantile` this module reuses). The
-bucketed per-window views live in the timeline JSON for SLO rules; this
-report is the run-level summary the benchmarks gate on.
+set, through the same :func:`repro.obs.latency_stats` as the serving
+reports. The bucketed per-window views live in the timeline JSON for SLO
+rules; this report is the run-level summary the benchmarks gate on.
 
 Everything in :func:`build_report` is a pure function of the run result
 (simulated clock only — no wall time, no environment), so same-seed runs
@@ -15,24 +14,8 @@ the ``make bench-fdb`` double-run ``cmp`` gate pin.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
-
-from repro.tenants.report import QUANTILES, exact_quantile
+from repro.obs.metrics import latency_stats
 from repro.units import fmt_bw, fmt_size, fmt_time
-
-
-def latency_stats(latencies: Sequence[float]) -> dict:
-    """count/mean/max plus the standard quantile set, nearest-rank."""
-    values = sorted(latencies)
-    n = len(values)
-    stats = {
-        "count": n,
-        "mean": (sum(values) / n) if n else 0.0,
-        "max": values[-1] if n else 0.0,
-    }
-    for key, q in QUANTILES:
-        stats[key] = exact_quantile(values, q)
-    return stats
 
 
 def _phase_section(phase: dict) -> dict:

@@ -1,12 +1,14 @@
 """One-shot FDB runs: boot, archive a field grid, flush, retrieve back.
 
-:func:`run_fdb` is the driver the CLI, the benchmarks and the tests all
-share: build the cluster the backend needs (DAOS, or Lustre for the
-parallel-filesystem contrast), archive a deterministic
-``param x level x step x member x date`` grid through the chosen field
-mapping, land a flush landmark, then expand per-parameter queries and
-scatter-read the fields back. It returns a plain-dict result that
-:func:`repro.fdb.report.build_report` turns into the run report.
+:func:`run_fdb` is the driver the benchmarks and the tests share, and
+the CLI calls its two halves with the shared observability front door
+in between: :func:`boot` builds the cluster the backend needs (DAOS, or
+Lustre for the parallel-filesystem contrast); :func:`archive_and_retrieve`
+archives a deterministic ``param x level x step x member x date`` grid
+through the chosen field mapping, lands a flush landmark, then expands
+per-parameter queries and scatter-reads the fields back. It returns a
+plain-dict result that :func:`repro.fdb.report.build_report` turns into
+the run report.
 
 Determinism contract: the result is a pure function of
 :class:`FdbParams` — same params, same seed, byte-identical report and
@@ -18,12 +20,14 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Generator, List, Optional, Tuple
 
+from repro.cluster import build_system
 from repro.errors import DerInval
 from repro.fdb.archiver import ARCHIVE_SPAN, Archiver
 from repro.fdb.index import make_index
 from repro.fdb.mapping import FdbContext, make_mapping
 from repro.fdb.retriever import RETRIEVE_SPAN, Retriever
 from repro.fdb.schema import FieldQuery, make_fields
+from repro.obs.breakdown import layer_breakdown
 from repro.units import MiB
 
 #: backends that store data on a DAOS cluster
@@ -80,22 +84,13 @@ class FdbParams:
             raise DerInval("depth must be >= 1")
 
 
-def _build_cluster(params: FdbParams):
-    if params.backend == "lustre":
-        from repro.cluster import build_lustre_cluster
-
-        return build_lustre_cluster(
-            server_nodes=params.server_nodes,
-            client_nodes=params.client_nodes,
-            seed=params.seed,
-        )
-    from repro.cluster import build_cluster
-
-    return build_cluster(
-        server_nodes=params.server_nodes,
-        client_nodes=params.client_nodes,
-        seed=params.seed,
-    )
+def boot(params: FdbParams):
+    """Validate ``params`` (``DerInval`` on a bad combination), then build
+    the cluster the backend stores on: Lustre for the parallel-filesystem
+    contrast, DAOS otherwise."""
+    params.validate()
+    return build_system(params.backend == "lustre", params.server_nodes,
+                        params.client_nodes, params.seed)
 
 
 def setup_context(cluster, params: FdbParams) -> Generator:
@@ -129,7 +124,21 @@ def setup_context(cluster, params: FdbParams) -> Generator:
 
 def run_fdb(params: FdbParams):
     """Boot, archive, flush, retrieve; returns ``(result, cluster)``."""
-    params.validate()
+    cluster = boot(params)
+    if params.tracing or params.timeline_interval is not None:
+        cluster.observe(
+            tracing=params.tracing,
+            metrics=True,
+            timeline_interval=params.timeline_interval,
+            slo_rules=list(params.slo_rules) or None,
+        )
+    return archive_and_retrieve(cluster, params), cluster
+
+
+def archive_and_retrieve(cluster, params: FdbParams) -> dict:
+    """Drive one run on a booted (and, if wanted, observed) cluster:
+    archive the grid, land a flush landmark, retrieve it back by
+    per-parameter queries; returns the plain-dict result."""
     keys = make_fields(
         n_params=params.n_params,
         n_levels=params.n_levels,
@@ -141,16 +150,6 @@ def run_fdb(params: FdbParams):
         sorted({key.param for key in keys})
     )
     queries = [FieldQuery(param=name) for name in query_params]
-
-    cluster = _build_cluster(params)
-    if params.tracing or params.timeline_interval is not None:
-        cluster.observe(
-            tracing=params.tracing,
-            metrics=True,
-            timeline_interval=params.timeline_interval,
-            slo_rules=list(params.slo_rules) or None,
-        )
-
     mapping = make_mapping(params.backend)
     index = make_index(params.resolved_index(), params.backend)
 
@@ -184,36 +183,25 @@ def run_fdb(params: FdbParams):
     )
 
     tracer = cluster.sim.tracer
-    archive_breakdown = retrieve_breakdown = None
-    if tracer is not None:
-        from repro.obs import layer_breakdown
 
-        archive_breakdown = layer_breakdown(
-            tracer.spans, ARCHIVE_SPAN, archive_wall
-        )
-        retrieve_breakdown = layer_breakdown(
-            tracer.spans, RETRIEVE_SPAN, retrieve_wall
-        )
+    def phase(worker, wall: float, span: str) -> dict:
+        return {
+            "wall": wall,
+            "fields": worker.fields,
+            "bytes": worker.bytes,
+            "latencies": list(worker.latencies),
+            "breakdown": (
+                layer_breakdown(tracer.spans, span, wall)
+                if tracer is not None else None
+            ),
+        }
 
-    result = {
+    return {
         "config": {**asdict(params), "index": params.resolved_index()},
         "n_fields": len(keys),
-        "archive": {
-            "wall": archive_wall,
-            "fields": archiver.fields,
-            "bytes": archiver.bytes,
-            "latencies": list(archiver.latencies),
-            "breakdown": archive_breakdown,
-        },
-        "retrieve": {
-            "wall": retrieve_wall,
-            "fields": retriever.fields,
-            "bytes": retriever.bytes,
-            "latencies": list(retriever.latencies),
-            "breakdown": retrieve_breakdown,
-        },
+        "archive": phase(archiver, archive_wall, ARCHIVE_SPAN),
+        "retrieve": phase(retriever, retrieve_wall, RETRIEVE_SPAN),
         "matched": [key.canonical for key in matched],
         "landmarks": [landmark],
         "end_time": cluster.sim.now,
     }
-    return result, cluster

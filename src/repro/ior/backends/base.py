@@ -69,11 +69,6 @@ class Backend:
     def close(self, handle) -> Generator:
         raise NotImplementedError
 
-    def remove(self, path: str) -> Generator:
-        """Best-effort cleanup between repetitions (unused by default)."""
-        yield 0.0
-        return None
-
     # -------------------------------------------------- async (event queue)
     def write_nb(self, eq, handle, offset: int, payload,
                  repetition: int = 0) -> Generator:

@@ -16,7 +16,6 @@ from repro.daos.array import DaosArray
 from repro.daos.kv import DaosKV
 from repro.daos.objid import ObjId
 from repro.daos.oclass import S1, oclass_by_name
-from repro.errors import DerNonexist
 from repro.ior.backends.base import Backend, register_backend
 
 #: reserved OID (below RESERVED_OIDS) for the path->oid catalog
@@ -73,20 +72,6 @@ class DaosArrayBackend(Backend):
     def close(self, handle: DaosArray) -> Generator:
         handle.close()
         yield 0.0
-        return None
-
-    def remove(self, path: str) -> Generator:
-        catalog = self._catalog()
-        try:
-            hi_lo = yield from catalog.get(path)
-        except DerNonexist:
-            catalog.close()
-            return None
-        yield from catalog.remove(path)
-        catalog.close()
-        obj = self.storage.cont.open_object(ObjId(hi_lo[0], hi_lo[1]))
-        yield from obj.punch_object()
-        obj.close()
         return None
 
 

@@ -50,9 +50,5 @@ class DfsBackend(Backend):
         yield 0.0
         return None
 
-    def remove(self, path: str) -> Generator:
-        yield from self.storage.dfs.unlink(path)
-        return None
-
 
 register_backend(DfsBackend.name, DfsBackend)

@@ -124,9 +124,5 @@ class Hdf5Backend(Backend):
         yield from h5.close()
         return None
 
-    def remove(self, path: str) -> Generator:
-        yield from self.storage.mount.unlink(path)
-        return None
-
 
 register_backend(Hdf5Backend.name, Hdf5Backend)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Generator
 
 from repro.daos.oclass import oclass_by_name
-from repro.hdf5 import DaosVol, H5File, daos_vol_unlink
+from repro.hdf5 import DaosVol, H5File
 from repro.ior.backends.base import register_backend
 from repro.ior.backends.hdf5 import DATASET, Hdf5Backend
 
@@ -75,10 +75,6 @@ class Hdf5DaosBackend(Hdf5Backend):
             return (h5, dataset)
         h5 = yield from H5File.open(self._vol(), path)
         return (h5, h5.dataset(DATASET))
-
-    def remove(self, path: str) -> Generator:
-        yield from daos_vol_unlink(self.storage.cont, path)
-        return None
 
 
 register_backend(Hdf5DaosBackend.name, Hdf5DaosBackend)

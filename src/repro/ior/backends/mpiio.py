@@ -82,9 +82,5 @@ class MpiioBackend(Backend):
         yield from handle.close()
         return None
 
-    def remove(self, path: str) -> Generator:
-        yield from self.storage.mount.unlink(path)
-        return None
-
 
 register_backend(MpiioBackend.name, MpiioBackend)

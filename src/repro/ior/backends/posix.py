@@ -41,9 +41,5 @@ class PosixBackend(Backend):
         yield from handle.close()
         return None
 
-    def remove(self, path: str) -> Generator:
-        yield from self.storage.mount.unlink(path)
-        return None
-
 
 register_backend(PosixBackend.name, PosixBackend)

@@ -13,12 +13,27 @@ Cluster geometry flags (``-N/--nodes``, ``--ppn``, ``--servers``,
 from __future__ import annotations
 
 import argparse
-import sys
 from typing import List, Optional
 
+from repro.cluster import build_system
+from repro.errors import DerInval
 from repro.ior.backends import available_apis, backend_class
 from repro.ior.config import IorParams
 from repro.ior.runner import run_ior
+from repro.obs.cli import add_arguments, observe, positive_int, write_artifacts
+
+
+#: -O keys, each an :class:`IorParams` field of the same name
+OPTIONS = ("oclass", "chunk_size", "cb_buffer")
+
+
+def _key_value(text: str) -> tuple:
+    key, sep, value = text.partition("=")
+    if not sep or key not in OPTIONS:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not KEY=VALUE with KEY one of {', '.join(OPTIONS)}"
+        )
+    return key, value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -30,27 +45,28 @@ def build_parser() -> argparse.ArgumentParser:
                         default="DFS")
     parser.add_argument("-b", "--block-size", default="16m")
     parser.add_argument("-t", "--transfer-size", default="1m")
-    parser.add_argument("-s", "--segments", type=int, default=1)
+    parser.add_argument("-s", "--segments", type=positive_int, default=1)
     parser.add_argument("-F", "--file-per-proc", action="store_true")
     parser.add_argument("-c", "--collective", action="store_true")
     parser.add_argument("-e", "--fsync", action="store_true")
     parser.add_argument("-C", "--reorder", action="store_true", default=True)
     parser.add_argument("--no-reorder", dest="reorder", action="store_false")
-    parser.add_argument("-w", "--write-only", action="store_true")
-    parser.add_argument("-r", "--read-only", action="store_true")
+    phase = parser.add_mutually_exclusive_group()
+    phase.add_argument("-w", "--write-only", action="store_true")
+    phase.add_argument("-r", "--read-only", action="store_true")
     parser.add_argument("-R", "--verify", action="store_true")
-    parser.add_argument("-i", "--repetitions", type=int, default=1)
+    parser.add_argument("-i", "--repetitions", type=positive_int, default=1)
     parser.add_argument("--interleaved", action="store_true",
                         help="io500-hard style transfer interleave")
     parser.add_argument("-O", "--option", action="append", default=[],
-                        metavar="KEY=VALUE",
+                        type=_key_value, metavar="KEY=VALUE",
                         help="backend options: oclass=S2, chunk_size=1m, "
                              "cb_buffer=16m")
     # cluster geometry
-    parser.add_argument("-N", "--nodes", type=int, default=2,
+    parser.add_argument("-N", "--nodes", type=positive_int, default=2,
                         help="client nodes")
-    parser.add_argument("--ppn", type=int, default=16)
-    parser.add_argument("--servers", type=int, default=8)
+    parser.add_argument("--ppn", type=positive_int, default=16)
+    parser.add_argument("--servers", type=positive_int, default=8)
     parser.add_argument("--lustre", action="store_true",
                         help="run against the Lustre baseline instead")
     parser.add_argument("--cache-mode", choices=("none", "readonly",
@@ -64,39 +80,13 @@ def build_parser() -> argparse.ArgumentParser:
                              "transfers in flight per rank (0 = blocking "
                              "loop; >1 needs an async-capable api)")
     parser.add_argument("--seed", type=int, default=0xDA05)
-    # observability
-    parser.add_argument("--trace-out", metavar="PATH",
-                        help="write a Chrome trace-event JSON of the run "
-                             "(open at ui.perfetto.dev)")
-    parser.add_argument("--metrics-out", metavar="PATH",
-                        help="write a metrics dump (.prom/.txt = Prometheus "
-                             "text, anything else = JSON snapshot)")
-    parser.add_argument("--timeline-out", metavar="PATH",
-                        help="write the run's time-series JSON (sim-time "
-                             "metrics scraper; implies metrics)")
-    parser.add_argument("--timeline-interval", type=float, default=0.01,
-                        metavar="SECONDS",
-                        help="scrape interval in simulated seconds "
-                             "(default 0.01)")
-    parser.add_argument("--slo", action="append", default=[],
-                        metavar="RULE",
-                        help="SLO/stall rule evaluated per scrape window, "
-                             "e.g. 'ior.write.latency p99 < 2e-3 over 3 "
-                             "windows' or 'stall fabric.xfer.bytes while "
-                             "client.io.inflight over 2 windows'; "
-                             "repeatable (default: the stall watchdog)")
+    add_arguments(parser, default_interval=0.01)
     return parser
 
 
 def params_from_args(args) -> IorParams:
-    options = {}
-    for item in args.option:
-        if "=" not in item:
-            raise SystemExit(f"bad -O option {item!r} (need KEY=VALUE)")
-        key, value = item.split("=", 1)
-        options[key] = value
-    if args.write_only and args.read_only:
-        raise SystemExit("-w and -r are mutually exclusive here")
+    """The workload the flags describe; ``ValueError`` / ``DerInval`` for
+    sizes, classes or combinations :class:`IorParams` rejects."""
     return IorParams(
         api=args.api,
         block_size=args.block_size,
@@ -111,67 +101,29 @@ def params_from_args(args) -> IorParams:
         read=not args.write_only,
         verify=args.verify,
         repetitions=args.repetitions,
-        oclass=options.get("oclass"),
-        chunk_size=options.get("chunk_size", "1m"),
-        cb_buffer=options.get("cb_buffer", "16m"),
-        cache_mode=getattr(args, "cache_mode", "none"),
-        aio_queue_depth=getattr(args, "aio_depth", 0),
+        cache_mode=args.cache_mode,
+        aio_queue_depth=args.aio_depth,
+        **dict(args.option),
     )
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    params = params_from_args(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        params = params_from_args(args)
+    except (ValueError, DerInval) as exc:
+        parser.error(str(exc))
     if args.read_only and not args.lustre:
         # a read-only run needs pre-existing data; run a silent write pass
         params.write = True
-    if args.lustre:
-        if backend_class(params.api).needs_daos:
-            raise SystemExit(f"api {params.api} requires DAOS (drop --lustre)")
-        if params.cache_mode != "none":
-            raise SystemExit("--cache-mode applies to the DAOS stack only")
-        from repro.cluster import build_lustre_cluster
-
-        cluster = build_lustre_cluster(
-            server_nodes=args.servers, client_nodes=args.nodes,
-            seed=args.seed,
-        )
-    else:
-        from repro.cluster import build_cluster
-
-        cluster = build_cluster(
-            server_nodes=args.servers, client_nodes=args.nodes,
-            seed=args.seed,
-        )
-    if args.trace_out or args.metrics_out or args.timeline_out:
-        cluster.observe(
-            tracing=bool(args.trace_out),
-            metrics=bool(args.metrics_out),
-            timeline_interval=(
-                args.timeline_interval if args.timeline_out else None
-            ),
-            slo_rules=args.slo or None,
-        )
+    if args.lustre and backend_class(params.api).needs_daos:
+        parser.error(f"api {params.api} requires DAOS (drop --lustre)")
+    if args.lustre and params.cache_mode != "none":
+        parser.error("--cache-mode applies to the DAOS stack only")
+    cluster = build_system(args.lustre, args.servers, args.nodes, args.seed)
+    observe(cluster, args)
     result = run_ior(cluster, params, ppn=args.ppn)
     print(result.summary())
-    if args.trace_out:
-        from repro.obs import write_chrome_trace
-
-        write_chrome_trace(cluster.sim.tracer, args.trace_out,
-                           timeline=getattr(result, "timeline", None))
-        print(f"trace written to {args.trace_out}", file=sys.stderr)
-    if args.metrics_out:
-        from repro.obs import write_metrics
-
-        write_metrics(cluster.sim.metrics, args.metrics_out)
-        print(f"metrics written to {args.metrics_out}", file=sys.stderr)
-    if args.timeline_out:
-        from repro.obs import write_timeline
-
-        write_timeline(cluster.sim.timeline.store, args.timeline_out)
-        print(f"timeline written to {args.timeline_out}", file=sys.stderr)
+    write_artifacts(cluster, args)
     return 1 if result.verify_errors else 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via module main
-    raise SystemExit(main())

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
+from repro.daos.oclass import oclass_by_name
 from repro.units import MiB, parse_size
 
 
@@ -70,6 +71,8 @@ class IorParams:
         from repro.ior.backends import available_apis, backend_class
 
         backend = backend_class(self.api)  # unknown api -> ValueError
+        if self.oclass is not None:
+            oclass_by_name(self.oclass)  # unknown class -> DerInval
         if self.cache_mode not in ("none", "readonly", "writeback"):
             raise ValueError(
                 "cache_mode must be none, readonly or writeback, "

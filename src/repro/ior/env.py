@@ -10,7 +10,9 @@ from repro.cache.config import CacheConfig
 from repro.cluster.builder import Cluster, LustreCluster
 from repro.dfs import Dfs
 from repro.dfuse import DFuseMount
+from repro.errors import FsError
 from repro.ior.config import IorParams
+from repro.mpi import MpiWorld
 
 _env_seq = itertools.count(1)
 
@@ -77,8 +79,9 @@ class LustreIorEnv:
         mount = self.cluster.mount(0, name="ior-prep")
         try:
             yield from mount.mkdir(self.params.test_dir)
-        except Exception:
-            pass  # already exists from a previous run
+        except FsError as err:
+            if err.errno_name != "EEXIST":  # left by a previous run: fine
+                raise
         return None
 
     def rank_setup(self, ctx) -> Generator:
@@ -86,3 +89,16 @@ class LustreIorEnv:
         yield 0.0
         return RankStorage(mount=self.cluster.mount(node_index,
                                                     name=f"ior-r{ctx.rank}"))
+
+
+def launch(cluster, params: IorParams, ppn: int,
+           client_nodes: Optional[int] = None) -> tuple:
+    """Lay an MPI world over the first ``client_nodes`` client nodes of
+    ``cluster`` (default: all) and prepare the storage environment
+    matching the system it booted; returns ``(env, world)``."""
+    nodes = cluster.clients[: client_nodes or len(cluster.clients)]
+    world = MpiWorld(cluster.sim, cluster.fabric, nodes, ppn)  # typed errors
+    on_lustre = isinstance(cluster, LustreCluster)
+    env = (LustreIorEnv if on_lustre else DaosIorEnv)(cluster, params)
+    cluster.run(env.prepare())
+    return env, world

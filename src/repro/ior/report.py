@@ -13,7 +13,6 @@ _MAX_RANK_ROWS = 16
 
 #: Max columns of a terminal timeline sparkline (downsampled above this).
 SPARK_COLS = 60
-_SPARK_COLS = SPARK_COLS
 
 _SPARK_CHARS = " ▁▂▃▄▅▆▇█"
 
@@ -164,10 +163,10 @@ class IorResult:
             series.finalize()
             if not series.points:
                 continue
-            values = _resample(series, store.origin, store.end, _SPARK_COLS)
+            values = resample(series, store.origin, store.end, SPARK_COLS)
             peak = max(values)
             lines.append(
-                f"  {label:<9s} |{_sparkline(values)}| peak {fmt(peak)}"
+                f"  {label:<9s} |{sparkline(values)}| peak {fmt(peak)}"
             )
         for breach in store.breaches:
             lines.append(
@@ -179,7 +178,6 @@ class IorResult:
 def resample(series, start: float, end: float, cols: int) -> List[float]:
     """Step-wise resample of a compressed series onto ``cols`` columns.
 
-    Shared terminal-rendering helper (also used by the tenants report);
     ``series`` is any object with step-compressed ``points``.
     """
     if end <= start:
@@ -208,8 +206,3 @@ def sparkline(values: List[float]) -> str:
         _SPARK_CHARS[min(ticks, int(round(v / peak * ticks)))]
         for v in values
     )
-
-
-# Backwards-compatible aliases (pre-tenants callers used the private names).
-_resample = resample
-_sparkline = sparkline

@@ -11,14 +11,12 @@ from __future__ import annotations
 
 from typing import Generator, List, Optional
 
-from repro.cluster.builder import Cluster, LustreCluster
 from repro.daos.eq import EventQueue
 from repro.ior.backends import make_backend
 from repro.ior.config import IorParams
-from repro.ior.env import DaosIorEnv, LustreIorEnv, RankStorage
+from repro.ior.env import RankStorage, launch
 from repro.ior.pattern import make_payload, verify_payload
 from repro.ior.report import IorResult, LatencySummary, PhaseResult
-from repro.mpi import MpiWorld
 from repro.obs.breakdown import phase_layer_breakdown
 from repro.obs.tracer import NOOP_SPAN
 
@@ -28,7 +26,6 @@ def run_ior(
     params: IorParams,
     ppn: int = 16,
     client_nodes: Optional[int] = None,
-    env=None,
     limit: float = 1e7,
 ) -> IorResult:
     """Run one IOR invocation on a booted cluster; returns the result.
@@ -37,22 +34,14 @@ def run_ior(
     a :class:`~repro.cluster.builder.LustreCluster` (POSIX/MPIIO/HDF5
     apis only for the latter).
     """
-    nodes = cluster.clients[: client_nodes or len(cluster.clients)]
-    if env is None:
-        if isinstance(cluster, LustreCluster):
-            env = LustreIorEnv(cluster, params)
-        else:
-            env = DaosIorEnv(cluster, params)
-    cluster.run(env.prepare())
-
-    world = MpiWorld(cluster.sim, cluster.fabric, nodes, ppn)
+    env, world = launch(cluster, params, ppn, client_nodes)
     rank_results = world.run_to_completion(
         lambda ctx: _rank_main(ctx, params, env), limit=limit
     )
     result = IorResult(
         params=params,
         nprocs=world.nprocs,
-        client_nodes=len(nodes),
+        client_nodes=len(world.nodes),
     )
     result.phases = rank_results[0]
     _attach_observability(result, cluster.sim, world.nprocs)

@@ -5,10 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Optional
 
-from repro.cluster.builder import Cluster, LustreCluster
-from repro.ior.env import DaosIorEnv, LustreIorEnv
+from repro.ior.env import launch
 from repro.ior.config import IorParams
-from repro.mpi import MpiWorld
 
 
 @dataclass
@@ -46,16 +44,9 @@ def run_mdtest(
 ) -> MdtestResult:
     """Run an mdtest sweep on a DAOS or Lustre cluster."""
     params = params or MdtestParams()
-    nodes = cluster.clients[: client_nodes or len(cluster.clients)]
     ior_params = IorParams(api="POSIX", test_dir=params.test_dir,
                            block_size="1m", transfer_size="1m")
-    if isinstance(cluster, LustreCluster):
-        env = LustreIorEnv(cluster, ior_params)
-    else:
-        env = DaosIorEnv(cluster, ior_params)
-    cluster.run(env.prepare())
-
-    world = MpiWorld(cluster.sim, cluster.fabric, nodes, ppn)
+    env, world = launch(cluster, ior_params, ppn, client_nodes)
     rates: Dict[str, List[float]] = {}
 
     def rank_main(ctx) -> Generator:

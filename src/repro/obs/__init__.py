@@ -13,8 +13,11 @@ from typing import List, Optional, Tuple
 from repro.obs.breakdown import layer_breakdown, phase_layer_breakdown
 from repro.obs.chrome import chrome_trace, validate_chrome_trace, write_chrome_trace
 from repro.obs.metrics import (
+    QUANTILES,
     MetricsRegistry,
+    exact_quantile,
     format_metric_name,
+    latency_stats,
     parse_metric_name,
     write_metrics,
 )
@@ -23,7 +26,6 @@ from repro.obs.slo import (
     SloRule,
     StallRule,
     default_rules,
-    parse_rules,
     parse_slo,
 )
 from repro.obs.timeline import (
@@ -43,6 +45,9 @@ __all__ = [
     "format_metric_name",
     "parse_metric_name",
     "write_metrics",
+    "QUANTILES",
+    "exact_quantile",
+    "latency_stats",
     "chrome_trace",
     "write_chrome_trace",
     "validate_chrome_trace",
@@ -56,7 +61,6 @@ __all__ = [
     "StallRule",
     "SloBreach",
     "parse_slo",
-    "parse_rules",
     "default_rules",
     "install",
 ]

@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.sim.rng import RngStreams
 
@@ -43,6 +43,9 @@ GAUGE_TIMELINE_CAP = 4096
 
 #: Values kept per reservoir.
 RESERVOIR_CAP = 512
+
+#: The tail set every report and timeline publishes (stat key, quantile).
+QUANTILES = (("p50", 0.50), ("p95", 0.95), ("p99", 0.99), ("p999", 0.999))
 
 
 # --------------------------------------------------------------------- labels
@@ -125,10 +128,11 @@ class Counter:
 class Gauge:
     """Time-weighted gauge with a bounded (t, value) timeline.
 
-    The integral/mean machinery mirrors ``repro.sim.trace._Gauge``
-    (including the created-time window fix); on top of it the timeline
-    retains the most recent :data:`GAUGE_TIMELINE_CAP` set-points so
-    utilisation curves survive into the JSON snapshot.
+    ``created`` pins the start of the observed window: a gauge first
+    set at t>0 integrates no phantom 0 over [0, t) and its mean divides
+    only by time it observed. The timeline retains the most recent
+    :data:`GAUGE_TIMELINE_CAP` set-points so utilisation curves survive
+    into the JSON snapshot.
     """
 
     __slots__ = ("name", "created", "last_t", "value", "integral", "timeline",
@@ -190,6 +194,33 @@ def bucket_quantile(buckets: List[int], count: int, q: float) -> float:
     return bucket_upper(_HIST_BUCKETS - 1)
 
 
+def exact_quantile(sorted_values: Sequence[float], q: float) -> float:
+    """Nearest-rank quantile of an already-sorted sample list (the exact
+    twin of :func:`bucket_quantile`'s estimate); 0.0 when empty."""
+    n = len(sorted_values)
+    if n == 0:
+        return 0.0
+    if q <= 0.0:
+        return sorted_values[0]
+    rank = math.ceil(q * n)
+    return sorted_values[min(n - 1, max(0, rank - 1))]
+
+
+def latency_stats(latencies: Sequence[float]) -> dict:
+    """count/mean/max plus :data:`QUANTILES`, nearest-rank, over every
+    sample: the one exact-latency summary the run reports publish."""
+    values = sorted(latencies)
+    n = len(values)
+    stats = {
+        "count": n,
+        "mean": (sum(values) / n) if n else 0.0,
+        "max": values[-1] if n else 0.0,
+    }
+    for key, q in QUANTILES:
+        stats[key] = exact_quantile(values, q)
+    return stats
+
+
 class Histogram:
     """Log2-bucketed histogram of non-negative values (latencies).
 
@@ -221,10 +252,6 @@ class Histogram:
             return 0
         idx = int(math.ceil(math.log2(value / _HIST_LO)))
         return min(max(idx, 0), _HIST_BUCKETS - 1)
-
-    @staticmethod
-    def _upper(idx: int) -> float:
-        return bucket_upper(idx)
 
     def quantile(self, q: float) -> float:
         """Estimated q-quantile (q in [0, 1]); 0.0 when empty."""

@@ -177,11 +177,6 @@ def _parse_windows(token: str, text: str) -> int:
     return n
 
 
-def parse_rules(texts) -> List[object]:
-    """Parse a list of rule strings."""
-    return [parse_slo(t) for t in texts]
-
-
 def default_rules() -> List[object]:
     """The always-on watchdog: breach when transfers are in flight but
     no bytes complete for :data:`DEFAULT_STALL_WINDOWS` windows."""

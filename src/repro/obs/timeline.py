@@ -43,6 +43,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.metrics import (
     _HIST_BUCKETS,
+    QUANTILES,
     MetricsRegistry,
     bucket_quantile,
 )
@@ -56,8 +57,6 @@ SERIES_POINT_CAP = 100_000
 
 #: Window-delta histograms retained per metric for sliding merges.
 WINDOW_HISTORY = 64
-
-_QUANTILES = (("p50", 0.50), ("p95", 0.95), ("p99", 0.99), ("p999", 0.999))
 
 
 class Series:
@@ -272,7 +271,7 @@ class TimelineScraper:
             recent.append((dcount, dbuckets))
             store.record(f"{name}:count", "count", now, float(dcount))
             if dcount > 0:
-                for label, q in _QUANTILES:
+                for label, q in QUANTILES:
                     store.record(
                         f"{name}:{label}", "quantile", now,
                         bucket_quantile(dbuckets, dcount, q),
@@ -328,7 +327,7 @@ class TimelineScraper:
         if stat == "count":
             hist = self._win_hist.get(metric)
             return None if hist is None else float(hist[0])
-        q = {label: qv for label, qv in _QUANTILES}.get(stat)
+        q = dict(QUANTILES).get(stat)
         if q is None:
             return None
         hist = self._win_hist.get(metric)

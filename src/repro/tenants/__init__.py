@@ -27,7 +27,6 @@ from repro.tenants.dispatcher import Dispatcher, ServingConfig
 from repro.tenants.report import (
     breaches_by_tenant,
     build_report,
-    exact_quantile,
     jain_fairness,
     render_report,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "TraceArrivals",
     "breaches_by_tenant",
     "build_report",
-    "exact_quantile",
     "jain_fairness",
     "make_tenants",
     "mix_by_kind",

@@ -15,10 +15,18 @@ later, so rebuild/resync traffic competes with tenant traffic.
 from __future__ import annotations
 
 import argparse
-import json
-import sys
 from typing import List, Optional
 
+from repro.cluster import build_cluster
+from repro.errors import DerInval
+from repro.obs.cli import (
+    add_arguments,
+    observe,
+    positive_int,
+    timeline_store,
+    write_artifacts,
+    write_json,
+)
 from repro.tenants.arrivals import PoissonArrivals, TraceArrivals
 from repro.tenants.dispatcher import Dispatcher, ServingConfig
 from repro.tenants.report import build_report, render_report
@@ -46,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="multi-tenant serving on the simulated DAOS stack",
     )
     fleet = parser.add_argument_group("fleet")
-    fleet.add_argument("--tenants", type=int, default=16,
+    fleet.add_argument("--tenants", type=positive_int, default=16,
                        help="tenant count (default 16)")
     fleet.add_argument("--rate", type=float, default=2.0,
                        help="per-tenant arrival rate, jobs/s (default 2)")
@@ -63,58 +71,36 @@ def build_parser() -> argparse.ArgumentParser:
     qos.add_argument("--qos-bw", type=float, default=8 * MiB,
                      metavar="BYTES_PER_S",
                      help="default per-tenant budget (default 8 MiB/s)")
-    qos.add_argument("--admit", type=int, default=64, metavar="N",
+    qos.add_argument("--admit", type=positive_int, default=64, metavar="N",
                      help="global in-flight job bound (default 64)")
-    qos.add_argument("--admit-per-tenant", type=int, default=4, metavar="N",
+    qos.add_argument("--admit-per-tenant", type=positive_int, default=4,
+                     metavar="N",
                      help="per-tenant in-flight bound (default 4)")
-    qos.add_argument("--aio-depth", type=int, default=4, metavar="N",
+    qos.add_argument("--aio-depth", type=positive_int, default=4, metavar="N",
                      help="per-job event-queue depth (default 4)")
     geom = parser.add_argument_group("cluster geometry")
-    geom.add_argument("--servers", type=int, default=2)
-    geom.add_argument("--clients", type=int, default=2)
-    geom.add_argument("--pools", type=int, default=1)
-    geom.add_argument("--containers", type=int, default=4)
+    geom.add_argument("--servers", type=positive_int, default=2)
+    geom.add_argument("--clients", type=positive_int, default=2)
+    geom.add_argument("--pools", type=positive_int, default=1)
+    geom.add_argument("--containers", type=positive_int, default=4)
     geom.add_argument("--oclass", default="S1")
     geom.add_argument("--seed", type=int, default=0xDA05)
     geom.add_argument("--chaos", action="store_true",
                       help="exclude a target mid-run and reintegrate it, "
                            "racing rebuild traffic against tenants")
-    obs = parser.add_argument_group("observability")
-    obs.add_argument("--slo", action="append", default=[], metavar="RULE",
-                     help="SLO/stall rule per scrape window, e.g. "
-                          "'tenant.request.latency{tenant=t00} p99 < 0.5 "
-                          "over 3 windows'; repeatable")
-    obs.add_argument("--timeline-interval", type=float, default=1.0,
-                     metavar="SECONDS",
-                     help="scrape interval in simulated seconds (default 1)")
-    obs.add_argument("--timeline-out", metavar="PATH",
-                     help="write the run's time-series JSON")
+    obs = add_arguments(parser, default_interval=1.0)
     obs.add_argument("--report-out", metavar="PATH",
                      help="write the serving report JSON")
     return parser
 
 
-def run_serving(args) -> dict:
-    """Boot, serve, report; returns ``(report, cluster)``."""
-    from repro.cluster import build_cluster
-
-    cluster = build_cluster(
-        server_nodes=args.servers, client_nodes=args.clients,
-        seed=args.seed,
-    )
-    cluster.observe(
-        tracing=False,
-        metrics=True,
-        timeline_interval=args.timeline_interval,
-        slo_rules=args.slo or None,
-    )
-    fleet = make_tenants(
-        args.tenants, rate=args.rate, mix=MIXES[args.mix],
-    )
-    if args.trace:
-        arrivals = TraceArrivals.from_file(args.trace)
-    else:
-        arrivals = PoissonArrivals(cluster.rng)
+def build_dispatcher(args) -> Dispatcher:
+    """Boot an observed cluster and lay the fleet the flags describe over
+    it. ``DerInval`` / ``ValueError`` / ``OSError`` for a fleet, config or
+    arrival trace that cannot be built — raised before anything is served.
+    """
+    fleet = make_tenants(args.tenants, rate=args.rate, mix=MIXES[args.mix])
+    replay = TraceArrivals.from_file(args.trace) if args.trace else None
     config = ServingConfig(
         duration=args.duration,
         qos_enabled=args.qos,
@@ -126,37 +112,36 @@ def run_serving(args) -> dict:
         n_containers=args.containers,
         oclass=args.oclass,
     )
-    dispatcher = Dispatcher(cluster, fleet, arrivals, config)
+    cluster = build_cluster(
+        server_nodes=args.servers, client_nodes=args.clients,
+        seed=args.seed,
+    )
+    # the serving report groups breaches per tenant, so the scraper (and
+    # with it the stall watchdog) always runs
+    observe(cluster, args, timeline=True)
+    arrivals = PoissonArrivals(cluster.rng) if replay is None else replay
+    return Dispatcher(cluster, fleet, arrivals, config)
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        dispatcher = build_dispatcher(args)
+    except (DerInval, ValueError, OSError) as exc:
+        parser.error(str(exc))
+    cluster = dispatcher.cluster
     if args.chaos:
         from repro.faults import ExcludeTarget, FaultSchedule, ReintegrateTarget
 
-        schedule = (
+        cluster.inject(
             FaultSchedule()
             .at(args.duration * 0.25, ExcludeTarget(tid=0))
             .at(args.duration * 0.50, ReintegrateTarget(tid=0))
         )
-        cluster.inject(schedule)
     result = cluster.run(dispatcher.serve())
-    store = cluster.sim.timeline.store if cluster.sim.timeline else None
-    return build_report(result, store=store), cluster
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    report, cluster = run_serving(args)
+    report = build_report(result, store=timeline_store(cluster))
     print(render_report(report))
-    if args.report_out:
-        with open(args.report_out, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-        print(f"report written to {args.report_out}", file=sys.stderr)
-    if args.timeline_out:
-        from repro.obs import write_timeline
-
-        write_timeline(cluster.sim.timeline.store, args.timeline_out)
-        print(f"timeline written to {args.timeline_out}", file=sys.stderr)
-    n_breaches = sum(len(v) for v in report["slo_breaches"].values())
-    return 1 if n_breaches else 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via module main
-    raise SystemExit(main())
+    write_json(report, args.report_out, "report")
+    write_artifacts(cluster, args)
+    return 1 if any(report["slo_breaches"].values()) else 0

@@ -17,25 +17,10 @@ offered no load, so they cannot be treated as starved).
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
-from repro.obs.metrics import parse_metric_name
+from repro.obs.metrics import latency_stats, parse_metric_name
 from repro.units import fmt_size, fmt_time
-
-#: Quantiles the report always publishes (stat key -> quantile).
-QUANTILES = (("p50", 0.50), ("p95", 0.95), ("p99", 0.99), ("p999", 0.999))
-
-
-def exact_quantile(sorted_values: Sequence[float], q: float) -> float:
-    """Nearest-rank quantile of an already-sorted sample list."""
-    n = len(sorted_values)
-    if n == 0:
-        return 0.0
-    if q <= 0.0:
-        return sorted_values[0]
-    rank = math.ceil(q * n)
-    return sorted_values[min(n - 1, max(0, rank - 1))]
 
 
 def jain_fairness(shares: Sequence[float]) -> float:
@@ -85,8 +70,7 @@ def build_report(result: dict, store=None) -> dict:
     breaches = breaches_by_tenant(store)
     for tid in sorted(tenants):
         t = tenants[tid]
-        lat = sorted(t["latencies"])
-        all_latencies.extend(lat)
+        all_latencies.extend(t["latencies"])
         entry = {
             "kind": t["kind"],
             "arrivals": t["arrivals"],
@@ -96,7 +80,7 @@ def build_report(result: dict, store=None) -> dict:
             "failed": t["failed"],
             "bytes": t["bytes"],
             "qos_waited": t.get("qos_waited", 0.0),
-            "latency": _latency_stats(lat),
+            "latency": latency_stats(t["latencies"]),
             "slo_breaches": len(breaches.get(tid, ())),
         }
         per_tenant[tid] = entry
@@ -105,7 +89,6 @@ def build_report(result: dict, store=None) -> dict:
             totals[key] += t[key]
         if t["arrivals"] > 0:
             active_bytes.append(t["bytes"])
-    all_latencies.sort()
     duration = result["config"]["duration"]
     report = {
         "config": dict(result["config"]),
@@ -114,7 +97,7 @@ def build_report(result: dict, store=None) -> dict:
             totals["rejected"] / totals["arrivals"]
             if totals["arrivals"] else 0.0
         ),
-        "latency": _latency_stats(all_latencies),
+        "latency": latency_stats(all_latencies),
         "fairness_bytes": jain_fairness(active_bytes),
         "throughput": totals["bytes"] / duration if duration > 0 else 0.0,
         "tenants": per_tenant,
@@ -124,18 +107,6 @@ def build_report(result: dict, store=None) -> dict:
         "end_time": result["end_time"],
     }
     return report
-
-
-def _latency_stats(sorted_latencies: List[float]) -> dict:
-    n = len(sorted_latencies)
-    stats = {
-        "count": n,
-        "mean": (sum(sorted_latencies) / n) if n else 0.0,
-        "max": sorted_latencies[-1] if n else 0.0,
-    }
-    for key, q in QUANTILES:
-        stats[key] = exact_quantile(sorted_latencies, q)
-    return stats
 
 
 def render_report(report: dict, max_rows: int = 12) -> str:

@@ -102,8 +102,8 @@ def test_engine_stats_count_rpcs_and_tree_creates():
         arr_obj.close()
 
     cluster.run(go())
-    rpcs = sum(e.stats.count("rpcs") for e in cluster.daos.engines)
-    creates = sum(e.stats.count("tree_creates") for e in cluster.daos.engines)
+    rpcs = sum(e.stats["rpcs"] for e in cluster.daos.engines)
+    creates = sum(e.stats["tree_creates"] for e in cluster.daos.engines)
     assert rpcs >= 1
     assert creates == 2
 

@@ -28,15 +28,13 @@ def test_cli_option_passthrough():
 
 
 def test_cli_bad_option_rejected():
-    args = build_parser().parse_args(["-O", "nonsense"])
     with pytest.raises(SystemExit):
-        params_from_args(args)
+        build_parser().parse_args(["-O", "nonsense"])
 
 
 def test_cli_write_and_read_only_conflict():
-    args = build_parser().parse_args(["-w", "-r"])
     with pytest.raises(SystemExit):
-        params_from_args(args)
+        build_parser().parse_args(["-w", "-r"])
 
 
 def test_cli_end_to_end_daos(capsys):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster import build_lustre_cluster, small_cluster
+from repro.errors import DerInval, FsError, SimulationError
 from repro.hardware.specs import EngineSpec
 from repro.ior import IorParams, run_ior
 from repro.units import KiB, MiB
@@ -172,6 +173,31 @@ def test_ior_mpiio_on_lustre():
     params = IorParams(api="MPIIO", collective=True, verify=True, **SMALL)
     result = run_ior(lustre, params, ppn=2)
     assert result.verify_errors == 0
+
+
+def test_lustre_prepare_swallows_only_eexist():
+    lustre = build_lustre_cluster(
+        server_nodes=2, client_nodes=1, engine_spec=EngineSpec(targets=2)
+    )
+    params = IorParams(api="POSIX", file_per_proc=True, **SMALL)
+    run_ior(lustre, params, ppn=2)
+    # the test directory survives the first run: EEXIST is not an error
+    assert run_ior(lustre, params, ppn=2).max_write_bw > 0
+    # a missing parent is: the real mkdir error surfaces from prepare,
+    # not an unrelated open() failure in some rank later
+    orphan = IorParams(api="POSIX", file_per_proc=True,
+                       test_dir="/missing/parent/ior", **SMALL)
+    with pytest.raises(SimulationError) as raised:
+        run_ior(lustre, orphan, ppn=2)
+    cause = raised.value.__cause__
+    assert isinstance(cause, FsError) and cause.errno_name == "ENOENT"
+    assert "prepare" in str(raised.value)
+
+
+def test_params_reject_unknown_object_class():
+    with pytest.raises(DerInval, match="unknown object class 'ZZ'"):
+        IorParams(api="DFS", oclass="ZZ")
+    assert IorParams(api="DFS", oclass="s2").oclass == "s2"
 
 
 def test_bandwidth_is_finite_and_sane(cluster):

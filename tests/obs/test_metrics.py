@@ -1,4 +1,4 @@
-"""Metrics registry and Stats reservoir/gauge semantics."""
+"""Metrics registry: gauge, histogram and reservoir semantics."""
 
 import json
 import math
@@ -7,12 +7,14 @@ import pytest
 
 from repro.obs.metrics import (
     GAUGE_TIMELINE_CAP,
+    QUANTILES,
     Histogram,
     MetricsRegistry,
     RESERVOIR_CAP,
+    exact_quantile,
+    latency_stats,
     write_metrics,
 )
-from repro.sim.trace import Stats, RESERVOIR_CAP as STATS_RESERVOIR_CAP
 
 
 class _Clock:
@@ -186,44 +188,45 @@ def test_write_metrics_picks_format_by_extension(tmp_path):
     assert json.loads(blob.read_text())["counters"]["c"] == 1.0
 
 
-# ---------------------------------------------------------- sim.trace.Stats
-def test_stats_samples_are_bounded_reservoirs():
-    stats = Stats(_Clock())
-    n = STATS_RESERVOIR_CAP * 3
-    for i in range(n):
-        stats.sample("latency", float(i))
-    res = stats.samples["latency"]
-    assert len(res) == STATS_RESERVOIR_CAP
-    assert res.count == n
-    # count/total stay exact, so the mean ignores eviction entirely
-    assert stats.sample_mean("latency") == pytest.approx((n - 1) / 2.0)
+
+# ------------------------------------------------------ exact-latency summary
+def test_latency_stats_is_exact_nearest_rank_over_every_sample():
+    samples = [0.004, 0.001, 0.003, 0.002, 0.010]  # unsorted on purpose
+    stats = latency_stats(samples)
+    assert stats["count"] == 5
+    assert stats["max"] == 0.010
+    assert stats["mean"] == sum(sorted(samples)) / 5
+    assert [key for key, _q in QUANTILES] == ["p50", "p95", "p99", "p999"]
+    for key, q in QUANTILES:
+        assert stats[key] == exact_quantile(sorted(samples), q)
+    assert stats["p50"] == 0.003 and stats["p999"] == 0.010
+    assert latency_stats([]) == {
+        "count": 0, "mean": 0.0, "max": 0.0,
+        "p50": 0.0, "p95": 0.0, "p99": 0.0, "p999": 0.0,
+    }
 
 
-def test_stats_reservoirs_deterministic_across_instances():
-    def fill():
-        stats = Stats(_Clock())
-        for i in range(STATS_RESERVOIR_CAP * 2):
-            stats.sample("k", float(i))
-        return list(stats.samples["k"])
+def test_tenants_and_fdb_reports_agree_on_the_same_samples():
+    from repro.fdb import build_report as fdb_report
+    from repro.tenants import build_report as tenants_report
 
-    assert fill() == fill()
-
-
-def test_stats_gauge_created_late_is_not_diluted():
-    clock = _Clock(now=100.0)
-    stats = Stats(clock)
-    stats.gauge("qdepth", 8.0)  # first set at t=100
-    clock.now = 110.0
-    # 8.0 held over the whole observed window [100, 110)
-    assert stats.gauge_mean("qdepth") == pytest.approx(8.0)
-
-
-def test_stats_gauge_mean_time_weighted():
-    clock = _Clock(now=0.0)
-    stats = Stats(clock)
-    stats.gauge("g", 2.0)
-    clock.now = 1.0
-    stats.gauge("g", 4.0)
-    clock.now = 2.0
-    stats.gauge("g", 0.0)
-    assert stats.gauge_mean("g") == pytest.approx(3.0)
+    samples = [1e-3 * (i % 97 + 1) for i in range(1500)]
+    serving = tenants_report({
+        "tenants": {"t0": {
+            "kind": "bulk", "arrivals": 1500, "admitted": 1500,
+            "rejected": 0, "completed": 1500, "failed": 0, "bytes": 1.0,
+            "latencies": list(samples),
+        }},
+        "config": {"duration": 1.0}, "end_time": 1.0,
+    })
+    phase = {"wall": 1.0, "fields": 1500, "bytes": 1.0,
+             "latencies": list(samples)}
+    fields = fdb_report({
+        "config": {}, "n_fields": 1500, "archive": phase, "retrieve": phase,
+        "landmarks": [], "end_time": 1.0,
+    })
+    expected = latency_stats(samples)
+    assert serving["latency"] == expected
+    assert serving["tenants"]["t0"]["latency"] == expected
+    assert fields["archive"]["latency"] == expected
+    assert fields["retrieve"]["latency"] == expected

@@ -239,26 +239,3 @@ def test_rng_uniform_and_integer_ranges():
         integer = streams.integer("i", 5, 9)
         assert 5 <= integer < 9
 
-
-def test_stats_counters_and_gauges():
-    from repro.sim.trace import Stats
-
-    sim = Simulator()
-    stats = Stats(sim)
-    stats.incr("ops")
-    stats.incr("ops", 2)
-    assert stats.count("ops") == 3
-
-    def proc():
-        stats.gauge("depth", 2.0)
-        yield 1.0
-        stats.gauge("depth", 4.0)
-        yield 1.0
-        stats.gauge("depth", 0.0)
-
-    sim.spawn(proc())
-    sim.run()
-    assert stats.gauge_mean("depth") == pytest.approx(3.0)
-    stats.sample("lat", 1.0)
-    stats.sample("lat", 3.0)
-    assert stats.sample_mean("lat") == pytest.approx(2.0)

@@ -2,10 +2,10 @@
 
 import pytest
 
+from repro.obs import exact_quantile
 from repro.tenants import (
     breaches_by_tenant,
     build_report,
-    exact_quantile,
     jain_fairness,
     render_report,
 )

@@ -3,8 +3,11 @@
 import pytest
 
 from repro.cluster import (
+    Cluster,
+    LustreCluster,
     build_cluster,
     build_lustre_cluster,
+    build_system,
     nextgenio,
     small_cluster,
 )
@@ -53,6 +56,32 @@ def test_lustre_cluster_geometry_and_mount():
     assert cluster.fs.mds.default_stripe_count == 4
     mount = cluster.mount(1, name="probe")
     assert mount.node is cluster.clients[1]
+
+
+def test_lustre_cluster_carries_and_uses_its_seed():
+    lustre = build_lustre_cluster(server_nodes=2, client_nodes=1, seed=7)
+    daos = build_cluster(server_nodes=2, client_nodes=1, seed=7)
+    assert lustre.rng.seed == daos.rng.seed == 7
+    lustre.observe(tracing=False)
+    daos.observe(tracing=False)
+    default = build_lustre_cluster(server_nodes=2, client_nodes=1)
+    default.observe(tracing=False)
+    # one observe(): the registry's private stream family derives from
+    # the cluster seed on either system (it was a constant on Lustre)
+    assert lustre.sim.metrics._rng.seed == daos.sim.metrics._rng.seed
+    assert lustre.sim.metrics._rng.seed != default.sim.metrics._rng.seed
+
+
+def test_build_system_is_the_daos_or_lustre_switch():
+    daos = build_system(False, server_nodes=2, client_nodes=1, seed=3)
+    lustre = build_system(True, server_nodes=2, client_nodes=1, seed=3)
+    assert isinstance(daos, Cluster) and daos.pool.label == "tank"
+    assert isinstance(lustre, LustreCluster)
+    assert [n.name for n in lustre.servers] == ["oss0", "oss1"]
+    assert daos.rng.seed == lustre.rng.seed == 3
+    # both are driven by the same two verbs
+    assert type(daos).run is type(lustre).run
+    assert type(daos).observe is type(lustre).observe
 
 
 def test_target_refs_resolve_hardware():
