@@ -13,7 +13,7 @@ from repro.cluster import nextgenio
 from repro.daos.api import PatternPayload
 from repro.dfs import Dfs
 from repro.dfuse import DFuseMount
-from repro.hdf5 import H5File, Sec2Vfd
+from repro.hdf5 import H5File, NativeVol, Sec2Vfd
 from repro.units import GiB, MiB
 
 
@@ -36,7 +36,7 @@ def _h5_fpp_write_bw(alignment: int, procs: int = 16, nbytes: int = 16 * MiB):
 
         def go():
             h5 = yield from H5File.create(
-                Sec2Vfd(mount), f"/f{i}.h5", alignment=alignment
+                NativeVol(Sec2Vfd(mount)), f"/f{i}.h5", alignment=alignment
             )
             ds = yield from h5.create_dataset("data", (nbytes,), dtype="u1")
             start = cluster.sim.now

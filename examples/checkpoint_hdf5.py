@@ -19,7 +19,7 @@ from repro.cluster import nextgenio
 from repro.daos.api import PatternPayload
 from repro.dfs import Dfs
 from repro.dfuse import DFuseMount
-from repro.hdf5 import DaosVol, H5File, MpioVfd
+from repro.hdf5 import DaosVol, H5File, MpioVfd, NativeVol
 from repro.mpi import MpiWorld
 from repro.mpiio import UfsDriver
 from repro.units import fmt_bw
@@ -41,7 +41,7 @@ def make_mount(cluster, ctx, cont_label):
 
 def mpio_storage(ctx, cluster, cont_label):
     mount = yield from make_mount(cluster, ctx, cont_label)
-    return MpioVfd(ctx, UfsDriver(mount), collective=True)
+    return NativeVol(MpioVfd(ctx, UfsDriver(mount), collective=True))
 
 
 def daos_storage(ctx, cluster, cont_label):
@@ -74,8 +74,8 @@ def verify_slab(ctx, field):
 
 
 def checkpoint_mpio(ctx, cluster, cont_label):
-    vfd = yield from mpio_storage(ctx, cluster, cont_label)
-    h5 = yield from H5File.create(vfd, "/ckpt.h5")
+    vol = yield from mpio_storage(ctx, cluster, cont_label)
+    h5 = yield from H5File.create(vol, "/ckpt.h5")
     field = yield from h5.create_dataset(
         "field", (ROWS, COLS), dtype="u1",
         attrs={"iteration": 42, "decomposition": "rows"},

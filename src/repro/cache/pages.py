@@ -1,11 +1,11 @@
 """Extent-granular data page cache with LRU eviction under a budget.
 
 One :class:`PageCache` serves a whole mount (all files share the
-node-derived memory budget).  Extents keep their identity from insert to
-eviction: an LRU ring keyed by a monotonic extent id orders them by last
-use, and going over budget evicts whole least-recently-used extents
-until the cache fits — all deterministic (no clocks, no randomness), so
-cached runs replay exactly.
+node-derived memory budget).  Each insert gets a monotonic id, stamped
+on the extent it stores; an LRU ring keyed by that id orders inserts by
+last use, and going over budget evicts whatever is left of the
+least-recently-used inserts until the cache fits — all deterministic (no
+clocks, no randomness), so cached runs replay exactly.
 
 Consistency is epoch-based: every file carries an epoch (bumped by
 truncate/unlink/overwrite-through-another-path, see
@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict, Hashable, List, Optional, Tuple
 
-from repro.cache.extents import Extent, ExtentMap
+from repro.daos.vos.extent import ExtentTree
 from repro.daos.vos.payload import Payload
 
 
@@ -28,8 +28,22 @@ class _FileView:
     __slots__ = ("extents", "epoch")
 
     def __init__(self, epoch: int):
-        self.extents = ExtentMap()
+        self.extents = ExtentTree()
         self.epoch = epoch
+
+
+class _Slot:
+    """What one insert still holds: ``live`` bytes of file ``key``, all
+    inside [start, stop) and stamped with the insert's id — so a trimmed
+    insert keeps its slot until its last byte goes."""
+
+    __slots__ = ("key", "start", "stop", "live")
+
+    def __init__(self, key: Hashable, start: int, nbytes: int):
+        self.key = key
+        self.start = start
+        self.stop = start + nbytes
+        self.live = nbytes
 
 
 class PageCache:
@@ -50,8 +64,8 @@ class PageCache:
         else:
             self._label_suffix = ""
         self._files: Dict[Hashable, _FileView] = {}
-        #: extent id -> (file key, extent), in LRU order (oldest first)
-        self._lru: "OrderedDict[int, Tuple[Hashable, Extent]]" = OrderedDict()
+        #: insert id -> its slot, least recently used first
+        self._lru: "OrderedDict[int, _Slot]" = OrderedDict()
         self._next_id = 1
         self.used_bytes = 0
 
@@ -73,10 +87,9 @@ class PageCache:
         return view
 
     def _drop_view(self, key: Hashable, view: _FileView) -> None:
-        self.used_bytes -= view.extents.total_bytes
-        dead = [eid for eid, (k, _e) in self._lru.items() if k == key]
-        for eid in dead:
-            del self._lru[eid]
+        self.used_bytes -= view.extents.used_bytes
+        for ext in view.extents:
+            self._lru.pop(ext.epoch, None)
         del self._files[key]
 
     def invalidate_file(self, key: Hashable) -> None:
@@ -87,23 +100,19 @@ class PageCache:
     def invalidate_range(self, key: Hashable, start: int, nbytes: int) -> None:
         """Drop cached data overlapping a write-through (readonly mode)."""
         view = self._files.get(key)
-        if view is None:
-            return
-        before = view.extents.total_bytes
-        view.extents.remove_range(start, nbytes)
-        self.used_bytes -= before - view.extents.total_bytes
-        # trimmed extents keep their LRU slots; fully-removed ones are
-        # collected lazily when the LRU ring meets a stale entry
-        self._prune_stale(key, view)
+        if view is not None:
+            self._trim(view, start, nbytes)
 
-    def _prune_stale(self, key: Hashable, view: _FileView) -> None:
-        live = set(map(id, view.extents))
-        dead = [
-            eid for eid, (k, ext) in self._lru.items()
-            if k == key and id(ext) not in live
-        ]
-        for eid in dead:
-            del self._lru[eid]
+    def _trim(self, view: _FileView, start: int, nbytes: int) -> None:
+        """Drop [start, start+nbytes) of a file, settling the slot of
+        every insert it cuts into (freed with the insert's last byte)."""
+        for _start, seg_len, ext in view.extents.lookup(start, nbytes):
+            if ext is not None:
+                slot = self._lru[ext.epoch]
+                slot.live -= seg_len
+                if not slot.live:
+                    del self._lru[ext.epoch]
+        self.used_bytes -= view.extents.punch(start, nbytes)
 
     # ------------------------------------------------------------- access
     def lookup(self, key: Hashable, epoch: int, start: int, nbytes: int
@@ -121,11 +130,11 @@ class PageCache:
                 out.append((seg_start, seg_len, None))
                 miss += seg_len
             else:
-                rel = seg_start - ext.start
+                rel = seg_start - ext.offset
                 out.append((seg_start, seg_len,
                             ext.payload.slice(rel, rel + seg_len)))
                 hit += seg_len
-                self._touch(ext)
+                self._lru.move_to_end(ext.epoch)
         if hit:
             self._incr("hits")
             self._incr("hit_bytes", hit)
@@ -136,7 +145,7 @@ class PageCache:
 
     def insert(self, key: Hashable, epoch: int, start: int,
                payload: Payload) -> None:
-        """Cache ``payload`` at ``start``; evicts LRU extents to fit.
+        """Cache ``payload`` at ``start``; evicts LRU inserts to fit.
 
         Payloads larger than the whole budget are trimmed to the budget's
         tail-end (matching a streaming read's most-recently-seen bytes).
@@ -148,28 +157,22 @@ class PageCache:
             start += skip
             payload = payload.slice(skip, payload.nbytes)
         view = self._view(key, epoch)
-        before = view.extents.total_bytes
-        ext = view.extents.insert(start, payload)
-        self.used_bytes += view.extents.total_bytes - before
-        self._prune_stale(key, view)
+        self._trim(view, start, payload.nbytes)
         eid = self._next_id
         self._next_id += 1
-        self._lru[eid] = (key, ext)
+        self.used_bytes += view.extents.write(start, payload, epoch=eid)
+        self._lru[eid] = _Slot(key, start, payload.nbytes)
         self._evict_to_fit()
-
-    def _touch(self, ext: Extent) -> None:
-        for eid, (_k, cand) in reversed(self._lru.items()):
-            if cand is ext:
-                self._lru.move_to_end(eid)
-                return
 
     def _evict_to_fit(self) -> None:
         while self.used_bytes > self.capacity and self._lru:
-            _eid, (key, ext) = self._lru.popitem(last=False)
-            view = self._files.get(key)
-            if view is None:
-                continue
-            if view.extents.remove(ext):
-                self.used_bytes -= ext.nbytes
-                self._incr("evictions")
-                self._incr("evicted_bytes", ext.nbytes)
+            eid, slot = self._lru.popitem(last=False)
+            extents = self._files[slot.key].extents
+            for _start, _len, ext in extents.lookup(
+                slot.start, slot.stop - slot.start
+            ):
+                if ext is not None and ext.epoch == eid:
+                    extents.remove(ext)
+            self.used_bytes -= slot.live
+            self._incr("evictions")
+            self._incr("evicted_bytes", slot.live)

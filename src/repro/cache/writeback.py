@@ -2,7 +2,7 @@
 
 A :class:`WriteBehind` sits inside one open :class:`~repro.dfs.file.DfsFile`
 handle in ``writeback`` mode.  Writes land in a dirty
-:class:`~repro.cache.extents.ExtentMap` with adjacent-extent merging, so
+:class:`~repro.daos.vos.extent.ExtentTree` with adjacent-extent merging, so
 a stream of transfer-size writes coalesces into a handful of large
 contiguous extents; the flusher pops contiguous runs (capped at
 ``wb_max_extent``) and issues them as single array writes — trading N
@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Generator, List, Optional, Tuple
 
 from repro.cache.config import CacheConfig
-from repro.cache.extents import ExtentMap
+from repro.daos.vos.extent import ExtentTree
 from repro.daos.vos.payload import Payload
 from repro.errors import CacheWritebackError
 
@@ -39,7 +39,7 @@ class WriteBehind:
         self.config = config
         self.sim = sim
         self.path = path
-        self.dirty = ExtentMap()
+        self.dirty = ExtentTree()
         #: latched storage error from the last failed flush, if any
         self.error: Optional[Exception] = None
 
@@ -56,18 +56,15 @@ class WriteBehind:
     # ------------------------------------------------------------- buffering
     @property
     def dirty_bytes(self) -> int:
-        return self.dirty.total_bytes
+        return self.dirty.used_bytes
 
     @property
     def need_flush(self) -> bool:
-        return self.dirty.total_bytes >= self.config.wb_watermark
+        return self.dirty.used_bytes >= self.config.wb_watermark
 
     def buffer(self, offset: int, payload: Payload) -> None:
         """Absorb a write without touching the store."""
-        before = self.dirty.total_bytes
-        self.dirty.insert(offset, payload, merge=True)
-        delta = self.dirty.total_bytes - before
-        self._gauge_add(delta)
+        self._gauge_add(self.dirty.write(offset, payload, merge=True))
         m = self._metrics
         if m is not None:
             m.incr("cache.wb.buffered_writes")
@@ -79,11 +76,7 @@ class WriteBehind:
 
     def high_water(self) -> int:
         """End offset of the highest dirty byte (0 when clean)."""
-        spans = self.dirty.spans()
-        if not spans:
-            return 0
-        off, n = spans[-1]
-        return off + n
+        return self.dirty.size
 
     def pending(self) -> List[Tuple[int, int]]:
         """[(offset, nbytes), ...] still dirty — error payload material."""
@@ -101,20 +94,17 @@ class WriteBehind:
         flush inside ``write``).
         """
         m = self._metrics
-        while self.dirty.total_bytes:
-            run = self.dirty.pop_first_run(self.config.wb_max_extent)
-            if run is None:  # pragma: no cover - guarded by total_bytes
-                break
-            offset, payload = run
+        while self.dirty.used_bytes:
+            offset, payload = self.dirty.pop_first_run(
+                self.config.wb_max_extent
+            )
             self._gauge_add(-payload.nbytes)
             t0 = self.sim.now
             try:
                 yield from write_fn(offset, payload)
             except Exception as exc:
                 # put the data back exactly where it was and latch
-                before = self.dirty.total_bytes
-                self.dirty.insert(offset, payload, merge=True)
-                self._gauge_add(self.dirty.total_bytes - before)
+                self._gauge_add(self.dirty.write(offset, payload, merge=True))
                 self.error = exc
                 if m is not None:
                     m.incr("cache.wb.flush_errors")
@@ -128,7 +118,7 @@ class WriteBehind:
 
     def raise_pending(self) -> None:
         """Raise the typed error if a flush failed and data is still dirty."""
-        if self.error is not None and self.dirty.total_bytes:
+        if self.error is not None and self.dirty.used_bytes:
             raise CacheWritebackError(self.path, self.pending(), self.error)
 
     def discard(self) -> int:

@@ -19,6 +19,7 @@ first-writer tree-creation accounting used by that path.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import islice
 from typing import Dict, Generator, Set, Tuple
 
 from repro.daos.vos.container import EpochClock, VosContainer
@@ -172,17 +173,23 @@ class Engine:
         self.server.set_unavailable(None)
 
     # ------------------------------------------------------------- RPC timing
-    def _service(self, local_tid: int, media_ops: int = 1,
+    def _service(self, pool: str, cont: str, local_tid: int,
+                 map_version=None, media_ops: int = 1,
                  media_bytes: int = 0, read: bool = False) -> Generator:
-        """Per-metadata-RPC engine work: credits + CPU + media latency.
+        """The sequence every shard RPC shares: fence, then credits +
+        CPU + media latency, then resolve the container shard the
+        handler applies its VOS call to (returned).
 
-        ``media_bytes`` adds an inline value-streaming charge at the
-        target's media bandwidth (write by default, read bandwidth when
-        ``read``) under the same ULT credit — the timing model for
-        KV values large enough that moving the bytes dominates the
-        fixed per-record cost. Zero (the default) leaves the historical
-        fixed-cost arithmetic untouched.
+        ``map_version`` is a mutating op's client map version (fenced
+        by :meth:`check_map_version` before any time is charged; reads
+        pass none). ``media_bytes`` adds an inline value-streaming
+        charge at the target's media bandwidth (write by default, read
+        bandwidth when ``read``) under the same ULT credit — the timing
+        model for KV values large enough that moving the bytes dominates
+        the fixed per-record cost. Zero (the default) leaves the
+        historical fixed-cost arithmetic untouched.
         """
+        self.check_map_version(pool, map_version)
         sim = self.sim
         tracer = sim.tracer
         metrics = sim.metrics
@@ -242,6 +249,7 @@ class Engine:
                     f"engine.service.latency{{rank={self.rank}}}",
                     sim.now - started,
                 )
+        return self.container_shard(pool, local_tid, cont)
 
     # ------------------------------------------------------------- handlers
     def _h_cont_create(self, _src, pool: str, cont: str) -> Generator:
@@ -255,71 +263,65 @@ class Engine:
         self, _src, pool: str, cont: str, local_tid: int, oid, dkey, akey, value,
         map_version=None, nbytes: int = 0,
     ) -> Generator:
-        self.check_map_version(pool, map_version)
-        yield from self._service(local_tid, media_ops=2, media_bytes=nbytes)
-        vc = self.container_shard(pool, local_tid, cont)
+        vc = yield from self._service(
+            pool, cont, local_tid, map_version, media_ops=2, media_bytes=nbytes
+        )
         return vc.update_single(oid, dkey, akey, value)
 
     def _h_kv_fetch(
         self, _src, pool: str, cont: str, local_tid: int, oid, dkey, akey, epoch=None,
         nbytes: int = 0,
     ) -> Generator:
-        yield from self._service(local_tid, media_bytes=nbytes, read=True)
-        vc = self.container_shard(pool, local_tid, cont)
+        vc = yield from self._service(
+            pool, cont, local_tid, media_bytes=nbytes, read=True
+        )
         return vc.fetch_single(oid, dkey, akey, epoch)
 
     def _h_kv_punch(
         self, _src, pool: str, cont: str, local_tid: int, oid, dkey, akey,
         map_version=None,
     ) -> Generator:
-        self.check_map_version(pool, map_version)
-        yield from self._service(local_tid, media_ops=2)
-        vc = self.container_shard(pool, local_tid, cont)
+        vc = yield from self._service(
+            pool, cont, local_tid, map_version, media_ops=2
+        )
         return vc.punch_single(oid, dkey, akey)
 
     def _h_list_dkeys(
         self, _src, pool: str, cont: str, local_tid: int, oid, lo=None, hi=None,
         limit: int = 1024,
     ) -> Generator:
-        yield from self._service(local_tid)
-        vc = self.container_shard(pool, local_tid, cont)
-        out = []
-        for key in vc.list_dkeys(oid, lo, hi):
-            out.append(key)
-            if len(out) >= limit:
-                break
-        return out
+        vc = yield from self._service(pool, cont, local_tid)
+        return list(islice(vc.list_dkeys(oid, lo, hi), limit))
 
     def _h_punch_dkey(
         self, _src, pool: str, cont: str, local_tid: int, oid, dkey,
         map_version=None,
     ) -> Generator:
-        self.check_map_version(pool, map_version)
-        yield from self._service(local_tid, media_ops=2)
-        vc = self.container_shard(pool, local_tid, cont)
+        vc = yield from self._service(
+            pool, cont, local_tid, map_version, media_ops=2
+        )
         return vc.punch_dkey(oid, dkey)
 
     def _h_punch_object(
         self, _src, pool: str, cont: str, local_tid: int, oid,
         map_version=None,
     ) -> Generator:
-        self.check_map_version(pool, map_version)
-        yield from self._service(local_tid, media_ops=2)
-        vc = self.container_shard(pool, local_tid, cont)
+        vc = yield from self._service(
+            pool, cont, local_tid, map_version, media_ops=2
+        )
         return vc.punch_object(oid)
 
     def _h_array_sizes(
         self, _src, pool: str, cont: str, local_tid: int, oid, akey
     ) -> Generator:
-        yield from self._service(local_tid)
-        vc = self.container_shard(pool, local_tid, cont)
+        vc = yield from self._service(pool, cont, local_tid)
         return list(vc.dkey_array_sizes(oid, akey))
 
     def _h_array_punch(
         self, _src, pool: str, cont: str, local_tid: int, oid, dkey, akey,
         offset: int, length: int, map_version=None,
     ) -> Generator:
-        self.check_map_version(pool, map_version)
-        yield from self._service(local_tid, media_ops=2)
-        vc = self.container_shard(pool, local_tid, cont)
+        vc = yield from self._service(
+            pool, cont, local_tid, map_version, media_ops=2
+        )
         return vc.punch_array(oid, dkey, akey, offset, length)

@@ -34,7 +34,7 @@ from repro.daos.vos.payload import Payload, as_payload, concat_payloads
 from repro.errors import DerDataLoss, DerInval, DerStale
 from repro.obs.tracer import NOOP_SPAN
 from repro.rebuild.state import REBUILDING, UP
-from repro.units import MiB
+from repro.units import MiB, split_aligned
 
 ARRAY_AKEY = b"\x00arr"
 DEFAULT_CHUNK = MiB
@@ -107,18 +107,66 @@ class ObjectHandle:
         return self._routes()[self.layout.group_of_dkey(dkey)]
 
     @staticmethod
-    def _readable(route: List[Route]) -> List[int]:
-        return [t for t, readable, _w in route if readable]
+    def _reader(route: List[Route]) -> int:
+        """The replica that serves reads of ``route``'s group."""
+        for tid, readable, _w in route:
+            if readable:
+                return tid
+        raise DerDataLoss(
+            f"every readable replica excluded (targets {[e[0] for e in route]})"
+        )
 
     @staticmethod
     def _writable(route: List[Route]) -> List[int]:
-        return [t for t, _r, writable in route if writable]
+        """The targets a mutation of ``route``'s group must reach. This
+        is the one place that decides an op with nowhere to land is data
+        loss, so no mutating op can report success having reached no
+        target."""
+        targets = [t for t, _r, writable in route if writable]
+        if not targets:
+            raise DerDataLoss(
+                "every writable replica excluded "
+                f"(targets {[e[0] for e in route]})"
+            )
+        return targets
 
     def _vos(self, tid: int):
         ref = self.system.target(tid)
         return ref.engine.container_shard(
             self.cont.pool.pool_map.uuid, ref.local_tid, self.cont.uuid
         )
+
+    def _call(self, tid: int, op: str, extra: dict,
+              req_bytes: int = 256, rep_bytes: int = 256) -> Generator:
+        """The target-RPC envelope: ``op`` on target ``tid``'s engine
+        with the pool / container / shard / object addressing every
+        object RPC carries, plus the op's own ``extra`` arguments."""
+        ref = self.system.target(tid)
+        args = {
+            "pool": self.cont.pool.pool_map.uuid,
+            "cont": self.cont.uuid,
+            "local_tid": ref.local_tid,
+            "oid": self.oid,
+            **extra,
+        }
+        return self.client.rpc.call(
+            ref.engine.name, op, args, req_bytes, rep_bytes
+        )
+
+    def _writers(self, dkey) -> List[int]:
+        return self._writable(self._route_for_dkey(dkey))
+
+    def _mutate(self, targets, op: str, extra: dict,
+                req_bytes: int = 256) -> Generator:
+        """Fan a mutating ``op`` out to ``targets`` (what
+        :meth:`_writable` said it must reach), stamped with the client's
+        map version so an engine holding a newer map fences it. Returns
+        the last reply."""
+        extra = {**extra, "map_version": self.cont.pool.pool_map.version}
+        reply = None
+        for tid in targets:
+            reply = yield from self._call(tid, op, extra, req_bytes)
+        return reply
 
     def _stream(self, direction: str) -> IoStream:
         pool_map = self.cont.pool.pool_map
@@ -204,33 +252,16 @@ class ObjectHandle:
         )
 
     def _put_once(self, dkey, akey, value, value_nbytes: int = 0) -> Generator:
-        pool_map = self.cont.pool.pool_map
-        targets = self._writable(self._route_for_dkey(dkey))
-        if not targets:
-            raise DerDataLoss(f"no live replica for dkey {dkey!r}")
-        epoch = None
+        targets = self._writers(dkey)
+        extra = {"dkey": dkey, "akey": akey, "value": value}
+        if value_nbytes:
+            extra["nbytes"] = value_nbytes
         with self._span("client.kv_put", replicas=len(targets)):
-            for tid in targets:
-                ref = self.system.target(tid)
-                args = {
-                    "pool": pool_map.uuid,
-                    "cont": self.cont.uuid,
-                    "local_tid": ref.local_tid,
-                    "oid": self.oid,
-                    "dkey": dkey,
-                    "akey": akey,
-                    "value": value,
-                    "map_version": pool_map.version,
-                }
-                if value_nbytes:
-                    args["nbytes"] = value_nbytes
-                epoch = yield from self.client.rpc.call(
-                    ref.engine.name,
-                    "kv_update",
-                    args,
-                    req_bytes=256 + value_nbytes,
+            return (
+                yield from self._mutate(
+                    targets, "kv_update", extra, 256 + value_nbytes
                 )
-        return epoch
+            )
 
     def get(self, dkey, akey, epoch: Optional[int] = None,
             value_nbytes: int = 0) -> Generator:
@@ -238,102 +269,38 @@ class ObjectHandle:
 
         ``value_nbytes`` mirrors :meth:`put`: the reply carries that
         many extra bytes and the engine charges a media read stream."""
-        targets = self._readable(self._route_for_dkey(dkey))
-        if not targets:
-            raise DerDataLoss(f"no live replica for dkey {dkey!r}")
-        ref = self.system.target(targets[0])
-        args = {
-            "pool": self.cont.pool.pool_map.uuid,
-            "cont": self.cont.uuid,
-            "local_tid": ref.local_tid,
-            "oid": self.oid,
-            "dkey": dkey,
-            "akey": akey,
-            "epoch": epoch,
-        }
+        tid = self._reader(self._route_for_dkey(dkey))
+        extra = {"dkey": dkey, "akey": akey, "epoch": epoch}
         if value_nbytes:
-            args["nbytes"] = value_nbytes
+            extra["nbytes"] = value_nbytes
         with self._span("client.kv_get"):
-            value = yield from self.client.rpc.call(
-                ref.engine.name,
-                "kv_fetch",
-                args,
-                rep_bytes=256 + value_nbytes,
+            value = yield from self._call(
+                tid, "kv_fetch", extra, rep_bytes=256 + value_nbytes
             )
         return value
 
     def punch(self, dkey, akey) -> Generator:
         return (
-            yield from self._retry_stale(lambda: self._punch_once(dkey, akey))
+            yield from self._retry_stale(lambda: self._mutate(
+                self._writers(dkey), "kv_punch", {"dkey": dkey, "akey": akey}
+            ))
         )
-
-    def _punch_once(self, dkey, akey) -> Generator:
-        pool_map = self.cont.pool.pool_map
-        targets = self._writable(self._route_for_dkey(dkey))
-        existed = False
-        for tid in targets:
-            ref = self.system.target(tid)
-            existed = yield from self.client.rpc.call(
-                ref.engine.name,
-                "kv_punch",
-                {
-                    "pool": pool_map.uuid,
-                    "cont": self.cont.uuid,
-                    "local_tid": ref.local_tid,
-                    "oid": self.oid,
-                    "dkey": dkey,
-                    "akey": akey,
-                    "map_version": pool_map.version,
-                },
-            )
-        return existed
 
     def punch_dkey(self, dkey) -> Generator:
         return (
-            yield from self._retry_stale(lambda: self._punch_dkey_once(dkey))
+            yield from self._retry_stale(lambda: self._mutate(
+                self._writers(dkey), "punch_dkey", {"dkey": dkey}
+            ))
         )
-
-    def _punch_dkey_once(self, dkey) -> Generator:
-        pool_map = self.cont.pool.pool_map
-        targets = self._writable(self._route_for_dkey(dkey))
-        existed = False
-        for tid in targets:
-            ref = self.system.target(tid)
-            existed = yield from self.client.rpc.call(
-                ref.engine.name,
-                "punch_dkey",
-                {
-                    "pool": pool_map.uuid,
-                    "cont": self.cont.uuid,
-                    "local_tid": ref.local_tid,
-                    "oid": self.oid,
-                    "dkey": dkey,
-                    "map_version": pool_map.version,
-                },
-            )
-        return existed
 
     def list_dkeys(self, lo=None, hi=None, limit: int = 1024) -> Generator:
         """Enumerate dkeys across all groups (merged, sorted)."""
         merged: List = []
         seen = set()
         for route in self._routes():
-            readable = self._readable(route)
-            if not readable:
-                raise DerDataLoss("group fully excluded")
-            ref = self.system.target(readable[0])
-            keys = yield from self.client.rpc.call(
-                ref.engine.name,
-                "list_dkeys",
-                {
-                    "pool": self.cont.pool.pool_map.uuid,
-                    "cont": self.cont.uuid,
-                    "local_tid": ref.local_tid,
-                    "oid": self.oid,
-                    "lo": lo,
-                    "hi": hi,
-                    "limit": limit,
-                },
+            keys = yield from self._call(
+                self._reader(route), "list_dkeys",
+                {"lo": lo, "hi": hi, "limit": limit},
             )
             for key in keys:
                 if key not in seen:
@@ -344,43 +311,42 @@ class ObjectHandle:
 
     def punch_object(self) -> Generator:
         """Remove the object's data from every writable shard target."""
-        return (yield from self._retry_stale(self._punch_object_once))
-
-    def _punch_object_once(self) -> Generator:
-        pool_map = self.cont.pool.pool_map
-        seen = set()
-        for route in self._routes():
-            for tid in self._writable(route):
-                if tid in seen:
-                    continue
-                seen.add(tid)
-                ref = self.system.target(tid)
-                yield from self.client.rpc.call(
-                    ref.engine.name,
-                    "punch_object",
-                    {
-                        "pool": pool_map.uuid,
-                        "cont": self.cont.uuid,
-                        "local_tid": ref.local_tid,
-                        "oid": self.oid,
-                        "map_version": pool_map.version,
-                    },
-                )
+        yield from self._retry_stale(lambda: self._mutate(
+            dict.fromkeys(  # each target once, every group reachable
+                tid for route in self._routes() for tid in self._writable(route)
+            ),
+            "punch_object", {},
+        ))
         return True
 
     # ------------------------------------------------------------- array ops
+    def _write_piece(self, tid: int, chunk_idx: int, akey: bytes,
+                     within: int, fragment: Payload) -> IoPiece:
+        vc = self._vos(tid)
+        return IoPiece(
+            tid, fragment.nbytes,
+            lambda: vc.update_array(self.oid, chunk_idx, akey, within, fragment),
+        )
+
+    def _read_piece(self, tid: int, chunk_idx: int, akey: bytes,
+                    within: int, take: int) -> IoPiece:
+        vc = self._vos(tid)
+        return IoPiece(
+            tid, take,
+            lambda: vc.fetch_array(self.oid, chunk_idx, akey, within, take),
+        )
+
     def _chunk_pieces_write(
         self, offset: int, payload: Payload, chunk_size: int, akey: bytes
     ) -> List[IoPiece]:
         pieces: List[IoPiece] = []
         cursor = 0
         ec = self.oid.oclass.is_ec
-        while cursor < payload.nbytes:
-            absolute = offset + cursor
-            chunk_idx = absolute // chunk_size
-            within = absolute % chunk_size
-            take = min(chunk_size - within, payload.nbytes - cursor)
+        for chunk_idx, within, take in split_aligned(
+            offset, payload.nbytes, chunk_size
+        ):
             fragment = payload.slice(cursor, cursor + take)
+            cursor += take
             route = self._route_for_dkey(chunk_idx)
             if ec:
                 pieces.extend(
@@ -389,18 +355,10 @@ class ObjectHandle:
                     )
                 )
             else:
-                for tid in self._writable(route):
-                    vc = self._vos(tid)
-                    pieces.append(
-                        IoPiece(
-                            tid,
-                            take,
-                            lambda vc=vc, ci=chunk_idx, w=within, f=fragment: (
-                                vc.update_array(self.oid, ci, akey, w, f)
-                            ),
-                        )
-                    )
-            cursor += take
+                pieces.extend(
+                    self._write_piece(tid, chunk_idx, akey, within, fragment)
+                    for tid in self._writable(route)
+                )
         return pieces
 
     # ------------------------------------------------------------- erasure coding
@@ -423,7 +381,7 @@ class ObjectHandle:
         stripe-aligned writes outright (IOR with transfer >= chunk size
         satisfies it) — DESIGN.md §5.
         """
-        from repro.daos.vos.payload import XorPayload, ZeroPayload, concat_payloads
+        from repro.daos.vos.payload import XorPayload, ZeroPayload
 
         k, p, cell_len = self._ec_geometry(chunk_size)
         if within != 0:
@@ -438,47 +396,20 @@ class ObjectHandle:
             cells.append(fragment.slice(lo, hi))
         # parity is computed over zero-padded cells of the stripe
         pad_len = cells[0].nbytes
-        padded = [
+        parity = XorPayload([
             c if c.nbytes == pad_len
             else concat_payloads([c, ZeroPayload(pad_len - c.nbytes)])
             for c in cells
+        ])
+        # (slot, payload) for every non-empty cell, then each parity
+        # slot; an unwritable cell is reconstructed from parity on read
+        stripe = [(route[ci], c) for ci, c in enumerate(cells) if c.nbytes]
+        stripe += [(route[k + pi], parity) for pi in range(p)]
+        self._writable([slot for slot, _part in stripe])  # somewhere to land
+        return [
+            self._write_piece(tid, chunk_idx, akey, 0, part)
+            for (tid, _readable, writable), part in stripe if writable
         ]
-        parity = XorPayload(padded) if pad_len else None
-        pieces: List[IoPiece] = []
-        for ci, cell in enumerate(cells):
-            if cell.nbytes == 0:
-                continue
-            tid, _readable, writable = route[ci]
-            if not writable:
-                continue  # will be reconstructed from parity on read
-            vc = self._vos(tid)
-            pieces.append(
-                IoPiece(
-                    tid,
-                    cell.nbytes,
-                    lambda vc=vc, cidx=chunk_idx, c=cell: (
-                        vc.update_array(self.oid, cidx, akey, 0, c)
-                    ),
-                )
-            )
-        if parity is not None:
-            for pi in range(p):
-                tid, _readable, writable = route[k + pi]
-                if not writable:
-                    continue
-                vc = self._vos(tid)
-                pieces.append(
-                    IoPiece(
-                        tid,
-                        parity.nbytes,
-                        lambda vc=vc, cidx=chunk_idx, pp=parity: (
-                            vc.update_array(self.oid, cidx, akey, 0, pp)
-                        ),
-                    )
-                )
-        if not pieces:
-            raise DerDataLoss("EC group fully excluded")
-        return pieces
 
     def _ec_read_pieces(
         self, chunk_idx: int, within: int, take: int,
@@ -491,23 +422,10 @@ class ObjectHandle:
         k, p, cell_len = self._ec_geometry(chunk_size)
         route = self._route_for_dkey(chunk_idx)
         plan = []
-        cursor = within
-        stop = within + take
-        while cursor < stop:
-            ci = cursor // cell_len
-            cell_off = cursor % cell_len
-            cell_take = min(cell_len - cell_off, stop - cursor)
+        for ci, cell_off, cell_take in split_aligned(within, take, cell_len):
             tid, readable, _writable = route[ci]
             if readable:
-                vc = self._vos(tid)
-                piece = IoPiece(
-                    tid,
-                    cell_take,
-                    lambda vc=vc, cidx=chunk_idx, o=cell_off, n=cell_take: (
-                        vc.fetch_array(self.oid, cidx, akey, o, n)
-                    ),
-                )
-                plan.append(([piece], None))
+                sources, combine = [tid], None
             else:
                 # degraded: XOR of parity and the k-1 surviving data cells
                 survivors = [
@@ -524,21 +442,14 @@ class ObjectHandle:
                         "for EC reconstruction"
                     )
                 sources = [entry[0] for entry in survivors] + parity_live[:1]
-                pieces = []
-                for src in sources:
-                    vc = self._vos(src)
-                    pieces.append(
-                        IoPiece(
-                            src,
-                            cell_take,
-                            lambda vc=vc, cidx=chunk_idx, o=cell_off,
-                            n=cell_take: (
-                                vc.fetch_array(self.oid, cidx, akey, o, n)
-                            ),
-                        )
-                    )
-                plan.append((pieces, XorPayload))
-            cursor += cell_take
+                combine = XorPayload
+            plan.append((
+                [
+                    self._read_piece(src, chunk_idx, akey, cell_off, cell_take)
+                    for src in sources
+                ],
+                combine,
+            ))
         return plan
 
     def write(
@@ -564,8 +475,6 @@ class ObjectHandle:
     ) -> Generator:
         pool_map = self.cont.pool.pool_map
         pieces = self._chunk_pieces_write(offset, payload, chunk_size, akey)
-        if not pieces:
-            raise DerDataLoss("all replicas excluded")
         with self._span(
             "client.array_write", offset=offset, nbytes=payload.nbytes
         ):
@@ -589,12 +498,7 @@ class ObjectHandle:
         #: list of (pieces, combine): combine=None yields pieces[0]'s
         #: result; otherwise combine(results) reconstructs the fragment
         plan: List = []
-        cursor = offset
-        stop = offset + length
-        while cursor < stop:
-            chunk_idx = cursor // chunk_size
-            within = cursor % chunk_size
-            take = min(chunk_size - within, stop - cursor)
+        for chunk_idx, within, take in split_aligned(offset, length, chunk_size):
             if ec:
                 plan.extend(
                     self._ec_read_pieces(
@@ -602,22 +506,11 @@ class ObjectHandle:
                     )
                 )
             else:
-                readable = self._readable(self._route_for_dkey(chunk_idx))
-                if not readable:
-                    raise DerDataLoss(
-                        f"chunk {chunk_idx}: all replicas excluded"
-                    )
-                tid = readable[0]
-                vc = self._vos(tid)
-                piece = IoPiece(
-                    tid,
-                    take,
-                    lambda vc=vc, ci=chunk_idx, w=within, n=take: (
-                        vc.fetch_array(self.oid, ci, akey, w, n)
-                    ),
-                )
-                plan.append(([piece], None))
-            cursor += take
+                tid = self._reader(self._route_for_dkey(chunk_idx))
+                plan.append((
+                    [self._read_piece(tid, chunk_idx, akey, within, take)],
+                    None,
+                ))
         flat: List[IoPiece] = [p for pieces, _c in plan for p in pieces]
         with self._span("client.array_read", offset=offset, nbytes=length):
             results = yield from self._stream("read").io(flat, self._ctx)
@@ -699,40 +592,20 @@ class ObjectHandle:
             if oclass.is_ec:
                 _k, _p, cell_len = self._ec_geometry(chunk_size)
                 queried = [
-                    (ci, entry[0])
+                    (ci * cell_len, entry[0])
                     for ci, entry in enumerate(route[: oclass.ec_k])
                     if entry[1]
                 ]
                 if not queried:
                     raise DerDataLoss("all data shards excluded")
             else:
-                readable = self._readable(route)
-                if not readable:
-                    raise DerDataLoss("group fully excluded")
-                queried = [(None, readable[0])]
-            for cell_idx, tid in queried:
-                ref = self.system.target(tid)
-                sizes = yield from self.client.rpc.call(
-                    ref.engine.name,
-                    "array_sizes",
-                    {
-                        "pool": self.cont.pool.pool_map.uuid,
-                        "cont": self.cont.uuid,
-                        "local_tid": ref.local_tid,
-                        "oid": self.oid,
-                        "akey": akey,
-                    },
+                queried = [(0, self._reader(route))]
+            for cell_base, tid in queried:
+                sizes = yield from self._call(
+                    tid, "array_sizes", {"akey": akey}
                 )
                 for chunk_idx, size in sizes:
-                    if cell_idx is None:
-                        high = max(high, chunk_idx * chunk_size + size)
-                    else:
-                        high = max(
-                            high,
-                            chunk_idx * chunk_size
-                            + cell_idx * cell_len
-                            + size,
-                        )
+                    high = max(high, chunk_idx * chunk_size + cell_base + size)
         return high
 
     def punch_range(
@@ -753,30 +626,11 @@ class ObjectHandle:
     def _punch_range_once(
         self, offset: int, length: int, chunk_size: int, akey: bytes
     ) -> Generator:
-        pool_map = self.cont.pool.pool_map
-        cursor = offset
-        stop = offset + length
         freed = 0
-        while cursor < stop:
-            chunk_idx = cursor // chunk_size
-            within = cursor % chunk_size
-            take = min(chunk_size - within, stop - cursor)
-            for tid in self._writable(self._route_for_dkey(chunk_idx)):
-                ref = self.system.target(tid)
-                freed = yield from self.client.rpc.call(
-                    ref.engine.name,
-                    "array_punch",
-                    {
-                        "pool": pool_map.uuid,
-                        "cont": self.cont.uuid,
-                        "local_tid": ref.local_tid,
-                        "oid": self.oid,
-                        "dkey": chunk_idx,
-                        "akey": akey,
-                        "offset": within,
-                        "length": take,
-                        "map_version": pool_map.version,
-                    },
-                )
-            cursor += take
+        for chunk_idx, within, take in split_aligned(offset, length, chunk_size):
+            freed = yield from self._mutate(
+                self._writers(chunk_idx), "array_punch",
+                {"dkey": chunk_idx, "akey": akey,
+                 "offset": within, "length": take},
+            )
         return freed

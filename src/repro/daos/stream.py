@@ -24,8 +24,7 @@ overhead-dominated streams slightly over-reserve bandwidth.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Callable, Generator, List, Optional, Sequence, Tuple
 
 from repro.errors import DerDataLoss, DerTimedOut
 from repro.network.flows import Flow
@@ -82,28 +81,10 @@ class IoStream:
     def open(self) -> None:
         if self._flow is not None:
             return
-        fabric = self.client.fabric
-        node = self.client.node
-        weight = 1.0 / len(self.targets)
-        per_link: Dict[object, float] = defaultdict(float)
-        if self.direction == "write":
-            per_link[fabric.nic_tx(node.addr)] += 1.0
-        else:
-            per_link[fabric.nic_rx(node.addr)] += 1.0
-        for tid in self.targets:
-            ref = self.system.target(tid)
-            hw = ref.hw
-            server_addr = ref.engine.slot.node.addr
-            if self.direction == "write":
-                per_link[fabric.nic_rx(server_addr)] += weight
-                per_link[ref.engine.slot.media_write] += weight
-                per_link[hw.write_link] += weight
-            else:
-                per_link[fabric.nic_tx(server_addr)] += weight
-                per_link[ref.engine.slot.media_read] += weight
-                per_link[hw.read_link] += weight
-        self._flow = fabric.flownet.open(
-            list(per_link.items()),
+        self._flow = self.client.fabric.open_bulk_flow(
+            self.client.node.addr,
+            [self.system.target(tid).hw for tid in self.targets],
+            self.direction,
             label=f"{self.client.name}:{self.direction}",
         )
 

@@ -17,7 +17,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.daos.vos.btree import BPlusTree
 from repro.daos.vos.extent import ExtentTree
-from repro.daos.vos.payload import Payload, as_payload
+from repro.daos.vos.payload import Payload, ZeroPayload
 from repro.errors import DerExist, DerInval, DerNonexist
 
 _TOMBSTONE = object()
@@ -53,7 +53,7 @@ class EpochClock:
         return self._epoch
 
 
-class _SingleValue:
+class SingleValue:
     """Epoch history of a single value under an akey."""
 
     __slots__ = ("history",)
@@ -98,13 +98,6 @@ class VosObject:
         self.oid = oid
         self.dkeys = BPlusTree()
 
-    def akey_tree(self, dkey: Any, create: bool) -> Optional[BPlusTree]:
-        tree = self.dkeys.get(dkey)
-        if tree is None and create:
-            tree = BPlusTree()
-            self.dkeys.insert(dkey, tree)
-        return tree
-
 
 class VosContainer:
     """A container shard on one target."""
@@ -133,12 +126,50 @@ class VosContainer:
         self.snapshots.append(epoch)
         return epoch
 
-    # ------------------------------------------------------------- helpers
-    def _object(self, oid: Any, create: bool) -> Optional[VosObject]:
+    # ------------------------------------------------------------- lookup
+    def value(self, oid: Any, dkey: Any, akey: Any, kind: type,
+              create: bool = False):
+        """The one point lookup: the ``kind`` value (:class:`SingleValue`
+        or :class:`ExtentTree`) under ``oid`` / ``dkey`` / ``akey``.
+
+        Absent levels are made when ``create``; otherwise an absent
+        value is ``None``. An akey holding the other kind is the
+        caller's error on every path: ``DerInval``.
+        """
         obj = self.objects.get(oid)
-        if obj is None and create:
+        if obj is None:
+            if not create:
+                return None
             obj = self.objects[oid] = VosObject(oid)
-        return obj
+        akeys = obj.dkeys.get(dkey)
+        if akeys is None:
+            if not create:
+                return None
+            akeys = BPlusTree()
+            obj.dkeys.insert(dkey, akeys)
+        held = akeys.get(akey)
+        if held is None:
+            if create:
+                held = kind()
+                akeys.insert(akey, held)
+        elif not isinstance(held, kind):
+            raise DerInval(
+                f"akey {akey!r} holds "
+                + ("an array value" if kind is SingleValue else "a single value")
+            )
+        return held
+
+    def walk(self, oid: Any, dkey: Any = None) -> Iterator[Tuple[Any, Any, Any]]:
+        """``(dkey, akey, value)`` for everything held under ``oid`` (or
+        under one of its dkeys), in key order."""
+        obj = self.objects.get(oid)
+        if obj is None:
+            return
+        for held_dkey, akeys in obj.dkeys.items(dkey):  # from dkey onwards
+            if dkey is not None and held_dkey != dkey:
+                break
+            for akey, held in akeys.items():
+                yield held_dkey, akey, held
 
     def _charge(self, delta: int) -> None:
         if self.pool is not None:
@@ -148,40 +179,24 @@ class VosContainer:
     def update_single(self, oid: Any, dkey: Any, akey: Any, value: Any) -> int:
         """Write a single value; returns the epoch used."""
         epoch = self.next_epoch()
-        obj = self._object(oid, create=True)
-        akeys = obj.akey_tree(dkey, create=True)
-        single = akeys.get(akey)
-        if single is None:
-            single = _SingleValue()
-            akeys.insert(akey, single)
-        elif isinstance(single, ExtentTree):
-            raise DerInval(f"akey {akey!r} holds an array value")
-        single.update(epoch, value)
+        self.value(oid, dkey, akey, SingleValue, create=True).update(epoch, value)
         self._charge(_value_footprint(value))
         return epoch
 
     def fetch_single(
         self, oid: Any, dkey: Any, akey: Any, epoch: Optional[int] = None
     ) -> Any:
-        obj = self.objects.get(oid)
-        if obj is None:
-            raise DerNonexist(f"object {oid}")
-        akeys = obj.dkeys.get(dkey)
-        single = akeys.get(akey) if akeys is not None else None
+        single = self.value(oid, dkey, akey, SingleValue)
         if single is None:
-            raise DerNonexist(f"dkey/akey {dkey!r}/{akey!r}")
-        if isinstance(single, ExtentTree):
-            raise DerInval(f"akey {akey!r} holds an array value")
+            raise DerNonexist(f"{oid} dkey/akey {dkey!r}/{akey!r}")
         value = single.fetch(epoch)
         if value is _TOMBSTONE:
             raise DerNonexist(f"{dkey!r}/{akey!r} not visible at epoch {epoch}")
         return value
 
     def punch_single(self, oid: Any, dkey: Any, akey: Any) -> bool:
-        obj = self.objects.get(oid)
-        akeys = obj.dkeys.get(dkey) if obj else None
-        single = akeys.get(akey) if akeys is not None else None
-        if single is None or isinstance(single, ExtentTree):
+        single = self.value(oid, dkey, akey, SingleValue)
+        if single is None:
             return False
         visible = single.fetch() is not _TOMBSTONE
         single.punch(self.next_epoch())
@@ -191,48 +206,28 @@ class VosContainer:
     def update_array(self, oid: Any, dkey: Any, akey: Any, offset: int, data) -> int:
         """Write bytes into an array akey; returns the epoch used."""
         epoch = self.next_epoch()
-        obj = self._object(oid, create=True)
-        akeys = obj.akey_tree(dkey, create=True)
-        tree = akeys.get(akey)
-        if tree is None:
-            tree = ExtentTree()
-            akeys.insert(akey, tree)
-        elif isinstance(tree, _SingleValue):
-            raise DerInval(f"akey {akey!r} holds a single value")
-        delta = tree.write(offset, data, epoch)
-        self._charge(delta)
+        tree = self.value(oid, dkey, akey, ExtentTree, create=True)
+        self._charge(tree.write(offset, data, epoch))
         return epoch
 
     def fetch_array(
         self, oid: Any, dkey: Any, akey: Any, offset: int, length: int
     ) -> Payload:
         """Read bytes (holes zero-filled); absent keys read as holes."""
-        obj = self.objects.get(oid)
-        akeys = obj.dkeys.get(dkey) if obj else None
-        tree = akeys.get(akey) if akeys is not None else None
+        tree = self.value(oid, dkey, akey, ExtentTree)
         if tree is None:
-            from repro.daos.vos.payload import ZeroPayload
-
             return ZeroPayload(max(0, length))
-        if isinstance(tree, _SingleValue):
-            raise DerInval(f"akey {akey!r} holds a single value")
         return tree.read(offset, length)
 
     def array_size(self, oid: Any, dkey: Any, akey: Any) -> int:
-        obj = self.objects.get(oid)
-        akeys = obj.dkeys.get(dkey) if obj else None
-        tree = akeys.get(akey) if akeys is not None else None
-        if tree is None or isinstance(tree, _SingleValue):
-            return 0
-        return tree.size
+        tree = self.value(oid, dkey, akey, ExtentTree)
+        return tree.size if tree is not None else 0
 
     def punch_array(
         self, oid: Any, dkey: Any, akey: Any, offset: int, length: int
     ) -> int:
-        obj = self.objects.get(oid)
-        akeys = obj.dkeys.get(dkey) if obj else None
-        tree = akeys.get(akey) if akeys is not None else None
-        if tree is None or isinstance(tree, _SingleValue):
+        tree = self.value(oid, dkey, akey, ExtentTree)
+        if tree is None:
             return 0
         freed = tree.punch(offset, length)
         self._charge(-freed)
@@ -247,13 +242,24 @@ class VosContainer:
 
     def dkey_array_sizes(self, oid: Any, akey: Any) -> Iterator[Tuple[Any, int]]:
         """(dkey, extent-tree size) for every dkey holding ``akey`` arrays."""
+        for dkey, held_akey, held in self.walk(oid):
+            if held_akey == akey and isinstance(held, ExtentTree) and len(held):
+                yield dkey, held.size
+
+    def _uncharge(self, oid: Any, dkey: Any = None) -> None:
+        """Hand back the array bytes a punch is about to drop."""
+        for _dkey, _akey, held in self.walk(oid, dkey):
+            if isinstance(held, ExtentTree):
+                self._charge(-held.used_bytes)
+
+    def punch_dkey(self, oid: Any, dkey: Any) -> bool:
+        self._uncharge(oid, dkey)
         obj = self.objects.get(oid)
-        if obj is None:
-            return
-        for dkey, akeys in obj.dkeys.items():
-            tree = akeys.get(akey)
-            if isinstance(tree, ExtentTree) and len(tree):
-                yield dkey, tree.size
+        return obj is not None and obj.dkeys.delete(dkey)
+
+    def punch_object(self, oid: Any) -> bool:
+        self._uncharge(oid)
+        return self.objects.pop(oid, None) is not None
 
     # ------------------------------------------------------------- rebuild
     def replay_single(self, oid: Any, dkey: Any, akey: Any, epoch: int, value: Any) -> None:
@@ -264,14 +270,7 @@ class VosContainer:
         replica, so a newer write that raced onto this shard while the
         resync was in flight still wins the visibility scan.
         """
-        obj = self._object(oid, create=True)
-        akeys = obj.akey_tree(dkey, create=True)
-        single = akeys.get(akey)
-        if single is None:
-            single = _SingleValue()
-            akeys.insert(akey, single)
-        elif isinstance(single, ExtentTree):
-            raise DerInval(f"akey {akey!r} holds an array value")
+        single = self.value(oid, dkey, akey, SingleValue, create=True)
         if any(e == epoch for e, _ in single.history):
             return  # already present (replica had the write)
         single.update(epoch, value)
@@ -287,14 +286,7 @@ class VosContainer:
         already holds at an equal-or-newer epoch (writes that raced with
         the resync). Returns bytes actually written.
         """
-        obj = self._object(oid, create=True)
-        akeys = obj.akey_tree(dkey, create=True)
-        tree = akeys.get(akey)
-        if tree is None:
-            tree = ExtentTree()
-            akeys.insert(akey, tree)
-        elif isinstance(tree, _SingleValue):
-            raise DerInval(f"akey {akey!r} holds a single value")
+        tree = self.value(oid, dkey, akey, ExtentTree, create=True)
         delta = tree.write_rebuild(offset, data, epoch)
         self._charge(delta)
         return delta
@@ -309,52 +301,15 @@ class VosContainer:
         - ``("extent", dkey, akey, offset, payload, epoch)`` — one entry
           per stored extent.
         """
-        obj = self.objects.get(oid)
-        if obj is None:
-            return
-        for dkey, akeys in obj.dkeys.items():
-            for akey, value in akeys.items():
-                if isinstance(value, _SingleValue):
-                    if not value.history:
-                        continue
-                    epoch, latest = value.history[-1]
-                    if epoch > after_epoch:
-                        yield ("single", dkey, akey, epoch, latest)
-                else:
-                    for ext in value:
-                        if ext.epoch > after_epoch:
-                            yield ("extent", dkey, akey, ext.offset,
-                                   ext.payload, ext.epoch)
-
-    def max_extent_epoch(self, oid: Any, dkey: Any, akey: Any) -> int:
-        """Newest extent epoch under (dkey, akey), or 0 when empty."""
-        obj = self.objects.get(oid)
-        akeys = obj.dkeys.get(dkey) if obj else None
-        tree = akeys.get(akey) if akeys is not None else None
-        if tree is None or isinstance(tree, _SingleValue):
-            return 0
-        return tree.max_epoch
-
-    def punch_dkey(self, oid: Any, dkey: Any) -> bool:
-        obj = self.objects.get(oid)
-        if obj is None:
-            return False
-        akeys = obj.dkeys.get(dkey)
-        if akeys is not None:
-            for _akey, value in akeys.items():
-                if isinstance(value, ExtentTree):
-                    self._charge(-value.used_bytes)
-        return obj.dkeys.delete(dkey)
-
-    def punch_object(self, oid: Any) -> bool:
-        obj = self.objects.pop(oid, None)
-        if obj is None:
-            return False
-        for _dkey, akeys in obj.dkeys.items():
-            for _akey, value in akeys.items():
-                if isinstance(value, ExtentTree):
-                    self._charge(-value.used_bytes)
-        return True
+        for dkey, akey, held in self.walk(oid):
+            if isinstance(held, SingleValue):
+                if held.history and held.history[-1][0] > after_epoch:
+                    yield ("single", dkey, akey, *held.history[-1])
+            else:
+                for ext in held:
+                    if ext.epoch > after_epoch:
+                        yield ("extent", dkey, akey, ext.offset,
+                               ext.payload, ext.epoch)
 
 
 def _value_footprint(value: Any) -> int:

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 from typing import Dict, Generator, List, Optional, Tuple
 
-from repro.cache.extents import ExtentMap
 from repro.cache.readahead import ReadAhead
 from repro.cache.writeback import WriteBehind
 from repro.daos.object import ObjectHandle
+from repro.daos.vos.extent import ExtentTree
 from repro.daos.vos.payload import Payload, as_payload, concat_payloads
 from repro.dfs.layout import InodeEntry
 from repro.errors import CacheWritebackError
@@ -72,8 +72,8 @@ class DfsFile:
         self.ra: Optional[ReadAhead] = (
             ReadAhead(cfg) if cfg is not None else None
         )
-        self._ra_buf: Optional[ExtentMap] = (
-            ExtentMap() if cfg is not None else None
+        self._ra_buf: Optional[ExtentTree] = (
+            ExtentTree() if cfg is not None else None
         )
         # Canonical labeled read-ahead metric names, built once per
         # handle — the hit counter sits inside the read segment loop.
@@ -211,7 +211,7 @@ class DfsFile:
             )
             for seg_start, seg_len, dirty in segments:
                 if dirty is not None:
-                    rel = seg_start - dirty.start
+                    rel = seg_start - dirty.offset
                     parts.append(dirty.payload.slice(rel, rel + seg_len))
                     copy_bytes += seg_len
                     continue
@@ -219,7 +219,7 @@ class DfsFile:
                     seg_start, seg_len
                 ):
                     if ra_ext is not None:
-                        rel = sub_start - ra_ext.start
+                        rel = sub_start - ra_ext.offset
                         parts.append(ra_ext.payload.slice(rel, rel + sub_len))
                         copy_bytes += sub_len
                         if metrics is not None:
@@ -250,7 +250,7 @@ class DfsFile:
             got = payload.nbytes - need
             # one window in flight: the buffer is exactly the last prefetch
             self._ra_buf.clear()
-            self._ra_buf.insert(stop, payload.slice(need, payload.nbytes))
+            self._ra_buf.write(stop, payload.slice(need, payload.nbytes))
             self.ra.note_prefetch(got)
             metrics = self.dfs.client.sim.metrics
             if metrics is not None:

@@ -31,7 +31,7 @@ from repro.posix.vfs import (
     normalize,
     validate_flags,
 )
-from repro.units import MiB
+from repro.units import MiB, split_aligned
 
 
 class DFuseMount(FileSystem):
@@ -91,15 +91,11 @@ class DFuseMount(FileSystem):
     # ------------------------------------------------------------- helpers
     def _windows(self, offset: int, length: int) -> List[Tuple[int, int]]:
         """Split [offset, offset+length) at aligned max_transfer windows."""
-        out = []
-        cursor = offset
-        stop = offset + length
-        while cursor < stop:
-            window_end = (cursor // self.max_transfer + 1) * self.max_transfer
-            take = min(window_end, stop) - cursor
-            out.append((cursor, take))
-            cursor += take
-        return out
+        size = self.max_transfer
+        return [
+            (window * size + within, take)
+            for window, within, take in split_aligned(offset, length, size)
+        ]
 
     @staticmethod
     def _translate(err: DaosError, path: str) -> FsError:

@@ -172,19 +172,15 @@ def check_replica_consistency(system) -> Dict[str, int]:
     def shard_view(vc, oid):
         """(dkey, akey) -> comparable content for one member's shard."""
         view = {}
-        obj = vc.objects.get(oid)
-        if obj is None:
-            return view
-        for dkey, akeys in obj.dkeys.items():
-            for akey, value in akeys.items():
-                if isinstance(value, ExtentTree):
-                    if value.size:
-                        view[(dkey, akey)] = (
-                            "array", value.read(0, value.size).materialize()
-                        )
-                elif value.history:
-                    epoch, latest = value.history[-1]
-                    view[(dkey, akey)] = ("single", normalize(latest))
+        for dkey, akey, value in vc.walk(oid):
+            if isinstance(value, ExtentTree):
+                if value.size:
+                    view[(dkey, akey)] = (
+                        "array", value.read(0, value.size).materialize()
+                    )
+            elif value.history:
+                epoch, latest = value.history[-1]
+                view[(dkey, akey)] = ("single", normalize(latest))
         return view
 
     counts = {"pools": 0, "objects": 0, "groups": 0}
@@ -259,16 +255,11 @@ def _check_ec_group(
     actuals = [actual for _orig, actual in zip(group, egroup)]
 
     def trees(tid):
-        out = {}
-        vc = vc_of(tid, cont_uuid)
-        obj = vc.objects.get(oid)
-        if obj is None:
-            return out
-        for dkey, akeys in obj.dkeys.items():
-            for akey, value in akeys.items():
-                if isinstance(value, ExtentTree) and value.size:
-                    out[(dkey, akey)] = value.read(0, value.size).materialize()
-        return out
+        return {
+            (dkey, akey): value.read(0, value.size).materialize()
+            for dkey, akey, value in vc_of(tid, cont_uuid).walk(oid)
+            if isinstance(value, ExtentTree) and value.size
+        }
 
     member_data = [trees(tid) for tid in actuals]
     parity_data = member_data[k]  # first parity shard

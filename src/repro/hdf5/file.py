@@ -6,9 +6,9 @@ arguments, so every rank's in-memory catalog evolves in lock-step; the
 connector decides who persists metadata at flush/close time (rank 0 for
 the native mpio path, any rank for the DAOS KV path).
 
-Storage connectors implement :class:`~repro.hdf5.vol.Vol`; passing a
-bare :class:`~repro.hdf5.vfd.Vfd` keeps the pre-VOL call signature
-working by wrapping it in the native-format connector.
+Storage connectors implement :class:`~repro.hdf5.vol.Vol`; the native
+format over a :class:`~repro.hdf5.vfd.Vfd` is
+:class:`~repro.hdf5.vol.NativeVol`.
 """
 
 from __future__ import annotations
@@ -18,9 +18,15 @@ from typing import Dict, Generator, Optional, Sequence
 from repro.hdf5.dataset import Dataset
 from repro.hdf5.dataspace import Dataspace
 from repro.hdf5.datatype import Datatype
-from repro.hdf5.vol import CATALOG_REGION, H5Error, Vol, as_vol
+from repro.hdf5.vol import CATALOG_REGION, H5Error, Vol
 
 __all__ = ["H5File", "H5Error", "CATALOG_REGION"]
+
+
+def _connector(vol) -> Vol:
+    if not isinstance(vol, Vol):
+        raise TypeError(f"expected a Vol, got {type(vol).__name__}")
+    return vol
 
 
 class H5File:
@@ -37,15 +43,10 @@ class H5File:
     # ------------------------------------------------------------- lifecycle
     @classmethod
     def create(
-        cls, storage, path: str, alignment: int = 1
+        cls, vol: Vol, path: str, alignment: int = 1
     ) -> Generator:
-        """Task helper: create a fresh file (truncating any old one).
-
-        ``storage`` is a :class:`~repro.hdf5.vol.Vol` connector or a
-        bare :class:`~repro.hdf5.vfd.Vfd` (native format implied).
-        """
-        vol = as_vol(storage)
-        h5 = cls(vol, alignment)
+        """Task helper: create a fresh file (truncating any old one)."""
+        h5 = cls(_connector(vol), alignment)
         yield from vol.create_file(h5, path)
         h5._open = True
         h5._dirty = True
@@ -53,10 +54,9 @@ class H5File:
         return h5
 
     @classmethod
-    def open(cls, storage, path: str) -> Generator:
+    def open(cls, vol: Vol, path: str) -> Generator:
         """Task helper: open an existing file, loading its catalog."""
-        vol = as_vol(storage)
-        record = yield from vol.open_file(path)
+        record = yield from _connector(vol).open_file(path)
         h5 = cls(vol, record["alignment"])
         h5.attrs = record.get("attrs", {})
         for name, ds_record in record.get("datasets", {}).items():

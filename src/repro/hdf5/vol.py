@@ -36,7 +36,7 @@ from repro.hdf5.format import (
     unpack_superblock,
 )
 from repro.hdf5.vfd import MpioVfd, Vfd
-from repro.units import MiB
+from repro.units import MiB, split_aligned
 
 #: generous fixed region after the superblock reserved for the catalog;
 #: real HDF5 interleaves metadata with data, which is exactly why its
@@ -104,16 +104,6 @@ class Vol:
     def data_aligned(self, h5) -> bool:
         """Whether raw transfers bypass client-side staging."""
         raise NotImplementedError
-
-
-def as_vol(storage) -> "Vol":
-    """Accept either a :class:`Vol` or a bare :class:`Vfd` (wrapped in
-    the native connector) — the pre-VOL call signature."""
-    if isinstance(storage, Vol):
-        return storage
-    if isinstance(storage, Vfd):
-        return NativeVol(storage)
-    raise TypeError(f"expected a Vol or Vfd, got {type(storage).__name__}")
 
 
 class NativeVol(Vol):
@@ -218,18 +208,13 @@ class NativeVol(Vol):
         chunk_bytes = chunk_rows * row_bytes
         chunks: Dict[str, int] = dataset.layout["chunks"]
         for off_el, len_el in dataset.space.runs(start, count):
-            byte_off = off_el * item
-            remaining = len_el * item
-            while remaining > 0:
-                chunk_idx = byte_off // chunk_bytes
-                within = byte_off % chunk_bytes
-                take = min(chunk_bytes - within, remaining)
+            for chunk_idx, within, take in split_aligned(
+                off_el * item, len_el * item, chunk_bytes
+            ):
                 addr = chunks.get(str(chunk_idx), -1)
                 out.append(
                     (addr + within if addr >= 0 else -1, take)
                 )
-                byte_off += take
-                remaining -= take
         return out
 
     def _ensure_chunks(self, h5, dataset, start, count) -> Generator:

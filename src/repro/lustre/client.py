@@ -16,7 +16,6 @@ flow across the stripe OSTs, write-through.
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict
 from typing import Dict, Generator, Iterable, List, Optional, Tuple
 
 from repro.daos.vos.payload import Payload, as_payload, concat_payloads
@@ -27,6 +26,7 @@ from repro.lustre.ldlm import PR, PW, acquire
 from repro.lustre.mds import Inode
 from repro.network.flows import Flow
 from repro.posix.vfs import FileHandle, FileSystem, StatResult, normalize, validate_flags
+from repro.units import split_aligned
 
 _client_seq = itertools.count(1)
 
@@ -128,19 +128,13 @@ class LustreFile(FileHandle):
         out = []
         stripe_size = self.inode.stripe_size
         stripe_count = len(self.inode.stripe_osts)
-        cursor = offset
-        stop = offset + length
-        while cursor < stop:
-            chunk = cursor // stripe_size
-            within = cursor % stripe_size
-            take = min(stripe_size - within, stop - cursor)
+        for chunk, within, take in split_aligned(offset, length, stripe_size):
             stripe = chunk % stripe_count
             obj_offset = (chunk // stripe_count) * stripe_size + within
             out.append(
                 (self.fs.osts[self.inode.stripe_osts[stripe]], stripe,
                  obj_offset, take)
             )
-            cursor += take
         return out
 
     # ------------------------------------------------------------- flows
@@ -148,25 +142,11 @@ class LustreFile(FileHandle):
         flow = self._flows.get(direction)
         if flow is not None:
             return flow
-        fabric = self.mount.fabric
-        weight = 1.0 / max(1, len(self.inode.stripe_osts))
-        per_link: Dict[object, float] = defaultdict(float)
-        if direction == "write":
-            per_link[fabric.nic_tx(self.mount.node.addr)] += 1.0
-        else:
-            per_link[fabric.nic_rx(self.mount.node.addr)] += 1.0
-        for ost_idx in self.inode.stripe_osts:
-            ost = self.fs.osts[ost_idx]
-            if direction == "write":
-                per_link[fabric.nic_rx(ost.node.addr)] += weight
-                per_link[ost.hw.engine.media_write] += weight
-                per_link[ost.hw.write_link] += weight
-            else:
-                per_link[fabric.nic_tx(ost.node.addr)] += weight
-                per_link[ost.hw.engine.media_read] += weight
-                per_link[ost.hw.read_link] += weight
-        flow = fabric.flownet.open(
-            list(per_link.items()), label=f"{self.owner}:{direction}"
+        flow = self.mount.fabric.open_bulk_flow(
+            self.mount.node.addr,
+            [self.fs.osts[idx].hw for idx in self.inode.stripe_osts],
+            direction,
+            label=f"{self.owner}:{direction}",
         )
         self._flows[direction] = flow
         return flow

@@ -35,7 +35,7 @@ from typing import Dict, Generator, List, Optional, Tuple
 from repro.daos.eq import EventQueue
 from repro.daos.vos.payload import Payload, ZeroPayload, as_payload, concat_payloads
 from repro.mpi.runtime import RankCtx
-from repro.units import MiB
+from repro.units import MiB, split_aligned
 
 DEFAULT_CB_BUFFER = 16 * MiB
 
@@ -78,13 +78,9 @@ def split_by_domain(
     """Split [offset, offset+length) at domain-block boundaries; yields
     (aggregator, start, stop) pieces."""
     out: List[Tuple[int, int, int]] = []
-    cursor = offset
-    stop = offset + length
-    while cursor < stop:
-        block_end = (cursor // gran + 1) * gran
-        end = min(block_end, stop)
-        out.append((domain_owner(cursor, aggregators, gran), cursor, end))
-        cursor = end
+    for block, within, take in split_aligned(offset, length, gran):
+        start = block * gran + within
+        out.append((domain_owner(start, aggregators, gran), start, start + take))
     return out
 
 
@@ -143,34 +139,28 @@ def collective_write(
         for _src, pieces in received.items():
             gathered.extend(pieces)
         runs = _coalesce(gathered)
-        if aio_depth > 1:
-            eq = EventQueue(ctx.sim, depth=aio_depth,
-                            name=f"cb.w{ctx.rank}", metered=False)
-            for run_offset, run_payload in runs:
-                written = 0
-                while written < run_payload.nbytes:
-                    take = min(cb_buffer, run_payload.nbytes - written)
+        eq = EventQueue(
+            ctx.sim, depth=aio_depth, name=f"cb.w{ctx.rank}", metered=False
+        ) if aio_depth > 1 else None
+        for run_offset, run_payload in runs:
+            for buf, _within, take in split_aligned(
+                0, run_payload.nbytes, cb_buffer
+            ):
+                written = buf * cb_buffer
+                call = driver.write_at(
+                    run_offset + written,
+                    run_payload.slice(written, written + take),
+                )
+                if eq is None:
+                    yield from call
+                else:
                     yield from eq.submit(
-                        driver.write_at(
-                            run_offset + written,
-                            run_payload.slice(written, written + take),
-                        ),
-                        name=f"cb.write@{run_offset + written}",
+                        call, name=f"cb.write@{run_offset + written}"
                     )
-                    written += take
+        if eq is not None:
             for event in (yield from eq.drain()):
                 event.result  # surface any aggregator write error
-            eq.close()
-        else:
-            for run_offset, run_payload in runs:
-                written = 0
-                while written < run_payload.nbytes:
-                    take = min(cb_buffer, run_payload.nbytes - written)
-                    yield from driver.write_at(
-                        run_offset + written,
-                        run_payload.slice(written, written + take),
-                    )
-                    written += take
+            yield from eq.close()
     yield from ctx.barrier()
     return payload.nbytes
 
@@ -212,7 +202,7 @@ def collective_read(
                 )
                 pending.append((start, stop, event))
             yield from eq.drain()
-            eq.close()
+            yield from eq.close()
             parts = [
                 (start, stop, event.result) for start, stop, event in pending
             ]

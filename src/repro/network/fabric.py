@@ -11,11 +11,12 @@ latency + serialization delay without occupying flow capacity.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import NetworkError
-from repro.network.flows import FlowNetwork, Link
+from repro.network.flows import Flow, FlowNetwork, Link
 from repro.sim.core import Simulator
 
 
@@ -91,6 +92,29 @@ class Fabric:
             return self._nodes[addr.name]
         except KeyError:
             raise NetworkError(f"unknown node {addr!r}") from None
+
+    def open_bulk_flow(self, client: NodeAddr, targets, direction: str,
+                       label: str) -> Flow:
+        """Open the flow of ``client`` streaming to (``"write"``) or from
+        (``"read"``) storage ``targets`` (:class:`~repro.hardware.node.
+        StorageTarget`): the client NIC at weight 1 and, per target, its
+        node's NIC, its engine's media channel and its own service link
+        at ``1 / len(targets)`` each — traffic spreads evenly, and a link
+        several targets share accumulates their weights."""
+        write = direction == "write"
+        weight = 1.0 / max(1, len(targets))
+        per_link: Dict[Link, float] = defaultdict(float)
+        per_link[self.nic_tx(client) if write else self.nic_rx(client)] += 1.0
+        for hw in targets:
+            if write:
+                per_link[self.nic_rx(hw.node.addr)] += weight
+                per_link[hw.engine.media_write] += weight
+                per_link[hw.write_link] += weight
+            else:
+                per_link[self.nic_tx(hw.node.addr)] += weight
+                per_link[hw.engine.media_read] += weight
+                per_link[hw.read_link] += weight
+        return self.flownet.open(list(per_link.items()), label=label)
 
     # -- control messages -------------------------------------------------------
     def msg_delay(self, src: NodeAddr, dst: NodeAddr, nbytes: int) -> float:

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Generator, Iterator, List, Optional, Tuple
 
 from repro.daos.placement import PlacementMap, effective_groups
-from repro.daos.vos.container import VosContainer, _value_footprint
+from repro.daos.vos.container import SingleValue, VosContainer, _value_footprint
 from repro.daos.vos.extent import ExtentTree
 from repro.daos.vos.payload import Payload, XorPayload, ZeroPayload, concat_payloads
 from repro.rebuild.state import DOWNOUT, UP
@@ -433,18 +433,14 @@ class RebuildManager:
         for j, tid in enumerate(sources):
             if tid is None:
                 continue
-            obj = self._vc(pool_uuid, tid, cont).objects.get(oid)
-            if obj is None:
-                continue
-            for dkey, akeys in obj.dkeys.items():
-                for akey, value in akeys.items():
-                    if not isinstance(value, ExtentTree):
-                        continue
-                    key = (dkey, akey)
-                    trees[j][key] = value
-                    newest = value.max_epoch
-                    if newest > after:
-                        dirty[key] = max(dirty.get(key, 0), newest)
+            for dkey, akey, value in self._vc(pool_uuid, tid, cont).walk(oid):
+                if not isinstance(value, ExtentTree):
+                    continue
+                key = (dkey, akey)
+                trees[j][key] = value
+                newest = value.max_epoch
+                if newest > after:
+                    dirty[key] = max(dirty.get(key, 0), newest)
         items: List[_Item] = []
         first_src = next(t for t in sources if t is not None)
         for key in sorted(dirty):
@@ -618,20 +614,12 @@ def _padded_cell(tree: Optional[ExtentTree], pad_len: int) -> Payload:
 def _dest_has_single(
     vc: VosContainer, oid, dkey, akey, epoch: int
 ) -> bool:
-    obj = vc.objects.get(oid)
-    akeys = obj.dkeys.get(dkey) if obj is not None else None
-    single = akeys.get(akey) if akeys is not None else None
-    if single is None or isinstance(single, ExtentTree):
-        return False
-    return any(e >= epoch for e, _ in single.history)
+    single = vc.value(oid, dkey, akey, SingleValue)
+    return single is not None and any(e >= epoch for e, _ in single.history)
 
 
 def _dest_covered(
     vc: VosContainer, oid, dkey, akey, offset: int, length: int, epoch: int
 ) -> bool:
-    obj = vc.objects.get(oid)
-    akeys = obj.dkeys.get(dkey) if obj is not None else None
-    tree = akeys.get(akey) if akeys is not None else None
-    if tree is None or not isinstance(tree, ExtentTree):
-        return False
-    return tree.covered_at(offset, length, epoch)
+    tree = vc.value(oid, dkey, akey, ExtentTree)
+    return tree is not None and tree.covered_at(offset, length, epoch)

@@ -22,7 +22,7 @@ from repro.tenants.spec import (
     MetaStormWork,
     Work,
 )
-from repro.units import stable_seed
+from repro.units import split_aligned, stable_seed
 
 #: fixed fill byte for KV values (content is irrelevant to timing)
 _KV_FILL = b"\x5a"
@@ -92,22 +92,19 @@ def _bulk(ctx: TenantIoContext, eq, work: BulkWork) -> Generator:
         ctx.cont, cell_size=1, chunk_cells=work.xfer
     )
     try:
-        offset = 0
-        while offset < work.nbytes:
-            chunk = min(work.xfer, work.nbytes - offset)
+        for index, _within, chunk in split_aligned(0, work.nbytes, work.xfer):
+            offset = index * work.xfer
             yield from _charge(ctx, chunk)
             yield from array.write_nb(
                 eq, offset, daos.PatternPayload(ctx.seed, offset, chunk)
             )
-            offset += chunk
         _reap((yield from eq.drain()))
         if work.read_back:
-            offset = 0
-            while offset < work.nbytes:
-                chunk = min(work.xfer, work.nbytes - offset)
+            for index, _within, chunk in split_aligned(
+                0, work.nbytes, work.xfer
+            ):
                 yield from _charge(ctx, chunk)
-                yield from array.read_nb(eq, offset, chunk)
-                offset += chunk
+                yield from array.read_nb(eq, index * work.xfer, chunk)
             _reap((yield from eq.drain()))
     finally:
         array.close()

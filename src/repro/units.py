@@ -8,6 +8,7 @@ command-line convention (``-t 1m`` means 1 MiB).
 from __future__ import annotations
 
 import zlib
+from typing import Iterator, Tuple
 
 KiB = 1024
 MiB = 1024 * KiB
@@ -55,6 +56,28 @@ def parse_size(value: int | str) -> int:
     if not num or suffix not in _SUFFIX:
         raise ValueError(f"cannot parse size {value!r}")
     return int(num) * _SUFFIX[suffix]
+
+
+def split_aligned(offset: int, length: int,
+                  size: int) -> Iterator[Tuple[int, int, int]]:
+    """Cut [offset, offset+length) at the multiples of ``size``.
+
+    Yields ``(index, within, take)`` per piece: bytes ``[within,
+    within + take)`` of block ``index``, i.e. file bytes starting at
+    ``index * size + within``. Chunks, EC cells, stripes, FUSE windows,
+    file domains and transfer buffers are all cut by this one rule.
+
+    >>> list(split_aligned(5, 10, 8))
+    [(0, 5, 3), (1, 0, 7)]
+    """
+    if size <= 0:
+        raise ValueError(f"block size must be positive, got {size}")
+    stop = offset + length
+    while offset < stop:
+        index, within = divmod(offset, size)
+        take = min(size - within, stop - offset)
+        yield index, within, take
+        offset += take
 
 
 def stable_seed(text: str) -> int:

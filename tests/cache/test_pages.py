@@ -1,6 +1,8 @@
 """PageCache: LRU under a byte budget, epoch invalidation, metrics."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cache.pages import PageCache
 from repro.daos.vos.payload import PatternPayload
@@ -124,3 +126,89 @@ def test_overwrite_insert_accounting_stays_consistent():
         pat(0, 50).materialize() + pat(50, 100, seed=8).materialize()
     )
     assert got == expected
+
+
+def test_trimmed_extents_keep_their_lru_slot():
+    """A write-through that trims a cached extent must leave the
+    survivors evictable: they used to drop out of the LRU ring, pinning
+    80 B for good and making the next insert evict itself."""
+    cache = PageCache(100)
+    cache.insert("a", 0, 0, pat(0, 100))
+    cache.invalidate_range("a", 40, 20)
+    assert cache.used_bytes == 80
+    cache.insert("b", 0, 0, pat(0, 100, seed=9))
+    assert cache.used_bytes <= cache.capacity
+    # the newest data is the data that stays
+    assert cache.lookup("b", 0, 0, 100)[0][2].materialize() == (
+        pat(0, 100, seed=9).materialize()
+    )
+    assert all(p is None for _s, _n, p in cache.lookup("a", 0, 0, 100))
+
+
+def test_partially_overwritten_insert_stays_evictable():
+    cache = PageCache(150)
+    cache.insert("f", 0, 0, pat(0, 100))
+    cache.insert("f", 0, 50, pat(50, 100, seed=8))  # trims the first to 50 B
+    assert cache.used_bytes == 150
+    cache.insert("g", 0, 0, pat(0, 50))  # over budget: the trimmed one goes
+    assert cache.used_bytes == 150
+    shape = [(s, n, p is None) for s, n, p in cache.lookup("f", 0, 0, 150)]
+    assert shape == [(0, 50, True), (50, 100, False)]
+
+
+_KEYS = st.sampled_from(["a", "b", "c"])
+_STEPS = st.one_of(
+    st.tuples(st.just("insert"), _KEYS, st.integers(0, 150), st.integers(0, 90)),
+    st.tuples(st.just("lookup"), _KEYS, st.integers(0, 150), st.integers(0, 90)),
+    st.tuples(st.just("invalidate_range"), _KEYS, st.integers(0, 150),
+              st.integers(0, 90)),
+    st.tuples(st.just("invalidate_file"), _KEYS),
+    st.tuples(st.just("bump_epoch"), _KEYS),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(steps=st.lists(_STEPS, max_size=50), capacity=st.integers(1, 200))
+def test_property_budget_and_eviction_reach(steps, capacity):
+    """After every step the byte budget holds, the books match what is
+    held, every held extent belongs to a ring slot (so eviction can reach
+    it), and a hit returns the bytes last inserted there."""
+    cache = PageCache(capacity)
+    epochs = {"a": 0, "b": 0, "c": 0}
+    model = {key: {} for key in epochs}  # key -> {offset: byte}, a superset
+    for step, key, *args in steps:
+        if step == "insert":
+            start, nbytes = args
+            payload = pat(start, nbytes, seed=len(model[key]) % 5)
+            cache.insert(key, epochs[key], start, payload)
+            model[key].update(enumerate(payload.materialize(), start))
+        elif step == "lookup":
+            for seg, _n, hit in cache.lookup(key, epochs[key], *args):
+                if hit is not None:
+                    assert hit.materialize() == bytes(
+                        model[key][i] for i in range(seg, seg + hit.nbytes)
+                    )
+        elif step == "invalidate_range":
+            cache.invalidate_range(key, *args)
+            for i in range(args[0], sum(args)):
+                model[key].pop(i, None)
+        elif step == "invalidate_file":
+            cache.invalidate_file(key)
+            model[key].clear()
+        else:
+            epochs[key] += 1  # next access under the new epoch drops the file
+            cache.lookup(key, epochs[key], 0, 1)
+            model[key].clear()
+        held = [
+            (key, ext) for key, view in cache._files.items()
+            for ext in view.extents
+        ]
+        assert cache.used_bytes == sum(ext.length for _k, ext in held)
+        assert cache.used_bytes <= capacity
+        live = {}
+        for key, ext in held:
+            slot = cache._lru[ext.epoch]  # KeyError: unreachable by eviction
+            assert slot.key == key
+            assert slot.start <= ext.offset and ext.end <= slot.stop
+            live[ext.epoch] = live.get(ext.epoch, 0) + ext.length
+        assert live == {eid: slot.live for eid, slot in cache._lru.items()}

@@ -106,34 +106,127 @@ def test_sequential_pattern_read_is_coalesced():
     assert result.nbytes == 512
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    ops=st.lists(
-        st.tuples(
-            st.sampled_from(["write", "punch"]),
-            st.integers(0, 200),
-            st.integers(1, 64),
-        ),
-        max_size=60,
-    )
+SPACE = 300
+
+_offsets = st.integers(0, 200)
+_lengths = st.integers(0, 64)
+_ops = st.one_of(
+    st.tuples(st.just("write"), _offsets, _lengths, st.booleans()),
+    st.tuples(st.just("write_rebuild"), _offsets, _lengths, st.integers(0, 70)),
+    st.tuples(st.just("punch"), _offsets, _lengths),
+    st.tuples(st.just("lookup"), _offsets, _lengths),
+    st.tuples(st.just("covered_at"), _offsets, _lengths, st.integers(0, 70)),
+    st.tuples(st.just("remove"), st.integers(0, 10)),
+    st.tuples(st.just("pop_first_run"), st.integers(1, 96)),
+    st.tuples(st.just("clear")),
 )
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=st.lists(_ops, max_size=60))
 def test_property_matches_bytearray_model(ops):
+    """The whole API against the naive model: one ``(value, epoch)`` per
+    byte, ``None`` where nothing is held. Every user of the map (VOS,
+    Lustre OSTs, the caches, rebuild) is some subset of these ops."""
     tree = ExtentTree()
-    model = bytearray(300)
-    written_high = 0
+    model = [None] * SPACE
     epoch = 0
-    for op, offset, length in ops:
+
+    def data_for(offset, length):
+        return bytes((offset + i + epoch) % 251 for i in range(length))
+
+    def held(lo, hi):
+        return sum(cell is not None for cell in model[lo:hi])
+
+    for op, *args in ops:
         epoch += 1
         if op == "write":
-            data = bytes(((offset + i + epoch) % 251 for i in range(length)))
-            tree.write(offset, data, epoch)
-            model[offset : offset + length] = data
-            written_high = max(written_high, offset + length)
+            offset, length, merge = args
+            # merging only joins neighbours of the same epoch, so every
+            # other write reuses one to give it something to join
+            stamp = epoch // 2 if merge else epoch
+            data = data_for(offset, length)
+            before = held(offset, offset + length)
+            assert tree.write(offset, data, stamp, merge=merge) == length - before
+            model[offset:offset + length] = [(b, stamp) for b in data]
+        elif op == "write_rebuild":
+            offset, length, old = args
+            data = data_for(offset, length)
+            landed = [
+                i for i in range(offset, offset + length)
+                if model[i] is None or model[i][1] < old
+            ]
+            fresh = sum(model[i] is None for i in landed)
+            assert tree.write_rebuild(offset, data, old) == fresh
+            for i in landed:  # equal-or-newer bytes are never clobbered
+                model[i] = (data[i - offset], old)
+        elif op == "punch":
+            offset, length = args
+            assert tree.punch(offset, length) == held(offset, offset + length)
+            model[offset:offset + length] = [None] * length
+        elif op == "lookup":
+            offset, length = args
+            cursor = offset
+            for start, nbytes, ext in tree.lookup(offset, length):
+                assert start == cursor and nbytes > 0
+                cursor += nbytes
+                cells = model[start:start + nbytes]
+                if ext is None:
+                    assert cells == [None] * nbytes
+                else:
+                    rel = start - ext.offset
+                    got = ext.payload.slice(rel, rel + nbytes).materialize()
+                    assert cells == [(b, ext.epoch) for b in got]
+            assert cursor == offset + max(length, 0)
+        elif op == "covered_at":
+            offset, length, floor = args
+            assert tree.covered_at(offset, length, floor) == all(
+                cell is not None and cell[1] >= floor
+                for cell in model[offset:offset + length]
+            )
+        elif op == "remove":
+            if len(tree):
+                ext = list(tree)[args[0] % len(tree)]
+                assert tree.remove(ext) is True
+                assert tree.remove(ext) is False
+                model[ext.offset:ext.end] = [None] * ext.length
+        elif op == "pop_first_run":
+            first = next((i for i, c in enumerate(model) if c is not None), None)
+            run = tree.pop_first_run(args[0])
+            if first is None:
+                assert run is None
+            else:
+                stop = first
+                while (stop < SPACE and stop - first < args[0]
+                       and model[stop] is not None):
+                    stop += 1
+                offset, payload = run
+                assert offset == first
+                assert payload.materialize() == bytes(
+                    c[0] for c in model[first:stop]
+                )
+                model[first:stop] = [None] * (stop - first)
         else:
-            tree.punch(offset, length)
-            model[offset : offset + length] = b"\x00" * length
-        tree.check_invariants()
-    assert tree.read(0, 300).materialize() == bytes(model)
-    assert tree.size <= 300
-    if written_high:
-        assert tree.read(0, written_high).materialize() == bytes(model[:written_high])
+            assert tree.clear() == held(0, SPACE)
+            model = [None] * SPACE
+        tree.check_invariants()  # incl. used_bytes == sum of extents
+        assert tree.used_bytes == held(0, SPACE)
+        assert tree.spans() == [(e.offset, e.length) for e in tree]
+    assert tree.read(0, SPACE).materialize() == bytes(
+        c[0] if c is not None else 0 for c in model
+    )
+    assert tree.size == max(
+        (i + 1 for i, c in enumerate(model) if c is not None), default=0
+    )
+    assert tree.max_epoch == max((c[1] for c in model if c is not None), default=0)
+
+
+def test_merge_joins_only_same_epoch_neighbours():
+    tree = ExtentTree()
+    tree.write(0, b"aa", epoch=1, merge=True)
+    tree.write(2, b"bb", epoch=2, merge=True)   # other epoch: stays apart
+    tree.write(4, b"cc", epoch=2, merge=True)   # same epoch: joins
+    assert [(e.offset, e.length, e.epoch) for e in tree] == [
+        (0, 2, 1), (2, 4, 2)
+    ]
+    assert tree.read(0, 6).materialize() == b"aabbcc"

@@ -88,6 +88,19 @@ def test_s1_kv_ops_after_exclusion_raise_data_loss():
     expect_data_loss(cluster, state["obj"].get("k", b"a"))
 
 
+def test_s1_punches_after_exclusion_raise_data_loss():
+    """A punch that can reach no target must not report success: every
+    mutating op shares the rule ``put`` / ``write`` follow (these four
+    used to return False / False / 0 / True having sent nothing)."""
+    cluster, state, targets = _excluded_setup("S1")
+    _exclude(cluster, state, targets[0])
+    obj = state["obj"]
+    expect_data_loss(cluster, obj.punch(0, b"a"))
+    expect_data_loss(cluster, obj.punch_dkey(0))
+    expect_data_loss(cluster, obj.punch_range(0, len(PAYLOAD)))
+    expect_data_loss(cluster, obj.punch_object())
+
+
 def test_rp2_survives_one_exclusion_dies_on_two():
     cluster, state, targets = _excluded_setup("RP_2G1")
     assert len(targets) == 2

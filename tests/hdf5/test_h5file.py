@@ -6,7 +6,7 @@ from repro.cluster import small_cluster
 from repro.daos.vos.payload import PatternPayload
 from repro.dfs import Dfs
 from repro.dfuse import DFuseMount
-from repro.hdf5 import H5File, MpioVfd, Sec2Vfd
+from repro.hdf5 import H5File, MpioVfd, NativeVol, Sec2Vfd
 from repro.hdf5.file import H5Error
 from repro.mpi import MpiWorld
 from repro.mpiio import UfsDriver
@@ -33,7 +33,7 @@ def mount(cluster):
 
 def test_create_write_read_contiguous(cluster, mount):
     def go():
-        h5 = yield from H5File.create(Sec2Vfd(mount), "/exp.h5")
+        h5 = yield from H5File.create(NativeVol(Sec2Vfd(mount)), "/exp.h5")
         ds = yield from h5.create_dataset("temp", (64,), dtype="u1")
         yield from ds.write((0,), (64,), bytes(range(64)))
         data = yield from ds.read((10,), (4,))
@@ -45,7 +45,7 @@ def test_create_write_read_contiguous(cluster, mount):
 
 def test_reopen_recovers_catalog(cluster, mount):
     def go():
-        h5 = yield from H5File.create(Sec2Vfd(mount), "/persist.h5")
+        h5 = yield from H5File.create(NativeVol(Sec2Vfd(mount)), "/persist.h5")
         h5.attrs["experiment"] = "ior"
         ds = yield from h5.create_dataset(
             "field", (4, 8), dtype="f8", attrs={"units": "K"}
@@ -53,7 +53,7 @@ def test_reopen_recovers_catalog(cluster, mount):
         yield from ds.write((0, 0), (4, 8), b"\x01" * (4 * 8 * 8))
         yield from h5.close()
 
-        h5b = yield from H5File.open(Sec2Vfd(mount), "/persist.h5")
+        h5b = yield from H5File.open(NativeVol(Sec2Vfd(mount)), "/persist.h5")
         ds2 = h5b.dataset("field")
         data = yield from ds2.read((1, 0), (1, 8))
         meta = (h5b.attrs, ds2.attrs, ds2.space.dims, ds2.dtype.code)
@@ -67,7 +67,7 @@ def test_reopen_recovers_catalog(cluster, mount):
 
 def test_2d_hyperslab_roundtrip(cluster, mount):
     def go():
-        h5 = yield from H5File.create(Sec2Vfd(mount), "/grid.h5")
+        h5 = yield from H5File.create(NativeVol(Sec2Vfd(mount)), "/grid.h5")
         ds = yield from h5.create_dataset("g", (8, 16), dtype="u1")
         yield from ds.write((0, 0), (8, 16), bytes(range(128)))
         block = yield from ds.read((2, 4), (3, 5))
@@ -82,7 +82,7 @@ def test_2d_hyperslab_roundtrip(cluster, mount):
 
 def test_chunked_dataset_allocation_and_fill(cluster, mount):
     def go():
-        h5 = yield from H5File.create(Sec2Vfd(mount), "/chunky.h5")
+        h5 = yield from H5File.create(NativeVol(Sec2Vfd(mount)), "/chunky.h5")
         ds = yield from h5.create_dataset(
             "t", (16, 32), dtype="u1", chunk_rows=4
         )
@@ -100,11 +100,11 @@ def test_chunked_dataset_allocation_and_fill(cluster, mount):
 
 def test_chunked_persists_across_reopen(cluster, mount):
     def go():
-        h5 = yield from H5File.create(Sec2Vfd(mount), "/chunky2.h5")
+        h5 = yield from H5File.create(NativeVol(Sec2Vfd(mount)), "/chunky2.h5")
         ds = yield from h5.create_dataset("t", (8, 8), dtype="u1", chunk_rows=2)
         yield from ds.write((2, 0), (2, 8), b"\x09" * 16)
         yield from h5.close()
-        h5b = yield from H5File.open(Sec2Vfd(mount), "/chunky2.h5")
+        h5b = yield from H5File.open(NativeVol(Sec2Vfd(mount)), "/chunky2.h5")
         data = yield from h5b.dataset("t").read((2, 0), (2, 8))
         yield from h5b.close()
         return data.materialize()
@@ -114,7 +114,7 @@ def test_chunked_persists_across_reopen(cluster, mount):
 
 def test_wrong_payload_size_rejected(cluster, mount):
     def go():
-        h5 = yield from H5File.create(Sec2Vfd(mount), "/bad.h5")
+        h5 = yield from H5File.create(NativeVol(Sec2Vfd(mount)), "/bad.h5")
         ds = yield from h5.create_dataset("d", (10,), dtype="f8")
         try:
             yield from ds.write((0,), (10,), b"short")
@@ -128,7 +128,7 @@ def test_wrong_payload_size_rejected(cluster, mount):
 
 def test_duplicate_dataset_rejected(cluster, mount):
     def go():
-        h5 = yield from H5File.create(Sec2Vfd(mount), "/dup.h5")
+        h5 = yield from H5File.create(NativeVol(Sec2Vfd(mount)), "/dup.h5")
         yield from h5.create_dataset("d", (4,))
         try:
             yield from h5.create_dataset("d", (4,))
@@ -142,13 +142,13 @@ def test_duplicate_dataset_rejected(cluster, mount):
 
 def test_alignment_property_controls_data_alignment(cluster, mount):
     def go():
-        h5 = yield from H5File.create(Sec2Vfd(mount), "/padded.h5",
+        h5 = yield from H5File.create(NativeVol(Sec2Vfd(mount)), "/padded.h5",
                                       alignment=MiB)
         ds = yield from h5.create_dataset("d", (KiB,), dtype="u1")
         aligned_addr = ds.layout["addr"]
         is_aligned = h5.data_aligned
         yield from h5.close()
-        h5b = yield from H5File.create(Sec2Vfd(mount), "/packed.h5")
+        h5b = yield from H5File.create(NativeVol(Sec2Vfd(mount)), "/packed.h5")
         ds2 = yield from h5b.create_dataset("d", (KiB,), dtype="u1")
         unaligned_addr = ds2.layout["addr"]
         not_aligned = h5b.data_aligned
@@ -164,7 +164,8 @@ def test_unaligned_sec2_pays_staging(cluster, mount):
     def timed(alignment):
         def go():
             h5 = yield from H5File.create(
-                Sec2Vfd(mount), f"/stage{alignment}.h5", alignment=alignment
+                NativeVol(Sec2Vfd(mount)), f"/stage{alignment}.h5",
+                alignment=alignment,
             )
             ds = yield from h5.create_dataset("d", (8 * MiB,), dtype="u1")
             start = cluster.sim.now
@@ -188,7 +189,9 @@ def test_data_aligned_tracks_vfd_preferred_io(cluster, mount):
     def probe(alignment, path):
         def go():
             vfd = Sec2Vfd(mount)
-            h5 = yield from H5File.create(vfd, path, alignment=alignment)
+            h5 = yield from H5File.create(
+                NativeVol(vfd), path, alignment=alignment
+            )
             result = (vfd.preferred_io, h5.data_aligned)
             yield from h5.close()
             return result
@@ -210,7 +213,7 @@ def test_preferred_io_alignment_skips_staging_charge(cluster, mount):
     def timed(alignment, path):
         def go():
             h5 = yield from H5File.create(
-                Sec2Vfd(mount), path, alignment=alignment
+                NativeVol(Sec2Vfd(mount)), path, alignment=alignment
             )
             ds = yield from h5.create_dataset(
                 "d", (n_writes * nbytes,), dtype="u1"
@@ -247,7 +250,7 @@ def test_parallel_hdf5_over_mpio(cluster, mount):
         rank_mount = DFuseMount(dfs)
         vfd = MpioVfd(ctx, UfsDriver(rank_mount), collective=True)
         # Parallel HDF5: file creation is collective over the communicator.
-        h5 = yield from H5File.create(vfd, "/phdf5.h5")
+        h5 = yield from H5File.create(NativeVol(vfd), "/phdf5.h5")
         ds = yield from h5.create_dataset("shared", (blk * ctx.size,),
                                           dtype="u1")
         pattern = PatternPayload(seed=9, origin=ctx.rank * blk, nbytes=blk)
@@ -258,3 +261,15 @@ def test_parallel_hdf5_over_mpio(cluster, mount):
         return back == PatternPayload(seed=9, origin=other * blk, nbytes=blk)
 
     assert all(world.run_to_completion(main))
+
+
+def test_create_and_open_take_a_vol_not_a_bare_vfd(mount):
+    """The pre-VOL signature is gone: a connector is required, and the
+    check comes before the helper's first simulated step."""
+    for call in (
+        lambda: H5File.create(Sec2Vfd(mount), "/bare.h5"),
+        lambda: H5File.open(Sec2Vfd(mount), "/bare.h5"),
+        lambda: H5File.create("not storage", "/bare.h5"),
+    ):
+        with pytest.raises(TypeError, match="expected a Vol, got"):
+            next(call())

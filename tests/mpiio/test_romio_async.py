@@ -5,9 +5,12 @@ through an event queue instead of the sequential loop; depths <= 1 must
 keep the classic blocking behavior bit-for-bit.
 """
 
+from repro.cluster import small_cluster
+from repro.daos.eq import EventQueue
 from repro.daos.vos.payload import PatternPayload
+from repro.dfs import Dfs
 from repro.mpi import MpiWorld
-from repro.mpiio import MpiFile, UfsDriver
+from repro.mpiio import MpiFile, UfsDriver, romio
 from repro.units import KiB, MiB
 
 from .conftest import make_rank_mount
@@ -99,3 +102,80 @@ def test_async_runs_are_deterministic(cluster, cont_label):
         _write_main(cluster, cont_label, "/aio-det-b", aio_depth=4)
     )]
     assert first == second
+
+
+class _RecordingQueue(EventQueue):
+    made = []
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.made.append(self)
+
+
+class _DroppedClose(_RecordingQueue):
+    """The old call: ``eq.close()`` built the generator and dropped it."""
+
+    def close(self):
+        return iter(())
+
+
+def _collective_schedule_calls(monkeypatch, queue_cls):
+    """sim.schedule calls spent inside one depth-4 collective write and
+    one collective read on a fresh cluster, and the queues they used."""
+    monkeypatch.setattr(romio, "EventQueue", queue_cls)
+    queue_cls.made = []
+    cluster = small_cluster(server_nodes=2, client_nodes=2,
+                            targets_per_engine=2)
+    client = cluster.new_client(0)
+
+    def setup():
+        pool = yield from client.connect_pool("tank")
+        cont = yield from pool.create_container("c", oclass="S2")
+        yield from Dfs.mount(cont)
+
+    cluster.run(setup())
+    calls = {"write": 0, "read": 0}
+    phase = [None]
+    schedule = cluster.sim.schedule
+
+    def counting(*args, **kwargs):
+        if phase[0] is not None:
+            calls[phase[0]] += 1
+        return schedule(*args, **kwargs)
+
+    monkeypatch.setattr(cluster.sim, "schedule", counting)
+
+    def main(ctx):
+        mount, _dfs = yield from make_rank_mount(cluster, "c", ctx)
+        fh = yield from MpiFile.open(
+            ctx, "/f", UfsDriver(mount), create=True,
+            cb_buffer=CB_SMALL, aio_depth=4,
+        )
+        pattern = PatternPayload(seed=5, origin=ctx.rank * BLK, nbytes=BLK)
+        for name, op in (
+            ("write", lambda: fh.write_at_all(ctx.rank * BLK, pattern)),
+            ("read", lambda: fh.read_at_all(ctx.rank * BLK, BLK)),
+        ):
+            yield from ctx.barrier()
+            phase[0] = name  # every rank sets it at the same instant
+            yield from op()
+            yield from ctx.barrier()
+            phase[0] = None
+        yield from fh.close()
+
+    _world(cluster).run_to_completion(main)
+    return calls, list(queue_cls.made)
+
+
+def test_aggregator_queue_is_closed_at_no_event_cost(monkeypatch):
+    """``EventQueue.close`` is a generator: called without ``yield
+    from`` it never ran and the aggregator queues stayed open. Awaited
+    after ``drain()`` it finds nothing in flight, so it must close the
+    queue without scheduling anything."""
+    awaited, queues = _collective_schedule_calls(monkeypatch, _RecordingQueue)
+    assert len(queues) == 4  # one per aggregator (2 nodes) per direction
+    assert all(q._closed and not q.inflight for q in queues)
+    dropped, stale = _collective_schedule_calls(monkeypatch, _DroppedClose)
+    assert not any(q._closed for q in stale)
+    assert awaited == dropped
+    assert awaited["write"] > 0 and awaited["read"] > 0
