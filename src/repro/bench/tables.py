@@ -10,13 +10,14 @@ from repro.units import GiB
 
 def render_figure(figure: FigureData, unit: float = GiB,
                   unit_name: str = "GiB/s") -> str:
-    """One aligned table: rows = x values (node counts, throttle
-    fractions, ...), columns = series."""
-    xs: List[float] = sorted({p.x for s in figure.series for p in s.points})
+    """One aligned table: rows = x values (node counts), columns =
+    series."""
+    xs: List[int] = sorted({p.x for s in figure.series for p in s.points})
     label_width = max(12, *(len(s.label) for s in figure.series))
+    x_width = max(6, len(figure.xlabel))
     header = f"{figure.figure_id}: {figure.title}  [{unit_name}]"
     lines = [header, "-" * len(header)]
-    col = f"{figure.xlabel[:6]:>6s} | " + " | ".join(
+    col = f"{figure.xlabel:>{x_width}s} | " + " | ".join(
         f"{s.label:>{label_width}s}" for s in figure.series
     )
     lines.append(col)
@@ -29,6 +30,5 @@ def render_figure(figure: FigureData, unit: float = GiB,
                 f"{value / unit:>{label_width}.2f}" if value is not None
                 else " " * (label_width - 1) + "-"
             )
-        x_cell = f"{int(x):>6d}" if float(x).is_integer() else f"{x:>6.2f}"
-        lines.append(f"{x_cell} | " + " | ".join(cells))
+        lines.append(f"{x:>{x_width}d} | " + " | ".join(cells))
     return "\n".join(lines)

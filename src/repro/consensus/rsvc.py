@@ -42,9 +42,6 @@ class ReplicatedService:
     def leader(self) -> Optional[RaftNode]:
         return self.cluster.leader()
 
-    def machine_of(self, node: RaftNode) -> KvStateMachine:
-        return self.cluster.machines[node.node_id]
-
 
 class RsvcClient:
     """Leader-tracking client for a :class:`ReplicatedService`.

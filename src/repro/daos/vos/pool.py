@@ -49,11 +49,3 @@ class VosPool:
             return self.containers[uuid]
         except KeyError:
             raise DerNonexist(f"container {uuid}") from None
-
-    def destroy_container(self, uuid: str) -> None:
-        container = self.containers.pop(uuid, None)
-        if container is None:
-            raise DerNonexist(f"container {uuid}")
-        # Reclaim every array byte the shard held.
-        for obj in list(container.objects):
-            container.punch_object(obj)

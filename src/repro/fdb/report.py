@@ -9,7 +9,7 @@ rules; this report is the run-level summary the benchmarks gate on.
 Everything in :func:`build_report` is a pure function of the run result
 (simulated clock only — no wall time, no environment), so same-seed runs
 compare byte-identical. That property is what the determinism tests and
-the ``make bench-fdb`` double-run ``cmp`` gate pin.
+the e2e ``fdb_fields`` pins hold.
 """
 
 from __future__ import annotations

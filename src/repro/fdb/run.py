@@ -12,7 +12,7 @@ the run report.
 
 Determinism contract: the result is a pure function of
 :class:`FdbParams` — same params, same seed, byte-identical report and
-timeline JSON (pinned by ``tests/fdb`` and the ``make bench-fdb`` gate).
+timeline JSON (pinned by ``tests/fdb`` and the e2e ``fdb_fields`` pins).
 """
 
 from __future__ import annotations

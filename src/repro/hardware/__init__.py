@@ -12,7 +12,6 @@ from repro.hardware.specs import (
     EngineSpec,
     FabricSpec,
     NodeSpec,
-    NvmeSpec,
     nextgenio_node,
     nextgenio_fabric,
 )
@@ -20,7 +19,6 @@ from repro.hardware.node import ClientNode, ServerNode, StorageTarget
 
 __all__ = [
     "DcpmmSpec",
-    "NvmeSpec",
     "EngineSpec",
     "NodeSpec",
     "FabricSpec",

@@ -38,16 +38,6 @@ class DcpmmSpec:
 
 
 @dataclass(frozen=True)
-class NvmeSpec:
-    """One NVMe SSD (used by DAOS for bulk >4 KiB values without Optane)."""
-
-    capacity: int = 1600 * GiB
-    read_bw: float = 3.2e9
-    write_bw: float = 1.9e9
-    access_latency: float = 80e-6
-
-
-@dataclass(frozen=True)
 class EngineSpec:
     """One DAOS engine (one per socket on NEXTGenIO)."""
 
@@ -60,9 +50,9 @@ class EngineSpec:
     media_efficiency_read: float = 0.80
     media_efficiency_write: float = 0.75
     #: per-target (single xstream) service ceilings — CPU bound.
-    #: Calibrated so the S2→SX write crossover of Fig. 1b falls between
-    #: 8 and 16 client nodes (see benchmarks/bench_oclass_sweep.py for
-    #: the sensitivity ablation).
+    #: Calibrated so SX overtakes S2 on Fig. 1b writes only under high
+    #: contention (between 4 and 8 client nodes in figures_full.txt).
+    #: How far they can move before that flips is unmeasured.
     target_read_bw: float = 3.6e9
     target_write_bw: float = 2.2e9
     #: engine-side fixed CPU time per I/O RPC (request parse, VOS descent)

@@ -84,7 +84,3 @@ class Dataset:
                 self.file, self, start, count
             )
         )
-
-    def read_all(self) -> Generator:
-        zeros = [0] * self.space.rank
-        return (yield from self.read(zeros, list(self.space.dims)))

@@ -98,9 +98,3 @@ class LustreFs:
         #: (holder must drain in-flight I/O under the lock before
         #: cancelling — dominated by that drain, not the wire)
         self.ldlm_callback_cost = ldlm_callback_cost
-
-    @property
-    def epoch_source(self):
-        # per-file-object epochs only need to be monotone per OST object;
-        # simulation time order suffices
-        return self.sim

@@ -253,8 +253,5 @@ class Fabric:
         except KeyError:
             raise NetworkError(f"unknown endpoint {name!r}") from None
 
-    def has_endpoint(self, name: str) -> bool:
-        return name in self._endpoints
-
     def deregister_endpoint(self, name: str) -> None:
         self._endpoints.pop(name, None)

@@ -81,7 +81,7 @@ def chrome_trace(tracer: Tracer, timeline=None) -> Dict[str, Any]:
         layers_by_node.setdefault(span.node or "cluster", set()).add(span.layer)
     for node, layers in layers_by_node.items():
         pid = pid_of[node]
-        for layer in layers:
+        for layer in sorted(layers):
             events.append(
                 {
                     "name": "thread_name",

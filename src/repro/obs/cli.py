@@ -1,11 +1,10 @@
 """The observability front door every command line shares.
 
-``repro-ior``, ``repro-tenants``, ``repro-fdb`` and
-``benchmarks/run_figures.py`` define the five flags through
-:func:`add_arguments`, switch their cluster to observed through
+``repro-ior``, ``repro-tenants`` and ``repro-fdb`` define the five flags
+through :func:`add_arguments`, switch their cluster to observed through
 :func:`observe` and write the files the flags name through
 :func:`write_artifacts`, so a flag, a default or an artifact format
-changed here changes for all four. Not imported by :mod:`repro.obs`
+changed here changes for all three. Not imported by :mod:`repro.obs`
 itself: argparse stays off the simulated path.
 """
 

@@ -13,8 +13,7 @@ Validates any of the three JSON artifacts the obs pipeline emits:
 The kind is auto-detected from the document shape (``traceEvents`` →
 trace, ``timeline_version`` → timeline, ``counters`` → metrics) unless
 ``--kind`` forces it. Exit status 0 when the file parses and passes; 1
-otherwise, with problems listed on stderr. Used by ``make trace``,
-``make timeline`` and CI.
+otherwise, with problems listed on stderr.
 """
 
 from __future__ import annotations
@@ -234,5 +233,5 @@ def main(argv=None) -> int:
     return 0
 
 
-if __name__ == "__main__":  # pragma: no cover - exercised via make targets
+if __name__ == "__main__":  # pragma: no cover
     sys.exit(main())

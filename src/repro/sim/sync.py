@@ -30,10 +30,6 @@ class Gate:
         self._waiters: List[Callable[[Any], None]] = []
 
     @property
-    def is_open(self) -> bool:
-        return self._open
-
-    @property
     def value(self) -> Any:
         if not self._open:
             raise SimulationError("gate not open yet")

@@ -2,7 +2,8 @@
 
 These run the real benchmark pipeline at reduced scale (16 MiB blocks,
 1 and 8 client nodes) and assert the *shape* claims from DESIGN.md §4.
-The full-scale sweep lives in benchmarks/ and EXPERIMENTS.md.
+The paper-scale sweep is ``make experiments`` (EXPERIMENTS.md); the
+ablation and extension claims are in ``test_ablations.py``.
 """
 
 import pytest
@@ -12,11 +13,11 @@ from repro.ior import IorParams, run_ior
 
 
 def point(nodes, api, oclass, fpp=True, block="16m", interleaved=False,
-          transfer="1m", cluster=None, ppn=16):
+          transfer="1m", cluster=None, ppn=16, **ior):
     cluster = cluster or nextgenio(client_nodes=nodes)
     params = IorParams(
         api=api, file_per_proc=fpp, oclass=oclass, block_size=block,
-        transfer_size=transfer, interleaved=interleaved,
+        transfer_size=transfer, interleaved=interleaved, **ior,
     )
     result = run_ior(cluster, params, ppn=ppn)
     return result.max_write_bw, result.max_read_bw
@@ -87,8 +88,8 @@ def test_fig2_interfaces_similar_dfs_highest_write():
 def test_shared_file_close_to_file_per_process_on_daos():
     fpp_w, fpp_r = point(4, "DFS", "SX", fpp=True)
     shared_w, shared_r = point(4, "DFS", "SX", fpp=False)
-    assert shared_w > 0.6 * fpp_w
-    assert shared_r > 0.6 * fpp_r
+    assert 0.6 * fpp_w < shared_w < 1.7 * fpp_w
+    assert 0.6 * fpp_r < shared_r < 1.7 * fpp_r
 
 
 def test_stark_contrast_with_parallel_filesystem():

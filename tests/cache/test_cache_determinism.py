@@ -63,3 +63,7 @@ def test_writeback_improves_dfuse_fpp_write_bandwidth():
     wb_w, wb_r = run_point("POSIX", True, False, cache_mode="writeback")
     assert wb_w > base_w * 1.2, (wb_w, base_w)
     assert wb_r >= base_r  # reads never regress
+    # readonly leaves the write path untouched: pass-through bandwidth
+    ro_w, ro_r = run_point("POSIX", True, False, cache_mode="readonly")
+    assert abs(ro_w - base_w) / base_w < 0.05
+    assert ro_r >= base_r

@@ -82,18 +82,20 @@ def test_figure_series_xs():
 
 
 def test_every_ior_figure_is_the_one_sweep_loop():
-    from repro.bench import async_depth_sweep, cache_fpp_sweep, fig1_fpp
+    from repro.bench import fig1_fpp
     from repro.cluster import nextgenio
     from repro.ior import run_ior
 
-    small = dict(block_size="2m", ppn=2)
     read_fig, write_fig = fig1_fpp(node_counts=(1, 2), interfaces=("DFS",),
-                                   oclasses=("S1", "SX"), **small)
+                                   oclasses=("S1", "SX"), block_size="2m",
+                                   ppn=2)
     assert (read_fig.figure_id, write_fig.figure_id) == ("Fig 1a", "Fig 1b")
     assert read_fig.title == "IOR file-per-process: read"
     assert write_fig.title == "IOR file-per-process: write"
     assert read_fig.labels() == write_fig.labels() == ["DAOS S1", "DAOS SX"]
     assert read_fig.series_by_label("DAOS SX").xs == [1, 2]
+    # the x column is headed "nodes", as in figures_full.txt
+    assert render_figure(read_fig).splitlines()[2].startswith(" nodes | ")
     # a point of the sweep is exactly the IOR run it names, on a fresh testbed
     direct = run_ior(
         nextgenio(client_nodes=2),
@@ -103,16 +105,3 @@ def test_every_ior_figure_is_the_one_sweep_loop():
     )
     assert write_fig.series_by_label("DAOS SX").at(2) == direct.max_write_bw
     assert read_fig.series_by_label("DAOS SX").at(2) == direct.max_read_bw
-
-    read_fig, _w = cache_fpp_sweep(node_counts=(1,), modes=("none", "writeback"),
-                                   **small)
-    assert read_fig.figure_id == "Cache 1a"
-    assert read_fig.title == "IOR fpp over POSIX: read by cache mode"
-    assert read_fig.labels() == ["none", "writeback"]
-
-    _r, write_fig = async_depth_sweep(depths=(0, 1, 4), apis=("DFS",), **small)
-    assert write_fig.figure_id == "Async 1b"
-    assert write_fig.xlabel == "aio queue depth"
-    curve = write_fig.series_by_label("DAOS")
-    assert curve.xs == [0, 1, 4]
-    assert curve.at(0) == curve.at(1) < curve.at(4)  # depth 1 == blocking

@@ -3,6 +3,9 @@ rule, one artifact writer behind ``repro-ior``, ``repro-tenants`` and
 ``repro-fdb`` — and bad input rejected as a usage error by all three."""
 
 import argparse
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -148,3 +151,20 @@ def test_every_cli_writes_all_three_artifacts(cli, argv, tmp_path, capsys):
     for kind, path in paths.items():
         assert validate_file(str(path)) == [], (cli, kind)
         assert f"{kind} written to {path}" in err
+
+
+def test_chrome_trace_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+    # thread_name metadata once came out in set order (salted str hashes)
+    src = pathlib.Path(__file__).resolve().parents[2] / "src"
+    traces = []
+    for seed in ("0", "1"):
+        path = tmp_path / f"trace-{seed}.json"
+        subprocess.run(
+            [sys.executable, "-m", "repro.ior", "-a", "POSIX", "-F", "-b",
+             "2m", "-t", "1m", "-N", "1", "--ppn", "2", "--servers", "2",
+             "--trace-out", str(path)],
+            check=True, capture_output=True, timeout=120,
+            env={"PYTHONPATH": str(src), "PYTHONHASHSEED": seed},
+        )
+        traces.append(path.read_bytes())
+    assert traces[0] == traces[1]
