@@ -10,7 +10,7 @@ export PYTHONPATH
 CHAOS_SEEDS ?= 0xDA05 1 7
 export CHAOS_SEEDS
 
-.PHONY: test chaos bench bench-flows bench-e2e experiments all
+.PHONY: test chaos bench bench-flows bench-e2e census experiments all
 
 # Tier-1: the full fast suite (chaos determinism/scenario tests included).
 # Every claim in EXPERIMENTS.md has its owning test here (DESIGN.md §4).
@@ -41,6 +41,13 @@ bench-e2e:
 	$(PY) -m pytest benchmarks/e2e -q
 	$(PY) benchmarks/e2e/run.py --workload fig1_fpp_dfs --seed 0xDA05 \
 		--seconds 20 --trace 1
+
+# Who calls what (~3 min): tier-1, then every CLI mode / e2e workload /
+# script / example, under sys.setprofile. Lists the functions nothing
+# called (NEVER) or only tests called (TESTONLY); fails on a NEVER
+# function that is neither a dunder nor an interface stub.
+census:
+	$(PY) benchmarks/census.py
 
 # Every number in EXPERIMENTS.md: regenerate figures_full.txt at paper
 # scale (~2 min) and fail if the tracked file moved. The tables of

@@ -66,8 +66,5 @@ class TtlCache:
         if dead:
             self._incr("invalidations")
 
-    def clear(self) -> None:
-        self._entries.clear()
-
     def __len__(self) -> int:
         return len(self._entries)

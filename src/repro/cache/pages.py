@@ -49,13 +49,11 @@ class _Slot:
 class PageCache:
     """Shared per-mount data cache: file key -> extent map, global LRU."""
 
-    def __init__(self, capacity: int, sim=None,
-                 metrics_prefix: str = "cache.page", labels=None):
+    def __init__(self, capacity: int, sim=None, labels=None):
         if capacity <= 0:
             raise ValueError("page cache capacity must be positive")
         self.capacity = capacity
         self.sim = sim
-        self.prefix = metrics_prefix
         # Canonical label suffix precomputed once; metric names become
         # e.g. cache.page.hit_bytes{node=cn0}.
         if labels:
@@ -73,7 +71,7 @@ class PageCache:
     def _incr(self, name: str, amount: float = 1.0) -> None:
         metrics = self.sim.metrics if self.sim is not None else None
         if metrics is not None:
-            metrics.incr(f"{self.prefix}.{name}{self._label_suffix}", amount)
+            metrics.incr(f"cache.page.{name}{self._label_suffix}", amount)
 
     # ------------------------------------------------------------- epochs
     def _view(self, key: Hashable, epoch: int) -> _FileView:

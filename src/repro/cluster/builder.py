@@ -48,7 +48,6 @@ class _Machine:
             self.sim,
             tracing=tracing,
             metrics=metrics,
-            seed=self.rng.seed,
             timeline_interval=timeline_interval,
             slo_rules=slo_rules,
         )

@@ -43,28 +43,27 @@ class ReplicatedService:
         return self.cluster.leader()
 
 
+#: one-way metadata RPC cost charged per attempt (see RsvcClient)
+OP_LATENCY = 20e-6
+#: back-off between attempts while no leader answers
+RETRY_DELAY = 0.02
+#: attempts before an invoke gives up with ConsensusError
+MAX_RETRIES = 200
+
+
 class RsvcClient:
     """Leader-tracking client for a :class:`ReplicatedService`.
 
     The simulation shortcut: clients reach replicas through direct object
     references rather than extra RPC hops (the Raft messages themselves
     *do* traverse the simulated fabric). The one-way metadata RPC cost is
-    charged explicitly via ``op_latency`` so metadata-heavy workloads
+    charged explicitly via ``OP_LATENCY`` so metadata-heavy workloads
     still see realistic service times.
     """
 
-    def __init__(
-        self,
-        service: ReplicatedService,
-        op_latency: float = 20e-6,
-        retry_delay: float = 0.02,
-        max_retries: int = 200,
-    ):
+    def __init__(self, service: ReplicatedService):
         self.service = service
         self.sim = service.sim
-        self.op_latency = op_latency
-        self.retry_delay = retry_delay
-        self.max_retries = max_retries
         self._known_leader: Optional[RaftNode] = None
 
     def _pick(self) -> Optional[RaftNode]:
@@ -77,26 +76,26 @@ class RsvcClient:
         attempts = 0
         while True:
             attempts += 1
-            if attempts > self.max_retries:
+            if attempts > MAX_RETRIES:
                 raise ConsensusError(
-                    f"metadata op failed after {self.max_retries} retries"
+                    f"metadata op failed after {MAX_RETRIES} retries"
                 )
             node = self._pick()
             if node is None:
-                yield self.retry_delay
+                yield RETRY_DELAY
                 continue
-            yield self.op_latency
+            yield OP_LATENCY
             try:
                 gate = node.propose(command)
             except NotLeaderError as exc:
                 self._known_leader = None
                 if exc.hint is not None:
                     self._known_leader = self.service.nodes[exc.hint]
-                yield self.retry_delay
+                yield RETRY_DELAY
                 continue
             status, value = yield gate
             if status == "ok":
                 self._known_leader = node
                 return value
             self._known_leader = None
-            yield self.retry_delay
+            yield RETRY_DELAY

@@ -52,9 +52,6 @@ class KvStateMachine:
             return sorted(k for k in self.data if k.startswith(prefix))
         raise ValueError(f"unknown state-machine op {op!r}")
 
-    def snapshot(self) -> Dict[str, Any]:
-        return dict(self.data)
-
 
 class AppendLogMachine:
     """Test helper: records every applied command in order."""

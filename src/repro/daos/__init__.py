@@ -17,26 +17,3 @@ Layers (bottom-up):
   open/create, object/KV/array handles, and the I/O streams that map
   bulk transfers onto fluid-network flows.
 """
-
-__all__ = ["ObjectClass", "ObjId", "DaosSystem", "DaosClient"]
-
-
-def __getattr__(name):
-    # Lazy imports keep ``import repro.daos.vos`` cheap and cycle-free.
-    if name == "ObjectClass":
-        from repro.daos.oclass import ObjectClass
-
-        return ObjectClass
-    if name == "ObjId":
-        from repro.daos.objid import ObjId
-
-        return ObjId
-    if name == "DaosSystem":
-        from repro.daos.system import DaosSystem
-
-        return DaosSystem
-    if name == "DaosClient":
-        from repro.daos.client import DaosClient
-
-        return DaosClient
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

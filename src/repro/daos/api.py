@@ -4,8 +4,8 @@ Applications written against the simulated store should import from
 here rather than reaching into the implementation modules — the facade
 pins the supported names the way ``daos.h``/``daos_fs.h`` pin the real
 client API, so internal reshuffles don't break example or benchmark
-code. Everything re-exported is context-manager capable (``close()`` on
-``__exit__``) down the handle chain::
+code. The client, pool, container and object handles are context
+managers (``close()`` on ``__exit__``)::
 
     from repro.daos import api as daos
 
@@ -17,9 +17,10 @@ code. Everything re-exported is context-manager capable (``close()`` on
         ...
 
 The async side (:class:`EventQueue` / :class:`Event`) mirrors the
-``daos_eq_* / daos_event_*`` model; every handle exposes ``*_nb``
-variants of its data-plane calls that take the queue as their first
-argument and return an :class:`Event`.
+``daos_eq_* / daos_event_*`` model: a non-blocking op is the blocking op
+handed to the queue, ``event = yield from eq.submit(obj.write(...),
+name=...)``; ``reap((yield from eq.drain()))`` waits for all of them and
+re-raises the first held error.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from repro.daos.eq import (
     EV_RUNNING,
     Event,
     EventQueue,
+    reap,
 )
 from repro.daos.kv import DaosKV
 from repro.daos.objid import ObjId
@@ -81,6 +83,7 @@ __all__ = [
     # async event model
     "EventQueue",
     "Event",
+    "reap",
     "EV_READY",
     "EV_RUNNING",
     "EV_COMPLETED",

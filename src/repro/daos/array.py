@@ -87,23 +87,6 @@ class DaosArray:
         )
         return payload
 
-    def write_nb(self, eq, index: int, data) -> Generator:
-        """Task helper: launch a non-blocking cell write; returns its
-        Event (``daos_array_write`` with a daos_event_t)."""
-        return (
-            yield from eq.submit(
-                self.write(index, data), name=f"array.write@{index}"
-            )
-        )
-
-    def read_nb(self, eq, index: int, count: int) -> Generator:
-        """Task helper: launch a non-blocking cell read; returns its Event."""
-        return (
-            yield from eq.submit(
-                self.read(index, count), name=f"array.read@{index}"
-            )
-        )
-
     def get_size(self) -> Generator:
         """Task helper: array size in cells (highest written cell + 1)."""
         nbytes = yield from self.obj.size(chunk_size=self.chunk_bytes)
@@ -120,10 +103,3 @@ class DaosArray:
 
     def close(self) -> None:
         self.obj.close()
-
-    def __enter__(self) -> "DaosArray":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.close()
-        return False

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, Generator, Optional
 
-from repro.consensus.rsvc import RsvcClient
+from repro.consensus.rsvc import OP_LATENCY, RsvcClient
 from repro.daos.objid import ObjId
 from repro.daos.object import ObjectHandle
 from repro.daos.oclass import ObjectClass, oclass_by_name
@@ -122,7 +122,7 @@ class PoolHandle:
         Aggregates per-target usage from every engine shard; one
         metadata round trip is charged.
         """
-        yield 20e-6
+        yield OP_LATENCY
         system = self.client.system
         per_target = []
         for tid in range(self.pool_map.n_targets):
@@ -205,5 +205,5 @@ class ContainerHandle:
                 self.pool.pool_map.uuid, ref.local_tid, self.uuid
             )
             epochs[tid] = vc.snapshot()
-        yield 20e-6  # one coordination round
+        yield OP_LATENCY  # one coordination round
         return epochs

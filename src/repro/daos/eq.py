@@ -119,6 +119,13 @@ class Event:
         return f"<Event {self.eid} {self.name!r} {self.state}>"
 
 
+def reap(events: List[Event]) -> None:
+    """Check every reaped event: re-raises the first held operation
+    error, like reading ``ev.ev_error`` after ``daos_eq_poll``."""
+    for event in events:
+        event.result
+
+
 class EventQueue:
     """A completion queue with a bounded in-flight window (``daos_eq_t``).
 
@@ -273,26 +280,21 @@ class EventQueue:
             self._completed.remove(event)
         return True
 
-    def try_reap(self, max_events: Optional[int] = None) -> List[Event]:
+    def try_reap(self) -> List[Event]:
         """Non-blocking reap of completed events, in completion order."""
-        if max_events is None or max_events >= len(self._completed):
-            reaped, self._completed = self._completed, []
-        else:
-            reaped = self._completed[:max_events]
-            del self._completed[:max_events]
+        reaped, self._completed = self._completed, []
         return reaped
 
-    def poll(self, min_events: int = 1,
-             max_events: Optional[int] = None) -> Generator:
+    def poll(self, min_events: int = 1) -> Generator:
         """Task helper (``daos_eq_poll``): wait until at least
-        ``min_events`` completions are reapable, then reap up to
-        ``max_events`` of them in completion order."""
+        ``min_events`` completions are reapable, then reap them all in
+        completion order."""
         if min_events < 0:
             raise DerInval(f"min_events must be >= 0, got {min_events}")
         need = min(min_events, len(self._inflight) + len(self._completed))
         while len(self._completed) < need:
             yield self._cond
-        return self.try_reap(max_events)
+        return self.try_reap()
 
     def drain(self) -> Generator:
         """Task helper: wait for every in-flight event and reap all."""

@@ -153,27 +153,8 @@ class DaosKV:
                 return out
             cursor = batch[-1]
 
-    def put_nb(self, eq, key: str, value: Any,
-               value_nbytes: int = 0) -> Generator:
-        """Task helper: launch a non-blocking put; returns its Event."""
-        return (yield from eq.submit(self.put(key, value, value_nbytes),
-                                     name=f"kv.put:{key}"))
-
-    def get_nb(self, eq, key: str, default: Any = _MISSING,
-               value_nbytes: int = 0) -> Generator:
-        """Task helper: launch a non-blocking get; returns its Event."""
-        return (yield from eq.submit(self.get(key, default, value_nbytes),
-                                     name=f"kv.get:{key}"))
-
     def close(self) -> None:
         self.obj.close()
-
-    def __enter__(self) -> "DaosKV":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.close()
-        return False
 
 
 def _encode(key: str) -> bytes:

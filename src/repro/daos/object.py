@@ -32,7 +32,7 @@ from repro.daos.placement import Layout, effective_groups
 from repro.daos.stream import IoPiece, IoStream
 from repro.daos.vos.payload import Payload, as_payload, concat_payloads
 from repro.errors import DerDataLoss, DerInval, DerStale
-from repro.obs.tracer import NOOP_SPAN
+from repro.obs.tracer import span_of
 from repro.rebuild.state import REBUILDING, UP
 from repro.units import MiB, split_aligned
 
@@ -225,15 +225,6 @@ class ObjectHandle:
                 yield from self.cont.pool.refresh_map()
 
     # ------------------------------------------------------------- KV ops
-    def _span(self, name: str, **attrs):
-        """Client-layer span context (no-op when tracing is off)."""
-        tracer = self.sim.tracer
-        if tracer is None:
-            return NOOP_SPAN
-        return tracer.span(
-            name, "client", node=self.client.node.name, attrs=attrs or None
-        )
-
     def put(self, dkey, akey, value, value_nbytes: int = 0) -> Generator:
         """Write a single value to every writable replica of the dkey's
         group (REBUILDING targets included — that is what bounds the
@@ -256,7 +247,8 @@ class ObjectHandle:
         extra = {"dkey": dkey, "akey": akey, "value": value}
         if value_nbytes:
             extra["nbytes"] = value_nbytes
-        with self._span("client.kv_put", replicas=len(targets)):
+        with span_of(self.sim, "client.kv_put", "client",
+                     self.client.node.name, replicas=len(targets)):
             return (
                 yield from self._mutate(
                     targets, "kv_update", extra, 256 + value_nbytes
@@ -273,7 +265,8 @@ class ObjectHandle:
         extra = {"dkey": dkey, "akey": akey, "epoch": epoch}
         if value_nbytes:
             extra["nbytes"] = value_nbytes
-        with self._span("client.kv_get"):
+        with span_of(self.sim, "client.kv_get", "client",
+                     self.client.node.name):
             value = yield from self._call(
                 tid, "kv_fetch", extra, rep_bytes=256 + value_nbytes
             )
@@ -475,9 +468,9 @@ class ObjectHandle:
     ) -> Generator:
         pool_map = self.cont.pool.pool_map
         pieces = self._chunk_pieces_write(offset, payload, chunk_size, akey)
-        with self._span(
-            "client.array_write", offset=offset, nbytes=payload.nbytes
-        ):
+        with span_of(self.sim, "client.array_write", "client",
+                     self.client.node.name,
+                     offset=offset, nbytes=payload.nbytes):
             yield from self._stream("write").io(
                 pieces, self._ctx, map_version=pool_map.version
             )
@@ -512,7 +505,8 @@ class ObjectHandle:
                     None,
                 ))
         flat: List[IoPiece] = [p for pieces, _c in plan for p in pieces]
-        with self._span("client.array_read", offset=offset, nbytes=length):
+        with span_of(self.sim, "client.array_read", "client",
+                     self.client.node.name, offset=offset, nbytes=length):
             results = yield from self._stream("read").io(flat, self._ctx)
         out: List[Payload] = []
         index = 0
@@ -521,64 +515,6 @@ class ObjectHandle:
             index += len(pieces)
             out.append(batch[0] if combine is None else combine(batch))
         return concat_payloads(out)
-
-    # ----------------------------------------------------- non-blocking ops
-    # Passing an event queue makes a data-plane call non-blocking, like
-    # handing libdaos a daos_event_t: the op launches as its own sim task
-    # and the returned Event is reaped from the queue. The submit itself
-    # is a task helper because the queue's bounded in-flight window may
-    # make the caller wait for a free slot (the queue-depth knob).
-
-    def write_nb(
-        self,
-        eq,
-        offset: int,
-        data,
-        *,
-        chunk_size: int = DEFAULT_CHUNK,
-        akey: bytes = ARRAY_AKEY,
-    ) -> Generator:
-        """Task helper: launch a non-blocking write; returns its Event."""
-        return (
-            yield from eq.submit(
-                self.write(offset, data, chunk_size=chunk_size, akey=akey),
-                name=f"obj.write@{offset}",
-            )
-        )
-
-    def read_nb(
-        self,
-        eq,
-        offset: int,
-        length: int,
-        *,
-        chunk_size: int = DEFAULT_CHUNK,
-        akey: bytes = ARRAY_AKEY,
-    ) -> Generator:
-        """Task helper: launch a non-blocking read; returns its Event."""
-        return (
-            yield from eq.submit(
-                self.read(offset, length, chunk_size=chunk_size, akey=akey),
-                name=f"obj.read@{offset}",
-            )
-        )
-
-    def put_nb(self, eq, dkey, akey, value) -> Generator:
-        """Task helper: launch a non-blocking KV put; returns its Event."""
-        return (
-            yield from eq.submit(
-                self.put(dkey, akey, value), name=f"obj.put:{dkey!r}"
-            )
-        )
-
-    def get_nb(self, eq, dkey, akey,
-               epoch: Optional[int] = None) -> Generator:
-        """Task helper: launch a non-blocking KV get; returns its Event."""
-        return (
-            yield from eq.submit(
-                self.get(dkey, akey, epoch=epoch), name=f"obj.get:{dkey!r}"
-            )
-        )
 
     def size(self, *, chunk_size: int = DEFAULT_CHUNK,
              akey: bytes = ARRAY_AKEY) -> Generator:

@@ -94,10 +94,6 @@ class PoolMap:
         status = self.statuses.get(tid)
         return UP if status is None else status.state
 
-    @property
-    def up_targets(self) -> List[int]:
-        return [t for t in range(self.n_targets) if t not in self.excluded]
-
     # ------------------------------------------------- raft serialization
     def to_record(self) -> Dict:
         return {
@@ -124,6 +120,10 @@ class PoolMap:
         ).derive()
 
 
+#: Raft replicas of the pool/container metadata service
+SVC_REPLICAS = 3
+
+
 class DaosSystem:
     """Engines + management service over a set of server nodes."""
 
@@ -133,7 +133,6 @@ class DaosSystem:
         fabric: Fabric,
         server_nodes: List[ServerNode],
         rng: Optional[RngStreams] = None,
-        svc_replicas: int = 3,
     ):
         if not server_nodes:
             raise DerInval("DAOS system needs server nodes")
@@ -159,7 +158,7 @@ class DaosSystem:
                 self.targets.append(
                     TargetRef(len(self.targets), engine, local_tid)
                 )
-        n_svc = min(svc_replicas, len(server_nodes))
+        n_svc = min(SVC_REPLICAS, len(server_nodes))
         self.svc = ReplicatedService(
             sim,
             fabric,
@@ -369,9 +368,3 @@ class DaosSystem:
         for the pool; returns the pool_query() snapshot."""
         yield from self.rebuild.wait(pool_uuid)
         return self.pool_query(pool_uuid)
-
-    # ------------------------------------------------------------- test/bench drive
-    def run_task(self, gen, limit: float = 1e9):
-        """Spawn a task and drive the simulation to its completion."""
-        task = self.sim.spawn(gen)
-        return self.sim.run_until_complete(task, limit=limit)

@@ -33,10 +33,6 @@ class VosPool:
         if self.used < 0:
             self.used = 0
 
-    @property
-    def free(self) -> int:
-        return self.capacity - self.used
-
     def create_container(self, uuid: str) -> VosContainer:
         if uuid in self.containers:
             raise DerExist(f"container {uuid}")

@@ -11,7 +11,7 @@ from repro.daos.vos.extent import ExtentTree
 from repro.daos.vos.payload import Payload, as_payload, concat_payloads
 from repro.dfs.layout import InodeEntry
 from repro.errors import CacheWritebackError
-from repro.obs.tracer import NOOP_SPAN
+from repro.obs.tracer import span_of
 
 
 class SharedFileState:
@@ -77,28 +77,14 @@ class DfsFile:
         )
         # Canonical labeled read-ahead metric names, built once per
         # handle — the hit counter sits inside the read segment loop.
-        node = f"{{node={dfs.client.node.name}}}"
+        self._sim = dfs.client.sim
+        self._node = dfs.client.node.name
+        node = f"{{node={self._node}}}"
         self._ra_hit_metric = f"cache.ra.hit_bytes{node}"
         self._ra_prefetch_metric = f"cache.ra.prefetches{node}"
         self._ra_prefetched_metric = f"cache.ra.prefetched_bytes{node}"
 
     # ------------------------------------------------------------- I/O
-    def _span(self, name: str, **attrs):
-        tracer = self.dfs.client.sim.tracer
-        if tracer is None:
-            return NOOP_SPAN
-        return tracer.span(
-            name, "dfs", node=self.dfs.client.node.name, attrs=attrs or None
-        )
-
-    def _cache_span(self, name: str, **attrs):
-        tracer = self.dfs.client.sim.tracer
-        if tracer is None:
-            return NOOP_SPAN
-        return tracer.span(
-            name, "cache", node=self.dfs.client.node.name, attrs=attrs or None
-        )
-
     def _check_epoch(self) -> None:
         """React to a truncate/replace through another handle."""
         if self.shared.epoch != self._epoch_seen:
@@ -113,7 +99,8 @@ class DfsFile:
         payload = as_payload(data)
         if self.wb is not None:
             return (yield from self._write_buffered(offset, payload))
-        with self._span("dfs.write", offset=offset, nbytes=payload.nbytes):
+        with span_of(self._sim, "dfs.write", "dfs", self._node,
+                     offset=offset, nbytes=payload.nbytes):
             nbytes = yield from self.obj.write(
                 offset, payload, chunk_size=self.chunk_size
             )
@@ -126,9 +113,8 @@ class DfsFile:
     def _write_buffered(self, offset: int, payload: Payload) -> Generator:
         """Writeback mode: absorb into the dirty buffer; flush on watermark."""
         self._check_epoch()
-        with self._cache_span(
-            "cache.wb.write", offset=offset, nbytes=payload.nbytes
-        ):
+        with span_of(self._sim, "cache.wb.write", "cache", self._node,
+                     offset=offset, nbytes=payload.nbytes):
             yield self.dfs.cache.copy_cost(payload.nbytes)
             self.wb.buffer(offset, payload)
         self._local_high = max(self._local_high, offset + payload.nbytes)
@@ -140,31 +126,10 @@ class DfsFile:
             yield from self.flush()
         return payload.nbytes
 
-    def write_nb(self, eq, offset: int, data) -> Generator:
-        """Task helper: launch a non-blocking write through ``eq`` (the
-        DFS analogue of passing a daos_event_t); returns its Event. The
-        bounded in-flight window of the queue provides the pipelining
-        depth; reap with ``eq.poll()``/``eq.test()``."""
-        return (
-            yield from eq.submit(
-                self.write(offset, data), name=f"dfs.write@{offset}"
-            )
-        )
-
-    def read_nb(self, eq, offset: int, length: int) -> Generator:
-        """Task helper: launch a non-blocking read through ``eq``;
-        returns its Event (result is the payload once reaped)."""
-        return (
-            yield from eq.submit(
-                self.read(offset, length), name=f"dfs.read@{offset}"
-            )
-        )
-
     def _commit(self, offset: int, payload: Payload) -> Generator:
         """Issue one coalesced store write on behalf of the flusher."""
-        with self._span(
-            "dfs.write", offset=offset, nbytes=payload.nbytes, coalesced=True
-        ):
+        with span_of(self._sim, "dfs.write", "dfs", self._node,
+                     offset=offset, nbytes=payload.nbytes, coalesced=True):
             nbytes = yield from self.obj.write(
                 offset, payload, chunk_size=self.chunk_size
             )
@@ -174,7 +139,8 @@ class DfsFile:
     def read(self, offset: int, length: int) -> Generator:
         """Task helper: read up to ``length`` bytes; short read at EOF."""
         if self.ra is None and self.wb is None:
-            with self._span("dfs.read", offset=offset, nbytes=length):
+            with span_of(self._sim, "dfs.read", "dfs", self._node,
+                         offset=offset, nbytes=length):
                 if self._size_cache is None:
                     yield from self.get_size()
                 size = max(self._size_cache, self._local_high,
@@ -191,7 +157,8 @@ class DfsFile:
     def _read_cached(self, offset: int, length: int) -> Generator:
         """Cached read: write-behind overlay + read-ahead buffer + store."""
         self._check_epoch()
-        with self._span("dfs.read", offset=offset, nbytes=length):
+        with span_of(self._sim, "dfs.read", "dfs", self._node,
+                     offset=offset, nbytes=length):
             if self._size_cache is None:
                 yield from self.get_size()
             size = max(self._size_cache, self._local_high,
@@ -230,7 +197,8 @@ class DfsFile:
                         )
                         parts.append(fetched.slice(0, sub_len))
             if copy_bytes:
-                with self._cache_span("cache.read.copy", nbytes=copy_bytes):
+                with span_of(self._sim, "cache.read.copy", "cache",
+                             self._node, nbytes=copy_bytes):
                     yield self.dfs.cache.copy_cost(copy_bytes)
             result = concat_payloads(parts)
         return result
@@ -298,9 +266,8 @@ class DfsFile:
         :meth:`sync` or :meth:`close` to surface it as a typed error.
         """
         if self.wb is not None and self.wb.dirty_bytes:
-            with self._cache_span(
-                "cache.wb.flush", dirty_bytes=self.wb.dirty_bytes
-            ):
+            with span_of(self._sim, "cache.wb.flush", "cache", self._node,
+                         dirty_bytes=self.wb.dirty_bytes):
                 yield from self.wb.flush(self._commit)
         return None
 
@@ -331,10 +298,3 @@ class DfsFile:
             raise CacheWritebackError(self.path, self.wb.pending(), cause)
         self.obj.close()
         self._closed = True
-
-    def __enter__(self) -> "DfsFile":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.close()
-        return False

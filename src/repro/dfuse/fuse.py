@@ -1,6 +1,6 @@
 """The DFuse user-space filesystem daemon model.
 
-Every VFS call pays ``syscall_cost`` (user→kernel→fuse-daemon round
+Every VFS call pays ``SYSCALL_COST`` (user→kernel→fuse-daemon round
 trip); data calls are additionally segmented into FUSE requests at
 file-offset-aligned ``max_transfer`` windows — dfuse aligns its I/O
 descriptors to the DFS chunk layout, so an *unaligned* application
@@ -12,9 +12,7 @@ the daemon, as the kernel FUSE writeback path does with caching off.
 
 from __future__ import annotations
 
-from typing import Generator, Iterable, List, Tuple
-
-from typing import Optional
+from typing import Generator, Iterable, List, Optional, Tuple
 
 from repro.cache.attrs import TtlCache
 from repro.cache.config import CacheConfig
@@ -22,8 +20,8 @@ from repro.cache.pages import PageCache
 from repro.daos.vos.payload import as_payload, concat_payloads
 from repro.dfs.dfs import Dfs
 from repro.dfs.file import DfsFile
-from repro.errors import DaosError, FsError, fs_error_from_daos
-from repro.obs.tracer import NOOP_SPAN
+from repro.errors import DaosError, fs_error_from_daos
+from repro.obs.tracer import span_of
 from repro.posix.vfs import (
     FileHandle,
     FileSystem,
@@ -32,6 +30,11 @@ from repro.posix.vfs import (
     validate_flags,
 )
 from repro.units import MiB, split_aligned
+
+#: user↔kernel transition + VFS dispatch per system call
+SYSCALL_COST = 3.5e-6
+#: kernel→daemon→DFS dispatch per FUSE data request
+REQUEST_COST = 9e-6
 
 
 class DFuseMount(FileSystem):
@@ -46,22 +49,12 @@ class DFuseMount(FileSystem):
     byte-identical to the uncached build.
     """
 
-    def __init__(
-        self,
-        dfs: Dfs,
-        syscall_cost: float = 3.5e-6,
-        request_cost: float = 9e-6,
-        max_transfer: int = MiB,
-        cache: Optional[CacheConfig] = None,
-    ):
+    #: FUSE max_read/max_write (dfuse default: 1 MiB)
+    max_transfer = MiB
+    blksize = max_transfer
+
+    def __init__(self, dfs: Dfs, cache: Optional[CacheConfig] = None):
         self.dfs = dfs
-        #: user↔kernel transition + VFS dispatch per system call
-        self.syscall_cost = syscall_cost
-        #: kernel→daemon→DFS dispatch per FUSE data request
-        self.request_cost = request_cost
-        #: FUSE max_read/max_write (dfuse default: 1 MiB)
-        self.max_transfer = max_transfer
-        self.blksize = max_transfer
         cfg = cache if cache is not None and cache.enabled else None
         if cfg is not None and not cfg.capacity:
             cfg = cfg.resolve(dfs.client.node.spec)
@@ -97,52 +90,42 @@ class DFuseMount(FileSystem):
             for window, within, take in split_aligned(offset, length, size)
         ]
 
-    @staticmethod
-    def _translate(err: DaosError, path: str) -> FsError:
-        return fs_error_from_daos(err, path)
+    def _syscall(self, path: str, op: Generator) -> Generator:
+        """Charge one system call, run the DFS operation ``op`` and
+        translate its ``DaosError`` into the ``FsError`` for ``path``."""
+        yield SYSCALL_COST
+        try:
+            return (yield from op)
+        except DaosError as err:
+            raise fs_error_from_daos(err, path) from err
 
     # ------------------------------------------------------------- FileSystem API
     def open(self, path: str, flags: Iterable[str] = ("r",)) -> Generator:
         flag_set = validate_flags(flags)
-        yield self.syscall_cost
-        try:
-            handle = yield from self.dfs.open_file(
-                path,
-                create="creat" in flag_set,
-                excl="excl" in flag_set,
-                trunc="trunc" in flag_set,
-            )
-        except DaosError as err:
-            raise self._translate(err, path) from err
+        handle = yield from self._syscall(path, self.dfs.open_file(
+            path,
+            create="creat" in flag_set,
+            excl="excl" in flag_set,
+            trunc="trunc" in flag_set,
+        ))
         return DFuseFile(self, handle)
 
     def mkdir(self, path: str) -> Generator:
-        yield self.syscall_cost
-        try:
-            yield from self.dfs.mkdir(path)
-        except DaosError as err:
-            raise self._translate(err, path) from err
-        return None
+        yield from self._syscall(path, self.dfs.mkdir(path))
 
     def readdir(self, path: str) -> Generator:
-        yield self.syscall_cost
-        try:
-            names = yield from self.dfs.readdir(path)
-        except DaosError as err:
-            raise self._translate(err, path) from err
-        return names
+        return self._syscall(path, self.dfs.readdir(path))
 
     def stat(self, path: str) -> Generator:
-        yield self.syscall_cost
+        return self._syscall(path, self._stat(path))
+
+    def _stat(self, path: str) -> Generator:
         if self._attrs is not None:
             key = self._key(path)
             cached = self._attrs.get(key)
             if cached is not None:
                 return cached
-        try:
-            entry, size = yield from self.dfs.stat(path)
-        except DaosError as err:
-            raise self._translate(err, path) from err
+        entry, size = yield from self.dfs.stat(path)
         result = StatResult(
             is_dir=entry.is_dir,
             size=size,
@@ -150,35 +133,20 @@ class DFuseMount(FileSystem):
             blksize=self.blksize,
         )
         if self._attrs is not None:
-            self._attrs.put(self._key(path), result)
+            self._attrs.put(key, result)
         return result
 
     def unlink(self, path: str) -> Generator:
-        yield self.syscall_cost
-        try:
-            yield from self.dfs.unlink(path)
-        except DaosError as err:
-            raise self._translate(err, path) from err
+        yield from self._syscall(path, self.dfs.unlink(path))
         self._invalidate_data(self._key(path))
-        return None
 
     def rmdir(self, path: str) -> Generator:
-        yield self.syscall_cost
-        try:
-            yield from self.dfs.rmdir(path)
-        except DaosError as err:
-            raise self._translate(err, path) from err
-        return None
+        yield from self._syscall(path, self.dfs.rmdir(path))
 
     def rename(self, old: str, new: str) -> Generator:
-        yield self.syscall_cost
-        try:
-            yield from self.dfs.rename(old, new)
-        except DaosError as err:
-            raise self._translate(err, new) from err
+        yield from self._syscall(new, self.dfs.rename(old, new))
         self._invalidate_data(self._key(old))
         self._invalidate_data(self._key(new))
-        return None
 
 
 class DFuseFile(FileHandle):
@@ -187,78 +155,57 @@ class DFuseFile(FileHandle):
     def __init__(self, mount: DFuseMount, inner: DfsFile):
         self.mount = mount
         self.inner = inner
-
-    def _span(self, name: str, **attrs):
-        client = self.mount.dfs.client
-        tracer = client.sim.tracer
-        if tracer is None:
-            return NOOP_SPAN
-        return tracer.span(
-            name, "dfuse", node=client.node.name, attrs=attrs or None
-        )
-
-    def _cache_span(self, name: str, **attrs):
-        client = self.mount.dfs.client
-        tracer = client.sim.tracer
-        if tracer is None:
-            return NOOP_SPAN
-        return tracer.span(
-            name, "cache", node=client.node.name, attrs=attrs or None
-        )
+        client = mount.dfs.client
+        self._sim = client.sim
+        self._node = client.node.name
 
     def pwrite(self, offset: int, data) -> Generator:
         payload = as_payload(data)
-        if self.mount.cache is not None and self.mount.cache.writeback:
-            return (yield from self._pwrite_writeback(offset, payload))
-        with self._span(
-            "dfuse.pwrite", offset=offset, nbytes=payload.nbytes
-        ):
-            yield self.mount.syscall_cost
-            written = 0
-            for window_offset, take in self.mount._windows(
-                offset, payload.nbytes
+        mount = self.mount
+        if mount.cache is not None and mount.cache.writeback:
+            # one syscall, no per-window FUSE requests — the whole buffer
+            # lands in the DFS write-behind layer, which charges the memcpy
+            # and coalesces (the kernel writeback-cache path)
+            with span_of(
+                self._sim, "dfuse.pwrite", "dfuse", self._node,
+                offset=offset, nbytes=payload.nbytes, writeback=True,
             ):
-                yield self.mount.request_cost
-                fragment = payload.slice(written, written + take)
-                written += (
-                    yield from self.inner.write(window_offset, fragment)
-                )
-        if self.mount.page is not None:
+                yield SYSCALL_COST
+                written = yield from self.inner.write(offset, payload)
+        else:
+            with span_of(
+                self._sim, "dfuse.pwrite", "dfuse", self._node,
+                offset=offset, nbytes=payload.nbytes,
+            ):
+                yield SYSCALL_COST
+                written = 0
+                for window_offset, take in mount._windows(
+                    offset, payload.nbytes
+                ):
+                    yield REQUEST_COST
+                    fragment = payload.slice(written, written + take)
+                    written += (
+                        yield from self.inner.write(window_offset, fragment)
+                    )
+        if mount.page is not None:
             # readonly mode: write-through, drop overlapped cached pages
-            self.mount.page.invalidate_range(
+            mount.page.invalidate_range(
                 self.inner.path, offset, payload.nbytes
             )
-        if self.mount._attrs is not None:
-            self.mount._attrs.invalidate(self.inner.path)
-        return written
-
-    def _pwrite_writeback(self, offset: int, payload) -> Generator:
-        """Writeback: one syscall, no per-window FUSE requests — the
-        whole buffer lands in the DFS write-behind layer, which charges
-        the memcpy and coalesces (the kernel writeback-cache path)."""
-        with self._span(
-            "dfuse.pwrite", offset=offset, nbytes=payload.nbytes,
-            writeback=True,
-        ):
-            yield self.mount.syscall_cost
-            written = yield from self.inner.write(offset, payload)
-        if self.mount.page is not None:
-            self.mount.page.invalidate_range(
-                self.inner.path, offset, payload.nbytes
-            )
-        if self.mount._attrs is not None:
-            self.mount._attrs.invalidate(self.inner.path)
+        if mount._attrs is not None:
+            mount._attrs.invalidate(self.inner.path)
         return written
 
     def pread(self, offset: int, length: int) -> Generator:
         if self.mount.page is not None:
             return (yield from self._pread_cached(offset, length))
-        with self._span("dfuse.pread", offset=offset, nbytes=length):
-            yield self.mount.syscall_cost
+        with span_of(self._sim, "dfuse.pread", "dfuse", self._node,
+                     offset=offset, nbytes=length):
+            yield SYSCALL_COST
             parts = []
             got = 0
             for window_offset, take in self.mount._windows(offset, length):
-                yield self.mount.request_cost
+                yield REQUEST_COST
                 part = yield from self.inner.read(window_offset, take)
                 parts.append(part)
                 got += part.nbytes
@@ -271,8 +218,9 @@ class DFuseFile(FileHandle):
         page = self.mount.page
         key = self.inner.path
         epoch = self.inner.shared.epoch
-        with self._span("dfuse.pread", offset=offset, nbytes=length):
-            yield self.mount.syscall_cost
+        with span_of(self._sim, "dfuse.pread", "dfuse", self._node,
+                     offset=offset, nbytes=length):
+            yield SYSCALL_COST
             parts = []
             copy_bytes = 0
             eof = False
@@ -288,7 +236,7 @@ class DFuseFile(FileHandle):
                 for window_offset, take in self.mount._windows(
                     seg_start, seg_len
                 ):
-                    yield self.mount.request_cost
+                    yield REQUEST_COST
                     part = yield from self.inner.read(window_offset, take)
                     if part.nbytes:
                         parts.append(part)
@@ -297,27 +245,28 @@ class DFuseFile(FileHandle):
                         eof = True
                         break
             if copy_bytes:
-                with self._cache_span("cache.page.copy", nbytes=copy_bytes):
+                with span_of(self._sim, "cache.page.copy", "cache",
+                             self._node, nbytes=copy_bytes):
                     yield self.mount.cache.copy_cost(copy_bytes)
         return concat_payloads(parts)
 
     def fsync(self) -> Generator:
-        yield self.mount.syscall_cost
+        yield SYSCALL_COST
         yield from self.inner.sync()
         return None
 
     def truncate(self, size: int) -> Generator:
-        yield self.mount.syscall_cost
+        yield SYSCALL_COST
         yield from self.inner.truncate(size)
         self.mount._invalidate_data(self.inner.path)
         return None
 
     def size(self) -> Generator:
-        yield self.mount.syscall_cost
+        yield SYSCALL_COST
         return (yield from self.inner.get_size())
 
     def close(self) -> Generator:
-        yield self.mount.syscall_cost
+        yield SYSCALL_COST
         if self.mount.cache is not None:
             # open-to-close consistency: commit write-behind data now;
             # inner.close() below surfaces the typed error if it failed

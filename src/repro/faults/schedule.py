@@ -20,6 +20,9 @@ from repro.errors import SimulationError
 from repro.faults import events as ev
 from repro.sim.rng import RngStreams
 
+#: the RNG stream :meth:`FaultSchedule.random` draws from
+RANDOM_STREAM = "faults:schedule"
+
 
 class FaultSchedule:
     """An ordered fault timeline."""
@@ -66,9 +69,9 @@ class FaultSchedule:
         target_ids: Sequence[int] = (),
         replica_ids: Sequence[int] = (),
         n_faults: int = 4,
-        stream: str = "faults:schedule",
     ) -> "FaultSchedule":
-        """Draw a liveness-safe random schedule from the ``stream`` RNG.
+        """Draw a liveness-safe random schedule from the
+        :data:`RANDOM_STREAM` RNG stream.
 
         The timeline is divided into ``n_faults`` slots; each slot holds
         one disruption and its recovery, and windows never overlap — so
@@ -96,6 +99,7 @@ class FaultSchedule:
             raise SimulationError("no fault kinds available for random schedule")
 
         sched = cls()
+        stream = RANDOM_STREAM
         slot = horizon / max(1, n_faults)
         for i in range(n_faults):
             base = i * slot

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Generator, List, Optional, Sequence, Tuple
 
-from repro.daos.api import EventQueue, PatternPayload
+from repro.daos.api import EventQueue, PatternPayload, reap
 from repro.fdb.index import FdbIndex
 from repro.fdb.mapping import FdbContext, FieldMapping
 from repro.fdb.schema import FieldKey
@@ -132,8 +132,7 @@ class Archiver:
         """Task helper: wait for every in-flight field, then persist the
         named landmark. Returns the landmark record."""
         if self._eq is not None:
-            for event in (yield from self._eq.drain()):
-                event.result  # re-raise any stored field's error
+            reap((yield from self._eq.drain()))
         record = {
             "name": name,
             "fields": self.fields,

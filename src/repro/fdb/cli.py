@@ -23,6 +23,7 @@ from repro.fdb.report import build_report, render_report
 from repro.fdb.run import BACKENDS, FdbParams, archive_and_retrieve, boot
 from repro.obs.cli import (
     add_arguments,
+    artifact_path,
     observe,
     positive_int,
     settings,
@@ -83,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     obs = add_arguments(parser, default_interval=1.0)
     obs.add_argument("--trace", action="store_true",
                      help="record spans and report per-layer breakdowns")
-    obs.add_argument("--report-out", metavar="PATH",
+    obs.add_argument("--report-out", metavar="PATH", type=artifact_path,
                      help="write the run report JSON")
     return parser
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Generator, List, Optional, Tuple
 
-from repro.daos.api import EventQueue, PatternPayload
+from repro.daos.api import EventQueue, PatternPayload, reap
 from repro.errors import DerDataLoss
 from repro.fdb.index import FdbIndex
 from repro.fdb.mapping import FdbContext, FieldMapping
@@ -75,8 +75,7 @@ class Retriever:
                 )
                 for key in keys:
                     yield from eq.submit(self._fetch(key), name=key.canonical)
-                for event in (yield from eq.drain()):
-                    event.result  # re-raise any fetch's error
+                reap((yield from eq.drain()))
                 yield from eq.close()
         finally:
             if tracer is not None:

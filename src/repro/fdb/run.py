@@ -21,6 +21,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Generator, List, Optional, Tuple
 
 from repro.cluster import build_system
+from repro.daos.oclass import oclass_by_name
 from repro.errors import DerInval
 from repro.fdb.archiver import ARCHIVE_SPAN, Archiver
 from repro.fdb.index import make_index
@@ -82,6 +83,7 @@ class FdbParams:
             raise DerInval("field_bytes must be >= 1")
         if self.depth < 1:
             raise DerInval("depth must be >= 1")
+        oclass_by_name(self.oclass)  # unknown class -> DerInval
 
 
 def boot(params: FdbParams):
@@ -97,8 +99,6 @@ def setup_context(cluster, params: FdbParams) -> Generator:
     """Task helper: connect/mount whatever the backend needs and return
     a ready :class:`FdbContext` (shared with the chaos tests, which
     drive the phases themselves)."""
-    from repro.daos.oclass import oclass_by_name
-
     if params.backend == "lustre":
         ctx = FdbContext(
             cluster.sim,

@@ -13,7 +13,6 @@ from repro.hardware.specs import (
     FabricSpec,
     NodeSpec,
     nextgenio_node,
-    nextgenio_fabric,
 )
 from repro.hardware.node import ClientNode, ServerNode, StorageTarget
 
@@ -23,7 +22,6 @@ __all__ = [
     "NodeSpec",
     "FabricSpec",
     "nextgenio_node",
-    "nextgenio_fabric",
     "ServerNode",
     "ClientNode",
     "StorageTarget",

@@ -57,10 +57,6 @@ class _Node:
     def nic_tx(self) -> Link:
         return self.fabric.nic_tx(self.addr)
 
-    @property
-    def nic_rx(self) -> Link:
-        return self.fabric.nic_rx(self.addr)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<{type(self).__name__} {self.name}>"
 

@@ -116,7 +116,3 @@ class FabricSpec:
 def nextgenio_node(server: bool) -> NodeSpec:
     """The NEXTGenIO dual-socket Cascade Lake node, as server or client."""
     return NodeSpec(engines=2 if server else 0)
-
-
-def nextgenio_fabric() -> FabricSpec:
-    return FabricSpec()

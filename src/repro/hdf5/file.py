@@ -65,11 +65,6 @@ class H5File:
         return h5
 
     @property
-    def vfd(self):
-        """The native connector's VFD (None for non-native VOLs)."""
-        return self.vol.vfd
-
-    @property
     def data_aligned(self) -> bool:
         """Raw data is aligned iff the connector says transfers skip
         client-side staging — for the native format, iff the alignment

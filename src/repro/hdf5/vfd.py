@@ -22,6 +22,10 @@ from repro.mpiio.file import MpiFile
 from repro.posix.vfs import FileSystem
 
 
+#: per-H5D operation software cost (dataspace/datatype checks)
+H5_OP_CPU = 30e-6
+
+
 class Vfd:
     """Driver interface used by :class:`~repro.hdf5.file.H5File`."""
 
@@ -43,9 +47,6 @@ class Vfd:
     def write_raw(self, addr: int, data, aligned: bool) -> Generator:
         raise NotImplementedError
 
-    def size(self) -> Generator:
-        raise NotImplementedError
-
     def sync(self) -> Generator:
         raise NotImplementedError
 
@@ -56,18 +57,12 @@ class Vfd:
 class Sec2Vfd(Vfd):
     """POSIX driver over any VFS mount (DFuse, Lustre)."""
 
-    def __init__(
-        self,
-        mount: FileSystem,
-        h5_op_cpu: float = 30e-6,
-        staging_bw: float = 0.6e9,
-    ):
+    #: conversion/sieve staging pipeline bandwidth for unaligned raw I/O
+    staging_bw = 0.6e9
+
+    def __init__(self, mount: FileSystem):
         self.mount = mount
         self.preferred_io = mount.blksize
-        #: per-H5D operation software cost (dataspace/datatype checks)
-        self.h5_op_cpu = h5_op_cpu
-        #: conversion/sieve staging pipeline bandwidth for unaligned raw I/O
-        self.staging_bw = staging_bw
         self._handle = None
 
     def open(self, path: str, create: bool, trunc: bool) -> Generator:
@@ -86,7 +81,7 @@ class Sec2Vfd(Vfd):
         return (yield from self._handle.pwrite(addr, data))
 
     def _staging(self, nbytes: int, aligned: bool) -> float:
-        cost = self.h5_op_cpu
+        cost = H5_OP_CPU
         if not aligned:
             cost += nbytes / self.staging_bw
         return cost
@@ -99,9 +94,6 @@ class Sec2Vfd(Vfd):
         payload = as_payload(data)
         yield self._staging(payload.nbytes, aligned)
         return (yield from self._handle.pwrite(addr, payload))
-
-    def size(self) -> Generator:
-        return (yield from self._handle.size())
 
     def sync(self) -> Generator:
         yield from self._handle.fsync()
@@ -117,14 +109,12 @@ class MpioVfd(Vfd):
     """Parallel driver over MPI-IO; raw transfers may be collective."""
 
     def __init__(self, ctx, driver, collective: bool = True,
-                 h5_op_cpu: float = 30e-6,
                  cb_buffer: int = None, aio_depth: int = 0):
         from repro.mpiio.romio import DEFAULT_CB_BUFFER
 
         self.ctx = ctx
         self.driver = driver
         self.collective = collective
-        self.h5_op_cpu = h5_op_cpu
         self.cb_buffer = DEFAULT_CB_BUFFER if cb_buffer is None else cb_buffer
         #: aggregator-side event-queue depth inside collective calls
         self.aio_depth = aio_depth
@@ -144,19 +134,16 @@ class MpioVfd(Vfd):
         return (yield from self._file.write_at(addr, data))
 
     def read_raw(self, addr: int, length: int, aligned: bool) -> Generator:
-        yield self.h5_op_cpu
+        yield H5_OP_CPU
         if self.collective:
             return (yield from self._file.read_at_all(addr, length))
         return (yield from self._file.read_at(addr, length))
 
     def write_raw(self, addr: int, data, aligned: bool) -> Generator:
-        yield self.h5_op_cpu
+        yield H5_OP_CPU
         if self.collective:
             return (yield from self._file.write_at_all(addr, data))
         return (yield from self._file.write_at(addr, data))
-
-    def size(self) -> Generator:
-        return (yield from self._file.get_size())
 
     def sync(self) -> Generator:
         yield from self._file.sync()

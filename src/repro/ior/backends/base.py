@@ -16,7 +16,9 @@ module (AIORI's table of function pointers, made a registry).
 
 from __future__ import annotations
 
-from typing import Dict, Generator, Tuple, Type
+from typing import Callable, Dict, Generator, Tuple, Type
+
+from repro.obs.tracer import span_of
 
 
 class Backend:
@@ -69,45 +71,57 @@ class Backend:
     def close(self, handle) -> Generator:
         raise NotImplementedError
 
+    def _open_shared(self, create: bool, make: Callable[[], Generator],
+                     attach: Callable[[], Generator]) -> Generator:
+        """The create rule every namespace-backed api shares: file per
+        process creates everywhere; a shared file is created by rank 0
+        (``make()``) and opened by the rest (``attach()``) after a
+        barrier; a non-creating open attaches."""
+        if not create:
+            return (yield from attach())
+        if self.params.file_per_proc:
+            return (yield from make())
+        if self.ctx.rank == 0:
+            handle = yield from make()
+            yield from self.ctx.barrier()
+            return handle
+        yield from self.ctx.barrier()
+        return (yield from attach())
+
     # -------------------------------------------------- async (event queue)
     def write_nb(self, eq, handle, offset: int, payload,
                  repetition: int = 0) -> Generator:
         """Task helper: launch the write on event queue ``eq`` (blocking
         while its in-flight window is full); returns the Event."""
-        if not self.pipelined:
-            raise NotImplementedError(f"{self.name} backend is blocking-only")
-        op = self._spanned_op(
-            "ior.write", repetition, offset, self.write(handle, offset, payload)
-        )
-        return (yield from eq.submit(op, name=f"{self.name}.write@{offset}"))
+        return self._submit(eq, "write", repetition, offset,
+                            self.write(handle, offset, payload))
 
     def read_nb(self, eq, handle, offset: int, nbytes: int,
                 repetition: int = 0) -> Generator:
         """Task helper: launch the read on event queue ``eq``; returns
         the Event (result is the payload once reaped)."""
+        return self._submit(eq, "read", repetition, offset,
+                            self.read(handle, offset, nbytes))
+
+    def _submit(self, eq, kind: str, repetition: int, offset: int,
+                op: Generator) -> Generator:
         if not self.pipelined:
             raise NotImplementedError(f"{self.name} backend is blocking-only")
-        op = self._spanned_op(
-            "ior.read", repetition, offset, self.read(handle, offset, nbytes)
-        )
-        return (yield from eq.submit(op, name=f"{self.name}.read@{offset}"))
 
-    def _spanned_op(self, name: str, repetition: int, offset: int,
-                    op: Generator) -> Generator:
-        """Wrap ``op`` in an ior-layer span opened inside the event's own
-        task, so the operation's spans nest under it (the tracer keeps
-        per-task span stacks — the submitter's stack must stay clean)."""
-        tracer = self.ctx.sim.tracer
-        if tracer is None:
-            return (yield from op)
-        with tracer.span(
-            name,
-            "ior",
-            node=self.ctx.node.name,
-            attrs={"rank": self.ctx.rank, "rep": repetition,
-                   "offset": offset, "nb": True},
-        ):
-            return (yield from op)
+        ctx = self.ctx
+
+        def spanned() -> Generator:
+            # opened inside the event's own task, so the operation's
+            # spans nest under it (the tracer keeps per-task span stacks
+            # — the submitter's stack must stay clean)
+            with span_of(ctx.sim, f"ior.{kind}", "ior", ctx.node.name,
+                         rank=ctx.rank, rep=repetition, offset=offset,
+                         nb=True):
+                return (yield from op)
+
+        return (yield from eq.submit(
+            spanned(), name=f"{self.name}.{kind}@{offset}"
+        ))
 
 
 # ----------------------------------------------------------------- registry

@@ -38,7 +38,8 @@ class DaosArrayBackend(Backend):
 
     def open(self, path: str, create: bool) -> Generator:
         catalog = self._catalog()
-        if create and (self.params.file_per_proc or self.ctx.rank == 0):
+
+        def make() -> Generator:
             array = yield from DaosArray.create(
                 self.storage.cont,
                 cell_size=1,
@@ -46,17 +47,16 @@ class DaosArrayBackend(Backend):
                 oclass=self._oclass(),
             )
             yield from catalog.put(path, (array.obj.oid.hi, array.obj.oid.lo))
-            if not self.params.file_per_proc:
-                yield from self.ctx.barrier()
-            catalog.close()
             return array
-        if create and not self.params.file_per_proc:
-            yield from self.ctx.barrier()  # wait for rank 0's create
-        hi_lo = yield from catalog.get(path)
+
+        def attach() -> Generator:
+            hi_lo = yield from catalog.get(path)
+            return (yield from DaosArray.open(
+                self.storage.cont, ObjId(hi_lo[0], hi_lo[1])
+            ))
+
+        array = yield from self._open_shared(create, make, attach)
         catalog.close()
-        array = yield from DaosArray.open(
-            self.storage.cont, ObjId(hi_lo[0], hi_lo[1])
-        )
         return array
 
     def write(self, handle: DaosArray, offset: int, payload) -> Generator:

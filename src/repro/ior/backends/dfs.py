@@ -17,20 +17,14 @@ class DfsBackend(Backend):
 
     def open(self, path: str, create: bool) -> Generator:
         dfs = self.storage.dfs
-        kwargs = dict(
-            chunk_size=self.params.chunk_size,
-            oclass=self.params.oclass,
+        return self._open_shared(
+            create,
+            lambda: dfs.open_file(
+                path, create=True, chunk_size=self.params.chunk_size,
+                oclass=self.params.oclass,
+            ),
+            lambda: dfs.open_file(path),
         )
-        if not create:
-            return (yield from dfs.open_file(path))
-        if self.params.file_per_proc:
-            return (yield from dfs.open_file(path, create=True, **kwargs))
-        if self.ctx.rank == 0:
-            handle = yield from dfs.open_file(path, create=True, **kwargs)
-            yield from self.ctx.barrier()
-            return handle
-        yield from self.ctx.barrier()
-        return (yield from dfs.open_file(path))
 
     def write(self, handle, offset: int, payload) -> Generator:
         return (yield from handle.write(offset, payload))

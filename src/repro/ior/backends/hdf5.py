@@ -16,7 +16,7 @@ from typing import Generator, Tuple
 from repro.hdf5 import H5File, MpioVfd, NativeVol, Sec2Vfd
 from repro.ior.backends.base import Backend, register_backend
 from repro.mpiio import UfsDriver
-from repro.obs.tracer import NOOP_SPAN
+from repro.obs.tracer import span_of
 
 DATASET = "data"
 
@@ -63,27 +63,21 @@ class Hdf5Backend(Backend):
             return per_rank
         return per_rank * self.ctx.size
 
-    def open(self, path: str, create: bool) -> Generator:
-        vol = self._vol()
-        if create:
-            h5 = yield from H5File.create(vol, path)
-            dataset = yield from h5.create_dataset(
-                DATASET, (self._dataset_bytes(),), dtype="u1"
-            )
-            yield from h5.flush()
-        else:
-            h5 = yield from H5File.open(vol, path)
-            dataset = h5.dataset(DATASET)
+    def _create(self, path: str) -> Generator:
+        h5 = yield from H5File.create(self._vol(), path)
+        dataset = yield from h5.create_dataset(
+            DATASET, (self._dataset_bytes(),), dtype="u1"
+        )
+        yield from h5.flush()
         return (h5, dataset)
 
-    def _span(self, name: str, vol: str, **attrs):
-        tracer = self.ctx.sim.tracer
-        if tracer is None:
-            return NOOP_SPAN
-        attrs["vol"] = vol
-        return tracer.span(
-            name, "hdf5", node=self.ctx.node.name, attrs=attrs
-        )
+    def _attach(self, path: str) -> Generator:
+        h5 = yield from H5File.open(self._vol(), path)
+        return (h5, h5.dataset(DATASET))
+
+    def open(self, path: str, create: bool) -> Generator:
+        # a shared file goes through MpiFile.open, which has its own rule
+        return self._create(path) if create else self._attach(path)
 
     def _count(self, op: str, vol: str, nbytes: int) -> None:
         metrics = self.ctx.sim.metrics
@@ -94,9 +88,9 @@ class Hdf5Backend(Backend):
     def write(self, handle: Tuple, offset: int, payload) -> Generator:
         h5, dataset = handle
         vol = h5.vol.kind
-        with self._span(
-            "hdf5.dataset_write", vol, offset=offset, nbytes=payload.nbytes
-        ):
+        with span_of(self.ctx.sim, "hdf5.dataset_write", "hdf5",
+                     self.ctx.node.name, offset=offset,
+                     nbytes=payload.nbytes, vol=vol):
             nbytes = (
                 yield from dataset.write((offset,), (payload.nbytes,), payload)
             )
@@ -106,9 +100,9 @@ class Hdf5Backend(Backend):
     def read(self, handle: Tuple, offset: int, nbytes: int) -> Generator:
         h5, dataset = handle
         vol = h5.vol.kind
-        with self._span(
-            "hdf5.dataset_read", vol, offset=offset, nbytes=nbytes
-        ):
+        with span_of(self.ctx.sim, "hdf5.dataset_read", "hdf5",
+                     self.ctx.node.name, offset=offset, nbytes=nbytes,
+                     vol=vol):
             payload = yield from dataset.read((offset,), (nbytes,))
         self._count("read", vol, nbytes)
         return payload

@@ -19,9 +19,9 @@ from __future__ import annotations
 from typing import Generator
 
 from repro.daos.oclass import oclass_by_name
-from repro.hdf5 import DaosVol, H5File
+from repro.hdf5 import DaosVol
 from repro.ior.backends.base import register_backend
-from repro.ior.backends.hdf5 import DATASET, Hdf5Backend
+from repro.ior.backends.hdf5 import Hdf5Backend
 
 
 class Hdf5DaosBackend(Hdf5Backend):
@@ -53,28 +53,10 @@ class Hdf5DaosBackend(Hdf5Backend):
         )
 
     def open(self, path: str, create: bool) -> Generator:
-        if create and not self.params.file_per_proc:
-            # shared file: rank 0 creates and publishes the KV catalog
-            if self.ctx.rank == 0:
-                h5 = yield from H5File.create(self._vol(), path)
-                dataset = yield from h5.create_dataset(
-                    DATASET, (self._dataset_bytes(),), dtype="u1"
-                )
-                yield from h5.flush()
-                yield from self.ctx.barrier()
-                return (h5, dataset)
-            yield from self.ctx.barrier()
-            h5 = yield from H5File.open(self._vol(), path)
-            return (h5, h5.dataset(DATASET))
-        if create:
-            h5 = yield from H5File.create(self._vol(), path)
-            dataset = yield from h5.create_dataset(
-                DATASET, (self._dataset_bytes(),), dtype="u1"
-            )
-            yield from h5.flush()
-            return (h5, dataset)
-        h5 = yield from H5File.open(self._vol(), path)
-        return (h5, h5.dataset(DATASET))
+        # shared file: rank 0 creates and publishes the KV catalog
+        return self._open_shared(
+            create, lambda: self._create(path), lambda: self._attach(path)
+        )
 
 
 register_backend(Hdf5DaosBackend.name, Hdf5DaosBackend)

@@ -10,7 +10,7 @@ from typing import Generator
 
 from repro.ior.backends.base import Backend, register_backend
 from repro.mpiio import MpiFile, UfsDriver
-from repro.obs.tracer import NOOP_SPAN
+from repro.obs.tracer import span_of
 
 
 class MpiioBackend(Backend):
@@ -33,14 +33,6 @@ class MpiioBackend(Backend):
         # pipelining happens inside the collective call, not the runner
         return False
 
-    def _span(self, name: str, **attrs):
-        tracer = self.ctx.sim.tracer
-        if tracer is None:
-            return NOOP_SPAN
-        return tracer.span(
-            name, "mpiio", node=self.ctx.node.name, attrs=attrs or None
-        )
-
     def open(self, path: str, create: bool) -> Generator:
         driver = UfsDriver(self.storage.mount)
         handle = yield from MpiFile.open(
@@ -54,10 +46,11 @@ class MpiioBackend(Backend):
 
     def write(self, handle, offset: int, payload) -> Generator:
         collective = self.params.collective
-        with self._span(
+        with span_of(
+            self.ctx.sim,
             "mpiio.write_at_all" if collective else "mpiio.write_at",
-            offset=offset,
-            nbytes=payload.nbytes,
+            "mpiio", self.ctx.node.name,
+            offset=offset, nbytes=payload.nbytes,
         ):
             if collective:
                 return (yield from handle.write_at_all(offset, payload))
@@ -65,10 +58,11 @@ class MpiioBackend(Backend):
 
     def read(self, handle, offset: int, nbytes: int) -> Generator:
         collective = self.params.collective
-        with self._span(
+        with span_of(
+            self.ctx.sim,
             "mpiio.read_at_all" if collective else "mpiio.read_at",
-            offset=offset,
-            nbytes=nbytes,
+            "mpiio", self.ctx.node.name,
+            offset=offset, nbytes=nbytes,
         ):
             if collective:
                 return (yield from handle.read_at_all(offset, nbytes))

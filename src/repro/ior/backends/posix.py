@@ -16,16 +16,11 @@ class PosixBackend(Backend):
 
     def open(self, path: str, create: bool) -> Generator:
         mount = self.storage.mount
-        if not create:
-            return (yield from mount.open(path, ("r", "w")))
-        if self.params.file_per_proc:
-            return (yield from mount.open(path, ("w", "creat")))
-        if self.ctx.rank == 0:
-            handle = yield from mount.open(path, ("w", "creat"))
-            yield from self.ctx.barrier()
-            return handle
-        yield from self.ctx.barrier()
-        return (yield from mount.open(path, ("r", "w")))
+        return self._open_shared(
+            create,
+            lambda: mount.open(path, ("w", "creat")),
+            lambda: mount.open(path, ("r", "w")),
+        )
 
     def write(self, handle, offset: int, payload) -> Generator:
         return (yield from handle.pwrite(offset, payload))

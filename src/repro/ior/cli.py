@@ -114,7 +114,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         params = params_from_args(args)
     except (ValueError, DerInval) as exc:
         parser.error(str(exc))
-    if args.read_only and not args.lustre:
+    if args.read_only:
         # a read-only run needs pre-existing data; run a silent write pass
         params.write = True
     if args.lustre and backend_class(params.api).needs_daos:

@@ -71,8 +71,8 @@ class IorParams:
         from repro.ior.backends import available_apis, backend_class
 
         backend = backend_class(self.api)  # unknown api -> ValueError
-        if self.oclass is not None:
-            oclass_by_name(self.oclass)  # unknown class -> DerInval
+        # unknown class -> DerInval
+        oclass = None if self.oclass is None else oclass_by_name(self.oclass)
         if self.cache_mode not in ("none", "readonly", "writeback"):
             raise ValueError(
                 "cache_mode must be none, readonly or writeback, "
@@ -93,6 +93,15 @@ class IorParams:
             raise ValueError("segments and repetitions must be positive")
         if self.cb_buffer <= 0:
             raise ValueError("cb_buffer must be positive")
+        if self.chunk_size <= 0:
+            raise ValueError("chunk_size must be positive")
+        if oclass is not None and oclass.is_ec and (
+            self.chunk_size % oclass.ec_k
+        ):
+            raise ValueError(
+                f"chunk_size {self.chunk_size} is not divisible by the "
+                f"{oclass.name} data-cell count {oclass.ec_k}"
+            )
         if self.collective and not backend.supports_collective:
             capable = tuple(
                 api for api in available_apis()

@@ -18,7 +18,7 @@ from repro.ior.env import RankStorage, launch
 from repro.ior.pattern import make_payload, verify_payload
 from repro.ior.report import IorResult, LatencySummary, PhaseResult
 from repro.obs.breakdown import phase_layer_breakdown
-from repro.obs.tracer import NOOP_SPAN
+from repro.obs.tracer import span_of
 
 
 def run_ior(
@@ -97,18 +97,6 @@ def _rank_main(ctx, params: IorParams, env) -> Generator:
     return phases
 
 
-def _ior_op_span(ctx, name: str, repetition: int, offset: int):
-    tracer = ctx.sim.tracer
-    if tracer is None:
-        return NOOP_SPAN
-    return tracer.span(
-        name,
-        "ior",
-        node=ctx.node.name,
-        attrs={"rank": ctx.rank, "rep": repetition, "offset": offset},
-    )
-
-
 def _use_async(params: IorParams, backend) -> bool:
     # apis that pipeline internally (MPIIO/HDF5 collective aggregators)
     # report supports_async but not pipelined; the runner's per-rank
@@ -141,7 +129,8 @@ def _phase_write(ctx, params: IorParams, backend, repetition: int) -> Generator:
                 offset = params.offset(ctx.size, ctx.rank, segment, transfer)
                 payload = make_payload(path, offset, params.transfer_size)
                 op_start = sim.now
-                with _ior_op_span(ctx, "ior.write", repetition, offset):
+                with span_of(sim, "ior.write", "ior", ctx.node.name,
+                             rank=ctx.rank, rep=repetition, offset=offset):
                     yield from backend.write(handle, offset, payload)
                 if metrics is not None:
                     elapsed = sim.now - op_start
@@ -202,7 +191,8 @@ def _phase_read(ctx, params: IorParams, backend, repetition: int) -> Generator:
             for transfer in range(params.transfers_per_block):
                 offset = params.offset(ctx.size, read_rank, segment, transfer)
                 op_start = sim.now
-                with _ior_op_span(ctx, "ior.read", repetition, offset):
+                with span_of(sim, "ior.read", "ior", ctx.node.name,
+                             rank=ctx.rank, rep=repetition, offset=offset):
                     payload = yield from backend.read(
                         handle, offset, params.transfer_size
                     )

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, Generator, Iterable, List, Optional, Tuple
 
-from repro.daos.vos.payload import Payload, as_payload, concat_payloads
+from repro.daos.vos.payload import as_payload, concat_payloads
 from repro.errors import FsError
 from repro.hardware.node import ClientNode
 from repro.lustre.fs import LustreFs, Ost
@@ -29,6 +29,13 @@ from repro.posix.vfs import FileHandle, FileSystem, StatResult, normalize, valid
 from repro.units import split_aligned
 
 _client_seq = itertools.count(1)
+
+#: lock-server CPU per LDLM enqueue, on top of the round trip
+LDLM_ENQUEUE_CPU = 20e-6
+#: cost of one blocking-callback + cancel round during revocation (the
+#: holder must drain in-flight I/O under the lock before cancelling —
+#: dominated by that drain, not the wire)
+LDLM_CALLBACK_COST = 400e-6
 
 
 class LustreMount(FileSystem):
@@ -158,10 +165,10 @@ class LustreFile(FileHandle):
         rtt = 2 * fabric.msg_delay(self.mount.node.addr, ost.node.addr, 256)
 
         def enqueue_cost():
-            yield rtt + 20e-6
+            yield rtt + LDLM_ENQUEUE_CPU
 
         def revoke_cost(_lock):
-            yield self.fs.ldlm_callback_cost + rtt
+            yield LDLM_CALLBACK_COST + rtt
 
         space = ost.lockspace(self.inode.ino, stripe)
         yield from acquire(
@@ -170,23 +177,30 @@ class LustreFile(FileHandle):
         return None
 
     # ------------------------------------------------------------- data ops
+    def _transfer(self, mode: str, direction: str, offset: int,
+                  length: int) -> Generator:
+        """Task helper: take the extent locks covering the range in
+        ``mode``, pay the widest OST round trip and move the bytes;
+        returns the stripe pieces touched."""
+        pieces = self._pieces(offset, length)
+        fabric = self.mount.fabric
+        widest = 0.0
+        for ost, stripe, obj_offset, nbytes in pieces:
+            yield from self._lock(
+                ost, stripe, mode, obj_offset, obj_offset + nbytes
+            )
+            rtt = 2 * fabric.msg_delay(self.mount.node.addr, ost.node.addr, 256)
+            widest = max(widest, rtt + ost.per_rpc_cpu)
+        yield widest + self.mount.node.spec.client_cpu_per_op
+        yield self._flow(direction).transfer(length)
+        return pieces
+
     def pwrite(self, offset: int, data) -> Generator:
         payload = as_payload(data)
         if payload.nbytes == 0:
             return 0
         yield self.mount.syscall_cost
-        pieces = self._pieces(offset, payload.nbytes)
-        fabric = self.mount.fabric
-        widest = 0.0
-        for ost, stripe, obj_offset, nbytes in pieces:
-            yield from self._lock(
-                ost, stripe, PW, obj_offset, obj_offset + nbytes
-            )
-            rtt = 2 * fabric.msg_delay(self.mount.node.addr, ost.node.addr, 256)
-            widest = max(widest, rtt + ost.per_rpc_cpu)
-        yield widest + self.mount.node.spec.client_cpu_per_op
-        flow = self._flow("write")
-        yield flow.transfer(payload.nbytes)
+        pieces = yield from self._transfer(PW, "write", offset, payload.nbytes)
         consumed = 0
         for ost, stripe, obj_offset, nbytes in pieces:
             fragment = payload.slice(consumed, consumed + nbytes)
@@ -202,24 +216,11 @@ class LustreFile(FileHandle):
         if offset >= self.inode.size:
             return as_payload(b"")
         length = min(length, self.inode.size - offset)
-        pieces = self._pieces(offset, length)
-        fabric = self.mount.fabric
-        widest = 0.0
-        for ost, stripe, obj_offset, nbytes in pieces:
-            yield from self._lock(
-                ost, stripe, PR, obj_offset, obj_offset + nbytes
-            )
-            rtt = 2 * fabric.msg_delay(self.mount.node.addr, ost.node.addr, 256)
-            widest = max(widest, rtt + ost.per_rpc_cpu)
-        yield widest + self.mount.node.spec.client_cpu_per_op
-        flow = self._flow("read")
-        yield flow.transfer(length)
-        parts: List[Payload] = []
-        for ost, stripe, obj_offset, nbytes in pieces:
-            parts.append(
-                ost.data(self.inode.ino, stripe).read(obj_offset, nbytes)
-            )
-        return concat_payloads(parts)
+        pieces = yield from self._transfer(PR, "read", offset, length)
+        return concat_payloads([
+            ost.data(self.inode.ino, stripe).read(obj_offset, nbytes)
+            for ost, stripe, obj_offset, nbytes in pieces
+        ])
 
     def fsync(self) -> Generator:
         yield self.mount.syscall_cost  # write-through: nothing buffered

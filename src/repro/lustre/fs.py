@@ -18,7 +18,6 @@ from repro.lustre.ldlm import LockSpace
 from repro.lustre.mds import Mds
 from repro.network.fabric import Fabric
 from repro.sim.core import Simulator
-from repro.sim.sync import Semaphore
 from repro.units import MiB
 
 
@@ -29,7 +28,6 @@ class Ost:
     index: int
     node: ServerNode
     hw: StorageTarget
-    credits: Semaphore
     #: per-(ino, stripe-index) data and lock state
     objects: Dict[Tuple[int, int], ExtentTree] = field(default_factory=dict)
     locks: Dict[Tuple[int, int], LockSpace] = field(default_factory=dict)
@@ -67,8 +65,6 @@ class LustreFs:
         servers: List[ServerNode],
         default_stripe_count: int = 4,
         default_stripe_size: int = MiB,
-        ost_inflight: int = 16,
-        ldlm_callback_cost: float = 400e-6,
     ):
         if not servers:
             raise ValueError("LustreFs needs server nodes")
@@ -79,12 +75,7 @@ class LustreFs:
         for node in servers:
             for target in node.all_targets():
                 self.osts.append(
-                    Ost(
-                        index=len(self.osts),
-                        node=node,
-                        hw=target,
-                        credits=Semaphore(sim, ost_inflight),
-                    )
+                    Ost(index=len(self.osts), node=node, hw=target)
                 )
         self.mds = Mds(
             sim,
@@ -94,7 +85,3 @@ class LustreFs:
             default_stripe_count=min(default_stripe_count, len(self.osts)),
             default_stripe_size=default_stripe_size,
         )
-        #: cost of one blocking-callback + cancel round during revocation
-        #: (holder must drain in-flight I/O under the lock before
-        #: cancelling — dominated by that drain, not the wire)
-        self.ldlm_callback_cost = ldlm_callback_cost

@@ -37,8 +37,15 @@ class Inode:
     nlink: int = 1
 
 
+#: MDS service threads: intent RPCs in service at once
+SERVICE_THREADS = 16
+
+
 class Mds:
     """Metadata server state + service model."""
+
+    #: MDS CPU per intent RPC round
+    op_cpu = 100e-6
 
     def __init__(
         self,
@@ -48,8 +55,6 @@ class Mds:
         n_osts: int,
         default_stripe_count: int = 4,
         default_stripe_size: int = 1 << 20,
-        service_threads: int = 16,
-        op_cpu: float = 100e-6,
     ):
         self.sim = sim
         self.fabric = fabric
@@ -57,8 +62,7 @@ class Mds:
         self.n_osts = n_osts
         self.default_stripe_count = min(default_stripe_count, n_osts)
         self.default_stripe_size = default_stripe_size
-        self.op_cpu = op_cpu
-        self._threads = Semaphore(sim, service_threads)
+        self._threads = Semaphore(sim, SERVICE_THREADS)
         self._ino_seq = itertools.count(2)
         self._next_ost = 0
         self.root = Inode(ino=1, is_dir=True, mode=0o755)

@@ -27,13 +27,6 @@ class MdtestResult:
     #: phase -> ops/second (aggregate)
     rates: Dict[str, float] = field(default_factory=dict)
 
-    def summary(self) -> str:
-        lines = [f"mdtest (simulated): {self.nprocs} procs, "
-                 f"{self.params.files_per_rank} files/proc"]
-        for phase, rate in self.rates.items():
-            lines.append(f"  {phase:7s}: {rate:12.0f} ops/s")
-        return "\n".join(lines)
-
 
 def run_mdtest(
     cluster,

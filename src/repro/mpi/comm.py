@@ -47,11 +47,11 @@ class _Collective:
 class Comm:
     """An MPI communicator over the simulated world."""
 
-    def __init__(self, world: "object", ranks: Optional[List[int]] = None):
+    def __init__(self, world: "object"):
         # ``world`` is an MpiWorld; typed loosely to avoid a cycle.
         self.world = world
         self.sim: Simulator = world.sim
-        self.ranks = list(ranks) if ranks is not None else list(range(world.nprocs))
+        self.ranks = list(range(world.nprocs))
         self._counters: Dict[int, int] = {r: 0 for r in self.ranks}
         self._pending: Dict[int, _Collective] = {}
         self._p2p: Dict[Tuple[int, int, Any], Queue] = {}

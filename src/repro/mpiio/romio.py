@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from typing import Dict, Generator, List, Optional, Tuple
 
-from repro.daos.eq import EventQueue
+from repro.daos.eq import EventQueue, reap
 from repro.daos.vos.payload import Payload, ZeroPayload, as_payload, concat_payloads
 from repro.mpi.runtime import RankCtx
 from repro.units import MiB, split_aligned
@@ -158,8 +158,7 @@ def collective_write(
                         call, name=f"cb.write@{run_offset + written}"
                     )
         if eq is not None:
-            for event in (yield from eq.drain()):
-                event.result  # surface any aggregator write error
+            reap((yield from eq.drain()))
             yield from eq.close()
     yield from ctx.barrier()
     return payload.nbytes

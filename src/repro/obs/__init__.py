@@ -34,13 +34,12 @@ from repro.obs.timeline import (
     TimeSeriesStore,
     write_timeline,
 )
-from repro.obs.tracer import NULL_TRACER, Span, Tracer, tracer_of
+from repro.obs.tracer import Span, Tracer, span_of
 
 __all__ = [
     "Tracer",
     "Span",
-    "NULL_TRACER",
-    "tracer_of",
+    "span_of",
     "MetricsRegistry",
     "format_metric_name",
     "parse_metric_name",
@@ -70,7 +69,6 @@ def install(
     sim,
     tracing: bool = True,
     metrics: bool = True,
-    seed: int = 0xDA05,
     timeline_interval: Optional[float] = None,
     slo_rules: Optional[List[object]] = None,
 ) -> Tuple[Optional[Tracer], Optional[MetricsRegistry]]:
@@ -90,9 +88,9 @@ def install(
     if timeline_interval is not None:
         metrics = True
     if tracing and sim.tracer is None:
-        sim.tracer = Tracer(sim, enabled=True)
+        sim.tracer = Tracer(sim)
     if metrics and sim.metrics is None:
-        sim.metrics = MetricsRegistry(sim, seed=seed)
+        sim.metrics = MetricsRegistry(sim)
     if timeline_interval is not None and sim.timeline is None:
         if slo_rules is None:
             rules = default_rules()

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from repro.obs.chrome import write_chrome_trace
@@ -36,6 +37,17 @@ def positive_float(text: str) -> float:
     return value
 
 
+def artifact_path(text: str) -> str:
+    """argparse ``type=`` for an output file: its directory must exist
+    and be writable, so a run cannot finish and then fail to write."""
+    parent = os.path.dirname(text) or "."
+    if not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
+        raise argparse.ArgumentTypeError(
+            f"cannot write {text!r}: {parent!r} is not a writable directory"
+        )
+    return text
+
+
 def _rule(text: str) -> str:
     try:
         parse_slo(text)
@@ -48,13 +60,13 @@ def add_arguments(parser: argparse.ArgumentParser, default_interval: float):
     """Add the shared ``observability`` group to ``parser`` and return
     it, so a front-end can append its own report flags to the group."""
     group = parser.add_argument_group("observability")
-    group.add_argument("--trace-out", metavar="PATH",
+    group.add_argument("--trace-out", metavar="PATH", type=artifact_path,
                        help="write a Chrome trace-event JSON of the run "
                             "(open at ui.perfetto.dev)")
-    group.add_argument("--metrics-out", metavar="PATH",
+    group.add_argument("--metrics-out", metavar="PATH", type=artifact_path,
                        help="write a metrics dump (.prom/.txt = Prometheus "
                             "text, anything else = JSON snapshot)")
-    group.add_argument("--timeline-out", metavar="PATH",
+    group.add_argument("--timeline-out", metavar="PATH", type=artifact_path,
                        help="write the run's time-series JSON (sim-time "
                             "metrics scraper)")
     group.add_argument("--timeline-interval", type=positive_float,

@@ -6,17 +6,14 @@ in a ``{key=value,...}`` suffix — ``ior.write.latency{rank=3}``,
 ``rebuild.bytes_moved{pool=tank,target=5}`` — so per-pool, per-tenant,
 per-target and per-rank traffic become separable series (DESIGN.md
 §12). Label keys are kept sorted, making the full name canonical; the
-registry is keyed on that canonical full name. The registry offers four
+registry is keyed on that canonical full name. The registry offers three
 instrument kinds:
 
 * :class:`Counter` — monotonically increasing totals,
 * :class:`Gauge` — time-weighted values with a bounded timeline of
   (t, value) points (per-edge fabric utilisation, queue depths),
 * :class:`Histogram` — log2-bucketed latency distributions with
-  p50/p95/p99/p999 estimation,
-* :class:`Reservoir` — bounded uniform value samples (algorithm R),
-  seeded through :class:`repro.sim.rng.RngStreams` so observation never
-  perturbs simulation randomness.
+  p50/p95/p99/p999 estimation.
 
 Exports: :meth:`MetricsRegistry.to_prometheus` (text exposition format,
 with cumulative ``_bucket{le=...}`` lines for histograms) and
@@ -31,8 +28,6 @@ import math
 from collections import deque
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.sim.rng import RngStreams
-
 #: Smallest histogram bucket upper bound, in seconds (1 ns).
 _HIST_LO = 1e-9
 #: Number of log2 buckets; covers 1 ns .. ~584 years, plenty.
@@ -40,9 +35,6 @@ _HIST_BUCKETS = 64
 
 #: Points kept per gauge timeline (utilisation curves, queue depths).
 GAUGE_TIMELINE_CAP = 4096
-
-#: Values kept per reservoir.
-RESERVOIR_CAP = 512
 
 #: The tail set every report and timeline publishes (stat key, quantile).
 QUANTILES = (("p50", 0.50), ("p95", 0.95), ("p99", 0.99), ("p999", 0.999))
@@ -285,46 +277,14 @@ class Histogram:
         return self.total / self.count if self.count else 0.0
 
 
-class Reservoir:
-    """Bounded uniform sample reservoir (algorithm R), deterministic."""
-
-    __slots__ = ("name", "cap", "values", "count", "total", "_rng")
-
-    def __init__(self, name: str, rng, cap: int = RESERVOIR_CAP) -> None:
-        self.name = name
-        self.cap = cap
-        self.values: List[float] = []
-        self.count = 0
-        self.total = 0.0
-        self._rng = rng
-
-    def add(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-        if len(self.values) < self.cap:
-            self.values.append(value)
-            return
-        slot = int(self._rng.integers(0, self.count))
-        if slot < self.cap:
-            self.values[slot] = value
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-
 class MetricsRegistry:
     """Create-on-first-use registry keyed by dotted metric names."""
 
-    def __init__(self, sim, seed: int = 0xDA05) -> None:
+    def __init__(self, sim) -> None:
         self.sim = sim
         self.counters: Dict[str, Counter] = {}
         self.gauges: Dict[str, Gauge] = {}
         self.histograms: Dict[str, Histogram] = {}
-        self.reservoirs: Dict[str, Reservoir] = {}
-        # Dedicated stream family: enabling metrics must never perturb
-        # the simulation's own RNG draws.
-        self._rng = RngStreams(seed ^ 0x0B5E)
 
     # --------------------------------------------------------------- access
     #
@@ -357,17 +317,6 @@ class MetricsRegistry:
         if h is None:
             h = self.histograms[name] = Histogram(name)
         return h
-
-    def reservoir(self, name: str,
-                  labels: Optional[Dict[str, Any]] = None) -> Reservoir:
-        if labels:
-            name = format_metric_name(name, labels)
-        r = self.reservoirs.get(name)
-        if r is None:
-            r = self.reservoirs[name] = Reservoir(
-                name, self._rng.stream(f"metrics:{name}")
-            )
-        return r
 
     # shorthands used on instrumented hot paths
     def incr(self, name: str, amount: float = 1.0,
@@ -413,14 +362,6 @@ class MetricsRegistry:
                     "p999": h.p999,
                 }
                 for name, h in sorted(self.histograms.items())
-            },
-            "reservoirs": {
-                name: {
-                    "count": r.count,
-                    "mean": r.mean,
-                    "values": list(r.values),
-                }
-                for name, r in sorted(self.reservoirs.items())
             },
         }
 

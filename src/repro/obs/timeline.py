@@ -10,7 +10,7 @@ simulated seconds into a :class:`TimeSeriesStore`:
 * gauges become instantaneous **values** (``name:value``) and
   per-window time-weighted **means** (``name:mean``, integral deltas),
 * histograms become per-window **counts** (``name:count``) and
-  sliding-window **quantiles** (``name:p50/p95/p99/p999``) computed
+  per-window **quantiles** (``name:p50/p95/p99/p999``) computed
   from bucket-count deltas via the same clamp-free interpolation as
   :func:`repro.obs.metrics.bucket_quantile` — per-window tail latency,
   not just cumulative.
@@ -38,7 +38,6 @@ trace.
 from __future__ import annotations
 
 import json
-from collections import deque
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.metrics import (
@@ -54,9 +53,6 @@ DEFAULT_INTERVAL = 0.01
 
 #: Points kept per series before dropping (reported, never silent).
 SERIES_POINT_CAP = 100_000
-
-#: Window-delta histograms retained per metric for sliding merges.
-WINDOW_HISTORY = 64
 
 
 class Series:
@@ -188,8 +184,6 @@ class TimelineScraper:
         self._last_counters: Dict[str, float] = {}
         self._last_gauge_integrals: Dict[str, float] = {}
         self._last_hist: Dict[str, Tuple[int, List[int], float]] = {}
-        # Recent window-delta histograms for sliding merges.
-        self._recent_hist: Dict[str, deque] = {}
         # Current-window stats for rule evaluation.
         self._win_elapsed = 0.0
         self._win_counter_delta: Dict[str, float] = {}
@@ -265,10 +259,6 @@ class TimelineScraper:
             dtotal = h.total - ltotal
             self._last_hist[name] = (h.count, list(h.buckets), h.total)
             self._win_hist[name] = (dcount, dbuckets, dtotal)
-            recent = self._recent_hist.get(name)
-            if recent is None:
-                recent = self._recent_hist[name] = deque(maxlen=WINDOW_HISTORY)
-            recent.append((dcount, dbuckets))
             store.record(f"{name}:count", "count", now, float(dcount))
             if dcount > 0:
                 for label, q in QUANTILES:
@@ -283,24 +273,6 @@ class TimelineScraper:
         self._evaluate_rules(now)
 
     # ------------------------------------------------------------ windows API
-    def sliding_quantile(self, name: str, q: float,
-                         nwindows: int = 1) -> Optional[float]:
-        """Quantile over the merged bucket deltas of the last
-        ``nwindows`` sampled windows of histogram ``name`` (None when
-        the metric is unknown or the merged window is empty)."""
-        recent = self._recent_hist.get(name)
-        if not recent:
-            return None
-        merged = [0] * _HIST_BUCKETS
-        count = 0
-        for dcount, dbuckets in list(recent)[-nwindows:]:
-            count += dcount
-            for i, b in enumerate(dbuckets):
-                merged[i] += b
-        if count == 0:
-            return None
-        return bucket_quantile(merged, count, q)
-
     def window_stat(self, metric: str, stat: str) -> Optional[float]:
         """Stat of ``metric`` over the last closed window (rule lookup).
 

@@ -3,11 +3,11 @@
 A :class:`Tracer` records *spans* — named intervals of simulated time
 with a ``span_id``/``parent_id`` hierarchy, a ``layer`` (the track they
 render on: ior, dfuse, dfs, client, rpc, fabric, engine, vos, ...) and a
-``node`` (the process they belong to). Instrumented code obtains the
-tracer with :func:`tracer_of` and wraps work in ``with tracer.span(...)``
-blocks; when tracing is disabled every call short-circuits to a shared
-no-op, so the instrumented hot paths cost one attribute read and one
-truth test.
+``node`` (the process they belong to). ``sim.tracer`` is ``None`` until
+:func:`repro.obs.install` puts a :class:`Tracer` there; instrumented code
+wraps work in ``with span_of(sim, ...)`` blocks (or guards a
+``begin`` / ``end`` pair with ``if tracer is not None``), so with tracing
+off a hot path pays one attribute read and one identity test.
 
 Parent resolution is *per simulated task*: the simulator exposes the
 task currently being stepped, and each task carries its own span stack,
@@ -94,7 +94,7 @@ class _SpanHandle:
 
 
 class _NoopHandle:
-    """Shared do-nothing context manager for the disabled tracer."""
+    """Shared do-nothing context manager for when no tracer is installed."""
 
     __slots__ = ()
 
@@ -105,18 +105,24 @@ class _NoopHandle:
         return False
 
 
-#: Shared no-op span handle; importable by instrumented call sites that
-#: want a `with`-able placeholder when no tracer is installed.
+#: What :func:`span_of` hands out when no tracer is installed.
 NOOP_SPAN = _NoopHandle()
-_NOOP_HANDLE = NOOP_SPAN
+
+
+def span_of(sim, name: str, layer: str, node: Optional[str], **attrs: Any):
+    """``with span_of(sim, ...):`` — a span on ``sim``'s tracer, or the
+    shared no-op when tracing is off."""
+    tracer = sim.tracer
+    if tracer is None:
+        return NOOP_SPAN
+    return tracer.span(name, layer, node=node, attrs=attrs or None)
 
 
 class Tracer:
     """Span recorder bound to a simulator clock."""
 
-    def __init__(self, sim, enabled: bool = True):
+    def __init__(self, sim):
         self.sim = sim
-        self.enabled = enabled
         self.spans: List[Span] = []
         self._by_id: Dict[int, Span] = {}
         self._stacks: Dict[int, List[Span]] = {}
@@ -129,8 +135,6 @@ class Tracer:
 
     def current_span_id(self) -> Optional[int]:
         """The innermost open span of the running task (for propagation)."""
-        if not self.enabled:
-            return None
         stack = self._stacks.get(self._current_key())
         return stack[-1].span_id if stack else None
 
@@ -142,14 +146,12 @@ class Tracer:
         node: Optional[str] = None,
         parent_id: Optional[int] = None,
         attrs: Optional[Dict[str, Any]] = None,
-    ) -> Optional[Span]:
+    ) -> Span:
         """Open a span; the matching :meth:`end` closes it.
 
         ``parent_id=None`` adopts the running task's innermost open span.
         ``node=None`` inherits the parent's node attribution.
         """
-        if not self.enabled:
-            return None
         key = self._current_key()
         stack = self._stacks.get(key)
         if parent_id is None and stack:
@@ -194,8 +196,6 @@ class Tracer:
         attrs: Optional[Dict[str, Any]] = None,
     ):
         """``with tracer.span(...):`` convenience around begin/end."""
-        if not self.enabled:
-            return _NOOP_HANDLE
         return _SpanHandle(self, self.begin(name, layer, node, parent_id, attrs))
 
     def event(
@@ -207,11 +207,9 @@ class Tracer:
         end: float,
         attrs: Optional[Dict[str, Any]] = None,
         parent_id: Optional[int] = None,
-    ) -> Optional[Span]:
+    ) -> Span:
         """Record a completed span with explicit times (e.g. an in-flight
         fabric message whose delivery is scheduled, not awaited)."""
-        if not self.enabled:
-            return None
         if parent_id is None:
             parent_id = self.current_span_id()
         node_resolved = node
@@ -234,37 +232,8 @@ class Tracer:
         layer: str,
         node: Optional[str] = None,
         attrs: Optional[Dict[str, Any]] = None,
-    ) -> Optional[Span]:
+    ) -> Span:
         """A zero-duration marker event (fault injections, pool-map bumps)."""
-        if not self.enabled:
-            return None
         span = self.event(name, layer, node, self.sim.now, self.sim.now, attrs)
-        if span is not None:
-            span.kind = "i"
+        span.kind = "i"
         return span
-
-    # ------------------------------------------------------------- queries
-    def children_index(self) -> Dict[int, List[Span]]:
-        """parent_id -> children, in recording order."""
-        index: Dict[int, List[Span]] = {}
-        for span in self.spans:
-            if span.parent_id is not None:
-                index.setdefault(span.parent_id, []).append(span)
-        return index
-
-    def __len__(self) -> int:
-        return len(self.spans)
-
-
-#: Shared disabled tracer handed out when a simulator has none installed.
-class _NullClock:
-    now = 0.0
-
-
-NULL_TRACER = Tracer(_NullClock(), enabled=False)
-
-
-def tracer_of(sim) -> Tracer:
-    """The simulator's tracer, or the shared disabled one."""
-    tracer = getattr(sim, "tracer", None)
-    return tracer if tracer is not None else NULL_TRACER

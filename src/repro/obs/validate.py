@@ -60,11 +60,13 @@ def validate_metrics_snapshot(doc: Any) -> List[str]:
         return ["top level is not an object"]
     if not isinstance(doc.get("sim_time"), _NUM):
         problems.append(f"bad sim_time {doc.get('sim_time')!r}")
-    for section in ("counters", "gauges", "histograms", "reservoirs"):
+    for section in ("counters", "gauges", "histograms"):
         if section not in doc:
             problems.append(f"missing section {section!r}")
             continue
         _check_names(doc[section], section, problems)
+    if "reservoirs" in doc:  # older snapshots carry the section
+        _check_names(doc["reservoirs"], "reservoirs", problems)
     counters = doc.get("counters")
     if isinstance(counters, dict):
         for name, value in counters.items():

@@ -112,10 +112,10 @@ class RebuildManager:
     #: strictly shrink and real convergence takes 2-3 rounds
     MAX_ROUNDS = 32
 
-    def __init__(self, system, throttle_fraction: float = 0.25):
+    def __init__(self, system):
         self.system = system
         self.sim = system.sim
-        self.throttle = RebuildThrottle(throttle_fraction)
+        self.throttle = RebuildThrottle()
         self.jobs: List[RebuildJob] = []
         self._queues: Dict[str, deque] = defaultdict(deque)
         self._runners: Dict[str, object] = {}  # pool_uuid -> runner Task

@@ -9,7 +9,7 @@ on this kernel, so a whole cluster benchmark is a single-threaded,
 perfectly reproducible program.
 """
 
-from repro.sim.core import Simulator, Task, Timeout, now
+from repro.sim.core import Simulator, Task, Timeout
 from repro.sim.sync import Condition, Gate, Lock, Queue, Semaphore
 from repro.sim.rng import RngStreams
 
@@ -17,7 +17,6 @@ __all__ = [
     "Simulator",
     "Task",
     "Timeout",
-    "now",
     "Condition",
     "Gate",
     "Lock",

@@ -241,65 +241,17 @@ class Simulator:
         return task
 
     # -- execution ---------------------------------------------------------
-    def step(self) -> bool:
-        """Execute the next event; returns False if the heap is empty."""
-        if not self._heap:
-            return False
-        time, _seq, callback, args = heapq.heappop(self._heap)
-        if time < self._now - 1e-12:
-            raise SimulationError("event heap went backwards")
-        self._now = max(self._now, time)
-        callback(*args)
-        self._raise_failures()
-        return True
-
-    def run(self, until: float | None = None) -> float:
-        """Run events until the heap drains or ``until`` is reached.
-
-        Returns the simulated time at which execution stopped.
-
-        The dispatch loop is :meth:`step` inlined — same checks, same
-        ordering — because the per-event method call is measurable on
-        multi-million-event figure sweeps.
-        """
-        if self._running:
-            raise SimulationError("run() is not reentrant")
-        self._running = True
+    def _dispatch(self, task: Optional[Task], until: Optional[float],
+                  limit: float) -> None:
+        """The one event loop: pop, check the clock is monotone, advance,
+        call, surface failures. Returns when ``task`` (if given) is done,
+        the heap drains, or the next event lies beyond ``until``."""
         heap = self._heap
         pop = heapq.heappop
         failures = self._failures
-        try:
-            while heap:
-                if until is not None and heap[0][0] > until:
-                    self._now = until
-                    break
-                time, _seq, callback, args = pop(heap)
-                if time < self._now - 1e-12:
-                    raise SimulationError("event heap went backwards")
-                if time > self._now:
-                    self._now = time
-                callback(*args)
-                if failures:
-                    self._raise_failures()
-        finally:
-            self._running = False
-        if until is not None and not heap and self._now < until:
-            self._now = until
-        return self._now
-
-    def run_until_complete(self, task: Task, limit: float = 1e9) -> Any:
-        """Drive the simulation until ``task`` finishes and return its result.
-
-        Dispatch is inlined as in :meth:`run`.
-        """
-        heap = self._heap
-        pop = heapq.heappop
-        failures = self._failures
-        while not task._done:
-            if not heap:
-                raise DeadlockError(
-                    f"no runnable events but task {task.name!r} is pending"
-                )
+        while heap and (task is None or not task._done):
+            if until is not None and heap[0][0] > until:
+                return
             if self._now > limit:
                 raise SimulationError(f"simulation exceeded limit t={limit}")
             time, _seq, callback, args = pop(heap)
@@ -310,6 +262,30 @@ class Simulator:
             callback(*args)
             if failures:
                 self._raise_failures()
+
+    def run(self, until: float | None = None) -> float:
+        """Run events until the heap drains or ``until`` is reached.
+
+        Returns the simulated time at which execution stopped.
+        """
+        if self._running:
+            raise SimulationError("run() is not reentrant")
+        self._running = True
+        try:
+            self._dispatch(None, until, float("inf"))
+        finally:
+            self._running = False
+        if until is not None and self._now < until:
+            self._now = until
+        return self._now
+
+    def run_until_complete(self, task: Task, limit: float = 1e9) -> Any:
+        """Drive the simulation until ``task`` finishes and return its result."""
+        self._dispatch(task, None, limit)
+        if not task._done:
+            raise DeadlockError(
+                f"no runnable events but task {task.name!r} is pending"
+            )
         return task.result
 
     # -- failure bookkeeping -------------------------------------------------
@@ -325,7 +301,3 @@ class Simulator:
                     f"unhandled error in task {task.name!r}"
                 ) from task._error
 
-
-def now(sim: Simulator) -> float:
-    """Free-function accessor for symmetry with module-level helpers."""
-    return sim.now

@@ -86,9 +86,6 @@ class Queue:
         self._items: Deque[Any] = deque()
         self._getters: Deque[Callable[[Any], None]] = deque()
 
-    def __len__(self) -> int:
-        return len(self._items)
-
     def put(self, item: Any) -> None:
         if self._getters:
             getter = self._getters.popleft()
@@ -98,12 +95,6 @@ class Queue:
 
     def get(self) -> "_QueueGet":
         return _QueueGet(self)
-
-    def try_get(self) -> tuple[bool, Any]:
-        """Non-blocking pop: (True, item) or (False, None)."""
-        if self._items:
-            return True, self._items.popleft()
-        return False, None
 
 
 class _QueueGet:
@@ -193,14 +184,3 @@ class Lock(Semaphore):
     def __init__(self, sim: Simulator):
         super().__init__(sim, 1)
 
-
-def all_of(sim: Simulator, tasks: list) -> Generator[Any, Any, list]:
-    """Task helper: join a list of tasks, returning their results in order.
-
-    Usage: ``results = yield from all_of(sim, tasks)``.
-    """
-    results = []
-    for task in tasks:
-        value = yield task
-        results.append(value)
-    return results

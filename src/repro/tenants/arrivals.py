@@ -36,13 +36,12 @@ STREAM_PREFIX = "tenants.arrivals"
 class PoissonArrivals:
     """Seeded Poisson process, one independent stream per tenant."""
 
-    def __init__(self, rng: RngStreams, stream_prefix: str = STREAM_PREFIX):
+    def __init__(self, rng: RngStreams):
         self.rng = rng
-        self.stream_prefix = stream_prefix
 
     def times_for(self, tenant: TenantSpec, horizon: float) -> List[float]:
         """Arrival times in ``[0, horizon)`` for ``tenant``."""
-        stream = self.rng.stream(f"{self.stream_prefix}:{tenant.id}")
+        stream = self.rng.stream(f"{STREAM_PREFIX}:{tenant.id}")
         times: List[float] = []
         t = float(stream.exponential(1.0 / tenant.rate))
         while t < horizon:

@@ -21,6 +21,7 @@ from repro.cluster import build_cluster
 from repro.errors import DerInval
 from repro.obs.cli import (
     add_arguments,
+    artifact_path,
     observe,
     positive_int,
     timeline_store,
@@ -89,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="exclude a target mid-run and reintegrate it, "
                            "racing rebuild traffic against tenants")
     obs = add_arguments(parser, default_interval=1.0)
-    obs.add_argument("--report-out", metavar="PATH",
+    obs.add_argument("--report-out", metavar="PATH", type=artifact_path,
                      help="write the serving report JSON")
     return parser
 

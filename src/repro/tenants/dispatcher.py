@@ -76,6 +76,7 @@ class ServingConfig:
             raise DerInval("serving duration must be positive")
         if self.n_pools < 1 or self.n_containers < 1:
             raise DerInval("need at least one pool and one container")
+        daos.oclass_by_name(self.oclass)  # unknown class -> DerInval
 
 
 class Dispatcher:

@@ -109,7 +109,11 @@ def build_report(result: dict, store=None) -> dict:
     return report
 
 
-def render_report(report: dict, max_rows: int = 12) -> str:
+#: per-tenant rows :func:`render_report` prints before eliding the rest
+MAX_ROWS = 12
+
+
+def render_report(report: dict) -> str:
     """Terminal-friendly rendering of :func:`build_report` output."""
     cfg = report["config"]
     totals = report["totals"]
@@ -141,7 +145,7 @@ def render_report(report: dict, max_rows: int = 12) -> str:
     lines.append(header)
     shown = 0
     for tid, t in report["tenants"].items():
-        if shown >= max_rows:
+        if shown >= MAX_ROWS:
             lines.append(
                 f"  ... {len(report['tenants']) - shown} more tenants"
             )

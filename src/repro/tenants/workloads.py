@@ -12,7 +12,7 @@ observing its own backpressure.
 
 from __future__ import annotations
 
-from typing import Generator, List, Optional
+from typing import Generator, Optional
 
 from repro.daos import api as daos
 from repro.tenants.spec import (
@@ -80,12 +80,6 @@ def _charge(ctx: TenantIoContext, nbytes: float) -> Generator:
     return None
 
 
-def _reap(events: List) -> None:
-    """Surface any held operation error (post-drain)."""
-    for event in events:
-        event.result
-
-
 def _bulk(ctx: TenantIoContext, eq, work: BulkWork) -> Generator:
     """IOR-style streaming transfer on a fresh array object."""
     array = yield from daos.DaosArray.create(
@@ -95,17 +89,21 @@ def _bulk(ctx: TenantIoContext, eq, work: BulkWork) -> Generator:
         for index, _within, chunk in split_aligned(0, work.nbytes, work.xfer):
             offset = index * work.xfer
             yield from _charge(ctx, chunk)
-            yield from array.write_nb(
-                eq, offset, daos.PatternPayload(ctx.seed, offset, chunk)
+            payload = daos.PatternPayload(ctx.seed, offset, chunk)
+            yield from eq.submit(
+                array.write(offset, payload), name=f"array.write@{offset}"
             )
-        _reap((yield from eq.drain()))
+        daos.reap((yield from eq.drain()))
         if work.read_back:
             for index, _within, chunk in split_aligned(
                 0, work.nbytes, work.xfer
             ):
                 yield from _charge(ctx, chunk)
-                yield from array.read_nb(eq, index * work.xfer, chunk)
-            _reap((yield from eq.drain()))
+                offset = index * work.xfer
+                yield from eq.submit(
+                    array.read(offset, chunk), name=f"array.read@{offset}"
+                )
+            daos.reap((yield from eq.drain()))
     finally:
         array.close()
     return work.qos_bytes
@@ -120,11 +118,11 @@ def _kv_burst(ctx: TenantIoContext, eq, work: KvBurstWork) -> Generator:
         ctx.key_seq += 1
     for key in keys:
         yield from _charge(ctx, work.value_bytes)
-        yield from ctx.kv.put_nb(eq, key, value)
-    _reap((yield from eq.drain()))
+        yield from eq.submit(ctx.kv.put(key, value), name=f"kv.put:{key}")
+    daos.reap((yield from eq.drain()))
     for key in keys:
-        yield from ctx.kv.get_nb(eq, key)
-    _reap((yield from eq.drain()))
+        yield from eq.submit(ctx.kv.get(key), name=f"kv.get:{key}")
+    daos.reap((yield from eq.drain()))
     return work.qos_bytes
 
 
@@ -143,5 +141,5 @@ def _meta_storm(ctx: TenantIoContext, eq, work: MetaStormWork) -> Generator:
     for i in range(work.n_ops):
         yield from _charge(ctx, META_OP_BYTES)
         yield from eq.submit(create_one(i), name=f"meta.create:{i}")
-    _reap((yield from eq.drain()))
+    daos.reap((yield from eq.drain()))
     return work.qos_bytes

@@ -81,6 +81,27 @@ def test_unlink_rename(cluster, mount):
     assert cluster.run(go()) == "ENOENT"
 
 
+def test_rmdir_and_the_errnos_it_translates(cluster, mount):
+    def errno_of(op):
+        try:
+            yield from op
+        except FsError as err:
+            return err.errno_name
+
+    def go():
+        yield from mount.mkdir("/rd")
+        f = yield from mount.open("/rd/x", ("w", "creat"))
+        yield from f.close()
+        non_empty = yield from errno_of(mount.rmdir("/rd"))
+        yield from mount.unlink("/rd/x")
+        yield from mount.rmdir("/rd")
+        missing = yield from errno_of(mount.rmdir("/rd"))
+        names = yield from mount.readdir("/")
+        return non_empty, missing, "rd" in names
+
+    assert cluster.run(go()) == ("EEXIST", "ENOENT", False)
+
+
 def test_large_write_segmented_into_fuse_requests(cluster, mount):
     # Aligned 4 MiB write -> 4 requests; unaligned 4 MiB write -> 5.
     def timed(offset):

@@ -9,7 +9,7 @@ Every run already asserts the full Raft safety set inside
 
 import pytest
 
-from repro.faults import FaultSchedule, check_raft_safety
+from repro.faults import DelayLink, FaultSchedule, check_raft_safety
 
 from tests.faults.harness import (
     _PAYLOAD,
@@ -66,6 +66,41 @@ def test_random_chaos_kv_no_acknowledged_loss(chaos_seed):
     # replicas live, exactly the invariant-checked summary reported.
     assert run.summary["live"] == 3
     assert b"arm schedule" in run.trace_bytes
+
+
+def test_delay_link_slows_one_path_until_cleared():
+    """DelayLink adds one-way latency between two nodes; extra=0 clears."""
+    from repro.cluster import small_cluster
+
+    cluster = small_cluster(server_nodes=2, client_nodes=1)
+    sim = cluster.sim
+    me = cluster.clients[0].name
+    schedule = FaultSchedule()
+    for server in cluster.servers:
+        schedule.at(1.0, DelayLink(me, server.name, 1e-3))
+        schedule.at(2.0, DelayLink(me, server.name, 0.0))
+    armed_at = sim.now
+    injector = cluster.inject(schedule)
+    client = cluster.new_client(0)
+
+    def go():
+        pool = yield from client.connect_pool("tank")
+        cont = yield from pool.create_container("slow", oclass="S1")
+        oid = yield from cont.alloc_oid()
+        obj = cont.open_object(oid)
+        seconds = []
+        for at in (0.5, 1.5, 2.5):  # before, inside, after the window
+            yield armed_at + at - sim.now
+            start = sim.now
+            yield from obj.put(b"k", b"a", b"v")
+            seconds.append(sim.now - start)
+        obj.close()
+        return seconds
+
+    before, during, after = cluster.run(go())
+    assert during == pytest.approx(before + 2e-3)  # request + reply
+    assert after == before
+    assert injector.trace.as_bytes().count(b"inject DelayLink") == 4
 
 
 def test_random_schedule_is_liveness_safe():

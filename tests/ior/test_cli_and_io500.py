@@ -53,6 +53,14 @@ def test_cli_end_to_end_lustre(capsys):
     assert "Max Write" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("system", [[], ["--lustre"]], ids=["daos", "lustre"])
+def test_cli_read_only_writes_its_input_first(system, capsys):
+    code = main(["-a", "POSIX", "-r", "-b", "1m", "-t", "256k", "-R",
+                 "-N", "1", "--ppn", "2", "--servers", "2"] + system)
+    assert code == 0
+    assert "Max Read" in capsys.readouterr().out
+
+
 def test_cli_lustre_rejects_daos_apis():
     with pytest.raises(SystemExit):
         main(["-a", "DFS", "--lustre", "-N", "1", "--servers", "2"])

@@ -130,19 +130,22 @@ def test_native_dfs_driver(cluster, cont_label, world):
 
 
 def test_set_size_and_get_size(cluster, cont_label, world):
+    # both ROMIO drivers implement the whole Driver interface
     def main(ctx):
-        mount, _dfs = yield from make_rank_mount(cluster, cont_label, ctx)
-        driver = UfsDriver(mount)
-        fh = yield from MpiFile.open(
-            ctx, f"/szf-{ctx.rank}", driver, create=True
-        )
-        yield from fh.write_at(0, b"q" * 1000)
-        yield from fh.set_size(100)
-        size = yield from fh.get_size()
-        yield from fh.close()
-        return size
+        mount, dfs = yield from make_rank_mount(cluster, cont_label, ctx)
+        sizes = []
+        for tag, driver in (("ufs", UfsDriver(mount)), ("dfs", DfsDriver(dfs))):
+            fh = yield from MpiFile.open(
+                ctx, f"/szf-{tag}-{ctx.rank}", driver, create=True
+            )
+            yield from fh.write_at(0, b"q" * 1000)
+            yield from fh.sync()
+            yield from fh.set_size(100)
+            sizes.append((yield from fh.get_size()))
+            yield from fh.close()
+        return sizes
 
-    assert run_world(cluster, world, main) == [100] * 4
+    assert run_world(cluster, world, main) == [[100, 100]] * 4
 
 
 def test_ops_on_closed_file_raise(cluster, cont_label, world):

@@ -44,6 +44,20 @@ BAD_INPUT = [
     ("fdb", ["--params", "0"], "--params"),
     ("fdb", ["--backend", "lustre", "--index", "kv"], "no KV index"),
     ("fdb", _FDB + ["--timeline-interval", "-1"], "--timeline-interval"),
+    ("ior", _IOR + ["-O", "chunk_size=0"], "chunk_size must be positive"),
+    ("ior", _IOR + ["-O", "oclass=EC_2P1GX", "-O", "chunk_size=3"],
+     "not divisible"),
+    ("tenants", _TENANTS + ["--oclass", "nope"], "unknown object class"),
+    ("fdb", _FDB + ["--oclass", "nope"], "unknown object class"),
+    # an artifact that cannot be written is refused before the run
+    ("ior", _IOR + ["--trace-out", "/no/such/dir/t.json"], "not a writable"),
+    ("ior", _IOR + ["--metrics-out", "/no/such/dir/m.json"],
+     "not a writable"),
+    ("ior", _IOR + ["--timeline-out", "/no/such/dir/tl.json"],
+     "not a writable"),
+    ("tenants", _TENANTS + ["--report-out", "/no/such/dir/r.json"],
+     "not a writable"),
+    ("fdb", _FDB + ["--report-out", "/no/such/dir/r.json"], "not a writable"),
 ]
 
 

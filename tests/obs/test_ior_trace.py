@@ -28,7 +28,9 @@ def traced_run():
 
 def _descendants(tracer, root):
     """All spans transitively below ``root``."""
-    children = tracer.children_index()
+    children = {}
+    for span in tracer.spans:
+        children.setdefault(span.parent_id, []).append(span)
     out, frontier = [], [root.span_id]
     while frontier:
         batch = children.get(frontier.pop(), [])

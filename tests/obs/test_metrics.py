@@ -1,4 +1,4 @@
-"""Metrics registry: gauge, histogram and reservoir semantics."""
+"""Metrics registry: gauge and histogram semantics."""
 
 import json
 import math
@@ -10,11 +10,11 @@ from repro.obs.metrics import (
     QUANTILES,
     Histogram,
     MetricsRegistry,
-    RESERVOIR_CAP,
     exact_quantile,
     latency_stats,
     write_metrics,
 )
+from repro.obs.validate import validate_metrics_snapshot
 
 
 class _Clock:
@@ -93,30 +93,6 @@ def test_histogram_single_value_quantiles_are_exact():
         assert h.quantile(q) == pytest.approx(0.25)
 
 
-# -------------------------------------------------------------- reservoirs
-def test_reservoir_is_bounded_with_exact_running_mean():
-    reg = MetricsRegistry(_Clock())
-    r = reg.reservoir("samples")
-    n = RESERVOIR_CAP * 4
-    for i in range(n):
-        r.add(float(i))
-    assert len(r.values) == RESERVOIR_CAP
-    assert r.count == n
-    assert r.mean == pytest.approx((n - 1) / 2.0)  # exact despite eviction
-    assert all(0 <= v < n for v in r.values)
-
-
-def test_reservoir_eviction_is_seed_deterministic():
-    def fill(seed):
-        r = MetricsRegistry(_Clock(), seed=seed).reservoir("s")
-        for i in range(RESERVOIR_CAP * 3):
-            r.add(float(i))
-        return list(r.values)
-
-    assert fill(1) == fill(1)
-    assert fill(1) != fill(2)
-
-
 # ------------------------------------------------------------------ export
 def test_snapshot_is_json_serialisable_and_complete():
     clock = _Clock()
@@ -124,7 +100,6 @@ def test_snapshot_is_json_serialisable_and_complete():
     reg.incr("fabric.msgs.delivered", 3)
     reg.set_gauge("engine.e0.t0.inflight", 2.0)
     reg.observe("ior.write.latency", 0.004)
-    reg.reservoir("r").add(1.5)
     clock.now = 1.0
     snap = json.loads(json.dumps(reg.snapshot()))
     assert snap["sim_time"] == 1.0
@@ -132,7 +107,11 @@ def test_snapshot_is_json_serialisable_and_complete():
     assert snap["gauges"]["engine.e0.t0.inflight"]["value"] == 2.0
     hist = snap["histograms"]["ior.write.latency"]
     assert hist["count"] == 1 and hist["p50"] == pytest.approx(0.004)
-    assert snap["reservoirs"]["r"]["values"] == [1.5]
+    assert "reservoirs" not in snap
+    # the schema check takes it with or without an older dump's section
+    assert validate_metrics_snapshot(snap) == []
+    assert validate_metrics_snapshot({**snap, "reservoirs": {}}) == []
+    assert validate_metrics_snapshot({**snap, "reservoirs": {"a=b": {}}})
 
 
 def test_prometheus_exposition_format():

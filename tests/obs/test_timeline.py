@@ -215,42 +215,6 @@ def test_window_quantile_series_match_per_window_observations():
     assert count.value_at(0.1 * len(per_window)) == 1.0
 
 
-def test_sliding_quantile_merges_recent_windows():
-    sim = _observed_sim(interval=0.1)
-    reg = sim.metrics
-    values = [[0.001, 0.002], [0.064], [0.008, 0.032]]
-
-    def work():
-        for window in values:
-            yield 0.02
-            for v in window:
-                reg.observe("lat", v)
-            yield 0.08
-        yield 0.15  # keep the heap alive past the last window's tick
-
-    sim.run_until_complete(sim.spawn(work(), "work"))
-    scraper = sim.timeline
-    flat = [v for w in values for v in w]
-    brute = Histogram("merged")
-    for v in flat:
-        brute.observe(v)
-    merged = scraper.sliding_quantile("lat", 0.95, nwindows=len(values) + 2)
-    assert merged == pytest.approx(
-        bucket_quantile(brute.buckets, brute.count, 0.95)
-    )
-    # a short slide only sees the newest windows (the trailing window is
-    # empty, so 2 windows back reaches exactly the last observed one)
-    last = Histogram("last")
-    for v in values[-1]:
-        last.observe(v)
-    assert scraper.sliding_quantile("lat", 0.95, nwindows=2) == pytest.approx(
-        bucket_quantile(last.buckets, last.count, 0.95)
-    )
-    # the trailing empty window alone has no samples to estimate from
-    assert scraper.sliding_quantile("lat", 0.95, nwindows=1) is None
-    assert scraper.sliding_quantile("unknown", 0.5) is None
-
-
 # ------------------------------------------------------------ park/revive
 def test_deadlock_error_survives_an_installed_scraper():
     """A recurring scraper tick must not keep the heap alive forever and

@@ -7,7 +7,7 @@ import pytest
 from repro.cluster import small_cluster
 from repro.daos.oclass import S1
 from repro.obs import chrome_trace, install, validate_chrome_trace
-from repro.obs.tracer import NULL_TRACER, Tracer, tracer_of
+from repro.obs.tracer import NOOP_SPAN, Tracer, span_of
 from repro.sim.core import Simulator
 
 
@@ -111,17 +111,17 @@ def test_spans_nest_across_client_engine_round_trip():
 def test_disabled_tracer_records_nothing():
     sim = Simulator()
     assert sim.tracer is None
-    tracer = tracer_of(sim)
-    assert tracer is NULL_TRACER
+    handle = span_of(sim, "x", "client", "n0", nbytes=1)
+    assert handle is NOOP_SPAN
+    with handle as span:
+        assert span is None
+    assert sim.tracer is None
 
-    with tracer.span("x", "client"):
-        pass
-    tracer.begin("y", "client")
-    tracer.end(None)
-    tracer.instant("z", "faults")
-    tracer.event("w", "fabric", None, 0.0, 1.0)
-    assert len(tracer) == 0
-    assert tracer.current_span_id() is None
+    tracer, _ = install(sim, metrics=False)
+    with span_of(sim, "x", "client", "n0", nbytes=1) as span:
+        assert (span.name, span.layer, span.node) == ("x", "client", "n0")
+        assert span.attrs == {"nbytes": 1}
+    assert tracer.spans == [span]
 
 
 def test_untraced_cluster_adds_zero_events():
@@ -138,7 +138,6 @@ def test_untraced_cluster_adds_zero_events():
 
     cluster.run(workload())
     assert cluster.sim.tracer is None
-    assert len(tracer_of(cluster.sim)) == 0
 
 
 # ------------------------------------------------------------- chrome export

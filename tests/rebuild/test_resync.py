@@ -7,6 +7,8 @@ afterwards is byte-identical to a run that never saw a failure, even
 when reads are forced through the previously-failed target.
 """
 
+import random
+
 import pytest
 
 from repro.cluster import small_cluster
@@ -20,10 +22,11 @@ DELTA = PatternPayload(seed=2, origin=MiB, nbytes=MiB)
 EXPECTED = BASE.materialize()[:MiB] + DELTA.materialize()
 
 
-def _array_scenario(oclass_name, fail=True, seed=7, read_through_victim=False):
-    """Write 2 MiB, (optionally) exclude the group's first target, rewrite
-    the second MiB during the window, reintegrate, drain the rebuild and
-    read everything back. Returns (bytes, statuses)."""
+def _array_scenario(oclass_name, fail=True, seed=7, read_through_victim=False,
+                    victim=0, delta=DELTA):
+    """Write 2 MiB, (optionally) exclude the group's ``victim`` slot,
+    rewrite the second MiB during the window, reintegrate, drain the
+    rebuild and read everything back. Returns (bytes, statuses)."""
     cluster = small_cluster(server_nodes=2, client_nodes=1,
                             targets_per_engine=2, seed=seed)
     client = cluster.new_client(0)
@@ -37,17 +40,18 @@ def _array_scenario(oclass_name, fail=True, seed=7, read_through_victim=False):
         group = obj.layout.targets_for_dkey(0)
         uuid = pool.pool_map.uuid
         if fail:
-            yield from cluster.daos.exclude_target(uuid, group[0])
+            yield from cluster.daos.exclude_target(uuid, group[victim])
             yield from pool.refresh_map()
-        yield from obj.write(MiB, DELTA, chunk_size=MiB)
+        yield from obj.write(MiB, delta, chunk_size=MiB)
         if fail:
-            yield from cluster.daos.reintegrate_target(uuid, group[0])
+            yield from cluster.daos.reintegrate_target(uuid, group[victim])
             yield from cluster.daos.wait_rebuild(uuid)
             yield from pool.refresh_map()
         if read_through_victim:
             # force reads off the rebuilt target: lose every *other*
             # group member the redundancy scheme can spare
-            spares = group[1:] if oclass_name.startswith("RP") else [group[1]]
+            others = group[victim + 1:] + group[:victim]
+            spares = others if oclass_name.startswith("RP") else others[:1]
             for other in spares:
                 yield from cluster.daos.exclude_target(uuid, other)
             yield from pool.refresh_map()
@@ -75,6 +79,58 @@ def test_rebuilt_target_serves_window_writes(oclass_name):
     healed, _ = _array_scenario(oclass_name, fail=True,
                                 read_through_victim=True)
     assert healed == EXPECTED
+
+
+def test_rebuilt_parity_cell_serves_degraded_reads():
+    """Every case above rebuilds a data cell. Lose the *parity* slot of
+    an EC_2P1G1 group through the window instead: the resync recomputes
+    parity from the data cells, and a degraded read that then loses a
+    data slot decodes byte-identical data from it."""
+    # pattern payloads are XOR-linear in (seed, offset), which makes a
+    # stale parity cell decode correctly; real bytes do not
+    delta = random.Random(2).randbytes(MiB)
+    healed, statuses = _array_scenario(
+        "EC_2P1G1", fail=True, read_through_victim=True, victim=2,
+        delta=delta,
+    )
+    assert healed == BASE.materialize()[:MiB] + delta
+    assert len(statuses) == 1  # only the data slot excluded for the read
+
+
+def test_re_excluding_a_rebuilding_target_cancels_its_resync():
+    cluster = small_cluster(server_nodes=2, client_nodes=1,
+                            targets_per_engine=2, seed=19)
+    cluster.daos.rebuild.throttle.fraction = 0.05  # a long migration
+    client = cluster.new_client(0)
+
+    def go():
+        pool = yield from client.connect_pool("tank")
+        cont = yield from pool.create_container("cancel", oclass="RP_2G1")
+        oid = yield from cont.alloc_oid(oclass_by_name("RP_2G1"))
+        obj = cont.open_object(oid)
+        victim = obj.layout.targets_for_dkey(0)[0]
+        uuid = pool.pool_map.uuid
+        yield from cluster.daos.exclude_target(uuid, victim)
+        yield from pool.refresh_map()
+        yield from obj.write(
+            0, PatternPayload(seed=3, origin=0, nbytes=32 * MiB),
+            chunk_size=MiB,
+        )
+        yield from cluster.daos.reintegrate_target(uuid, victim)
+        (job,) = cluster.daos.rebuild.jobs
+        while job.status != "migrating":
+            yield 1e-4
+        yield from cluster.daos.exclude_target(uuid, victim)  # fails again
+        query = yield from cluster.daos.wait_rebuild(uuid)  # must return
+        yield from pool.refresh_map()
+        obj.close()
+        return job, query, pool.pool_map.state_of(victim)
+
+    job, query, state = cluster.run(go())
+    assert job.cancelled and job.status == "cancelled"
+    assert job.bytes_moved < job.bytes_total
+    assert state == "DOWN"  # never flipped UP
+    assert query["rebuild"]["jobs_active"] == 0
 
 
 def test_kv_resync_carries_updates_and_tombstones():

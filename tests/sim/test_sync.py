@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim import Condition, Gate, Lock, Queue, Semaphore, Simulator
-from repro.sim.sync import all_of
 
 
 def test_gate_delivers_value_to_all_waiters():
@@ -92,15 +91,6 @@ def test_queue_blocks_until_put():
     sim.schedule(3.0, queue.put, "late")
     sim.run()
     assert task.result == ("late", 3.0)
-
-
-def test_queue_try_get():
-    sim = Simulator()
-    queue = Queue(sim)
-    assert queue.try_get() == (False, None)
-    queue.put("a")
-    assert queue.try_get() == (True, "a")
-    assert len(queue) == 0
 
 
 def test_semaphore_limits_concurrency():
@@ -198,23 +188,6 @@ def test_lock_is_binary():
     sim = Simulator()
     lock = Lock(sim)
     assert lock.available == 1
-
-
-def test_all_of_collects_results_in_order():
-    sim = Simulator()
-
-    def worker(i):
-        yield float(3 - i)
-        return i * 10
-
-    def parent():
-        tasks = [sim.spawn(worker(i)) for i in range(3)]
-        results = yield from all_of(sim, tasks)
-        return results
-
-    task = sim.spawn(parent())
-    sim.run()
-    assert task.result == [0, 10, 20]
 
 
 def test_rng_streams_independent_and_reproducible():

@@ -62,14 +62,12 @@ def test_lustre_cluster_carries_and_uses_its_seed():
     lustre = build_lustre_cluster(server_nodes=2, client_nodes=1, seed=7)
     daos = build_cluster(server_nodes=2, client_nodes=1, seed=7)
     assert lustre.rng.seed == daos.rng.seed == 7
-    lustre.observe(tracing=False)
-    daos.observe(tracing=False)
     default = build_lustre_cluster(server_nodes=2, client_nodes=1)
-    default.observe(tracing=False)
-    # one observe(): the registry's private stream family derives from
-    # the cluster seed on either system (it was a constant on Lustre)
-    assert lustre.sim.metrics._rng.seed == daos.sim.metrics._rng.seed
-    assert lustre.sim.metrics._rng.seed != default.sim.metrics._rng.seed
+    assert default.rng.seed != 7
+    # one observe() on either system
+    for cluster in (lustre, daos):
+        _tracer, registry = cluster.observe(tracing=False)
+        assert registry is cluster.sim.metrics
 
 
 def test_build_system_is_the_daos_or_lustre_switch():
