@@ -1,9 +1,11 @@
 """Call census of ``src/repro`` (``make census``): tier-1 in-process under
 ``sys.setprofile``, then the drives below (every CLI mode, the e2e workloads at
 check scale, the figure and flow scripts, the examples). Lists each function
-nothing called (NEVER) or only tests called (TESTONLY); exits 1 on a NEVER one
-that is neither a dunder nor a stub (a body that only documents or raises)."""
+nothing called (NEVER) or only tests called (TESTONLY), then the TESTONLY totals
+per top-level package; exits 1 on a NEVER one that is neither a dunder nor a
+stub (a body that only documents or raises)."""
 import ast
+import collections
 import importlib
 import os
 import pathlib
@@ -62,6 +64,7 @@ def main():
     sys.setprofile(None)
     sys.stdout = sys.__stdout__
     orphans = 0
+    functions, lines_of = collections.Counter(), collections.Counter()  # TESTONLY
     for path in sorted(pathlib.Path(PKG).rglob("*.py")):
         tree = ast.parse(path.read_text())
         for node in (n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)):
@@ -71,8 +74,16 @@ def main():
                 isinstance(s, (ast.Expr, ast.Pass, ast.Raise)) for s in node.body)
             if (str(path), first) not in driven:
                 orphans += not exempt
+                lines = node.end_lineno - first + 1
                 print(f"{kind if exempt else 'NO CALLER':9} {path.relative_to(ROOT)}:"
-                      f"{first} {node.name} ({node.end_lineno - first + 1} lines)")
+                      f"{first} {node.name} ({lines} lines)")
+                if kind == "TESTONLY":
+                    package = path.relative_to(PKG).parts[0].removesuffix(".py")
+                    functions[package] += 1
+                    lines_of[package] += lines
+    print(f"TESTONLY total: {functions.total()} functions, {lines_of.total()} lines ("
+          + ", ".join(f"{package} {n}/{lines_of[package]}"
+                      for package, n in sorted(functions.items())) + ")")
     return 1 if orphans else 0
 
 

@@ -3,8 +3,8 @@
 Layers (bottom-up):
 
 - :mod:`repro.daos.vos` — the Versioned Object Store kept by each target:
-  B+-tree key indices, byte-granular extent trees, epoch ordering,
-  capacity accounting.
+  one sorted ``(dkey, akey)`` index per object, byte-granular extent
+  trees, epoch ordering, capacity accounting.
 - :mod:`repro.daos.oclass` / :mod:`repro.daos.objid` /
   :mod:`repro.daos.placement` — object classes (S1…SX, RP_*), 128-bit
   object ids with embedded class, and deterministic algorithmic placement

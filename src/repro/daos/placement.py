@@ -1,13 +1,13 @@
 """Algorithmic placement: OID → ordered list of target ids.
 
 DAOS computes object layouts with a pseudo-random algorithmic map over
-the pool map (jump consistent hashing in recent versions, ring placement
-before that) so that *every* client derives the same layout with no
-metadata traffic. We reproduce that property: the layout is a
-deterministic pseudo-random selection of ``shard_count`` distinct
-targets seeded by the OID, and dkeys are routed to layout groups by a
-stable hash — so chunk *i* of a DFS file always lands on the same target
-no matter which client touches it.
+the pool map so that *every* client derives the same layout with no
+metadata traffic. We reproduce that property, not its algorithm: the
+layout is ``shard_count`` distinct targets picked by a double-hashing
+probe sequence seeded by the OID (:meth:`PlacementMap.layout`; the same
+sequence continued yields the spares for DOWNOUT members), and dkeys are
+routed to layout groups by a stable hash — so chunk *i* of a DFS file
+always lands on the same target no matter which client touches it.
 
 Randomness quality matters here: S1 "hotspots" in Figure 1 are a
 balls-into-bins effect of this very map.
@@ -29,19 +29,6 @@ def _mix64(value: int) -> int:
     value = (value ^ (value >> 30)) * 0xBF58476D1CE4E5B9 & 0xFFFFFFFFFFFFFFFF
     value = (value ^ (value >> 27)) * 0x94D049BB133111EB & 0xFFFFFFFFFFFFFFFF
     return value ^ (value >> 31)
-
-
-def jump_hash(key: int, buckets: int) -> int:
-    """Lamping & Veach jump consistent hash: key → [0, buckets)."""
-    if buckets <= 0:
-        raise DerInval("jump_hash needs buckets > 0")
-    b, j = -1, 0
-    key &= 0xFFFFFFFFFFFFFFFF
-    while j < buckets:
-        b = j
-        key = (key * 2862933555777941757 + 1) & 0xFFFFFFFFFFFFFFFF
-        j = int((b + 1) * (float(1 << 31) / float((key >> 33) + 1)))
-    return b
 
 
 def dkey_hash(dkey) -> int:

@@ -1,9 +1,10 @@
 """VOS — the Versioned Object Store held by every DAOS target.
 
 Mirrors the real VOS hierarchy: pool shard → container shard → object →
-dkey B+-tree → akey B+-tree → single value (with epoch history) or byte
-extent tree. Payloads can be real bytes or lazily-generated patterns so
-that TiB-scale benchmarks never materialize their data.
+dkey → akey → single value (with epoch history) or byte extent tree,
+with the two key levels held as one sorted ``(dkey, akey)`` list per
+object. Payloads can be real bytes or lazily-generated patterns so that
+TiB-scale benchmarks never materialize their data.
 """
 
 from repro.daos.vos.payload import (
@@ -14,9 +15,8 @@ from repro.daos.vos.payload import (
     as_payload,
     concat_payloads,
 )
-from repro.daos.vos.btree import BPlusTree
 from repro.daos.vos.extent import Extent, ExtentTree
-from repro.daos.vos.container import TOMBSTONE, EpochClock, VosContainer, VosObject
+from repro.daos.vos.container import TOMBSTONE, EpochClock, VosContainer
 from repro.daos.vos.pool import VosPool
 
 __all__ = [
@@ -28,10 +28,8 @@ __all__ = [
     "ZeroPayload",
     "as_payload",
     "concat_payloads",
-    "BPlusTree",
     "Extent",
     "ExtentTree",
     "VosContainer",
-    "VosObject",
     "VosPool",
 ]

@@ -1,9 +1,16 @@
-"""VOS container shard: object table → dkey tree → akey tree → values.
+"""VOS container shard: object table → sorted ``(dkey, akey)`` index → values.
 
 One :class:`VosContainer` instance exists per (container, target) pair —
 a *shard* of the container. The object layer routes each dkey to exactly
 one target (per the object's layout), so a shard holds a disjoint subset
 of every object's dkeys.
+
+Each object is one ordered index: a sorted list of ``(dkey, akey)`` keys
+and a parallel list of their values, searched with :mod:`bisect`. Every
+shipped writer puts one akey under a dkey, so a tree per level bought
+nothing; two flat lists are the smallest thing that keeps key order,
+and unlike a leaf chain they can be read from the end (see
+:meth:`VosContainer.dkey_array_sizes`).
 
 Values under an akey are either *single values* (with full epoch
 history, enabling snapshot reads of metadata — how the real VOS keeps
@@ -13,14 +20,19 @@ only).
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
+from itertools import groupby
+from operator import itemgetter
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from repro.daos.vos.btree import BPlusTree
 from repro.daos.vos.extent import ExtentTree
 from repro.daos.vos.payload import Payload, ZeroPayload
 from repro.errors import DerExist, DerInval, DerNonexist
 
 _TOMBSTONE = object()
+_EPOCH = _DKEY = itemgetter(0)  # of a history entry, of an index key
+#: the index of an object this shard does not hold
+_NO_INDEX: Tuple[List, List] = ([], [])
 
 #: public alias for the rebuild engine, which replays KV history (including
 #: punches) onto a returning shard and therefore needs to name the sentinel.
@@ -64,20 +76,8 @@ class SingleValue:
     def update(self, epoch: int, value: Any) -> None:
         # Keep the history epoch-sorted: rebuild replays values at their
         # original epochs, which may interleave with epochs of writes that
-        # landed on this shard while the resync was in flight. Appending is
-        # the overwhelmingly common case (live writes use a fresh epoch).
-        history = self.history
-        if not history or epoch >= history[-1][0]:
-            history.append((epoch, value))
-            return
-        lo, hi = 0, len(history)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if history[mid][0] <= epoch:
-                lo = mid + 1
-            else:
-                hi = mid
-        history.insert(lo, (epoch, value))
+        # landed on this shard while the resync was in flight.
+        insort(self.history, (epoch, value), key=_EPOCH)
 
     def fetch(self, epoch: Optional[int] = None) -> Any:
         for written_epoch, value in reversed(self.history):
@@ -89,23 +89,14 @@ class SingleValue:
         self.history.append((epoch, _TOMBSTONE))
 
 
-class VosObject:
-    """One object's shard: dkey B+-tree of akey B+-trees."""
-
-    __slots__ = ("oid", "dkeys")
-
-    def __init__(self, oid: Any):
-        self.oid = oid
-        self.dkeys = BPlusTree()
-
-
 class VosContainer:
     """A container shard on one target."""
 
     def __init__(self, uuid: str, pool: "object" = None, clock: Optional[EpochClock] = None):
         self.uuid = uuid
         self.pool = pool  # VosPool shard, for capacity accounting
-        self.objects: Dict[Any, VosObject] = {}
+        #: oid -> (sorted ``(dkey, akey)`` keys, their values in step)
+        self.objects: Dict[Any, Tuple[List[Tuple[Any, Any]], List[Any]]] = {}
         if clock is None:
             clock = getattr(pool, "clock", None)
         # standalone shards (unit tests) fall back to a private clock
@@ -136,40 +127,41 @@ class VosContainer:
         value is ``None``. An akey holding the other kind is the
         caller's error on every path: ``DerInval``.
         """
-        obj = self.objects.get(oid)
-        if obj is None:
+        index = self.objects.get(oid)
+        if index is None:
             if not create:
                 return None
-            obj = self.objects[oid] = VosObject(oid)
-        akeys = obj.dkeys.get(dkey)
-        if akeys is None:
+            index = self.objects[oid] = ([], [])
+        keys, values = index
+        key = (dkey, akey)
+        at = bisect_left(keys, key)
+        if at == len(keys) or keys[at] != key:
             if not create:
                 return None
-            akeys = BPlusTree()
-            obj.dkeys.insert(dkey, akeys)
-        held = akeys.get(akey)
-        if held is None:
-            if create:
-                held = kind()
-                akeys.insert(akey, held)
-        elif not isinstance(held, kind):
+            keys.insert(at, key)
+            values.insert(at, kind())
+        elif not isinstance(values[at], kind):
             raise DerInval(
                 f"akey {akey!r} holds "
                 + ("an array value" if kind is SingleValue else "a single value")
             )
-        return held
+        return values[at]
+
+    def _under(self, oid: Any, dkey: Any = None):
+        """``(keys, values, positions)``: where ``oid``'s index holds
+        ``dkey`` — the whole index when ``dkey`` is ``None``."""
+        keys, values = self.objects.get(oid, _NO_INDEX)
+        if dkey is None:
+            return keys, values, range(len(keys))
+        return keys, values, range(bisect_left(keys, dkey, key=_DKEY),
+                                   bisect_right(keys, dkey, key=_DKEY))
 
     def walk(self, oid: Any, dkey: Any = None) -> Iterator[Tuple[Any, Any, Any]]:
         """``(dkey, akey, value)`` for everything held under ``oid`` (or
         under one of its dkeys), in key order."""
-        obj = self.objects.get(oid)
-        if obj is None:
-            return
-        for held_dkey, akeys in obj.dkeys.items(dkey):  # from dkey onwards
-            if dkey is not None and held_dkey != dkey:
-                break
-            for akey, held in akeys.items():
-                yield held_dkey, akey, held
+        keys, values, span = self._under(oid, dkey)
+        for at in span:
+            yield (*keys[at], values[at])
 
     def _charge(self, delta: int) -> None:
         if self.pool is not None:
@@ -235,16 +227,28 @@ class VosContainer:
 
     # ------------------------------------------------------------- enumeration / punch
     def list_dkeys(self, oid: Any, lo: Any = None, hi: Any = None) -> Iterator[Any]:
-        obj = self.objects.get(oid)
-        if obj is None:
-            return iter(())
-        return obj.dkeys.keys(lo, hi)
+        """Distinct dkeys with ``lo <= dkey < hi`` in order; a missing
+        bound is open."""
+        keys, _values = self.objects.get(oid, _NO_INDEX)
+        start = 0 if lo is None else bisect_left(keys, lo, key=_DKEY)
+        stop = len(keys) if hi is None else bisect_left(keys, hi, key=_DKEY)
+        return (dkey for dkey, _akeys
+                in groupby(keys[at][0] for at in range(start, stop)))
 
     def dkey_array_sizes(self, oid: Any, akey: Any) -> Iterator[Tuple[Any, int]]:
-        """(dkey, extent-tree size) for every dkey holding ``akey`` arrays."""
-        for dkey, held_akey, held in self.walk(oid):
-            if held_akey == akey and isinstance(held, ExtentTree) and len(held):
-                yield dkey, held.size
+        """``(dkey, extent-tree size)`` of the highest dkey holding a
+        non-empty ``akey`` array — at most one pair.
+
+        That pair alone decides the object's size: a chunk (or EC cell)
+        is at most one chunk long, so for non-empty chunks ``i < j``,
+        ``i*cs + size_i <= (i+1)*cs <= j*cs < j*cs + size_j``.
+        """
+        keys, values = self.objects.get(oid, _NO_INDEX)
+        for at in reversed(range(len(keys))):
+            held = values[at]
+            if keys[at][1] == akey and isinstance(held, ExtentTree) and len(held):
+                yield keys[at][0], held.size
+                return
 
     def _uncharge(self, oid: Any, dkey: Any = None) -> None:
         """Hand back the array bytes a punch is about to drop."""
@@ -254,8 +258,9 @@ class VosContainer:
 
     def punch_dkey(self, oid: Any, dkey: Any) -> bool:
         self._uncharge(oid, dkey)
-        obj = self.objects.get(oid)
-        return obj is not None and obj.dkeys.delete(dkey)
+        keys, values, span = self._under(oid, dkey)
+        del keys[span.start:span.stop], values[span.start:span.stop]
+        return len(span) > 0
 
     def punch_object(self, oid: Any) -> bool:
         self._uncharge(oid)

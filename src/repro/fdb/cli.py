@@ -26,6 +26,7 @@ from repro.obs.cli import (
     artifact_path,
     observe,
     positive_int,
+    positive_size,
     settings,
     timeline_store,
     write_artifacts,
@@ -62,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "backends, tree for file-per-field)")
     store.add_argument("--oclass", default="SX",
                        help="object class for data objects (default SX)")
-    store.add_argument("--chunk-size", type=parse_size, default=MiB,
+    store.add_argument("--chunk-size", type=positive_size, default=MiB,
                        metavar="SIZE",
                        help="array/file chunk size (default 1m)")
     pipe = parser.add_argument_group("pipeline")

@@ -4,8 +4,8 @@ A field is addressed by five axes — ``param/level/step/member/date`` —
 exactly the request language ECMWF's MARS/FDB speak ("all steps of t2m
 at level 500 from Monday's run"). The canonical string form zero-pads
 the numeric axes so lexicographic key order equals semantic order,
-which is what makes prefix scans over the KV index return whole
-subtrees in one ordered range:
+which is what makes prefix scans over the KV index return a whole
+branch of the key space in one ordered range:
 
     t2m/0500/012/001/20200101
     ^^^ ^^^^ ^^^ ^^^ ^^^^^^^^

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -19,6 +20,7 @@ from repro.obs.chrome import write_chrome_trace
 from repro.obs.metrics import write_metrics
 from repro.obs.slo import parse_slo
 from repro.obs.timeline import write_timeline
+from repro.units import parse_size
 
 
 def positive_int(text: str) -> int:
@@ -30,9 +32,18 @@ def positive_int(text: str) -> int:
 
 
 def positive_float(text: str) -> float:
-    """argparse ``type=`` for intervals: a number > 0."""
+    """argparse ``type=`` for rates and durations: a finite number > 0."""
     value = float(text)
-    if not value > 0:
+    if not 0 < value < math.inf:  # also false for nan
+        raise argparse.ArgumentTypeError(
+            f"must be positive and finite, got {text}")
+    return value
+
+
+def positive_size(text: str) -> int:
+    """argparse ``type=`` for byte counts ("64k", "1m"): at least 1."""
+    value = parse_size(text)
+    if value < 1:
         raise argparse.ArgumentTypeError(f"must be positive, got {text}")
     return value
 

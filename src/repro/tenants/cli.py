@@ -23,6 +23,7 @@ from repro.obs.cli import (
     add_arguments,
     artifact_path,
     observe,
+    positive_float,
     positive_int,
     timeline_store,
     write_artifacts,
@@ -57,11 +58,11 @@ def build_parser() -> argparse.ArgumentParser:
     fleet = parser.add_argument_group("fleet")
     fleet.add_argument("--tenants", type=positive_int, default=16,
                        help="tenant count (default 16)")
-    fleet.add_argument("--rate", type=float, default=2.0,
+    fleet.add_argument("--rate", type=positive_float, default=2.0,
                        help="per-tenant arrival rate, jobs/s (default 2)")
     fleet.add_argument("--mix", choices=sorted(MIXES), default="default",
                        help="workload mix (default: bulk/kv/meta blend)")
-    fleet.add_argument("--duration", type=float, default=20.0,
+    fleet.add_argument("--duration", type=positive_float, default=20.0,
                        help="serving horizon in simulated seconds")
     fleet.add_argument("--trace", metavar="PATH",
                        help="replay arrivals from a JSON trace instead of "
@@ -69,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     qos = parser.add_argument_group("admission and QoS")
     qos.add_argument("--qos", action="store_true",
                      help="enable per-tenant byte-rate budgets")
-    qos.add_argument("--qos-bw", type=float, default=8 * MiB,
+    qos.add_argument("--qos-bw", type=positive_float, default=8 * MiB,
                      metavar="BYTES_PER_S",
                      help="default per-tenant budget (default 8 MiB/s)")
     qos.add_argument("--admit", type=positive_int, default=64, metavar="N",

@@ -112,7 +112,7 @@ def test_prefix_upper_bound_increments_last_byte():
 
 def test_prefix_upper_bound_carries_past_trailing_ff():
     # UTF-8 never produces 0xFF, but the bound must stay correct for any
-    # byte string the btree could hold
+    # byte string the index could hold
     assert prefix_upper_bound(b"a\xff") == b"b"
     assert prefix_upper_bound(b"a\xff\xff") == b"b"
     assert prefix_upper_bound(b"\xff\xff") is None

@@ -16,7 +16,7 @@ from repro.daos.oclass import (
     oclass_id,
 )
 from repro.daos.objid import ObjId
-from repro.daos.placement import PlacementMap, dkey_hash, jump_hash
+from repro.daos.placement import PlacementMap, dkey_hash
 from repro.errors import DerInval
 
 
@@ -54,25 +54,6 @@ def test_objid_reserved_bits_checked():
         ObjId.generate(S1, hi=1 << 50)
     with pytest.raises(DerInval):
         ObjId(-1, 0)
-
-
-def test_jump_hash_range_and_stability():
-    for buckets in (1, 2, 7, 128):
-        for key in range(200):
-            bucket = jump_hash(key, buckets)
-            assert 0 <= bucket < buckets
-            assert bucket == jump_hash(key, buckets)
-    with pytest.raises(DerInval):
-        jump_hash(1, 0)
-
-
-def test_jump_hash_monotone_stability():
-    # Consistent hashing property: growing the bucket count only moves
-    # keys INTO the new bucket, never between old buckets.
-    for key in range(300):
-        before = jump_hash(key, 16)
-        after = jump_hash(key, 17)
-        assert after == before or after == 16
 
 
 def test_dkey_hash_types():

@@ -34,11 +34,11 @@ BAD_INPUT = [
     ("ior", ["-a", "DFS", "--lustre"], "requires DAOS"),
     ("tenants", _TENANTS + ["--slo", "garbage"], "bad SLO rule"),
     ("tenants", ["--tenants", "0"], "--tenants"),
-    ("tenants", ["--rate", "-1"], "rate must be positive"),
+    ("tenants", ["--rate", "-1"], "--rate: must be positive"),
     ("tenants", _TENANTS + ["--timeline-interval", "0"],
      "--timeline-interval"),
     ("tenants", ["--trace", "/nonexistent.json"], "No such file"),
-    ("tenants", ["--duration", "0"], "duration must be positive"),
+    ("tenants", ["--duration", "0"], "--duration: must be positive"),
     ("fdb", _FDB + ["--slo", "garbage"], "bad SLO rule"),
     ("fdb", ["--depth", "0"], "--depth"),
     ("fdb", ["--params", "0"], "--params"),
@@ -58,6 +58,18 @@ BAD_INPUT = [
     ("tenants", _TENANTS + ["--report-out", "/no/such/dir/r.json"],
      "not a writable"),
     ("fdb", _FDB + ["--report-out", "/no/such/dir/r.json"], "not a writable"),
+    # numbers the model cannot serve: each once died mid-run, hung, or
+    # served nothing with exit 0
+    ("tenants", _TENANTS + ["--qos", "--qos-bw", "0"], "--qos-bw: must be"),
+    ("tenants", _TENANTS + ["--qos", "--qos-bw", "-5"], "--qos-bw: must be"),
+    ("tenants", _TENANTS + ["--qos", "--qos-bw", "nan"], "--qos-bw: must be"),
+    ("tenants", ["--rate", "nan"], "--rate: must be positive and finite"),
+    ("tenants", ["--duration", "nan"], "--duration: must be positive"),
+    ("tenants", ["--duration", "inf"], "--duration: must be positive"),
+    ("fdb", _FDB + ["--chunk-size", "0", "--backend", "array"],
+     "--chunk-size: must be positive"),
+    ("fdb", _FDB + ["--chunk-size", "0", "--backend", "dfs"],
+     "--chunk-size: must be positive"),
 ]
 
 
@@ -168,17 +180,26 @@ def test_every_cli_writes_all_three_artifacts(cli, argv, tmp_path, capsys):
 
 
 def test_chrome_trace_bytes_do_not_depend_on_the_hash_seed(tmp_path):
-    # thread_name metadata once came out in set order (salted str hashes)
+    # thread_name metadata once came out in set order (salted str hashes);
+    # a loop, not a parametrize, so the test keeps the name on record
     src = pathlib.Path(__file__).resolve().parents[2] / "src"
-    traces = []
-    for seed in ("0", "1"):
-        path = tmp_path / f"trace-{seed}.json"
-        subprocess.run(
-            [sys.executable, "-m", "repro.ior", "-a", "POSIX", "-F", "-b",
-             "2m", "-t", "1m", "-N", "1", "--ppn", "2", "--servers", "2",
-             "--trace-out", str(path)],
-            check=True, capture_output=True, timeout=120,
-            env={"PYTHONPATH": str(src), "PYTHONHASHSEED": seed},
-        )
-        traces.append(path.read_bytes())
-    assert traces[0] == traces[1]
+    runs = {
+        "ior": (["-a", "POSIX", "-F", "-b", "2m", "-t", "1m", "-N", "1",
+                 "--ppn", "2", "--servers", "2"], ["--trace-out"]),
+        "tenants": (["--tenants", "2", "--rate", "4", "--duration", "1"],
+                    ["--trace-out", "--report-out"]),
+        "fdb": (_FDB + ["--trace"],
+                ["--trace-out", "--report-out"]),
+    }
+    for cli, (argv, outputs) in runs.items():
+        written = []
+        for seed in ("0", "1"):
+            paths = [tmp_path / f"{cli}{flag}-{seed}.json" for flag in outputs]
+            subprocess.run(
+                [sys.executable, "-m", f"repro.{cli}", *argv,
+                 *(f"{flag}={path}" for flag, path in zip(outputs, paths))],
+                check=True, capture_output=True, timeout=120,
+                env={"PYTHONPATH": str(src), "PYTHONHASHSEED": seed},
+            )
+            written.append([path.read_bytes() for path in paths])
+        assert written[0] == written[1], cli
