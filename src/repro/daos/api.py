@@ -20,7 +20,9 @@ The async side (:class:`EventQueue` / :class:`Event`) mirrors the
 ``daos_eq_* / daos_event_*`` model: a non-blocking op is the blocking op
 handed to the queue, ``event = yield from eq.submit(obj.write(...),
 name=...)``; ``reap((yield from eq.drain()))`` waits for all of them and
-re-raises the first held error.
+re-raises the first held error. A completed event holds its finished
+task until reaped, so a long-running submitter reaps as it goes
+(``eq.try_reap()`` after each submit, keeping only what it must report).
 """
 
 from __future__ import annotations

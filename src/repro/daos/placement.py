@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Tuple
 
 from repro.daos.objid import ObjId
 from repro.errors import DerInval
@@ -51,17 +51,16 @@ class Layout:
     entry is the group leader). A dkey belongs to exactly one group.
     """
 
-    __slots__ = ("oid", "groups", "_probe", "_spares")
+    __slots__ = ("oid", "groups", "_probe")
 
     def __init__(self, oid: ObjId, groups: List[List[int]],
-                 probe: "Tuple[int, int, int]" = None):
+                 probe: Tuple[int, int, int]):
         self.oid = oid
         self.groups = groups
         #: (n_targets, start, stride) of the probe sequence that produced
         #: ``groups`` — continuing it yields the deterministic spares used
         #: when a member goes DOWNOUT.
         self._probe = probe
-        self._spares = None
 
     @property
     def spares(self) -> List[int]:
@@ -71,23 +70,10 @@ class Layout:
         substitution after a permanent exclusion needs no metadata — the
         same algorithmic-placement property the primary layout has.
         """
-        if self._spares is None:
-            if self._probe is None:
-                self._spares = []
-            else:
-                n_targets, start, stride = self._probe
-                taken = set(self.all_targets)
-                seq: List[int] = []
-                probe = start
-                # the probe is full-cycle (gcd(stride, n) == 1): n steps
-                # visit every target exactly once
-                for _ in range(n_targets):
-                    if probe not in taken:
-                        taken.add(probe)
-                        seq.append(probe)
-                    probe = (probe + stride) % n_targets
-                self._spares = seq
-        return self._spares
+        n_targets, start, stride = self._probe
+        shards = len(self.groups) * len(self.groups[0])
+        return [(start + i * stride) % n_targets
+                for i in range(shards, n_targets)]
 
     @property
     def group_count(self) -> int:
@@ -115,42 +101,30 @@ class PlacementMap:
         if n_targets <= 0:
             raise DerInval("pool needs at least one target")
         self.n_targets = n_targets
-        self._cache: Dict[Tuple[int, int], Layout] = {}
 
     def layout(self, oid: ObjId) -> Layout:
-        key = (oid.hi, oid.lo)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
+        """``oid``'s layout, derived afresh on every call — object open
+        computes it, as ``daos_obj_open`` does, and nothing is cached."""
+        n_targets = self.n_targets
         oclass = oid.oclass
-        groups_nr = oclass.group_count(self.n_targets)
+        groups_nr = oclass.group_count(n_targets)
         width = oclass.group_width
-        shards = groups_nr * width
         seed = _mix64(oid.hi * 0x9E3779B97F4A7C15 ^ _mix64(oid.lo))
-        chosen: List[int] = []
-        taken = set()
-        # Pseudo-random distinct-target selection: a seeded probe sequence
-        # (double hashing) over the target space.
-        start = seed % self.n_targets
-        if self.n_targets > 1:
-            stride = 1 + (_mix64(seed) % (self.n_targets - 1))
-            # A full-cycle probe sequence needs gcd(stride, n) == 1.
-            while math.gcd(stride, self.n_targets) != 1:
+        # A seeded double-hashing probe over the targets; gcd(stride, n)
+        # == 1 makes it full-cycle (its first n steps visit every target
+        # once), so picking distinct targets needs no visited set.
+        start = seed % n_targets
+        stride = 1
+        if n_targets > 1:
+            stride = 1 + (_mix64(seed) % (n_targets - 1))
+            while math.gcd(stride, n_targets) != 1:
                 stride += 1
-        else:
-            stride = 1
-        probe = start
-        while len(chosen) < shards:
-            if probe not in taken:
-                taken.add(probe)
-                chosen.append(probe)
-            probe = (probe + stride) % self.n_targets
+        chosen = [(start + i * stride) % n_targets
+                  for i in range(groups_nr * width)]
         groups = [
             chosen[g * width : (g + 1) * width] for g in range(groups_nr)
         ]
-        layout = Layout(oid, groups, probe=(self.n_targets, start, stride))
-        self._cache[key] = layout
-        return layout
+        return Layout(oid, groups, (n_targets, start, stride))
 
 
 def effective_groups(layout: Layout, downout: frozenset) -> List[List[int]]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Generator, List, Optional, Sequence, Tuple
 
-from repro.daos.api import EventQueue, PatternPayload, reap
+from repro.daos.api import Event, EventQueue, PatternPayload, reap
 from repro.fdb.index import FdbIndex
 from repro.fdb.mapping import FdbContext, FieldMapping
 from repro.fdb.schema import FieldKey
@@ -53,6 +53,8 @@ class Archiver:
         self.bytes = 0
         self.landmarks: List[dict] = []
         self._eq: Optional[EventQueue] = None
+        #: failed events reaped before the next flush, completion order
+        self._failed: List[Event] = []
         self._span = None
 
     # ------------------------------------------------------------- setup
@@ -71,7 +73,8 @@ class Archiver:
         """Task helper: store one burst of fields (``nbytes`` each).
 
         Async mode returns with fields still in flight — only
-        :meth:`flush` guarantees durability."""
+        :meth:`flush` guarantees durability. Completions are reaped as it
+        submits; only failures are kept, for :meth:`flush` to raise."""
         tracer = self.ctx.sim.tracer
         if tracer is not None and self._span is None:
             self._span = tracer.begin(
@@ -90,6 +93,8 @@ class Archiver:
             yield from self._eq.submit(
                 self._store(key, nbytes), name=key.canonical
             )
+            done = self._eq.try_reap()
+            self._failed += [ev for ev in done if ev.error is not None]
         return None
 
     def _store(self, key: FieldKey, nbytes: int) -> Generator:
@@ -132,7 +137,8 @@ class Archiver:
         """Task helper: wait for every in-flight field, then persist the
         named landmark. Returns the landmark record."""
         if self._eq is not None:
-            reap((yield from self._eq.drain()))
+            failed, self._failed = self._failed, []
+            reap(failed + (yield from self._eq.drain()))
         record = {
             "name": name,
             "fields": self.fields,

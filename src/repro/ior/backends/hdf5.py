@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from typing import Generator, Tuple
 
+from repro.daos.oclass import oclass_by_name
 from repro.hdf5 import H5File, MpioVfd, NativeVol, Sec2Vfd
 from repro.ior.backends.base import Backend, register_backend
 from repro.mpiio import UfsDriver
@@ -38,6 +39,9 @@ class Hdf5Backend(Backend):
                 "requires a shared file with collective I/O (-c, no -F) — "
                 "or use the HDF5-DAOS api"
             )
+        if params.oclass is not None and oclass_by_name(params.oclass).is_ec:
+            raise ValueError("native HDF5 writes unaligned metadata, which "
+                             "EC classes cannot store; use HDF5-DAOS")
 
     @property
     def pipelined(self) -> bool:

@@ -71,8 +71,9 @@ class IorParams:
         from repro.ior.backends import available_apis, backend_class
 
         backend = backend_class(self.api)  # unknown api -> ValueError
-        # unknown class -> DerInval
+        # unknown class -> DerInval; only erasure-coded classes bound sizes
         oclass = None if self.oclass is None else oclass_by_name(self.oclass)
+        ec = oclass if oclass is not None and oclass.is_ec else None
         if self.cache_mode not in ("none", "readonly", "writeback"):
             raise ValueError(
                 "cache_mode must be none, readonly or writeback, "
@@ -95,12 +96,17 @@ class IorParams:
             raise ValueError("cb_buffer must be positive")
         if self.chunk_size <= 0:
             raise ValueError("chunk_size must be positive")
-        if oclass is not None and oclass.is_ec and (
-            self.chunk_size % oclass.ec_k
-        ):
+        if ec and self.chunk_size % ec.ec_k:
             raise ValueError(
                 f"chunk_size {self.chunk_size} is not divisible by the "
-                f"{oclass.name} data-cell count {oclass.ec_k}"
+                f"{ec.name} data-cell count {ec.ec_k}"
+            )
+        # full-stripe writes only (DESIGN.md §5)
+        if ec and self.transfer_size % self.chunk_size:
+            raise ValueError(
+                f"{ec.name} needs stripe-aligned writes: transfer size "
+                f"{self.transfer_size} is not a multiple of chunk_size "
+                f"{self.chunk_size}"
             )
         if self.collective and not backend.supports_collective:
             capable = tuple(

@@ -30,7 +30,8 @@ sequential loops bit-exactly.
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional, Tuple
+from bisect import bisect_right
+from typing import Dict, Generator, List, Tuple
 
 from repro.daos.eq import EventQueue, reap
 from repro.daos.vos.payload import Payload, ZeroPayload, as_payload, concat_payloads
@@ -84,14 +85,21 @@ def split_by_domain(
     return out
 
 
-def _intersect(
-    offset: int, payload_len: int, domain: Tuple[int, int]
-) -> Optional[Tuple[int, int]]:
-    lo = max(offset, domain[0])
-    hi = min(offset + payload_len, domain[1])
-    if lo >= hi:
-        return None
-    return lo, hi
+def scatter(blocks: List[Tuple[int, int]],
+            ranges: List[Tuple[int, int]]) -> List[Tuple[int, int, int, int]]:
+    """``(block index, rank, lo, hi)`` for every non-empty overlap of the
+    sorted, disjoint ``(start, stop)`` blocks with each rank's ``(offset,
+    length)``, in (block, rank) order; each range is bisected into the
+    blocks, O(ranks x log blocks + hits), not O(blocks x ranks)."""
+    stops = [stop for _start, stop in blocks]
+    hits = []
+    for rank, (r_off, r_len) in enumerate(ranges):
+        b = bisect_right(stops, r_off)
+        while b < len(blocks) and blocks[b][0] < r_off + r_len:
+            hits.append((b, rank, max(r_off, blocks[b][0]),
+                         min(r_off + r_len, stops[b])))
+            b += 1
+    return sorted(hit for hit in hits if hit[2] < hit[3])
 
 
 def _coalesce(pieces: List[Tuple[int, Payload]]) -> List[Tuple[int, Payload]]:
@@ -220,14 +228,12 @@ def collective_read(
     # Phase 2: scatter pieces back to the requesting ranks.
     sendmap: Dict[int, List[Tuple[int, Payload]]] = {}
     sizes: Dict[int, int] = {}
-    for b_off, b_payload in my_blocks:
-        for rank, (r_off, r_len) in enumerate(ranges):
-            hit = _intersect(r_off, r_len, (b_off, b_off + b_payload.nbytes))
-            if hit is None:
-                continue
-            piece = b_payload.slice(hit[0] - b_off, hit[1] - b_off)
-            sendmap.setdefault(rank, []).append((hit[0], piece))
-            sizes[rank] = sizes.get(rank, 0) + piece.nbytes
+    spans = [(b_off, b_off + part.nbytes) for b_off, part in my_blocks]
+    for b, rank, lo, hi in scatter(spans, ranges):
+        b_off, b_payload = my_blocks[b]
+        piece = b_payload.slice(lo - b_off, hi - b_off)
+        sendmap.setdefault(rank, []).append((lo, piece))
+        sizes[rank] = sizes.get(rank, 0) + piece.nbytes
     received = yield from ctx.alltoallv(sendmap, sizes)
 
     pieces: List[Tuple[int, Payload]] = []

@@ -119,7 +119,6 @@ class RebuildManager:
         self.jobs: List[RebuildJob] = []
         self._queues: Dict[str, deque] = defaultdict(deque)
         self._runners: Dict[str, object] = {}  # pool_uuid -> runner Task
-        self._placements: Dict[str, PlacementMap] = {}
 
     # ------------------------------------------------------------- scheduling
     def schedule_resync(self, pool_uuid: str, tid: int, watermark: int) -> RebuildJob:
@@ -282,13 +281,6 @@ class RebuildManager:
         return spec.per_rpc_cpu * (len(self.system.engines) + n_objects)
 
     # ------------------------------------------------------------- scanning
-    def _placement(self, n_targets: int) -> PlacementMap:
-        key = str(n_targets)
-        pm = self._placements.get(key)
-        if pm is None:
-            pm = self._placements[key] = PlacementMap(n_targets)
-        return pm
-
     def _vc(self, pool_uuid: str, tid: int, cont: str) -> VosContainer:
         ref = self.system.target(tid)
         return ref.engine.container_shard(pool_uuid, ref.local_tid, cont)
@@ -328,7 +320,7 @@ class RebuildManager:
 
     def _scan(self, job: RebuildJob, after: int) -> Tuple[List[_Item], int]:
         pool_map = self.system._pool_maps[job.pool_uuid]
-        placement = self._placement(pool_map.n_targets)
+        placement = PlacementMap(pool_map.n_targets)
         downout = pool_map.downout
         downout_before = downout - {job.tid} if job.kind == "restore" else downout
         items: List[_Item] = []

@@ -31,6 +31,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.daos import api as daos
 from repro.errors import DaosError, DerInval
 from repro.qos import TokenBucket
+from repro.sim.sync import Gate
 from repro.tenants.admission import AdmissionController, TenantRejected
 from repro.tenants.spec import KvBurstWork, TenantSpec
 from repro.tenants.workloads import TenantIoContext, execute
@@ -109,7 +110,8 @@ class Dispatcher:
         self._label: Dict[str, str] = {
             t.id: f"{{tenant={t.id}}}" for t in tenants
         }
-        self._jobs: List = []
+        #: opened by the job that empties the admission window after serving
+        self._drained: Optional[Gate] = None
         self._setup_done = False
 
     # ------------------------------------------------------------- metrics
@@ -188,8 +190,10 @@ class Dispatcher:
         for loop in loops:
             yield loop
         # all arrivals dispatched; drain in-flight jobs
-        for job in self._jobs:
-            yield job
+        if self.admission.inflight:
+            self._drained = Gate(self.sim)
+            yield self._drained
+            self._drained = None
         return self.result()
 
     def _arrival_loop(self, spec: TenantSpec, times: List[float]):
@@ -214,9 +218,8 @@ class Dispatcher:
         self._incr(M_ADMITTED, spec.id)
         self._gauge_add(M_INFLIGHT, +1)
         ctx = self._ctx[spec.id]
-        self._jobs.append(self.sim.spawn(
-            self._job(ctx), f"tenants.job:{spec.id}.{ctx.job_seq + 1}"
-        ))
+        self.sim.spawn(self._job(ctx),
+                       f"tenants.job:{spec.id}.{ctx.job_seq + 1}")
 
     def _job(self, ctx: TenantIoContext):
         spec = ctx.spec
@@ -232,6 +235,8 @@ class Dispatcher:
         finally:
             self.admission.release(spec.id)
             self._gauge_add(M_INFLIGHT, -1)
+            if self._drained is not None and not self.admission.inflight:
+                self._drained.open()
         latency = self.sim.now - arrived
         self.latencies[spec.id].append(latency)
         self.counts[spec.id]["completed"] += 1

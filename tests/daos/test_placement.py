@@ -1,10 +1,14 @@
 """Tests for object classes, object ids, and algorithmic placement."""
 
+import gc
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.daos.oclass import (
+    _ORDERED,
     RP_2G1,
     RP_2GX,
     S1,
@@ -16,7 +20,7 @@ from repro.daos.oclass import (
     oclass_id,
 )
 from repro.daos.objid import ObjId
-from repro.daos.placement import PlacementMap, dkey_hash
+from repro.daos.placement import Layout, PlacementMap, _mix64, dkey_hash
 from repro.errors import DerInval
 
 
@@ -135,3 +139,58 @@ def test_property_layouts_valid(n_targets, lo, cls):
     assert len(set(targets)) == len(targets)
     assert all(0 <= t < n_targets for t in targets)
     assert len(targets) == cls.shard_count(n_targets)
+
+
+def _visited_set_probe(oid, n_targets):
+    """The probe as it was first written, with a visited set: (groups,
+    spares). The reference the closed-form probe must reproduce."""
+    oclass = oid.oclass
+    groups_nr = oclass.group_count(n_targets)
+    width = oclass.group_width
+    seed = _mix64(oid.hi * 0x9E3779B97F4A7C15 ^ _mix64(oid.lo))
+    start = seed % n_targets
+    stride = 1
+    if n_targets > 1:
+        stride = 1 + (_mix64(seed) % (n_targets - 1))
+        while math.gcd(stride, n_targets) != 1:
+            stride += 1
+    chosen, taken, probe = [], set(), start
+    while len(chosen) < groups_nr * width:
+        if probe not in taken:
+            taken.add(probe)
+            chosen.append(probe)
+        probe = (probe + stride) % n_targets
+    groups = [chosen[g * width:(g + 1) * width] for g in range(groups_nr)]
+    spares, probe = [], start
+    for _ in range(n_targets):
+        if probe not in taken:
+            taken.add(probe)
+            spares.append(probe)
+        probe = (probe + stride) % n_targets
+    return groups, spares
+
+
+def test_layouts_match_the_visited_set_probe_and_none_is_kept():
+    oids = []
+    for n_targets in list(range(1, 65)) + [128, 256]:
+        pmap = PlacementMap(n_targets)
+        for oclass in _ORDERED:
+            try:
+                oclass.group_count(n_targets)
+            except DerInval:  # class wider than the pool
+                with pytest.raises(DerInval):
+                    pmap.layout(ObjId.generate(oclass, lo=1))
+                continue
+            for lo in (0, 1, 7, 2**40 + 3):
+                oid = ObjId.generate(oclass, hi=n_targets, lo=lo)
+                layout = pmap.layout(oid)
+                assert (layout.groups, layout.spares) == _visited_set_probe(
+                    oid, n_targets
+                ), (oclass.name, n_targets, lo)
+                oids.append(oid)
+    # computed at open: the map holds no layout once its caller drops it
+    del layout
+    gc.collect()
+    wanted = set(oids)
+    assert not [obj for obj in gc.get_objects()
+                if isinstance(obj, Layout) and obj.oid in wanted]

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.daos.vos.payload import BytesPayload
-from repro.mpiio.romio import _coalesce, domain_owner, split_by_domain
+from repro.mpiio.romio import _coalesce, domain_owner, scatter, split_by_domain
 from repro.units import MiB
 
 
@@ -64,3 +64,40 @@ def test_property_coalesce_preserves_content(chunks):
         for i, b in enumerate(payload.materialize()):
             expected[off + i] = b
     assert reconstructed == expected
+
+
+def _scatter_brute_force(blocks, ranges):
+    """Every block against every rank, the loop ``scatter`` replaces."""
+    hits = []
+    for b, (start, stop) in enumerate(blocks):
+        for rank, (r_off, r_len) in enumerate(ranges):
+            lo, hi = max(r_off, start), min(r_off + r_len, stop)
+            if lo < hi:
+                hits.append((b, rank, lo, hi))
+    return hits
+
+
+@st.composite
+def _gapped_blocks(draw):
+    """Sorted, disjoint, non-empty blocks; gaps of zero or more bytes."""
+    blocks, cursor = [], draw(st.integers(0, 50))
+    for _ in range(draw(st.integers(0, 12))):
+        cursor += draw(st.integers(0, 30))
+        size = draw(st.integers(1, 30))
+        blocks.append((cursor, cursor + size))
+        cursor += size
+    return blocks
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    blocks=_gapped_blocks(),
+    # overlapping, empty (length 0) and out-of-domain ranges all occur
+    ranges=st.lists(
+        st.tuples(st.integers(0, 500), st.integers(0, 120)), max_size=10
+    ),
+)
+def test_property_scatter_matches_every_block_against_every_rank(
+    blocks, ranges
+):
+    assert scatter(blocks, ranges) == _scatter_brute_force(blocks, ranges)

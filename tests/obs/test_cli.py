@@ -70,6 +70,13 @@ BAD_INPUT = [
      "--chunk-size: must be positive"),
     ("fdb", _FDB + ["--chunk-size", "0", "--backend", "dfs"],
      "--chunk-size: must be positive"),
+    # erasure-coded classes take full-stripe writes only (DESIGN.md §5)
+    ("ior", _IOR + ["-t", "1m", "-O", "oclass=EC_2P1GX", "-a", "HDF5"],
+     "unaligned metadata"),
+    ("ior", _IOR + ["-t", "128k", "-O", "oclass=EC_2P1G1", "-a", "DFS"],
+     "needs stripe-aligned writes"),
+    ("ior", _IOR + ["-t", "128k", "-O", "oclass=EC_2P1G1", "-a", "POSIX"],
+     "needs stripe-aligned writes"),
 ]
 
 
@@ -85,6 +92,13 @@ def test_bad_input_is_a_usage_error_not_a_traceback(cli, argv, message,
     err = capsys.readouterr().err
     assert err.startswith("usage:")
     assert message in err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("api", ["MPIIO", "HDF5-DAOS"])
+def test_ec_runs_that_write_whole_stripes_still_complete(api, capsys):
+    argv = _IOR + ["-t", "1m", "-O", "oclass=EC_2P1GX", "-a", api, "-R"]
+    assert ior_cli.main(argv) == 0
+    assert "Max Read" in capsys.readouterr().out
 
 
 def _observability_flags(parser):

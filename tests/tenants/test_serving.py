@@ -7,11 +7,14 @@ deterministic — identical report JSON *and* identical timeline JSON
 across two fresh processes-worth of state.
 """
 
+import gc
 import json
 
 import pytest
 
 from repro.cluster import small_cluster
+from repro.errors import SimulationError
+from repro.sim.core import Task
 from repro.tenants import (
     BulkWork,
     Dispatcher,
@@ -24,6 +27,7 @@ from repro.tenants import (
     build_report,
     make_tenants,
 )
+from repro.tenants import dispatcher as dispatcher_module
 from repro.units import KiB, MiB
 
 #: Small, fast workload mix used throughout these tests.
@@ -87,6 +91,31 @@ def test_serving_works_without_observability():
     report = build_report(result)
     assert report["totals"]["completed"] > 0
     assert report["latency"]["p99"] > 0
+
+
+def test_serve_keeps_no_finished_job():
+    # the drain waits on the admission count, not on a list of every job
+    # ever admitted, so memory does not grow with the jobs served
+    fleet = make_tenants(4, rate=4.0, mix=FAST_MIX)
+    cluster, dispatcher, _ = _serve(fleet, ServingConfig(duration=3.0),
+                                    observe=False)
+    assert dispatcher.admission.admitted > 0
+    gc.collect()
+    jobs = [obj for obj in gc.get_objects() if isinstance(obj, Task)
+            and obj.name.startswith("tenants.job:")]
+    assert jobs == [] and cluster.sim.now >= 3.0
+
+
+def test_a_job_that_raises_a_non_der_error_fails_the_run(monkeypatch):
+    def broken(ctx, sim, depth):
+        raise RuntimeError("bug in a workload")
+        yield  # pragma: no cover - generator marker
+
+    monkeypatch.setattr(dispatcher_module, "execute", broken)
+    fleet = make_tenants(2, rate=2.0, mix=FAST_MIX)
+    with pytest.raises(SimulationError) as info:
+        _serve(fleet, ServingConfig(duration=2.0), observe=False)
+    assert isinstance(info.value.__cause__, RuntimeError)
 
 
 def test_tight_admission_window_sheds_load():
