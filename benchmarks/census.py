@@ -3,7 +3,8 @@
 check scale, the figure and flow scripts, the examples). Lists each function
 nothing called (NEVER) or only tests called (TESTONLY), then the TESTONLY totals
 per top-level package; exits 1 on a NEVER one that is neither a dunder nor a
-stub (a body that only documents or raises)."""
+stub (a body that only documents or raises), or when more than TESTONLY_BUDGET
+functions are TESTONLY."""
 import ast
 import collections
 import importlib
@@ -17,6 +18,8 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 PKG = str(ROOT / "src" / "repro") + os.sep
 OUT = ROOT / "artifacts" / "census"
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks" / "e2e")]
+#: TESTONLY functions allowed; lower it whenever the total falls
+TESTONLY_BUDGET = 211
 FILES = [f"{OUT}/{kind}.json" for kind in ("trace", "metrics", "timeline")]
 OBS = "--trace-out={} --metrics-out={} --timeline-out={}".format(*FILES)
 RUNS = {"repro.ior.cli": [f"-a {line} -b 2m -N 1 --ppn 2 --servers 2" for line in (
@@ -84,7 +87,11 @@ def main():
     print(f"TESTONLY total: {functions.total()} functions, {lines_of.total()} lines ("
           + ", ".join(f"{package} {n}/{lines_of[package]}"
                       for package, n in sorted(functions.items())) + ")")
-    return 1 if orphans else 0
+    over = functions.total() > TESTONLY_BUDGET
+    if over:
+        print(f"TESTONLY total exceeds the budget of {TESTONLY_BUDGET}",
+              file=sys.stderr)
+    return 1 if orphans or over else 0
 
 
 if __name__ == "__main__":

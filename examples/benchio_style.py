@@ -14,7 +14,7 @@ from repro.daos.api import PatternPayload
 from repro.dfs import Dfs
 from repro.dfuse import DFuseMount
 from repro.mpi import MpiWorld
-from repro.mpiio import DfsDriver, MpiFile, UfsDriver
+from repro.mpiio import MpiFile
 from repro.units import GiB, MiB, fmt_bw
 
 GLOBAL_BYTES = 1 * GiB
@@ -89,7 +89,7 @@ def main() -> None:
 
             def write(offset, payload):
                 fh = yield from MpiFile.open(
-                    ctx, "/mpiio.dat", UfsDriver(mount), create=True
+                    ctx, "/mpiio.dat", mount, create=True
                 )
                 if collective:
                     yield from fh.write_at_all(offset, payload)

@@ -21,7 +21,6 @@ from repro.dfs import Dfs
 from repro.dfuse import DFuseMount
 from repro.hdf5 import DaosVol, H5File, MpioVfd, NativeVol
 from repro.mpi import MpiWorld
-from repro.mpiio import UfsDriver
 from repro.units import fmt_bw
 
 ROWS, COLS = 512, 4096  # global grid (u1 cells for simplicity)
@@ -41,7 +40,7 @@ def make_mount(cluster, ctx, cont_label):
 
 def mpio_storage(ctx, cluster, cont_label):
     mount = yield from make_mount(cluster, ctx, cont_label)
-    return NativeVol(MpioVfd(ctx, UfsDriver(mount), collective=True))
+    return NativeVol(MpioVfd(ctx, mount, collective=True))
 
 
 def daos_storage(ctx, cluster, cont_label):

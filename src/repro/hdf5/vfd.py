@@ -19,7 +19,7 @@ from typing import Generator, Optional
 
 from repro.daos.vos.payload import Payload, as_payload
 from repro.mpiio.file import MpiFile
-from repro.posix.vfs import FileSystem
+from repro.posix.vfs import FileSystem, rw_flags
 
 
 #: per-H5D operation software cost (dataspace/datatype checks)
@@ -66,12 +66,7 @@ class Sec2Vfd(Vfd):
         self._handle = None
 
     def open(self, path: str, create: bool, trunc: bool) -> Generator:
-        flags = {"r", "w"}
-        if create:
-            flags.add("creat")
-        if trunc:
-            flags.add("trunc")
-        self._handle = yield from self.mount.open(path, flags)
+        self._handle = yield from self.mount.open(path, rw_flags(create, trunc))
         return None
 
     def read_meta(self, addr: int, length: int) -> Generator:
@@ -108,12 +103,12 @@ class Sec2Vfd(Vfd):
 class MpioVfd(Vfd):
     """Parallel driver over MPI-IO; raw transfers may be collective."""
 
-    def __init__(self, ctx, driver, collective: bool = True,
+    def __init__(self, ctx, mount: FileSystem, collective: bool = True,
                  cb_buffer: int = None, aio_depth: int = 0):
         from repro.mpiio.romio import DEFAULT_CB_BUFFER
 
         self.ctx = ctx
-        self.driver = driver
+        self.mount = mount
         self.collective = collective
         self.cb_buffer = DEFAULT_CB_BUFFER if cb_buffer is None else cb_buffer
         #: aggregator-side event-queue depth inside collective calls
@@ -122,7 +117,7 @@ class MpioVfd(Vfd):
 
     def open(self, path: str, create: bool, trunc: bool) -> Generator:
         self._file = yield from MpiFile.open(
-            self.ctx, path, self.driver, create=create, trunc=trunc,
+            self.ctx, path, self.mount, create=create, trunc=trunc,
             cb_buffer=self.cb_buffer, aio_depth=self.aio_depth,
         )
         return None

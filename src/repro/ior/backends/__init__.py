@@ -1,32 +1,37 @@
 """IOR backends (IOR calls these AIORI modules).
 
-Importing this package populates the api registry: each backend module
-calls :func:`register_backend` at import time, and the import order
-below is the ``-a`` choices order the CLI shows.
+:data:`BACKENDS` is the api table: one entry per backend class, in the
+``-a`` choices order the CLI shows.
 """
 
-from repro.ior.backends.base import (
-    Backend,
-    available_apis,
-    backend_class,
-    make_backend,
-    register_backend,
-    unregister_backend,
-)
+from typing import Tuple, Type
 
-# self-registering backend modules, in CLI display order
-from repro.ior.backends import posix as _posix  # noqa: F401
-from repro.ior.backends import dfs as _dfs  # noqa: F401
-from repro.ior.backends import mpiio as _mpiio  # noqa: F401
-from repro.ior.backends import hdf5 as _hdf5  # noqa: F401
-from repro.ior.backends import daos_array as _daos_array  # noqa: F401
-from repro.ior.backends import hdf5_daos as _hdf5_daos  # noqa: F401
+from repro.ior.backends.base import Backend
+from repro.ior.backends.daos_array import DaosArrayBackend
+from repro.ior.backends.dfs import DfsBackend
+from repro.ior.backends.hdf5 import Hdf5Backend
+from repro.ior.backends.hdf5_daos import Hdf5DaosBackend
+from repro.ior.backends.mpiio import MpiioBackend
+from repro.ior.backends.posix import PosixBackend
 
-__all__ = [
-    "Backend",
-    "available_apis",
-    "backend_class",
-    "make_backend",
-    "register_backend",
-    "unregister_backend",
-]
+BACKENDS = {cls.name: cls for cls in (
+    PosixBackend, DfsBackend, MpiioBackend, Hdf5Backend, DaosArrayBackend,
+    Hdf5DaosBackend,
+)}
+
+
+def available_apis() -> Tuple[str, ...]:
+    """The api names, in table order (the CLI -a choices)."""
+    return tuple(BACKENDS)
+
+
+def backend_class(name: str) -> Type[Backend]:
+    try:
+        return BACKENDS[name]
+    except KeyError:
+        raise ValueError(
+            f"api must be one of {available_apis()}, got {name!r}"
+        ) from None
+
+
+__all__ = ["Backend", "BACKENDS", "available_apis", "backend_class"]

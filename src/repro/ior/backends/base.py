@@ -1,22 +1,13 @@
-"""The abstract I/O interface IOR drives, plus the backend registry.
+"""The abstract I/O interface IOR drives (IOR's AIORI function table).
 
-Backends register themselves declaratively::
-
-    class MyBackend(Backend):
-        name = "MYAPI"
-        supports_async = True
-
-    register_backend(MyBackend.name, MyBackend)
-
-CLI ``-a`` choices and :class:`~repro.ior.config.IorParams` validation
-are derived from the registry and each backend's capability flags —
-adding an interface never touches the driver, the CLI or the config
-module (AIORI's table of function pointers, made a registry).
+Each backend declares its capability flags; CLI ``-a`` choices and
+:class:`~repro.ior.config.IorParams` validation are derived from the
+table in :mod:`repro.ior.backends` and those flags.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Generator, Tuple, Type
+from typing import Callable, Generator
 
 from repro.obs.tracer import span_of
 
@@ -122,48 +113,3 @@ class Backend:
         return (yield from eq.submit(
             spanned(), name=f"{self.name}.{kind}@{offset}"
         ))
-
-
-# ----------------------------------------------------------------- registry
-
-_REGISTRY: Dict[str, Type[Backend]] = {}
-
-
-def register_backend(name: str, cls: Type[Backend]) -> Type[Backend]:
-    """Add a backend class to the api registry under ``name``.
-    Duplicate names are rejected — two backends claiming one api is
-    always a bug, and shadowing would make ``-a`` ambiguous."""
-    if not name or name == "?":
-        raise ValueError(f"backend {cls.__name__} must set a name")
-    if name in _REGISTRY:
-        raise ValueError(
-            f"backend api {name!r} is already registered "
-            f"(by {_REGISTRY[name].__name__})"
-        )
-    if not (isinstance(cls, type) and issubclass(cls, Backend)):
-        raise ValueError(f"backend {name!r} must be a Backend subclass")
-    _REGISTRY[name] = cls
-    return cls
-
-
-def unregister_backend(name: str) -> None:
-    """Remove a registered api (tests and out-of-tree plugins only)."""
-    _REGISTRY.pop(name, None)
-
-
-def available_apis() -> Tuple[str, ...]:
-    """Registered api names, in registration order (the CLI -a choices)."""
-    return tuple(_REGISTRY)
-
-
-def backend_class(name: str) -> Type[Backend]:
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise ValueError(
-            f"api must be one of {tuple(_REGISTRY)}, got {name!r}"
-        ) from None
-
-
-def make_backend(params, ctx, storage) -> Backend:
-    return backend_class(params.api)(params, ctx, storage)

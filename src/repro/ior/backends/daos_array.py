@@ -16,7 +16,7 @@ from repro.daos.array import DaosArray
 from repro.daos.kv import DaosKV
 from repro.daos.objid import ObjId
 from repro.daos.oclass import S1, oclass_by_name
-from repro.ior.backends.base import Backend, register_backend
+from repro.ior.backends.base import Backend
 
 #: reserved OID (below RESERVED_OIDS) for the path->oid catalog
 CATALOG_LO = 2
@@ -73,6 +73,3 @@ class DaosArrayBackend(Backend):
         handle.close()
         yield 0.0
         return None
-
-
-register_backend(DaosArrayBackend.name, DaosArrayBackend)

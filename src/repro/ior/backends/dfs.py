@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Generator
 
-from repro.ior.backends.base import Backend, register_backend
+from repro.ior.backends.base import Backend
 
 
 class DfsBackend(Backend):
@@ -43,6 +43,3 @@ class DfsBackend(Backend):
         handle.close()
         yield 0.0
         return None
-
-
-register_backend(DfsBackend.name, DfsBackend)

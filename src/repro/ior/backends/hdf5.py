@@ -15,8 +15,7 @@ from typing import Generator, Tuple
 
 from repro.daos.oclass import oclass_by_name
 from repro.hdf5 import H5File, MpioVfd, NativeVol, Sec2Vfd
-from repro.ior.backends.base import Backend, register_backend
-from repro.mpiio import UfsDriver
+from repro.ior.backends.base import Backend
 from repro.obs.tracer import span_of
 
 DATASET = "data"
@@ -53,7 +52,7 @@ class Hdf5Backend(Backend):
             return NativeVol(Sec2Vfd(self.storage.mount))
         return NativeVol(MpioVfd(
             self.ctx,
-            UfsDriver(self.storage.mount),
+            self.storage.mount,
             collective=self.params.collective,
             cb_buffer=self.params.cb_buffer,
             aio_depth=(
@@ -121,6 +120,3 @@ class Hdf5Backend(Backend):
         h5, _dataset = handle
         yield from h5.close()
         return None
-
-
-register_backend(Hdf5Backend.name, Hdf5Backend)

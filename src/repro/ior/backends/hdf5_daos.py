@@ -20,7 +20,6 @@ from typing import Generator
 
 from repro.daos.oclass import oclass_by_name
 from repro.hdf5 import DaosVol
-from repro.ior.backends.base import register_backend
 from repro.ior.backends.hdf5 import Hdf5Backend
 
 
@@ -57,6 +56,3 @@ class Hdf5DaosBackend(Hdf5Backend):
         return self._open_shared(
             create, lambda: self._create(path), lambda: self._attach(path)
         )
-
-
-register_backend(Hdf5DaosBackend.name, Hdf5DaosBackend)

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 from typing import Generator
 
-from repro.ior.backends.base import Backend, register_backend
-from repro.mpiio import MpiFile, UfsDriver
+from repro.ior.backends.base import Backend
+from repro.mpiio import MpiFile
 from repro.obs.tracer import span_of
 
 
@@ -34,9 +34,8 @@ class MpiioBackend(Backend):
         return False
 
     def open(self, path: str, create: bool) -> Generator:
-        driver = UfsDriver(self.storage.mount)
         handle = yield from MpiFile.open(
-            self.ctx, path, driver, create=create,
+            self.ctx, path, self.storage.mount, create=create,
             cb_buffer=self.params.cb_buffer,
             aio_depth=(
                 self.params.aio_queue_depth if self.params.collective else 0
@@ -75,6 +74,3 @@ class MpiioBackend(Backend):
     def close(self, handle) -> Generator:
         yield from handle.close()
         return None
-
-
-register_backend(MpiioBackend.name, MpiioBackend)

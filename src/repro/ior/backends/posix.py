@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Generator
 
-from repro.ior.backends.base import Backend, register_backend
+from repro.ior.backends.base import Backend
 
 
 class PosixBackend(Backend):
@@ -35,6 +35,3 @@ class PosixBackend(Backend):
     def close(self, handle) -> Generator:
         yield from handle.close()
         return None
-
-
-register_backend(PosixBackend.name, PosixBackend)

@@ -2,9 +2,8 @@
 
 The set of valid ``-a`` apis and the per-api constraints (collective-
 capable, async-capable) are not spelled out here: they come from the
-backend registry's capability flags
-(:mod:`repro.ior.backends`), so registering a new backend
-automatically extends validation and the CLI choices.
+capability flags of the backends in the :mod:`repro.ior.backends`
+table, which also gives the CLI choices.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from repro.units import MiB, parse_size
 class IorParams:
     """One IOR invocation's workload description."""
 
-    #: -a: any registered api (POSIX | DFS | MPIIO | HDF5 | DAOS |
+    #: -a: any api in the backend table (POSIX | DFS | MPIIO | HDF5 | DAOS |
     #: HDF5-DAOS out of the box)
     api: str = "DFS"
     #: -b: contiguous bytes each process writes per segment

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Generator, List, Optional
 
 from repro.daos.eq import EventQueue
-from repro.ior.backends import make_backend
+from repro.ior.backends import backend_class
 from repro.ior.config import IorParams
 from repro.ior.env import RankStorage, launch
 from repro.ior.pattern import make_payload, verify_payload
@@ -84,7 +84,7 @@ def _attach_observability(result: IorResult, sim, nprocs: int) -> None:
 
 def _rank_main(ctx, params: IorParams, env) -> Generator:
     storage: RankStorage = yield from env.rank_setup(ctx)
-    backend = make_backend(params, ctx, storage)
+    backend = backend_class(params.api)(params, ctx, storage)
     phases: List[PhaseResult] = []
 
     for repetition in range(params.repetitions):

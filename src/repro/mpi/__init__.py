@@ -3,10 +3,11 @@
 SPMD rank functions are ordinary generator functions taking a
 :class:`~repro.mpi.runtime.RankCtx`; the :class:`~repro.mpi.runtime.MpiWorld`
 launches one simulated task per rank, placed across client nodes with a
-fixed processes-per-node, exactly like ``mpiexec -ppn``. Collectives
+fixed processes-per-node, exactly like ``mpiexec -ppn``. The four
+collectives IOR and ROMIO use (barrier, allgather, allreduce, alltoallv)
 exchange real Python payloads with latency/bandwidth cost models
-(log-tree for barrier/bcast/reduce, linear terms for the data-sized
-collectives) patterned after mpi4py's lower-case object interface.
+(log-tree for barrier/allreduce, linear terms for the data-sized ones)
+patterned after mpi4py's lower-case object interface.
 """
 
 from repro.mpi.comm import Comm

@@ -6,7 +6,6 @@ functions ``fn(ctx)`` using the mpi4py-flavoured helpers on
 :class:`RankCtx`::
 
     def rank_main(ctx):
-        data = yield from ctx.bcast({"cfg": 1}, root=0)
         yield from ctx.barrier()
         total = yield from ctx.allreduce(ctx.rank, op=lambda a, b: a + b)
         return total
@@ -83,7 +82,7 @@ class RankCtx:
     """What a rank sees: identity, its node, the world, and comm helpers.
 
     The collective helpers bind this rank's id so rank code reads like
-    mpi4py: ``value = yield from ctx.bcast(x, root=0)``.
+    mpi4py: ``value = yield from ctx.allreduce(x, op=max)``.
     """
 
     def __init__(self, world: MpiWorld, rank: int, env: Dict[str, Any]):
@@ -103,38 +102,14 @@ class RankCtx:
 
     # -- bound collective helpers ------------------------------------------
     def barrier(self):
-        return self.comm.barrier()(self.rank)
-
-    def bcast(self, value: Any = None, root: int = 0, nbytes: int = 64):
-        return self.comm.bcast(value, root, nbytes)(self.rank)
-
-    def gather(self, value: Any, root: int = 0, nbytes: int = 64):
-        return self.comm.gather(value, root, nbytes)(self.rank)
+        return self.comm.barrier(self.rank)
 
     def allgather(self, value: Any, nbytes: int = 64):
-        return self.comm.allgather(value, nbytes)(self.rank)
-
-    def scatter(self, values: Optional[List[Any]] = None, root: int = 0,
-                nbytes: int = 64):
-        return self.comm.scatter(values, root, nbytes)(self.rank)
-
-    def reduce(self, value: Any, op: Callable[[Any, Any], Any], root: int = 0,
-               nbytes: int = 64):
-        return self.comm.reduce(value, op, root, nbytes)(self.rank)
+        return self.comm.allgather(self.rank, value, nbytes)
 
     def allreduce(self, value: Any, op: Callable[[Any, Any], Any],
                   nbytes: int = 64):
-        return self.comm.allreduce(value, op, nbytes)(self.rank)
+        return self.comm.allreduce(self.rank, value, op, nbytes)
 
     def alltoallv(self, sendmap: Dict[int, Any], nbytes_map: Dict[int, int]):
-        return self.comm.alltoallv(sendmap, nbytes_map)(self.rank)
-
-    def send(self, value: Any, dst: int, tag: Any = 0, nbytes: int = 64) -> None:
-        self.comm.send(value, dst, tag, nbytes, src=self.rank)
-
-    def recv(self, src: int, tag: Any = 0):
-        return self.comm.recv(src, tag, dst=self.rank)
-
-    def compute(self, seconds: float):
-        """Awaitable local CPU time (think time, (de)serialization...)."""
-        return float(seconds)
+        return self.comm.alltoallv(self.rank, sendmap, nbytes_map)

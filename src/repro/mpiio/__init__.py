@@ -1,14 +1,13 @@
-"""MPI-IO: independent and collective file I/O over pluggable drivers.
+"""MPI-IO: independent and collective file I/O over a POSIX mount.
 
-The shape follows ROMIO: a thin ``MPI_File`` layer
-(:mod:`repro.mpiio.file`) dispatching to an ADIO-like driver — ``ufs``
-(any :class:`~repro.posix.vfs.FileSystem`, e.g. a DFuse mount or a
-Lustre client) or ``dfs`` (native DFS, the DAOS ROMIO driver) — plus
-two-phase collective buffering (:mod:`repro.mpiio.romio`) with
-aggregator selection and file-domain partitioning.
+The shape follows ROMIO's ``ufs`` path: a thin ``MPI_File`` layer
+(:mod:`repro.mpiio.file`) holding each rank's handle on any
+:class:`~repro.posix.vfs.FileSystem` (a DFuse mount in the paper, a
+Lustre client in the baseline), plus two-phase collective buffering
+(:mod:`repro.mpiio.romio`) with aggregator selection and file-domain
+partitioning.
 """
 
 from repro.mpiio.file import MpiFile
-from repro.mpiio.drivers import DfsDriver, UfsDriver
 
-__all__ = ["MpiFile", "UfsDriver", "DfsDriver"]
+__all__ = ["MpiFile"]

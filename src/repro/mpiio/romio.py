@@ -36,6 +36,7 @@ from typing import Dict, Generator, List, Tuple
 from repro.daos.eq import EventQueue, reap
 from repro.daos.vos.payload import Payload, ZeroPayload, as_payload, concat_payloads
 from repro.mpi.runtime import RankCtx
+from repro.posix.vfs import FileHandle
 from repro.units import MiB, split_aligned
 
 DEFAULT_CB_BUFFER = 16 * MiB
@@ -85,8 +86,8 @@ def split_by_domain(
     return out
 
 
-def scatter(blocks: List[Tuple[int, int]],
-            ranges: List[Tuple[int, int]]) -> List[Tuple[int, int, int, int]]:
+def overlaps(blocks: List[Tuple[int, int]],
+             ranges: List[Tuple[int, int]]) -> List[Tuple[int, int, int, int]]:
     """``(block index, rank, lo, hi)`` for every non-empty overlap of the
     sorted, disjoint ``(start, stop)`` blocks with each rank's ``(offset,
     length)``, in (block, rank) order; each range is bisected into the
@@ -106,17 +107,19 @@ def _coalesce(pieces: List[Tuple[int, Payload]]) -> List[Tuple[int, Payload]]:
     """Merge adjacent (offset, payload) pieces into contiguous runs."""
     pieces.sort(key=lambda p: p[0])
     runs: List[Tuple[int, List[Payload]]] = []
+    end = None
     for offset, payload in pieces:
-        if runs and runs[-1][0] + sum(p.nbytes for p in runs[-1][1]) == offset:
+        if offset == end:
             runs[-1][1].append(payload)
         else:
             runs.append((offset, [payload]))
+        end = offset + payload.nbytes
     return [(off, concat_payloads(parts)) for off, parts in runs]
 
 
 def collective_write(
     ctx: RankCtx,
-    driver,
+    handle: FileHandle,
     offset: int,
     data,
     cb_buffer: int = DEFAULT_CB_BUFFER,
@@ -155,7 +158,7 @@ def collective_write(
                 0, run_payload.nbytes, cb_buffer
             ):
                 written = buf * cb_buffer
-                call = driver.write_at(
+                call = handle.pwrite(
                     run_offset + written,
                     run_payload.slice(written, written + take),
                 )
@@ -174,7 +177,7 @@ def collective_write(
 
 def collective_read(
     ctx: RankCtx,
-    driver,
+    handle: FileHandle,
     offset: int,
     length: int,
     cb_buffer: int = DEFAULT_CB_BUFFER,
@@ -204,7 +207,7 @@ def collective_read(
             pending: List[Tuple[int, int, object]] = []
             for start, stop in blocks:
                 event = yield from eq.submit(
-                    driver.read_at(start, stop - start),
+                    handle.pread(start, stop - start),
                     name=f"cb.read@{start}",
                 )
                 pending.append((start, stop, event))
@@ -216,7 +219,7 @@ def collective_read(
         else:
             parts = []
             for start, stop in blocks:
-                part = yield from driver.read_at(start, stop - start)
+                part = yield from handle.pread(start, stop - start)
                 parts.append((start, stop, part))
         for start, stop, part in parts:
             if part.nbytes < stop - start:  # EOF: zero-fill
@@ -229,7 +232,7 @@ def collective_read(
     sendmap: Dict[int, List[Tuple[int, Payload]]] = {}
     sizes: Dict[int, int] = {}
     spans = [(b_off, b_off + part.nbytes) for b_off, part in my_blocks]
-    for b, rank, lo, hi in scatter(spans, ranges):
+    for b, rank, lo, hi in overlaps(spans, ranges):
         b_off, b_payload = my_blocks[b]
         piece = b_payload.slice(lo - b_off, hi - b_off)
         sendmap.setdefault(rank, []).append((lo, piece))

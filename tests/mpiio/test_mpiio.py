@@ -1,10 +1,13 @@
-"""MPI-IO tests: independent + collective I/O over DFuse and native DFS."""
+"""MPI-IO tests: independent + collective I/O over DFuse and Lustre mounts."""
 
 import pytest
 
+from repro.cluster import build_lustre_cluster
 from repro.daos.vos.payload import PatternPayload
 from repro.errors import MpiError
-from repro.mpiio import DfsDriver, MpiFile, UfsDriver
+from repro.hardware.specs import EngineSpec
+from repro.mpi import MpiWorld
+from repro.mpiio import MpiFile
 from repro.mpiio.romio import (
     _coalesce,
     choose_aggregators,
@@ -62,9 +65,8 @@ def test_choose_one_aggregator_per_node(cluster, world):
 def test_independent_write_read_fpp(cluster, cont_label, world):
     def main(ctx):
         mount, _dfs = yield from make_rank_mount(cluster, cont_label, ctx)
-        driver = UfsDriver(mount)
         fh = yield from MpiFile.open(
-            ctx, f"/ind-{ctx.rank}", driver, create=True
+            ctx, f"/ind-{ctx.rank}", mount, create=True
         )
         pattern = PatternPayload(seed=ctx.rank, origin=0, nbytes=256 * KiB)
         yield from fh.write_at(0, pattern)
@@ -80,14 +82,13 @@ def test_collective_write_then_independent_read(cluster, cont_label, world):
 
     def main(ctx):
         mount, _dfs = yield from make_rank_mount(cluster, cont_label, ctx)
-        driver = UfsDriver(mount)
-        fh = yield from MpiFile.open(ctx, "/coll-shared", driver, create=True)
+        fh = yield from MpiFile.open(ctx, "/coll-shared", mount, create=True)
         pattern = PatternPayload(seed=7, origin=ctx.rank * blk, nbytes=blk)
         yield from fh.write_at_all(ctx.rank * blk, pattern)
         # read back a *different* rank's block to prove global visibility
         other = (ctx.rank + 1) % ctx.size
         back = yield from fh.read_at(other * blk, blk)
-        size = yield from fh.get_size()
+        size = yield from fh.handle.size()
         yield from fh.close()
         expected = PatternPayload(seed=7, origin=other * blk, nbytes=blk)
         return back == expected and size == ctx.size * blk
@@ -100,8 +101,7 @@ def test_collective_read(cluster, cont_label, world):
 
     def main(ctx):
         mount, _dfs = yield from make_rank_mount(cluster, cont_label, ctx)
-        driver = UfsDriver(mount)
-        fh = yield from MpiFile.open(ctx, "/coll-read", driver, create=True)
+        fh = yield from MpiFile.open(ctx, "/coll-read", mount, create=True)
         if ctx.rank == 0:
             whole = PatternPayload(seed=3, origin=0, nbytes=blk * ctx.size)
             yield from fh.write_at(0, whole)
@@ -113,47 +113,11 @@ def test_collective_read(cluster, cont_label, world):
     assert all(run_world(cluster, world, main))
 
 
-def test_native_dfs_driver(cluster, cont_label, world):
-    def main(ctx):
-        _mount, dfs = yield from make_rank_mount(cluster, cont_label, ctx)
-        driver = DfsDriver(dfs)
-        fh = yield from MpiFile.open(
-            ctx, f"/dfsdrv-{ctx.rank}", driver, create=True
-        )
-        yield from fh.write_at(0, b"native")
-        data = yield from fh.read_at(0, 6)
-        yield from fh.sync()
-        yield from fh.close()
-        return data.materialize()
-
-    assert run_world(cluster, world, main) == [b"native"] * 4
-
-
-def test_set_size_and_get_size(cluster, cont_label, world):
-    # both ROMIO drivers implement the whole Driver interface
-    def main(ctx):
-        mount, dfs = yield from make_rank_mount(cluster, cont_label, ctx)
-        sizes = []
-        for tag, driver in (("ufs", UfsDriver(mount)), ("dfs", DfsDriver(dfs))):
-            fh = yield from MpiFile.open(
-                ctx, f"/szf-{tag}-{ctx.rank}", driver, create=True
-            )
-            yield from fh.write_at(0, b"q" * 1000)
-            yield from fh.sync()
-            yield from fh.set_size(100)
-            sizes.append((yield from fh.get_size()))
-            yield from fh.close()
-        return sizes
-
-    assert run_world(cluster, world, main) == [[100, 100]] * 4
-
-
 def test_ops_on_closed_file_raise(cluster, cont_label, world):
     def main(ctx):
         mount, _dfs = yield from make_rank_mount(cluster, cont_label, ctx)
-        driver = UfsDriver(mount)
         fh = yield from MpiFile.open(
-            ctx, f"/closed-{ctx.rank}", driver, create=True
+            ctx, f"/closed-{ctx.rank}", mount, create=True
         )
         yield from fh.close()
         try:
@@ -177,9 +141,8 @@ def test_collective_overhead_bounded_for_ragged_writes(
     def build(mode):
         def main(ctx):
             mount, _dfs = yield from make_rank_mount(cluster, cont_label, ctx)
-            driver = UfsDriver(mount)
             fh = yield from MpiFile.open(
-                ctx, f"/ragged-{mode}", driver, create=True
+                ctx, f"/ragged-{mode}", mount, create=True
             )
             yield from ctx.barrier()
             start = ctx.sim.now
@@ -198,9 +161,38 @@ def test_collective_overhead_bounded_for_ragged_writes(
         return main
 
     independent = max(run_world(cluster, world, build("ind")))
-    from repro.mpi import MpiWorld
-
     world2 = MpiWorld(cluster.sim, cluster.fabric, cluster.clients, ppn=2)
     collective = max(world2.run_to_completion(build("coll")))
     # Exchange + barrier overhead, bounded: no pathological blow-up.
     assert collective < independent * 4.0
+
+
+@pytest.mark.parametrize("fs", ["dfuse", "lustre"])
+def test_collective_write_independent_read_on_either_mount(
+    cluster, cont_label, fs
+):
+    """MpiFile needs only a FileSystem: the same calls work on a DFuse
+    mount and on a Lustre client mount."""
+    blk = 96 * KiB  # unaligned: pieces straddle the 1 MiB file domains
+    system = cluster if fs == "dfuse" else build_lustre_cluster(
+        server_nodes=2, client_nodes=2, engine_spec=EngineSpec(targets=2),
+    )
+    world = MpiWorld(system.sim, system.fabric, system.clients, ppn=2)
+
+    def main(ctx):
+        if fs == "dfuse":
+            mount, _dfs = yield from make_rank_mount(cluster, cont_label, ctx)
+        else:
+            mount = system.mount(system.clients.index(ctx.node))
+        fh = yield from MpiFile.open(ctx, f"/both-{fs}", mount, create=True)
+        for k in range(3):
+            offset = (k * ctx.size + ctx.rank) * blk
+            yield from fh.write_at_all(
+                offset, PatternPayload(seed=4, origin=offset, nbytes=blk)
+            )
+        whole = ctx.size * 3 * blk
+        back = yield from fh.read_at(0, whole)
+        yield from fh.close()
+        return back == PatternPayload(seed=4, origin=0, nbytes=whole)
+
+    assert world.run_to_completion(main) == [True] * 4

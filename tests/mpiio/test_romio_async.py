@@ -10,7 +10,7 @@ from repro.daos.eq import EventQueue
 from repro.daos.vos.payload import PatternPayload
 from repro.dfs import Dfs
 from repro.mpi import MpiWorld
-from repro.mpiio import MpiFile, UfsDriver, romio
+from repro.mpiio import MpiFile, romio
 from repro.units import KiB, MiB
 
 from .conftest import make_rank_mount
@@ -27,7 +27,7 @@ def _write_main(cluster, cont_label, path, aio_depth, cb_buffer=CB_SMALL):
     def main(ctx):
         mount, _dfs = yield from make_rank_mount(cluster, cont_label, ctx)
         fh = yield from MpiFile.open(
-            ctx, path, UfsDriver(mount), create=True,
+            ctx, path, mount, create=True,
             cb_buffer=cb_buffer, aio_depth=aio_depth,
         )
         pattern = PatternPayload(seed=5, origin=ctx.rank * BLK, nbytes=BLK)
@@ -58,7 +58,7 @@ def test_async_collective_read_content(cluster, cont_label):
     def main(ctx):
         mount, _dfs = yield from make_rank_mount(cluster, cont_label, ctx)
         fh = yield from MpiFile.open(
-            ctx, "/aio-r", UfsDriver(mount), create=True,
+            ctx, "/aio-r", mount, create=True,
             cb_buffer=CB_SMALL, aio_depth=4,
         )
         if ctx.rank == 0:
@@ -148,7 +148,7 @@ def _collective_schedule_calls(monkeypatch, queue_cls):
     def main(ctx):
         mount, _dfs = yield from make_rank_mount(cluster, "c", ctx)
         fh = yield from MpiFile.open(
-            ctx, "/f", UfsDriver(mount), create=True,
+            ctx, "/f", mount, create=True,
             cb_buffer=CB_SMALL, aio_depth=4,
         )
         pattern = PatternPayload(seed=5, origin=ctx.rank * BLK, nbytes=BLK)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.daos.vos.payload import BytesPayload
-from repro.mpiio.romio import _coalesce, domain_owner, scatter, split_by_domain
+from repro.mpiio.romio import _coalesce, domain_owner, overlaps, split_by_domain
 from repro.units import MiB
 
 
@@ -67,7 +67,7 @@ def test_property_coalesce_preserves_content(chunks):
 
 
 def _scatter_brute_force(blocks, ranges):
-    """Every block against every rank, the loop ``scatter`` replaces."""
+    """Every block against every rank, the loop ``overlaps`` replaces."""
     hits = []
     for b, (start, stop) in enumerate(blocks):
         for rank, (r_off, r_len) in enumerate(ranges):
@@ -100,4 +100,4 @@ def _gapped_blocks(draw):
 def test_property_scatter_matches_every_block_against_every_rank(
     blocks, ranges
 ):
-    assert scatter(blocks, ranges) == _scatter_brute_force(blocks, ranges)
+    assert overlaps(blocks, ranges) == _scatter_brute_force(blocks, ranges)
