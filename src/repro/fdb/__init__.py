@@ -9,36 +9,33 @@ Facade for the FDB subsystem (DESIGN.md §14)::
     ))
     report = fdb.build_report(result)
 
-Or piecewise, for custom drivers (chaos tests, benchmarks)::
+Or piecewise, for custom drivers (chaos tests, benchmarks), inside a
+task on a booted cluster::
 
+    params = fdb.FdbParams(backend="array", n_params=2, n_steps=4)
     keys = fdb.make_fields(n_params=2, n_steps=4)
-    mapping = fdb.make_mapping("array")
-    index = fdb.make_index("kv", "array")
-    archiver = fdb.Archiver(ctx, mapping, index, depth=8)
-    ...
-    retriever = fdb.Retriever(ctx, mapping, index)
+    mapping, index = yield from fdb.open_store(cluster, params)
+    archiver = fdb.Archiver(cluster.sim, mapping, index, depth=8)
+    yield from archiver.setup(keys)
+    yield from archiver.archive(keys, params.field_bytes)
+    yield from archiver.flush("cycle-001")
+    yield from archiver.close()
+    retriever = fdb.Retriever(cluster.sim, mapping, index)
     keys = yield from retriever.retrieve(fdb.FieldQuery(param="t2m"))
+    mapping.close()
+    index.close()
 """
 
 from repro.fdb.archiver import ARCHIVE_SPAN, Archiver
-from repro.fdb.index import (
-    DfsTreeIndex,
-    FdbIndex,
-    KvIndex,
-    LustreTreeIndex,
-    make_index,
-)
+from repro.fdb.index import KvIndex, TreeIndex
 from repro.fdb.mapping import (
     ArrayPerField,
-    DfsFilePerField,
-    FdbContext,
-    FieldMapping,
+    DfsNamespace,
+    FilePerField,
     KvValueField,
-    LustreFilePerField,
-    MAPPINGS,
+    LustreNamespace,
     field_dir,
     field_file,
-    make_mapping,
 )
 from repro.fdb.report import build_report, render_report
 from repro.fdb.retriever import RETRIEVE_SPAN, Retriever
@@ -47,8 +44,8 @@ from repro.fdb.run import (
     DAOS_BACKENDS,
     FdbParams,
     default_index,
+    open_store,
     run_fdb,
-    setup_context,
 )
 from repro.fdb.schema import (
     AXES,
@@ -65,30 +62,24 @@ __all__ = [
     "ArrayPerField",
     "BACKENDS",
     "DAOS_BACKENDS",
-    "DfsFilePerField",
-    "DfsTreeIndex",
-    "FdbContext",
-    "FdbIndex",
+    "DfsNamespace",
     "FdbParams",
     "FieldKey",
-    "FieldMapping",
     "FieldQuery",
+    "FilePerField",
     "KvIndex",
     "KvValueField",
-    "LustreFilePerField",
-    "LustreTreeIndex",
-    "MAPPINGS",
+    "LustreNamespace",
     "PARAM_NAMES",
     "RETRIEVE_SPAN",
     "Retriever",
+    "TreeIndex",
     "build_report",
     "default_index",
     "field_dir",
     "field_file",
     "make_fields",
-    "make_index",
-    "make_mapping",
+    "open_store",
     "render_report",
     "run_fdb",
-    "setup_context",
 ]

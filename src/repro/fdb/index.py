@@ -1,4 +1,4 @@
-"""Pluggable field indexes: how a schema key finds its field.
+"""Field indexes: how a schema key finds its field.
 
 Two index families, matching the designs the NWP follow-up papers
 compare:
@@ -7,21 +7,24 @@ compare:
   location record, ``L/<name>`` → landmark). Lookup is one KV fetch;
   predicate scans ride the ordered paginated prefix enumeration
   (:meth:`repro.daos.kv.DaosKV.scan`).
-- :class:`DfsTreeIndex` / :class:`LustreTreeIndex` — the POSIX-era
-  contrast: a directory tree (``/index/param/level/step.member.date``)
+- :class:`TreeIndex` — the POSIX-era contrast, on a DFS or Lustre
+  namespace: a directory tree (``/index/param/level/step.member.date``)
   whose entry files hold the location record as JSON bytes. Lookup is a
   path walk + read; scans are recursive ``readdir`` walks pruned by the
   query's concrete axes — metadata-RPC-heavy in exactly the way that
   pushed FDB off parallel filesystems.
 
-Both speak :class:`~repro.fdb.schema.FieldQuery` for scans, so the
-retriever is oblivious to which one is wired in.
+Both offer the task helpers ``prepare(keys)``, ``insert(key, entry)``,
+``lookup(key)`` (``DerNonexist`` if absent), ``scan(query)`` (matching
+keys in canonical order), ``landmark(name, record)`` and
+``get_landmark(name)``, plus ``close()``; the retriever is oblivious to
+which one is wired in.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Generator, List
 
 from repro.daos.api import DaosKV
 from repro.daos.vos.payload import BytesPayload
@@ -29,11 +32,11 @@ from repro.errors import DerInval, DerNonexist, FsError
 from repro.fdb.mapping import (
     INDEX_ROOT,
     LANDMARK_ROOT,
-    FdbContext,
     dirs_for,
     field_file,
+    no_prepare,
 )
-from repro.fdb.schema import FieldKey, FieldQuery
+from repro.fdb.schema import FieldKey
 
 #: KV-index key namespaces (single character so entries sort together)
 ENTRY_PREFIX = "e/"
@@ -43,62 +46,24 @@ LANDMARK_PREFIX = "L/"
 _RECORD_MAX = 1 << 16
 
 
-class FdbIndex:
-    """Index interface: canonical key → location record."""
-
-    name = "?"
-
-    def setup(self, ctx: FdbContext) -> Generator:
-        return
-        yield  # pragma: no cover - generator marker
-
-    def prepare(self, ctx: FdbContext, keys: Sequence[FieldKey]) -> Generator:
-        """Task helper: sequential pre-burst namespace prep (tree
-        indexes create their directory levels here)."""
-        return
-        yield  # pragma: no cover - generator marker
-
-    def insert(self, ctx: FdbContext, key: FieldKey, entry: dict) -> Generator:
-        raise NotImplementedError
-
-    def lookup(self, ctx: FdbContext, key: FieldKey) -> Generator:
-        """Task helper: the key's entry record (DerNonexist if absent)."""
-        raise NotImplementedError
-
-    def scan(self, ctx: FdbContext, query: FieldQuery) -> Generator:
-        """Task helper: every indexed key matching ``query``, sorted by
-        canonical order."""
-        raise NotImplementedError
-
-    def landmark(self, ctx: FdbContext, name: str, record: dict) -> Generator:
-        """Task helper: persist a named durability landmark (the flush
-        marker consumers poll before trusting a forecast cycle)."""
-        raise NotImplementedError
-
-    def get_landmark(self, ctx: FdbContext, name: str) -> Generator:
-        raise NotImplementedError
-
-
-class KvIndex(FdbIndex):
+class KvIndex:
     """Entries and landmarks in one DaosKV object."""
 
-    name = "kv"
+    prepare = no_prepare
 
-    def setup(self, ctx) -> Generator:
-        if ctx.index_kv is None:
-            ctx.index_kv = yield from DaosKV.create(ctx.cont, ctx.oclass)
+    def __init__(self, kv: DaosKV):
+        self.kv = kv
+
+    def insert(self, key, entry) -> Generator:
+        yield from self.kv.put(ENTRY_PREFIX + key.canonical, entry)
         return None
 
-    def insert(self, ctx, key, entry) -> Generator:
-        yield from ctx.index_kv.put(ENTRY_PREFIX + key.canonical, entry)
-        return None
-
-    def lookup(self, ctx, key) -> Generator:
-        entry = yield from ctx.index_kv.get(ENTRY_PREFIX + key.canonical)
+    def lookup(self, key) -> Generator:
+        entry = yield from self.kv.get(ENTRY_PREFIX + key.canonical)
         return entry
 
-    def scan(self, ctx, query) -> Generator:
-        names = yield from ctx.index_kv.scan(ENTRY_PREFIX + query.prefix())
+    def scan(self, query) -> Generator:
+        names = yield from self.kv.scan(ENTRY_PREFIX + query.prefix())
         out: List[FieldKey] = []
         for name in names:
             key = FieldKey.from_canonical(name[len(ENTRY_PREFIX):])
@@ -106,65 +71,55 @@ class KvIndex(FdbIndex):
                 out.append(key)
         return out
 
-    def landmark(self, ctx, name, record) -> Generator:
-        yield from ctx.index_kv.put(LANDMARK_PREFIX + name, record)
+    def landmark(self, name, record) -> Generator:
+        yield from self.kv.put(LANDMARK_PREFIX + name, record)
         return None
 
-    def get_landmark(self, ctx, name) -> Generator:
-        record = yield from ctx.index_kv.get(LANDMARK_PREFIX + name)
+    def get_landmark(self, name) -> Generator:
+        record = yield from self.kv.get(LANDMARK_PREFIX + name)
         return record
 
+    def close(self) -> None:
+        self.kv.close()
 
-class _TreeIndex(FdbIndex):
-    """Directory-tree index skeleton over an abstract namespace."""
 
-    # -- namespace primitives supplied by the concrete variant
-    def _mkdirs(self, ctx, dirs: Sequence[str]) -> Generator:
-        raise NotImplementedError
+class TreeIndex:
+    """Directory-tree index: one JSON entry file per field."""
 
-    def _readdir(self, ctx, path: str) -> Generator:
-        raise NotImplementedError
+    def __init__(self, namespace):
+        self.namespace = namespace
 
-    def _write_file(self, ctx, path: str, data: bytes) -> Generator:
-        raise NotImplementedError
-
-    def _read_file(self, ctx, path: str) -> Generator:
-        raise NotImplementedError
-
-    # -- index interface
-    def prepare(self, ctx, keys) -> Generator:
+    def prepare(self, keys) -> Generator:
         dirs = dirs_for(keys, INDEX_ROOT)
         dirs.append(LANDMARK_ROOT)
-        yield from self._mkdirs(ctx, dirs)
+        yield from self.namespace.mkdirs(dirs)
         return None
 
-    def insert(self, ctx, key, entry) -> Generator:
-        data = json.dumps(entry, sort_keys=True).encode("utf-8")
-        yield from self._write_file(ctx, field_file(key, INDEX_ROOT), data)
+    def insert(self, key, entry) -> Generator:
+        yield from self._write(field_file(key, INDEX_ROOT), entry)
         return None
 
-    def lookup(self, ctx, key) -> Generator:
-        data = yield from self._read_file(ctx, field_file(key, INDEX_ROOT))
-        return json.loads(data.decode("utf-8"))
+    def lookup(self, key) -> Generator:
+        entry = yield from self._read(field_file(key, INDEX_ROOT))
+        return entry
 
-    def scan(self, ctx, query) -> Generator:
+    def scan(self, query) -> Generator:
+        readdir = self.namespace.readdir
         out: List[FieldKey] = []
         try:
-            params = yield from self._readdir(ctx, INDEX_ROOT)
+            params = yield from readdir(INDEX_ROOT)
         except (DerNonexist, FsError):
             return out  # nothing archived yet
         for param in params:
             if query.param is not None and param not in query.param:
                 continue
             param_dir = f"{INDEX_ROOT}/{param}"
-            levels = yield from self._readdir(ctx, param_dir)
+            levels = yield from readdir(param_dir)
             for level_name in levels:
                 level = int(level_name)
                 if query.level is not None and level not in query.level:
                     continue
-                names = yield from self._readdir(
-                    ctx, f"{param_dir}/{level_name}"
-                )
+                names = yield from readdir(f"{param_dir}/{level_name}")
                 for name in names:
                     key = _parse_leaf(param, level, name)
                     if query.matches(key):
@@ -172,16 +127,27 @@ class _TreeIndex(FdbIndex):
         out.sort(key=lambda k: k.canonical)
         return out
 
-    def landmark(self, ctx, name, record) -> Generator:
+    def landmark(self, name, record) -> Generator:
         if "/" in name:
             raise DerInval(f"bad landmark name {name!r}")
-        data = json.dumps(record, sort_keys=True).encode("utf-8")
-        yield from self._write_file(ctx, f"{LANDMARK_ROOT}/{name}", data)
+        yield from self._write(f"{LANDMARK_ROOT}/{name}", record)
         return None
 
-    def get_landmark(self, ctx, name) -> Generator:
-        data = yield from self._read_file(ctx, f"{LANDMARK_ROOT}/{name}")
-        return json.loads(data.decode("utf-8"))
+    def get_landmark(self, name) -> Generator:
+        record = yield from self._read(f"{LANDMARK_ROOT}/{name}")
+        return record
+
+    def _write(self, path: str, record: dict) -> Generator:
+        data = json.dumps(record, sort_keys=True).encode("utf-8")
+        yield from self.namespace.write(path, BytesPayload(data))
+        return None
+
+    def _read(self, path: str) -> Generator:
+        payload = yield from self.namespace.read(path, _RECORD_MAX)
+        return json.loads(payload.materialize().decode("utf-8"))
+
+    def close(self) -> None:
+        self.namespace.close()
 
 
 def _parse_leaf(param: str, level: int, name: str) -> FieldKey:
@@ -190,77 +156,3 @@ def _parse_leaf(param: str, level: int, name: str) -> FieldKey:
         return FieldKey(param, level, int(step), int(member), date)
     except (ValueError, DerInval) as exc:
         raise DerInval(f"malformed index leaf {name!r}") from exc
-
-
-class DfsTreeIndex(_TreeIndex):
-    """Directory-tree index on the DFS namespace."""
-
-    name = "tree"
-
-    def _mkdirs(self, ctx, dirs) -> Generator:
-        from repro.fdb.mapping import _make_dfs_dirs
-
-        yield from _make_dfs_dirs(ctx, dirs)
-        return None
-
-    def _readdir(self, ctx, path) -> Generator:
-        names = yield from ctx.dfs.readdir(path)
-        return names
-
-    def _write_file(self, ctx, path, data) -> Generator:
-        handle = yield from ctx.dfs.open_file(path, create=True)
-        try:
-            yield from handle.write(0, BytesPayload(data))
-        finally:
-            handle.close()
-        return None
-
-    def _read_file(self, ctx, path) -> Generator:
-        handle = yield from ctx.dfs.open_file(path)
-        try:
-            payload = yield from handle.read(0, _RECORD_MAX)
-        finally:
-            handle.close()
-        return payload.materialize()
-
-
-class LustreTreeIndex(_TreeIndex):
-    """Directory-tree index on the Lustre namespace."""
-
-    name = "tree"
-
-    def _mkdirs(self, ctx, dirs) -> Generator:
-        from repro.fdb.mapping import _make_lustre_dirs
-
-        yield from _make_lustre_dirs(ctx, dirs)
-        return None
-
-    def _readdir(self, ctx, path) -> Generator:
-        names = yield from ctx.mount.readdir(path)
-        return names
-
-    def _write_file(self, ctx, path, data) -> Generator:
-        handle = yield from ctx.mount.open(path, flags=("w", "creat"))
-        try:
-            yield from handle.pwrite(0, BytesPayload(data))
-        finally:
-            yield from handle.close()
-        return None
-
-    def _read_file(self, ctx, path) -> Generator:
-        handle = yield from ctx.mount.open(path)
-        try:
-            payload = yield from handle.pread(0, _RECORD_MAX)
-        finally:
-            yield from handle.close()
-        return payload.materialize()
-
-
-def make_index(name: str, backend: str) -> FdbIndex:
-    """Index factory: ``kv`` or ``tree`` (tree picks the variant that
-    matches the backend's namespace)."""
-    if name == "kv":
-        return KvIndex()
-    if name == "tree":
-        return LustreTreeIndex() if backend == "lustre" else DfsTreeIndex()
-    raise DerInval(f"unknown index {name!r} (one of ['kv', 'tree'])")

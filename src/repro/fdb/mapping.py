@@ -1,4 +1,4 @@
-"""Pluggable field-object mappings: where a field's bytes live.
+"""Field-object mappings: where a field's bytes live.
 
 The follow-up papers' central question is how to map *one field* (64 KiB
 to 16 MiB of packed grid data) onto the storage interfaces DAOS offers:
@@ -9,68 +9,29 @@ to 16 MiB of packed grid data) onto the storage interfaces DAOS offers:
 - :class:`KvValueField` — the field is a single KV value under its
   canonical key (one RPC per field; value bytes stream to the key's one
   home target — unbeatable small, single-target-bound large).
-- :class:`DfsFilePerField` — one DFS file per field in a directory tree
-  (the POSIX-style layout FDB used before DAOS; pays namespace lookups
-  and inode metadata on every field).
-- :class:`LustreFilePerField` — the same file-per-field layout on the
-  simulated Lustre filesystem, for the paper's parallel-filesystem
-  contrast runs.
+- :class:`FilePerField` — one file per field in a directory tree (the
+  POSIX-style layout FDB used before DAOS; pays namespace lookups and
+  inode metadata on every field), on a :class:`DfsNamespace` or, for the
+  paper's parallel-filesystem contrast, a :class:`LustreNamespace`.
 
-A mapping is a stateless strategy object: per-run state (container, data
-KV, mounts, created-directory memo) lives in the :class:`FdbContext`
-the driver threads through every call.
+Each mapping holds the handles it uses. Every one offers the same task
+helpers — ``prepare(keys)``, ``write(key, payload)``, ``read(key,
+location, nbytes)`` — plus ``close()`` and a ``name`` used as the
+``backend=`` metric label.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional, Sequence
+from typing import Generator, List, Optional, Sequence
 
 from repro.daos.api import DaosArray, DaosKV, ObjId
-from repro.daos.oclass import ObjectClass
-from repro.errors import DerExist, DerInval, FsError
+from repro.errors import DerExist, FsError
 from repro.fdb.schema import FieldKey
-from repro.units import MiB
 
 #: root directories of the file-per-field namespace layouts
 DATA_ROOT = "/fields"
 INDEX_ROOT = "/index"
 LANDMARK_ROOT = "/landmarks"
-
-
-class FdbContext:
-    """Per-run state shared by the mapping, index and pipelines."""
-
-    def __init__(
-        self,
-        sim,
-        cont=None,
-        dfs=None,
-        mount=None,
-        oclass: Optional[ObjectClass] = None,
-        chunk_bytes: int = MiB,
-    ):
-        self.sim = sim
-        self.cont = cont          # ContainerHandle (daos backends)
-        self.dfs = dfs            # mounted Dfs (dfs mapping / tree index)
-        self.mount = mount        # LustreMount (lustre backend)
-        self.oclass = oclass      # ObjectClass for data objects
-        self.chunk_bytes = chunk_bytes
-        self.data_kv: Optional[DaosKV] = None   # KvValueField storage
-        self.index_kv: Optional[DaosKV] = None  # KvIndex storage
-        #: directories already created on the active namespace, so a
-        #: prepare pass never re-issues mkdir RPCs
-        self.dirs_made: set = set()
-
-    def close(self) -> None:
-        if self.data_kv is not None:
-            self.data_kv.close()
-            self.data_kv = None
-        if self.index_kv is not None:
-            self.index_kv.close()
-            self.index_kv = None
-        if self.dfs is not None:
-            self.dfs.umount()
-            self.dfs = None
 
 
 def field_dir(key: FieldKey, root: str = DATA_ROOT) -> str:
@@ -92,45 +53,126 @@ def dirs_for(keys: Sequence[FieldKey], root: str) -> List[str]:
     return sorted(wanted)
 
 
-class FieldMapping:
-    """Strategy interface: one field in, one field out."""
-
-    #: short backend label used in metrics/report ("kv", "array", ...)
-    name = "?"
-
-    def setup(self, ctx: FdbContext) -> Generator:
-        """Task helper: once-per-run initialisation (create shared
-        objects, mount namespaces). Default: nothing."""
-        return
-        yield  # pragma: no cover - generator marker
-
-    def prepare(self, ctx: FdbContext, keys: Sequence[FieldKey]) -> Generator:
-        """Task helper: pre-burst namespace preparation (directory
-        trees), run sequentially *before* pipelined writes so concurrent
-        field tasks never race on mkdir. Default: nothing."""
-        return
-        yield  # pragma: no cover - generator marker
-
-    def write(self, ctx: FdbContext, key: FieldKey, payload) -> Generator:
-        """Task helper: persist one field; returns its JSON-able
-        location token (stored in the index entry)."""
-        raise NotImplementedError
-
-    def read(self, ctx: FdbContext, key: FieldKey, location,
-             nbytes: int) -> Generator:
-        """Task helper: fetch one field's payload back."""
-        raise NotImplementedError
+def no_prepare(self, keys: Sequence[FieldKey]) -> Generator:
+    """Task helper: nothing to create before a burst (no namespace)."""
+    return None
+    yield  # pragma: no cover - generator marker
 
 
-class ArrayPerField(FieldMapping):
+class DfsNamespace:
+    """Directories and whole-file I/O on a mounted DFS."""
+
+    name = "dfs"
+
+    def __init__(self, dfs):
+        self.dfs = dfs
+        #: directories already created, so a prepare pass never
+        #: re-issues mkdir RPCs
+        self.made: set = set()
+
+    def mkdirs(self, dirs: Sequence[str]) -> Generator:
+        for path in dirs:
+            if path in self.made:
+                continue
+            try:
+                yield from self.dfs.mkdir(path)
+            except DerExist:
+                pass
+            self.made.add(path)
+        return None
+
+    def readdir(self, path: str) -> Generator:
+        names = yield from self.dfs.readdir(path)
+        return names
+
+    def write(self, path: str, payload,
+              chunk_size: Optional[int] = None) -> Generator:
+        handle = yield from self.dfs.open_file(
+            path, create=True, chunk_size=chunk_size,
+        )
+        try:
+            yield from handle.write(0, payload)
+        finally:
+            handle.close()
+        return None
+
+    def read(self, path: str, nbytes: int) -> Generator:
+        handle = yield from self.dfs.open_file(path)
+        try:
+            payload = yield from handle.read(0, nbytes)
+        finally:
+            handle.close()
+        return payload
+
+    def close(self) -> None:
+        """Unmount; idempotent, so a mapping and an index sharing the
+        namespace may both close it."""
+        self.dfs.umount()
+
+
+class LustreNamespace:
+    """The same namespace calls on a Lustre client mount."""
+
+    name = "lustre"
+
+    def __init__(self, mount):
+        self.mount = mount
+        self.made: set = set()
+
+    def mkdirs(self, dirs: Sequence[str]) -> Generator:
+        for path in dirs:
+            if path in self.made:
+                continue
+            try:
+                yield from self.mount.mkdir(path)
+            except FsError as exc:
+                if exc.errno_name != "EEXIST":
+                    raise
+            self.made.add(path)
+        return None
+
+    def readdir(self, path: str) -> Generator:
+        names = yield from self.mount.readdir(path)
+        return names
+
+    def write(self, path: str, payload,
+              chunk_size: Optional[int] = None) -> Generator:
+        """Create and write ``path``; striping is the MDS default, so
+        ``chunk_size`` is not used."""
+        handle = yield from self.mount.open(path, flags=("w", "creat"))
+        try:
+            yield from handle.pwrite(0, payload)
+        finally:
+            yield from handle.close()
+        return None
+
+    def read(self, path: str, nbytes: int) -> Generator:
+        handle = yield from self.mount.open(path)
+        try:
+            payload = yield from handle.pread(0, nbytes)
+        finally:
+            yield from handle.close()
+        return payload
+
+    def close(self) -> None:
+        """Nothing to release: the mount belongs to the cluster."""
+
+
+class ArrayPerField:
     """One DaosArray object per field (1-byte cells, chunked dkeys)."""
 
     name = "array"
+    prepare = no_prepare
 
-    def write(self, ctx, key, payload) -> Generator:
+    def __init__(self, cont, oclass, chunk_bytes: int):
+        self.cont = cont
+        self.oclass = oclass
+        self.chunk_bytes = chunk_bytes
+
+    def write(self, key, payload) -> Generator:
         array = yield from DaosArray.create(
-            ctx.cont, cell_size=1, chunk_cells=ctx.chunk_bytes,
-            oclass=ctx.oclass,
+            self.cont, cell_size=1, chunk_cells=self.chunk_bytes,
+            oclass=self.oclass,
         )
         try:
             yield from array.write(0, payload)
@@ -138,132 +180,64 @@ class ArrayPerField(FieldMapping):
             array.close()
         return [array.obj.oid.hi, array.obj.oid.lo]
 
-    def read(self, ctx, key, location, nbytes) -> Generator:
+    def read(self, key, location, nbytes) -> Generator:
         hi, lo = location
-        array = yield from DaosArray.open(ctx.cont, ObjId(hi, lo))
+        array = yield from DaosArray.open(self.cont, ObjId(hi, lo))
         try:
             payload = yield from array.read(0, nbytes // array.cell_size)
         finally:
             array.close()
         return payload
 
+    def close(self) -> None:
+        """Nothing to release: each array is closed after its write."""
 
-class KvValueField(FieldMapping):
+
+class KvValueField:
     """The field is one KV value; its canonical key is the dkey."""
 
     name = "kv"
+    prepare = no_prepare
 
-    def setup(self, ctx) -> Generator:
-        if ctx.data_kv is None:
-            ctx.data_kv = yield from DaosKV.create(ctx.cont, ctx.oclass)
-        return None
+    def __init__(self, kv: DaosKV):
+        self.kv = kv
 
-    def write(self, ctx, key, payload) -> Generator:
-        yield from ctx.data_kv.put(
+    def write(self, key, payload) -> Generator:
+        yield from self.kv.put(
             key.canonical, payload, value_nbytes=payload.nbytes
         )
         return None  # data lives under the canonical key itself
 
-    def read(self, ctx, key, location, nbytes) -> Generator:
-        payload = yield from ctx.data_kv.get(
-            key.canonical, value_nbytes=nbytes
-        )
+    def read(self, key, location, nbytes) -> Generator:
+        payload = yield from self.kv.get(key.canonical, value_nbytes=nbytes)
         return payload
 
+    def close(self) -> None:
+        self.kv.close()
 
-class DfsFilePerField(FieldMapping):
-    """One DFS regular file per field under ``/fields/param/level/``."""
 
-    name = "dfs"
+class FilePerField:
+    """One file per field under ``/fields/param/level/``."""
 
-    def prepare(self, ctx, keys) -> Generator:
-        yield from _make_dfs_dirs(ctx, dirs_for(keys, DATA_ROOT))
+    def __init__(self, namespace, chunk_bytes: Optional[int] = None):
+        self.namespace = namespace
+        self.name = namespace.name
+        self.chunk_bytes = chunk_bytes
+
+    def prepare(self, keys) -> Generator:
+        yield from self.namespace.mkdirs(dirs_for(keys, DATA_ROOT))
         return None
 
-    def write(self, ctx, key, payload) -> Generator:
+    def write(self, key, payload) -> Generator:
         path = field_file(key)
-        handle = yield from ctx.dfs.open_file(
-            path, create=True, chunk_size=ctx.chunk_bytes,
+        yield from self.namespace.write(
+            path, payload, chunk_size=self.chunk_bytes
         )
-        try:
-            yield from handle.write(0, payload)
-        finally:
-            handle.close()
         return path
 
-    def read(self, ctx, key, location, nbytes) -> Generator:
-        handle = yield from ctx.dfs.open_file(location)
-        try:
-            payload = yield from handle.read(0, nbytes)
-        finally:
-            handle.close()
+    def read(self, key, location, nbytes) -> Generator:
+        payload = yield from self.namespace.read(location, nbytes)
         return payload
 
-
-class LustreFilePerField(FieldMapping):
-    """The same file-per-field layout on the Lustre contrast cluster."""
-
-    name = "lustre"
-
-    def prepare(self, ctx, keys) -> Generator:
-        yield from _make_lustre_dirs(ctx, dirs_for(keys, DATA_ROOT))
-        return None
-
-    def write(self, ctx, key, payload) -> Generator:
-        path = field_file(key)
-        handle = yield from ctx.mount.open(path, flags=("w", "creat"))
-        try:
-            yield from handle.pwrite(0, payload)
-        finally:
-            yield from handle.close()
-        return path
-
-    def read(self, ctx, key, location, nbytes) -> Generator:
-        handle = yield from ctx.mount.open(location)
-        try:
-            payload = yield from handle.pread(0, nbytes)
-        finally:
-            yield from handle.close()
-        return payload
-
-
-def _make_dfs_dirs(ctx: FdbContext, dirs: Sequence[str]) -> Generator:
-    for path in dirs:
-        if path in ctx.dirs_made:
-            continue
-        try:
-            yield from ctx.dfs.mkdir(path)
-        except DerExist:
-            pass
-        ctx.dirs_made.add(path)
-    return None
-
-
-def _make_lustre_dirs(ctx: FdbContext, dirs: Sequence[str]) -> Generator:
-    for path in dirs:
-        if path in ctx.dirs_made:
-            continue
-        try:
-            yield from ctx.mount.mkdir(path)
-        except FsError as exc:
-            if exc.errno_name != "EEXIST":
-                raise
-        ctx.dirs_made.add(path)
-    return None
-
-
-#: mapping registry for config/CLI lookups
-MAPPINGS: Dict[str, type] = {
-    cls.name: cls
-    for cls in (ArrayPerField, KvValueField, DfsFilePerField,
-                LustreFilePerField)
-}
-
-
-def make_mapping(name: str) -> FieldMapping:
-    try:
-        return MAPPINGS[name]()
-    except KeyError:
-        raise DerInval(
-            f"unknown field mapping {name!r} (one of {sorted(MAPPINGS)})"
-        ) from None
+    def close(self) -> None:
+        self.namespace.close()

@@ -5,8 +5,8 @@ Monday's run". The retriever expands a
 :class:`~repro.fdb.schema.FieldQuery` against the index (ordered KV
 prefix scan, or a pruned directory walk on the tree contrast), then
 scatter-reads the matching fields — per field an index lookup for the
-location record and a mapping read for the bytes, pipelined through an
-event queue in async mode.
+location record and a mapping read for the bytes, pipelined through a
+per-query event queue in async mode.
 
 Every payload read back is verified against the field's deterministic
 content pattern (``PatternPayload(key.seed, 0, nbytes)``) unless
@@ -16,40 +16,27 @@ nothing simulated or real.
 
 from __future__ import annotations
 
-from typing import Generator, List, Optional, Tuple
+from typing import Generator, Optional
 
-from repro.daos.api import EventQueue, PatternPayload, reap
+from repro.daos.api import PatternPayload
 from repro.errors import DerDataLoss
-from repro.fdb.index import FdbIndex
-from repro.fdb.mapping import FdbContext, FieldMapping
+from repro.fdb.pipeline import FieldPipeline
 from repro.fdb.schema import FieldKey, FieldQuery
 
 #: span name the per-layer breakdown roots at
 RETRIEVE_SPAN = "fdb.retrieve"
 
 
-class Retriever:
+class Retriever(FieldPipeline):
     """Predicate-expansion scatter-read pipeline."""
 
-    def __init__(
-        self,
-        ctx: FdbContext,
-        mapping: FieldMapping,
-        index: FdbIndex,
-        depth: Optional[int] = 8,
-        sync: bool = False,
-        verify: bool = True,
-    ):
-        self.ctx = ctx
-        self.mapping = mapping
-        self.index = index
-        self.depth = depth
-        self.sync = sync
+    phase = "retrieve"
+    span = RETRIEVE_SPAN
+
+    def __init__(self, sim, mapping, index, depth: Optional[int] = 8,
+                 sync: bool = False, verify: bool = True):
+        super().__init__(sim, mapping, index, depth, sync)
         self.verify = verify
-        #: per-field service latencies (simulated seconds), reap order
-        self.latencies: List[float] = []
-        self.fields = 0
-        self.bytes = 0
 
     def retrieve(self, query: FieldQuery) -> Generator:
         """Task helper: expand ``query`` and fetch every matching field.
@@ -57,39 +44,23 @@ class Retriever:
         Returns the matched keys in canonical order. Raises
         :class:`~repro.errors.DerDataLoss` if any payload read back does
         not equal its field's expected pattern."""
-        tracer = self.ctx.sim.tracer
-        span = None
-        if tracer is not None:
-            span = tracer.begin(
-                RETRIEVE_SPAN, "fdb",
-                attrs={"backend": self.mapping.name, "sync": self.sync},
-            )
+        span = self._begin()
         try:
-            keys = yield from self.index.scan(self.ctx, query)
-            if self.sync:
-                for key in keys:
-                    yield from self._fetch(key)
-            else:
-                eq = EventQueue(
-                    self.ctx.sim, depth=self.depth, name="fdb-retrieve"
-                )
-                for key in keys:
-                    yield from eq.submit(self._fetch(key), name=key.canonical)
-                reap((yield from eq.drain()))
-                yield from eq.close()
+            keys = yield from self.index.scan(query)
+            yield from self._each(keys, self._fetch)
+            try:
+                yield from self._settle()
+            finally:
+                yield from self.close()
         finally:
-            if tracer is not None:
-                tracer.end(span, fields=self.fields)
+            self._end(span)
         return keys
 
     def _fetch(self, key: FieldKey) -> Generator:
-        sim = self.ctx.sim
-        start = sim.now
-        entry = yield from self.index.lookup(self.ctx, key)
+        start = self.sim.now
+        entry = yield from self.index.lookup(key)
         nbytes = entry["nbytes"]
-        payload = yield from self.mapping.read(
-            self.ctx, key, entry["loc"], nbytes
-        )
+        payload = yield from self.mapping.read(key, entry["loc"], nbytes)
         if self.verify:
             expected = PatternPayload(seed=key.seed, origin=0, nbytes=nbytes)
             if payload != expected:
@@ -97,20 +68,5 @@ class Retriever:
                     f"field {key.canonical} read back wrong content "
                     f"({payload!r} != {expected!r})"
                 )
-        elapsed = sim.now - start
-        self.latencies.append(elapsed)
-        self.fields += 1
-        self.bytes += nbytes
-        self._account(nbytes, elapsed)
+        self._done(start, nbytes)
         return nbytes
-
-    def _account(self, nbytes: int, elapsed: float) -> None:
-        metrics = self.ctx.sim.metrics
-        if metrics is None:
-            return
-        backend = self.mapping.name
-        metrics.incr(f"fdb.fields{{backend={backend},phase=retrieve}}")
-        metrics.incr(f"fdb.bytes{{backend={backend},phase=retrieve}}", nbytes)
-        metrics.observe(
-            f"fdb.field.latency{{backend={backend},phase=retrieve}}", elapsed
-        )

@@ -21,13 +21,20 @@ from dataclasses import asdict, dataclass, field
 from typing import Generator, List, Optional, Tuple
 
 from repro.cluster import build_system
+from repro.daos.api import DaosKV
 from repro.daos.oclass import oclass_by_name
 from repro.errors import DerInval
 from repro.fdb.archiver import ARCHIVE_SPAN, Archiver
-from repro.fdb.index import make_index
-from repro.fdb.mapping import FdbContext, make_mapping
+from repro.fdb.index import KvIndex, TreeIndex
+from repro.fdb.mapping import (
+    ArrayPerField,
+    DfsNamespace,
+    FilePerField,
+    KvValueField,
+    LustreNamespace,
+)
 from repro.fdb.retriever import RETRIEVE_SPAN, Retriever
-from repro.fdb.schema import FieldQuery, make_fields
+from repro.fdb.schema import FieldQuery, check_grid, grid_params, make_fields
 from repro.obs.breakdown import layer_breakdown
 from repro.units import MiB
 
@@ -83,6 +90,14 @@ class FdbParams:
             raise DerInval("field_bytes must be >= 1")
         if self.depth < 1:
             raise DerInval("depth must be >= 1")
+        check_grid(self.n_params, self.n_levels, self.n_steps,
+                   self.n_members, self.n_dates)
+        if self.retrieve_params:
+            archived = grid_params(self.n_params)
+            for name in self.retrieve_params:
+                if name not in archived:
+                    raise DerInval(f"cannot retrieve {name!r}: not one of "
+                                   f"the {len(archived)} archived params")
         oclass_by_name(self.oclass)  # unknown class -> DerInval
 
 
@@ -95,31 +110,32 @@ def boot(params: FdbParams):
                         params.client_nodes, params.seed)
 
 
-def setup_context(cluster, params: FdbParams) -> Generator:
-    """Task helper: connect/mount whatever the backend needs and return
-    a ready :class:`FdbContext` (shared with the chaos tests, which
-    drive the phases themselves)."""
+def open_store(cluster, params: FdbParams) -> Generator:
+    """Task helper: connect and create what the backend and index use,
+    in a fixed order — pool, container, DFS mount, data KV, index KV —
+    and return the ``(mapping, index)`` pair. Closing both releases it
+    all."""
+    tree = params.resolved_index() == "tree"
     if params.backend == "lustre":
-        ctx = FdbContext(
-            cluster.sim,
-            mount=cluster.mount(0),
-            chunk_bytes=params.chunk_bytes,
-        )
-        return ctx
+        namespace = LustreNamespace(cluster.mount(0))
+        return FilePerField(namespace), TreeIndex(namespace)
     client = cluster.new_client(0)
     pool = yield from client.connect_pool("tank")
     cont = yield from pool.create_container("fdb", oclass=params.oclass)
-    ctx = FdbContext(
-        cluster.sim,
-        cont=cont,
-        oclass=oclass_by_name(params.oclass),
-        chunk_bytes=params.chunk_bytes,
-    )
-    if params.backend == "dfs" or params.resolved_index() == "tree":
+    oclass = oclass_by_name(params.oclass)
+    if params.backend == "dfs" or tree:
         from repro.dfs import Dfs
 
-        ctx.dfs = yield from Dfs.mount(cont)
-    return ctx
+        namespace = DfsNamespace((yield from Dfs.mount(cont)))
+    if params.backend == "kv":
+        mapping = KvValueField((yield from DaosKV.create(cont, oclass)))
+    elif params.backend == "array":
+        mapping = ArrayPerField(cont, oclass, params.chunk_bytes)
+    else:
+        mapping = FilePerField(namespace, params.chunk_bytes)
+    if tree:
+        return mapping, TreeIndex(namespace)
+    return mapping, KvIndex((yield from DaosKV.create(cont, oclass)))
 
 
 def run_fdb(params: FdbParams):
@@ -146,18 +162,16 @@ def archive_and_retrieve(cluster, params: FdbParams) -> dict:
         n_members=params.n_members,
         n_dates=params.n_dates,
     )
-    query_params = params.retrieve_params or tuple(
-        sorted({key.param for key in keys})
+    query_params = params.retrieve_params or sorted(
+        grid_params(params.n_params)
     )
     queries = [FieldQuery(param=name) for name in query_params]
-    mapping = make_mapping(params.backend)
-    index = make_index(params.resolved_index(), params.backend)
 
     def driver():
         sim = cluster.sim
-        ctx = yield from setup_context(cluster, params)
+        mapping, index = yield from open_store(cluster, params)
         archiver = Archiver(
-            ctx, mapping, index, depth=params.depth, sync=params.sync
+            sim, mapping, index, depth=params.depth, sync=params.sync
         )
         yield from archiver.setup(keys)
         t0 = sim.now
@@ -167,7 +181,7 @@ def archive_and_retrieve(cluster, params: FdbParams) -> dict:
         yield from archiver.close()
 
         retriever = Retriever(
-            ctx, mapping, index, depth=params.depth, sync=params.sync,
+            sim, mapping, index, depth=params.depth, sync=params.sync,
             verify=params.verify,
         )
         t1 = sim.now
@@ -175,7 +189,8 @@ def archive_and_retrieve(cluster, params: FdbParams) -> dict:
         for query in queries:
             matched.extend((yield from retriever.retrieve(query)))
         retrieve_wall = sim.now - t1
-        ctx.close()
+        mapping.close()
+        index.close()
         return archiver, retriever, landmark, archive_wall, retrieve_wall, matched
 
     archiver, retriever, landmark, archive_wall, retrieve_wall, matched = (

@@ -18,6 +18,7 @@ single contiguous prefix range.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -146,6 +147,40 @@ class FieldQuery:
                    member=key.member, date=key.date)
 
 
+#: the i-th generated value on each axis, in :data:`AXES` order: NWP
+#: conventions — pressure levels every 50 hPa from 1000 downward, 3-hourly
+#: steps, dates counting up from 20200101 within 28-day months so the
+#: grid never needs calendar logic
+_AXIS_RULES = (
+    lambda i: PARAM_NAMES[i] if i < len(PARAM_NAMES) else f"p{i:03d}",
+    lambda i: 1000 - 50 * i,
+    lambda i: 3 * i,
+    lambda i: i,
+    lambda i: f"2020{1 + i // 28:02d}{1 + i % 28:02d}",
+)
+
+
+def grid_params(n_params: int) -> List[str]:
+    """The parameter names a grid of ``n_params`` archives."""
+    return [_AXIS_RULES[0](i) for i in range(n_params)]
+
+
+def check_grid(*counts: int) -> None:
+    """``DerInval`` unless a grid of these axis sizes (in :data:`AXES`
+    order) is buildable: every axis has a value and each axis's last
+    value still fits a :class:`FieldKey`."""
+    if min(counts) < 1:
+        raise DerInval("every axis needs at least one value")
+    first = [rule(0) for rule in _AXIS_RULES]
+    for i, (axis, rule, n) in enumerate(zip(AXES, _AXIS_RULES, counts)):
+        try:
+            FieldKey(*first[:i], rule(n - 1), *first[i + 1:])
+        except DerInval as exc:
+            reason = str(exc).removeprefix(f"{exc.code}: ")
+            raise DerInval(f"{n} {axis}s run past the schema: {reason}") \
+                from None
+
+
 def make_fields(
     n_params: int = 4,
     n_levels: int = 1,
@@ -153,27 +188,10 @@ def make_fields(
     n_members: int = 1,
     n_dates: int = 1,
 ) -> List[FieldKey]:
-    """Deterministic dense grid of keys (the product of the axis sizes).
-
-    Axis values follow NWP conventions: 3-hourly steps, pressure levels
-    every 50 hPa from 1000 downward, dates counting up from 20200101
-    within a 28-day month so the grid never needs calendar logic.
-    """
-    if min(n_params, n_levels, n_steps, n_members, n_dates) < 1:
-        raise DerInval("every axis needs at least one value")
-    params = [
-        PARAM_NAMES[i] if i < len(PARAM_NAMES) else f"p{i:03d}"
-        for i in range(n_params)
-    ]
-    levels = [1000 - 50 * i for i in range(n_levels)]
-    steps = [3 * i for i in range(n_steps)]
-    members = list(range(n_members))
-    dates = [f"2020{1 + i // 28:02d}{1 + i % 28:02d}" for i in range(n_dates)]
-    return [
-        FieldKey(p, l, s, m, d)
-        for p in params
-        for l in levels
-        for s in steps
-        for m in members
-        for d in dates
-    ]
+    """Deterministic dense grid of keys (the product of the axis sizes,
+    each axis generated by its rule in ``_AXIS_RULES``)."""
+    counts = (n_params, n_levels, n_steps, n_members, n_dates)
+    check_grid(*counts)
+    axes = [[rule(i) for i in range(n)]
+            for rule, n in zip(_AXIS_RULES, counts)]
+    return [FieldKey(*values) for values in itertools.product(*axes)]

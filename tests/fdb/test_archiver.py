@@ -6,8 +6,7 @@ import pytest
 
 from repro.cluster import build_cluster
 from repro.daos.api import DerNoSpace, EventQueue
-from repro.fdb import Archiver, FdbParams, make_fields, make_index, setup_context
-from repro.fdb.mapping import KvValueField
+from repro.fdb import Archiver, FdbParams, KvValueField, make_fields, open_store
 from repro.units import KiB
 
 DEPTH = 4
@@ -16,16 +15,18 @@ FIELD_BYTES = 4 * KiB
 KEYS = make_fields(n_params=10, n_steps=20)
 
 
-def _archive(mapping, body):
-    """Boot, build a depth-``DEPTH`` KV archiver over ``mapping``, set up
-    ``KEYS`` and run ``body(archiver)`` as a task helper."""
+def _archive(body, bad=None):
+    """Boot, build a depth-``DEPTH`` KV archiver (whose write of ``bad``
+    fails, if given), set up ``KEYS`` and run ``body(archiver)`` as a
+    task helper."""
     params = FdbParams(backend="kv", depth=DEPTH)
     cluster = build_cluster(server_nodes=2, client_nodes=1, seed=0xDA05)
-    index = make_index(params.resolved_index(), "kv")
 
     def driver():
-        ctx = yield from setup_context(cluster, params)
-        archiver = Archiver(ctx, mapping, index, depth=DEPTH)
+        mapping, index = yield from open_store(cluster, params)
+        if bad is not None:
+            mapping = _FailOneKey(mapping.kv, bad)
+        archiver = Archiver(cluster.sim, mapping, index, depth=DEPTH)
         yield from archiver.setup(KEYS)
         return (yield from body(archiver))
 
@@ -49,7 +50,7 @@ def test_queue_holds_at_most_depth_completions_after_every_submit(
         yield from archiver.archive(KEYS, FIELD_BYTES)
         return (yield from archiver.flush("cycle-001"))
 
-    landmark = _archive(KvValueField(), body)
+    landmark = _archive(body)
     assert landmark["fields"] == len(KEYS)
     assert len(held) == len(KEYS)
     assert max(held) <= DEPTH
@@ -58,13 +59,14 @@ def test_queue_holds_at_most_depth_completions_after_every_submit(
 class _FailOneKey(KvValueField):
     """KV mapping whose write of one key runs out of space."""
 
-    def __init__(self, bad):
+    def __init__(self, kv, bad):
+        super().__init__(kv)
         self.bad = bad
 
-    def write(self, ctx, key, payload):
+    def write(self, key, payload):
         if key == self.bad:
             raise DerNoSpace(f"no room for {key.canonical}")
-        return (yield from super().write(ctx, key, payload))
+        return (yield from super().write(key, payload))
 
 
 def test_flush_raises_the_failure_reaped_during_the_burst():
@@ -79,4 +81,4 @@ def test_flush_raises_the_failure_reaped_during_the_burst():
         assert archiver.landmarks == []
         return archiver.fields
 
-    assert _archive(_FailOneKey(bad), body) == len(KEYS) - 1
+    assert _archive(body, bad) == len(KEYS) - 1

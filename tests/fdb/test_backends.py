@@ -11,10 +11,15 @@ import json
 
 import pytest
 
+from repro.cluster import build_system
 from repro.fdb import (
+    Archiver,
     FdbParams,
     FieldQuery,
+    Retriever,
     build_report,
+    make_fields,
+    open_store,
     render_report,
     run_fdb,
 )
@@ -32,10 +37,19 @@ def _run(params):
     return result, report, timeline
 
 
-@pytest.mark.parametrize("backend", ["kv", "array", "dfs", "lustre"])
-def test_round_trip_verified_and_deterministic(backend):
+#: each backend with its default index, then the non-default pairings
+PAIRINGS = [("kv", ""), ("array", ""), ("dfs", ""), ("lustre", ""),
+            ("dfs", "kv"), ("kv", "tree")]
+
+
+@pytest.mark.parametrize(
+    "backend,index", PAIRINGS,
+    ids=[f"{b}-{i}" if i else b for b, i in PAIRINGS],
+)
+def test_round_trip_verified_and_deterministic(backend, index):
     # interval sized to the ~1ms simulated run so windows actually fire
-    params = FdbParams(backend=backend, timeline_interval=0.0002, **GRID)
+    params = FdbParams(backend=backend, index=index,
+                       timeline_interval=0.0002, **GRID)
     result, report, timeline = _run(params)
 
     assert timeline["n_windows"] > 0 and timeline["series"]
@@ -95,30 +109,48 @@ def test_retrieve_params_narrow_the_scatter():
     assert all(name.startswith("t2m/") for name in result["matched"])
 
 
+def _archived(params, body):
+    """Boot, open the store, archive and flush ``params``' grid as
+    ``cycle-001``, then run ``body(mapping, index, landmark)``."""
+    keys = make_fields(n_params=params.n_params, n_steps=params.n_steps)
+    cluster = build_system(params.backend == "lustre", 2, 1, params.seed)
+
+    def go():
+        mapping, index = yield from open_store(cluster, params)
+        archiver = Archiver(cluster.sim, mapping, index, depth=params.depth)
+        yield from archiver.setup(keys)
+        yield from archiver.archive(keys, params.field_bytes)
+        landmark = yield from archiver.flush("cycle-001")
+        yield from archiver.close()
+        return (yield from body(cluster.sim, mapping, index, landmark))
+
+    return keys, cluster.run(go())
+
+
 def test_query_object_narrows_by_non_prefix_axis():
     """Axis predicates past the shared prefix are post-filtered (the
     index scan sees only the param prefix, the query trims the rest)."""
-    from repro.fdb import Archiver, Retriever, make_fields, make_index, make_mapping
-    from repro.fdb.run import setup_context
-    from repro.cluster import build_cluster
 
-    keys = make_fields(n_params=2, n_steps=3)
-    params = FdbParams(backend="kv", **GRID)
-    cluster = build_cluster(server_nodes=2, client_nodes=1)
-    mapping, index = make_mapping("kv"), make_index("kv", "kv")
-
-    def go():
-        ctx = yield from setup_context(cluster, params)
-        archiver = Archiver(ctx, mapping, index, depth=4)
-        yield from archiver.setup(keys)
-        yield from archiver.archive(keys, params.field_bytes)
-        yield from archiver.flush("c1")
-        yield from archiver.close()
-        retriever = Retriever(ctx, mapping, index, depth=4)
+    def body(sim, mapping, index, _landmark):
+        retriever = Retriever(sim, mapping, index, depth=4)
         got = yield from retriever.retrieve(FieldQuery(step=(0, 6)))
         return [key.canonical for key in got]
 
-    got = cluster.run(go())
+    keys, got = _archived(FdbParams(backend="kv", **GRID), body)
     assert got == sorted(
         key.canonical for key in keys if key.step in (0, 6)
     )
+
+
+@pytest.mark.parametrize("backend,index",
+                         [("kv", "kv"), ("kv", "tree"), ("lustre", "tree")])
+def test_landmark_reads_back_the_flush_record(backend, index):
+    def body(_sim, _mapping, index, landmark):
+        record = yield from index.get_landmark("cycle-001")
+        return landmark, record
+
+    _keys, (landmark, record) = _archived(
+        FdbParams(backend=backend, index=index, **GRID), body
+    )
+    assert landmark["fields"] == 6
+    assert record == landmark

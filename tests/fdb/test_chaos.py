@@ -18,9 +18,7 @@ from repro.fdb import (
     FieldQuery,
     Retriever,
     make_fields,
-    make_index,
-    make_mapping,
-    setup_context,
+    open_store,
 )
 from repro.units import KiB
 
@@ -35,19 +33,17 @@ def test_retrieve_after_engine_restart(backend):
                        field_bytes=FIELD_BYTES, depth=4)
     keys = make_fields(n_params=2, n_steps=3)
     cluster = build_cluster(server_nodes=2, client_nodes=1, seed=0xDA05)
-    mapping = make_mapping(backend)
-    index = make_index(params.resolved_index(), backend)
 
     def archive():
-        ctx = yield from setup_context(cluster, params)
-        archiver = Archiver(ctx, mapping, index, depth=params.depth)
+        mapping, index = yield from open_store(cluster, params)
+        archiver = Archiver(cluster.sim, mapping, index, depth=params.depth)
         yield from archiver.setup(keys)
         yield from archiver.archive(keys, FIELD_BYTES)
         landmark = yield from archiver.flush("cycle-001")
         yield from archiver.close()
-        return ctx, landmark
+        return mapping, index, landmark
 
-    ctx, landmark = cluster.run(archive())
+    mapping, index, landmark = cluster.run(archive())
     assert landmark["fields"] == len(keys)
 
     # crash one engine after the flush, restart it, let both fire
@@ -63,8 +59,8 @@ def test_retrieve_after_engine_restart(backend):
     cluster.run(wait())
 
     def retrieve():
-        record = yield from index.get_landmark(ctx, "cycle-001")
-        retriever = Retriever(ctx, mapping, index, depth=params.depth)
+        record = yield from index.get_landmark("cycle-001")
+        retriever = Retriever(cluster.sim, mapping, index, depth=params.depth)
         got = yield from retriever.retrieve(FieldQuery())
         return record, retriever, got
 
@@ -87,8 +83,6 @@ def test_archive_rides_through_crash_restart_window():
                        field_bytes=FIELD_BYTES, depth=4)
     keys = make_fields(n_params=2, n_steps=3)
     cluster = build_cluster(server_nodes=2, client_nodes=1, seed=0xDA05)
-    mapping = make_mapping("kv")
-    index = make_index("kv", "kv")
     cluster.inject(
         FaultSchedule()
         .at(0.05, CrashEngine(rank=1))
@@ -96,14 +90,14 @@ def test_archive_rides_through_crash_restart_window():
     )
 
     def go():
-        ctx = yield from setup_context(cluster, params)
-        archiver = Archiver(ctx, mapping, index, depth=params.depth)
+        mapping, index = yield from open_store(cluster, params)
+        archiver = Archiver(cluster.sim, mapping, index, depth=params.depth)
         yield from archiver.setup(keys)
         yield 0.04  # land the burst right before the crash window
         yield from archiver.archive(keys, FIELD_BYTES)
         landmark = yield from archiver.flush("cycle-001")
         yield from archiver.close()
-        retriever = Retriever(ctx, mapping, index, depth=params.depth)
+        retriever = Retriever(cluster.sim, mapping, index, depth=params.depth)
         got = yield from retriever.retrieve(FieldQuery())
         return landmark, got
 

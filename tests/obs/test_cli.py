@@ -70,6 +70,13 @@ BAD_INPUT = [
      "--chunk-size: must be positive"),
     ("fdb", _FDB + ["--chunk-size", "0", "--backend", "dfs"],
      "--chunk-size: must be positive"),
+    # grids whose last key leaves the schema's canonical range, and a
+    # query for a parameter the grid never archives
+    ("fdb", _FDB + ["--levels", "22"], "22 levels run past the schema"),
+    ("fdb", _FDB + ["--steps", "335"], "335 steps run past the schema"),
+    ("fdb", _FDB + ["--members", "1001"], "1001 members run past the schema"),
+    ("fdb", _FDB + ["--dates", "2773"], "2773 dates run past the schema"),
+    ("fdb", _FDB + ["--retrieve-param", "nope"], "cannot retrieve 'nope'"),
     # erasure-coded classes take full-stripe writes only (DESIGN.md §5)
     ("ior", _IOR + ["-t", "1m", "-O", "oclass=EC_2P1GX", "-a", "HDF5"],
      "unaligned metadata"),
