@@ -42,11 +42,12 @@ bench-e2e:
 	$(PY) benchmarks/e2e/run.py --workload fig1_fpp_dfs --seed 0xDA05 \
 		--seconds 20 --trace 1
 
-# Who calls what (~3 min): tier-1, then every CLI mode / e2e workload /
+# Who calls what (~9 min): tier-1, then every CLI mode / e2e workload /
 # script / example, under sys.setprofile. Lists the functions nothing
 # called (NEVER) or only tests called (TESTONLY); fails on a NEVER
-# function that is neither a dunder nor an interface stub, or on more
-# TESTONLY functions than census.py's TESTONLY_BUDGET.
+# function that is neither a dunder nor an interface stub, on a TESTONLY
+# function that census.py's KEEP allowlist gives no reason for, and on a
+# KEEP entry that covers no TESTONLY function any more (stale).
 census:
 	$(PY) benchmarks/census.py
 

@@ -4,7 +4,7 @@ Models dfuse's ``--attr-time`` / ``--dentry-time`` caching: an entry is
 served from DRAM until its simulated age exceeds the TTL, after which
 the next access misses and refreshes from the store.  Time comes from
 ``sim.now`` — fully deterministic — and explicit invalidation (unlink,
-rename, a local write changing the size) drops entries immediately so
+a local write changing the size) drops entries immediately so
 the caller never sees its own operations stale.
 """
 
@@ -53,17 +53,6 @@ class TtlCache:
 
     def invalidate(self, key: Hashable) -> None:
         if self._entries.pop(key, None) is not None:
-            self._incr("invalidations")
-
-    def invalidate_prefix(self, prefix: str) -> None:
-        """Drop every string key under a path prefix (rename/rmdir)."""
-        dead = [
-            k for k in self._entries
-            if isinstance(k, str) and (k == prefix or k.startswith(prefix + "/"))
-        ]
-        for k in dead:
-            del self._entries[k]
-        if dead:
             self._incr("invalidations")
 
     def __len__(self) -> int:

@@ -92,14 +92,5 @@ class DaosArray:
         nbytes = yield from self.obj.size(chunk_size=self.chunk_bytes)
         return (nbytes + self.cell_size - 1) // self.cell_size
 
-    def punch(self, index: int, count: int) -> Generator:
-        """Task helper: punch a cell range."""
-        yield from self.obj.punch_range(
-            index * self.cell_size,
-            count * self.cell_size,
-            chunk_size=self.chunk_bytes,
-        )
-        return count
-
     def close(self) -> None:
         self.obj.close()

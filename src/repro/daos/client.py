@@ -193,17 +193,3 @@ class ContainerHandle:
     def __exit__(self, exc_type, exc, tb) -> bool:
         self.close()
         return False
-
-    def snapshot(self) -> Generator:
-        """Task helper: snapshot the container on every shard; returns a
-        per-target epoch map usable with ``ObjectHandle.get(epoch=...)``."""
-        epochs = {}
-        system = self.client.system
-        for tid in range(self.pool.pool_map.n_targets):
-            ref = system.target(tid)
-            vc = ref.engine.container_shard(
-                self.pool.pool_map.uuid, ref.local_tid, self.uuid
-            )
-            epochs[tid] = vc.snapshot()
-        yield OP_LATENCY  # one coordination round
-        return epochs

@@ -76,7 +76,6 @@ class Engine:
         register("cont_create", self._h_cont_create)
         register("kv_update", self._h_kv_update)
         register("kv_fetch", self._h_kv_fetch)
-        register("kv_punch", self._h_kv_punch)
         register("list_dkeys", self._h_list_dkeys)
         register("punch_dkey", self._h_punch_dkey)
         register("punch_object", self._h_punch_object)
@@ -269,22 +268,13 @@ class Engine:
         return vc.update_single(oid, dkey, akey, value)
 
     def _h_kv_fetch(
-        self, _src, pool: str, cont: str, local_tid: int, oid, dkey, akey, epoch=None,
+        self, _src, pool: str, cont: str, local_tid: int, oid, dkey, akey,
         nbytes: int = 0,
     ) -> Generator:
         vc = yield from self._service(
             pool, cont, local_tid, media_bytes=nbytes, read=True
         )
-        return vc.fetch_single(oid, dkey, akey, epoch)
-
-    def _h_kv_punch(
-        self, _src, pool: str, cont: str, local_tid: int, oid, dkey, akey,
-        map_version=None,
-    ) -> Generator:
-        vc = yield from self._service(
-            pool, cont, local_tid, map_version, media_ops=2
-        )
-        return vc.punch_single(oid, dkey, akey)
+        return vc.fetch_single(oid, dkey, akey)
 
     def _h_list_dkeys(
         self, _src, pool: str, cont: str, local_tid: int, oid, lo=None, hi=None,

@@ -111,12 +111,6 @@ class DaosKV:
             return default
         return value
 
-    def remove(self, key: str) -> Generator:
-        """Task helper: delete ``key``; returns whether it existed."""
-        validate_key(key)
-        existed = yield from self.obj.punch(_encode(key), _KV_AKEY)
-        return existed
-
     def list(self, prefix: str = "", limit: int = 1024,
              after: Optional[str] = None) -> Generator:
         """Task helper: one sorted page of keys starting with ``prefix``.

@@ -3,7 +3,7 @@
 A :class:`ObjectHandle` is what ``daos_obj_open`` returns. Two families
 of operations are exposed, matching libdaos:
 
-- **KV** (single values): ``put``/``get``/``punch``/``list_dkeys`` route
+- **KV** (single values): ``put``/``get``/``list_dkeys`` route
   each dkey to its layout group's targets via real engine RPCs (all
   replicas updated on write, first live replica read). Directory
   entries, inodes and mdtest storms travel this path.
@@ -255,14 +255,13 @@ class ObjectHandle:
                 )
             )
 
-    def get(self, dkey, akey, epoch: Optional[int] = None,
-            value_nbytes: int = 0) -> Generator:
+    def get(self, dkey, akey, value_nbytes: int = 0) -> Generator:
         """Read a single value from the first readable replica.
 
         ``value_nbytes`` mirrors :meth:`put`: the reply carries that
         many extra bytes and the engine charges a media read stream."""
         tid = self._reader(self._route_for_dkey(dkey))
-        extra = {"dkey": dkey, "akey": akey, "epoch": epoch}
+        extra = {"dkey": dkey, "akey": akey}
         if value_nbytes:
             extra["nbytes"] = value_nbytes
         with span_of(self.sim, "client.kv_get", "client",
@@ -271,13 +270,6 @@ class ObjectHandle:
                 tid, "kv_fetch", extra, rep_bytes=256 + value_nbytes
             )
         return value
-
-    def punch(self, dkey, akey) -> Generator:
-        return (
-            yield from self._retry_stale(lambda: self._mutate(
-                self._writers(dkey), "kv_punch", {"dkey": dkey, "akey": akey}
-            ))
-        )
 
     def punch_dkey(self, dkey) -> Generator:
         return (

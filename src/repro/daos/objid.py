@@ -42,10 +42,5 @@ class ObjId:
         cid = (self.hi & _CLASS_MASK) >> _CLASS_SHIFT
         return oclass_from_id(cid)
 
-    @property
-    def app_hi(self) -> int:
-        """The application-controlled low 48 bits of ``hi``."""
-        return self.hi & _HI_LOW_MASK
-
     def __str__(self) -> str:
         return f"{self.hi:016x}.{self.lo:016x}"

@@ -64,10 +64,6 @@ class ObjectClass:
         return groups
 
     @property
-    def is_replicated(self) -> bool:
-        return self.rdd_nr > 1
-
-    @property
     def is_ec(self) -> bool:
         return self.ec_k > 0
 

@@ -90,9 +90,6 @@ class Layout:
         """All replica targets holding ``dkey`` (leader first)."""
         return self.groups[self.group_of_dkey(dkey)]
 
-    def leader_for_dkey(self, dkey) -> int:
-        return self.targets_for_dkey(dkey)[0]
-
 
 class PlacementMap:
     """Layout computation over a pool's target list."""

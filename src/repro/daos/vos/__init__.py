@@ -16,12 +16,11 @@ from repro.daos.vos.payload import (
     concat_payloads,
 )
 from repro.daos.vos.extent import Extent, ExtentTree
-from repro.daos.vos.container import TOMBSTONE, EpochClock, VosContainer
+from repro.daos.vos.container import EpochClock, VosContainer
 from repro.daos.vos.pool import VosPool
 
 __all__ = [
     "EpochClock",
-    "TOMBSTONE",
     "Payload",
     "BytesPayload",
     "PatternPayload",

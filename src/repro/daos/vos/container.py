@@ -12,10 +12,9 @@ nothing; two flat lists are the smallest thing that keeps key order,
 and unlike a leaf chain they can be read from the end (see
 :meth:`VosContainer.dkey_array_sizes`).
 
-Values under an akey are either *single values* (with full epoch
-history, enabling snapshot reads of metadata — how the real VOS keeps
-versioned KV data) or *array values* (byte extent trees, latest view
-only).
+Values under an akey are either *single values* (epoch history, which
+rebuild replays onto a returning shard) or *array values* (byte extent
+trees, latest view only).
 """
 
 from __future__ import annotations
@@ -29,14 +28,9 @@ from repro.daos.vos.extent import ExtentTree
 from repro.daos.vos.payload import Payload, ZeroPayload
 from repro.errors import DerExist, DerInval, DerNonexist
 
-_TOMBSTONE = object()
 _EPOCH = _DKEY = itemgetter(0)  # of a history entry, of an index key
 #: the index of an object this shard does not hold
 _NO_INDEX: Tuple[List, List] = ([], [])
-
-#: public alias for the rebuild engine, which replays KV history (including
-#: punches) onto a returning shard and therefore needs to name the sentinel.
-TOMBSTONE = _TOMBSTONE
 
 
 class EpochClock:
@@ -79,14 +73,8 @@ class SingleValue:
         # landed on this shard while the resync was in flight.
         insort(self.history, (epoch, value), key=_EPOCH)
 
-    def fetch(self, epoch: Optional[int] = None) -> Any:
-        for written_epoch, value in reversed(self.history):
-            if epoch is None or written_epoch <= epoch:
-                return value
-        return _TOMBSTONE  # nothing visible at that epoch
-
-    def punch(self, epoch: int) -> None:
-        self.history.append((epoch, _TOMBSTONE))
+    def fetch(self) -> Any:
+        return self.history[-1][1]
 
 
 class VosContainer:
@@ -101,21 +89,10 @@ class VosContainer:
             clock = getattr(pool, "clock", None)
         # standalone shards (unit tests) fall back to a private clock
         self.clock = clock if clock is not None else EpochClock()
-        self.snapshots: List[int] = []
 
     # ------------------------------------------------------------- epochs
     def next_epoch(self) -> int:
         return self.clock.next()
-
-    @property
-    def current_epoch(self) -> int:
-        return self.clock.current
-
-    def snapshot(self) -> int:
-        """Record (and return) a snapshot epoch."""
-        epoch = self.current_epoch
-        self.snapshots.append(epoch)
-        return epoch
 
     # ------------------------------------------------------------- lookup
     def value(self, oid: Any, dkey: Any, akey: Any, kind: type,
@@ -175,24 +152,11 @@ class VosContainer:
         self._charge(_value_footprint(value))
         return epoch
 
-    def fetch_single(
-        self, oid: Any, dkey: Any, akey: Any, epoch: Optional[int] = None
-    ) -> Any:
+    def fetch_single(self, oid: Any, dkey: Any, akey: Any) -> Any:
         single = self.value(oid, dkey, akey, SingleValue)
         if single is None:
             raise DerNonexist(f"{oid} dkey/akey {dkey!r}/{akey!r}")
-        value = single.fetch(epoch)
-        if value is _TOMBSTONE:
-            raise DerNonexist(f"{dkey!r}/{akey!r} not visible at epoch {epoch}")
-        return value
-
-    def punch_single(self, oid: Any, dkey: Any, akey: Any) -> bool:
-        single = self.value(oid, dkey, akey, SingleValue)
-        if single is None:
-            return False
-        visible = single.fetch() is not _TOMBSTONE
-        single.punch(self.next_epoch())
-        return visible
+        return single.fetch()
 
     # ------------------------------------------------------------- array values
     def update_array(self, oid: Any, dkey: Any, akey: Any, offset: int, data) -> int:
@@ -251,10 +215,14 @@ class VosContainer:
                 return
 
     def _uncharge(self, oid: Any, dkey: Any = None) -> None:
-        """Hand back the array bytes a punch is about to drop."""
+        """Hand back the bytes a punch is about to drop: an array's
+        extents, or every version of a single value."""
         for _dkey, _akey, held in self.walk(oid, dkey):
             if isinstance(held, ExtentTree):
                 self._charge(-held.used_bytes)
+            else:
+                self._charge(-sum(_value_footprint(value)
+                                  for _epoch, value in held.history))
 
     def punch_dkey(self, oid: Any, dkey: Any) -> bool:
         self._uncharge(oid, dkey)
@@ -279,8 +247,7 @@ class VosContainer:
         if any(e == epoch for e, _ in single.history):
             return  # already present (replica had the write)
         single.update(epoch, value)
-        if value is not _TOMBSTONE:
-            self._charge(_value_footprint(value))
+        self._charge(_value_footprint(value))
 
     def replay_array(
         self, oid: Any, dkey: Any, akey: Any, offset: int, data, epoch: int
@@ -302,7 +269,7 @@ class VosContainer:
         Yields, in deterministic (dkey, akey) order:
 
         - ``("single", dkey, akey, epoch, value)`` — the *latest* KV
-          history entry per key (``value`` may be :data:`TOMBSTONE`);
+          history entry per key;
         - ``("extent", dkey, akey, offset, payload, epoch)`` — one entry
           per stored extent.
         """

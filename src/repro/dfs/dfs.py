@@ -311,55 +311,3 @@ class Dfs:
         finally:
             obj.close()
         return True
-
-    def rmdir(self, path: str) -> Generator:
-        """Task helper: remove an empty directory."""
-        parents, name = self._split(path)
-        dir_obj = yield from self._lookup_dir(parents)
-        try:
-            record = yield from self._entry_get(dir_obj, name)
-            if record is None:
-                raise DerNonexist(path)
-            entry = InodeEntry.from_record(record)
-            if not entry.is_dir:
-                raise DerNotDir(path)
-            target = self.cont.open_object(entry.oid)
-            try:
-                children = yield from target.list_dkeys(limit=1)
-            finally:
-                target.close()
-            if children:
-                raise DerExist(f"{path} is not empty")
-            yield from dir_obj.punch_dkey(name.encode("utf-8"))
-        finally:
-            self._release_dir(dir_obj)
-        if self._dentry is not None:
-            self._dentry.invalidate_prefix(self._canon(parents + [name]))
-        return True
-
-    def rename(self, old: str, new: str) -> Generator:
-        """Task helper: move an entry (overwrites an existing file)."""
-        old_parents, old_name = self._split(old)
-        new_parents, new_name = self._split(new)
-        src_dir = yield from self._lookup_dir(old_parents)
-        try:
-            record = yield from self._entry_get(src_dir, old_name)
-            if record is None:
-                raise DerNonexist(old)
-            dst_dir = yield from self._lookup_dir(new_parents)
-            try:
-                existing = yield from self._entry_get(dst_dir, new_name)
-                if existing is not None and InodeEntry.from_record(existing).is_dir:
-                    raise DerIsDir(new)
-                yield from dst_dir.put(
-                    new_name.encode("utf-8"), ENTRY_AKEY, record
-                )
-            finally:
-                self._release_dir(dst_dir)
-            yield from src_dir.punch_dkey(old_name.encode("utf-8"))
-        finally:
-            self._release_dir(src_dir)
-        if self._dentry is not None:
-            self._dentry.invalidate_prefix(self._canon(old_parents + [old_name]))
-            self._dentry.invalidate_prefix(self._canon(new_parents + [new_name]))
-        return True

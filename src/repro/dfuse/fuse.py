@@ -75,7 +75,7 @@ class DFuseMount(FileSystem):
         return "/" + "/".join(normalize(path))
 
     def _invalidate_data(self, key: str) -> None:
-        """Drop cached pages + attrs for a path (unlink/rename/truncate)."""
+        """Drop cached pages + attrs for a path (unlink/truncate)."""
         if self.page is not None:
             self.page.invalidate_file(key)
         if self._attrs is not None:
@@ -139,14 +139,6 @@ class DFuseMount(FileSystem):
     def unlink(self, path: str) -> Generator:
         yield from self._syscall(path, self.dfs.unlink(path))
         self._invalidate_data(self._key(path))
-
-    def rmdir(self, path: str) -> Generator:
-        yield from self._syscall(path, self.dfs.rmdir(path))
-
-    def rename(self, old: str, new: str) -> Generator:
-        yield from self._syscall(new, self.dfs.rename(old, new))
-        self._invalidate_data(self._key(old))
-        self._invalidate_data(self._key(new))
 
 
 class DFuseFile(FileHandle):

@@ -27,9 +27,9 @@ from repro.hdf5.file import H5File
 from repro.hdf5.datatype import Datatype
 from repro.hdf5.dataspace import Dataspace
 from repro.hdf5.vfd import MpioVfd, Sec2Vfd
-from repro.hdf5.vol import DaosVol, NativeVol, Vol, daos_vol_unlink
+from repro.hdf5.vol import DaosVol, NativeVol, Vol
 
 __all__ = [
     "H5File", "Datatype", "Dataspace", "Sec2Vfd", "MpioVfd",
-    "Vol", "NativeVol", "DaosVol", "daos_vol_unlink",
+    "Vol", "NativeVol", "DaosVol",
 ]

@@ -431,20 +431,3 @@ def _punch_file(cont, root_oid) -> Generator:
     root.close()
     return None
 
-
-def daos_vol_unlink(cont, path: str) -> Generator:
-    """Task helper: remove a DAOS-VOL file (namespace entry, root KV and
-    every dataset array); no-op when the path does not exist."""
-    from repro.daos.kv import DaosKV
-    from repro.daos.objid import ObjId
-    from repro.daos.oclass import S1
-
-    ns = DaosKV.open(cont, ObjId.generate(S1, lo=NAMESPACE_LO))
-    hi_lo = yield from ns.get(path, default=None)
-    if hi_lo is None:
-        ns.close()
-        return False
-    yield from _punch_file(cont, ObjId(hi_lo[0], hi_lo[1]))
-    yield from ns.remove(path)
-    ns.close()
-    return True

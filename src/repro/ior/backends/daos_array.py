@@ -10,7 +10,7 @@ provide.
 
 from __future__ import annotations
 
-from typing import Generator
+from typing import Dict, Generator
 
 from repro.daos.array import DaosArray
 from repro.daos.kv import DaosKV
@@ -29,6 +29,12 @@ class DaosArrayBackend(Backend):
     supports_async = True
     needs_daos = True
 
+    def __init__(self, params, ctx, storage):
+        super().__init__(params, ctx, storage)
+        #: path -> the array this rank created there; a later create of
+        #: the same path (the next repetition) replaces it
+        self._created: Dict[str, ObjId] = {}
+
     def _catalog(self) -> DaosKV:
         return DaosKV.open(self.storage.cont, ObjId.generate(S1, lo=CATALOG_LO))
 
@@ -40,12 +46,20 @@ class DaosArrayBackend(Backend):
         catalog = self._catalog()
 
         def make() -> Generator:
+            old = self._created.get(path)
+            if old is not None:
+                # remove the last array and its catalog entry, as a
+                # filesystem unlink frees the file and its dentry
+                with self.storage.cont.open_object(old) as obj:
+                    yield from obj.punch_object()
+                yield from catalog.obj.punch_dkey(path.encode("utf-8"))
             array = yield from DaosArray.create(
                 self.storage.cont,
                 cell_size=1,
                 chunk_cells=self.params.chunk_size,
                 oclass=self._oclass(),
             )
+            self._created[path] = array.obj.oid
             yield from catalog.put(path, (array.obj.oid.hi, array.obj.oid.lo))
             return array
 

@@ -105,18 +105,6 @@ class LustreMount(FileSystem):
             self.fs.osts[ost_idx].drop(inode.ino)
         return None
 
-    def rmdir(self, path: str) -> Generator:
-        yield self.syscall_cost
-        yield from self.fs.mds.service(self.node.addr)
-        self.fs.mds.rmdir(normalize(path))
-        return None
-
-    def rename(self, old: str, new: str) -> Generator:
-        yield self.syscall_cost
-        yield from self.fs.mds.service(self.node.addr)
-        self.fs.mds.rename(normalize(old), normalize(new))
-        return None
-
 
 class LustreFile(FileHandle):
     """An open striped file."""

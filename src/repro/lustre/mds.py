@@ -158,29 +158,3 @@ class Mds:
         del parent.children[name]
         del self.inodes[ino]
         return inode
-
-    def rmdir(self, parts: List[str]) -> None:
-        parent = self.resolve_parent(parts)
-        name = parts[-1]
-        ino = parent.children.get(name)
-        if ino is None:
-            raise FsError("ENOENT", "/".join(parts))
-        inode = self.inodes[ino]
-        if not inode.is_dir:
-            raise FsError("ENOTDIR", "/".join(parts))
-        if inode.children:
-            raise FsError("ENOTEMPTY", "/".join(parts))
-        del parent.children[name]
-        del self.inodes[ino]
-
-    def rename(self, old_parts: List[str], new_parts: List[str]) -> None:
-        old_parent = self.resolve_parent(old_parts)
-        ino = old_parent.children.get(old_parts[-1])
-        if ino is None:
-            raise FsError("ENOENT", "/".join(old_parts))
-        new_parent = self.resolve_parent(new_parts)
-        existing = new_parent.children.get(new_parts[-1])
-        if existing is not None and self.inodes[existing].is_dir:
-            raise FsError("EISDIR", "/".join(new_parts))
-        new_parent.children[new_parts[-1]] = ino
-        del old_parent.children[old_parts[-1]]

@@ -78,12 +78,6 @@ class FileSystem:
     def unlink(self, path: str) -> Generator:
         raise NotImplementedError
 
-    def rmdir(self, path: str) -> Generator:
-        raise NotImplementedError
-
-    def rename(self, old: str, new: str) -> Generator:
-        raise NotImplementedError
-
 
 def normalize(path: str) -> List[str]:
     """Split an absolute-or-relative path into clean components."""

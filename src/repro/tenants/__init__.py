@@ -37,7 +37,6 @@ from repro.tenants.spec import (
     MetaStormWork,
     TenantSpec,
     make_tenants,
-    mix_by_kind,
 )
 
 __all__ = [
@@ -58,6 +57,5 @@ __all__ = [
     "build_report",
     "jain_fairness",
     "make_tenants",
-    "mix_by_kind",
     "render_report",
 ]

@@ -24,7 +24,7 @@ fleet composition never perturbs seeded arrival draws).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.errors import DerInval
 from repro.units import KiB, MiB
@@ -142,12 +142,3 @@ def make_tenants(
         )
         for i in range(n)
     ]
-
-
-def mix_by_kind(tenants: Sequence[TenantSpec]) -> Dict[str, int]:
-    """Tenant count per workload kind (report/debug helper)."""
-    counts: Dict[str, int] = {}
-    for tenant in tenants:
-        kind = tenant.workload.kind
-        counts[kind] = counts.get(kind, 0) + 1
-    return counts

@@ -108,16 +108,11 @@ def test_ttl_cache_expires_on_sim_clock():
     assert len(cache) == 0
 
 
-def test_ttl_cache_invalidate_and_prefix():
+def test_ttl_cache_invalidate():
     sim = FakeSim()
     cache = TtlCache(sim, ttl=100.0)
-    cache.put("/d", "dir")
     cache.put("/d/x", 1)
     cache.put("/d/y", 2)
-    cache.put("/other", 3)
     cache.invalidate("/d/x")
     assert cache.get("/d/x") is None
-    cache.invalidate_prefix("/d")
-    assert cache.get("/d") is None
-    assert cache.get("/d/y") is None
-    assert cache.get("/other") == 3
+    assert cache.get("/d/y") == 2

@@ -8,7 +8,7 @@ from repro.daos.kv import DaosKV
 from repro.daos.oclass import S2
 from repro.daos.vos.payload import PatternPayload
 from repro.errors import DerInval, DerNonexist
-from repro.units import KiB, MiB
+from repro.units import MiB
 
 
 @pytest.fixture(scope="module")
@@ -72,21 +72,6 @@ def test_array_partial_cell_write_rejected(cluster, cont):
     assert cluster.run(go()) == "rejected"
 
 
-def test_array_punch(cluster, cont):
-    def go():
-        arr = yield from DaosArray.create(cont, cell_size=1, chunk_cells=KiB)
-        yield from arr.write(0, b"z" * 100)
-        yield from arr.punch(10, 20)
-        data = yield from arr.read(0, 100)
-        arr.close()
-        return data.materialize()
-
-    data = cluster.run(go())
-    assert data[:10] == b"z" * 10
-    assert data[10:30] == b"\x00" * 20
-    assert data[30:] == b"z" * 70
-
-
 def test_array_large_lazy_io(cluster, cont):
     def go():
         arr = yield from DaosArray.create(cont, cell_size=1, chunk_cells=MiB)
@@ -110,17 +95,13 @@ def test_kv_basalong(cluster, cont):
         value = yield from kv.get("alpha")
         missing = yield from kv.get("gamma", default=None)
         keys = yield from kv.list()
-        removed = yield from kv.remove("alpha")
-        removed_again = yield from kv.remove("alpha")
         kv.close()
-        return value, missing, keys, removed, removed_again
+        return value, missing, keys
 
-    value, missing, keys, removed, removed_again = cluster.run(go())
+    value, missing, keys = cluster.run(go())
     assert value == {"v": 1}
     assert missing is None
     assert keys == ["alpha", "beta"]
-    assert removed is True
-    assert removed_again is False
 
 
 def test_kv_get_missing_raises(cluster, cont):

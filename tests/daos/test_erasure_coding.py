@@ -34,7 +34,7 @@ def test_ec_class_geometry():
     assert EC_2P1G1.shard_count(16) == 3
     assert EC_4P1G1.shard_count(16) == 5
     assert oclass_by_name("EC_2P1GX").shard_count(16) == 15  # 5 groups x 3
-    assert EC_2P1G1.is_ec and not EC_2P1G1.is_replicated
+    assert EC_2P1G1.is_ec and EC_2P1G1.rdd_nr == 1
     assert not S2.is_ec
 
 

@@ -116,32 +116,18 @@ def test_kv_punch_and_list_dkeys(cluster, cont):
         for name in (b"c", b"a", b"b"):
             yield from obj.put(name, b"e", name.decode())
         keys_before = yield from obj.list_dkeys()
-        yield from obj.punch(b"b", b"e")
+        yield from obj.punch_dkey(b"b")
         try:
             yield from obj.get(b"b", b"e")
             visible = True
         except DerNonexist:
             visible = False
-        return keys_before, visible
+        return keys_before, visible, (yield from obj.list_dkeys())
 
-    keys_before, visible = cluster.run(go())
+    keys_before, visible, keys_after = cluster.run(go())
     assert keys_before == [b"a", b"b", b"c"]
     assert visible is False
-
-
-def test_kv_epoch_snapshot_read(cluster, cont):
-    def go():
-        oid = yield from cont.alloc_oid(S1)
-        obj = cont.open_object(oid)
-        yield from obj.put(b"k", b"a", "v1")
-        epochs = yield from cont.snapshot()
-        yield from obj.put(b"k", b"a", "v2")
-        latest = yield from obj.get(b"k", b"a")
-        tid = obj.layout.targets_for_dkey(b"k")[0]
-        old = yield from obj.get(b"k", b"a", epoch=epochs[tid])
-        return latest, old
-
-    assert cluster.run(go()) == ("v2", "v1")
+    assert keys_after == [b"a", b"c"]
 
 
 def test_array_write_read_roundtrip(cluster, cont):
@@ -209,7 +195,7 @@ def test_sx_object_spreads_chunks_across_targets(cluster, cont):
         yield from obj.write(0, PatternPayload(seed=1, origin=0, nbytes=8 * MiB))
         touched = set()
         for chunk in range(8):
-            touched.add(obj.layout.leader_for_dkey(chunk))
+            touched.add(obj.layout.targets_for_dkey(chunk)[0])
         obj.close()
         return touched
 

@@ -48,7 +48,7 @@ def test_oclass_registry_roundtrip():
 def test_objid_embeds_class():
     oid = ObjId.generate(S2, hi=0x1234, lo=99)
     assert oid.oclass is S2
-    assert oid.app_hi == 0x1234
+    assert oid.hi & ((1 << 48) - 1) == 0x1234  # the application's bits
     assert oid.lo == 99
     assert str(oid).count(".") == 1
 
@@ -97,7 +97,6 @@ def test_dkey_routing_stable_and_in_range():
     for chunk in range(100):
         group = layout.group_of_dkey(chunk)
         assert 0 <= group < 4
-        assert layout.targets_for_dkey(chunk)[0] == layout.leader_for_dkey(chunk)
         assert layout.group_of_dkey(chunk) == layout.group_of_dkey(chunk)
 
 
@@ -119,7 +118,7 @@ def test_dkey_spread_within_sx_object():
     layout = pmap.layout(ObjId.generate(SX, lo=5))
     hits = [0] * 32
     for chunk in range(64 * 32):
-        hits[layout.leader_for_dkey(chunk)] += 1
+        hits[layout.targets_for_dkey(chunk)[0]] += 1
     assert min(hits) > 0  # every target sees some chunks
     assert max(hits) < 64 * 4
 

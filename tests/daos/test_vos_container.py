@@ -38,7 +38,6 @@ def test_lookup_owns_the_wrong_kind_error():
     for call in (
         lambda: vc.update_single("o", 0, b"arr", "v"),
         lambda: vc.fetch_single("o", 0, b"arr"),
-        lambda: vc.punch_single("o", 0, b"arr"),
         lambda: vc.replay_single("o", 0, b"arr", 1, "v"),
         lambda: vc.update_array("o", 0, b"kv", 0, b"x"),
         lambda: vc.fetch_array("o", 0, b"kv", 0, 1),
@@ -74,8 +73,8 @@ DKEYS = {
 _SLOT = st.integers(0, 6)
 _BOUND = st.one_of(st.none(), _SLOT)
 _STEP = st.tuples(
-    st.sampled_from(["update_single", "update_array", "punch_single",
-                     "punch_array", "punch_dkey", "punch_object"]),
+    st.sampled_from(["update_single", "update_array", "punch_array",
+                     "punch_dkey", "punch_object"]),
     st.sampled_from(sorted(DKEYS)), _SLOT, st.sampled_from(AKEYS),
     st.integers(0, CS - 1), st.integers(1, CS), _BOUND, _BOUND,
 )
@@ -83,7 +82,7 @@ _STEP = st.tuples(
 
 def _apply(model, op, oid, dkey, akey, offset, length):
     """Apply one step to the model — ``{oid: {dkey: {akey: held}}}`` with
-    ``held`` a set of byte offsets (array) or a one-item list (single) —
+    ``held`` a set of byte offsets (array) or an empty list (single) —
     and return what the same call on the container must return; ``None``
     for a wrong-kind akey, which must raise DerInval."""
     if op == "punch_object":
@@ -92,26 +91,21 @@ def _apply(model, op, oid, dkey, akey, offset, length):
         return model.get(oid, {}).pop(dkey, None) is not None
     held = model.get(oid, {}).get(dkey, {}).get(akey)
     span = set(range(offset, min(offset + length, CS)))
-    if op.startswith("punch"):
+    if op == "punch_array":
         if held is None:
-            return False  # == 0, the bytes a punch_array frees
-        if isinstance(held, set) != (op == "punch_array"):
+            return 0
+        if not isinstance(held, set):
             return None
-        if op == "punch_array":
-            freed = len(held & span)
-            held -= span
-            return freed
-        visible, held[0] = held[0], False
-        return visible
+        freed = len(held & span)
+        held -= span
+        return freed
     if held is None:
-        held = set() if op == "update_array" else [False]
+        held = set() if op == "update_array" else []
         model.setdefault(oid, {}).setdefault(dkey, {})[akey] = held
     elif isinstance(held, set) != (op == "update_array"):
         return None
     if op == "update_array":
         held |= span
-    else:
-        held[0] = True
     return True
 
 
@@ -119,7 +113,6 @@ def _call(vc, op, oid, dkey, akey, offset, length):
     got = getattr(vc, op)(*{
         "punch_object": (oid,),
         "punch_dkey": (oid, dkey),
-        "punch_single": (oid, dkey, akey),
         "punch_array": (oid, dkey, akey, offset, length),
         "update_single": (oid, dkey, akey, "v"),
         "update_array": (oid, dkey, akey, offset,

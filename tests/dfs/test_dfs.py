@@ -167,44 +167,6 @@ def test_unlink_directory_is_error(cluster, dfs):
     assert cluster.run(go()) == "eisdir"
 
 
-def test_rmdir_empty_and_nonempty(cluster, dfs):
-    def go():
-        yield from dfs.mkdir("/rm-parent")
-        yield from dfs.mkdir("/rm-parent/child")
-        try:
-            yield from dfs.rmdir("/rm-parent")
-        except DerExist:
-            nonempty = True
-        yield from dfs.rmdir("/rm-parent/child")
-        yield from dfs.rmdir("/rm-parent")
-        try:
-            yield from dfs.stat("/rm-parent")
-        except DerNonexist:
-            return nonempty, "gone"
-
-    assert cluster.run(go()) == (True, "gone")
-
-
-def test_rename_moves_entry(cluster, dfs):
-    def go():
-        f = yield from dfs.open_file("/old-name", create=True)
-        yield from f.write(0, b"payload")
-        f.close()
-        yield from dfs.mkdir("/newdir")
-        yield from dfs.rename("/old-name", "/newdir/new-name")
-        try:
-            yield from dfs.stat("/old-name")
-            old_exists = True
-        except DerNonexist:
-            old_exists = False
-        f2 = yield from dfs.open_file("/newdir/new-name")
-        data = yield from f2.read(0, 7)
-        f2.close()
-        return old_exists, data.materialize()
-
-    assert cluster.run(go()) == (False, b"payload")
-
-
 def test_path_component_through_file_is_enotdir(cluster, dfs):
     def go():
         f = yield from dfs.open_file("/plainfile", create=True)

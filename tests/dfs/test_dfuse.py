@@ -66,40 +66,18 @@ def test_mkdir_stat_readdir(cluster, mount):
     assert is_dir and names == ["x"]
 
 
-def test_unlink_rename(cluster, mount):
+def test_unlink_then_stat_is_enoent(cluster, mount):
     def go():
         f = yield from mount.open("/r1", ("w", "creat"))
         yield from f.pwrite(0, b"v")
         yield from f.close()
-        yield from mount.rename("/r1", "/r2")
-        yield from mount.unlink("/r2")
+        yield from mount.unlink("/r1")
         try:
-            yield from mount.stat("/r2")
+            yield from mount.stat("/r1")
         except FsError as err:
             return err.errno_name
 
     assert cluster.run(go()) == "ENOENT"
-
-
-def test_rmdir_and_the_errnos_it_translates(cluster, mount):
-    def errno_of(op):
-        try:
-            yield from op
-        except FsError as err:
-            return err.errno_name
-
-    def go():
-        yield from mount.mkdir("/rd")
-        f = yield from mount.open("/rd/x", ("w", "creat"))
-        yield from f.close()
-        non_empty = yield from errno_of(mount.rmdir("/rd"))
-        yield from mount.unlink("/rd/x")
-        yield from mount.rmdir("/rd")
-        missing = yield from errno_of(mount.rmdir("/rd"))
-        names = yield from mount.readdir("/")
-        return non_empty, missing, "rd" in names
-
-    assert cluster.run(go()) == ("EEXIST", "ENOENT", False)
 
 
 def test_large_write_segmented_into_fuse_requests(cluster, mount):

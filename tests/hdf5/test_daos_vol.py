@@ -6,8 +6,7 @@ from repro.cluster import small_cluster
 from repro.daos.kv import DaosKV
 from repro.daos.objid import ObjId
 from repro.daos.oclass import S1
-from repro.errors import DerNonexist
-from repro.hdf5 import DaosVol, H5File, daos_vol_unlink
+from repro.hdf5 import DaosVol, H5File
 from repro.hdf5.vol import NAMESPACE_LO
 
 
@@ -130,29 +129,6 @@ def test_metadata_lives_in_the_namespace_kv(cluster, cont):
         return keys
 
     assert "/ns.h5" in cluster.run(go())
-
-
-def test_unlink_removes_file_and_namespace_entry(cluster, cont):
-    def go():
-        h5 = yield from H5File.create(DaosVol(cont), "/gone.h5")
-        ds = yield from h5.create_dataset("d", (64,), dtype="u1")
-        yield from ds.write((0,), (64,), b"\x01" * 64)
-        yield from h5.close()
-
-        removed = yield from daos_vol_unlink(cont, "/gone.h5")
-        again = yield from daos_vol_unlink(cont, "/gone.h5")
-        try:
-            yield from H5File.open(DaosVol(cont), "/gone.h5")
-        except DerNonexist:
-            reopened = False
-        else:
-            reopened = True
-        return removed, again, reopened
-
-    removed, again, reopened = cluster.run(go())
-    assert removed is True
-    assert again is False  # idempotent no-op
-    assert reopened is False
 
 
 def test_supports_async_flag():

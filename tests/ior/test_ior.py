@@ -142,6 +142,22 @@ def test_repetitions_reported(cluster):
     assert "Max Write" in result.summary()
 
 
+@pytest.mark.parametrize("api", ["DFS", "HDF5", "DAOS"])
+def test_repetitions_replace_the_test_file(api):
+    """Each repetition re-creates the test file, so the pool holds one
+    file's bytes after three repetitions, not three files' worth."""
+    def stored(repetitions):
+        cluster = small_cluster(client_nodes=1)
+        run_ior(cluster, IorParams(api=api, block_size=2 * MiB,
+                                   transfer_size=MiB, repetitions=repetitions),
+                ppn=2)
+        return sum(shard.used for engine in cluster.daos.engines
+                   for shards in engine.pools.values()
+                   for shard in shards.values())
+
+    assert stored(3) == stored(1)
+
+
 def test_write_only_and_read_requires_data(cluster):
     params = IorParams(api="DFS", read=False, oclass="S2", **SMALL)
     result = run_ior(cluster, params, ppn=2)

@@ -1,6 +1,7 @@
 """Tenant specs and open-loop arrival processes."""
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -15,7 +16,6 @@ from repro.tenants import (
     TenantSpec,
     TraceArrivals,
     make_tenants,
-    mix_by_kind,
 )
 
 
@@ -36,7 +36,7 @@ def test_make_tenants_is_deterministic_and_mixed():
     fleet = make_tenants(8)
     assert [t.id for t in fleet] == [f"t{i}" for i in range(8)]
     assert fleet == make_tenants(8)  # pure function of the arguments
-    kinds = mix_by_kind(fleet)
+    kinds = Counter(t.workload.kind for t in fleet)
     # DEFAULT_MIX deals bulk,bulk,kv,meta round-robin
     assert kinds == {"bulk": 4, "kv": 2, "meta": 2}
 
