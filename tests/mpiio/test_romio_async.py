@@ -120,8 +120,8 @@ class _DroppedClose(_RecordingQueue):
 
 
 def _collective_schedule_calls(monkeypatch, queue_cls):
-    """sim.schedule calls spent inside one depth-4 collective write and
-    one collective read on a fresh cluster, and the queues they used."""
+    """Heap pushes spent inside one depth-4 collective write and one
+    collective read on a fresh cluster, and the queues they used."""
     monkeypatch.setattr(romio, "EventQueue", queue_cls)
     queue_cls.made = []
     cluster = small_cluster(server_nodes=2, client_nodes=2,
@@ -134,16 +134,18 @@ def _collective_schedule_calls(monkeypatch, queue_cls):
         yield from Dfs.mount(cont)
 
     cluster.run(setup())
+    sim = cluster.sim
     calls = {"write": 0, "read": 0}
     phase = [None]
-    schedule = cluster.sim.schedule
+    started = [0]
 
-    def counting(*args, **kwargs):
-        if phase[0] is not None:
-            calls[phase[0]] += 1
-        return schedule(*args, **kwargs)
-
-    monkeypatch.setattr(cluster.sim, "schedule", counting)
+    def enter(name):
+        # heap pushes (sim._seq) from the first rank in to the first out
+        if phase[0] is None and name is not None:
+            started[0] = sim._seq
+        elif phase[0] is not None and name is None:
+            calls[phase[0]] += sim._seq - started[0]
+        phase[0] = name
 
     def main(ctx):
         mount, _dfs = yield from make_rank_mount(cluster, "c", ctx)
@@ -157,10 +159,10 @@ def _collective_schedule_calls(monkeypatch, queue_cls):
             ("read", lambda: fh.read_at_all(ctx.rank * BLK, BLK)),
         ):
             yield from ctx.barrier()
-            phase[0] = name  # every rank sets it at the same instant
+            enter(name)  # every rank enters at the same instant
             yield from op()
             yield from ctx.barrier()
-            phase[0] = None
+            enter(None)
         yield from fh.close()
 
     _world(cluster).run_to_completion(main)

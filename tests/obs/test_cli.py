@@ -202,15 +202,16 @@ def test_every_cli_writes_all_three_artifacts(cli, argv, tmp_path, capsys):
 
 def test_chrome_trace_bytes_do_not_depend_on_the_hash_seed(tmp_path):
     # thread_name metadata once came out in set order (salted str hashes);
-    # a loop, not a parametrize, so the test keeps the name on record
+    # a loop, not a parametrize, so the test keeps the name on record.
+    # Timelines and metrics are held to the same rule.
     src = pathlib.Path(__file__).resolve().parents[2] / "src"
+    common = ["--trace-out", "--timeline-out", "--metrics-out"]
     runs = {
         "ior": (["-a", "POSIX", "-F", "-b", "2m", "-t", "1m", "-N", "1",
-                 "--ppn", "2", "--servers", "2"], ["--trace-out"]),
+                 "--ppn", "2", "--servers", "2"], common),
         "tenants": (["--tenants", "2", "--rate", "4", "--duration", "1"],
-                    ["--trace-out", "--report-out"]),
-        "fdb": (_FDB + ["--trace"],
-                ["--trace-out", "--report-out"]),
+                    common + ["--report-out"]),
+        "fdb": (_FDB + ["--trace"], common + ["--report-out"]),
     }
     for cli, (argv, outputs) in runs.items():
         written = []
