@@ -10,7 +10,7 @@ export PYTHONPATH
 CHAOS_SEEDS ?= 0xDA05 1 7
 export CHAOS_SEEDS
 
-.PHONY: test chaos bench bench-flows bench-e2e census experiments all
+.PHONY: test chaos bench bench-flows bench-e2e gcprobe census experiments all
 
 # Tier-1: the full fast suite (chaos determinism/scenario tests included).
 # Every claim in EXPERIMENTS.md has its owning test here (DESIGN.md §4).
@@ -41,6 +41,13 @@ bench-e2e:
 	$(PY) -m pytest benchmarks/e2e -q
 	$(PY) benchmarks/e2e/run.py --workload fig1_fpp_dfs --seed 0xDA05 \
 		--seconds 20 --trace 1
+
+# Cyclic-collector cost (~45 s): each e2e workload in a fresh interpreter
+# at seed 7, printing per cell the heap pushes, reallocations and solved
+# flows beside the collections and collector seconds per generation.
+# A report, not a gate: collection counts depend on the Python version.
+gcprobe:
+	$(PY) benchmarks/gc_probe.py --seed 7
 
 # Who calls what (~9 min): tier-1, then every CLI mode / e2e workload /
 # script / example, under sys.setprofile. Lists the functions nothing

@@ -205,7 +205,10 @@ class Engine:
             if tracer is not None
             else None
         )
-        guard = yield from sem.held()
+        if sem._count > 0:  # a free credit takes no event (Semaphore.held)
+            sem._count -= 1
+        else:
+            yield sem.acquire()
         if tracer is not None:
             tracer.end(wait_span)
         if metrics is not None:
@@ -236,7 +239,7 @@ class Engine:
                 cost += media_bytes / bw
             yield cost
         finally:
-            guard.release()
+            sem.release()
             if tracer is not None:
                 tracer.end(span)
             if metrics is not None:

@@ -25,7 +25,7 @@ writer keeps routing around a target that has started rebuilding.
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional, Tuple
+from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.daos.objid import ObjId
 from repro.daos.placement import Layout, effective_groups
@@ -57,7 +57,7 @@ class ObjectHandle:
         self.oid = oid
         self.layout: Layout = cont.pool.placement.layout(oid)
         self._streams: Dict[str, Tuple[IoStream, int]] = {}
-        self._route_cache: Optional[Tuple[int, List[List[Route]]]] = None
+        self._route_cache: Optional[Tuple[int, Sequence[Sequence[Route]]]] = None
         self._closed = False
 
     # ------------------------------------------------------------- plumbing
@@ -65,7 +65,7 @@ class ObjectHandle:
     def _ctx(self) -> Tuple[str, str, ObjId]:
         return (self.cont.pool.pool_map.uuid, self.cont.uuid, self.oid)
 
-    def _routes(self) -> List[List[Route]]:
+    def _routes(self) -> Sequence[Sequence[Route]]:
         """Per-group routing derived from the pool map, cached per map
         version. The healthy-pool fast path allocates the trivial
         all-readable/all-writable routes without touching state logic."""
@@ -74,9 +74,8 @@ class ObjectHandle:
         if cached is not None and cached[0] == pool_map.version:
             return cached[1]
         if not pool_map.statuses:
-            routes = [
-                [(t, True, True) for t in group] for group in self.layout.groups
-            ]
+            routes = tuple([tuple([(t, True, True) for t in group])
+                            for group in self.layout.groups])
         else:
             ready = pool_map.downout_ready
             routes = []
@@ -103,11 +102,11 @@ class ObjectHandle:
         self._route_cache = (pool_map.version, routes)
         return routes
 
-    def _route_for_dkey(self, dkey) -> List[Route]:
+    def _route_for_dkey(self, dkey) -> Sequence[Route]:
         return self._routes()[self.layout.group_of_dkey(dkey)]
 
     @staticmethod
-    def _reader(route: List[Route]) -> int:
+    def _reader(route: Sequence[Route]) -> int:
         """The replica that serves reads of ``route``'s group."""
         for tid, readable, _w in route:
             if readable:
@@ -117,7 +116,7 @@ class ObjectHandle:
         )
 
     @staticmethod
-    def _writable(route: List[Route]) -> List[int]:
+    def _writable(route: Sequence[Route]) -> List[int]:
         """The targets a mutation of ``route``'s group must reach. This
         is the one place that decides an op with nowhere to land is data
         loss, so no mutating op can report success having reached no
@@ -357,7 +356,7 @@ class ObjectHandle:
 
     def _ec_write_pieces(
         self, chunk_idx: int, within: int, fragment: Payload,
-        chunk_size: int, akey: bytes, route: List[Route],
+        chunk_size: int, akey: bytes, route: Sequence[Route],
     ) -> List[IoPiece]:
         """Full-stripe erasure-coded write of one chunk.
 

@@ -44,16 +44,20 @@ def dkey_hash(dkey) -> int:
     raise DerInval(f"unhashable dkey type {type(dkey).__name__}")
 
 
+Groups = Tuple[Tuple[int, ...], ...]
+
+
 class Layout:
     """An object's resolved placement.
 
     ``groups[g]`` lists the target ids of redundancy group *g* (first
     entry is the group leader). A dkey belongs to exactly one group.
+    Tuples of ints: the cyclic collector stops tracking them.
     """
 
     __slots__ = ("oid", "groups", "_probe")
 
-    def __init__(self, oid: ObjId, groups: List[List[int]],
+    def __init__(self, oid: ObjId, groups: Groups,
                  probe: Tuple[int, int, int]):
         self.oid = oid
         self.groups = groups
@@ -86,7 +90,7 @@ class Layout:
     def group_of_dkey(self, dkey) -> int:
         return dkey_hash(dkey) % len(self.groups)
 
-    def targets_for_dkey(self, dkey) -> List[int]:
+    def targets_for_dkey(self, dkey) -> Tuple[int, ...]:
         """All replica targets holding ``dkey`` (leader first)."""
         return self.groups[self.group_of_dkey(dkey)]
 
@@ -116,15 +120,15 @@ class PlacementMap:
             stride = 1 + (_mix64(seed) % (n_targets - 1))
             while math.gcd(stride, n_targets) != 1:
                 stride += 1
-        chosen = [(start + i * stride) % n_targets
-                  for i in range(groups_nr * width)]
-        groups = [
+        chosen = tuple([(start + i * stride) % n_targets
+                        for i in range(groups_nr * width)])
+        groups = tuple([
             chosen[g * width : (g + 1) * width] for g in range(groups_nr)
-        ]
+        ])
         return Layout(oid, groups, (n_targets, start, stride))
 
 
-def effective_groups(layout: Layout, downout: frozenset) -> List[List[int]]:
+def effective_groups(layout: Layout, downout: frozenset) -> Groups:
     """Substitute DOWNOUT members with deterministic spares.
 
     Every DOWNOUT slot (group-major order) takes the next spare from the
@@ -137,13 +141,7 @@ def effective_groups(layout: Layout, downout: frozenset) -> List[List[int]]:
     if not downout:
         return layout.groups
     spares = iter(s for s in layout.spares if s not in downout)
-    groups: List[List[int]] = []
-    for group in layout.groups:
-        new_group = []
-        for tid in group:
-            if tid in downout:
-                new_group.append(next(spares, tid))
-            else:
-                new_group.append(tid)
-        groups.append(new_group)
-    return groups
+    return tuple([
+        tuple([next(spares, tid) if tid in downout else tid for tid in group])
+        for group in layout.groups
+    ])

@@ -37,8 +37,8 @@ class Allocator(Protocol):
     """What :class:`~repro.network.flows.FlowNetwork` needs of a policy.
 
     Links expose ``capacity`` and ``_flows`` (flow -> weight, in open
-    order); flows expose ``links`` (``(link, weight)`` pairs, each link
-    once), ``cap`` and ``_serial`` (open order). The network keeps
+    order); flows expose ``links`` and ``weights`` (parallel tuples, each
+    link once), ``cap`` and ``_serial`` (open order). The network keeps
     ``Link._flows`` current *before* it calls :meth:`add_flow` /
     :meth:`remove_flow`.
     """
@@ -105,7 +105,7 @@ class MaxMinAllocator:
             self._dense.remove_flow(flow)
         self._dirty_flows.pop(flow, None)
         dirty = self._dirty_links
-        for link, _w in flow.links:
+        for link in flow.links:
             dirty[link] = None
 
     def touch_flow(self, flow) -> None:
@@ -160,7 +160,7 @@ class MaxMinAllocator:
                 if len(flow.links) > max_links:
                     return None
                 flows[flow] = None
-                for link, _w in flow.links:
+                for link in flow.links:
                     if link not in links:
                         links[link] = None
                         todo.append(link)
@@ -183,7 +183,7 @@ class MaxMinAllocator:
         denom: Dict[object, float] = {}
         for flow in flows:
             rates[flow] = 0.0
-            for link, weight in flow.links:
+            for link, weight in zip(flow.links, flow.weights):
                 denom[link] = denom.get(link, 0.0) + weight
         links = list(denom)
         remaining = {link: link.capacity for link in links}
@@ -249,7 +249,7 @@ class MaxMinAllocator:
             for flow in newly:
                 del unfixed[flow]
                 rates[flow] = level
-                for link, weight in flow.links:
+                for link, weight in zip(flow.links, flow.weights):
                     left = denom[link] - weight
                     denom[link] = 0.0 if left < EPS else left
         return links

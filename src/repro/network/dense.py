@@ -73,7 +73,7 @@ class DenseRows:
         self._row_of[flow] = row
         col_of = self._col_of
         cols = []
-        for link, _w in flow.links:
+        for link in flow.links:
             col = col_of.get(link)
             if col is None:
                 col = col_of[link] = len(self._link_of_col)
@@ -84,7 +84,7 @@ class DenseRows:
             cols.append(col)
         cols = self._cols_of[flow] = np.array(cols, dtype=np.intp)
         if cols.size:
-            self._W[row, cols] = [weight for _l, weight in flow.links]
+            self._W[row, cols] = flow.weights
         self._caps[row] = np.inf if flow.cap is None else flow.cap
         self._serials[row] = flow._serial
         self._flow_of_row[row] = flow

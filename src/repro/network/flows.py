@@ -66,20 +66,23 @@ class Link:
 
 
 class Flow:
-    """An active flow; ``rate`` is kept current by the network."""
+    """An active flow; ``rate`` is kept current by the network.
+    ``links`` and ``weights`` are parallel tuples, each link once."""
 
-    __slots__ = ("network", "links", "cap", "rate", "_transfers", "label",
-                 "_serial")
+    __slots__ = ("network", "links", "weights", "cap", "rate", "_transfers",
+                 "label", "_serial")
 
     def __init__(
         self,
         network: "FlowNetwork",
-        links: List[Tuple[Link, float]],
+        links: Tuple[Link, ...],
+        weights: Tuple[float, ...],
         cap: Optional[float],
         label: str = "",
     ):
         self.network = network
         self.links = links
+        self.weights = weights
         self.cap = cap
         self.rate = 0.0
         self._transfers: List["Transfer"] = []
@@ -193,10 +196,10 @@ class FlowNetwork:
         for link, weight in links:
             if weight > 0:
                 weights[link] = weights.get(link, 0.0) + float(weight)
-        flow = Flow(self, list(weights.items()), cap, label)
+        flow = Flow(self, tuple(weights), tuple(weights.values()), cap, label)
         self._next_serial += 1
         flow._serial = self._next_serial
-        for link, weight in flow.links:
+        for link, weight in weights.items():
             link._flows[flow] = weight
         self._flows[flow] = None
         self._allocator.add_flow(flow)
@@ -208,7 +211,7 @@ class FlowNetwork:
         if flow not in self._flows:
             return
         del self._flows[flow]
-        for link, _w in flow.links:
+        for link in flow.links:
             del link._flows[flow]
         flow.rate = 0.0
         self._allocator.remove_flow(flow)

@@ -20,7 +20,7 @@ for real); ``nbytes`` tells the model how large the wire message would be.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Generator, Optional
 
 from repro.errors import NetworkError
@@ -31,7 +31,7 @@ from repro.sim.sync import Gate, Queue
 _rpc_ids = itertools.count(1)
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     """A delivered message: sender endpoint name, tag, payload."""
 

@@ -3,9 +3,10 @@
 Design notes
 ------------
 
-* The event heap stores ``(time, seq, callback)`` tuples; ``seq`` breaks
-  ties FIFO so same-time events run in schedule order, which makes runs
-  deterministic regardless of callback identity.
+* The event heap stores ``(time, seq, callback, args)`` tuples; ``seq``
+  breaks ties FIFO so same-time events run in schedule order, which makes
+  runs deterministic regardless of callback identity. That push stream
+  is the contract: wake-ups may skip ``schedule`` but push the same.
 * Tasks are generators. A task may ``yield``:
 
   - ``float | int`` — sleep that many simulated seconds,
@@ -25,11 +26,16 @@ Design notes
 from __future__ import annotations
 
 import heapq
+from heapq import heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.errors import DeadlockError, SimulationError
 
 TaskGen = Generator[Any, Any, Any]
+
+#: exact type -> ``ready(awaitable, callback)`` of the :mod:`repro.sim.sync`
+#: primitives (``_Ready``): what :meth:`Task._step` wakes without ``_wire``
+_READY: dict = {}
 
 
 class Timeout:
@@ -65,6 +71,7 @@ class Task:
         "_error_observed",
         "_waiters",
         "_cancelled",
+        "_resume",
     )
 
     def __init__(self, sim: "Simulator", gen: TaskGen, name: str = ""):
@@ -79,6 +86,7 @@ class Task:
         self._error_observed = False
         self._waiters: list[Callable[[], None]] = []
         self._cancelled = False
+        self._resume = self._step  # bound once; _finish breaks the cycle
 
     # -- public inspection ------------------------------------------------
     @property
@@ -146,16 +154,26 @@ class Task:
             return
         finally:
             sim._current_task = prev_task
-        self._wire(yielded)
+        if type(yielded) is float and yielded >= 0:
+            args = ()
+        else:  # a negative sleep takes _wire too, where schedule() refuses it
+            ready = _READY.get(type(yielded))
+            if ready is None:
+                return self._wire(yielded)
+            if (args := ready(yielded, self._resume)) is None:
+                return  # parked
+            yielded = 0.0
+        sim._seq += 1  # Simulator.schedule, inlined
+        heappush(sim._heap, (sim._now + yielded, sim._seq, self._resume, args))
 
     def _wire(self, yielded: Any) -> None:
         sim = self.sim
         if yielded is None:
-            sim.schedule(0.0, self._step)
+            sim.schedule(0.0, self._resume)
         elif isinstance(yielded, (int, float)):
-            sim.schedule(float(yielded), self._step)
+            sim.schedule(float(yielded), self._resume)
         elif isinstance(yielded, Timeout):
-            sim.schedule(yielded.delay, self._step, yielded.value)
+            sim.schedule(yielded.delay, self._resume, yielded.value)
         elif isinstance(yielded, Task):
             target = yielded
 
@@ -168,7 +186,7 @@ class Task:
 
             target._subscribe(_joined)
         elif hasattr(yielded, "_subscribe"):
-            yielded._subscribe(self._step)
+            yielded._subscribe(self._resume)
         else:
             self._step(
                 None,
@@ -179,12 +197,15 @@ class Task:
 
     def _finish(self, result: Any, error: BaseException | None) -> None:
         self._done = True
+        self._resume = None
         self._result = result
         self._error = error
         if error is not None and not self._waiters:
             self.sim._record_failure(self)
+        sim = self.sim
         for callback in self._waiters:
-            self.sim.schedule(0.0, callback)
+            sim._seq += 1
+            heappush(sim._heap, (sim._now, sim._seq, callback, ()))
         self._waiters.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -232,7 +253,7 @@ class Simulator:
                 "did you forget to call the generator function?"
             )
         task = Task(self, gen, name)
-        self.schedule(delay, task._step)
+        self.schedule(delay, task._resume)
         if self.timeline is not None:
             # Revive a parked metrics scraper (repro.obs.timeline); the
             # scraper parks whenever the heap drains so it cannot mask
@@ -272,7 +293,19 @@ class Simulator:
             raise SimulationError("run() is not reentrant")
         self._running = True
         try:
-            self._dispatch(None, until, float("inf"))
+            if until is not None:
+                self._dispatch(None, until, float("inf"))
+            else:  # _dispatch without a task, a horizon or a limit to check
+                heap, pop, failures = self._heap, heapq.heappop, self._failures
+                while heap:
+                    time, _seq, callback, args = pop(heap)
+                    if time < self._now - 1e-12:
+                        raise SimulationError("event heap went backwards")
+                    if time > self._now:
+                        self._now = time
+                    callback(*args)
+                    if failures:
+                        self._raise_failures()
         finally:
             self._running = False
         if until is not None and self._now < until:

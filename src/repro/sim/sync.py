@@ -1,20 +1,34 @@
 """Synchronization primitives for simulated tasks.
 
 All primitives expose ``_subscribe(callback)`` so they can be ``yield``-ed
-from a task. Wake-ups are scheduled through the simulator (never called
-inline) so ordering stays deterministic and reentrancy-safe.
+from a task. Wake-ups go onto the event heap (never called inline) so
+ordering stays deterministic and reentrancy-safe.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Generator, List
+from heapq import heappush
+from typing import Any, Callable, Deque, Generator, List, Optional
 
 from repro.errors import SimulationError
-from repro.sim.core import Simulator
+from repro.sim.core import _READY, Simulator
 
 
-class Gate:
+class _Ready:
+    """``_ready(cb)``: the wake-up's args if due now, else park ``cb``.
+    Tasks reach it through the kernel's exact-type table (``_READY``)."""
+
+    __slots__ = ()
+
+    def _subscribe(self, callback: Callable[[Any], None]) -> None:
+        if (args := self._ready(callback)) is not None:
+            sim = self.sim
+            sim._seq += 1
+            heappush(sim._heap, (sim._now, sim._seq, callback, args))
+
+
+class Gate(_Ready):
     """One-shot event: tasks wait until someone calls :meth:`open`.
 
     The value passed to ``open`` is delivered to every waiter. Re-opening
@@ -40,15 +54,17 @@ class Gate:
             raise SimulationError("gate already open")
         self._open = True
         self._value = value
+        sim = self.sim
         for waiter in self._waiters:
-            self.sim.schedule(0.0, waiter, value)
+            sim._seq += 1
+            heappush(sim._heap, (sim._now, sim._seq, waiter, (value,)))
         self._waiters.clear()
 
-    def _subscribe(self, callback: Callable[[Any], None]) -> None:
+    def _ready(self, callback: Callable[[Any], None]) -> Optional[tuple]:
         if self._open:
-            self.sim.schedule(0.0, callback, self._value)
-        else:
-            self._waiters.append(callback)
+            return (self._value,)
+        self._waiters.append(callback)
+        return None
 
 
 class Condition:
@@ -88,8 +104,10 @@ class Queue:
 
     def put(self, item: Any) -> None:
         if self._getters:
-            getter = self._getters.popleft()
-            self.sim.schedule(0.0, getter, item)
+            sim = self.sim
+            sim._seq += 1
+            heappush(sim._heap,
+                     (sim._now, sim._seq, self._getters.popleft(), (item,)))
         else:
             self._items.append(item)
 
@@ -97,18 +115,18 @@ class Queue:
         return _QueueGet(self)
 
 
-class _QueueGet:
-    __slots__ = ("queue",)
+class _QueueGet(_Ready):
+    __slots__ = ("queue", "sim")
 
     def __init__(self, queue: Queue):
         self.queue = queue
+        self.sim = queue.sim
 
-    def _subscribe(self, callback: Callable[[Any], None]) -> None:
+    def _ready(self, callback: Callable[[Any], None]) -> Optional[tuple]:
         if self.queue._items:
-            item = self.queue._items.popleft()
-            self.queue.sim.schedule(0.0, callback, item)
-        else:
-            self.queue._getters.append(callback)
+            return (self.queue._items.popleft(),)
+        self.queue._getters.append(callback)
+        return None
 
 
 class Semaphore:
@@ -151,18 +169,20 @@ class Semaphore:
         return _SemGuard(self)
 
 
-class _SemAcquire:
-    __slots__ = ("sem",)
+class _SemAcquire(_Ready):
+    __slots__ = ("sem", "sim")
 
     def __init__(self, sem: Semaphore):
         self.sem = sem
+        self.sim = sem.sim
 
-    def _subscribe(self, callback: Callable[[Any], None]) -> None:
-        if self.sem._count > 0:
-            self.sem._count -= 1
-            self.sem.sim.schedule(0.0, callback, None)
-        else:
-            self.sem._waiters.append(callback)
+    def _ready(self, callback: Callable[[Any], None]) -> Optional[tuple]:
+        sem = self.sem
+        if sem._count > 0:
+            sem._count -= 1
+            return (None,)
+        sem._waiters.append(callback)
+        return None
 
 
 class _SemGuard:
@@ -176,6 +196,10 @@ class _SemGuard:
         if not self._released:
             self._released = True
             self.sem.release()
+
+
+_READY.update({Gate: Gate._ready, _QueueGet: _QueueGet._ready,
+               _SemAcquire: _SemAcquire._ready})
 
 
 class Lock(Semaphore):

@@ -1,5 +1,7 @@
 """Integration tests: DAOS system, client, object KV + array I/O."""
 
+import gc
+
 import pytest
 
 from repro.cluster import small_cluster
@@ -273,3 +275,29 @@ def test_unreplicated_object_fails_when_target_excluded(cluster):
             obj2.close()
 
     assert cluster.run(go()) == "lost"
+
+
+def test_healthy_sx_handle_placement_is_untracked_by_the_collector():
+    """A handle's layout groups and routes live as long as the handle.
+    As tuples of ints and bools the cyclic collector untracks them,
+    instead of promoting them with the handle to the oldest generation.
+    Each pass untracks one level of nesting; routes nest three deep."""
+    cluster = small_cluster(server_nodes=2, client_nodes=1,
+                            targets_per_engine=2)
+    client = cluster.new_client(0)
+
+    def go():
+        pool = yield from client.connect_pool("tank")
+        cont = yield from pool.create_container("gc", oclass="SX")
+        obj = cont.open_object((yield from cont.alloc_oid(SX)))
+        yield from obj.write(0, PatternPayload(seed=1, origin=0, nbytes=MiB))
+        return obj
+
+    obj = cluster.run(go())
+    assert not obj.cont.pool.pool_map.statuses  # healthy
+    groups, routes = obj.layout.groups, obj._routes()
+    assert len(groups) == len(routes) == 8
+    for _ in range(3):
+        gc.collect()
+    for held in (groups, *groups, routes, *routes):
+        assert type(held) is tuple and not gc.is_tracked(held)

@@ -159,7 +159,8 @@ def _visited_set_probe(oid, n_targets):
             taken.add(probe)
             chosen.append(probe)
         probe = (probe + stride) % n_targets
-    groups = [chosen[g * width:(g + 1) * width] for g in range(groups_nr)]
+    groups = tuple(tuple(chosen[g * width:(g + 1) * width])
+                   for g in range(groups_nr))
     spares, probe = [], start
     for _ in range(n_targets):
         if probe not in taken:

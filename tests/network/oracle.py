@@ -57,7 +57,7 @@ class ReferenceAllocator:
         denom: Dict[object, float] = {}
         for flow in flows:
             rates[flow] = 0.0
-            for link, weight in flow.links:
+            for link, weight in zip(flow.links, flow.weights):
                 denom[link] = denom.get(link, 0.0) + weight
         remaining = {link: link.capacity for link in denom}
 
@@ -127,7 +127,7 @@ class ReferenceAllocator:
                 unfixed.discard(i)
                 flow = flows[i]
                 rates[flow] = level
-                for link, weight in flow.links:
+                for link, weight in zip(flow.links, flow.weights):
                     denom[link] -= weight
                     if denom[link] < EPS:
                         denom[link] = 0.0

@@ -45,16 +45,18 @@ class Bench:
         self.serial = 0
 
     def open(self, links, cap=None):
-        flow = Flow(None, list(links), cap)
+        weights = tuple(weight for _link, weight in links)
+        links = tuple(link for link, _weight in links)
+        flow = Flow(None, links, weights, cap)
         self.serial += 1
         flow._serial = self.serial
-        for link, weight in flow.links:
+        for link, weight in zip(links, weights):
             link._flows[flow] = weight
         self.allocator.add_flow(flow)
         return flow
 
     def close(self, flow):
-        for link, _w in flow.links:
+        for link in flow.links:
             del link._flows[flow]
         self.allocator.remove_flow(flow)
 

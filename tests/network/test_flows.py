@@ -1,11 +1,13 @@
 """Unit + property tests for the max-min fair fluid-flow model."""
 
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import NetworkError
-from repro.network.flows import FlowNetwork
+from repro.network.flows import FlowNetwork, Link
 from repro.sim import Simulator
 
 
@@ -369,11 +371,24 @@ def test_repeated_link_in_a_path_counts_once_with_summed_weight():
     sim, net = make_net()
     link = net.add_link("l", 90.0)
     flow = net.open([(link, 1.0), (link, 0.5)])
-    assert flow.links == [(link, 1.5)]
+    assert (flow.links, flow.weights) == ((link,), (1.5,))
     assert flow.rate == pytest.approx(60.0)
     assert link.utilization() == pytest.approx(1.0)
     net.close(flow)
     assert link.n_flows == 0
+
+
+def test_open_flow_owns_two_containers_not_one_per_link():
+    sim, net = make_net()
+    links = [net.add_link(f"l{i}", 100.0) for i in range(4)]
+    flow = net.open([(link, 0.25) for link in links])
+    assert flow.links == tuple(links)
+    assert flow.weights == (0.25,) * 4
+    gc.collect()
+    owned = [obj for obj in gc.get_referents(flow) if isinstance(obj, tuple)]
+    assert owned == [flow.links, flow.weights]
+    assert all(type(link) is Link for link in flow.links)
+    assert not gc.is_tracked(flow.weights)
 
 
 @settings(max_examples=60, deadline=None)
@@ -405,7 +420,7 @@ def test_allocation_is_feasible_and_work_conserving(capacities, flow_specs):
         assert flow.rate >= 0
         if flow.cap is not None:
             assert flow.rate <= flow.cap + 1e-6
-        for link, weight in flow.links:
+        for link, weight in zip(flow.links, flow.weights):
             slack[link] -= flow.rate * weight
     for link, s in slack.items():
         assert s >= -1e-6 * link.capacity  # feasibility
@@ -415,6 +430,6 @@ def test_allocation_is_feasible_and_work_conserving(capacities, flow_specs):
     for flow in flows:
         capped = flow.cap is not None and flow.rate >= flow.cap - 1e-6
         saturated = any(
-            slack[link] <= 1e-6 * link.capacity for link, _ in flow.links
+            slack[link] <= 1e-6 * link.capacity for link in flow.links
         )
         assert capped or saturated
