@@ -38,7 +38,7 @@ LEADER = "leader"
 _proposal_ids = itertools.count(1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LogEntry:
     term: int
     command: Any
@@ -224,9 +224,8 @@ class RaftNode:
         next_idx = self.next_index.get(peer, self.last_log_index + 1)
         prev_index = next_idx - 1
         prev_term = self.log[prev_index].term if prev_index < len(self.log) else 0
-        entries = [
-            (e.term, e.command, e.proposal_id) for e in self.log[next_idx:]
-        ]
+        # entries are immutable, so the log's own suffix is the wire form
+        entries = self.log[next_idx:]
         self._send(
             peer,
             "append_entries",
@@ -300,14 +299,14 @@ class RaftNode:
             ]:
                 success = True
                 index = prev_index
-                for term, command, proposal_id in body["entries"]:
+                for entry in body["entries"]:
                     index += 1
                     if index < len(self.log):
-                        if self.log[index].term != term:
+                        if self.log[index].term != entry.term:
                             del self.log[index:]  # conflict: truncate
-                            self.log.append(LogEntry(term, command, proposal_id))
+                            self.log.append(entry)
                     else:
-                        self.log.append(LogEntry(term, command, proposal_id))
+                        self.log.append(entry)
                 if body["entries"]:
                     yield self.config.persist_latency
                 match_index = index
