@@ -264,9 +264,10 @@ class Simulator:
     # -- execution ---------------------------------------------------------
     def _dispatch(self, task: Optional[Task], until: Optional[float],
                   limit: float) -> None:
-        """The one event loop: pop, check the clock is monotone, advance,
-        call, surface failures. Returns when ``task`` (if given) is done,
-        the heap drains, or the next event lies beyond ``until``."""
+        """The event loop: pop, check the clock is monotone, advance, call,
+        surface failures. Returns when ``task`` (if given) is done, the
+        heap drains, or the next event lies beyond ``until``. (:meth:`run`
+        without ``until`` runs the same steps in a loop of its own.)"""
         heap = self._heap
         pop = heapq.heappop
         failures = self._failures
@@ -295,7 +296,7 @@ class Simulator:
         try:
             if until is not None:
                 self._dispatch(None, until, float("inf"))
-            else:  # _dispatch without a task, a horizon or a limit to check
+            else:  # _dispatch with no task, horizon or limit to test
                 heap, pop, failures = self._heap, heapq.heappop, self._failures
                 while heap:
                     time, _seq, callback, args = pop(heap)
