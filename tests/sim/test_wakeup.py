@@ -160,12 +160,6 @@ def test_task_soup_push_stream_is_pinned(monkeypatch):
     assert seen["garbage"] == 1
 
 
-def test_task_soup_is_deterministic(monkeypatch):
-    first = _trace(monkeypatch, 11)
-    monkeypatch.undo()
-    assert _trace(monkeypatch, 11) == first
-
-
 def test_negative_float_sleep_raises():
     sim = Simulator()
 
