@@ -205,9 +205,7 @@ class Engine:
             if tracer is not None
             else None
         )
-        if sem._count > 0:  # a free credit takes no event (Semaphore.held)
-            sem._count -= 1
-        else:
+        if not sem.take():
             yield sem.acquire()
         if tracer is not None:
             tracer.end(wait_span)

@@ -6,7 +6,8 @@ Design notes
 * The event heap stores ``(time, seq, callback, args)`` tuples; ``seq``
   breaks ties FIFO so same-time events run in schedule order, which makes
   runs deterministic regardless of callback identity. That push stream
-  is the contract: wake-ups may skip ``schedule`` but push the same.
+  is the contract: wake-ups (:meth:`Simulator.wake`, :meth:`Task._step`)
+  skip ``schedule`` but push the same.
 * Tasks are generators. A task may ``yield``:
 
   - ``float | int`` — sleep that many simulated seconds,
@@ -127,7 +128,7 @@ class Task:
     # -- kernel interface --------------------------------------------------
     def _subscribe(self, callback: Callable[[], None]) -> None:
         if self._done:
-            self.sim.schedule(0.0, callback)
+            self.sim.wake(callback)
         else:
             self._waiters.append(callback)
 
@@ -169,7 +170,7 @@ class Task:
     def _wire(self, yielded: Any) -> None:
         sim = self.sim
         if yielded is None:
-            sim.schedule(0.0, self._resume)
+            sim.wake(self._resume)
         elif isinstance(yielded, (int, float)):
             sim.schedule(float(yielded), self._resume)
         elif isinstance(yielded, Timeout):
@@ -202,10 +203,9 @@ class Task:
         self._error = error
         if error is not None and not self._waiters:
             self.sim._record_failure(self)
-        sim = self.sim
+        wake = self.sim.wake
         for callback in self._waiters:
-            sim._seq += 1
-            heappush(sim._heap, (sim._now, sim._seq, callback, ()))
+            wake(callback)
         self._waiters.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -244,6 +244,12 @@ class Simulator:
         self._seq += 1
         heapq.heappush(self._heap, (self._now + delay, self._seq, callback, args))
 
+    def wake(self, callback: Callable, args: tuple = ()) -> None:
+        """``schedule(0.0, callback, *args)`` for a wake-up: the same push,
+        without the delay check or the argument packing."""
+        self._seq += 1
+        heapq.heappush(self._heap, (self._now, self._seq, callback, args))
+
     def spawn(self, gen: TaskGen, name: str = "", delay: float = 0.0) -> Task:
         """Start a new task from a generator; it takes its first step
         ``delay`` simulated seconds from now."""
@@ -266,8 +272,7 @@ class Simulator:
                   limit: float) -> None:
         """The event loop: pop, check the clock is monotone, advance, call,
         surface failures. Returns when ``task`` (if given) is done, the
-        heap drains, or the next event lies beyond ``until``. (:meth:`run`
-        without ``until`` runs the same steps in a loop of its own.)"""
+        heap drains, or the next event lies beyond ``until``."""
         heap = self._heap
         pop = heapq.heappop
         failures = self._failures
@@ -294,19 +299,7 @@ class Simulator:
             raise SimulationError("run() is not reentrant")
         self._running = True
         try:
-            if until is not None:
-                self._dispatch(None, until, float("inf"))
-            else:  # _dispatch with no task, horizon or limit to test
-                heap, pop, failures = self._heap, heapq.heappop, self._failures
-                while heap:
-                    time, _seq, callback, args = pop(heap)
-                    if time < self._now - 1e-12:
-                        raise SimulationError("event heap went backwards")
-                    if time > self._now:
-                        self._now = time
-                    callback(*args)
-                    if failures:
-                        self._raise_failures()
+            self._dispatch(None, until, float("inf"))
         finally:
             self._running = False
         if until is not None and self._now < until:

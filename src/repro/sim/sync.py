@@ -8,7 +8,6 @@ ordering stays deterministic and reentrancy-safe.
 from __future__ import annotations
 
 from collections import deque
-from heapq import heappush
 from typing import Any, Callable, Deque, Generator, List, Optional
 
 from repro.errors import SimulationError
@@ -23,9 +22,7 @@ class _Ready:
 
     def _subscribe(self, callback: Callable[[Any], None]) -> None:
         if (args := self._ready(callback)) is not None:
-            sim = self.sim
-            sim._seq += 1
-            heappush(sim._heap, (sim._now, sim._seq, callback, args))
+            self.sim.wake(callback, args)
 
 
 class Gate(_Ready):
@@ -54,10 +51,9 @@ class Gate(_Ready):
             raise SimulationError("gate already open")
         self._open = True
         self._value = value
-        sim = self.sim
+        wake = self.sim.wake
         for waiter in self._waiters:
-            sim._seq += 1
-            heappush(sim._heap, (sim._now, sim._seq, waiter, (value,)))
+            wake(waiter, (value,))
         self._waiters.clear()
 
     def _ready(self, callback: Callable[[Any], None]) -> Optional[tuple]:
@@ -82,7 +78,7 @@ class Condition:
     def notify_all(self, value: Any = None) -> None:
         waiters, self._waiters = self._waiters, []
         for waiter in waiters:
-            self.sim.schedule(0.0, waiter, value)
+            self.sim.wake(waiter, (value,))
 
     def _subscribe(self, callback: Callable[[Any], None]) -> None:
         self._waiters.append(callback)
@@ -104,10 +100,7 @@ class Queue:
 
     def put(self, item: Any) -> None:
         if self._getters:
-            sim = self.sim
-            sim._seq += 1
-            heappush(sim._heap,
-                     (sim._now, sim._seq, self._getters.popleft(), (item,)))
+            self.sim.wake(self._getters.popleft(), (item,))
         else:
             self._items.append(item)
 
@@ -150,21 +143,27 @@ class Semaphore:
 
     def release(self) -> None:
         if self._waiters:
-            waiter = self._waiters.popleft()
-            self.sim.schedule(0.0, waiter, None)
+            self.sim.wake(self._waiters.popleft(), (None,))
         else:
             self._count += 1
 
-    def held(self) -> Generator[Any, Any, "_SemGuard"]:
-        """Task helper: ``guard = yield from sem.held()`` ... ``guard.release()``.
+    def take(self) -> bool:
+        """Take a free credit without yielding; False if none is free.
 
-        A free credit is taken without yielding. That cannot jump the
-        queue: :meth:`release` hands a credit straight to the oldest
-        waiter, so the count is only positive while nobody waits.
+        A free credit costs no event and cannot jump the queue:
+        :meth:`release` hands a credit straight to the oldest waiter, so
+        the count is only positive while nobody waits. Callers fall back
+        to ``yield sem.acquire()``.
         """
         if self._count > 0:
             self._count -= 1
-        else:
+            return True
+        return False
+
+    def held(self) -> Generator[Any, Any, "_SemGuard"]:
+        """Task helper: ``guard = yield from sem.held()`` ... ``guard.release()``;
+        a free credit is taken without yielding (:meth:`take`)."""
+        if not self.take():
             yield self.acquire()
         return _SemGuard(self)
 

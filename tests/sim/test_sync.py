@@ -148,18 +148,18 @@ def test_semaphore_guard_release_idempotent():
 def test_semaphore_held_free_credit_costs_no_event():
     sim = Simulator()
     sem = Semaphore(sim, 1)
-    scheduled = []
-    schedule = sim.schedule
+    pushes = []
 
     def proc():
-        sim.schedule = lambda *args: (scheduled.append(args), schedule(*args))
+        before = sim._seq  # every heap push bumps it
         guard = yield from sem.held()
         assert sem.available == 0
         guard.release()
+        pushes.append(sim._seq - before)
 
     sim.spawn(proc())
     sim.run()
-    assert scheduled == []
+    assert pushes == [0]
     assert sem.available == 1
 
 
