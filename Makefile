@@ -44,10 +44,13 @@ bench-e2e:
 
 # Cyclic-collector cost (~45 s): each e2e workload in a fresh interpreter
 # at seed 7, printing per cell the heap pushes, reallocations and solved
-# flows beside the collections and collector seconds per generation.
+# flows beside the collections and collector seconds per generation and
+# the RSS high-water mark. The table also lands in artifacts/gcprobe.txt.
 # A report, not a gate: collection counts depend on the Python version.
 gcprobe:
-	$(PY) benchmarks/gc_probe.py --seed 7
+	@mkdir -p artifacts
+	$(PY) benchmarks/gc_probe.py --seed 7 > artifacts/gcprobe.txt; \
+	    status=$$?; cat artifacts/gcprobe.txt; exit $$status
 
 # Who calls what (~9 min): tier-1, then every CLI mode / e2e workload /
 # script / example, under sys.setprofile. Lists the functions nothing

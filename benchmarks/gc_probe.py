@@ -10,7 +10,9 @@ probe prints the exact work counters beside the collector numbers:
   ``network.solved_flows``, which a host-side change must leave equal;
 - collections and collector seconds in generations 0, 1 and 2, and the
   objects they freed;
-- the cell's wall seconds, of which the collector seconds are a part.
+- the cell's wall seconds, of which the collector seconds are a part;
+- the interpreter's RSS high-water mark after the cell (``ru_maxrss``,
+  MiB), so a peak-memory figure can be traced to the cell that set it.
 
 Collection counts depend on the Python version, which the header names.
 
@@ -25,6 +27,7 @@ import argparse
 import gc
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -66,12 +69,14 @@ def child_main(workload: str, seed: int) -> None:
         _model, _attempted, _failed, cluster = cell.call()
         wall = time.perf_counter() - t0
         net = cluster.fabric.flownet
+        maxrss_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         print(json.dumps({
             "cell": cell.id, "seq": cluster.sim._seq,
             "reallocations": net.reallocations,
             "solved_flows": net.solved_flows,
             "collections": list(counts), "gc_s": list(seconds),
             "freed": freed[0], "wall_s": wall,
+            "maxrss_mib": maxrss_kib / 1024,  # ru_maxrss is KiB on Linux
         }), flush=True)
         del cluster
 
@@ -87,7 +92,8 @@ def main(argv=None) -> int:
         return 0
     print(f"# gc probe, seed {args.seed}, Python {sys.version.split()[0]}")
     print(f"{'cell':<40} {'sim._seq':>9} {'realloc':>7} {'solved':>8}"
-          f" {'gen0/1/2':>14} {'gc s (0/1/2)':>20} {'freed':>7} {'wall s':>7}")
+          f" {'gen0/1/2':>14} {'gc s (0/1/2)':>20} {'freed':>7} {'wall s':>7}"
+          f" {'maxrss MiB':>10}")
     env = dict(os.environ, PYTHONHASHSEED="0")
     for workload in args.workload or WORKLOADS:
         out = subprocess.run(
@@ -98,6 +104,7 @@ def main(argv=None) -> int:
         total = [0, 0, 0]
         gc_s = 0.0
         wall = 0.0
+        peak = 0.0
         for line in out.splitlines():
             row = json.loads(line)
             gens = "/".join(str(c) for c in row["collections"])
@@ -105,13 +112,14 @@ def main(argv=None) -> int:
             print(f"{workload + ':' + row['cell']:<40} {row['seq']:>9}"
                   f" {row['reallocations']:>7} {row['solved_flows']:>8}"
                   f" {gens:>14} {secs:>20} {row['freed']:>7}"
-                  f" {row['wall_s']:>7.2f}")
+                  f" {row['wall_s']:>7.2f} {row['maxrss_mib']:>10.2f}")
             total = [t + c for t, c in zip(total, row["collections"])]
             gc_s += sum(row["gc_s"])
             wall += row["wall_s"]
+            peak = max(peak, row["maxrss_mib"])
         print(f"{workload + ' total':<40} {'':>9} {'':>7} {'':>8}"
               f" {'/'.join(map(str, total)):>14} {gc_s:>20.2f} {'':>7}"
-              f" {wall:>7.2f}")
+              f" {wall:>7.2f} {peak:>10.2f}")
     return 0
 
 

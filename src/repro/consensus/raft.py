@@ -298,16 +298,15 @@ class RaftNode:
                 "prev_term"
             ]:
                 success = True
-                index = prev_index
-                for entry in body["entries"]:
-                    index += 1
-                    if index < len(self.log):
-                        if self.log[index].term != entry.term:
-                            del self.log[index:]  # conflict: truncate
-                            self.log.append(entry)
-                    else:
-                        self.log.append(entry)
-                if body["entries"]:
+                log, entries = self.log, body["entries"]
+                start = prev_index + 1
+                for off, (mine, entry) in enumerate(zip(log[start:], entries)):
+                    if mine.term != entry.term:
+                        del log[start + off:]  # conflict: truncate
+                        break
+                log.extend(entries[len(log) - start:])
+                index = prev_index + len(entries)
+                if entries:
                     yield self.config.persist_latency
                 match_index = index
                 if body["leader_commit"] > self.commit_index:

@@ -28,7 +28,9 @@ from __future__ import annotations
 from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.daos.objid import ObjId
-from repro.daos.placement import Layout, effective_groups
+from repro.daos.placement import (
+    HEALTHY, HEALTHY_SOLO, Layout, Route, effective_groups,
+)
 from repro.daos.stream import IoPiece, IoStream
 from repro.daos.vos.payload import Payload, as_payload, concat_payloads
 from repro.errors import DerDataLoss, DerInval, DerStale
@@ -38,9 +40,6 @@ from repro.units import MiB, split_aligned
 
 ARRAY_AKEY = b"\x00arr"
 DEFAULT_CHUNK = MiB
-
-#: a route entry: (target id actually serving the slot, readable, writable)
-Route = Tuple[int, bool, bool]
 
 
 class ObjectHandle:
@@ -67,21 +66,20 @@ class ObjectHandle:
 
     def _routes(self) -> Sequence[Sequence[Route]]:
         """Per-group routing derived from the pool map, cached per map
-        version. The healthy-pool fast path allocates the trivial
-        all-readable/all-writable routes without touching state logic."""
+        version: a tuple of tuples. On a healthy pool every entry is the
+        shared per-target ``(t, True, True)``, and a width-1 group's
+        whole route is shared too (:data:`~repro.daos.placement.
+        HEALTHY_SOLO`)."""
         pool_map = self.cont.pool.pool_map
         cached = self._route_cache
         if cached is not None and cached[0] == pool_map.version:
             return cached[1]
-        if not pool_map.statuses:
-            routes = tuple([tuple([(t, True, True) for t in group])
-                            for group in self.layout.groups])
-        else:
+        groups = self.layout.groups
+        if pool_map.statuses:
             ready = pool_map.downout_ready
             routes = []
             for group, egroup in zip(
-                self.layout.groups,
-                effective_groups(self.layout, pool_map.downout),
+                groups, effective_groups(self.layout, pool_map.downout),
             ):
                 route: List[Route] = []
                 for orig, actual in zip(group, egroup):
@@ -93,12 +91,18 @@ class ObjectHandle:
                         up = state == UP
                         route.append((actual, up and ready, up))
                     elif state == UP:
-                        route.append((actual, True, True))
+                        route.append(HEALTHY[actual])
                     elif state == REBUILDING:
                         route.append((actual, False, True))
                     else:  # DOWN, or DOWNOUT with no spare left
                         route.append((actual, False, False))
-                routes.append(route)
+                routes.append(tuple(route))
+            routes = tuple(routes)
+        elif len(groups[0]) == 1:
+            routes = tuple([HEALTHY_SOLO[t] for t, in groups])
+        else:
+            routes = tuple([tuple([HEALTHY[t] for t in group])
+                            for group in groups])
         self._route_cache = (pool_map.version, routes)
         return routes
 

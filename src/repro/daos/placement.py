@@ -46,6 +46,20 @@ def dkey_hash(dkey) -> int:
 
 Groups = Tuple[Tuple[int, ...], ...]
 
+#: a route entry: (target id actually serving the slot, readable, writable)
+Route = Tuple[int, bool, bool]
+
+# Placement metadata that is a function of a target id alone, built once
+# per target and shared by every layout and handle in the process:
+# ``SOLO_GROUPS[t] == (t,)`` (the width-1 groups of S1, S2 and SX),
+# ``HEALTHY[t] == (t, True, True)`` and ``HEALTHY_SOLO[t] ==
+# (HEALTHY[t],)``. PlacementMap grows them to its pool's target count, so
+# they are bounded by the largest target id; ints and bools only, so the
+# cyclic collector untracks them.
+SOLO_GROUPS: List[Tuple[int]] = []
+HEALTHY: List[Route] = []
+HEALTHY_SOLO: List[Tuple[Route]] = []
+
 
 class Layout:
     """An object's resolved placement.
@@ -102,6 +116,10 @@ class PlacementMap:
         if n_targets <= 0:
             raise DerInval("pool needs at least one target")
         self.n_targets = n_targets
+        for t in range(len(HEALTHY), n_targets):
+            SOLO_GROUPS.append((t,))
+            HEALTHY.append((t, True, True))
+            HEALTHY_SOLO.append((HEALTHY[t],))
 
     def layout(self, oid: ObjId) -> Layout:
         """``oid``'s layout, derived afresh on every call — object open
@@ -122,9 +140,11 @@ class PlacementMap:
                 stride += 1
         chosen = tuple([(start + i * stride) % n_targets
                         for i in range(groups_nr * width)])
-        groups = tuple([
-            chosen[g * width : (g + 1) * width] for g in range(groups_nr)
-        ])
+        if width == 1:
+            groups = tuple([SOLO_GROUPS[t] for t in chosen])
+        else:
+            groups = tuple([chosen[g * width : (g + 1) * width]
+                            for g in range(groups_nr)])
         return Layout(oid, groups, (n_targets, start, stride))
 
 

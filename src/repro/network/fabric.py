@@ -11,7 +11,6 @@ latency + serialization delay without occupying flow capacity.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
@@ -103,18 +102,17 @@ class Fabric:
         several targets share accumulates their weights."""
         write = direction == "write"
         weight = 1.0 / max(1, len(targets))
-        per_link: Dict[Link, float] = defaultdict(float)
-        per_link[self.nic_tx(client) if write else self.nic_rx(client)] += 1.0
+        links = [(self.nic_tx(client) if write else self.nic_rx(client), 1.0)]
         for hw in targets:
             if write:
-                per_link[self.nic_rx(hw.node.addr)] += weight
-                per_link[hw.engine.media_write] += weight
-                per_link[hw.write_link] += weight
+                links += ((self.nic_rx(hw.node.addr), weight),
+                          (hw.engine.media_write, weight),
+                          (hw.write_link, weight))
             else:
-                per_link[self.nic_tx(hw.node.addr)] += weight
-                per_link[hw.engine.media_read] += weight
-                per_link[hw.read_link] += weight
-        return self.flownet.open(list(per_link.items()), label=label)
+                links += ((self.nic_tx(hw.node.addr), weight),
+                          (hw.engine.media_read, weight),
+                          (hw.read_link, weight))
+        return self.flownet.open(links, label=label)
 
     # -- control messages -------------------------------------------------------
     def msg_delay(self, src: NodeAddr, dst: NodeAddr, nbytes: int) -> float:

@@ -191,11 +191,14 @@ class FlowNetwork:
         """Register a new active flow and recompute the allocation."""
         if cap is not None and cap <= 0:
             raise NetworkError(f"flow cap must be positive, got {cap}")
-        # a link listed twice is crossed once, at the sum of its weights
+        # a link listed twice is crossed once, at the sum of its weights;
+        # a link listed once keeps the caller's float (``float(w) is w``)
         weights: Dict[Link, float] = {}
         for link, weight in links:
             if weight > 0:
-                weights[link] = weights.get(link, 0.0) + float(weight)
+                held = weights.get(link)
+                weights[link] = (float(weight) if held is None
+                                 else held + weight)
         flow = Flow(self, tuple(weights), tuple(weights.values()), cap, label)
         self._next_serial += 1
         flow._serial = self._next_serial

@@ -469,3 +469,81 @@ def test_commit_rule_on_a_single_node_cluster():
     node = _leader_in_state(1, [1, 1], 1, [], 0)
     node._advance_commit_index()
     assert node.commit_index == 2
+
+
+# ------------------------------------------------------------ follower append
+def _reference_append(log, prev_index, prev_term, entries):
+    """The per-entry loop ``_on_append_entries`` used to run on every
+    message, kept as the oracle for its scan-truncate-extend form: the
+    follower's log afterwards and the reply's ``(success, match_index)``."""
+    log = list(log)
+    if not (prev_index < len(log) and log[prev_index].term == prev_term):
+        return log, False, 0
+    index = prev_index
+    for entry in entries:
+        index += 1
+        if index < len(log):
+            if log[index].term != entry.term:
+                del log[index:]  # conflict: truncate
+                log.append(entry)
+        else:
+            log.append(entry)
+    return log, True, index
+
+
+def test_follower_append_matches_per_entry_loop_on_random_logs():
+    import random
+
+    from repro.consensus.raft import FOLLOWER, LogEntry
+
+    rng = random.Random(0xA77E)
+    _sim, cluster = build_cluster(3)
+    node = cluster.nodes[1]
+    replies = []
+    node._send = lambda _peer, _kind, body: replies.append(body)
+    outcomes = {"shared": 0, "conflict": 0, "truncated": 0, "rejected": 0}
+    for trial in range(600):
+        terms = sorted(rng.randrange(1, 4) for _ in range(rng.randrange(0, 12)))
+        leader = [LogEntry(0, None)]
+        leader += [LogEntry(t, ("cmd", trial, i)) for i, t in enumerate(terms)]
+        # The follower shares a prefix of the leader's entry objects, then
+        # holds entries of its own: some of an equal term (equal, not the
+        # same objects), some of another term (a conflict).
+        follower = leader[: rng.randrange(1, len(leader) + 1)]
+        term = follower[-1].term
+        for i in range(rng.randrange(0, 5)):
+            term = max(term, rng.randrange(0, 4))
+            follower.append(LogEntry(term, ("own", trial, i)))
+        prev_index = rng.randrange(0, len(leader))
+        prev_term = leader[prev_index].term
+        if rng.random() < 0.1:
+            prev_term += 1  # consistency check fails
+        # A delayed message may carry a shorter suffix than the follower holds.
+        entries = leader[prev_index + 1 : rng.randrange(prev_index + 1,
+                                                        len(leader) + 1)]
+        expected, success, match_index = _reference_append(
+            follower, prev_index, prev_term, entries
+        )
+        node.state, node.current_term, node.commit_index = FOLLOWER, 5, 0
+        node.log = list(follower)
+        replies.clear()
+        for _ in node._on_append_entries({
+            "term": 5, "from": "n0", "from_id": 0, "prev_index": prev_index,
+            "prev_term": prev_term, "entries": entries, "leader_commit": 0,
+        }):
+            pass
+        assert [id(e) for e in node.log] == [id(e) for e in expected], trial
+        assert (replies[0]["success"], replies[0]["match_index"]) == (
+            success, match_index), trial
+        held = follower[prev_index + 1 : prev_index + 1 + len(entries)]
+        if not success:
+            outcomes["rejected"] += 1
+        elif all(a is b for a, b in zip(held, entries)):
+            outcomes["shared"] += 1
+        elif len(expected) < len(follower):
+            outcomes["truncated"] += 1
+        else:
+            outcomes["conflict"] += 1
+    # the sweep reaches an overlap of shared objects, a term conflict (with
+    # and without a shorter log afterwards) and a failed consistency check
+    assert min(outcomes.values()) > 20, outcomes

@@ -6,6 +6,7 @@ import pytest
 
 from repro.cluster import small_cluster
 from repro.daos.oclass import RP_2G1, S1, S2, SX, oclass_by_name
+from repro.daos.placement import HEALTHY, HEALTHY_SOLO, SOLO_GROUPS
 from repro.daos.vos.payload import PatternPayload
 from repro.errors import DerDataLoss, DerExist, DerNonexist
 from repro.units import KiB, MiB
@@ -280,7 +281,8 @@ def test_unreplicated_object_fails_when_target_excluded(cluster):
 def test_healthy_sx_handle_placement_is_untracked_by_the_collector():
     """A handle's layout groups and routes live as long as the handle.
     As tuples of ints and bools the cyclic collector untracks them,
-    instead of promoting them with the handle to the oldest generation.
+    instead of promoting them with the handle to the oldest generation:
+    the healthy routes, and the degraded ones once a target is DOWN.
     Each pass untracks one level of nesting; routes nest three deep."""
     cluster = small_cluster(server_nodes=2, client_nodes=1,
                             targets_per_engine=2)
@@ -294,10 +296,78 @@ def test_healthy_sx_handle_placement_is_untracked_by_the_collector():
         return obj
 
     obj = cluster.run(go())
-    assert not obj.cont.pool.pool_map.statuses  # healthy
-    groups, routes = obj.layout.groups, obj._routes()
-    assert len(groups) == len(routes) == 8
-    for _ in range(3):
-        gc.collect()
-    for held in (groups, *groups, routes, *routes):
-        assert type(held) is tuple and not gc.is_tracked(held)
+    pool = obj.cont.pool
+    assert not pool.pool_map.statuses  # healthy
+    groups = obj.layout.groups
+    for degraded in (False, True):
+        if degraded:
+            cluster.run(cluster.daos.exclude_target(pool.pool_map.uuid, 0))
+            cluster.run(pool.refresh_map())
+            assert pool.pool_map.statuses  # target 0 is DOWN
+        routes = obj._routes()
+        assert len(groups) == len(routes) == 8
+        for _ in range(3):
+            gc.collect()
+        for held in (groups, *groups, routes, *routes):
+            assert type(held) is tuple and not gc.is_tracked(held)
+
+
+def _open_sx_handles(cluster, per_client):
+    """``per_client`` SX handles, on distinct objects, from each of two
+    clients of ``cluster`` (one container)."""
+
+    def go(client, create):
+        pool = yield from client.connect_pool("tank")
+        if create:
+            cont = yield from pool.create_container("share", oclass="SX")
+        else:
+            cont = yield from pool.open_container("share")
+        handles = []
+        for _ in range(per_client):
+            handles.append(cont.open_object((yield from cont.alloc_oid(SX))))
+        return pool, handles
+
+    return [cluster.run(go(cluster.new_client(i), i == 0)) for i in range(2)]
+
+
+def test_sx_handles_of_two_clients_share_per_target_placement():
+    """Placement metadata that depends on a target id alone exists once
+    per target: two clients' SX handles hold the very same width-1
+    groups, healthy route entries and healthy routes, and opening many
+    objects grows the shared tables no further than the target count."""
+    cluster = small_cluster(server_nodes=2, client_nodes=2,
+                            targets_per_engine=2)
+    n_targets = cluster.pool.n_targets
+    sizes = (len(SOLO_GROUPS), len(HEALTHY), len(HEALTHY_SOLO))
+    (_pool, mine), (_pool, theirs) = _open_sx_handles(cluster, 100)
+    assert sizes == (len(SOLO_GROUPS), len(HEALTHY), len(HEALTHY_SOLO))
+    assert min(sizes) >= n_targets
+    for handle in mine + theirs:
+        assert len(handle.layout.groups) == n_targets
+        for group, route in zip(handle.layout.groups, handle._routes()):
+            (t,) = group
+            assert group is SOLO_GROUPS[t] and route is HEALTHY_SOLO[t]
+            assert route[0] is HEALTHY[t] == (t, True, True)
+
+
+def test_down_target_gives_its_handle_a_degraded_route_of_its_own():
+    cluster = small_cluster(server_nodes=2, client_nodes=2,
+                            targets_per_engine=2)
+    (pool, (obj,)), (_pool, (other,)) = _open_sx_handles(cluster, 1)
+    tables = [list(table) for table in (SOLO_GROUPS, HEALTHY, HEALTHY_SOLO)]
+    victim = obj.layout.groups[0][0]
+    cluster.run(cluster.daos.exclude_target(pool.pool_map.uuid, victim))
+    cluster.run(pool.refresh_map())
+    routes = obj._routes()
+    assert routes[0] == ((victim, False, False),)
+    assert routes[0] is not HEALTHY_SOLO[victim]
+    for (t,), route in zip(obj.layout.groups[1:], routes[1:]):
+        # the other targets are UP: fresh group tuples, shared entries
+        assert route == ((t, True, True),) and route[0] is HEALTHY[t]
+    # the other client has not refreshed its map: still all shared
+    assert all(route is HEALTHY_SOLO[t] for (t,), route in
+               zip(other.layout.groups, other._routes()))
+    for table, before in zip((SOLO_GROUPS, HEALTHY, HEALTHY_SOLO), tables):
+        assert len(table) == len(before)
+        assert all(a is b for a, b in zip(table, before))
+    assert HEALTHY[victim] == (victim, True, True)

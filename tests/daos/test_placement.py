@@ -20,7 +20,15 @@ from repro.daos.oclass import (
     oclass_id,
 )
 from repro.daos.objid import ObjId
-from repro.daos.placement import Layout, PlacementMap, _mix64, dkey_hash
+from repro.daos.placement import (
+    HEALTHY,
+    HEALTHY_SOLO,
+    SOLO_GROUPS,
+    Layout,
+    PlacementMap,
+    _mix64,
+    dkey_hash,
+)
 from repro.errors import DerInval
 
 
@@ -194,3 +202,26 @@ def test_layouts_match_the_visited_set_probe_and_none_is_kept():
     wanted = set(oids)
     assert not [obj for obj in gc.get_objects()
                 if isinstance(obj, Layout) and obj.oid in wanted]
+
+
+def test_width_one_groups_are_shared_per_target_tables_bounded_by_the_pool():
+    """What depends on a target id alone is built once per target: every
+    width-1 group is the shared ``(t,)``, wider groups stay per-layout
+    slices, and the tables grow to the largest pool and no further."""
+    n_targets = len(HEALTHY) + 5  # a pool larger than any seen so far
+    pmap = PlacementMap(n_targets)
+    assert len(SOLO_GROUPS) == len(HEALTHY) == len(HEALTHY_SOLO) == n_targets
+    for lo in range(200):
+        for oclass in (S1, S2, SX, RP_2G1, RP_2GX):
+            groups = pmap.layout(ObjId.generate(oclass, lo=lo)).groups
+            for group in groups:
+                assert (group is SOLO_GROUPS[group[0]]) == (len(group) == 1)
+    PlacementMap(3)  # a smaller pool adds nothing
+    assert len(SOLO_GROUPS) == len(HEALTHY) == len(HEALTHY_SOLO) == n_targets
+    for t in range(n_targets):
+        assert SOLO_GROUPS[t] == (t,) and HEALTHY[t] == (t, True, True)
+        assert HEALTHY_SOLO[t] == (HEALTHY[t],)
+        assert HEALTHY_SOLO[t][0] is HEALTHY[t]
+    gc.collect()
+    gc.collect()
+    assert not any(map(gc.is_tracked, SOLO_GROUPS + HEALTHY + HEALTHY_SOLO))

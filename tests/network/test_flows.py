@@ -433,3 +433,42 @@ def test_allocation_is_feasible_and_work_conserving(capacities, flow_specs):
             slack[link] <= 1e-6 * link.capacity for link in flow.links
         )
         assert capped or saturated
+
+
+def test_bulk_flow_weights_match_summed_weights_and_share_one_float():
+    """``Fabric.open_bulk_flow`` hands every server-side link the same
+    ``1 / len(targets)`` float; the flow keeps it where a link is listed
+    once and sums it where several targets share a link (their node's
+    NIC, their engine's media channel), float-equal to summing into a
+    ``defaultdict(float)`` link by link."""
+    from collections import defaultdict
+
+    from repro.cluster import small_cluster
+
+    cluster = small_cluster(server_nodes=1, client_nodes=1,
+                            targets_per_engine=4)
+    fabric = cluster.fabric
+    client = cluster.clients[0].addr
+    # three targets of engine 0 and one of engine 1, all on one node
+    targets = [cluster.daos.target(tid).hw for tid in (0, 1, 2, 4)]
+    assert len({hw.engine.index for hw in targets[:3]}) == 1
+    weight = 1.0 / len(targets)
+    for write in (True, False):
+        summed = defaultdict(float)
+        summed[fabric.nic_tx(client) if write else fabric.nic_rx(client)] += 1
+        service = []
+        for hw in targets:
+            node = hw.node.addr
+            engine = hw.engine
+            service.append(hw.write_link if write else hw.read_link)
+            for link in (fabric.nic_rx(node) if write else fabric.nic_tx(node),
+                         engine.media_write if write else engine.media_read,
+                         service[-1]):
+                summed[link] += weight
+        flow = fabric.open_bulk_flow(client, targets,
+                                     "write" if write else "read", label="t")
+        assert flow.links == tuple(summed)
+        assert flow.weights == tuple(summed.values())
+        weights = dict(zip(flow.links, flow.weights))
+        assert len({id(weights[link]) for link in service}) == 1
+        fabric.flownet.close(flow)
