@@ -34,18 +34,22 @@ bench-flows:
 
 # End-to-end benchmark (BENCHMARK.json): the driver's own smoke tests,
 # then the fig-1 workload in the contract form at the pinned seed with
-# the traced rep on. run.py exits non-zero on `"correct": false` (an
-# operation failed or a pinned modelled number moved); the driver spans
-# land in benchmarks/e2e/out/trace-fig1_fpp_dfs.json.
+# the traced rep on, then the field database (untraced, ~20 s), whose
+# KV cell is the VOS record layer's heaviest user. run.py exits non-zero
+# on `"correct": false` (an operation failed or a pinned modelled number
+# moved); the driver spans land in benchmarks/e2e/out/trace-fig1_fpp_dfs.json.
 bench-e2e:
 	$(PY) -m pytest benchmarks/e2e -q
 	$(PY) benchmarks/e2e/run.py --workload fig1_fpp_dfs --seed 0xDA05 \
 		--seconds 20 --trace 1
+	$(PY) benchmarks/e2e/run.py --workload fdb_fields --seed 0xDA05 \
+		--seconds 0 --trace 0
 
 # Cyclic-collector cost (~45 s): each e2e workload in a fresh interpreter
 # at seed 7, printing per cell the heap pushes, reallocations and solved
-# flows beside the collections and collector seconds per generation and
-# the RSS high-water mark. The table also lands in artifacts/gcprobe.txt.
+# flows beside the collections and collector seconds per generation, the
+# RSS high-water mark and what one untimed collection frees once the cell
+# is dropped. The table also lands in artifacts/gcprobe.txt.
 # A report, not a gate: collection counts depend on the Python version.
 gcprobe:
 	@mkdir -p artifacts

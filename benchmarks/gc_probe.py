@@ -12,7 +12,11 @@ probe prints the exact work counters beside the collector numbers:
   objects they freed;
 - the cell's wall seconds, of which the collector seconds are a part;
 - the interpreter's RSS high-water mark after the cell (``ru_maxrss``,
-  MiB), so a peak-memory figure can be traced to the cell that set it.
+  MiB), so a peak-memory figure can be traced to the cell that set it;
+- the cell's teardown: the objects one ``gc.collect()`` frees after the
+  cell (and with it the cluster its ``call`` closure holds) is dropped.
+  That collection is outside every cell's counts, so the next cell's
+  ``freed`` is its own garbage, not the previous cluster's.
 
 Collection counts depend on the Python version, which the header names.
 
@@ -70,15 +74,17 @@ def child_main(workload: str, seed: int) -> None:
         wall = time.perf_counter() - t0
         net = cluster.fabric.flownet
         maxrss_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        print(json.dumps({
+        row = {
             "cell": cell.id, "seq": cluster.sim._seq,
             "reallocations": net.reallocations,
             "solved_flows": net.solved_flows,
             "collections": list(counts), "gc_s": list(seconds),
             "freed": freed[0], "wall_s": wall,
             "maxrss_mib": maxrss_kib / 1024,  # ru_maxrss is KiB on Linux
-        }), flush=True)
-        del cluster
+        }
+        del cell, cluster, net
+        row["teardown"] = gc.collect()
+        print(json.dumps(row), flush=True)
 
 
 def main(argv=None) -> int:
@@ -93,7 +99,7 @@ def main(argv=None) -> int:
     print(f"# gc probe, seed {args.seed}, Python {sys.version.split()[0]}")
     print(f"{'cell':<40} {'sim._seq':>9} {'realloc':>7} {'solved':>8}"
           f" {'gen0/1/2':>14} {'gc s (0/1/2)':>20} {'freed':>7} {'wall s':>7}"
-          f" {'maxrss MiB':>10}")
+          f" {'maxrss MiB':>10} {'teardown':>8}")
     env = dict(os.environ, PYTHONHASHSEED="0")
     for workload in args.workload or WORKLOADS:
         out = subprocess.run(
@@ -112,7 +118,8 @@ def main(argv=None) -> int:
             print(f"{workload + ':' + row['cell']:<40} {row['seq']:>9}"
                   f" {row['reallocations']:>7} {row['solved_flows']:>8}"
                   f" {gens:>14} {secs:>20} {row['freed']:>7}"
-                  f" {row['wall_s']:>7.2f} {row['maxrss_mib']:>10.2f}")
+                  f" {row['wall_s']:>7.2f} {row['maxrss_mib']:>10.2f}"
+                  f" {row['teardown']:>8}")
             total = [t + c for t, c in zip(total, row["collections"])]
             gc_s += sum(row["gc_s"])
             wall += row["wall_s"]

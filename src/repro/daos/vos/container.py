@@ -12,9 +12,10 @@ nothing; two flat lists are the smallest thing that keeps key order,
 and unlike a leaf chain they can be read from the end (see
 :meth:`VosContainer.dkey_array_sizes`).
 
-Values under an akey are either *single values* (epoch history, which
-rebuild replays onto a returning shard) or *array values* (byte extent
-trees, latest view only).
+Values under an akey are either *single values* (the newest version
+inline, older ones — which rebuild replays onto a returning shard — kept
+only once a second version lands) or *array values* (byte extent trees,
+latest view only).
 """
 
 from __future__ import annotations
@@ -60,21 +61,44 @@ class EpochClock:
 
 
 class SingleValue:
-    """Epoch history of a single value under an akey."""
+    """The versions of a single value under an akey.
 
-    __slots__ = ("history",)
+    The newest version sits inline in ``epoch`` / ``value``; ``older``
+    stays ``None`` until a second version lands, then holds the earlier
+    ``(epoch, value)`` versions, epoch-sorted. :meth:`VosContainer.value`
+    makes one empty and its caller writes it at once, so a stored value
+    always has a newest version.
+    """
+
+    __slots__ = ("epoch", "value", "older")
 
     def __init__(self) -> None:
-        self.history: List[Tuple[int, Any]] = []
+        self.epoch: Optional[int] = None
+        self.value: Any = None
+        self.older: Optional[List[Tuple[int, Any]]] = None
 
     def update(self, epoch: int, value: Any) -> None:
-        # Keep the history epoch-sorted: rebuild replays values at their
-        # original epochs, which may interleave with epochs of writes that
-        # landed on this shard while the resync was in flight.
-        insort(self.history, (epoch, value), key=_EPOCH)
+        # Rebuild replays values at their original epochs, which may
+        # interleave with epochs of writes that landed on this shard while
+        # the resync was in flight: the newest by epoch stays inline.
+        if self.epoch is None:
+            self.epoch, self.value = epoch, value
+            return
+        if self.older is None:
+            self.older = []
+        if epoch < self.epoch:
+            insort(self.older, (epoch, value), key=_EPOCH)
+        else:
+            self.older.append((self.epoch, self.value))
+            self.epoch, self.value = epoch, value
 
     def fetch(self) -> Any:
-        return self.history[-1][1]
+        return self.value
+
+    @property
+    def history(self) -> List[Tuple[int, Any]]:
+        """Every ``(epoch, value)`` version, oldest first (a new list)."""
+        return [*(self.older or ()), (self.epoch, self.value)]
 
 
 class VosContainer:
@@ -275,8 +299,8 @@ class VosContainer:
         """
         for dkey, akey, held in self.walk(oid):
             if isinstance(held, SingleValue):
-                if held.history and held.history[-1][0] > after_epoch:
-                    yield ("single", dkey, akey, *held.history[-1])
+                if held.epoch > after_epoch:
+                    yield ("single", dkey, akey, held.epoch, held.value)
             else:
                 for ext in held:
                     if ext.epoch > after_epoch:

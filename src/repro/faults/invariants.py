@@ -178,9 +178,8 @@ def check_replica_consistency(system) -> Dict[str, int]:
                     view[(dkey, akey)] = (
                         "array", value.read(0, value.size).materialize()
                     )
-            elif value.history:
-                epoch, latest = value.history[-1]
-                view[(dkey, akey)] = ("single", normalize(latest))
+            else:
+                view[(dkey, akey)] = ("single", normalize(value.value))
         return view
 
     counts = {"pools": 0, "objects": 0, "groups": 0}

@@ -175,6 +175,9 @@ class RpcServer(Endpoint):
             nbytes=request.get("rep_bytes", 256),
             tag="rpc-rep",
         )
+        # A shipped error's traceback holds this frame: drop the outcome
+        # so refcounting, not the cyclic collector, frees the error.
+        del outcome
 
 
 class Rpc:
@@ -219,6 +222,10 @@ class Rpc:
             request["trace_ctx"] = tracer.current_span_id()
         self.endpoint.send(dst, request, nbytes=req_bytes, tag="rpc-req")
         status, value = yield gate
+        del gate  # its value is the outcome
         if status == "err":
-            raise value
+            try:
+                raise value
+            finally:
+                del value  # the traceback holds this frame
         return value

@@ -607,7 +607,7 @@ def _dest_has_single(
     vc: VosContainer, oid, dkey, akey, epoch: int
 ) -> bool:
     single = vc.value(oid, dkey, akey, SingleValue)
-    return single is not None and any(e >= epoch for e, _ in single.history)
+    return single is not None and single.epoch >= epoch
 
 
 def _dest_covered(

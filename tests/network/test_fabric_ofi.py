@@ -1,8 +1,10 @@
 """Tests for the fabric latency model and OFI-like endpoints/RPC."""
 
+import gc
+
 import pytest
 
-from repro.errors import NetworkError
+from repro.errors import DerNonexist, NetworkError
 from repro.network import Endpoint, Fabric, Rpc, RpcServer
 from repro.sim import Simulator
 
@@ -129,6 +131,39 @@ def test_rpc_handler_exception_propagates_to_caller():
     task = sim.spawn(caller())
     sim.run()
     assert task.result == "remote failure"
+
+
+def test_remote_errors_are_freed_by_refcounting():
+    """A shipped ``Der*`` error holds no cycle through the server's or
+    the caller's frame, so the cyclic collector finds nothing to free."""
+    sim, fabric = make_fabric()
+    a = fabric.add_node("a", 1e9)
+    server = RpcServer(fabric, a, "srv")
+
+    def handler(_src):
+        yield 0.0
+        raise DerNonexist("no such key")
+
+    server.register("miss", handler)
+    client = Rpc(Endpoint(fabric, a, "cli"))
+    caught = []
+
+    def caller():
+        for _ in range(50):
+            try:
+                yield from client.call("srv", "miss")
+            except DerNonexist:
+                caught.append(True)
+
+    gc.collect()
+    gc.disable()  # so no automatic collection frees the cycles first
+    try:
+        sim.spawn(caller())
+        sim.run()
+    finally:
+        gc.enable()
+    assert len(caught) == 50
+    assert gc.collect() == 0
 
 
 def test_rpc_unknown_op_is_error():
