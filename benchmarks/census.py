@@ -83,6 +83,11 @@ KEEP = {
     "daos/client.py": "surface: daos_pool_query and handle teardown (close, with)",
     "daos/engine.py::Engine.crash": FAULT,
     "daos/engine.py::Engine.restart": FAULT,
+    "daos/vos/ec.py::survivors":
+        "oracle/safety: the degraded EC read and EC rebuild, which no shipped "
+        "run's faults reach",
+    "daos/vos/ec.py::rebuild_cell":
+        "oracle/safety: EC rebuild, which no shipped run's faults reach",
     "daos/eq.py": "surface: daos_eq_poll, daos_event_test / abort, queue counters",
     "daos/oclass.py::ObjectClass.shard_count":
         "accessor: tests/daos/test_placement.py, tests/daos/test_erasure_coding.py",

@@ -25,6 +25,7 @@ writer keeps routing around a target that has started rebuilding.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.daos.objid import ObjId
@@ -32,6 +33,7 @@ from repro.daos.placement import (
     HEALTHY, HEALTHY_SOLO, Layout, Route, effective_groups,
 )
 from repro.daos.stream import IoPiece, IoStream
+from repro.daos.vos import ec
 from repro.daos.vos.payload import Payload, as_payload, concat_payloads
 from repro.errors import DerDataLoss, DerInval, DerStale
 from repro.obs.tracer import span_of
@@ -329,14 +331,14 @@ class ObjectHandle:
     ) -> List[IoPiece]:
         pieces: List[IoPiece] = []
         cursor = 0
-        ec = self.oid.oclass.is_ec
+        is_ec = self.oid.oclass.is_ec
         for chunk_idx, within, take in split_aligned(
             offset, payload.nbytes, chunk_size
         ):
             fragment = payload.slice(cursor, cursor + take)
             cursor += take
             route = self._route_for_dkey(chunk_idx)
-            if ec:
+            if is_ec:
                 pieces.extend(
                     self._ec_write_pieces(
                         chunk_idx, within, fragment, chunk_size, akey, route
@@ -350,14 +352,6 @@ class ObjectHandle:
         return pieces
 
     # ------------------------------------------------------------- erasure coding
-    def _ec_geometry(self, chunk_size: int):
-        oclass = self.oid.oclass
-        if chunk_size % oclass.ec_k:
-            raise DerInval(
-                f"chunk size {chunk_size} not divisible by ec_k={oclass.ec_k}"
-            )
-        return oclass.ec_k, oclass.ec_p, chunk_size // oclass.ec_k
-
     def _ec_write_pieces(
         self, chunk_idx: int, within: int, fragment: Payload,
         chunk_size: int, akey: bytes, route: Sequence[Route],
@@ -369,31 +363,24 @@ class ObjectHandle:
         stripe-aligned writes outright (IOR with transfer >= chunk size
         satisfies it) — DESIGN.md §5.
         """
-        from repro.daos.vos.payload import XorPayload, ZeroPayload
-
-        k, p, cell_len = self._ec_geometry(chunk_size)
+        k = self.oid.oclass.ec_k
+        cell = ec.cell_len(chunk_size, k)
         if within != 0:
             raise DerInval(
                 "erasure-coded objects require stripe-aligned writes "
                 f"(offset within chunk = {within})"
             )
-        cells: List[Payload] = []
-        for ci in range(k):
-            lo = min(ci * cell_len, fragment.nbytes)
-            hi = min((ci + 1) * cell_len, fragment.nbytes)
-            cells.append(fragment.slice(lo, hi))
-        # parity is computed over zero-padded cells of the stripe
-        pad_len = cells[0].nbytes
-        parity = XorPayload([
-            c if c.nbytes == pad_len
-            else concat_payloads([c, ZeroPayload(pad_len - c.nbytes)])
-            for c in cells
-        ])
-        # (slot, payload) for every non-empty cell, then each parity
-        # slot; an unwritable cell is reconstructed from parity on read
-        stripe = [(route[ci], c) for ci, c in enumerate(cells) if c.nbytes]
-        stripe += [(route[k + pi], parity) for pi in range(p)]
-        self._writable([slot for slot, _part in stripe])  # somewhere to land
+        if not ec.recoverable([e[2] for e in route], k):
+            raise DerDataLoss(
+                f"chunk {chunk_idx}: too many failures for an EC stripe "
+                f"write (targets {[e[0] for e in route]})"
+            )
+        cells = ec.split(fragment, k, cell)
+        parity = ec.parity(cells)
+        # every non-empty cell, then each parity slot; an unwritable
+        # cell is reconstructed from parity on read
+        stripe = [(route[pos], c) for pos, c in enumerate(cells) if c.nbytes]
+        stripe += [(slot, parity) for slot in route[k:]]
         return [
             self._write_piece(tid, chunk_idx, akey, 0, part)
             for (tid, _readable, writable), part in stripe if writable
@@ -405,39 +392,25 @@ class ObjectHandle:
     ) -> List[Tuple[List[IoPiece], object]]:
         """Plan an EC chunk read: per touched cell, either a direct piece
         or a degraded-reconstruction piece set with a combiner."""
-        from repro.daos.vos.payload import XorPayload
-
-        k, p, cell_len = self._ec_geometry(chunk_size)
+        k = self.oid.oclass.ec_k
         route = self._route_for_dkey(chunk_idx)
         plan = []
-        for ci, cell_off, cell_take in split_aligned(within, take, cell_len):
-            tid, readable, _writable = route[ci]
-            if readable:
-                sources, combine = [tid], None
+        for pos, cell_off, cell_take in split_aligned(
+            within, take, ec.cell_len(chunk_size, k)
+        ):
+            if route[pos][1]:
+                sources, combine = [pos], None
             else:
-                # degraded: XOR of parity and the k-1 surviving data cells
-                survivors = [
-                    route[other] for other in range(k) if other != ci
-                ]
-                parity_live = [
-                    route[k + pi][0] for pi in range(p) if route[k + pi][1]
-                ]
-                if not parity_live or any(
-                    not entry[1] for entry in survivors
-                ):
+                sources = ec.survivors([e[1] for e in route], pos, k)
+                if sources is None:
                     raise DerDataLoss(
-                        f"chunk {chunk_idx} cell {ci}: too many failures "
+                        f"chunk {chunk_idx} cell {pos}: too many failures "
                         "for EC reconstruction"
                     )
-                sources = [entry[0] for entry in survivors] + parity_live[:1]
-                combine = XorPayload
-            plan.append((
-                [
-                    self._read_piece(src, chunk_idx, akey, cell_off, cell_take)
-                    for src in sources
-                ],
-                combine,
-            ))
+                combine = partial(ec.xor, length=cell_take)
+            plan.append(([self._read_piece(route[j][0], chunk_idx, akey,
+                                           cell_off, cell_take)
+                          for j in sources], combine))
         return plan
 
     def write(
@@ -482,12 +455,12 @@ class ObjectHandle:
         """Task helper: read ``length`` bytes (holes zero-filled)."""
         if length <= 0:
             return as_payload(b"")
-        ec = self.oid.oclass.is_ec
+        is_ec = self.oid.oclass.is_ec
         #: list of (pieces, combine): combine=None yields pieces[0]'s
         #: result; otherwise combine(results) reconstructs the fragment
         plan: List = []
         for chunk_idx, within, take in split_aligned(offset, length, chunk_size):
-            if ec:
+            if is_ec:
                 plan.extend(
                     self._ec_read_pieces(
                         chunk_idx, within, take, chunk_size, akey
@@ -521,10 +494,10 @@ class ObjectHandle:
         high = 0
         for route in self._routes():
             if oclass.is_ec:
-                _k, _p, cell_len = self._ec_geometry(chunk_size)
+                cell = ec.cell_len(chunk_size, oclass.ec_k)
                 queried = [
-                    (ci * cell_len, entry[0])
-                    for ci, entry in enumerate(route[: oclass.ec_k])
+                    (ec.cell_offset(pos, cell), entry[0])
+                    for pos, entry in enumerate(route[: oclass.ec_k])
                     if entry[1]
                 ]
                 if not queried:

@@ -27,6 +27,7 @@ from __future__ import annotations
 from typing import Callable, Generator, List, Optional, Sequence, Tuple
 
 from repro.errors import DerDataLoss, DerTimedOut
+from repro.network.fabric import stream_moves
 from repro.network.flows import Flow
 from repro.sim.sync import Gate
 
@@ -81,10 +82,9 @@ class IoStream:
     def open(self) -> None:
         if self._flow is not None:
             return
+        hws = [self.system.target(tid).hw for tid in self.targets]
         self._flow = self.client.fabric.open_bulk_flow(
-            self.client.node.addr,
-            [self.system.target(tid).hw for tid in self.targets],
-            self.direction,
+            stream_moves(self.client.node.addr, hws, self.direction),
             label=f"{self.client.name}:{self.direction}",
         )
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
+from repro.daos.vos.ec import cell_len
 from repro.daos.oclass import oclass_by_name
 from repro.units import MiB, parse_size
 
@@ -95,11 +96,8 @@ class IorParams:
             raise ValueError("cb_buffer must be positive")
         if self.chunk_size <= 0:
             raise ValueError("chunk_size must be positive")
-        if ec and self.chunk_size % ec.ec_k:
-            raise ValueError(
-                f"chunk_size {self.chunk_size} is not divisible by the "
-                f"{ec.name} data-cell count {ec.ec_k}"
-            )
+        if ec:
+            cell_len(self.chunk_size, ec.ec_k)  # DerInval unless divisible
         # full-stripe writes only (DESIGN.md §5)
         if ec and self.transfer_size % self.chunk_size:
             raise ValueError(

@@ -24,6 +24,7 @@ from repro.hardware.node import ClientNode
 from repro.lustre.fs import LustreFs, Ost
 from repro.lustre.ldlm import PR, PW, acquire
 from repro.lustre.mds import Inode
+from repro.network.fabric import stream_moves
 from repro.network.flows import Flow
 from repro.posix.vfs import FileHandle, FileSystem, StatResult, normalize, validate_flags
 from repro.units import split_aligned
@@ -137,10 +138,9 @@ class LustreFile(FileHandle):
         flow = self._flows.get(direction)
         if flow is not None:
             return flow
+        hws = [self.fs.osts[idx].hw for idx in self.inode.stripe_osts]
         flow = self.mount.fabric.open_bulk_flow(
-            self.mount.node.addr,
-            [self.fs.osts[idx].hw for idx in self.inode.stripe_osts],
-            direction,
+            stream_moves(self.mount.node.addr, hws, direction),
             label=f"{self.owner}:{direction}",
         )
         self._flows[direction] = flow

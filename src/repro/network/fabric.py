@@ -29,6 +29,16 @@ class NodeAddr:
         return self.name
 
 
+def stream_moves(client: NodeAddr, targets, direction: str) -> list:
+    """The :meth:`Fabric.open_bulk_flow` moves of ``client`` streaming
+    to (``"write"``) or from (``"read"``) storage ``targets``: the bytes
+    spread evenly, one share float for every target."""
+    share = 1.0 / len(targets)
+    if direction == "write":
+        return [(client, hw, share) for hw in targets]
+    return [(hw, client, share) for hw in targets]
+
+
 class Fabric:
     """Nodes + NIC links + latency model + endpoint registry."""
 
@@ -92,27 +102,43 @@ class Fabric:
         except KeyError:
             raise NetworkError(f"unknown node {addr!r}") from None
 
-    def open_bulk_flow(self, client: NodeAddr, targets, direction: str,
-                       label: str) -> Flow:
-        """Open the flow of ``client`` streaming to (``"write"``) or from
-        (``"read"``) storage ``targets`` (:class:`~repro.hardware.node.
-        StorageTarget`): the client NIC at weight 1 and, per target, its
-        node's NIC, its engine's media channel and its own service link
-        at ``1 / len(targets)`` each — traffic spreads evenly, and a link
-        several targets share accumulates their weights."""
-        write = direction == "write"
-        weight = 1.0 / max(1, len(targets))
-        links = [(self.nic_tx(client) if write else self.nic_rx(client), 1.0)]
-        for hw in targets:
-            if write:
-                links += ((self.nic_rx(hw.node.addr), weight),
-                          (hw.engine.media_write, weight),
-                          (hw.write_link, weight))
+    def open_bulk_flow(self, moves: Iterable[Tuple[object, object, float]],
+                       label: str, cap: Optional[Callable] = None) -> Flow:
+        """Open the flow carrying ``moves``, ``(source, destination,
+        share)`` triples: ``share`` of its bytes go from ``source`` to
+        ``destination``, each a client node (:class:`NodeAddr`) or a
+        :class:`~repro.hardware.node.StorageTarget`. A target end adds
+        its node's NIC (tx at the source, rx at the destination) when the
+        two ends' nodes differ, its engine's media channel and its own
+        service link; a link sums the shares of the moves crossing it, in
+        move order. A client's NIC carries its whole stream: it comes
+        first, at weight 1. ``cap`` maps the summed ``(link, weight)``
+        pairs to the flow's rate cap."""
+        weights: Dict[Link, float] = {}
+        for src, dst, share in moves:
+            src_node = src if type(src) is NodeAddr else src.node.addr
+            dst_node = dst if type(dst) is NodeAddr else dst.node.addr
+            cross = src_node.name != dst_node.name
+            links: List[Link] = []
+            if src is src_node:  # a client
+                weights[self.nic_tx(src)] = 1.0
             else:
-                links += ((self.nic_tx(hw.node.addr), weight),
-                          (hw.engine.media_read, weight),
-                          (hw.read_link, weight))
-        return self.flownet.open(links, label=label)
+                if cross:
+                    links.append(self.nic_tx(src_node))
+                links += (src.engine.media_read, src.read_link)
+            if dst is dst_node:  # a client
+                weights[self.nic_rx(dst)] = 1.0
+            else:
+                if cross:
+                    links.append(self.nic_rx(dst_node))
+                links += (dst.engine.media_write, dst.write_link)
+            for link in links:
+                held = weights.get(link)
+                weights[link] = share if held is None else held + share
+        return self.flownet.open(
+            weights.items(), label=label,
+            cap=None if cap is None else cap(weights.items()),
+        )
 
     # -- control messages -------------------------------------------------------
     def msg_delay(self, src: NodeAddr, dst: NodeAddr, nbytes: int) -> float:

@@ -1,12 +1,6 @@
-"""Shared QoS primitives: token buckets and bandwidth caps.
+"""QoS primitives: the deterministic token bucket that rate-limits each
+tenant of :mod:`repro.tenants`."""
 
-Grown out of :mod:`repro.rebuild.throttle` (PR 8): the
-fraction-of-bottleneck cap that bounds rebuild traffic is the same
-shape every bandwidth-governed consumer needs, and the multi-tenant
-serving layer (:mod:`repro.tenants`) adds the classic token bucket on
-top for per-tenant rate limiting.
-"""
+from repro.qos.bucket import TokenBucket
 
-from repro.qos.bucket import TokenBucket, bottleneck_cap
-
-__all__ = ["TokenBucket", "bottleneck_cap"]
+__all__ = ["TokenBucket"]

@@ -1,19 +1,12 @@
-"""Deterministic sim-time token bucket and the bottleneck-fraction cap.
+"""Deterministic sim-time token bucket.
 
-Two QoS mechanisms live here:
-
-* :func:`bottleneck_cap` — the *rate-cap* discipline extracted from
-  :class:`repro.rebuild.throttle.RebuildThrottle`: given the
-  ``(link, weight)`` pairs a flow crosses, cap it to ``fraction`` of
-  its binding link's capacity. The flow network then enforces the cap
-  continuously while max-min fair sharing hands the rest to everyone
-  else. Best for long-lived background flows (rebuild migrations).
-
-* :class:`TokenBucket` — the classic *issue-rate* discipline: tokens
-  refill at ``rate`` per simulated second up to a ``burst`` ceiling,
-  and a consumer acquires ``n`` tokens before issuing ``n`` units of
-  work. Best for request-scoped traffic (per-tenant byte budgets in
-  :mod:`repro.tenants`), where flows are too short for a standing cap.
+:class:`TokenBucket` is the classic *issue-rate* discipline: tokens
+refill at ``rate`` per simulated second up to a ``burst`` ceiling, and a
+consumer acquires ``n`` tokens before issuing ``n`` units of work. It
+suits request-scoped traffic (per-tenant byte budgets in
+:mod:`repro.tenants`), where flows are too short for a standing rate
+cap; long-lived rebuild migrations take one instead
+(:class:`repro.rebuild.RebuildThrottle`).
 
 The bucket runs on *debt accounting*: :meth:`TokenBucket.acquire`
 always deducts immediately, and when the level goes negative the
@@ -27,36 +20,9 @@ seed.
 
 from __future__ import annotations
 
-from typing import Generator, Iterable, Optional, Tuple
+from typing import Generator, Optional
 
 from repro.errors import DerInval
-
-
-def bottleneck_cap(
-    weighted_links: Iterable[Tuple[object, float]], fraction: float
-) -> Optional[float]:
-    """Flow-rate cap: ``fraction`` of the binding link's capacity.
-
-    The binding constraint of a flow over ``(link, weight)`` pairs is
-    the link with the smallest ``capacity / weight`` ratio (a weight >
-    1 means the flow crosses that link with multiplied consumption).
-    Returns ``None`` — cap disabled — when ``fraction >= 1`` or no
-    weighted link binds.
-
-    This is the exact arithmetic
-    :class:`repro.rebuild.throttle.RebuildThrottle` has always used;
-    rebuild byte-identity across the extraction is pinned by
-    ``tests/qos/test_bucket.py`` and the rebuild chaos suite.
-    """
-    if fraction >= 1.0:
-        return None
-    bottleneck = min(
-        (link.capacity / weight for link, weight in weighted_links if weight > 0),
-        default=None,
-    )
-    if bottleneck is None:
-        return None
-    return fraction * bottleneck
 
 
 class TokenBucket:

@@ -10,10 +10,10 @@ reproduces that control loop:
   (UP → DOWN → REBUILDING → UP, plus DOWNOUT for permanent exclusion)
   recorded in the Raft-backed pool map with per-state version
   watermarks;
-- :mod:`repro.rebuild.throttle` — caps rebuild traffic to a fraction of
-  the engine/fabric bandwidth;
 - :mod:`repro.rebuild.scheduler` — the scan/migrate engine driven by
-  :class:`~repro.daos.system.DaosSystem` on state transitions.
+  :class:`~repro.daos.system.DaosSystem` on state transitions, with the
+  throttle that caps rebuild traffic to a fraction of the engine/fabric
+  bandwidth.
 """
 
 from repro.rebuild.state import (
@@ -24,8 +24,7 @@ from repro.rebuild.state import (
     TargetStatus,
     can_transition,
 )
-from repro.rebuild.throttle import RebuildThrottle
-from repro.rebuild.scheduler import RebuildJob, RebuildManager
+from repro.rebuild.scheduler import RebuildJob, RebuildManager, RebuildThrottle
 
 __all__ = [
     "UP",

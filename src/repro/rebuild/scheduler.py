@@ -17,16 +17,15 @@ A job runs the DAOS scan/pull protocol in converge-loop form:
 2. **migrate** — replay the items onto the destination shard at their
    *original* epochs through one fluid flow spanning the source media /
    NIC links and the destination's media and target links, capped by the
-   :class:`~repro.rebuild.throttle.RebuildThrottle` so foreground I/O
-   keeps the remaining bandwidth.
+   :class:`RebuildThrottle` so foreground I/O keeps the remaining
+   bandwidth.
 3. repeat with the watermark advanced to the epoch observed at the start
    of the round; an empty scan means the destination has converged and
    the pool map flips it UP (or flags the DOWNOUT shard rebuilt).
 
 Replicated groups copy whole extents from any UP survivor; EC groups
-reconstruct the missing cell (or parity) per dkey by XOR over the
-survivors, exactly mirroring the degraded-read math in
-``repro.daos.object``.
+rebuild the missing cell (or parity) per dkey with the stripe codec
+:mod:`repro.daos.vos.ec`, the one the degraded read uses.
 
 Deviations from real DAOS (see DESIGN.md §9): the scanner reads
 surviving VOS shards directly instead of issuing enumeration RPCs (so a
@@ -39,14 +38,39 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from typing import Dict, Generator, Iterator, List, Optional, Tuple
+from typing import Dict, Generator, Iterable, Iterator, List, Optional, Tuple
 
 from repro.daos.placement import PlacementMap, effective_groups
+from repro.daos.vos import ec
 from repro.daos.vos.container import SingleValue, VosContainer, _value_footprint
 from repro.daos.vos.extent import ExtentTree
-from repro.daos.vos.payload import Payload, XorPayload, ZeroPayload, concat_payloads
+from repro.daos.vos.payload import Payload, ZeroPayload
 from repro.rebuild.state import DOWNOUT, UP
-from repro.rebuild.throttle import RebuildThrottle
+
+
+class RebuildThrottle:
+    """Caps rebuild flows to a fraction of their bottleneck bandwidth.
+
+    Real DAOS ships rebuild with a tunable share of engine bandwidth so
+    that recovering a pool does not starve foreground I/O. Every
+    migration flow here is opened with ``cap = fraction × bottleneck``:
+    the flow network enforces it while max-min fair sharing hands the
+    rest to foreground flows. ``fraction >= 1`` disables the throttle.
+    """
+
+    def __init__(self, fraction: float = 0.25):
+        self.fraction = float(fraction)
+
+    def cap_for(self, weighted_links: Iterable) -> Optional[float]:
+        """The cap of a flow over ``(link, weight)`` pairs: its binding
+        link has the smallest ``capacity / weight`` (a weight > 1 crosses
+        the link with multiplied consumption). ``None`` when disabled or
+        no weighted link binds."""
+        ratios = [link.capacity / weight for link, weight in weighted_links
+                  if weight > 0]
+        if self.fraction >= 1.0 or not ratios:
+            return None
+        return self.fraction * min(ratios)
 
 
 @dataclass
@@ -377,7 +401,7 @@ class RebuildManager:
         items: List[_Item] = []
         dest_vc = self._vc(pool_uuid, dest, cont)
         src_vc = self._vc(pool_uuid, src, cont)
-        ec = oid.oclass.is_ec
+        is_ec = oid.oclass.is_ec
         # Single values are replicated across the whole group (EC
         # included), so any one survivor carries them all; full-replica
         # extents come off the same pass. EC cells need reconstruction.
@@ -389,7 +413,7 @@ class RebuildManager:
                         cont, oid, dkey, akey, "single", dest, src, epoch,
                         nbytes=_value_footprint(value), value=value,
                     ))
-            elif not ec:
+            elif not is_ec:
                 _, dkey, akey, offset, payload, epoch = entry
                 if not _dest_covered(
                     dest_vc, oid, dkey, akey, offset, payload.nbytes, epoch
@@ -398,7 +422,7 @@ class RebuildManager:
                         cont, oid, dkey, akey, "extent", dest, src, epoch,
                         nbytes=payload.nbytes, offset=offset, payload=payload,
                     ))
-        if ec:
+        if is_ec:
             items.extend(self._ec_items(
                 pool_uuid, cont, oid, sources, pos, dest_vc, dest, after
             ))
@@ -417,8 +441,6 @@ class RebuildManager:
     ) -> List[_Item]:
         """Reconstruct the EC cell (pos < k) or parity (pos >= k) held by
         the destination slot, per dirty (dkey, akey)."""
-        oclass = oid.oclass
-        k = oclass.ec_k
         # source extent trees per position, and the set of dirty keys
         trees: List[Dict[Tuple, ExtentTree]] = [dict() for _ in sources]
         dirty: Dict[Tuple, int] = {}
@@ -437,62 +459,21 @@ class RebuildManager:
         first_src = next(t for t in sources if t is not None)
         for key in sorted(dirty):
             dkey, akey = key
-            if pos < k:
-                recon = self._reconstruct_data_cell(sources, trees, key, pos, k)
-            else:
-                recon = self._reconstruct_parity(sources, trees, key, k)
-            if recon is None:
-                continue  # insufficient survivors for this stripe
-            payload, length = recon
-            if length == 0:
-                continue
+            payload = ec.rebuild_cell([
+                None if tid is None else _cell(trees[j].get(key))
+                for j, tid in enumerate(sources)
+            ], pos, oid.oclass.ec_k)
+            if payload is None:
+                continue  # nothing stored, or too few survivors
             epoch = dirty[key]
-            if not _dest_covered(dest_vc, oid, dkey, akey, 0, length, epoch):
+            if not _dest_covered(
+                dest_vc, oid, dkey, akey, 0, payload.nbytes, epoch
+            ):
                 items.append(_Item(
                     cont, oid, dkey, akey, "extent", dest, first_src, epoch,
-                    nbytes=length, offset=0, payload=payload.slice(0, length),
+                    nbytes=payload.nbytes, offset=0, payload=payload,
                 ))
         return items
-
-    def _reconstruct_data_cell(self, sources, trees, key, pos, k):
-        """cell[pos] = parity XOR (other data cells), zero-padded to the
-        parity cell's length.
-
-        The true cell length is bracketed by its neighbours (cells fill
-        left to right within a chunk); when the bounds disagree — a short
-        final stripe — we keep the upper bound, which can append trailing
-        zero bytes beyond the cell's true end. Reads stay byte-identical
-        (missing ranges already read back as zeros); only ``size()`` can
-        over-report, a documented deviation (DESIGN.md §9).
-        """
-        parity_j = next(
-            (j for j in range(k, len(sources)) if sources[j] is not None), None
-        )
-        if parity_j is None:
-            return None
-        if any(sources[j] is None for j in range(k) if j != pos):
-            return None
-        ptree = trees[parity_j].get(key)
-        pad_len = ptree.size if ptree is not None else 0
-        if pad_len == 0:
-            return None
-        parts = [ptree.read(0, pad_len)]
-        for j in range(k):
-            if j == pos:
-                continue
-            parts.append(_padded_cell(trees[j].get(key), pad_len))
-        upper = pad_len if pos == 0 else _cell_size(trees[pos - 1].get(key))
-        return XorPayload(parts), upper
-
-    def _reconstruct_parity(self, sources, trees, key, k):
-        """parity = XOR of all data cells, padded to cell 0's length."""
-        if any(sources[j] is None for j in range(k)):
-            return None
-        pad_len = _cell_size(trees[0].get(key))
-        if pad_len == 0:
-            return None
-        parts = [_padded_cell(trees[j].get(key), pad_len) for j in range(k)]
-        return XorPayload(parts), pad_len
 
     # ------------------------------------------------------------- migration
     def _migrate(self, job: RebuildJob, items: List[_Item]) -> Generator:
@@ -504,11 +485,14 @@ class RebuildManager:
         extent_bytes = sum(i.nbytes for i in items if i.kind == "extent")
         flow = None
         if extent_bytes > 0:
-            weights = self._flow_weights(items, extent_bytes)
-            cap = self.throttle.cap_for(weights.items())
-            flow = fabric.flownet.open(
-                list(weights.items()), cap=cap,
+            # the links foreground streams use, so the throttle trades
+            # off against real foreground bandwidth
+            flow = fabric.open_bulk_flow(
+                [(system.target(item.src).hw, system.target(item.dest).hw,
+                  item.nbytes / extent_bytes)
+                 for item in items if item.kind == "extent"],
                 label=f"rebuild:{job.pool_uuid}:t{job.tid}",
+                cap=self.throttle.cap_for,
             )
         span = (
             tracer.begin(
@@ -560,47 +544,10 @@ class RebuildManager:
             if tracer is not None:
                 tracer.end(span, moved=job.bytes_moved)
 
-    def _flow_weights(self, items: List[_Item], total: int) -> Dict:
-        """Links crossed by this round's flow, weighted by byte share.
-
-        Sources charge their engine media-read path (plus NIC tx/rx when
-        crossing nodes); destinations charge engine media-write and the
-        per-target xstream link — the same links foreground streams use,
-        so the throttle trades off against real foreground bandwidth.
-        """
-        system = self.system
-        fabric = system.fabric
-        weights: Dict = defaultdict(float)
-        for item in items:
-            if item.kind != "extent":
-                continue
-            frac = item.nbytes / total
-            src_ref = system.target(item.src)
-            dst_ref = system.target(item.dest)
-            weights[src_ref.engine.slot.media_read] += frac
-            weights[src_ref.hw.read_link] += frac
-            weights[dst_ref.engine.slot.media_write] += frac
-            weights[dst_ref.hw.write_link] += frac
-            src_node = src_ref.engine.slot.node
-            dst_node = dst_ref.engine.slot.node
-            if src_node is not dst_node:
-                weights[fabric.nic_tx(src_node.addr)] += frac
-                weights[fabric.nic_rx(dst_node.addr)] += frac
-        return weights
-
 
 # ----------------------------------------------------------------- helpers
-def _cell_size(tree: Optional[ExtentTree]) -> int:
-    return tree.size if tree is not None else 0
-
-
-def _padded_cell(tree: Optional[ExtentTree], pad_len: int) -> Payload:
-    if tree is None or tree.size == 0:
-        return ZeroPayload(pad_len)
-    cell = tree.read(0, tree.size)
-    if cell.nbytes >= pad_len:
-        return cell.slice(0, pad_len)
-    return concat_payloads([cell, ZeroPayload(pad_len - cell.nbytes)])
+def _cell(tree: Optional[ExtentTree]) -> Payload:
+    return tree.read(0, tree.size) if tree is not None else ZeroPayload(0)
 
 
 def _dest_has_single(

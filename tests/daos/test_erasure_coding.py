@@ -176,6 +176,34 @@ def test_ec_double_failure_fails(cluster):
     assert cluster.run(go()) == "lost"
 
 
+def test_ec_stripe_write_losing_a_data_cell_and_parity_fails():
+    """A stripe write that can land on only one of EC_2P1's three slots
+    (data cell 0 and the parity excluded) is data loss, not a success the
+    read-back then cannot reconstruct."""
+    fresh = small_cluster(server_nodes=2, client_nodes=1,
+                          targets_per_engine=2)
+    client = fresh.new_client(0)
+
+    def go():
+        pool = yield from client.connect_pool("tank")
+        cont = yield from pool.create_container("ec-lossy-write",
+                                                oclass="EC_2P1G1")
+        oid = yield from cont.alloc_oid(EC_2P1G1)
+        obj = cont.open_object(oid)
+        group = obj.layout.targets_for_dkey(0)
+        yield from fresh.daos.exclude_target(pool.pool_map.uuid, group[0])
+        yield from fresh.daos.exclude_target(pool.pool_map.uuid, group[2])
+        yield from pool.refresh_map()
+        try:
+            return (yield from obj.write(0, b"w" * MiB, chunk_size=MiB))
+        except DerDataLoss:
+            return "lost"
+        finally:
+            obj.close()
+
+    assert fresh.run(go()) == "lost"
+
+
 @pytest.fixture()
 def fresh_cluster():
     # The exclusion tests above poison the module cluster's pool map;

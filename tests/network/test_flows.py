@@ -436,39 +436,94 @@ def test_allocation_is_feasible_and_work_conserving(capacities, flow_specs):
 
 
 def test_bulk_flow_weights_match_summed_weights_and_share_one_float():
-    """``Fabric.open_bulk_flow`` hands every server-side link the same
-    ``1 / len(targets)`` float; the flow keeps it where a link is listed
-    once and sums it where several targets share a link (their node's
-    NIC, their engine's media channel), float-equal to summing into a
-    ``defaultdict(float)`` link by link."""
+    """``Fabric.open_bulk_flow`` sums each link's move shares float-equal
+    to a ``defaultdict(float)`` summed link by link. A client stream
+    hands every server-side link the same ``1 / len(targets)`` float,
+    keeps it where a link is listed once, sums it where several targets
+    share a link (their node's NIC, their engine's media channel) and
+    holds the client NIC at exactly 1 (seven shares of 1/7 sum to less).
+    A rebuild migration between targets crosses the source's media read
+    and read service links, the destination's media write and write
+    service links, and the two NICs only where the nodes differ; its cap
+    is the throttle's, over the summed weights."""
     from collections import defaultdict
 
     from repro.cluster import small_cluster
+    from repro.network.fabric import stream_moves
+    from repro.rebuild import RebuildThrottle
 
     cluster = small_cluster(server_nodes=1, client_nodes=1,
                             targets_per_engine=4)
     fabric = cluster.fabric
     client = cluster.clients[0].addr
-    # three targets of engine 0 and one of engine 1, all on one node
-    targets = [cluster.daos.target(tid).hw for tid in (0, 1, 2, 4)]
-    assert len({hw.engine.index for hw in targets[:3]}) == 1
-    weight = 1.0 / len(targets)
-    for write in (True, False):
-        summed = defaultdict(float)
-        summed[fabric.nic_tx(client) if write else fabric.nic_rx(client)] += 1
-        service = []
-        for hw in targets:
-            node = hw.node.addr
-            engine = hw.engine
-            service.append(hw.write_link if write else hw.read_link)
-            for link in (fabric.nic_rx(node) if write else fabric.nic_tx(node),
-                         engine.media_write if write else engine.media_read,
-                         service[-1]):
-                summed[link] += weight
-        flow = fabric.open_bulk_flow(client, targets,
-                                     "write" if write else "read", label="t")
-        assert flow.links == tuple(summed)
-        assert flow.weights == tuple(summed.values())
+    # three targets of engine 0 and one of engine 1, all on one node;
+    # then seven targets, whose 1/7 shares do not sum to 1.0
+    for tids in ((0, 1, 2, 4), tuple(range(7))):
+        targets = [cluster.daos.target(tid).hw for tid in tids]
+        assert len({hw.engine.index for hw in targets[:3]}) == 1
+        weight = 1.0 / len(targets)
+        for write in (True, False):
+            summed = defaultdict(float)
+            nic = fabric.nic_tx(client) if write else fabric.nic_rx(client)
+            summed[nic] += 1
+            service = []
+            for hw in targets:
+                node = hw.node.addr
+                engine = hw.engine
+                service.append(hw.write_link if write else hw.read_link)
+                for link in (
+                    fabric.nic_rx(node) if write else fabric.nic_tx(node),
+                    engine.media_write if write else engine.media_read,
+                    service[-1],
+                ):
+                    summed[link] += weight
+            flow = fabric.open_bulk_flow(
+                stream_moves(client, targets, "write" if write else "read"),
+                label="t",
+            )
+            assert flow.links == tuple(summed)
+            assert flow.weights == tuple(summed.values())
+            assert flow.cap is None
+            weights = dict(zip(flow.links, flow.weights))
+            assert weights[nic] == 1.0
+            assert len({id(weights[link]) for link in service}) == 1
+            fabric.flownet.close(flow)
+
+    # rebuild: (source tid, destination tid, bytes); server0 holds
+    # targets 0-3, server1 targets 4-7
+    cluster = small_cluster(server_nodes=2, client_nodes=1,
+                            targets_per_engine=2)
+    fabric = cluster.fabric
+    items = [(0, 5, 3 << 20), (1, 5, (1 << 20) + 17), (2, 3, 300 << 10),
+             (6, 5, 77_777), (4, 1, 5 << 20), (0, 5, 12_345)]
+    throttle = RebuildThrottle(0.25)
+    # a target end lists its NIC (when the nodes differ), media channel
+    # and service link, in move order
+    cross = ["nic_tx:server0", "media_rd:server0.e0", "tgt_rd:server0.e0.t0",
+             "nic_rx:server1", "media_wr:server1.e0", "tgt_wr:server1.e0.t1",
+             "tgt_rd:server0.e0.t1"]
+    for batch, order in ((items, None), (items[2:4], None),  # mixed, in-node
+                         (items[:2], cross)):
+        total = sum(nbytes for _s, _d, nbytes in batch)
+        summed = defaultdict(float)  # the rule rebuild used to spell out
+        for src_tid, dst_tid, nbytes in batch:
+            frac = nbytes / total
+            src = cluster.daos.target(src_tid).hw
+            dst = cluster.daos.target(dst_tid).hw
+            summed[src.engine.media_read] += frac
+            summed[src.read_link] += frac
+            summed[dst.engine.media_write] += frac
+            summed[dst.write_link] += frac
+            if src.node is not dst.node:
+                summed[fabric.nic_tx(src.node.addr)] += frac
+                summed[fabric.nic_rx(dst.node.addr)] += frac
+        flow = fabric.open_bulk_flow(
+            [(cluster.daos.target(s).hw, cluster.daos.target(d).hw,
+              nbytes / total) for s, d, nbytes in batch],
+            label="rebuild", cap=throttle.cap_for,
+        )
         weights = dict(zip(flow.links, flow.weights))
-        assert len({id(weights[link]) for link in service}) == 1
+        assert weights == dict(summed)
+        assert order is None or [link.name for link in flow.links] == order
+        assert flow.cap == throttle.cap_for(summed.items())
         fabric.flownet.close(flow)

@@ -1,54 +1,10 @@
-"""Unit tests for the shared QoS primitives (``repro.qos``)."""
+"""Unit tests for the QoS token bucket (``repro.qos``)."""
 
 import pytest
 
 from repro.errors import DerInval
-from repro.qos import TokenBucket, bottleneck_cap
-from repro.rebuild.throttle import RebuildThrottle
+from repro.qos import TokenBucket
 from repro.sim.core import Simulator
-
-
-class _Link:
-    def __init__(self, capacity):
-        self.capacity = capacity
-
-
-# --------------------------------------------------------------- bottleneck
-def test_bottleneck_cap_picks_binding_link():
-    links = [(_Link(100.0), 1.0), (_Link(400.0), 8.0), (_Link(60.0), 1.0)]
-    # binding ratio is 400/8 = 50; a quarter of that is 12.5
-    assert bottleneck_cap(links, 0.25) == pytest.approx(12.5)
-
-
-def test_bottleneck_cap_disabled_at_full_fraction():
-    links = [(_Link(100.0), 1.0)]
-    assert bottleneck_cap(links, 1.0) is None
-    assert bottleneck_cap(links, 2.0) is None
-
-
-def test_bottleneck_cap_ignores_zero_weights():
-    links = [(_Link(10.0), 0.0)]
-    assert bottleneck_cap(links, 0.5) is None
-    assert bottleneck_cap([], 0.5) is None
-
-
-def test_rebuild_throttle_is_a_thin_wrapper():
-    """The extraction must keep RebuildThrottle's results bit-identical."""
-    links = [
-        (_Link(3.337e9), 1.0),
-        (_Link(7.5e9), 2.25),
-        (_Link(11.2e9), 3.125),
-    ]
-    for fraction in (0.05, 0.25, 0.33333333, 0.9999, 1.0):
-        expected = None
-        if fraction < 1.0:
-            expected = fraction * min(
-                link.capacity / weight for link, weight in links
-            )
-        got = RebuildThrottle(fraction).cap_for(links)
-        shared = bottleneck_cap(links, fraction)
-        assert got == expected  # exact float equality, not approx
-        assert shared == expected
 
 
 # --------------------------------------------------------------- token bucket
