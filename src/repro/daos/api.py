@@ -36,6 +36,7 @@ from repro.daos.eq import (
     EV_RUNNING,
     Event,
     EventQueue,
+    Inline,
     reap,
 )
 from repro.daos.kv import DaosKV
@@ -84,6 +85,7 @@ __all__ = [
     "DaosKV",
     # async event model
     "EventQueue",
+    "Inline",
     "Event",
     "reap",
     "EV_READY",

@@ -12,15 +12,14 @@ simulator's task machinery:
 - an :class:`EventQueue` tracks launched events, enforces a bounded
   in-flight window (the queue-depth knob the real client controls by
   how many events it keeps outstanding), and reaps completions in
-  deterministic completion order.
+  deterministic completion order;
+- :class:`Inline` is its blocking twin: ``submit`` runs the operation
+  in the submitter's own task, as the blocking call does.
 
 Determinism: launches and completions all travel through the simulator's
-event heap, so reap order is a pure function of the seed — two runs with
-the same seed reap the same events in the same order at the same
-simulated times. With ``depth=1`` the submit/poll cycle degenerates to
-the blocking call sequence: at most one operation is ever in flight and
-every added scheduling hop is zero-delay, so timings are identical to
-calling the blocking variants directly (pinned by ``tests/eq``).
+event heap, so reap order is a pure function of the seed. At ``depth=1``
+every added hop is zero-delay, so timings equal the blocking calls'
+(pinned by ``tests/eq``); :class:`Inline` adds no hop at all.
 
 Observability: when the simulator runs observed, each event carries a
 ``client.eq.event`` span covering launch-to-completion and the queue
@@ -319,3 +318,47 @@ class EventQueue:
             f"<EventQueue {self.name} depth={self.depth} "
             f"inflight={len(self._inflight)} done={len(self._completed)}>"
         )
+
+
+class Inline:
+    """The blocking twin of :class:`EventQueue`.
+
+    Same ``submit`` / ``try_reap`` / ``drain`` / ``close`` surface, but
+    :meth:`submit` runs the operation to completion in the submitter's
+    own task and raises its error there, as the blocking call does: no
+    task, no heap push, no ``client.eq.event`` span, no gauge. The
+    returned :class:`Event` is already complete, ``elapsed`` the call's
+    duration.
+    """
+
+    def __init__(self, sim: Simulator):
+        self.sim = sim
+        self._next_eid = 0
+        self._completed: List[Event] = []
+
+    def submit(self, op: Generator, name: str = "") -> Generator:
+        """Task helper: run ``op`` now; returns its completed Event."""
+        self._next_eid += 1
+        event = Event(self, self._next_eid, name)
+        event.submit_time = self.sim.now
+        event._result = yield from op
+        event.state = EV_COMPLETED
+        event.complete_time = self.sim.now
+        self._completed.append(event)
+        return event
+
+    def try_reap(self) -> List[Event]:
+        """The completed events not yet reaped, in submit order."""
+        reaped, self._completed = self._completed, []
+        return reaped
+
+    def drain(self) -> Generator:
+        """Task helper: nothing is ever in flight; reaps what is held."""
+        return self.try_reap()
+        yield  # pragma: no cover - marks this as a (zero-hop) task helper
+
+    def close(self) -> Generator:
+        """Task helper: discard unreaped events."""
+        self._completed.clear()
+        return None
+        yield  # pragma: no cover - marks this as a (zero-hop) task helper

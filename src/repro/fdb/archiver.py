@@ -8,9 +8,9 @@ a *flush landmark* — a named durability point recorded only after every
 preceding field is safely stored and indexed, which is what downstream
 product generation polls before trusting a forecast cycle.
 
-``sync=True`` degenerates to the blocking one-field-at-a-time sequence;
-otherwise writes pipeline through one persistent event queue of the
-given depth (:class:`~repro.fdb.pipeline.FieldPipeline`).
+``sync=True`` runs the blocking one-field-at-a-time sequence through the
+queue's blocking twin; otherwise writes pipeline through one persistent
+event queue of the given depth (:class:`~repro.fdb.pipeline.FieldPipeline`).
 """
 
 from __future__ import annotations

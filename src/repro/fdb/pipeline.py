@@ -1,19 +1,19 @@
 """What the archive and retrieve pipelines share.
 
-Both run one field operation per key over a mapping + index pair:
-inline one at a time when ``sync=True`` (the contrast leg of the
-async-vs-sync sweeps), otherwise through an
-:class:`~repro.daos.eq.EventQueue` of the given depth, reaped after every
-submit so host memory follows the fields in flight. Both keep the same
-per-field bookkeeping — ``latencies``, ``fields``, ``bytes`` and the
-``fdb.fields/bytes/field.latency{backend=,phase=}`` metrics.
+Both run one field operation per key over a mapping + index pair, in
+one loop over a queue reaped after every submit, so host memory follows
+the fields in flight: an :class:`~repro.daos.eq.EventQueue` of the given
+depth, or its blocking twin :class:`~repro.daos.eq.Inline` when
+``sync=True`` (the contrast leg of the async-vs-sync sweeps). Both keep
+the same per-field bookkeeping — ``latencies``, ``fields``, ``bytes``
+and the ``fdb.fields/bytes/field.latency{backend=,phase=}`` metrics.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Generator, List, Optional, Sequence
 
-from repro.daos.api import Event, EventQueue, reap
+from repro.daos.api import Event, EventQueue, Inline, reap
 from repro.fdb.schema import FieldKey
 
 
@@ -35,7 +35,7 @@ class FieldPipeline:
         self.latencies: List[float] = []
         self.fields = 0
         self.bytes = 0
-        self._eq: Optional[EventQueue] = None
+        self._eq = None
         #: failed events reaped before the next :meth:`_settle`
         self._failed: List[Event] = []
 
@@ -57,12 +57,8 @@ class FieldPipeline:
         """Task helper: run ``op(key, *args)`` for every key. Queued
         operations may still be in flight on return; only
         :meth:`_settle` waits."""
-        if self.sync:
-            for key in keys:
-                yield from op(key, *args)
-            return None
         if self._eq is None:
-            self._eq = EventQueue(
+            self._eq = Inline(self.sim) if self.sync else EventQueue(
                 self.sim, depth=self.depth, name=f"fdb-{self.phase}"
             )
         for key in keys:

@@ -64,9 +64,6 @@ class Vol:
 
     #: connector label used in spans/metrics (``hdf5.*{vol=...}``)
     kind = "?"
-    #: whether concurrent dataset I/O on one open file may pipeline
-    #: through an event queue
-    supports_async = False
 
     #: the underlying VFD when the connector has one (native only)
     vfd: Optional[Vfd] = None
@@ -283,7 +280,6 @@ class DaosVol(Vol):
     """
 
     kind = "daos"
-    supports_async = True
 
     def __init__(self, cont, oclass=None, chunk_bytes: int = MiB):
         self.cont = cont

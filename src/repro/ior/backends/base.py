@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from typing import Callable, Generator
 
-from repro.obs.tracer import span_of
-
 
 class Backend:
     """Per-rank I/O interface. All methods are task helpers."""
@@ -18,10 +16,13 @@ class Backend:
     name = "?"
     # ------------------------------------------------------- capability flags
     #: whether queue depths > 1 are meaningful for this api at all (the
-    #: --aio-depth validation; see also :meth:`check_params` for
-    #: cross-field constraints and :attr:`pipelined` for whether the
-    #: *runner* drives transfers through an event queue)
+    #: --aio-depth validation; :meth:`check_params` adds cross-field
+    #: constraints)
     supports_async = False
+    #: whether the *runner* pipelines transfers through a per-rank event
+    #: queue; False where the api pipelines inside its own calls
+    #: (collective MPI-IO's aggregator queues)
+    pipelined = False
     #: whether ``-c`` (collective I/O) is meaningful for this api
     supports_collective = False
     #: whether the api needs a DAOS container (rejected under --lustre)
@@ -37,14 +38,6 @@ class Backend:
         """Hook: backend-specific cross-field validation, called from
         ``IorParams.__post_init__`` after the flag-derived checks."""
         return None
-
-    @property
-    def pipelined(self) -> bool:
-        """Whether the runner's phase loops should pipeline transfers
-        through a per-rank event queue. Defaults to the async capability;
-        backends that pipeline *internally* (collective MPI-IO's
-        aggregator queues) override this to False."""
-        return self.supports_async
 
     def open(self, path: str, create: bool) -> Generator:
         """Open (creating when asked) the test file; returns a handle."""
@@ -78,38 +71,3 @@ class Backend:
             return handle
         yield from self.ctx.barrier()
         return (yield from attach())
-
-    # -------------------------------------------------- async (event queue)
-    def write_nb(self, eq, handle, offset: int, payload,
-                 repetition: int = 0) -> Generator:
-        """Task helper: launch the write on event queue ``eq`` (blocking
-        while its in-flight window is full); returns the Event."""
-        return self._submit(eq, "write", repetition, offset,
-                            self.write(handle, offset, payload))
-
-    def read_nb(self, eq, handle, offset: int, nbytes: int,
-                repetition: int = 0) -> Generator:
-        """Task helper: launch the read on event queue ``eq``; returns
-        the Event (result is the payload once reaped)."""
-        return self._submit(eq, "read", repetition, offset,
-                            self.read(handle, offset, nbytes))
-
-    def _submit(self, eq, kind: str, repetition: int, offset: int,
-                op: Generator) -> Generator:
-        if not self.pipelined:
-            raise NotImplementedError(f"{self.name} backend is blocking-only")
-
-        ctx = self.ctx
-
-        def spanned() -> Generator:
-            # opened inside the event's own task, so the operation's
-            # spans nest under it (the tracer keeps per-task span stacks
-            # — the submitter's stack must stay clean)
-            with span_of(ctx.sim, f"ior.{kind}", "ior", ctx.node.name,
-                         rank=ctx.rank, rep=repetition, offset=offset,
-                         nb=True):
-                return (yield from op)
-
-        return (yield from eq.submit(
-            spanned(), name=f"{self.name}.{kind}@{offset}"
-        ))

@@ -27,6 +27,7 @@ class DaosArrayBackend(Backend):
     # daos_array_write/read take a daos_event_t; concurrent ops on one
     # array pipeline through the object layer's coalescing streams
     supports_async = True
+    pipelined = True
     needs_daos = True
 
     def __init__(self, params, ctx, storage):

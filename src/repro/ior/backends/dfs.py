@@ -13,6 +13,7 @@ class DfsBackend(Backend):
     # write/read is an independent object-layer op and the IoStream
     # coalesces concurrent transfers into batched wire transfers
     supports_async = True
+    pipelined = True
     needs_daos = True
 
     def open(self, path: str, create: bool) -> Generator:

@@ -42,11 +42,6 @@ class Hdf5Backend(Backend):
             raise ValueError("native HDF5 writes unaligned metadata, which "
                              "EC classes cannot store; use HDF5-DAOS")
 
-    @property
-    def pipelined(self) -> bool:
-        # pipelining happens inside the mpio VFD's collective calls
-        return False
-
     def _vol(self):
         if self.params.file_per_proc:
             return NativeVol(Sec2Vfd(self.storage.mount))

@@ -27,18 +27,13 @@ class Hdf5DaosBackend(Hdf5Backend):
     name = "HDF5-DAOS"
     needs_daos = True
     supports_async = True
+    pipelined = True
     # -c selects MPI-IO collective buffering, which this api bypasses
     supports_collective = False
 
     @classmethod
     def check_params(cls, params) -> None:
         return None  # no VFD constraints: async works fpp and shared
-
-    @property
-    def pipelined(self) -> bool:
-        # concurrent dataset I/O maps to concurrent array ops; the
-        # runner's per-rank event queue drives the pipelining
-        return True
 
     def _oclass(self):
         name = self.params.oclass or self.storage.cont.props.get("oclass", "SX")

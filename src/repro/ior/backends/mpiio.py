@@ -28,11 +28,6 @@ class MpiioBackend(Backend):
                 "it requires collective I/O (-c)"
             )
 
-    @property
-    def pipelined(self) -> bool:
-        # pipelining happens inside the collective call, not the runner
-        return False
-
     def open(self, path: str, create: bool) -> Generator:
         handle = yield from MpiFile.open(
             self.ctx, path, self.storage.mount, create=create,

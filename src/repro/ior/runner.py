@@ -1,17 +1,17 @@
 """The IOR SPMD driver.
 
-``run_ior`` boots the workload on a cluster: prepares the storage
-environment (fresh container / test directory), launches one simulated
-MPI rank per process, runs the write and read phases with IOR's barrier
-and timing discipline, and reduces the result exactly as IOR does —
-phase time = last rank's completion minus the synchronized start.
+``run_ior`` launches one simulated MPI rank per process on fresh
+storage, runs each phase as one transfer loop over a queue (an event
+queue at ``--aio-depth`` >= 1 on a pipelined api, else its blocking
+twin) and reduces the result exactly as IOR does: phase time = last
+rank's completion minus the synchronized start.
 """
 
 from __future__ import annotations
 
 from typing import Generator, List, Optional
 
-from repro.daos.eq import EventQueue
+from repro.daos.eq import EventQueue, Inline
 from repro.ior.backends import backend_class
 from repro.ior.config import IorParams
 from repro.ior.env import RankStorage, launch
@@ -85,28 +85,54 @@ def _attach_observability(result: IorResult, sim, nprocs: int) -> None:
 def _rank_main(ctx, params: IorParams, env) -> Generator:
     storage: RankStorage = yield from env.rank_setup(ctx)
     backend = backend_class(params.api)(params, ctx, storage)
+    # apis that pipeline inside their own calls (the collective
+    # aggregators) are not pipelined here: their transfers run inline
+    depth = params.aio_queue_depth if backend.pipelined else 0
     phases: List[PhaseResult] = []
 
     for repetition in range(params.repetitions):
         if params.write:
-            phase = yield from _phase_write(ctx, params, backend, repetition)
+            phase = yield from _phase_write(ctx, params, backend, depth,
+                                            repetition)
             phases.append(phase)
         if params.read:
-            phase = yield from _phase_read(ctx, params, backend, repetition)
+            phase = yield from _phase_read(ctx, params, backend, depth,
+                                           repetition)
             phases.append(phase)
     return phases
 
 
-def _use_async(params: IorParams, backend) -> bool:
-    # apis that pipeline internally (MPIIO/HDF5 collective aggregators)
-    # report supports_async but not pipelined; the runner's per-rank
-    # event queue only drives backends whose ops pipeline end to end
-    return params.aio_queue_depth > 0 and backend.pipelined
+def _queue(ctx, depth: int, name: str):
+    """The phase's queue: an event queue keeping up to ``depth``
+    transfers in flight, or the blocking twin at depth 0."""
+    if depth:
+        return EventQueue(ctx.sim, depth=depth, name=name)
+    return Inline(ctx.sim)
+
+
+def _transfer(ctx, eq, backend, kind: str, repetition: int, offset: int,
+              op: Generator) -> Generator:
+    """Hand one transfer to ``eq``: returns the task helper that submits
+    it (a plain call, so the blocking loop pays only the submit frame)."""
+    if ctx.sim.tracer is not None:
+        op = _spanned(ctx, kind, repetition, offset, op,
+                      isinstance(eq, EventQueue))
+    return eq.submit(op, name=f"{backend.name}.{kind}@{offset}")
+
+
+def _spanned(ctx, kind: str, repetition: int, offset: int, op: Generator,
+             queued: bool) -> Generator:
+    # opened inside the op, so under an event queue the span nests in the
+    # event's own task (the tracer keeps per-task span stacks)
+    nb = {"nb": True} if queued else {}
+    with span_of(ctx.sim, f"ior.{kind}", "ior", ctx.node.name,
+                 rank=ctx.rank, rep=repetition, offset=offset, **nb):
+        return (yield from op)
 
 
 def _reap(ctx, op: str, event) -> None:
     """Account one reaped event; re-raises the operation's error, which
-    is when a failed async op surfaces (like checking ``ev.ev_error``)."""
+    is when a failed queued op surfaces (like checking ``ev.ev_error``)."""
     event.result
     metrics = ctx.sim.metrics
     if metrics is not None:
@@ -114,30 +140,23 @@ def _reap(ctx, op: str, event) -> None:
         metrics.observe(f"ior.{op}.latency", event.elapsed)
 
 
-def _phase_write(ctx, params: IorParams, backend, repetition: int) -> Generator:
+def _phase_write(ctx, params: IorParams, backend, depth: int,
+                 repetition: int) -> Generator:
     path = params.file_path(ctx.rank)
-    sim = ctx.sim
-    metrics = sim.metrics
     handle = yield from backend.open(path, create=True)
     yield from ctx.barrier()
-    start = sim.now
-    if _use_async(params, backend):
-        yield from _pipelined_write(ctx, params, backend, handle, repetition)
-    else:
-        for segment in range(params.segments):
-            for transfer in range(params.transfers_per_block):
-                offset = params.offset(ctx.size, ctx.rank, segment, transfer)
-                payload = make_payload(path, offset, params.transfer_size)
-                op_start = sim.now
-                with span_of(sim, "ior.write", "ior", ctx.node.name,
-                             rank=ctx.rank, rep=repetition, offset=offset):
-                    yield from backend.write(handle, offset, payload)
-                if metrics is not None:
-                    elapsed = sim.now - op_start
-                    metrics.observe(
-                        f"ior.write.latency{{rank={ctx.rank}}}", elapsed
-                    )
-                    metrics.observe("ior.write.latency", elapsed)
+    start = ctx.sim.now
+    eq = _queue(ctx, depth, f"ior.r{ctx.rank}.w{repetition}")
+    for segment in range(params.segments):
+        for transfer in range(params.transfers_per_block):
+            offset = params.offset(ctx.size, ctx.rank, segment, transfer)
+            payload = make_payload(path, offset, params.transfer_size)
+            yield from _transfer(ctx, eq, backend, "write", repetition,
+                                 offset, backend.write(handle, offset, payload))
+            for event in eq.try_reap():
+                _reap(ctx, "write", event)
+    for event in (yield from eq.drain()):
+        _reap(ctx, "write", event)
     if params.fsync:
         yield from backend.fsync(handle)
     yield from backend.close(handle)
@@ -150,86 +169,21 @@ def _phase_write(ctx, params: IorParams, backend, repetition: int) -> Generator:
     )
 
 
-def _pipelined_write(ctx, params: IorParams, backend, handle,
-                     repetition: int) -> Generator:
-    """Async write loop: keep up to ``aio_queue_depth`` transfers in
-    flight through an event queue, reaping completions opportunistically
-    and draining the tail before the phase's fsync/close."""
-    path = params.file_path(ctx.rank)
-    eq = EventQueue(ctx.sim, depth=params.aio_queue_depth,
-                    name=f"ior.r{ctx.rank}.w{repetition}")
-    for segment in range(params.segments):
-        for transfer in range(params.transfers_per_block):
-            offset = params.offset(ctx.size, ctx.rank, segment, transfer)
-            payload = make_payload(path, offset, params.transfer_size)
-            yield from backend.write_nb(eq, handle, offset, payload,
-                                        repetition)
-            for event in eq.try_reap():
-                _reap(ctx, "write", event)
-    for event in (yield from eq.drain()):
-        _reap(ctx, "write", event)
-    return None
-
-
-def _phase_read(ctx, params: IorParams, backend, repetition: int) -> Generator:
+def _phase_read(ctx, params: IorParams, backend, depth: int,
+                repetition: int) -> Generator:
     # -C: read the block written by rank+1 (and, file-per-process, that
     # rank's file), defeating any locality between the phases.
     read_rank = (ctx.rank + 1) % ctx.size if params.reorder_tasks else ctx.rank
     path = params.file_path(read_rank)
     handle = yield from backend.open(path, create=False)
-    errors = 0
-    sim = ctx.sim
-    metrics = sim.metrics
     yield from ctx.barrier()
-    start = sim.now
-    if _use_async(params, backend):
-        errors = yield from _pipelined_read(
-            ctx, params, backend, handle, repetition, read_rank, path
-        )
-    else:
-        for segment in range(params.segments):
-            for transfer in range(params.transfers_per_block):
-                offset = params.offset(ctx.size, read_rank, segment, transfer)
-                op_start = sim.now
-                with span_of(sim, "ior.read", "ior", ctx.node.name,
-                             rank=ctx.rank, rep=repetition, offset=offset):
-                    payload = yield from backend.read(
-                        handle, offset, params.transfer_size
-                    )
-                if metrics is not None:
-                    elapsed = sim.now - op_start
-                    metrics.observe(
-                        f"ior.read.latency{{rank={ctx.rank}}}", elapsed
-                    )
-                    metrics.observe("ior.read.latency", elapsed)
-                if params.verify:
-                    if (
-                        payload.nbytes != params.transfer_size
-                        or not verify_payload(path, offset, payload)
-                    ):
-                        errors += 1
-    yield from backend.close(handle)
-    end = yield from ctx.allreduce(ctx.sim.now, op=max)
-    total_errors = yield from ctx.allreduce(errors, op=lambda a, b: a + b)
-    return PhaseResult(
-        op="read",
-        repetition=repetition,
-        seconds=end - start,
-        nbytes=params.total_bytes(ctx.size),
-        verify_errors=total_errors,
-    )
-
-
-def _pipelined_read(ctx, params: IorParams, backend, handle,
-                    repetition: int, read_rank: int, path: str) -> Generator:
-    """Async read loop; verification happens at reap time, once the
-    payload is available on the event."""
-    eq = EventQueue(ctx.sim, depth=params.aio_queue_depth,
-                    name=f"ior.r{ctx.rank}.r{repetition}")
+    start = ctx.sim.now
+    eq = _queue(ctx, depth, f"ior.r{ctx.rank}.r{repetition}")
     offsets = {}
     errors = 0
 
     def check(event) -> int:
+        # verification happens at reap time, once the payload is held
         _reap(ctx, "read", event)
         offset = offsets.pop(event.eid)
         if not params.verify:
@@ -244,12 +198,22 @@ def _pipelined_read(ctx, params: IorParams, backend, handle,
     for segment in range(params.segments):
         for transfer in range(params.transfers_per_block):
             offset = params.offset(ctx.size, read_rank, segment, transfer)
-            event = yield from backend.read_nb(
-                eq, handle, offset, params.transfer_size, repetition
+            event = yield from _transfer(
+                ctx, eq, backend, "read", repetition, offset,
+                backend.read(handle, offset, params.transfer_size),
             )
             offsets[event.eid] = offset
             for done in eq.try_reap():
                 errors += check(done)
     for done in (yield from eq.drain()):
         errors += check(done)
-    return errors
+    yield from backend.close(handle)
+    end = yield from ctx.allreduce(ctx.sim.now, op=max)
+    total_errors = yield from ctx.allreduce(errors, op=lambda a, b: a + b)
+    return PhaseResult(
+        op="read",
+        repetition=repetition,
+        seconds=end - start,
+        nbytes=params.total_bytes(ctx.size),
+        verify_errors=total_errors,
+    )

@@ -24,8 +24,8 @@ through an event queue (:mod:`repro.daos.eq`) with a bounded in-flight
 window — ROMIO's ``romio_cb_{read,write} = enable`` plus double
 buffering, generalized to N buffers: while one ``cb_buffer``-sized call
 is in flight the aggregator launches the next, overlapping storage
-latency within a collective call. ``aio_depth <= 1`` keeps the
-sequential loops bit-exactly.
+latency within a collective call. ``aio_depth <= 1`` runs the same
+loops through :class:`~repro.daos.eq.Inline`, the blocking twin.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Dict, Generator, List, Tuple
 
-from repro.daos.eq import EventQueue, reap
+from repro.daos.eq import EventQueue, Inline, reap
 from repro.daos.vos.payload import Payload, ZeroPayload, as_payload, concat_payloads
 from repro.mpi.runtime import RankCtx
 from repro.posix.vfs import FileHandle
@@ -117,6 +117,15 @@ def _coalesce(pieces: List[Tuple[int, Payload]]) -> List[Tuple[int, Payload]]:
     return [(off, concat_payloads(parts)) for off, parts in runs]
 
 
+def _queue(ctx: RankCtx, aio_depth: int, name: str):
+    """An aggregator's queue for one collective call: a bounded event
+    queue at ``aio_depth > 1``, else the blocking twin (the sequential
+    loop)."""
+    if aio_depth > 1:
+        return EventQueue(ctx.sim, depth=aio_depth, name=name, metered=False)
+    return Inline(ctx.sim)
+
+
 def collective_write(
     ctx: RankCtx,
     handle: FileHandle,
@@ -150,27 +159,19 @@ def collective_write(
         for _src, pieces in received.items():
             gathered.extend(pieces)
         runs = _coalesce(gathered)
-        eq = EventQueue(
-            ctx.sim, depth=aio_depth, name=f"cb.w{ctx.rank}", metered=False
-        ) if aio_depth > 1 else None
+        eq = _queue(ctx, aio_depth, f"cb.w{ctx.rank}")
         for run_offset, run_payload in runs:
             for buf, _within, take in split_aligned(
                 0, run_payload.nbytes, cb_buffer
             ):
                 written = buf * cb_buffer
-                call = handle.pwrite(
-                    run_offset + written,
-                    run_payload.slice(written, written + take),
+                yield from eq.submit(
+                    handle.pwrite(run_offset + written,
+                                  run_payload.slice(written, written + take)),
+                    name=f"cb.write@{run_offset + written}",
                 )
-                if eq is None:
-                    yield from call
-                else:
-                    yield from eq.submit(
-                        call, name=f"cb.write@{run_offset + written}"
-                    )
-        if eq is not None:
-            reap((yield from eq.drain()))
-            yield from eq.close()
+        reap((yield from eq.drain()))
+        yield from eq.close()
     yield from ctx.barrier()
     return payload.nbytes
 
@@ -201,27 +202,17 @@ def collective_read(
             for agg, start, stop in split_by_domain(lo, hi - lo, aggregators)
             if agg == ctx.rank
         ]
-        if aio_depth > 1:
-            eq = EventQueue(ctx.sim, depth=aio_depth,
-                            name=f"cb.r{ctx.rank}", metered=False)
-            pending: List[Tuple[int, int, object]] = []
-            for start, stop in blocks:
-                event = yield from eq.submit(
-                    handle.pread(start, stop - start),
-                    name=f"cb.read@{start}",
-                )
-                pending.append((start, stop, event))
-            yield from eq.drain()
-            yield from eq.close()
-            parts = [
-                (start, stop, event.result) for start, stop, event in pending
-            ]
-        else:
-            parts = []
-            for start, stop in blocks:
-                part = yield from handle.pread(start, stop - start)
-                parts.append((start, stop, part))
-        for start, stop, part in parts:
+        eq = _queue(ctx, aio_depth, f"cb.r{ctx.rank}")
+        pending = []
+        for start, stop in blocks:
+            event = yield from eq.submit(
+                handle.pread(start, stop - start), name=f"cb.read@{start}"
+            )
+            pending.append((start, stop, event))
+        yield from eq.drain()
+        yield from eq.close()
+        for start, stop, event in pending:
+            part = event.result
             if part.nbytes < stop - start:  # EOF: zero-fill
                 part = concat_payloads(
                     [part, ZeroPayload(stop - start - part.nbytes)]

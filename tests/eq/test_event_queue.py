@@ -12,6 +12,7 @@ from repro.daos.eq import (
     EV_COMPLETED,
     EV_RUNNING,
     EventQueue,
+    Inline,
 )
 from repro.errors import DerBusy, DerCanceled, DerInval
 from repro.sim import Simulator
@@ -212,3 +213,79 @@ def test_reap_order_is_seed_deterministic():
         return order
 
     assert one_run() == one_run()
+
+
+# ------------------------------------------------------------ blocking twin
+def test_inline_submit_makes_no_heap_push():
+    def pushes(through_inline):
+        sim = Simulator()
+        eq = Inline(sim)
+
+        def submitter():
+            for i in range(3):
+                if through_inline:
+                    yield from eq.submit(op(sim, 1.0, i))
+                else:
+                    yield from op(sim, 1.0, i)
+
+        run_task(sim, submitter())
+        return sim._seq, sim.now
+
+    # the ops' own sleeps are the only pushes, as for the bare calls
+    assert pushes(True) == pushes(False)
+
+
+def test_inline_error_raises_at_submit_not_at_reap():
+    sim = Simulator()
+    eq = Inline(sim)
+
+    def bad():
+        yield 1.0
+        raise DerInval("broken op")
+
+    def submitter():
+        try:
+            yield from eq.submit(bad())
+        except DerInval:
+            return sim.now, eq.try_reap()
+        return None
+
+    assert run_task(sim, submitter()) == (1.0, [])
+
+
+def test_inline_elapsed_is_the_blocking_call_duration():
+    sim = Simulator()
+    eq = Inline(sim)
+    record = []
+
+    def submitter():
+        yield 0.5
+        event = yield from eq.submit(op(sim, 1.5, "payload", record))
+        return event
+
+    event = run_task(sim, submitter())
+    assert event.state == EV_COMPLETED
+    assert event.result == "payload"
+    assert (event.submit_time, event.complete_time) == (0.5, 2.0)
+    assert event.elapsed == 1.5
+    assert record == [(2.0, "payload")]
+
+
+def test_inline_reaps_in_submit_order_and_close_leaves_nothing():
+    sim = Simulator()
+    eq = Inline(sim)
+
+    def submitter():
+        for i in range(3):
+            yield from eq.submit(op(sim, 1.0, i), name=f"a{i}")
+        first = [e.name for e in eq.try_reap()]
+        for i in range(2):
+            yield from eq.submit(op(sim, 1.0, i), name=f"b{i}")
+        drained = [e.name for e in (yield from eq.drain())]
+        yield from eq.submit(op(sim, 1.0), name="c")
+        yield from eq.close()
+        return first, drained, eq.try_reap()
+
+    assert run_task(sim, submitter()) == (
+        ["a0", "a1", "a2"], ["b0", "b1"], []
+    )

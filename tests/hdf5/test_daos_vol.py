@@ -129,7 +129,3 @@ def test_metadata_lives_in_the_namespace_kv(cluster, cont):
         return keys
 
     assert "/ns.h5" in cluster.run(go())
-
-
-def test_supports_async_flag():
-    assert DaosVol.supports_async is True
