@@ -56,12 +56,15 @@ gcprobe:
 	$(PY) benchmarks/gc_probe.py --seed 7 > artifacts/gcprobe.txt; \
 	    status=$$?; cat artifacts/gcprobe.txt; exit $$status
 
-# Who calls what (~9 min): tier-1, then every CLI mode / e2e workload /
+# Who calls what (~4 min): tier-1, then every CLI mode / e2e workload /
 # script / example, under sys.setprofile. Lists the functions nothing
-# called (NEVER) or only tests called (TESTONLY); fails on a NEVER
-# function that is neither a dunder nor an interface stub, on a TESTONLY
-# function that census.py's KEEP allowlist gives no reason for, and on a
-# KEEP entry that covers no TESTONLY function any more (stale).
+# called (NEVER) or only tests called (TESTONLY), and the defaulted
+# parameters of called functions that no call set to another value
+# (NEVER-SET) or only tests did (TEST-SET), with a totals line for each;
+# fails on a NEVER function that is neither a dunder nor an interface
+# stub, on a TESTONLY function that census.py's KEEP allowlist gives no
+# reason for, on a KEEP entry that covers no TESTONLY function any more
+# (stale), and on any NEVER-SET parameter.
 census:
 	$(PY) benchmarks/census.py
 

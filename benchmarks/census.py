@@ -2,18 +2,25 @@
 ``sys.setprofile``, then the drives below (every CLI mode, the e2e workloads at
 check scale, the figure and flow scripts, the examples). Lists each function,
 by ``path::qualname``, that nothing called (NEVER) or only tests called
-(TESTONLY), then the TESTONLY totals per top-level package. Exits 1 on a NEVER
-one that is neither a dunder nor a stub (a body that only documents or
-raises), on a TESTONLY one that no KEEP key covers, and on a KEEP key that
-covers no TESTONLY function (a stale entry)."""
+(TESTONLY), then the TESTONLY totals per top-level package. The same hook
+watches each defaulted parameter of a called function and lists it as set by
+nothing (NEVER-SET) or only by tests (TEST-SET); a call sets it when it passes
+a value other than the default. Exits 1 on a NEVER one that is neither a
+dunder nor a stub (a body that only documents or raises), on a TESTONLY one
+that no KEEP key covers, on a KEEP key that covers no TESTONLY function (a
+stale entry), and on a NEVER-SET parameter."""
 import ast
 import collections
+import dis
 import importlib
+import inspect
 import os
 import pathlib
+import pkgutil
 import runpy
 import shlex
 import sys
+import types
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PKG = str(ROOT / "src" / "repro") + os.sep
@@ -32,7 +39,8 @@ RUNS = {"repro.ior.cli": [f"-a {line} -b 2m -N 1 --ppn 2 --servers 2" for line i
     "HDF5 -F --lustre -e", "HDF5-DAOS", "HDF5-DAOS -F -R", "HDF5-DAOS --aio-depth 4",
     "HDF5 -c --aio-depth 2",
     # a second repetition re-creates each test file: the replace paths
-    "HDF5 -i 2", "HDF5 -F --lustre -i 2", "HDF5-DAOS -i 2", "DAOS -i 2")],
+    "HDF5 -i 2 -O chunk_size=512k", "HDF5 -F --lustre -i 2",
+    "HDF5-DAOS -i 2 -O chunk_size=512k", "DAOS -i 2")],
     "repro.tenants.cli": [f"--tenants 4 --rate 4 --duration 2 {line}" for line in (
         f"{OBS} --report-out={OUT}/r.json", "--qos", "--mix bulk", "--mix kv",
         "--mix meta", "--chaos --oclass RP_2G1 --servers 3", f"--trace {OUT}/arrivals.json",
@@ -42,7 +50,7 @@ RUNS = {"repro.ior.cli": [f"-a {line} -b 2m -N 1 --ppn 2 --servers 2" for line i
         "--backend kv", "--backend array", "--backend dfs", "--backend lustre",
         "--sync", f"--trace {OBS}", "--backend dfs --index kv",
         "--backend kv --index tree --no-verify", "--backend dfs --chunk-size 512k")],
-    "repro.obs.validate": FILES}
+    "repro.obs.validate": [*FILES, f"--kind trace {FILES[0]}"]}
 SCRIPTS = [(ROOT / "benchmarks" / "run_figures.py", "main", ["--contrast"]),
            (ROOT / "benchmarks" / "bench_flows.py", "collect"),
            *((path, "main") for path in sorted((ROOT / "examples").glob("*.py")))]
@@ -75,8 +83,6 @@ KEEP = {
     "consensus/raft.py::RaftNode.restart": FAULT,
     "consensus/raft.py::RaftCluster.__init__.<locals>.make_reset": FAULT,
     "consensus/raft.py::RaftCluster.wait_leader": "accessor: tests/consensus/test_raft.py",
-    "consensus/rsvc.py::ReplicatedService.nodes":
-        "accessor: tests/consensus/test_raft.py, tests/faults/harness.py",
     "consensus/state_machine.py::AppendLogMachine":
         "oracle/safety: the reference machine tests/consensus/test_raft.py replicates",
     "daos/array.py::DaosArray.get_size": "surface: daos_array_get_size",
@@ -204,6 +210,63 @@ def functions(node, prefix=""):
             yield from functions(child, prefix)
 
 
+def defaulted():
+    """``{(path, first line): {name: default}}`` for every function under
+    ``src/repro`` with defaulted parameters, keyed as the hook keys a frame,
+    and ``{key: offset}`` of each generator's first resume: only that
+    resume holds the arguments as passed."""
+    import repro
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if not info.name.endswith("__main__"):
+            importlib.import_module(info.name)
+    stack = [vars(module) for name, module in sys.modules.items()
+             if name == "repro" or name.startswith("repro.")]
+    params, starts, visited = {}, {}, set()
+    while stack:
+        for obj in stack.pop().values():
+            if isinstance(obj, (staticmethod, classmethod)):
+                obj = obj.__func__
+            if isinstance(obj, property):
+                stack.append({"fget": obj.fget, "fset": obj.fset})
+            elif isinstance(obj, type) and obj.__module__.startswith("repro"):
+                if obj not in visited:
+                    visited.add(obj)
+                    stack.append(vars(obj))
+            elif isinstance(obj, types.FunctionType):
+                obj = inspect.unwrap(obj)
+                code = obj.__code__
+                if not code.co_filename.startswith(PKG):
+                    continue
+                positional = code.co_varnames[:code.co_argcount]
+                values = obj.__defaults__ or ()
+                found = dict(zip(positional[len(positional) - len(values):], values))
+                found.update(obj.__kwdefaults__ or {})
+                if not found:
+                    continue
+                key = (code.co_filename, code.co_firstlineno)
+                params[key] = found
+                if code.co_flags & (inspect.CO_GENERATOR | inspect.CO_COROUTINE):
+                    starts[key] = min((i.offset for i in dis.get_instructions(code)
+                                       if i.opname == "RESUME"), default=-1)
+    return params, starts
+
+
+def defaulted_names(args):
+    """Names of the defaulted parameters in an ``ast.arguments``."""
+    positional = args.posonlyargs + args.args
+    return [a.arg for a in positional[len(positional) - len(args.defaults):]] + [
+        a.arg for a, default in zip(args.kwonlyargs, args.kw_defaults) if default]
+
+
+def same(value, default):
+    """Whether a passed ``value`` is the ``default`` (equal, same type)."""
+    try:
+        return value is default or (type(value) is type(default)
+                                    and bool(value == default))
+    except (TypeError, ValueError):  # an array's ambiguous truth value
+        return False
+
+
 def covers(key, ident):
     """Whether KEEP ``key`` names ``ident`` (``path::qualname``): the same
     function, a class holding it, or the module or package it lives in."""
@@ -215,14 +278,31 @@ def covers(key, ident):
 def main():
     import pytest
     import workloads
-    tests, driven = set(), set()
-    seen = tests
+    params, starts = defaulted()
+    tests, driven = set(), set()  # (path, first line) of each called function
+    test_set, drive_set = set(), set()  # ((path, first line), parameter)
+    seen, setters = tests, test_set
+    watch = {key: dict(found) for key, found in params.items()}
     def hook(frame, event, _arg):
         if event == "call" and frame.f_code.co_filename.startswith(PKG):
-            seen.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+            key = (frame.f_code.co_filename, frame.f_code.co_firstlineno)
+            seen.add(key)
+            unset = watch.get(key)
+            # a generator holds its arguments as passed only at its first
+            # resume; a parameter seen set leaves the watch list, so hot
+            # paths stop paying for the check
+            if unset and frame.f_lasti <= starts.get(key, frame.f_lasti):
+                passed = frame.f_locals
+                for name, default in list(unset.items()):
+                    if not same(passed[name], default):
+                        setters.add((key, name))
+                        del unset[name]
+                if not unset:
+                    del watch[key]
     sys.setprofile(hook)
     pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests")])
-    seen = driven
+    seen, setters = driven, drive_set
+    watch = {key: dict(found) for key, found in params.items()}
     sys.stdout = open(os.devnull, "w")  # the drives print their reports
     OUT.mkdir(parents=True, exist_ok=True)
     (OUT / "arrivals.json").write_text('[[0.1, "t0"], [0.5, "t1"], [0.7, "t2"]]')
@@ -230,7 +310,8 @@ def main():
         for line in lines:
             importlib.import_module(module).main(shlex.split(line))
     for name in workloads.WORKLOADS:
-        for cell in workloads.build(name, workloads.PINNED_SEED, check=True):
+        # not the pinned seed, which is every builder's default seed
+        for cell in workloads.build(name, 7, check=True):
             cell.call()
     for script, entry, *args in SCRIPTS:
         runpy.run_path(str(script))[entry](*args)
@@ -238,21 +319,30 @@ def main():
     sys.stdout = sys.__stdout__
     orphans, unkept, used = 0, 0, set()
     counts, lines_of = collections.Counter(), collections.Counter()  # TESTONLY
+    set_by = collections.Counter()  # defaulted parameters of called functions
     for path in sorted(pathlib.Path(PKG).rglob("*.py")):
         module = path.relative_to(PKG).as_posix()
         for qualname, node in functions(ast.parse(path.read_text())):
             first = min([d.lineno for d in node.decorator_list] + [node.lineno])
-            if (str(path), first) in driven:
+            key, ident = (str(path), first), f"{module}::{qualname}"
+            if key in tests or key in driven:
+                for name in defaulted_names(node.args):
+                    where = ("drives" if (key, name) in drive_set else
+                             "tests" if (key, name) in test_set else "nothing")
+                    set_by[where] += 1
+                    if where != "drives":
+                        label = "TEST-SET" if where == "tests" else "NEVER-SET"
+                        print(f"{label:9} {ident}({name})")
+            if key in driven:
                 continue
-            kind = "TESTONLY" if (str(path), first) in tests else "NEVER"
+            kind = "TESTONLY" if key in tests else "NEVER"
             exempt = kind == "TESTONLY" or node.name.startswith("__") or all(
                 isinstance(s, (ast.Expr, ast.Pass, ast.Raise)) for s in node.body)
             orphans += not exempt
             lines = node.end_lineno - first + 1
-            ident = f"{module}::{qualname}"
             print(f"{kind if exempt else 'NO CALLER':9} {ident} ({lines} lines)")
             if kind == "TESTONLY":
-                keys = [key for key in KEEP if covers(key, ident)]
+                keys = [entry for entry in KEEP if covers(entry, ident)]
                 used.update(keys)
                 if not keys:
                     unkept += 1
@@ -263,11 +353,14 @@ def main():
     print(f"TESTONLY total: {counts.total()} functions, {lines_of.total()} lines ("
           + ", ".join(f"{package} {n}/{lines_of[package]}"
                       for package, n in sorted(counts.items())) + ")")
+    print(f"SET total: {set_by.total()} defaulted parameters of called functions; "
+          f"{set_by['drives']} set by the drives, {set_by['tests']} only by tests "
+          f"(TEST-SET), {set_by['nothing']} by nothing (NEVER-SET)")
     stale = sorted(set(KEEP) - used)
     for key in stale:
         print(f"stale KEEP entry {key}: no TESTONLY function under it",
               file=sys.stderr)
-    return 1 if orphans or unkept or stale else 0
+    return 1 if orphans or unkept or stale or set_by["nothing"] else 0
 
 
 if __name__ == "__main__":

@@ -49,8 +49,7 @@ def main(argv=None) -> int:
         for figure in sweep(node_counts, block):
             print(render_figure(figure), end="\n\n")
     if args.contrast:
-        cells = lustre_contrast(nodes=min(4, max(node_counts)),
-                                block_size=block)
+        cells = lustre_contrast(block)
         print("Write bandwidth, easy vs hard:")
         print(f"  DAOS   fpp {fmt_bw(cells['daos_fpp_write'])}, "
               f"shared {fmt_bw(cells['daos_shared_write'])}")

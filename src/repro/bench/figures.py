@@ -11,9 +11,9 @@ Section-IV contrast: DAOS shared-file ≈ file-per-process, "in stark
 contrast" to a standard parallel filesystem — measured by running the
 same two workloads on the Lustre baseline.
 
-``node_counts`` and ``block_size`` default to a quick configuration;
-``benchmarks/run_figures.py --full`` passes ``FULL_NODE_COUNTS`` and
-64 MiB blocks, the paper-scale sweep behind EXPERIMENTS.md.
+``benchmarks/run_figures.py`` passes ``QUICK_NODE_COUNTS`` and 16 MiB
+blocks, or with ``--full`` ``FULL_NODE_COUNTS`` and 64 MiB blocks, the
+paper-scale sweep behind EXPERIMENTS.md.
 """
 
 from __future__ import annotations
@@ -30,6 +30,10 @@ QUICK_NODE_COUNTS: Tuple[int, ...] = (1, 4)
 FIG1_INTERFACES = ("DFS", "MPIIO", "HDF5")
 FIG1_OCLASSES = ("S1", "S2", "SX")
 FIG2_INTERFACES = ("DFS", "MPIIO", "HDF5")
+#: processes per client node, as on the paper's testbed
+PPN = 16
+#: client nodes of each contrast cell
+CONTRAST_NODES = 4
 
 
 def _series_label(api: str, oclass: Optional[str] = None) -> str:
@@ -63,10 +67,9 @@ def _ior_sweep(figure_id: str, title: str, series, node_counts,
 
 
 def fig1_fpp(
-    node_counts: Iterable[int] = QUICK_NODE_COUNTS,
-    block_size="16m",
-    ppn: int = 16,
-    repetitions: int = 1,
+    node_counts: Iterable[int],
+    block_size,
+    ppn: int = PPN,
     interfaces: Iterable[str] = FIG1_INTERFACES,
     oclasses: Iterable[str] = FIG1_OCLASSES,
 ) -> Tuple[FigureData, FigureData]:
@@ -77,59 +80,49 @@ def fig1_fpp(
         [(_series_label(api, oclass), dict(api=api, oclass=oclass))
          for api in interfaces for oclass in oclasses],
         node_counts, ppn, file_per_proc=True, block_size=block_size,
-        repetitions=repetitions,
     )
 
 
 def fig2_shared(
-    node_counts: Iterable[int] = QUICK_NODE_COUNTS,
-    block_size="16m",
-    ppn: int = 16,
-    repetitions: int = 1,
-    interfaces: Iterable[str] = FIG2_INTERFACES,
-    oclass: str = "SX",
+    node_counts: Iterable[int], block_size
 ) -> Tuple[FigureData, FigureData]:
     """Returns (fig2a_read, fig2b_write)."""
     return _ior_sweep(
         "Fig 2", "IOR shared-file: {}",
-        [(_series_label(api), dict(api=api)) for api in interfaces],
-        node_counts, ppn, file_per_proc=False, oclass=oclass,
-        block_size=block_size, repetitions=repetitions,
+        [(_series_label(api), dict(api=api)) for api in FIG2_INTERFACES],
+        node_counts, PPN, file_per_proc=False, oclass="SX",
+        block_size=block_size,
     )
 
 
-def lustre_contrast(
-    nodes: int = 4,
-    block_size="16m",
-    ppn: int = 16,
-    transfer_size="1m",
-) -> Dict[str, float]:
+def lustre_contrast(block_size) -> Dict[str, float]:
     """The §IV/§V claim: DAOS shared ≈ DAOS fpp; Lustre shared << fpp.
 
-    Returns write bandwidths (bytes/s) for the four cells. The Lustre
+    Returns write bandwidths (bytes/s) for the four cells, each on
+    ``CONTRAST_NODES`` client nodes. The Lustre
     shared-file run uses the io500-hard-style unaligned interleaved
     layout, where page-granular LDLM extent locks conflict on every
     operation; DAOS is byte-granular and lockless, so the same workload
     does not collapse.
     """
-    daos = nextgenio(client_nodes=nodes)
+    daos = nextgenio(client_nodes=CONTRAST_NODES)
     out: Dict[str, float] = {}
     params = IorParams(api="DFS", file_per_proc=True, oclass="SX",
-                       block_size=block_size, transfer_size=transfer_size)
-    out["daos_fpp_write"] = run_ior(daos, params, ppn=ppn).max_write_bw
-    daos = nextgenio(client_nodes=nodes)
+                       block_size=block_size, transfer_size="1m")
+    out["daos_fpp_write"] = run_ior(daos, params, ppn=PPN).max_write_bw
+    daos = nextgenio(client_nodes=CONTRAST_NODES)
     params = IorParams(api="DFS", file_per_proc=False, oclass="SX",
                        interleaved=True, block_size=block_size,
-                       transfer_size=transfer_size)
-    out["daos_shared_write"] = run_ior(daos, params, ppn=ppn).max_write_bw
+                       transfer_size="1m")
+    out["daos_shared_write"] = run_ior(daos, params, ppn=PPN).max_write_bw
 
-    lustre = build_lustre_cluster(server_nodes=8, client_nodes=nodes,
-                                  stripe_count=8)
+    lustre = build_lustre_cluster(server_nodes=8,
+                                  client_nodes=CONTRAST_NODES, stripe_count=8)
     params = IorParams(api="POSIX", file_per_proc=True,
-                       block_size=block_size, transfer_size=transfer_size)
-    out["lustre_fpp_write"] = run_ior(lustre, params, ppn=ppn).max_write_bw
-    lustre = build_lustre_cluster(server_nodes=8, client_nodes=nodes,
-                                  stripe_count=8)
+                       block_size=block_size, transfer_size="1m")
+    out["lustre_fpp_write"] = run_ior(lustre, params, ppn=PPN).max_write_bw
+    lustre = build_lustre_cluster(server_nodes=8,
+                                  client_nodes=CONTRAST_NODES, stripe_count=8)
     # unaligned interleaved transfers: the LDLM worst case. The block
     # must stay a multiple of the transfer, so derive it from the
     # requested block size.
@@ -140,5 +133,5 @@ def lustre_contrast(
     nblk -= nblk % hard_xfer
     params = IorParams(api="POSIX", file_per_proc=False, interleaved=True,
                        block_size=nblk, transfer_size=hard_xfer)
-    out["lustre_shared_write"] = run_ior(lustre, params, ppn=ppn).max_write_bw
+    out["lustre_shared_write"] = run_ior(lustre, params, ppn=PPN).max_write_bw
     return out

@@ -90,13 +90,13 @@ class Cluster(_Machine):
         """A fresh libdaos client context on the given client node."""
         return DaosClient(self.daos, self.clients[node_index], name)
 
-    def inject(self, schedule, trace=None):
+    def inject(self, schedule):
         """Arm a :class:`~repro.faults.FaultSchedule` on this cluster;
         returns the armed :class:`~repro.faults.FaultInjector` (its
         ``trace`` carries the deterministic event record)."""
         from repro.faults.injector import FaultInjector
 
-        return FaultInjector(self, schedule, trace=trace).arm()
+        return FaultInjector(self, schedule).arm()
 
 
 def build_cluster(
@@ -141,22 +141,14 @@ def build_lustre_cluster(
     client_nodes: int,
     engine_spec: Optional[EngineSpec] = None,
     stripe_count: int = 4,
-    stripe_size: Optional[int] = None,
     seed: int = 0xDA05,
 ) -> LustreCluster:
     """Assemble a Lustre filesystem over NEXTGenIO-class hardware, for
     the DAOS-vs-parallel-filesystem contrast experiment."""
     from repro.lustre.fs import LustreFs
-    from repro.units import MiB
 
     m = _machine(server_nodes, client_nodes, "oss", engine_spec, None, seed)
-    fs = LustreFs(
-        m.sim,
-        m.fabric,
-        m.servers,
-        default_stripe_count=stripe_count,
-        default_stripe_size=stripe_size or MiB,
-    )
+    fs = LustreFs(m.sim, m.fabric, m.servers, default_stripe_count=stripe_count)
     return LustreCluster(**vars(m), fs=fs)
 
 
@@ -169,13 +161,12 @@ def build_system(lustre: bool, server_nodes: int, client_nodes: int,
                  seed=seed)
 
 
-def nextgenio(client_nodes: int = 4, seed: int = 0xDA05,
-              capacity_per_target: int = 192 * GiB) -> Cluster:
+def nextgenio(client_nodes: int = 4, seed: int = 0xDA05) -> Cluster:
     """The paper's testbed: 8 servers, 2 engines each, Optane media."""
     return build_cluster(
         server_nodes=8,
         client_nodes=client_nodes,
-        capacity_per_target=capacity_per_target,
+        capacity_per_target=192 * GiB,
         seed=seed,
     )
 

@@ -10,12 +10,11 @@ a key-value state machine and a client helper that tracks the leader.
 
 from repro.consensus.raft import RaftNode, RaftCluster
 from repro.consensus.state_machine import KvStateMachine
-from repro.consensus.rsvc import ReplicatedService, RsvcClient
+from repro.consensus.rsvc import RsvcClient
 
 __all__ = [
     "RaftNode",
     "RaftCluster",
     "KvStateMachine",
-    "ReplicatedService",
     "RsvcClient",
 ]

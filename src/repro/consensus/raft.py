@@ -21,7 +21,7 @@ Log indices are 1-based as in the paper; ``log[0]`` is a sentinel.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Generator, List, Optional
 
 from repro.errors import ConsensusError, NotLeaderError
@@ -46,18 +46,15 @@ class LogEntry:
     proposal_id: int = 0
 
 
-@dataclass
-class RaftConfig:
-    """Timing knobs (seconds). Defaults mirror a LAN deployment."""
-
-    election_timeout_min: float = 0.150
-    election_timeout_max: float = 0.300
-    heartbeat_interval: float = 0.050
-    #: cost of persisting (term, vote, log entries) before responding —
-    #: Optane-class media makes this nearly free, which is exactly the
-    #: DAOS rsvc story.
-    persist_latency: float = 5e-6
-    rpc_bytes: int = 512
+#: Timing (seconds), as on a LAN deployment.
+ELECTION_TIMEOUT_MIN = 0.150
+ELECTION_TIMEOUT_MAX = 0.300
+HEARTBEAT_INTERVAL = 0.050
+#: cost of persisting (term, vote, log entries) before responding —
+#: Optane-class media makes this nearly free, which is exactly the
+#: DAOS rsvc story.
+PERSIST_LATENCY = 5e-6
+RPC_BYTES = 512
 
 
 class RaftNode:
@@ -72,7 +69,6 @@ class RaftNode:
         peer_names: List[str],
         apply_fn: Callable[[Any], Any],
         rng: RngStreams,
-        config: Optional[RaftConfig] = None,
         reset_fn: Optional[Callable[[], Callable[[Any], Any]]] = None,
     ):
         self.sim = sim
@@ -82,7 +78,6 @@ class RaftNode:
         self.apply_fn = apply_fn
         self.reset_fn = reset_fn
         self.rng = rng
-        self.config = config or RaftConfig()
         self.endpoint = Endpoint(fabric, addr, self.name)
 
         # Persistent state (survives crash/restart).
@@ -135,7 +130,7 @@ class RaftNode:
         body["kind"] = kind
         body["from"] = self.name
         body["from_id"] = self.node_id
-        self.endpoint.send(dst, body, nbytes=self.config.rpc_bytes, tag="raft")
+        self.endpoint.send(dst, body, nbytes=RPC_BYTES, tag="raft")
 
     # ------------------------------------------------------------------ timers
     def _arm_election_timer(self) -> None:
@@ -143,8 +138,8 @@ class RaftNode:
         generation = self._timer_generation
         delay = self.rng.uniform(
             f"raft:{self.node_id}:eto",
-            self.config.election_timeout_min,
-            self.config.election_timeout_max,
+            ELECTION_TIMEOUT_MIN,
+            ELECTION_TIMEOUT_MAX,
         )
         self.sim.schedule(delay, self._election_timeout, generation)
 
@@ -161,7 +156,7 @@ class RaftNode:
         if self.state == LEADER:
             self._broadcast_append_entries()
             self.sim.schedule(
-                self.config.heartbeat_interval, self._heartbeat_tick, generation
+                HEARTBEAT_INTERVAL, self._heartbeat_tick, generation
             )
 
     # ------------------------------------------------------------------ election
@@ -196,7 +191,7 @@ class RaftNode:
         self._timer_generation += 1
         self._broadcast_append_entries()
         self.sim.schedule(
-            self.config.heartbeat_interval,
+            HEARTBEAT_INTERVAL,
             self._heartbeat_tick,
             self._timer_generation,
         )
@@ -248,7 +243,7 @@ class RaftNode:
             kind = body["kind"]
             if body["term"] > self.current_term:
                 self._step_down(body["term"])
-                yield self.config.persist_latency
+                yield PERSIST_LATENCY
             if kind == "request_vote":
                 yield from self._on_request_vote(body)
             elif kind == "request_vote_resp":
@@ -268,7 +263,7 @@ class RaftNode:
             if log_ok and self.voted_for in (None, body["from"]):
                 grant = True
                 self.voted_for = body["from"]
-                yield self.config.persist_latency
+                yield PERSIST_LATENCY
                 self._arm_election_timer()
         self._send(
             body["from"],
@@ -307,7 +302,7 @@ class RaftNode:
                 log.extend(entries[len(log) - start:])
                 index = prev_index + len(entries)
                 if entries:
-                    yield self.config.persist_latency
+                    yield PERSIST_LATENCY
                 match_index = index
                 if body["leader_commit"] > self.commit_index:
                     self.commit_index = min(
@@ -425,7 +420,6 @@ class RaftCluster:
         addrs: List[NodeAddr],
         state_machine_factory: Callable[[], Any],
         rng: Optional[RngStreams] = None,
-        config: Optional[RaftConfig] = None,
     ):
         self.sim = sim
         self.rng = rng or RngStreams()
@@ -450,7 +444,6 @@ class RaftCluster:
                     names,
                     self.machines[i].apply,
                     self.rng,
-                    config,
                     reset_fn=make_reset(i),
                 )
             )

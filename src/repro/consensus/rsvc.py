@@ -1,46 +1,19 @@
-"""Replicated service wrapper: the DAOS "rsvc" pattern.
+"""The client side of the DAOS "rsvc" pattern.
 
-A :class:`ReplicatedService` owns a Raft cluster whose state machine holds
-service metadata (pool maps, container indices). :class:`RsvcClient` is
-the client-side helper every DAOS client embeds: it remembers the last
-known leader, retries on :class:`NotLeaderError` using the hint, and waits
-out elections — so callers just do ``result = yield from client.invoke(cmd)``.
+A replicated service is a :class:`~repro.consensus.raft.RaftCluster` whose
+state machine holds service metadata (pool maps, container indices).
+:class:`RsvcClient` is the client-side helper every DAOS client embeds: it
+remembers the last known leader, retries on :class:`NotLeaderError` using the
+hint, and waits out elections — so callers just do
+``result = yield from client.invoke(cmd)``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Generator, List, Optional
+from typing import Any, Generator, Optional
 
-from repro.consensus.raft import RaftCluster, RaftConfig, RaftNode
-from repro.consensus.state_machine import KvStateMachine
+from repro.consensus.raft import RaftCluster, RaftNode
 from repro.errors import ConsensusError, NotLeaderError
-from repro.network.fabric import Fabric, NodeAddr
-from repro.sim.core import Simulator
-from repro.sim.rng import RngStreams
-
-
-class ReplicatedService:
-    """A Raft-backed KV metadata service spread over ``addrs``."""
-
-    def __init__(
-        self,
-        sim: Simulator,
-        fabric: Fabric,
-        addrs: List[NodeAddr],
-        rng: Optional[RngStreams] = None,
-        config: Optional[RaftConfig] = None,
-    ):
-        self.sim = sim
-        self.cluster = RaftCluster(
-            sim, fabric, addrs, KvStateMachine, rng=rng, config=config
-        )
-
-    @property
-    def nodes(self) -> List[RaftNode]:
-        return self.cluster.nodes
-
-    def leader(self) -> Optional[RaftNode]:
-        return self.cluster.leader()
 
 
 #: one-way metadata RPC cost charged per attempt (see RsvcClient)
@@ -52,7 +25,7 @@ MAX_RETRIES = 200
 
 
 class RsvcClient:
-    """Leader-tracking client for a :class:`ReplicatedService`.
+    """Leader-tracking client for a replicated service's :class:`RaftCluster`.
 
     The simulation shortcut: clients reach replicas through direct object
     references rather than extra RPC hops (the Raft messages themselves
@@ -61,7 +34,7 @@ class RsvcClient:
     still see realistic service times.
     """
 
-    def __init__(self, service: ReplicatedService):
+    def __init__(self, service: RaftCluster):
         self.service = service
         self.sim = service.sim
         self._known_leader: Optional[RaftNode] = None

@@ -310,24 +310,25 @@ class ObjectHandle:
         return True
 
     # ------------------------------------------------------------- array ops
-    def _write_piece(self, tid: int, chunk_idx: int, akey: bytes,
+    def _write_piece(self, tid: int, chunk_idx: int,
                      within: int, fragment: Payload) -> IoPiece:
         vc = self._vos(tid)
         return IoPiece(
             tid, fragment.nbytes,
-            lambda: vc.update_array(self.oid, chunk_idx, akey, within, fragment),
+            lambda: vc.update_array(self.oid, chunk_idx, ARRAY_AKEY, within,
+                                    fragment),
         )
 
-    def _read_piece(self, tid: int, chunk_idx: int, akey: bytes,
+    def _read_piece(self, tid: int, chunk_idx: int,
                     within: int, take: int) -> IoPiece:
         vc = self._vos(tid)
         return IoPiece(
             tid, take,
-            lambda: vc.fetch_array(self.oid, chunk_idx, akey, within, take),
+            lambda: vc.fetch_array(self.oid, chunk_idx, ARRAY_AKEY, within, take),
         )
 
     def _chunk_pieces_write(
-        self, offset: int, payload: Payload, chunk_size: int, akey: bytes
+        self, offset: int, payload: Payload, chunk_size: int
     ) -> List[IoPiece]:
         pieces: List[IoPiece] = []
         cursor = 0
@@ -341,12 +342,12 @@ class ObjectHandle:
             if is_ec:
                 pieces.extend(
                     self._ec_write_pieces(
-                        chunk_idx, within, fragment, chunk_size, akey, route
+                        chunk_idx, within, fragment, chunk_size, route
                     )
                 )
             else:
                 pieces.extend(
-                    self._write_piece(tid, chunk_idx, akey, within, fragment)
+                    self._write_piece(tid, chunk_idx, within, fragment)
                     for tid in self._writable(route)
                 )
         return pieces
@@ -354,7 +355,7 @@ class ObjectHandle:
     # ------------------------------------------------------------- erasure coding
     def _ec_write_pieces(
         self, chunk_idx: int, within: int, fragment: Payload,
-        chunk_size: int, akey: bytes, route: Sequence[Route],
+        chunk_size: int, route: Sequence[Route],
     ) -> List[IoPiece]:
         """Full-stripe erasure-coded write of one chunk.
 
@@ -382,13 +383,12 @@ class ObjectHandle:
         stripe = [(route[pos], c) for pos, c in enumerate(cells) if c.nbytes]
         stripe += [(slot, parity) for slot in route[k:]]
         return [
-            self._write_piece(tid, chunk_idx, akey, 0, part)
+            self._write_piece(tid, chunk_idx, 0, part)
             for (tid, _readable, writable), part in stripe if writable
         ]
 
     def _ec_read_pieces(
-        self, chunk_idx: int, within: int, take: int,
-        chunk_size: int, akey: bytes,
+        self, chunk_idx: int, within: int, take: int, chunk_size: int,
     ) -> List[Tuple[List[IoPiece], object]]:
         """Plan an EC chunk read: per touched cell, either a direct piece
         or a degraded-reconstruction piece set with a combiner."""
@@ -408,7 +408,7 @@ class ObjectHandle:
                         "for EC reconstruction"
                     )
                 combine = partial(ec.xor, length=cell_take)
-            plan.append(([self._read_piece(route[j][0], chunk_idx, akey,
+            plan.append(([self._read_piece(route[j][0], chunk_idx,
                                            cell_off, cell_take)
                           for j in sources], combine))
         return plan
@@ -419,7 +419,6 @@ class ObjectHandle:
         data,
         *,
         chunk_size: int = DEFAULT_CHUNK,
-        akey: bytes = ARRAY_AKEY,
     ) -> Generator:
         """Task helper: write ``data`` at byte ``offset``; returns nbytes."""
         payload = as_payload(data)
@@ -427,15 +426,15 @@ class ObjectHandle:
             return 0
         return (
             yield from self._retry_stale(
-                lambda: self._write_once(offset, payload, chunk_size, akey)
+                lambda: self._write_once(offset, payload, chunk_size)
             )
         )
 
     def _write_once(
-        self, offset: int, payload: Payload, chunk_size: int, akey: bytes
+        self, offset: int, payload: Payload, chunk_size: int
     ) -> Generator:
         pool_map = self.cont.pool.pool_map
-        pieces = self._chunk_pieces_write(offset, payload, chunk_size, akey)
+        pieces = self._chunk_pieces_write(offset, payload, chunk_size)
         with span_of(self.sim, "client.array_write", "client",
                      self.client.node.name,
                      offset=offset, nbytes=payload.nbytes):
@@ -450,7 +449,6 @@ class ObjectHandle:
         length: int,
         *,
         chunk_size: int = DEFAULT_CHUNK,
-        akey: bytes = ARRAY_AKEY,
     ) -> Generator:
         """Task helper: read ``length`` bytes (holes zero-filled)."""
         if length <= 0:
@@ -462,14 +460,12 @@ class ObjectHandle:
         for chunk_idx, within, take in split_aligned(offset, length, chunk_size):
             if is_ec:
                 plan.extend(
-                    self._ec_read_pieces(
-                        chunk_idx, within, take, chunk_size, akey
-                    )
+                    self._ec_read_pieces(chunk_idx, within, take, chunk_size)
                 )
             else:
                 tid = self._reader(self._route_for_dkey(chunk_idx))
                 plan.append((
-                    [self._read_piece(tid, chunk_idx, akey, within, take)],
+                    [self._read_piece(tid, chunk_idx, within, take)],
                     None,
                 ))
         flat: List[IoPiece] = [p for pieces, _c in plan for p in pieces]
@@ -484,8 +480,7 @@ class ObjectHandle:
             out.append(batch[0] if combine is None else combine(batch))
         return concat_payloads(out)
 
-    def size(self, *, chunk_size: int = DEFAULT_CHUNK,
-             akey: bytes = ARRAY_AKEY) -> Generator:
+    def size(self, *, chunk_size: int = DEFAULT_CHUNK) -> Generator:
         """Task helper: apparent array size (max written byte + 1).
 
         Non-EC: a size query per layout group leader. EC: a query per
@@ -506,7 +501,7 @@ class ObjectHandle:
                 queried = [(0, self._reader(route))]
             for cell_base, tid in queried:
                 sizes = yield from self._call(
-                    tid, "array_sizes", {"akey": akey}
+                    tid, "array_sizes", {"akey": ARRAY_AKEY}
                 )
                 for chunk_idx, size in sizes:
                     high = max(high, chunk_idx * chunk_size + cell_base + size)
@@ -518,23 +513,22 @@ class ObjectHandle:
         length: int,
         *,
         chunk_size: int = DEFAULT_CHUNK,
-        akey: bytes = ARRAY_AKEY,
     ) -> Generator:
         """Task helper: punch bytes [offset, offset+length)."""
         return (
             yield from self._retry_stale(
-                lambda: self._punch_range_once(offset, length, chunk_size, akey)
+                lambda: self._punch_range_once(offset, length, chunk_size)
             )
         )
 
     def _punch_range_once(
-        self, offset: int, length: int, chunk_size: int, akey: bytes
+        self, offset: int, length: int, chunk_size: int
     ) -> Generator:
         freed = 0
         for chunk_idx, within, take in split_aligned(offset, length, chunk_size):
             freed = yield from self._mutate(
                 self._writers(chunk_idx), "array_punch",
-                {"dkey": chunk_idx, "akey": akey,
+                {"dkey": chunk_idx, "akey": ARRAY_AKEY,
                  "offset": within, "length": take},
             )
         return freed

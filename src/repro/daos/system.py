@@ -4,7 +4,8 @@
 
 - one :class:`~repro.daos.engine.Engine` per engine slot of every server
   node, each with a global engine rank and a global-target-id range;
-- a :class:`~repro.consensus.rsvc.ReplicatedService` (Raft over the
+- a :class:`~repro.consensus.raft.RaftCluster` over a
+  :class:`~repro.consensus.state_machine.KvStateMachine` (Raft over the
   simulated fabric) holding pool and container metadata — pool maps,
   container properties, OID allocator counters — the equivalent of the
   DAOS pool/container service replicas;
@@ -21,7 +22,9 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Optional
 
-from repro.consensus.rsvc import ReplicatedService, RsvcClient
+from repro.consensus.raft import RaftCluster
+from repro.consensus.rsvc import RsvcClient
+from repro.consensus.state_machine import KvStateMachine
 from repro.daos.engine import Engine
 from repro.daos.vos.container import EpochClock
 from repro.errors import DerExist, DerInval, DerNonexist
@@ -159,10 +162,11 @@ class DaosSystem:
                     TargetRef(len(self.targets), engine, local_tid)
                 )
         n_svc = min(SVC_REPLICAS, len(server_nodes))
-        self.svc = ReplicatedService(
+        self.svc = RaftCluster(
             sim,
             fabric,
             [node.addr for node in server_nodes[:n_svc]],
+            KvStateMachine,
             rng=self.rng,
         )
         self._uuid_seq = itertools.count(1)
@@ -195,11 +199,10 @@ class DaosSystem:
         self,
         label: str,
         capacity_per_target: int = 64 * GiB,
-        rsvc: Optional[RsvcClient] = None,
     ) -> Generator:
         """Task helper: create a pool across every engine; returns its
         :class:`PoolMap`."""
-        rsvc = rsvc or self.rsvc_client()
+        rsvc = self.rsvc_client()
         uuid = self._new_uuid("pool")
         created = yield from rsvc.invoke(
             ("cas", f"pool-label:{label}", None, uuid)
@@ -251,7 +254,7 @@ class DaosSystem:
         self._push_map_version(pool_map.uuid, pool_map.version)
         return pool_map.version
 
-    def exclude_target(self, pool_uuid: str, tid: int, rsvc=None,
+    def exclude_target(self, pool_uuid: str, tid: int,
                        permanent: bool = False) -> Generator:
         """Task helper: mark a target DOWN (or DOWNOUT when ``permanent``).
 
@@ -261,7 +264,7 @@ class DaosSystem:
         exclusion immediately queues a rebuild that restores redundancy
         onto the target's deterministic spare.
         """
-        rsvc = rsvc or self.rsvc_client()
+        rsvc = self.rsvc_client()
         pool_map = yield from self._load_map(pool_uuid, rsvc)
         state = DOWNOUT if permanent else DOWN
         current = pool_map.statuses.get(tid)
@@ -284,7 +287,7 @@ class DaosSystem:
             self.rebuild.schedule_restore(pool_uuid, tid)
         return version
 
-    def reintegrate_target(self, pool_uuid: str, tid: int, rsvc=None) -> Generator:
+    def reintegrate_target(self, pool_uuid: str, tid: int) -> Generator:
         """Task helper: bring a DOWN target back through REBUILDING.
 
         The target immediately starts receiving new writes (so the resync
@@ -295,7 +298,7 @@ class DaosSystem:
         the pool map flips the target UP. Use :meth:`wait_rebuild` to
         block until the pool is healthy again.
         """
-        rsvc = rsvc or self.rsvc_client()
+        rsvc = self.rsvc_client()
         pool_map = yield from self._load_map(pool_uuid, rsvc)
         current = pool_map.statuses.get(tid)
         if current is None or current.state == REBUILDING:

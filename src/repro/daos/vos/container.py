@@ -48,8 +48,8 @@ class EpochClock:
 
     __slots__ = ("_epoch",)
 
-    def __init__(self, start: int = 0) -> None:
-        self._epoch = int(start)
+    def __init__(self) -> None:
+        self._epoch = 0
 
     def next(self) -> int:
         self._epoch += 1
@@ -104,13 +104,12 @@ class SingleValue:
 class VosContainer:
     """A container shard on one target."""
 
-    def __init__(self, uuid: str, pool: "object" = None, clock: Optional[EpochClock] = None):
+    def __init__(self, uuid: str, pool: "object" = None):
         self.uuid = uuid
         self.pool = pool  # VosPool shard, for capacity accounting
         #: oid -> (sorted ``(dkey, akey)`` keys, their values in step)
         self.objects: Dict[Any, Tuple[List[Tuple[Any, Any]], List[Any]]] = {}
-        if clock is None:
-            clock = getattr(pool, "clock", None)
+        clock = getattr(pool, "clock", None)
         # standalone shards (unit tests) fall back to a private clock
         self.clock = clock if clock is not None else EpochClock()
 

@@ -236,21 +236,22 @@ class Dfs:
         return handle
 
     # ------------------------------------------------------------- directories
-    def mkdir(self, path: str, oclass: str = "S1") -> Generator:
-        """Task helper: create a directory (parents must exist)."""
+    def mkdir(self, path: str) -> Generator:
+        """Task helper: create a directory (parents must exist); every
+        directory object is class S1, as the root is."""
         parents, name = self._split(path)
         dir_obj = yield from self._lookup_dir(parents)
         try:
             record = yield from self._entry_get(dir_obj, name)
             if record is not None:
                 raise DerExist(path)
-            oid = yield from self.cont.alloc_oid(oclass_by_name(oclass))
+            oid = yield from self.cont.alloc_oid(S1)
             entry = InodeEntry(
                 kind="dir",
                 oid_hi=oid.hi,
                 oid_lo=oid.lo,
                 chunk_size=self.default_chunk,
-                oclass=oclass,
+                oclass=S1.name,
                 mode=0o755,
             )
             yield from dir_obj.put(

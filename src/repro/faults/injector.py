@@ -23,7 +23,7 @@ FoundationDB-style reproducibility contract the chaos harness asserts.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Generator, List, Optional, Tuple
+from typing import Dict, Generator, List, Tuple
 
 from repro.errors import SimulationError
 from repro.faults import events as ev
@@ -64,12 +64,11 @@ class FaultInjector:
     Schedule delays are relative to :meth:`arm` time.
     """
 
-    def __init__(self, cluster, schedule: FaultSchedule,
-                 trace: Optional[EventTrace] = None):
+    def __init__(self, cluster, schedule: FaultSchedule):
         self.cluster = cluster
         self.sim = cluster.sim
         self.schedule = schedule
-        self.trace = trace or EventTrace()
+        self.trace = EventTrace()
         self.rng = cluster.rng
         self._armed = False
         self._media_saved: Dict[int, Tuple[float, float, float]] = {}
@@ -141,7 +140,7 @@ class FaultInjector:
         else:
             prob = float(event.drop_prob)
 
-            def rule(prob=prob) -> bool:
+            def rule() -> bool:
                 return self.rng.uniform("faults:drop", 0.0, 1.0) < prob
 
         self.cluster.fabric.set_drop_rule(

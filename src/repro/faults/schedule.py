@@ -27,8 +27,8 @@ RANDOM_STREAM = "faults:schedule"
 class FaultSchedule:
     """An ordered fault timeline."""
 
-    def __init__(self, entries: Sequence[Tuple[float, ev.FaultEvent]] = ()):
-        self._entries: List[Tuple[float, ev.FaultEvent]] = list(entries)
+    def __init__(self):
+        self._entries: List[Tuple[float, ev.FaultEvent]] = []
 
     def at(self, delay: float, event: ev.FaultEvent) -> "FaultSchedule":
         """Append ``event`` at ``delay`` seconds after arming; chainable."""

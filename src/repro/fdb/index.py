@@ -139,7 +139,7 @@ class TreeIndex:
 
     def _write(self, path: str, record: dict) -> Generator:
         data = json.dumps(record, sort_keys=True).encode("utf-8")
-        yield from self.namespace.write(path, BytesPayload(data))
+        yield from self.namespace.write(path, BytesPayload(data), None)
         return None
 
     def _read(self, path: str) -> Generator:

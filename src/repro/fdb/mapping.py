@@ -86,7 +86,9 @@ class DfsNamespace:
         return names
 
     def write(self, path: str, payload,
-              chunk_size: Optional[int] = None) -> Generator:
+              chunk_size: Optional[int]) -> Generator:
+        """Create and write ``path``; ``chunk_size=None`` takes the
+        container's chunk size."""
         handle = yield from self.dfs.open_file(
             path, create=True, chunk_size=chunk_size,
         )
@@ -136,7 +138,7 @@ class LustreNamespace:
         return names
 
     def write(self, path: str, payload,
-              chunk_size: Optional[int] = None) -> Generator:
+              chunk_size: Optional[int]) -> Generator:
         """Create and write ``path``; striping is the MDS default, so
         ``chunk_size`` is not used."""
         handle = yield from self.mount.open(path, flags=("w", "creat"))

@@ -91,13 +91,16 @@ class LustreIorEnv:
                                                     name=f"ior-r{ctx.rank}"))
 
 
-def launch(cluster, params: IorParams, ppn: int,
-           client_nodes: Optional[int] = None) -> tuple:
-    """Lay an MPI world over the first ``client_nodes`` client nodes of
-    ``cluster`` (default: all) and prepare the storage environment
-    matching the system it booted; returns ``(env, world)``."""
-    nodes = cluster.clients[: client_nodes or len(cluster.clients)]
-    world = MpiWorld(cluster.sim, cluster.fabric, nodes, ppn)  # typed errors
+#: simulated seconds a run over :func:`launch`'s world may take
+LIMIT = 1e7
+
+
+def launch(cluster, params: IorParams, ppn: int) -> tuple:
+    """Lay an MPI world over every client node of ``cluster`` and prepare
+    the storage environment matching the system it booted; returns
+    ``(env, world)``."""
+    world = MpiWorld(cluster.sim, cluster.fabric, list(cluster.clients),
+                     ppn)  # typed errors
     on_lustre = isinstance(cluster, LustreCluster)
     env = (LustreIorEnv if on_lustre else DaosIorEnv)(cluster, params)
     cluster.run(env.prepare())

@@ -9,34 +9,28 @@ rank's completion minus the synchronized start.
 
 from __future__ import annotations
 
-from typing import Generator, List, Optional
+from typing import Generator, List
 
 from repro.daos.eq import EventQueue, Inline
 from repro.ior.backends import backend_class
 from repro.ior.config import IorParams
-from repro.ior.env import RankStorage, launch
+from repro.ior.env import LIMIT, RankStorage, launch
 from repro.ior.pattern import make_payload, verify_payload
 from repro.ior.report import IorResult, LatencySummary, PhaseResult
 from repro.obs.breakdown import phase_layer_breakdown
 from repro.obs.tracer import span_of
 
 
-def run_ior(
-    cluster,
-    params: IorParams,
-    ppn: int = 16,
-    client_nodes: Optional[int] = None,
-    limit: float = 1e7,
-) -> IorResult:
+def run_ior(cluster, params: IorParams, ppn: int = 16) -> IorResult:
     """Run one IOR invocation on a booted cluster; returns the result.
 
     ``cluster`` may be a DAOS :class:`~repro.cluster.builder.Cluster` or
     a :class:`~repro.cluster.builder.LustreCluster` (POSIX/MPIIO/HDF5
     apis only for the latter).
     """
-    env, world = launch(cluster, params, ppn, client_nodes)
+    env, world = launch(cluster, params, ppn)
     rank_results = world.run_to_completion(
-        lambda ctx: _rank_main(ctx, params, env), limit=limit
+        lambda ctx: _rank_main(ctx, params, env), limit=LIMIT
     )
     result = IorResult(
         params=params,

@@ -23,7 +23,7 @@ from repro.errors import FsError
 from repro.hardware.node import ClientNode
 from repro.lustre.fs import LustreFs, Ost
 from repro.lustre.ldlm import PR, PW, acquire
-from repro.lustre.mds import Inode
+from repro.lustre.mds import STRIPE_SIZE, Inode
 from repro.network.fabric import stream_moves
 from repro.network.flows import Flow
 from repro.posix.vfs import FileHandle, FileSystem, StatResult, normalize, validate_flags
@@ -48,7 +48,7 @@ class LustreMount(FileSystem):
         self.fabric = fs.fabric
         self.node = node
         self.name = name or f"lclient:{node.name}:{next(_client_seq)}"
-        self.blksize = fs.mds.default_stripe_size
+        self.blksize = STRIPE_SIZE
         #: client-side syscall cost (no FUSE here: native kernel client)
         self.syscall_cost = 2.0e-6
 

@@ -18,7 +18,6 @@ from repro.lustre.ldlm import LockSpace
 from repro.lustre.mds import Mds
 from repro.network.fabric import Fabric
 from repro.sim.core import Simulator
-from repro.units import MiB
 
 
 @dataclass
@@ -64,7 +63,6 @@ class LustreFs:
         fabric: Fabric,
         servers: List[ServerNode],
         default_stripe_count: int = 4,
-        default_stripe_size: int = MiB,
     ):
         if not servers:
             raise ValueError("LustreFs needs server nodes")
@@ -83,5 +81,4 @@ class LustreFs:
             servers[0].addr,
             n_osts=len(self.osts),
             default_stripe_count=min(default_stripe_count, len(self.osts)),
-            default_stripe_size=default_stripe_size,
         )

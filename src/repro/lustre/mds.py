@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Optional
+from typing import Dict, Generator, List
 
 from repro.errors import FsError
 from repro.network.fabric import Fabric, NodeAddr
@@ -39,6 +39,8 @@ class Inode:
 
 #: MDS service threads: intent RPCs in service at once
 SERVICE_THREADS = 16
+#: stripe size of every file (``lfs setstripe -S``), the Lustre default
+STRIPE_SIZE = 1 << 20
 
 
 class Mds:
@@ -54,14 +56,12 @@ class Mds:
         addr: NodeAddr,
         n_osts: int,
         default_stripe_count: int = 4,
-        default_stripe_size: int = 1 << 20,
     ):
         self.sim = sim
         self.fabric = fabric
         self.addr = addr
         self.n_osts = n_osts
         self.default_stripe_count = min(default_stripe_count, n_osts)
-        self.default_stripe_size = default_stripe_size
         self._threads = Semaphore(sim, SERVICE_THREADS)
         self._ino_seq = itertools.count(2)
         self._next_ost = 0
@@ -70,13 +70,13 @@ class Mds:
         self.ops = 0
 
     # ------------------------------------------------------------- service model
-    def service(self, client_addr: NodeAddr, rounds: int = 1) -> Generator:
+    def service(self, client_addr: NodeAddr) -> Generator:
         """Task helper: charge one intent RPC (client rtt + MDS thread)."""
         rtt = 2 * self.fabric.msg_delay(client_addr, self.addr, 256)
         guard = yield from self._threads.held()
         try:
             self.ops += 1
-            yield self.op_cpu * rounds
+            yield self.op_cpu
         finally:
             guard.release()
         yield rtt
@@ -107,13 +107,7 @@ class Mds:
         return osts
 
     # ------------------------------------------------------------- operations
-    def create_file(
-        self,
-        parts: List[str],
-        excl: bool,
-        stripe_count: Optional[int] = None,
-        stripe_size: Optional[int] = None,
-    ) -> Inode:
+    def create_file(self, parts: List[str], excl: bool) -> Inode:
         parent = self.resolve_parent(parts)
         name = parts[-1]
         existing = parent.children.get(name)
@@ -127,10 +121,8 @@ class Mds:
         inode = Inode(
             ino=next(self._ino_seq),
             is_dir=False,
-            stripe_osts=self._alloc_stripes(
-                stripe_count or self.default_stripe_count
-            ),
-            stripe_size=stripe_size or self.default_stripe_size,
+            stripe_osts=self._alloc_stripes(self.default_stripe_count),
+            stripe_size=STRIPE_SIZE,
         )
         self.inodes[inode.ino] = inode
         parent.children[name] = inode.ino

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Optional
 
-from repro.ior.env import launch
+from repro.ior.env import LIMIT, launch
 from repro.ior.config import IorParams
 
 
@@ -32,14 +32,12 @@ def run_mdtest(
     cluster,
     params: Optional[MdtestParams] = None,
     ppn: int = 16,
-    client_nodes: Optional[int] = None,
-    limit: float = 1e7,
 ) -> MdtestResult:
     """Run an mdtest sweep on a DAOS or Lustre cluster."""
     params = params or MdtestParams()
     ior_params = IorParams(api="POSIX", test_dir=params.test_dir,
                            block_size="1m", transfer_size="1m")
-    env, world = launch(cluster, ior_params, ppn, client_nodes)
+    env, world = launch(cluster, ior_params, ppn)
     rates: Dict[str, List[float]] = {}
 
     def rank_main(ctx) -> Generator:
@@ -74,7 +72,7 @@ def run_mdtest(
             out[phase] = end - start
         return out
 
-    results = world.run_to_completion(rank_main, limit=limit)
+    results = world.run_to_completion(rank_main, limit=LIMIT)
     total_ops = params.files_per_rank * world.nprocs
     phase_rates = {}
     for phase in params.phases:

@@ -30,6 +30,9 @@ from repro.errors import MpiError
 from repro.sim.core import Simulator
 from repro.sim.sync import Gate
 
+#: bytes of one small collective message (a barrier or allreduce hop)
+MSG_BYTES = 64
+
 
 class _Collective:
     """Rendezvous state for one matched collective call."""
@@ -60,10 +63,10 @@ class Comm:
         return len(self.ranks)
 
     # -- cost helpers -----------------------------------------------------
-    def _msg_delay(self, nbytes: int = 64) -> float:
+    def _msg_delay(self) -> float:
         fabric = self.world.fabric
         return fabric.base_latency + 2 * fabric.software_overhead + (
-            nbytes / fabric.msg_bandwidth
+            MSG_BYTES / fabric.msg_bandwidth
         )
 
     def _nic_bw(self) -> float:
@@ -107,9 +110,8 @@ class Comm:
         payloads = yield ctx.gate
         return [payloads[r] for r in self.ranks]
 
-    def allreduce(self, rank: int, value: Any, op: Callable[[Any, Any], Any],
-                  nbytes: int = 64):
-        cost = lambda c: 2 * self._rounds() * self._msg_delay(nbytes)  # noqa: E731
+    def allreduce(self, rank: int, value: Any, op: Callable[[Any, Any], Any]):
+        cost = lambda c: 2 * self._rounds() * self._msg_delay()  # noqa: E731
         ctx = self._join(rank, value, cost)
         payloads = yield ctx.gate
         acc = None

@@ -54,24 +54,20 @@ class MpiWorld:
     def node_of(self, rank: int) -> ClientNode:
         return self.nodes[rank // self.ppn]
 
-    def launch(
-        self,
-        rank_fn: Callable[["RankCtx"], Generator],
-        env: Optional[Dict[str, Any]] = None,
-    ) -> List[Task]:
+    def launch(self, rank_fn: Callable[["RankCtx"], Generator]) -> List[Task]:
         """Spawn every rank; returns the per-rank tasks (join them to get
         per-rank return values)."""
         tasks = []
         for rank in range(self.nprocs):
-            ctx = RankCtx(self, rank, env or {})
+            ctx = RankCtx(self, rank)
             tasks.append(self.sim.spawn(rank_fn(ctx), f"mpi:rank{rank}"))
         return tasks
 
-    def run_to_completion(self, rank_fn, env=None, limit: float = 1e9) -> List[Any]:
+    def run_to_completion(self, rank_fn, limit: float = 1e9) -> List[Any]:
         """Convenience for tests/benchmarks: launch and drive the sim until
         all ranks finish; returns rank results in rank order. A rank's
         exception re-raises here when its result is collected."""
-        tasks = [task.defuse() for task in self.launch(rank_fn, env)]
+        tasks = [task.defuse() for task in self.launch(rank_fn)]
         results = []
         for task in tasks:
             results.append(self.sim.run_until_complete(task, limit=limit))
@@ -85,10 +81,9 @@ class RankCtx:
     mpi4py: ``value = yield from ctx.allreduce(x, op=max)``.
     """
 
-    def __init__(self, world: MpiWorld, rank: int, env: Dict[str, Any]):
+    def __init__(self, world: MpiWorld, rank: int):
         self.world = world
         self.rank = rank
-        self.env = env
         self.node = world.node_of(rank)
         self.comm = world.comm_world
 
@@ -107,9 +102,8 @@ class RankCtx:
     def allgather(self, value: Any, nbytes: int = 64):
         return self.comm.allgather(self.rank, value, nbytes)
 
-    def allreduce(self, value: Any, op: Callable[[Any, Any], Any],
-                  nbytes: int = 64):
-        return self.comm.allreduce(self.rank, value, op, nbytes)
+    def allreduce(self, value: Any, op: Callable[[Any, Any], Any]):
+        return self.comm.allreduce(self.rank, value, op)
 
     def alltoallv(self, sendmap: Dict[int, Any], nbytes_map: Dict[int, int]):
         return self.comm.alltoallv(self.rank, sendmap, nbytes_map)

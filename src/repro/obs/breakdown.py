@@ -55,9 +55,9 @@ def layer_breakdown(
     spans: Iterable[Span],
     root_name: str,
     wall: float,
-    nprocs: int = 1,
 ) -> Optional[Dict[str, float]]:
-    """Exclusive-time per-layer breakdown under every ``root_name`` span.
+    """Exclusive-time per-layer breakdown under every ``root_name`` span,
+    over one process.
 
     The generic form of :func:`phase_layer_breakdown` for subsystems
     whose phases are not IOR repetitions (e.g. the FDB archive/retrieve
@@ -65,7 +65,7 @@ def layer_breakdown(
     """
     spans = list(spans)
     roots = [s for s in spans if s.name == root_name and s.kind != "i"]
-    return _exclusive_breakdown(spans, roots, nprocs, wall)
+    return _exclusive_breakdown(spans, roots, 1, wall)
 
 
 def _exclusive_breakdown(

@@ -71,10 +71,10 @@ def parse_metric_name(full: str) -> Tuple[str, Dict[str, str]]:
     """Split a full metric name into ``(base, labels)``.
 
     Strict inverse of :func:`format_metric_name`: raises ``ValueError``
-    on anything that would not round-trip — an unterminated label body,
-    a base containing ``}``, or a key/value carrying a reserved
-    character (``a{k=v}}`` and ``a{k=v=w}`` are malformed, not labels
-    with funny values).
+    on anything that would not round-trip — an unterminated or empty
+    label body, a repeated key, a base containing ``}``, or a key/value
+    carrying a reserved character (``a{k=v}}`` and ``a{k=v=w}`` are
+    malformed, not labels with funny values).
     """
     brace = full.find("{")
     if brace < 0:
@@ -87,21 +87,27 @@ def parse_metric_name(full: str) -> Tuple[str, Dict[str, str]]:
     if any(ch in base for ch in ",}="):
         raise ValueError(f"malformed metric name {full!r}")
     labels: Dict[str, str] = {}
-    body = full[brace + 1:-1]
-    if body:
-        for item in body.split(","):
-            key, sep, value = item.partition("=")
-            if not sep or not key:
-                raise ValueError(f"malformed metric label {item!r} in {full!r}")
-            if any(ch in key for ch in "{}=") or any(
-                ch in value for ch in "{}="
-            ):
-                raise ValueError(
-                    f"metric label {item!r} in {full!r} contains a "
-                    f"reserved character"
-                )
-            labels[key] = value
+    for item in full[brace + 1:-1].split(","):
+        key, sep, value = item.partition("=")
+        if not sep or not key:
+            raise ValueError(f"malformed metric label {item!r} in {full!r}")
+        if any(ch in key for ch in "{}=") or any(
+            ch in value for ch in "{}="
+        ):
+            raise ValueError(
+                f"metric label {item!r} in {full!r} contains a "
+                f"reserved character"
+            )
+        if key in labels:
+            raise ValueError(f"metric label {key!r} repeated in {full!r}")
+        labels[key] = value
     return base, labels
+
+
+def canonical_metric_name(full: str) -> str:
+    """``full`` with its label keys sorted, as :func:`format_metric_name`
+    writes it; ``ValueError`` when it is malformed."""
+    return format_metric_name(*parse_metric_name(full))
 
 
 class Counter:
@@ -300,10 +306,7 @@ class MetricsRegistry:
             c = self.counters[name] = Counter(name)
         return c
 
-    def gauge(self, name: str,
-              labels: Optional[Dict[str, Any]] = None) -> Gauge:
-        if labels:
-            name = format_metric_name(name, labels)
+    def gauge(self, name: str) -> Gauge:
         g = self.gauges.get(name)
         if g is None:
             g = self.gauges[name] = Gauge(name, self.sim.now)
@@ -327,9 +330,8 @@ class MetricsRegistry:
                 labels: Optional[Dict[str, Any]] = None) -> None:
         self.histogram(name, labels).observe(value)
 
-    def set_gauge(self, name: str, value: float,
-                  labels: Optional[Dict[str, Any]] = None) -> None:
-        self.gauge(name, labels).set(self.sim.now, value)
+    def set_gauge(self, name: str, value: float) -> None:
+        self.gauge(name).set(self.sim.now, value)
 
     # --------------------------------------------------------------- export
     def snapshot(self) -> Dict[str, Any]:

@@ -35,6 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+from repro.obs.metrics import canonical_metric_name
+
 THRESHOLD_STATS = (
     "rate", "value", "mean", "count", "p50", "p95", "p99", "p999",
 )
@@ -120,7 +122,11 @@ class SloBreach:
 
 
 def parse_slo(text: str):
-    """Parse one rule string into an :class:`SloRule` or :class:`StallRule`."""
+    """Parse one rule string into an :class:`SloRule` or :class:`StallRule`.
+
+    Each metric name it holds is canonicalised (label keys sorted), so a
+    rule binds to the series it names whatever order its labels are
+    written in; a malformed name is a ``ValueError``."""
     tokens = text.split()
     if not tokens:
         raise ValueError("empty SLO rule")
@@ -138,7 +144,8 @@ def parse_slo(text: str):
             if tokens[4] != "over" or tokens[6] != "windows":
                 raise ValueError(f"bad stall rule {text!r}")
             windows = _parse_windows(tokens[5], text)
-        return StallRule(progress=tokens[1], guard=tokens[3],
+        return StallRule(progress=_metric(tokens[1], text),
+                         guard=_metric(tokens[3], text),
                          windows=windows, text=text)
 
     # <metric> <stat> <op> <number> over <N> windows
@@ -161,8 +168,15 @@ def parse_slo(text: str):
             f"bad SLO rule {text!r}: threshold {threshold_s!r} is not a number"
         ) from None
     windows = _parse_windows(tokens[5], text)
-    return SloRule(metric=metric, stat=stat, op=op, threshold=threshold,
-                   windows=windows, text=text)
+    return SloRule(metric=_metric(metric, text), stat=stat, op=op,
+                   threshold=threshold, windows=windows, text=text)
+
+
+def _metric(name: str, text: str) -> str:
+    try:
+        return canonical_metric_name(name)
+    except ValueError as exc:
+        raise ValueError(f"bad SLO rule {text!r}: {exc}") from None
 
 
 def _parse_windows(token: str, text: str) -> int:

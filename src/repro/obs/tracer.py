@@ -51,7 +51,6 @@ class Span:
         layer: str,
         node: Optional[str],
         start: float,
-        kind: str = "X",
     ):
         self.span_id = span_id
         self.parent_id = parent_id
@@ -61,7 +60,7 @@ class Span:
         self.start = start
         self.end: Optional[float] = None
         self.attrs: Dict[str, Any] = {}
-        self.kind = kind
+        self.kind = "X"
         #: tid of the task whose span stack holds this span while open
         self._key: Optional[int] = None
 
@@ -192,11 +191,10 @@ class Tracer:
         name: str,
         layer: str,
         node: Optional[str] = None,
-        parent_id: Optional[int] = None,
         attrs: Optional[Dict[str, Any]] = None,
     ):
         """``with tracer.span(...):`` convenience around begin/end."""
-        return _SpanHandle(self, self.begin(name, layer, node, parent_id, attrs))
+        return _SpanHandle(self, self.begin(name, layer, node, None, attrs))
 
     def event(
         self,
@@ -206,12 +204,11 @@ class Tracer:
         start: float,
         end: float,
         attrs: Optional[Dict[str, Any]] = None,
-        parent_id: Optional[int] = None,
     ) -> Span:
         """Record a completed span with explicit times (e.g. an in-flight
-        fabric message whose delivery is scheduled, not awaited)."""
-        if parent_id is None:
-            parent_id = self.current_span_id()
+        fabric message whose delivery is scheduled, not awaited), under
+        the running task's innermost open span."""
+        parent_id = self.current_span_id()
         node_resolved = node
         if node_resolved is None and parent_id is not None:
             parent = self._by_id.get(parent_id)

@@ -24,7 +24,7 @@ import sys
 from typing import Any, List
 
 from repro.obs.chrome import validate_chrome_trace
-from repro.obs.metrics import parse_metric_name
+from repro.obs.metrics import canonical_metric_name
 
 _NUM = (int, float)
 
@@ -42,15 +42,23 @@ def detect_kind(doc: Any) -> str:
     return "unknown"
 
 
+def _check_name(name: str, where: str, problems: List[str]) -> None:
+    """A metric name must parse and be canonical (label keys sorted)."""
+    try:
+        canonical = canonical_metric_name(name)
+    except ValueError as exc:
+        problems.append(f"{where}: {exc}")
+        return
+    if canonical != name:
+        problems.append(f"{where}: labels out of order, canonical {canonical!r}")
+
+
 def _check_names(section: Any, where: str, problems: List[str]) -> None:
     if not isinstance(section, dict):
         problems.append(f"{where}: not an object")
         return
     for name in section:
-        try:
-            parse_metric_name(name)
-        except ValueError as exc:
-            problems.append(f"{where}[{name!r}]: {exc}")
+        _check_name(name, f"{where}[{name!r}]", problems)
 
 
 def validate_metrics_snapshot(doc: Any) -> List[str]:
@@ -137,10 +145,7 @@ def validate_timeline(doc: Any) -> List[str]:
         if not base:
             problems.append(f"{where}: name lacks ':stat' suffix")
         else:
-            try:
-                parse_metric_name(base)
-            except ValueError as exc:
-                problems.append(f"{where}: {exc}")
+            _check_name(base, where, problems)
         if not isinstance(s, dict):
             problems.append(f"{where}: not an object")
             continue

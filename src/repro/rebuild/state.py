@@ -61,14 +61,13 @@ class TargetStatus:
     rebuilt: bool = False
 
     def advance(self, state: str, version: int,
-                watermark: Optional[int] = None,
                 rebuilt: Optional[bool] = None) -> "TargetStatus":
         if not can_transition(self.state, state):
             raise ValueError(f"illegal target transition {self.state} -> {state}")
         return TargetStatus(
             state=state,
             version=version,
-            watermark=self.watermark if watermark is None else watermark,
+            watermark=self.watermark,
             rebuilt=self.rebuilt if rebuilt is None else rebuilt,
         )
 

@@ -23,6 +23,7 @@ perturb them.
 from __future__ import annotations
 
 import json
+import math
 from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import DerInval
@@ -61,6 +62,8 @@ class TraceArrivals:
     def __init__(self, entries: Sequence[Tuple[float, str]]):
         cleaned: List[Tuple[float, str]] = []
         for t, tenant_id in entries:
+            if not math.isfinite(t):
+                raise DerInval(f"trace arrival at non-finite time {t}")
             if t < 0:
                 raise DerInval(f"trace arrival at negative time {t}")
             cleaned.append((float(t), str(tenant_id)))

@@ -114,8 +114,6 @@ def make_tenants(
     n: int,
     rate: float = 2.0,
     mix: Sequence[Tuple[Work, int]] = DEFAULT_MIX,
-    qos_bw: Optional[float] = None,
-    prefix: str = "t",
 ) -> List[TenantSpec]:
     """A deterministic fleet of ``n`` tenants.
 
@@ -135,10 +133,9 @@ def make_tenants(
     width = len(str(n - 1))
     return [
         TenantSpec(
-            id=f"{prefix}{i:0{width}d}",
+            id=f"t{i:0{width}d}",
             workload=cycle[i % len(cycle)],
             rate=rate,
-            qos_bw=qos_bw,
         )
         for i in range(n)
     ]

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.consensus.raft import LEADER, RaftCluster, RaftConfig
+from repro.consensus.raft import LEADER, RaftCluster
 from repro.consensus.state_machine import AppendLogMachine, KvStateMachine
 from repro.errors import NotLeaderError
 from repro.network import Fabric
@@ -374,12 +374,12 @@ def test_property_safety_under_leader_partitions(seed, n_ops):
 
 
 def test_rsvc_client_retries_through_election():
-    from repro.consensus import ReplicatedService, RsvcClient
+    from repro.consensus import RsvcClient
 
     sim = Simulator()
     fabric = Fabric(sim)
     addrs = [fabric.add_node(f"m{i}", 10e9) for i in range(3)]
-    service = ReplicatedService(sim, fabric, addrs, rng=RngStreams(seed=2))
+    service = RaftCluster(sim, fabric, addrs, KvStateMachine, rng=RngStreams(seed=2))
     client = RsvcClient(service)
 
     def run_client():

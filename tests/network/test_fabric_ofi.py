@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import DerNonexist, NetworkError
 from repro.network import Endpoint, Fabric, Rpc, RpcServer
+from repro.obs import install
 from repro.sim import Simulator
 
 
@@ -441,8 +442,24 @@ def test_extra_delay_slows_link():
     assert sim3_task.result - start == pytest.approx(baseline)
 
 
+def test_one_way_extra_delay_slows_one_direction():
+    sim, fabric, ep_a, ep_b = _two_endpoints()
+    fabric.set_extra_delay("a", "b", 5e-3, bidirectional=False)
+
+    def arrival(endpoint):
+        yield endpoint.recv()
+        return sim.now
+
+    forward, back = sim.spawn(arrival(ep_b)), sim.spawn(arrival(ep_a))
+    ep_a.send("ep-b", 1, nbytes=10)
+    ep_b.send("ep-a", 2, nbytes=10)
+    sim.run()
+    assert forward.result == pytest.approx(back.result + 5e-3)
+
+
 def test_drop_rule_discards_selected_messages():
     sim, fabric, ep_a, ep_b = _two_endpoints()
+    tracer, _ = install(sim, metrics=False)
     flips = iter([True, False])
     fabric.set_drop_rule("a", "b", lambda: next(flips), bidirectional=False)
 
@@ -457,4 +474,8 @@ def test_drop_rule_discards_selected_messages():
     assert task.result == "second"
     assert fabric.dropped_messages == 1
     assert fabric.delivered_messages == 1
+    # the drop is an instant on the sender's track
+    assert [(span.kind, span.node, span.attrs["dst"])
+            for span in tracer.spans if span.name == "fabric.drop"] == [
+        ("i", "a", "b")]
     fabric.set_drop_rule("a", "b", None)

@@ -3,6 +3,7 @@ rule, one artifact writer behind ``repro-ior``, ``repro-tenants`` and
 ``repro-fdb`` — and bad input rejected as a usage error by all three."""
 
 import argparse
+import json
 import pathlib
 import subprocess
 import sys
@@ -29,6 +30,16 @@ BAD_INPUT = [
     ("ior", ["-N", "0"], "-N/--nodes"),
     ("ior", _IOR + ["-O", "oclass=ZZ"], "unknown object class"),
     ("ior", _IOR + ["--slo", "garbage"], "bad SLO rule"),
+    # a metric name that parses as no series: unterminated, a trailing
+    # comma, an empty label body, a repeated key
+    ("ior", _IOR + ["--slo", "m{rank=0 value < 0 over 1 windows"],
+     "malformed metric name"),
+    ("tenants", _TENANTS + ["--slo", "m{rank=0,} value < 0 over 1 windows"],
+     "malformed metric label"),
+    ("fdb", _FDB + ["--slo", "stall m{} while g over 2 windows"],
+     "malformed metric label"),
+    ("fdb", _FDB + ["--slo", "stall c while g{k=1,k=2} over 2 windows"],
+     "repeated"),
     ("ior", _IOR + ["--timeline-interval", "0"], "--timeline-interval"),
     ("ior", ["-O", "nonsense"], "KEY=VALUE"),
     ("ior", ["-a", "DFS", "--lustre"], "requires DAOS"),
@@ -38,6 +49,8 @@ BAD_INPUT = [
     ("tenants", _TENANTS + ["--timeline-interval", "0"],
      "--timeline-interval"),
     ("tenants", ["--trace", "/nonexistent.json"], "No such file"),
+    ("tenants", ["--trace", str(pathlib.Path(__file__).with_name(
+        "nonfinite_arrivals.json"))] + _TENANTS, "non-finite time nan"),
     ("tenants", ["--duration", "0"], "--duration: must be positive"),
     ("fdb", _FDB + ["--slo", "garbage"], "bad SLO rule"),
     ("fdb", ["--depth", "0"], "--depth"),
@@ -176,6 +189,25 @@ def test_ior_slo_without_timeline_out_still_reports_the_breach(capsys):
     assert code == 0  # IOR's exit status reports verify errors only
     assert "SLO BREACH" in out
     assert "ior.write.latency p99 < 1e-9 over 1 windows" in out
+
+
+def test_slo_rule_binds_to_its_series_whatever_the_label_order(tmp_path,
+                                                              capsys):
+    breaches = {}
+    for labels in ("rank=0,target=0", "target=0,rank=0"):
+        path = tmp_path / f"{labels}.json"
+        rule = f"engine.target.inflight{{{labels}}} value < 0 over 1 windows"
+        assert ior_cli.main([
+            "-a", "DFS", "-b", "2m", "-N", "1", "--ppn", "2", "--servers", "2",
+            "--timeline-interval", "1e-4", "--slo", rule,
+            "--timeline-out", str(path),
+        ]) == 0
+        doc = json.loads(path.read_text())
+        breaches[labels] = [
+            {key: value for key, value in breach.items() if key != "rule"}
+            for breach in doc["breaches"] if breach["kind"] == "threshold"]
+    assert len(breaches["rank=0,target=0"]) == 1
+    assert breaches["target=0,rank=0"] == breaches["rank=0,target=0"]
 
 
 @pytest.mark.parametrize("cli,argv", [

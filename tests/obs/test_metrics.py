@@ -112,6 +112,9 @@ def test_snapshot_is_json_serialisable_and_complete():
     assert validate_metrics_snapshot(snap) == []
     assert validate_metrics_snapshot({**snap, "reservoirs": {}}) == []
     assert validate_metrics_snapshot({**snap, "reservoirs": {"a=b": {}}})
+    unsorted = {**snap, "counters": {"c{b=1,a=2}": 1}}
+    assert validate_metrics_snapshot(unsorted) == [
+        "counters['c{b=1,a=2}']: labels out of order, canonical 'c{a=2,b=1}'"]
 
 
 def test_prometheus_exposition_format():

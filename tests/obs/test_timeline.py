@@ -69,6 +69,9 @@ def test_parse_rejects_unroundtrippable_names():
         "a,b",          # stray ',' outside any label body
         "a}b{k=v}",     # brace inside the base
         "a{k}=v}",      # brace inside the key
+        "a{}",          # empty label body: formats back as "a"
+        "a{k=v,k=w}",   # repeated key: one value is lost
+        "a{k=v,}",      # trailing comma
     ):
         with pytest.raises(ValueError):
             parse_metric_name(malformed)
@@ -321,6 +324,27 @@ def test_bad_rules_raise_value_error(bad):
         parse_slo(bad)
 
 
+def test_rule_metric_names_are_canonical():
+    rule = parse_slo("m{target=0,rank=0} value < 0 over 1 windows")
+    assert rule.metric == "m{rank=0,target=0}"
+    assert rule.text == "m{target=0,rank=0} value < 0 over 1 windows"
+    stall = parse_slo("stall c{b=1,a=2} while g{z=0,y=1}")
+    assert (stall.progress, stall.guard) == ("c{a=2,b=1}", "g{y=1,z=0}")
+
+
+@pytest.mark.parametrize("bad", [
+    "m{rank=0 value < 0 over 1 windows",
+    "m{rank=0,} value < 0 over 1 windows",
+    "m{} value < 0 over 1 windows",
+    "m{k=1,k=2} value < 0 over 1 windows",
+    "stall c{ while g",
+    "stall c while g{k=1,k=2} over 2 windows",
+])
+def test_rules_naming_malformed_metrics_raise_value_error(bad):
+    with pytest.raises(ValueError, match="bad SLO rule"):
+        parse_slo(bad)
+
+
 def test_default_rules_is_the_stall_watchdog():
     (rule,) = default_rules()
     assert isinstance(rule, StallRule)
@@ -436,6 +460,10 @@ def test_store_json_passes_validator_and_round_trips(tmp_path):
     write_timeline(sim.timeline.store, str(path))
     doc = json.loads(path.read_text())
     assert validate_timeline(doc) == []
+    # a series name with its labels out of order names no series
+    unsorted = {**doc, "series": {"m{b=1,a=2}:rate": doc["series"]["bytes:rate"]}}
+    assert validate_timeline(unsorted) == [
+        "series['m{b=1,a=2}:rate']: labels out of order, canonical 'm{a=2,b=1}'"]
     assert doc["n_windows"] >= 3
     assert doc["dropped_points"] == 0
     kinds = {s["kind"] for s in doc["series"].values()}

@@ -117,6 +117,12 @@ def test_trace_rejects_negative_times():
         TraceArrivals([(-0.5, "a")])
 
 
+@pytest.mark.parametrize("t", [float("nan"), float("inf")])
+def test_trace_rejects_non_finite_times(t):
+    with pytest.raises(DerInval, match="non-finite"):
+        TraceArrivals([(t, "a"), (0.2, "b")])
+
+
 def test_trace_from_file_both_shapes(tmp_path):
     path = tmp_path / "trace.json"
     path.write_text(json.dumps(
