@@ -2,13 +2,15 @@
 ``sys.setprofile``, then the drives below (every CLI mode, the e2e workloads at
 check scale, the figure and flow scripts, the examples). Lists each function,
 by ``path::qualname``, that nothing called (NEVER) or only tests called
-(TESTONLY), then the TESTONLY totals per top-level package. The same hook
+(TESTONLY), then the TESTONLY totals per top-level package and per KEEP
+bucket. The same hook
 watches each defaulted parameter of a called function and lists it as set by
 nothing (NEVER-SET) or only by tests (TEST-SET); a call sets it when it passes
 a value other than the default. Exits 1 on a NEVER one that is neither a
 dunder nor a stub (a body that only documents or raises), on a TESTONLY one
 that no KEEP key covers, on a KEEP key that covers no TESTONLY function (a
-stale entry), and on a NEVER-SET parameter."""
+stale entry), and on a NEVER-SET parameter; and, before anything runs, on a
+KEEP reason that opens with no bucket of BUCKETS."""
 import ast
 import collections
 import dis
@@ -56,37 +58,29 @@ SCRIPTS = [(ROOT / "benchmarks" / "run_figures.py", "main", ["--contrast"]),
            *((path, "main") for path in sorted((ROOT / "examples").glob("*.py")))]
 ORACLE = "oracle/safety: its shipped caller is the checked mode still to come"
 FAULT = "oracle/safety: a fault plane the chaos suite drives, no shipped run"
+#: The buckets a KEEP reason may open with: an oracle or safety check, the
+#: E2 claim (mdtest), shipped code that only an input no drive gives
+#: reaches (the reason names that input), and the kernel (``sim/`` only).
+BUCKETS = ("oracle/safety", "E2", "reachable", "kernel")
 #: Why each TESTONLY function stays. A key names a function or class
 #: (``path::Qualname``, path under src/repro), a module (``path.py``) or a
 #: package, and covers everything inside it. Each reason opens with its
-#: bucket: oracle/safety, documented surface, E2 (mdtest) / E3 (io500),
-#: input validation, or an inspection accessor with the tests that read it.
+#: bucket, one of BUCKETS. A TESTONLY function no shipped code references
+#: is deleted, not kept.
 KEEP = {
-    "bench/io500.py": "E3: io500 phases and score; waits to become an e2e workload",
-    "bench/sweep.py::Series.xs": "accessor: tests/ior/test_report_and_bench.py",
-    "bench/sweep.py::FigureData.series_by_label":
-        "accessor: tests/ior/test_report_and_bench.py",
-    "bench/sweep.py::FigureData.labels": "accessor: tests/ior/test_report_and_bench.py",
-    "cache/attrs.py::TtlCache.__len__":
-        "accessor: tests/cache/test_config_readahead_attrs.py",
     "cache/pages.py::PageCache._drop_view":
-        "surface: unlink(2) / ftruncate(2) drop cached pages; no shipped run "
-        "issues them on a cached mount",
+        "reachable: a cached file another handle changed (an epoch bump drops "
+        "its pages), or an unlink(2) through DFuse",
     "cache/pages.py::PageCache.invalidate_file":
-        "surface: unlink(2) / ftruncate(2) drop cached pages; no shipped run "
-        "issues them on a cached mount",
+        "E2: unlink(2) through DFuse drops the file's cached pages",
     "cache/writeback.py::WriteBehind.pending":
         "oracle/safety: names the extents a failed write-back lost",
     "cache/writeback.py::WriteBehind.raise_pending":
         "oracle/safety: EIO on the next call after a failed write-back",
-    "cache/writeback.py::WriteBehind.discard": "accessor: tests/cache/test_writeback.py",
     "consensus/raft.py::RaftNode.restart": FAULT,
     "consensus/raft.py::RaftCluster.__init__.<locals>.make_reset": FAULT,
-    "consensus/raft.py::RaftCluster.wait_leader": "accessor: tests/consensus/test_raft.py",
     "consensus/state_machine.py::AppendLogMachine":
         "oracle/safety: the reference machine tests/consensus/test_raft.py replicates",
-    "daos/array.py::DaosArray.get_size": "surface: daos_array_get_size",
-    "daos/client.py": "surface: daos_pool_query and handle teardown (close, with)",
     "daos/engine.py::Engine.crash": FAULT,
     "daos/engine.py::Engine.restart": FAULT,
     "daos/vos/ec.py::survivors":
@@ -94,27 +88,30 @@ KEEP = {
         "run's faults reach",
     "daos/vos/ec.py::rebuild_cell":
         "oracle/safety: EC rebuild, which no shipped run's faults reach",
-    "daos/eq.py": "surface: daos_eq_poll, daos_event_test / abort, queue counters",
-    "daos/oclass.py::ObjectClass.shard_count":
-        "accessor: tests/daos/test_placement.py, tests/daos/test_erasure_coding.py",
     "daos/placement.py::Layout.spares":
         "oracle/safety: spare order after a permanent (DOWNOUT) exclusion",
-    "daos/placement.py::Layout.group_count": "accessor: tests/daos/test_placement.py",
-    "daos/placement.py::Layout.all_targets":
-        "accessor: tests/daos/test_placement.py, tests/dfs/test_dfs.py",
     "daos/system.py::DaosSystem.mark_downout_rebuilt":
         "oracle/safety: rebuild onto a spare after a permanent exclusion",
-    "daos/vos/container.py::VosContainer.array_size":
-        "accessor: tests/daos/test_vos_container.py",
-    "daos/vos/extent.py::ExtentTree.max_epoch": "accessor: tests/daos/test_extent.py",
+    "daos/vos/extent.py::ExtentTree.max_epoch":
+        "oracle/safety: EC rebuild's newest-epoch scan (rebuild/scheduler.py)",
     "daos/vos/extent.py::ExtentTree.spans":
-        "accessor: tests/daos/test_extent.py, tests/cache/test_extents.py",
+        "oracle/safety: the extents WriteBehind.pending names after a failed "
+        "write-back",
     "daos/vos/extent.py::ExtentTree.remove":
-        "surface: page-cache LRU eviction, which no shipped run fills the cache to reach",
+        "reachable: page-cache LRU eviction, on a cached run that fills the cache",
     "daos/vos/extent.py::ExtentTree.check_invariants": ORACLE,
-    "daos/vos/payload.py":
-        "accessor: payload equality and bytes for tests/daos/test_payload.py; "
-        "hole and parity slices no shipped run reads",
+    "daos/vos/payload.py::BytesPayload.__eq__":
+        "reachable: read verification (ior -R, fdb retrieve) of data held as "
+        "plain bytes, which no drive writes",
+    "daos/vos/payload.py::ZeroPayload":
+        "reachable: a read of a hole or past EOF (a sparse array, ROMIO's "
+        "zero-fill of a short collective read)",
+    "daos/vos/payload.py::PatternPayload.materialize":
+        "reachable: a pattern compared with plain bytes (read verification, "
+        "the replica check)",
+    "daos/vos/payload.py::XorPayload":
+        "oracle/safety: a parity cell sliced or read back by EC rebuild and "
+        "the degraded read",
     "dfs/dfs.py::Dfs.lookup": "E2: dfs_lookup, the mdtest stat path",
     "dfs/dfs.py::Dfs.stat": "E2: dfs_stat, the mdtest stat phase",
     "dfs/dfs.py::Dfs.unlink": "E2: dfs_remove, the mdtest remove phase",
@@ -122,34 +119,22 @@ KEEP = {
     "dfuse/fuse.py::DFuseMount._invalidate_data":
         "E2: stat(2) / unlink(2) through DFuse for mdtest",
     "dfuse/fuse.py::DFuseMount.mkdir": "E2: mkdir(2) through DFuse for mdtest",
-    "dfuse/fuse.py::DFuseMount.readdir": "surface: readdir(3) through DFuse",
     "dfuse/fuse.py::DFuseMount.stat": "E2: stat(2) through DFuse for mdtest",
     "dfuse/fuse.py::DFuseMount._stat": "E2: stat(2) through DFuse for mdtest",
     "dfuse/fuse.py::DFuseMount.unlink": "E2: unlink(2) through DFuse for mdtest",
-    "dfuse/fuse.py::DFuseFile.truncate": "surface: ftruncate(2) on a DFuse fd",
-    "dfuse/fuse.py::DFuseFile.size": "surface: fstat(2) size on a DFuse fd",
     "errors.py::NotLeaderError.__init__": FAULT,
     "errors.py::CacheWritebackError.__init__":
         "oracle/safety: the typed error of a failed write-back",
-    "errors.py::FsError.__init__": "surface: POSIX errno errors; no shipped run fails a call",
+    "errors.py::FsError.__init__":
+        "reachable: a POSIX call that fails (a missing path, an exclusive "
+        "create of an existing file)",
     "errors.py::fs_error_from_daos":
-        "surface: DER_* to errno translation; no shipped run fails a call",
+        "reachable: a DAOS error under a DFuse call (a missing path)",
     "faults": "oracle/safety: fault injection, schedules and invariant checks",
-    "fdb/index.py::KvIndex.get_landmark":
-        "accessor: tests/fdb/test_backends.py, tests/fdb/test_chaos.py",
-    "fdb/index.py::TreeIndex.get_landmark":
-        "accessor: tests/fdb/test_backends.py, tests/fdb/test_chaos.py",
-    "fdb/schema.py::FieldQuery.single": "accessor: tests/fdb/test_schema.py",
-    "hardware/node.py::_Node.nic_tx": "accessor: tests/network/test_fabric_ofi.py",
-    "hardware/specs.py::nextgenio_node": "surface: the paper's NEXTGenIO node preset",
-    "hdf5/file.py::H5File.data_aligned":
-        "accessor: the A4 alignment knob, tests/hdf5/test_h5file.py",
-    "hdf5/vol.py::DaosVol.data_aligned":
-        "accessor: the A4 alignment knob, tests/hdf5/test_daos_vol.py",
-    "hdf5/vol.py::DaosVol.sync": "surface: H5Fflush on the DAOS connector",
+    "hdf5/vol.py::DaosVol.sync":
+        "reachable: repro-ior -a HDF5-DAOS -e, fsync through the DAOS connector",
     "lustre/client.py::LustreMount.stat": "E2: stat(2) on Lustre, the mdtest contrast",
     "lustre/client.py::LustreMount.unlink": "E2: unlink(2) on Lustre, the mdtest contrast",
-    "lustre/client.py::LustreFile.size": "surface: fstat(2) size on a Lustre fd",
     "lustre/fs.py::Ost.drop": "E2: unlink(2) on Lustre, the mdtest contrast",
     "lustre/ldlm.py::LockSpace.check_invariants": ORACLE,
     "lustre/mds.py::Mds.unlink": "E2: unlink(2) on Lustre, the mdtest contrast",
@@ -161,40 +146,40 @@ KEEP = {
     "network/fabric.py::Fabric._check_node": FAULT,
     "network/fabric.py::Fabric.partition": FAULT,
     "network/fabric.py::Fabric.heal": FAULT,
-    "network/fabric.py::Fabric.is_blocked": "accessor: tests/network/test_fabric_ofi.py",
     "network/fabric.py::Fabric.set_extra_delay": FAULT,
     "network/fabric.py::Fabric.set_drop_rule": FAULT,
-    "network/fabric.py::Fabric.deregister_endpoint": "surface: fi_close of an endpoint",
-    "network/flows.py::Link.n_flows": "accessor: tests/network/test_flows.py",
-    "network/flows.py::FlowNetwork.forced_exits":
-        "accessor: tests/network/test_solver_equivalence.py",
-    "network/flows.py::FlowNetwork.link":
-        "accessor: tests/network/test_flows.py, tests/network/test_allocator.py",
     "network/flows.py::FlowNetwork.set_link_capacity": FAULT,
-    "network/ofi.py::Endpoint.close": "surface: fi_close of an endpoint",
     "network/ofi.py::RpcServer.set_unavailable": FAULT,
-    "obs/timeline.py::Series.value_at": "accessor: tests/obs/test_timeline.py",
     "qos/bucket.py::TokenBucket.level":
-        "accessor: tests/qos/test_bucket.py, tests/faults/harness.py",
-    "qos/bucket.py::TokenBucket.try_acquire": "accessor: tests/qos/test_bucket.py",
+        "oracle/safety: the token-debt bound tests/faults/harness.py checks",
     "rebuild/scheduler.py":
         "oracle/safety: EC rebuild, restore to a spare and cancel, which no "
         "shipped run's faults reach",
-    "sim/core.py::Timeout.__init__": "surface: yield Timeout(delay, value) in a task",
-    "sim/core.py::Task.done": "surface: task state, tests/sim/test_core.py",
-    "sim/core.py::Task.error": "surface: task state, tests/sim/test_core.py",
-    "sim/core.py::Task.cancel": "surface: cooperative task cancel, tests/sim/test_core.py",
-    "sim/core.py::Simulator.run": "surface: the kernel's run(until=...) loop",
+    "sim/core.py::Timeout.__init__": "kernel: yield Timeout(delay, value) in a task",
+    "sim/core.py::Task.done": "kernel: task state, tests/sim/test_core.py",
+    "sim/core.py::Task.error": "kernel: task state, tests/sim/test_core.py",
+    "sim/core.py::Task.cancel": "kernel: cooperative task cancel, tests/sim/test_core.py",
+    "sim/core.py::Simulator.run": "kernel: the run(until=...) loop",
     "sim/core.py::Simulator._record_failure":
         "oracle/safety: a task error nobody waits for fails the run",
     "sim/core.py::Simulator._raise_failures":
         "oracle/safety: a task error nobody waits for fails the run",
-    "sim/rng.py::RngStreams.integer": "surface: a named uniform-integer stream",
-    "sim/sync.py::Gate.value": "accessor: tests/sim/test_sync.py",
-    "sim/sync.py::Lock.__init__": "surface: the one-holder Semaphore, tests/sim/test_sync.py",
+    "sim/rng.py::RngStreams.integer": "kernel: a named uniform-integer stream",
+    "sim/sync.py::Gate.value": "kernel: the value an open gate holds, tests/sim/test_sync.py",
+    "sim/sync.py::Lock.__init__": "kernel: the one-holder Semaphore, tests/sim/test_sync.py",
     "tenants/admission.py::TenantRejected.__init__":
         "oracle/safety: admission turns a request away; no shipped run overloads it",
 }
+
+
+def bad_reasons():
+    """KEEP entries whose reason opens with no bucket of BUCKETS, or with
+    ``kernel`` outside ``sim/``."""
+    for key, reason in KEEP.items():
+        bucket = reason.split(":")[0]
+        if bucket not in BUCKETS or bucket == "kernel" and not (
+                key == "sim" or key.startswith("sim/")):
+            yield key, reason
 
 
 def functions(node, prefix=""):
@@ -276,6 +261,12 @@ def covers(key, ident):
 
 
 def main():
+    bad = list(bad_reasons())
+    for key, reason in bad:  # before the run: a bad entry fails at once
+        print(f"KEEP entry {key}: reason {reason!r} opens with no bucket of "
+              f"{', '.join(BUCKETS)} (kernel only under sim/)", file=sys.stderr)
+    if bad:
+        return 1
     import pytest
     import workloads
     params, starts = defaulted()
@@ -319,6 +310,7 @@ def main():
     sys.stdout = sys.__stdout__
     orphans, unkept, used = 0, 0, set()
     counts, lines_of = collections.Counter(), collections.Counter()  # TESTONLY
+    by_bucket, bucket_lines = collections.Counter(), collections.Counter()
     set_by = collections.Counter()  # defaulted parameters of called functions
     for path in sorted(pathlib.Path(PKG).rglob("*.py")):
         module = path.relative_to(PKG).as_posix()
@@ -347,12 +339,18 @@ def main():
                 if not keys:
                     unkept += 1
                     print(f"  no KEEP entry covers {ident}", file=sys.stderr)
+                bucket = KEEP[keys[0]].split(":")[0] if keys else "unkept"
+                by_bucket[bucket] += 1
+                bucket_lines[bucket] += lines
                 package = module.split("/")[0].removesuffix(".py")
                 counts[package] += 1
                 lines_of[package] += lines
     print(f"TESTONLY total: {counts.total()} functions, {lines_of.total()} lines ("
           + ", ".join(f"{package} {n}/{lines_of[package]}"
                       for package, n in sorted(counts.items())) + ")")
+    print("TESTONLY by bucket: " + ", ".join(
+        f"{bucket} {n}/{bucket_lines[bucket]}"
+        for bucket, n in sorted(by_bucket.items())))
     print(f"SET total: {set_by.total()} defaulted parameters of called functions; "
           f"{set_by['drives']} set by the drives, {set_by['tests']} only by tests "
           f"(TEST-SET), {set_by['nothing']} by nothing (NEVER-SET)")

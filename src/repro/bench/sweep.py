@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 
 @dataclass
@@ -26,10 +26,6 @@ class Series:
                 return point.value
         return None
 
-    @property
-    def xs(self) -> List[int]:
-        return [p.x for p in self.points]
-
 
 @dataclass
 class FigureData:
@@ -38,12 +34,3 @@ class FigureData:
     xlabel: str
     ylabel: str
     series: List[Series] = field(default_factory=list)
-
-    def series_by_label(self, label: str) -> Series:
-        for series in self.series:
-            if series.label == label:
-                return series
-        raise KeyError(label)
-
-    def labels(self) -> List[str]:
-        return [s.label for s in self.series]

@@ -54,6 +54,3 @@ class TtlCache:
     def invalidate(self, key: Hashable) -> None:
         if self._entries.pop(key, None) is not None:
             self._incr("invalidations")
-
-    def __len__(self) -> int:
-        return len(self._entries)

@@ -121,9 +121,3 @@ class WriteBehind:
         if self.error is not None and self.dirty.used_bytes:
             raise CacheWritebackError(self.path, self.pending(), self.error)
 
-    def discard(self) -> int:
-        """Drop all dirty data (used only by tests / forced teardown)."""
-        dropped = self.dirty.clear()
-        self._gauge_add(-dropped)
-        self.error = None
-        return dropped

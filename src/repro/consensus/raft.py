@@ -456,10 +456,3 @@ class RaftCluster:
             return leaders[-1]
         return leaders[0] if leaders else None
 
-    def wait_leader(self) -> Generator:
-        """Task helper: poll until some node is leader; returns it."""
-        while True:
-            leader = self.leader()
-            if leader is not None:
-                return leader
-            yield 0.01

@@ -87,10 +87,5 @@ class DaosArray:
         )
         return payload
 
-    def get_size(self) -> Generator:
-        """Task helper: array size in cells (highest written cell + 1)."""
-        nbytes = yield from self.obj.size(chunk_size=self.chunk_bytes)
-        return (nbytes + self.cell_size - 1) // self.cell_size
-
     def close(self) -> None:
         self.obj.close()

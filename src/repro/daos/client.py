@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 from typing import Dict, Generator, Optional
 
-from repro.consensus.rsvc import OP_LATENCY, RsvcClient
 from repro.daos.objid import ObjId
 from repro.daos.object import ObjectHandle
 from repro.daos.oclass import ObjectClass, oclass_by_name
@@ -46,16 +45,6 @@ class DaosClient:
         pool_map = yield from self.system.resolve_pool(label, self.rsvc)
         return PoolHandle(self, pool_map)
 
-    def close(self) -> None:
-        self.endpoint.close()
-
-    def __enter__(self) -> "DaosClient":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.close()
-        return False
-
 
 class PoolHandle:
     """A connected pool: pool map + placement."""
@@ -64,18 +53,6 @@ class PoolHandle:
         self.client = client
         self.pool_map = pool_map
         self.placement = PlacementMap(pool_map.n_targets)
-
-    def close(self) -> None:
-        """Disconnect (``daos_pool_disconnect``). The handle is purely
-        client-side state, so this only invalidates the handle."""
-        self.pool_map = None
-
-    def __enter__(self) -> "PoolHandle":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.close()
-        return False
 
     def create_container(
         self,
@@ -115,30 +92,6 @@ class PoolHandle:
             ("get", f"cont:{self.pool_map.uuid}:{uuid}")
         )
         return ContainerHandle(self, uuid, props)
-
-    def query(self) -> Generator:
-        """Task helper: pool space accounting (``daos pool query``).
-
-        Aggregates per-target usage from every engine shard; one
-        metadata round trip is charged.
-        """
-        yield OP_LATENCY
-        system = self.client.system
-        per_target = []
-        for tid in range(self.pool_map.n_targets):
-            ref = system.target(tid)
-            shard = ref.engine.shard(self.pool_map.uuid, ref.local_tid)
-            per_target.append({"tid": tid, "capacity": shard.capacity,
-                               "used": shard.used})
-        return {
-            "uuid": self.pool_map.uuid,
-            "label": self.pool_map.label,
-            "targets": self.pool_map.n_targets,
-            "excluded": sorted(self.pool_map.excluded),
-            "capacity": sum(t["capacity"] for t in per_target),
-            "used": sum(t["used"] for t in per_target),
-            "per_target": per_target,
-        }
 
     def refresh_map(self) -> Generator:
         """Task helper: re-read the pool map (picks up exclusions)."""
@@ -183,13 +136,3 @@ class ContainerHandle:
     def open_object(self, oid: ObjId) -> ObjectHandle:
         """Open an object handle (purely client-side, like daos_obj_open)."""
         return ObjectHandle(self, oid)
-
-    def close(self) -> None:
-        """Release the handle (``daos_cont_close``); client-side only."""
-
-    def __enter__(self) -> "ContainerHandle":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.close()
-        return False

@@ -2,9 +2,9 @@
 
 Every libdaos data-plane call takes an optional ``daos_event_t``; passing
 one makes the call non-blocking and the caller later reaps completions
-from the event queue with ``daos_eq_poll`` (or checks a single event with
-``daos_event_test``). This module reproduces that shape on top of the
-simulator's task machinery:
+from the event queue (``daos_eq_poll``). This module reproduces that
+shape on top of the simulator's task machinery, with one queue surface:
+``submit`` / ``try_reap`` / ``drain`` / ``close``:
 
 - an :class:`Event` wraps one launched operation (a sim task spawned
   from the operation's task-helper generator) and records its submit
@@ -102,18 +102,6 @@ class Event:
             return 0.0
         return self.complete_time - self.submit_time
 
-    def abort(self) -> None:
-        """Cancel the in-flight operation (``daos_event_abort``).
-
-        Cooperative, like task cancellation: the operation stops at its
-        next resumption point; work already applied stays applied.
-        """
-        if self.done:
-            return
-        if self._task is not None:
-            self._task.cancel()
-        # the task's completion callback transitions us to ABORTED
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Event {self.eid} {self.name!r} {self.state}>"
 
@@ -154,17 +142,6 @@ class EventQueue:
         self._cond = Condition(sim)
         self._closed = False
 
-    # ------------------------------------------------------------- state
-    @property
-    def inflight(self) -> int:
-        """Number of launched, not-yet-completed events."""
-        return len(self._inflight)
-
-    @property
-    def n_completed(self) -> int:
-        """Completed events waiting to be reaped."""
-        return len(self._completed)
-
     def _gauge(self, delta: int) -> None:
         if not self.metered:
             return
@@ -184,17 +161,8 @@ class EventQueue:
         spawned operation's error is captured on the event and re-raised
         only when the caller reads ``event.result``.
         """
-        if self._closed:
-            raise DerInval(f"event queue {self.name} is closed")
         while self.depth is not None and len(self._inflight) >= self.depth:
             yield self._cond
-        return self.launch(op, name)
-
-    def launch(self, op: Generator, name: str = "") -> Event:
-        """Launch ``op`` immediately, ignoring the in-flight window
-        (``daos_event_launch``: the window is a submit-side courtesy).
-        Synchronous — usable from non-task code that will drive the
-        simulator itself."""
         if self._closed:
             raise DerInval(f"event queue {self.name} is closed")
         self._next_eid += 1
@@ -210,8 +178,8 @@ class EventQueue:
         # errors surface through event.result, not the fail-fast scan
         task.defuse()
         event._task = task
-        # catches abort-before-start: the closed task never enters _run's
-        # body, so the subscription below is what flips the event state
+        # catches a close before the task starts: the closed task never
+        # enters _run's body, so the subscription below flips the state
         task._subscribe(lambda: self._on_task_done(event))
         self._inflight.append(event)
         self._gauge(+1)
@@ -270,30 +238,10 @@ class EventQueue:
         self._cond.notify_all()
 
     # ------------------------------------------------------------- reaping
-    def test(self, event: Event) -> bool:
-        """Non-blocking single-event check (``daos_event_test``): True
-        and reaps it when complete."""
-        if not event.done:
-            return False
-        if event in self._completed:
-            self._completed.remove(event)
-        return True
-
     def try_reap(self) -> List[Event]:
         """Non-blocking reap of completed events, in completion order."""
         reaped, self._completed = self._completed, []
         return reaped
-
-    def poll(self, min_events: int = 1) -> Generator:
-        """Task helper (``daos_eq_poll``): wait until at least
-        ``min_events`` completions are reapable, then reap them all in
-        completion order."""
-        if min_events < 0:
-            raise DerInval(f"min_events must be >= 0, got {min_events}")
-        need = min(min_events, len(self._inflight) + len(self._completed))
-        while len(self._completed) < need:
-            yield self._cond
-        return self.try_reap()
 
     def drain(self) -> Generator:
         """Task helper: wait for every in-flight event and reap all."""
@@ -304,9 +252,14 @@ class EventQueue:
     # ------------------------------------------------------------- lifecycle
     def close(self) -> Generator:
         """Task helper (``daos_eq_destroy``): abort anything in flight,
-        wait for the aborts to land, reap and discard."""
+        wait for the aborts to land, reap and discard.
+
+        An abort is cooperative, like task cancellation: the operation
+        stops at its next resumption point; work already applied stays
+        applied, and the event's result raises ``DerCanceled``.
+        """
         for event in list(self._inflight):
-            event.abort()
+            event._task.cancel()
         while self._inflight:
             yield self._cond
         self._completed.clear()

@@ -45,10 +45,6 @@ class ObjectClass:
         """Targets per redundancy group."""
         return self.ec_k + self.ec_p if self.is_ec else self.rdd_nr
 
-    def shard_count(self, pool_targets: int) -> int:
-        """Total shards of an object of this class in a pool."""
-        return self.group_count(pool_targets) * self.group_width
-
     def group_count(self, pool_targets: int) -> int:
         if pool_targets <= 0:
             raise DerInval("pool has no targets")

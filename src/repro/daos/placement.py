@@ -3,11 +3,12 @@
 DAOS computes object layouts with a pseudo-random algorithmic map over
 the pool map so that *every* client derives the same layout with no
 metadata traffic. We reproduce that property, not its algorithm: the
-layout is ``shard_count`` distinct targets picked by a double-hashing
-probe sequence seeded by the OID (:meth:`PlacementMap.layout`; the same
-sequence continued yields the spares for DOWNOUT members), and dkeys are
-routed to layout groups by a stable hash — so chunk *i* of a DFS file
-always lands on the same target no matter which client touches it.
+layout is ``group_count * group_width`` distinct targets picked by a
+double-hashing probe sequence seeded by the OID
+(:meth:`PlacementMap.layout`; the same sequence continued yields the
+spares for DOWNOUT members), and dkeys are routed to layout groups by a
+stable hash — so chunk *i* of a DFS file always lands on the same target
+no matter which client touches it.
 
 Randomness quality matters here: S1 "hotspots" in Figure 1 are a
 balls-into-bins effect of this very map.
@@ -92,14 +93,6 @@ class Layout:
         shards = len(self.groups) * len(self.groups[0])
         return [(start + i * stride) % n_targets
                 for i in range(shards, n_targets)]
-
-    @property
-    def group_count(self) -> int:
-        return len(self.groups)
-
-    @property
-    def all_targets(self) -> List[int]:
-        return [t for group in self.groups for t in group]
 
     def group_of_dkey(self, dkey) -> int:
         return dkey_hash(dkey) % len(self.groups)

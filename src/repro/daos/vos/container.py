@@ -198,10 +198,6 @@ class VosContainer:
             return ZeroPayload(max(0, length))
         return tree.read(offset, length)
 
-    def array_size(self, oid: Any, dkey: Any, akey: Any) -> int:
-        tree = self.value(oid, dkey, akey, ExtentTree)
-        return tree.size if tree is not None else 0
-
     def punch_array(
         self, oid: Any, dkey: Any, akey: Any, offset: int, length: int
     ) -> int:

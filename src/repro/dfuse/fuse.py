@@ -113,9 +113,6 @@ class DFuseMount(FileSystem):
     def mkdir(self, path: str) -> Generator:
         yield from self._syscall(path, self.dfs.mkdir(path))
 
-    def readdir(self, path: str) -> Generator:
-        return self._syscall(path, self.dfs.readdir(path))
-
     def stat(self, path: str) -> Generator:
         return self._syscall(path, self._stat(path))
 
@@ -246,16 +243,6 @@ class DFuseFile(FileHandle):
         yield SYSCALL_COST
         yield from self.inner.sync()
         return None
-
-    def truncate(self, size: int) -> Generator:
-        yield SYSCALL_COST
-        yield from self.inner.truncate(size)
-        self.mount._invalidate_data(self.inner.path)
-        return None
-
-    def size(self) -> Generator:
-        yield SYSCALL_COST
-        return (yield from self.inner.get_size())
 
     def close(self) -> Generator:
         yield SYSCALL_COST

@@ -61,10 +61,11 @@ def build_parser() -> argparse.ArgumentParser:
     store.add_argument("--index", choices=("kv", "tree"), default="",
                        help="index kind (default: kv for native-object "
                             "backends, tree for file-per-field)")
-    store.add_argument("--oclass", default="SX",
+    # no default here: the lustre backend refuses either flag, so an
+    # explicit one must be told from an absent one (FdbParams holds SX, 1m)
+    store.add_argument("--oclass",
                        help="object class for data objects (default SX)")
-    store.add_argument("--chunk-size", type=positive_size, default=MiB,
-                       metavar="SIZE",
+    store.add_argument("--chunk-size", type=positive_size, metavar="SIZE",
                        help="array/file chunk size (default 1m)")
     pipe = parser.add_argument_group("pipeline")
     pipe.add_argument("--depth", type=positive_int, default=8, metavar="N",
@@ -92,6 +93,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def params_from_args(args) -> FdbParams:
     wanted = settings(args, tracing=args.trace)  # echoed in the report
+    store = {name: value for name, value in (
+        ("oclass", args.oclass), ("chunk_bytes", args.chunk_size))
+        if value is not None}
     return FdbParams(
         backend=args.backend,
         index=args.index,
@@ -106,19 +110,25 @@ def params_from_args(args) -> FdbParams:
         verify=not args.no_verify,
         server_nodes=args.servers,
         client_nodes=args.clients,
-        oclass=args.oclass,
-        chunk_bytes=args.chunk_size,
         seed=args.seed,
         retrieve_params=tuple(args.retrieve_param),
         tracing=wanted["tracing"],
         timeline_interval=wanted["timeline_interval"],
         slo_rules=tuple(args.slo),
+        **store,
     )
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.backend == "lustre":
+        # the lustre branch of open_store uses neither
+        for flag, value in (("--oclass", args.oclass),
+                            ("--chunk-size", args.chunk_size)):
+            if value is not None:
+                parser.error(f"{flag}: the lustre backend stores plain "
+                             "files and has no object class or chunk size")
     params = params_from_args(args)
     try:
         cluster = boot(params)

@@ -16,9 +16,8 @@ compare:
 
 Both offer the task helpers ``prepare(keys)``, ``insert(key, entry)``,
 ``lookup(key)`` (``DerNonexist`` if absent), ``scan(query)`` (matching
-keys in canonical order), ``landmark(name, record)`` and
-``get_landmark(name)``, plus ``close()``; the retriever is oblivious to
-which one is wired in.
+keys in canonical order) and ``landmark(name, record)``, plus
+``close()``; the retriever is oblivious to which one is wired in.
 """
 
 from __future__ import annotations
@@ -75,10 +74,6 @@ class KvIndex:
         yield from self.kv.put(LANDMARK_PREFIX + name, record)
         return None
 
-    def get_landmark(self, name) -> Generator:
-        record = yield from self.kv.get(LANDMARK_PREFIX + name)
-        return record
-
     def close(self) -> None:
         self.kv.close()
 
@@ -132,10 +127,6 @@ class TreeIndex:
             raise DerInval(f"bad landmark name {name!r}")
         yield from self._write(f"{LANDMARK_ROOT}/{name}", record)
         return None
-
-    def get_landmark(self, name) -> Generator:
-        record = yield from self._read(f"{LANDMARK_ROOT}/{name}")
-        return record
 
     def _write(self, path: str, record: dict) -> Generator:
         data = json.dumps(record, sort_keys=True).encode("utf-8")

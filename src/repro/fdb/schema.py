@@ -141,11 +141,6 @@ class FieldQuery:
                 return False
         return True
 
-    @classmethod
-    def single(cls, key: FieldKey) -> "FieldQuery":
-        return cls(param=key.param, level=key.level, step=key.step,
-                   member=key.member, date=key.date)
-
 
 #: the i-th generated value on each axis, in :data:`AXES` order: NWP
 #: conventions — pressure levels every 50 hPa from 1000 downward, 3-hourly

@@ -12,7 +12,6 @@ from repro.hardware.specs import (
     EngineSpec,
     FabricSpec,
     NodeSpec,
-    nextgenio_node,
 )
 from repro.hardware.node import ClientNode, ServerNode, StorageTarget
 
@@ -21,7 +20,6 @@ __all__ = [
     "EngineSpec",
     "NodeSpec",
     "FabricSpec",
-    "nextgenio_node",
     "ServerNode",
     "ClientNode",
     "StorageTarget",

@@ -53,10 +53,6 @@ class _Node:
         self.spec = spec
         self.addr: NodeAddr = fabric.add_node(name, spec.nic_bw, spec.nic_rails)
 
-    @property
-    def nic_tx(self) -> Link:
-        return self.fabric.nic_tx(self.addr)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<{type(self).__name__} {self.name}>"
 

@@ -112,7 +112,3 @@ class FabricSpec:
     #: the DER_TIMEDOUT reply delay charged when an RPC hits a down engine
     rpc_timeout: float = 5.0e-3
 
-
-def nextgenio_node(server: bool) -> NodeSpec:
-    """The NEXTGenIO dual-socket Cascade Lake node, as server or client."""
-    return NodeSpec(engines=2 if server else 0)

@@ -64,14 +64,6 @@ class H5File:
         h5._open = True
         return h5
 
-    @property
-    def data_aligned(self) -> bool:
-        """Raw data is aligned iff the connector says transfers skip
-        client-side staging — for the native format, iff the alignment
-        property covers the storage's preferred I/O size (the A4
-        ablation knob); always true for the DAOS connector."""
-        return self.vol.data_aligned(self)
-
     def _metadata_dirty(self) -> Generator:
         self._dirty = True
         yield 0.0

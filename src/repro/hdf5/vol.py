@@ -14,8 +14,8 @@ on-disk file format. The VOL seam sits one level higher — it swaps the
   and dataset metadata are :class:`DaosKV` records, and a container-wide
   namespace KV at a reserved OID maps paths to file roots. No DFuse
   mount, no HDF5 on-disk format, no staging — raw I/O goes straight to
-  the object layer, so ``data_aligned`` is unconditionally true and
-  concurrent dataset I/O pipelines like any native-object workload.
+  the object layer, so nothing is staged and concurrent dataset I/O
+  pipelines like any native-object workload.
 
 One VOL instance backs one open file: it owns the transient connector
 state (the native allocator's EOF, the DAOS handles), matching how a
@@ -98,10 +98,6 @@ class Vol:
     def close_file(self, h5) -> Generator:
         raise NotImplementedError
 
-    def data_aligned(self, h5) -> bool:
-        """Whether raw transfers bypass client-side staging."""
-        raise NotImplementedError
-
 
 class NativeVol(Vol):
     """The native HDF5-lite format over a VFD (the paper's HDF5 path)."""
@@ -161,6 +157,9 @@ class NativeVol(Vol):
         return None
 
     def data_aligned(self, h5) -> bool:
+        """Whether raw transfers skip client-side staging: iff the
+        alignment property covers the storage's preferred I/O size (the
+        A4 ablation knob)."""
         return h5.alignment >= self.vfd.preferred_io
 
     # ------------------------------------------------------------- allocator
@@ -352,9 +351,6 @@ class DaosVol(Vol):
             self._root = None
         yield 0.0
         return None
-
-    def data_aligned(self, h5) -> bool:
-        return True  # no format addresses, no sieve buffer, no staging
 
     # ------------------------------------------------------------- datasets
     def dataset_added(self, h5, dataset, chunk_rows: Optional[int]) -> Generator:

@@ -228,10 +228,6 @@ class LustreFile(FileHandle):
         self.inode.size = size
         return None
 
-    def size(self) -> Generator:
-        yield self.mount.syscall_cost
-        return self.inode.size
-
     def close(self) -> Generator:
         yield self.mount.syscall_cost
         for stripe, ost_idx in enumerate(self.inode.stripe_osts):

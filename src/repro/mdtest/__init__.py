@@ -1,4 +1,4 @@
-"""mdtest-style metadata benchmark (the IO500 companion to IOR).
+"""mdtest-style metadata benchmark (the metadata companion to IOR).
 
 Each rank creates/stats/removes a private tree of empty files; rates are
 ops/second aggregated IOR-style (slowest rank defines the phase). On

@@ -192,9 +192,6 @@ class Fabric:
         else:
             self._blocked.difference_update(pairs)
 
-    def is_blocked(self, src: str, dst: str) -> bool:
-        return (src, dst) in self._blocked
-
     def set_extra_delay(
         self, a: str, b: str, extra: float, bidirectional: bool = True
     ) -> None:
@@ -276,6 +273,3 @@ class Fabric:
             return self._endpoints[name]
         except KeyError:
             raise NetworkError(f"unknown endpoint {name!r}") from None
-
-    def deregister_endpoint(self, name: str) -> None:
-        self._endpoints.pop(name, None)

@@ -52,10 +52,6 @@ class Link:
         self.capacity = float(capacity)
         self._flows: Dict["Flow", float] = {}
 
-    @property
-    def n_flows(self) -> int:
-        return len(self._flows)
-
     def utilization(self) -> float:
         """Fraction of capacity consumed by current allocations."""
         used = sum(flow.rate * weight for flow, weight in self._flows.items())
@@ -149,12 +145,6 @@ class FlowNetwork:
         self.solved_flows = 0
         self._next_serial = 0
 
-    @property
-    def forced_exits(self) -> int:
-        """Progressive-filling runs that hit the non-convergence fallback
-        (see :meth:`MaxMinAllocator._forced_exit`)."""
-        return self._allocator.forced_exits
-
     # -- topology ------------------------------------------------------------
     def add_link(self, name: str, capacity: float) -> Link:
         if name in self._links:
@@ -162,12 +152,6 @@ class FlowNetwork:
         link = Link(name, capacity)
         self._links[name] = link
         return link
-
-    def link(self, name: str) -> Link:
-        try:
-            return self._links[name]
-        except KeyError:
-            raise NetworkError(f"unknown link {name!r}") from None
 
     def set_link_capacity(self, link: Link, capacity: float) -> None:
         """Change a link's capacity and reallocate (fault injection:

@@ -86,9 +86,6 @@ class Endpoint:
         """Awaitable for the next message (optionally on a specific tag)."""
         return self._queue(tag).get()
 
-    def close(self) -> None:
-        self.fabric.deregister_endpoint(self.name)
-
 
 class RpcServer(Endpoint):
     """Endpoint that dispatches requests to registered handler generators.

@@ -294,13 +294,9 @@ class MetricsRegistry:
 
     # --------------------------------------------------------------- access
     #
-    # Names that already contain ``{`` are assumed canonical (labels
-    # sorted) — hot paths precompute them once with format_metric_name
-    # rather than re-canonicalising per call.
-    def counter(self, name: str,
-                labels: Optional[Dict[str, Any]] = None) -> Counter:
-        if labels:
-            name = format_metric_name(name, labels)
+    # A labelled name is taken as given: callers build it once with
+    # format_metric_name (labels sorted) rather than per call.
+    def counter(self, name: str) -> Counter:
         c = self.counters.get(name)
         if c is None:
             c = self.counters[name] = Counter(name)
@@ -312,23 +308,18 @@ class MetricsRegistry:
             g = self.gauges[name] = Gauge(name, self.sim.now)
         return g
 
-    def histogram(self, name: str,
-                  labels: Optional[Dict[str, Any]] = None) -> Histogram:
-        if labels:
-            name = format_metric_name(name, labels)
+    def histogram(self, name: str) -> Histogram:
         h = self.histograms.get(name)
         if h is None:
             h = self.histograms[name] = Histogram(name)
         return h
 
     # shorthands used on instrumented hot paths
-    def incr(self, name: str, amount: float = 1.0,
-             labels: Optional[Dict[str, Any]] = None) -> None:
-        self.counter(name, labels).incr(amount)
+    def incr(self, name: str, amount: float = 1.0) -> None:
+        self.counter(name).incr(amount)
 
-    def observe(self, name: str, value: float,
-                labels: Optional[Dict[str, Any]] = None) -> None:
-        self.histogram(name, labels).observe(value)
+    def observe(self, name: str, value: float) -> None:
+        self.histogram(name).observe(value)
 
     def set_gauge(self, name: str, value: float) -> None:
         self.gauge(name).set(self.sim.now, value)

@@ -61,8 +61,7 @@ class Series:
     A point is recorded only when the value differs from the previous
     recorded value; before appending the change, the last suppressed
     ``(t, v)`` is flushed so step curves reconstruct exactly. The value
-    at any time ``t`` is the value of the last point at or before
-    ``t`` (:meth:`value_at`).
+    at any time ``t`` is the value of the last point at or before ``t``.
     """
 
     __slots__ = ("name", "kind", "points", "dropped",
@@ -98,16 +97,6 @@ class Series:
         if self._suppressed:
             self._append(self._last_t, self.points[-1][1])
             self._suppressed = False
-
-    def value_at(self, t: float) -> Optional[float]:
-        """Step-wise lookup: last recorded value at or before ``t``."""
-        best = None
-        for pt, pv in self.points:
-            if pt <= t:
-                best = pv
-            else:
-                break
-        return best
 
 
 class TimeSeriesStore:

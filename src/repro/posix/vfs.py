@@ -41,14 +41,6 @@ class FileHandle:
         """Flush to stable storage."""
         raise NotImplementedError
 
-    def truncate(self, size: int) -> Generator:
-        """Set the file size."""
-        raise NotImplementedError
-
-    def size(self) -> Generator:
-        """Current file size in bytes."""
-        raise NotImplementedError
-
     def close(self) -> Generator:
         """Release the handle."""
         raise NotImplementedError
@@ -65,10 +57,6 @@ class FileSystem:
         raise NotImplementedError
 
     def mkdir(self, path: str) -> Generator:
-        raise NotImplementedError
-
-    def readdir(self, path: str) -> Generator:
-        """Sorted list of entry names."""
         raise NotImplementedError
 
     def stat(self, path: str) -> Generator:

@@ -62,16 +62,6 @@ class TokenBucket:
         self._refill(self.sim.now)
         return self._level
 
-    def try_acquire(self, n: float) -> bool:
-        """Take ``n`` tokens iff available without waiting."""
-        if self.rate is None:
-            return True
-        self._refill(self.sim.now)
-        if self._level < n:
-            return False
-        self._level -= n
-        return True
-
     def acquire(self, n: float) -> Generator:
         """Task helper: take ``n`` tokens, sleeping until the refill
         covers any deficit. FIFO in deduction order; returns the

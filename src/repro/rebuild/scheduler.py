@@ -171,9 +171,6 @@ class RebuildManager:
                 job.cancelled = True
 
     # ------------------------------------------------------------- queries
-    def busy(self, pool_uuid: str) -> bool:
-        return pool_uuid in self._runners
-
     def progress(self, pool_uuid: str) -> Dict:
         """``dmg pool query``-style rebuild status block."""
         jobs = [j for j in self.jobs if j.pool_uuid == pool_uuid]

@@ -105,7 +105,7 @@ def test_ttl_cache_expires_on_sim_clock():
     assert cache.get("/a") == "stat-a"
     sim.now = 2.1
     assert cache.get("/a") is None  # expired
-    assert len(cache) == 0
+    assert not cache._entries  # the expired entry is dropped
 
 
 def test_ttl_cache_invalidate():

@@ -151,12 +151,3 @@ def test_overlay_serves_read_your_writes():
     shape = [(s, n, e is None) for s, n, e in cover]
     assert shape == [(80, 20, True), (100, 50, False), (150, 30, True)]
     assert wb.high_water() == 150
-
-
-def test_discard_drops_everything():
-    wb = make_wb()
-    wb.buffer(0, pat(0, 100))
-    wb.error = DerTimedOut("x")
-    assert wb.discard() == 100
-    assert wb.dirty_bytes == 0
-    assert wb.error is None

@@ -25,6 +25,13 @@ def leaders_of(cluster):
     return [n for n in cluster.nodes if n.is_leader]
 
 
+def wait_leader(cluster):
+    """Task helper: poll until some node is leader; returns it."""
+    while cluster.leader() is None:
+        yield 0.01
+    return cluster.leader()
+
+
 def test_exactly_one_leader_elected():
     sim, cluster = build_cluster(3)
     sim.run(until=2.0)
@@ -51,7 +58,7 @@ def test_commands_replicate_to_all_nodes():
     sim, cluster = build_cluster(3)
 
     def client():
-        leader = yield from cluster.wait_leader()
+        leader = yield from wait_leader(cluster)
         for i in range(5):
             status, _ = yield leader.propose(("cmd", i))
             assert status == "ok"
@@ -76,7 +83,7 @@ def test_leader_crash_triggers_reelection_and_no_committed_loss():
     committed = []
 
     def client():
-        leader = yield from cluster.wait_leader()
+        leader = yield from wait_leader(cluster)
         for i in range(3):
             status, _ = yield leader.propose(("before", i))
             assert status == "ok"
@@ -104,7 +111,7 @@ def test_crashed_node_restart_catches_up():
     sim, cluster = build_cluster(3, seed=7)
 
     def client():
-        leader = yield from cluster.wait_leader()
+        leader = yield from wait_leader(cluster)
         victim = [n for n in cluster.nodes if n is not leader][0]
         victim.crash()
         for i in range(4):
@@ -126,7 +133,7 @@ def test_minority_cannot_commit():
     outcome = []
 
     def client():
-        leader = yield from cluster.wait_leader()
+        leader = yield from wait_leader(cluster)
         others = [n for n in cluster.nodes if n is not leader]
         for node in others:
             node.crash()
@@ -263,7 +270,7 @@ def test_partitioned_leader_cannot_commit():
     outcome = {}
 
     def client():
-        leader = yield from cluster.wait_leader()
+        leader = yield from wait_leader(cluster)
         status, _ = yield leader.propose(("committed", 0))
         assert status == "ok"
         _isolate_leader(fabric, cluster, leader)
@@ -304,7 +311,7 @@ def test_partition_heal_converges_logs():
     acked = []
 
     def client():
-        leader = yield from cluster.wait_leader()
+        leader = yield from wait_leader(cluster)
         for i in range(3):
             status, _ = yield leader.propose(("pre", i))
             assert status == "ok"
@@ -342,7 +349,7 @@ def test_property_safety_under_leader_partitions(seed, n_ops):
     acked = []
 
     def client():
-        leader = yield from cluster.wait_leader()
+        leader = yield from wait_leader(cluster)
         for i in range(n_ops):
             status, _ = yield leader.propose(("pre", i))
             if status == "ok":

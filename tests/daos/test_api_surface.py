@@ -40,22 +40,6 @@ def test_facade_covers_the_advertised_surface():
     assert issubclass(api.DerStale, api.DaosError)
 
 
-def test_handles_are_context_managers(cluster, cont):
-    def go():
-        with cluster.new_client(0) as client:
-            with (yield from client.connect_pool("tank")) as pool:
-                with (yield from pool.open_container("api-tests")) as c2:
-                    oid = yield from c2.alloc_oid()
-                    with c2.open_object(oid) as obj:
-                        yield from obj.write(0, b"hello" * 100)
-                        payload = yield from obj.read(0, 500)
-        return payload.nbytes, pool.pool_map
-
-    nbytes, pool_map = cluster.run(go())
-    assert nbytes == 500
-    assert pool_map is None  # PoolHandle.close() invalidated it
-
-
 def test_legacy_positional_chunk_size_is_a_type_error(cluster, cont):
     """The PR-5 deprecation window is over: chunk_size/akey are
     keyword-only on every array op, and old positional call sites fail

@@ -32,14 +32,12 @@ def test_array_create_write_read(cluster, cont):
         arr = yield from DaosArray.create(cont, cell_size=8, chunk_cells=1024)
         written = yield from arr.write(0, b"x" * 64)
         data = yield from arr.read(0, 8)
-        size = yield from arr.get_size()
         arr.close()
-        return written, data.materialize(), size
+        return written, data.materialize()
 
-    written, data, size = cluster.run(go())
+    written, data = cluster.run(go())
     assert written == 8  # cells
     assert data == b"x" * 64
-    assert size == 8
 
 
 def test_array_open_recovers_metadata(cluster, cont):
@@ -78,13 +76,11 @@ def test_array_large_lazy_io(cluster, cont):
         pattern = PatternPayload(seed=42, origin=0, nbytes=16 * MiB)
         yield from arr.write(0, pattern)
         back = yield from arr.read(0, 16 * MiB)
-        size = yield from arr.get_size()
         arr.close()
-        return back, size
+        return back
 
-    back, size = cluster.run(go())
+    back = cluster.run(go())
     assert back == PatternPayload(seed=42, origin=0, nbytes=16 * MiB)
-    assert size == 16 * MiB
 
 
 def test_kv_basalong(cluster, cont):

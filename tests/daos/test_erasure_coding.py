@@ -12,6 +12,7 @@ from repro.daos.vos.payload import (
 )
 from repro.errors import DerDataLoss, DerInval
 from repro.units import KiB, MiB
+from tests.daos.test_engine_and_capacity import used
 
 
 def test_xor_payload_algebra():
@@ -31,9 +32,10 @@ def test_xor_payload_algebra():
 
 def test_ec_class_geometry():
     assert EC_2P1G1.group_width == 3
-    assert EC_2P1G1.shard_count(16) == 3
-    assert EC_4P1G1.shard_count(16) == 5
-    assert oclass_by_name("EC_2P1GX").shard_count(16) == 15  # 5 groups x 3
+    # shards in a 16-target pool: groups x group width
+    for oclass, shards in ((EC_2P1G1, 3), (EC_4P1G1, 5),
+                           (oclass_by_name("EC_2P1GX"), 15)):  # 5 groups x 3
+        assert oclass.group_count(16) * oclass.group_width == shards
     assert EC_2P1G1.is_ec and EC_2P1G1.rdd_nr == 1
     assert not S2.is_ec
 
@@ -226,16 +228,16 @@ def test_ec_write_amplification_in_capacity(fresh_cluster):
             cont = yield from pool.create_container(
                 f"amp-{oclass_name}", oclass=oclass_name
             )
-            before = yield from pool.query()
+            before = used(cluster, pool)
             oid = yield from cont.alloc_oid()
             obj = cont.open_object(oid)
             yield from obj.write(
                 0, PatternPayload(seed=1, origin=0, nbytes=16 * MiB),
                 chunk_size=MiB,
             )
-            after = yield from pool.query()
+            after = used(cluster, pool)
             obj.close()
-            return after["used"] - before["used"]
+            return after - before
 
         return cluster.run(go())
 

@@ -32,12 +32,22 @@ from repro.daos.placement import (
 from repro.errors import DerInval
 
 
+def shards(oclass, n_targets):
+    """Targets an object of ``oclass`` spans in a pool of ``n_targets``."""
+    return oclass.group_count(n_targets) * oclass.group_width
+
+
+def targets(layout):
+    """Every target of ``layout``, group by group."""
+    return [t for group in layout.groups for t in group]
+
+
 def test_shard_counts():
-    assert S1.shard_count(128) == 1
-    assert S2.shard_count(128) == 2
-    assert SX.shard_count(128) == 128
-    assert RP_2G1.shard_count(128) == 2
-    assert RP_2GX.shard_count(128) == 128  # 64 groups x 2 replicas
+    assert shards(S1, 128) == 1
+    assert shards(S2, 128) == 2
+    assert shards(SX, 128) == 128
+    assert shards(RP_2G1, 128) == 2
+    assert shards(RP_2GX, 128) == 128  # 64 groups x 2 replicas
 
 
 def test_class_too_wide_for_pool():
@@ -81,20 +91,20 @@ def test_layout_is_deterministic_and_distinct():
     oid = ObjId.generate(S4, lo=7)
     layout1 = pmap.layout(oid)
     layout2 = PlacementMap(128).layout(oid)
-    assert layout1.all_targets == layout2.all_targets
-    assert len(set(layout1.all_targets)) == 4
+    assert layout1.groups == layout2.groups
+    assert len(set(targets(layout1))) == 4
 
 
 def test_sx_layout_covers_all_targets():
     pmap = PlacementMap(16)
     layout = pmap.layout(ObjId.generate(SX, lo=3))
-    assert sorted(layout.all_targets) == list(range(16))
+    assert sorted(targets(layout)) == list(range(16))
 
 
 def test_replicated_layout_groups():
     pmap = PlacementMap(16)
     layout = pmap.layout(ObjId.generate(RP_2G1, lo=1))
-    assert layout.group_count == 1
+    assert len(layout.groups) == 1
     assert len(layout.groups[0]) == 2
     assert layout.groups[0][0] != layout.groups[0][1]
 
@@ -115,7 +125,7 @@ def test_placement_balance_over_many_objects():
     load = [0] * 64
     for i in range(2000):
         layout = pmap.layout(ObjId.generate(S1, lo=i))
-        load[layout.all_targets[0]] += 1
+        load[layout.groups[0][0]] += 1
     mean = 2000 / 64
     assert max(load) < mean * 2.2
     assert min(load) > mean * 0.2
@@ -142,10 +152,10 @@ def test_property_layouts_valid(n_targets, lo, cls):
         return
     pmap = PlacementMap(n_targets)
     layout = pmap.layout(ObjId.generate(cls, lo=lo))
-    targets = layout.all_targets
-    assert len(set(targets)) == len(targets)
-    assert all(0 <= t < n_targets for t in targets)
-    assert len(targets) == cls.shard_count(n_targets)
+    found = targets(layout)
+    assert len(set(found)) == len(found)
+    assert all(0 <= t < n_targets for t in found)
+    assert len(found) == shards(cls, n_targets)
 
 
 def _visited_set_probe(oid, n_targets):

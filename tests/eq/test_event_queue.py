@@ -43,12 +43,16 @@ def run_task(sim, gen):
 def test_launch_completes_and_holds_result():
     sim = Simulator()
     eq = EventQueue(sim)
-    event = eq.launch(op(sim, 1.5, "payload"), name="w0")
-    assert event.state == EV_RUNNING
-    assert not event.done
-    with pytest.raises(DerBusy):
-        event.result
-    sim.run()
+
+    def submitter():
+        event = yield from eq.submit(op(sim, 1.5, "payload"), name="w0")
+        assert event.state == EV_RUNNING
+        assert not event.done
+        with pytest.raises(DerBusy):
+            event.result
+        return event
+
+    event = run_task(sim, submitter())
     assert event.state == EV_COMPLETED
     assert event.result == "payload"
     assert event.submit_time == 0.0
@@ -56,46 +60,20 @@ def test_launch_completes_and_holds_result():
     assert event.elapsed == 1.5
 
 
-def test_test_reaps_a_single_event():
-    sim = Simulator()
-    eq = EventQueue(sim)
-    event = eq.launch(op(sim, 1.0))
-    assert eq.test(event) is False
-    sim.run()
-    assert eq.n_completed == 1
-    assert eq.test(event) is True
-    assert eq.n_completed == 0  # reaped
-    assert eq.test(event) is True  # idempotent once done
-
-
 def test_poll_reaps_in_completion_order():
+    """``drain`` is the blocking reap (``daos_eq_poll`` until empty)."""
     sim = Simulator()
     eq = EventQueue(sim)
-    slow = eq.launch(op(sim, 3.0, "slow"))
-    fast = eq.launch(op(sim, 1.0, "fast"))
-    mid = eq.launch(op(sim, 2.0, "mid"))
 
-    def reaper():
-        events = yield from eq.poll(min_events=3)
-        return events
+    def submitter():
+        events = []
+        for delay, value in ((3.0, "slow"), (1.0, "fast"), (2.0, "mid")):
+            events.append((yield from eq.submit(op(sim, delay, value))))
+        return events, (yield from eq.drain())
 
-    reaped = run_task(sim, reaper())
+    (slow, fast, mid), reaped = run_task(sim, submitter())
     assert reaped == [fast, mid, slow]
     assert [e.result for e in reaped] == ["fast", "mid", "slow"]
-
-
-def test_poll_min_events_waits_only_for_that_many():
-    sim = Simulator()
-    eq = EventQueue(sim)
-    eq.launch(op(sim, 1.0))
-    eq.launch(op(sim, 50.0))
-
-    def reaper():
-        events = yield from eq.poll(min_events=1)
-        return sim.now, len(events)
-
-    now, n = run_task(sim, reaper())
-    assert (now, n) == (1.0, 1)
 
 
 def test_error_surfaces_on_result_not_at_launch():
@@ -106,8 +84,10 @@ def test_error_surfaces_on_result_not_at_launch():
         yield 1.0
         raise DerInval("broken op")
 
-    event = eq.launch(bad())
-    sim.run()  # must not raise: the error is delivered via the event
+    def submitter():
+        return (yield from eq.submit(bad()))
+
+    event = run_task(sim, submitter())  # the error is delivered via the event
     assert event.state == EV_COMPLETED
     assert isinstance(event.error, DerInval)
     with pytest.raises(DerInval):
@@ -118,9 +98,13 @@ def test_abort_cancels_and_marks_aborted():
     sim = Simulator()
     eq = EventQueue(sim)
     record = []
-    event = eq.launch(op(sim, 5.0, "x", record))
-    event.abort()
-    sim.run()
+
+    def closer():
+        event = yield from eq.submit(op(sim, 5.0, "x", record))
+        yield from eq.close()  # aborts what is in flight
+        return event
+
+    event = run_task(sim, closer())
     assert event.state == EV_ABORTED
     assert record == []  # op never reached its completion point
     with pytest.raises(DerCanceled):
@@ -130,32 +114,46 @@ def test_abort_cancels_and_marks_aborted():
 def test_close_aborts_everything_in_flight():
     sim = Simulator()
     eq = EventQueue(sim)
-    events = [eq.launch(op(sim, float(i + 1))) for i in range(4)]
 
     def closer():
+        events = []
+        for i in range(4):
+            events.append((yield from eq.submit(op(sim, float(i + 1)))))
         yield from eq.close()
+        return events
 
-    run_task(sim, closer())
+    events = run_task(sim, closer())
     assert all(e.state == EV_ABORTED for e in events)
-    assert eq.inflight == 0
-    with pytest.raises(DerInval):
-        eq.launch(op(sim, 1.0))
+
+    def late():
+        try:
+            yield from eq.submit(op(sim, 1.0))
+        except DerInval:
+            return "closed"
+        return "submitted"
+
+    assert run_task(sim, late()) == "closed"
 
 
 # ------------------------------------------------------------------ window
 def test_submit_enforces_inflight_window():
     sim = Simulator()
     eq = EventQueue(sim, depth=2)
-    peaks = []
+    live, peaks = [0], []
+
+    def tracked():
+        live[0] += 1
+        peaks.append(live[0])
+        yield 1.0
+        live[0] -= 1
 
     def submitter():
-        for i in range(6):
-            yield from eq.submit(op(sim, 1.0, i))
-            peaks.append(eq.inflight)
+        for _ in range(6):
+            yield from eq.submit(tracked())
         yield from eq.drain()
 
     run_task(sim, submitter())
-    assert max(peaks) <= 2
+    assert max(peaks) == 2
 
 
 def test_depth_one_serializes():
@@ -289,3 +287,11 @@ def test_inline_reaps_in_submit_order_and_close_leaves_nothing():
     assert run_task(sim, submitter()) == (
         ["a0", "a1", "a2"], ["b0", "b1"], []
     )
+
+
+def test_the_queue_and_its_blocking_twin_have_one_surface():
+    def public(cls):
+        return {name for name in vars(cls) if not name.startswith("_")}
+
+    assert public(EventQueue) == public(Inline) == {
+        "submit", "try_reap", "drain", "close"}

@@ -87,7 +87,7 @@ def test_write_during_window_resyncs_byte_identical(oclass_name):
     pool_uuid = run.cluster.pool.uuid
     query = run.cluster.daos.pool_query(pool_uuid)
     assert query["targets"] == {}
-    assert run.cluster.daos.rebuild.busy(pool_uuid) is False
+    assert pool_uuid not in run.cluster.daos.rebuild._runners
     # storage-level invariant counters cover the streamed object
     assert run.consistency["objects"] >= 1
 

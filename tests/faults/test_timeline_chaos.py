@@ -20,6 +20,7 @@ from repro.dfs import Dfs
 from repro.errors import DerTimedOut
 from repro.faults import CrashEngine, FaultSchedule, RestartEngine
 from repro.units import MiB
+from tests.obs.test_timeline import value_at
 
 pytestmark = pytest.mark.chaos
 
@@ -95,11 +96,11 @@ def test_engine_crash_shows_in_timeline_and_breaches_stall_rule():
 
     # mid-outage: wire throughput visibly drops to zero...
     for dt in (0.2, 0.25, 0.3, 0.35):
-        assert rate.value_at(t0 + dt) == 0.0, dt
+        assert value_at(rate, t0 + dt) == 0.0, dt
     # ...while ops stay in flight, burning RPC timeouts
     guard = store.series["client.io.inflight:mean"]
     guard.finalize()
-    inflight = [guard.value_at(t0 + dt) for dt in (0.2, 0.25, 0.3, 0.35)]
+    inflight = [value_at(guard, t0 + dt) for dt in (0.2, 0.25, 0.3, 0.35)]
     assert any(v and v > 0.0 for v in inflight)
 
     # after the restart: throughput recovers

@@ -41,7 +41,7 @@ def test_queue_holds_at_most_depth_completions_after_every_submit(
 
     def counting_submit(self, op, name=""):
         event = yield from submit(self, op, name)
-        held.append(self.n_completed)
+        held.append(len(self._completed))
         return event
 
     monkeypatch.setattr(EventQueue, "submit", counting_submit)
@@ -75,7 +75,7 @@ def test_flush_raises_the_failure_reaped_during_the_burst():
     def body(archiver):
         yield from archiver.archive(KEYS, FIELD_BYTES)
         # the failed field was reaped long ago; nothing waits on the queue
-        assert archiver._eq.n_completed == 0
+        assert archiver._eq._completed == []
         with pytest.raises(DerNoSpace, match=bad.canonical):
             yield from archiver.flush("cycle-001")
         assert archiver.landmarks == []

@@ -23,10 +23,19 @@ from repro.fdb import (
     render_report,
     run_fdb,
 )
+from repro.fdb.index import LANDMARK_PREFIX, KvIndex
+from repro.fdb.mapping import LANDMARK_ROOT
 from repro.units import KiB
 
 #: small grid every backend test shares: 2 params x 3 steps = 6 fields
 GRID = dict(n_params=2, n_steps=3, field_bytes=64 * KiB, depth=4)
+
+
+def read_landmark(index, name):
+    """Task helper: the flush record ``index`` holds under ``name``."""
+    if isinstance(index, KvIndex):
+        return (yield from index.kv.get(LANDMARK_PREFIX + name))
+    return (yield from index._read(f"{LANDMARK_ROOT}/{name}"))
 
 
 def _run(params):
@@ -146,7 +155,7 @@ def test_query_object_narrows_by_non_prefix_axis():
                          [("kv", "kv"), ("kv", "tree"), ("lustre", "tree")])
 def test_landmark_reads_back_the_flush_record(backend, index):
     def body(_sim, _mapping, index, landmark):
-        record = yield from index.get_landmark("cycle-001")
+        record = yield from read_landmark(index, "cycle-001")
         return landmark, record
 
     _keys, (landmark, record) = _archived(

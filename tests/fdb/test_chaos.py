@@ -21,6 +21,7 @@ from repro.fdb import (
     open_store,
 )
 from repro.units import KiB
+from tests.fdb.test_backends import read_landmark
 
 pytestmark = pytest.mark.chaos
 
@@ -59,7 +60,7 @@ def test_retrieve_after_engine_restart(backend):
     cluster.run(wait())
 
     def retrieve():
-        record = yield from index.get_landmark("cycle-001")
+        record = yield from read_landmark(index, "cycle-001")
         retriever = Retriever(cluster.sim, mapping, index, depth=params.depth)
         got = yield from retriever.retrieve(FieldQuery())
         return record, retriever, got

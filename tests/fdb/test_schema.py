@@ -77,7 +77,9 @@ def test_query_prefix_stops_at_first_wildcard():
 
 def test_query_fully_concrete_prefix_is_the_key_itself():
     key = FieldKey("t2m", 500, 12, 1, "20200101")
-    assert FieldQuery.single(key).prefix() == key.canonical
+    query = FieldQuery(param=key.param, level=key.level, step=key.step,
+                       member=key.member, date=key.date)
+    assert query.prefix() == key.canonical
 
 
 def test_query_matches_every_axis():

@@ -33,14 +33,13 @@ def test_create_write_read_roundtrip(cluster, cont):
         ds = yield from h5.create_dataset("temp", (64,), dtype="u1")
         yield from ds.write((0,), (64,), bytes(range(64)))
         data = yield from ds.read((10,), (4,))
-        kind, aligned = h5.vol.kind, h5.data_aligned
+        kind = h5.vol.kind
         yield from h5.close()
-        return data.materialize(), kind, aligned
+        return data.materialize(), kind
 
-    data, kind, aligned = cluster.run(go())
+    data, kind = cluster.run(go())
     assert data == bytes([10, 11, 12, 13])
     assert kind == "daos"
-    assert aligned  # no format addresses, no staging — ever
 
 
 def test_reopen_recovers_catalog_from_kv(cluster, cont):

@@ -145,12 +145,12 @@ def test_alignment_property_controls_data_alignment(cluster, mount):
                                       alignment=MiB)
         ds = yield from h5.create_dataset("d", (KiB,), dtype="u1")
         aligned_addr = ds.layout["addr"]
-        is_aligned = h5.data_aligned
+        is_aligned = h5.vol.data_aligned(h5)
         yield from h5.close()
         h5b = yield from H5File.create(NativeVol(Sec2Vfd(mount)), "/packed.h5")
         ds2 = yield from h5b.create_dataset("d", (KiB,), dtype="u1")
         unaligned_addr = ds2.layout["addr"]
-        not_aligned = h5b.data_aligned
+        not_aligned = h5b.vol.data_aligned(h5b)
         yield from h5b.close()
         return aligned_addr, is_aligned, unaligned_addr, not_aligned
 
@@ -191,7 +191,7 @@ def test_data_aligned_tracks_vfd_preferred_io(cluster, mount):
             h5 = yield from H5File.create(
                 NativeVol(vfd), path, alignment=alignment
             )
-            result = (vfd.preferred_io, h5.data_aligned)
+            result = (vfd.preferred_io, h5.vol.data_aligned(h5))
             yield from h5.close()
             return result
 

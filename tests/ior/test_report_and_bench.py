@@ -62,23 +62,13 @@ def test_series_and_figure_rendering():
     series_b = Series("beta")
     series_b.add(1, 1 * GiB)  # no point at x=4
     fig = FigureData("Fig X", "demo", "nodes", "bw", [series_a, series_b])
-    assert fig.labels() == ["alpha", "beta"]
-    assert fig.series_by_label("beta").at(1) == GiB
-    assert fig.series_by_label("beta").at(4) is None
-    with pytest.raises(KeyError):
-        fig.series_by_label("gamma")
+    assert series_b.at(1) == GiB
+    assert series_b.at(4) is None
     text = render_figure(fig)
     assert "Fig X" in text
     assert "alpha" in text and "beta" in text
     assert "2.00" in text and "8.00" in text
     assert "-" in text.splitlines()[-1]  # missing cell placeholder
-
-
-def test_figure_series_xs():
-    series = Series("s")
-    series.add(2, 1.0)
-    series.add(8, 2.0)
-    assert series.xs == [2, 8]
 
 
 def test_every_ior_figure_is_the_one_sweep_loop():
@@ -92,8 +82,10 @@ def test_every_ior_figure_is_the_one_sweep_loop():
     assert (read_fig.figure_id, write_fig.figure_id) == ("Fig 1a", "Fig 1b")
     assert read_fig.title == "IOR file-per-process: read"
     assert write_fig.title == "IOR file-per-process: write"
-    assert read_fig.labels() == write_fig.labels() == ["DAOS S1", "DAOS SX"]
-    assert read_fig.series_by_label("DAOS SX").xs == [1, 2]
+    for fig in (read_fig, write_fig):
+        assert [s.label for s in fig.series] == ["DAOS S1", "DAOS SX"]
+    read_sx, write_sx = read_fig.series[1], write_fig.series[1]
+    assert [p.x for p in read_sx.points] == [1, 2]
     # the x column is headed "nodes", as in figures_full.txt
     assert render_figure(read_fig).splitlines()[2].startswith(" nodes | ")
     # a point of the sweep is exactly the IOR run it names, on a fresh testbed
@@ -103,5 +95,5 @@ def test_every_ior_figure_is_the_one_sweep_loop():
                   block_size="2m", transfer_size="1m"),
         ppn=2,
     )
-    assert write_fig.series_by_label("DAOS SX").at(2) == direct.max_write_bw
-    assert read_fig.series_by_label("DAOS SX").at(2) == direct.max_read_bw
+    assert write_sx.at(2) == direct.max_write_bw
+    assert read_sx.at(2) == direct.max_read_bw

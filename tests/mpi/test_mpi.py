@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import MpiError
-from repro.hardware import ClientNode, nextgenio_node
+from repro.hardware import ClientNode, NodeSpec
 from repro.mpi import MpiWorld
 from repro.network import Fabric
 from repro.sim import Simulator
@@ -13,7 +13,7 @@ def make_world(n_nodes=2, ppn=4, nprocs=None):
     sim = Simulator()
     fabric = Fabric(sim)
     nodes = [
-        ClientNode(fabric, f"c{i}", nextgenio_node(server=False))
+        ClientNode(fabric, f"c{i}", NodeSpec())
         for i in range(n_nodes)
     ]
     world = MpiWorld(sim, fabric, nodes, ppn, nprocs)
@@ -32,7 +32,7 @@ def test_rank_placement_follows_ppn():
 def test_too_many_ranks_rejected():
     sim = Simulator()
     fabric = Fabric(sim)
-    nodes = [ClientNode(fabric, "c0", nextgenio_node(server=False))]
+    nodes = [ClientNode(fabric, "c0", NodeSpec())]
     with pytest.raises(MpiError):
         MpiWorld(sim, fabric, nodes, ppn=2, nprocs=3)
 

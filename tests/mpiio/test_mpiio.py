@@ -88,8 +88,8 @@ def test_collective_write_then_independent_read(cluster, cont_label, world):
         # read back a *different* rank's block to prove global visibility
         other = (ctx.rank + 1) % ctx.size
         back = yield from fh.read_at(other * blk, blk)
-        size = yield from fh.handle.size()
         yield from fh.close()
+        size = (yield from mount.stat("/coll-shared")).size
         expected = PatternPayload(seed=7, origin=other * blk, nbytes=blk)
         return back == expected and size == ctx.size * blk
 

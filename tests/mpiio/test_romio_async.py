@@ -176,7 +176,7 @@ def test_aggregator_queue_is_closed_at_no_event_cost(monkeypatch):
     queue without scheduling anything."""
     awaited, queues = _collective_schedule_calls(monkeypatch, _RecordingQueue)
     assert len(queues) == 4  # one per aggregator (2 nodes) per direction
-    assert all(q._closed and not q.inflight for q in queues)
+    assert all(q._closed and not q._inflight for q in queues)
     dropped, stale = _collective_schedule_calls(monkeypatch, _DroppedClose)
     assert not any(q._closed for q in stale)
     assert awaited == dropped

@@ -319,8 +319,6 @@ def test_invalid_inputs_rejected():
         net.add_link("l", 10.0)
     with pytest.raises(NetworkError):
         net.open([(link, 1.0)], cap=0.0)
-    with pytest.raises(NetworkError):
-        net.link("missing")
     flow = net.open([(link, 1.0)])
     with pytest.raises(NetworkError):
         flow.transfer(-5)
@@ -332,7 +330,7 @@ def test_close_unknown_flow_is_noop():
     flow = net.open([(link, 1.0)])
     net.close(flow)
     net.close(flow)  # second close must not raise
-    assert link.n_flows == 0
+    assert not link._flows
 
 
 def test_utilization_reporting():
@@ -375,7 +373,7 @@ def test_repeated_link_in_a_path_counts_once_with_summed_weight():
     assert flow.rate == pytest.approx(60.0)
     assert link.utilization() == pytest.approx(1.0)
     net.close(flow)
-    assert link.n_flows == 0
+    assert not link._flows
 
 
 def test_open_flow_owns_two_containers_not_one_per_link():

@@ -341,7 +341,7 @@ def test_forced_exit_residual_is_real():
 def test_forced_exit_degenerate_topology(make):
     net = FlowNetwork(Simulator(), allocator=make())
     a, b, c = _build_forced_exit(net)
-    assert net.forced_exits == 1
+    assert net._allocator.forced_exits == 1
     assert (a.rate, b.rate, c.rate) == (1e-12, 1e-12, 0.0)
 
 
@@ -354,7 +354,7 @@ def test_forced_exit_is_logged_by_both_strategies(scalar_cells, caplog):
     net = FlowNetwork(Simulator(), allocator=allocator)
     with caplog.at_level(logging.WARNING, logger="repro.network.allocator"):
         a, b, c = _build_forced_exit(net)
-    assert net.forced_exits == 1
+    assert net._allocator.forced_exits == 1
     assert (a.rate, b.rate, c.rate) == (1e-12, 1e-12, 0.0)
     assert any("forced exit" in rec.message for rec in caplog.records)
 
@@ -368,5 +368,5 @@ def test_forced_exit_metric_counted():
     install(sim, tracing=False, metrics=True)
     net = FlowNetwork(sim)
     _build_forced_exit(net)
-    assert net.forced_exits == 1
+    assert net._allocator.forced_exits == 1
     assert sim.metrics.counter("fabric.solver.forced_exit").value == 1

@@ -56,6 +56,8 @@ BAD_INPUT = [
     ("fdb", ["--depth", "0"], "--depth"),
     ("fdb", ["--params", "0"], "--params"),
     ("fdb", ["--backend", "lustre", "--index", "kv"], "no KV index"),
+    ("fdb", ["--backend", "lustre", "--chunk-size", "512k"], "--chunk-size"),
+    ("fdb", ["--backend", "lustre", "--oclass", "SX"], "--oclass"),
     ("fdb", _FDB + ["--timeline-interval", "-1"], "--timeline-interval"),
     ("ior", _IOR + ["-O", "chunk_size=0"], "chunk_size must be positive"),
     ("ior", _IOR + ["-O", "oclass=EC_2P1GX", "-O", "chunk_size=3"],

@@ -11,6 +11,7 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     exact_quantile,
+    format_metric_name,
     latency_stats,
     write_metrics,
 )
@@ -147,9 +148,9 @@ def test_prometheus_histogram_buckets_are_cumulative():
 
 def test_prometheus_labels_render_in_prom_syntax():
     reg = MetricsRegistry(_Clock())
-    reg.incr("ior.ops", labels={"rank": 3})
-    reg.incr("ior.ops", labels={"rank": 7})
-    reg.observe("ior.write.latency", 0.01, labels={"rank": 3})
+    reg.incr(format_metric_name("ior.ops", {"rank": 3}))
+    reg.incr(format_metric_name("ior.ops", {"rank": 7}))
+    reg.observe(format_metric_name("ior.write.latency", {"rank": 3}), 0.01)
     text = reg.to_prometheus()
     assert 'ior_ops{rank="3"} 1' in text
     assert 'ior_ops{rank="7"} 1' in text

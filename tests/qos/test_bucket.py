@@ -63,20 +63,21 @@ def test_bucket_validates_parameters():
         TokenBucket(sim, rate=1.0, burst=0.0)
 
 
-def test_bucket_starts_full_and_try_acquire_depletes():
+def test_bucket_starts_full_and_acquire_depletes():
     sim = Simulator()
     bucket = TokenBucket(sim, rate=100.0, burst=50.0)
     assert bucket.level == 50.0
-    assert bucket.try_acquire(30.0)
+    assert sim.run_until_complete(sim.spawn(bucket.acquire(30.0))) == 0.0
     assert bucket.level == pytest.approx(20.0)
-    assert not bucket.try_acquire(30.0)  # only 20 left
-    assert bucket.level == pytest.approx(20.0)  # failed try leaves level alone
+    # only 20 left: taking 30 goes 10 into debt and waits it off
+    assert sim.run_until_complete(
+        sim.spawn(bucket.acquire(30.0))) == pytest.approx(0.1)
 
 
 def test_bucket_refills_at_rate_capped_by_burst():
     sim = Simulator()
     bucket = TokenBucket(sim, rate=10.0, burst=40.0)
-    assert bucket.try_acquire(40.0)
+    assert sim.run_until_complete(sim.spawn(bucket.acquire(40.0))) == 0.0
 
     def wait_then_look(delay):
         yield delay
@@ -144,7 +145,6 @@ def test_bucket_long_run_rate_is_bounded():
 def test_unlimited_bucket_is_free():
     sim = Simulator()
     bucket = TokenBucket(sim, rate=None, burst=1.0)
-    assert bucket.try_acquire(1e12)
 
     def consumer():
         waited = yield from bucket.acquire(1e12)
