@@ -56,15 +56,16 @@ gcprobe:
 	$(PY) benchmarks/gc_probe.py --seed 7 > artifacts/gcprobe.txt; \
 	    status=$$?; cat artifacts/gcprobe.txt; exit $$status
 
-# Who calls what (~4 min): tier-1, then every CLI mode / e2e workload /
+# Who calls what (~7 min): tier-1, then every CLI mode / e2e workload /
 # script / example, under sys.setprofile. Lists the functions nothing
 # called (NEVER) or only tests called (TESTONLY), and the defaulted
-# parameters of called functions that no call set to another value
-# (NEVER-SET) or only tests did (TEST-SET), with a totals line for each;
-# fails on a NEVER function that is neither a dunder nor an interface
-# stub, on a TESTONLY function that census.py's KEEP allowlist gives no
-# reason for, on a KEEP entry that covers no TESTONLY function any more
-# (stale), and on any NEVER-SET parameter.
+# parameters of called functions and init fields of constructed
+# dataclasses that no call set to another value (NEVER-SET) or only
+# tests did (TEST-SET), with a totals line for each; fails on a NEVER
+# function that is neither a dunder nor an interface stub, on a TESTONLY
+# function that census.py's KEEP allowlist gives no reason for, on a
+# KEEP entry that covers nothing any more (stale), and on any NEVER-SET
+# parameter or field outside the calibration table hardware/specs.py.
 census:
 	$(PY) benchmarks/census.py
 

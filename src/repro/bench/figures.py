@@ -42,12 +42,13 @@ def _series_label(api: str, oclass: Optional[str] = None) -> str:
 
 
 def _ior_sweep(figure_id: str, title: str, series, node_counts,
-               ppn: int, **common) -> Tuple[FigureData, FigureData]:
+               **common) -> Tuple[FigureData, FigureData]:
     """The one loop behind both IOR figures; returns (read, write).
 
     ``series`` is ``(label, IorParams keywords)`` pairs, one curve each;
-    every point runs on a fresh testbed with 1 MiB transfers plus the
-    ``common`` keywords. ``title`` has one ``{}`` for the phase name.
+    every point runs on a fresh testbed, ``PPN`` processes per node, with
+    1 MiB transfers plus the ``common`` keywords. ``title`` has one ``{}``
+    for the phase name.
     """
     read_fig = FigureData(f"{figure_id}a", title.format("read"),
                           "nodes", "bandwidth")
@@ -58,7 +59,7 @@ def _ior_sweep(figure_id: str, title: str, series, node_counts,
         write_series = Series(label)
         for nodes in node_counts:
             params = IorParams(transfer_size="1m", **keywords, **common)
-            result = run_ior(nextgenio(client_nodes=nodes), params, ppn=ppn)
+            result = run_ior(nextgenio(client_nodes=nodes), params, ppn=PPN)
             read_series.add(nodes, result.max_read_bw)
             write_series.add(nodes, result.max_write_bw)
         read_fig.series.append(read_series)
@@ -67,19 +68,14 @@ def _ior_sweep(figure_id: str, title: str, series, node_counts,
 
 
 def fig1_fpp(
-    node_counts: Iterable[int],
-    block_size,
-    ppn: int = PPN,
-    interfaces: Iterable[str] = FIG1_INTERFACES,
-    oclasses: Iterable[str] = FIG1_OCLASSES,
+    node_counts: Iterable[int], block_size
 ) -> Tuple[FigureData, FigureData]:
     """Returns (fig1a_read, fig1b_write)."""
-    oclasses = tuple(oclasses)
     return _ior_sweep(
         "Fig 1", "IOR file-per-process: {}",
         [(_series_label(api, oclass), dict(api=api, oclass=oclass))
-         for api in interfaces for oclass in oclasses],
-        node_counts, ppn, file_per_proc=True, block_size=block_size,
+         for api in FIG1_INTERFACES for oclass in FIG1_OCLASSES],
+        node_counts, file_per_proc=True, block_size=block_size,
     )
 
 
@@ -90,7 +86,7 @@ def fig2_shared(
     return _ior_sweep(
         "Fig 2", "IOR shared-file: {}",
         [(_series_label(api), dict(api=api)) for api in FIG2_INTERFACES],
-        node_counts, PPN, file_per_proc=False, oclass="SX",
+        node_counts, file_per_proc=False, oclass="SX",
         block_size=block_size,
     )
 

@@ -15,7 +15,7 @@ class SeriesPoint:
 @dataclass
 class Series:
     label: str
-    points: List[SeriesPoint] = field(default_factory=list)
+    points: List[SeriesPoint] = field(default_factory=list, init=False)
 
     def add(self, x: int, value: float) -> None:
         self.points.append(SeriesPoint(x, value))
@@ -33,4 +33,4 @@ class FigureData:
     title: str
     xlabel: str
     ylabel: str
-    series: List[Series] = field(default_factory=list)
+    series: List[Series] = field(default_factory=list, init=False)

@@ -23,10 +23,11 @@ Modes mirror dfuse's caching switches:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Union
 
-from repro.units import GiB, KiB, MiB, parse_size
+from repro.hardware.specs import NodeSpec
+from repro.units import KiB, MiB, parse_size
 
 CACHE_MODES = ("none", "readonly", "writeback")
 
@@ -34,44 +35,39 @@ CACHE_MODES = ("none", "readonly", "writeback")
 #: evenly across the processes sharing the node (like the kernel page
 #: cache competing with ppn application processes).
 NODE_MEMORY_FRACTION = 0.25
+#: attribute (stat) cache TTL, seconds (dfuse --attr-time)
+ATTR_TTL = 1.0
+#: dentry (path -> inode) cache TTL, seconds (dfuse --dentry-time)
+DENTRY_TTL = 1.0
+#: per-file dirty bytes that trigger a background-style flush
+WB_WATERMARK = 16 * MiB
+#: largest single coalesced write issued by a flush
+WB_MAX_EXTENT = 64 * MiB
+#: bytes prefetched ahead of a detected sequential stream
+READAHEAD_WINDOW = 8 * MiB
+#: consecutive sequential ops before read-ahead engages
+READAHEAD_MIN_RUN = 2
 
 
 @dataclass(frozen=True)
 class CacheConfig:
-    """Knobs for one mounted cache instance."""
+    """One mounted cache instance: its mode and what the node gives it."""
 
     #: none | readonly | writeback (the consistency mode, see module doc)
     mode: str = "none"
     #: page-cache budget in bytes; 0 = derive from the node's hardware
     #: model via :meth:`resolve` (NODE_MEMORY_FRACTION of DRAM / ppn)
     capacity: Union[int, str] = 0
-    #: DRAM copy bandwidth charged for cache hits and buffered writes
-    copy_bw: float = 12e9
-    #: attribute (stat) cache TTL, seconds (dfuse --attr-time)
-    attr_ttl: float = 1.0
-    #: dentry (path -> inode) cache TTL, seconds (dfuse --dentry-time)
-    dentry_ttl: float = 1.0
-    #: per-file dirty bytes that trigger a background-style flush
-    wb_watermark: Union[int, str] = 16 * MiB
-    #: largest single coalesced write issued by a flush
-    wb_max_extent: Union[int, str] = 64 * MiB
-    #: bytes prefetched ahead of a detected sequential stream
-    readahead_window: Union[int, str] = 8 * MiB
-    #: consecutive sequential ops before read-ahead engages
-    readahead_min_run: int = 2
+    #: DRAM copy bandwidth charged for cache hits and buffered writes:
+    #: the node's, set by :meth:`resolve` (a default node's until then)
+    copy_bw: float = field(init=False, default=NodeSpec.memory_copy_bw)
 
     def __post_init__(self) -> None:
         if self.mode not in CACHE_MODES:
             raise ValueError(
                 f"cache mode must be one of {CACHE_MODES}, got {self.mode!r}"
             )
-        for name in ("capacity", "wb_watermark", "wb_max_extent",
-                     "readahead_window"):
-            object.__setattr__(self, name, parse_size(getattr(self, name)))
-        if self.copy_bw <= 0:
-            raise ValueError("copy_bw must be positive")
-        if self.readahead_min_run < 1:
-            raise ValueError("readahead_min_run must be >= 1")
+        object.__setattr__(self, "capacity", parse_size(self.capacity))
 
     # ------------------------------------------------------------- predicates
     @property
@@ -84,17 +80,15 @@ class CacheConfig:
 
     # ------------------------------------------------------------- sizing
     def resolve(self, node_spec, ppn: int = 1) -> "CacheConfig":
-        """Fill a zero ``capacity`` from the node's memory model: each of
-        the ``ppn`` processes sharing the node gets an equal slice of
-        the NODE_MEMORY_FRACTION page-cache pool."""
-        if self.capacity:
-            return self
+        """This config on a node: the node's copy bandwidth, and a zero
+        ``capacity`` filled from the node's memory model (each of the
+        ``ppn`` processes sharing the node gets an equal slice of the
+        NODE_MEMORY_FRACTION page-cache pool)."""
         budget = int(node_spec.memory * NODE_MEMORY_FRACTION) // max(1, ppn)
-        return replace(
-            self,
-            capacity=max(budget, 64 * KiB),
-            copy_bw=getattr(node_spec, "memory_copy_bw", self.copy_bw),
-        )
+        resolved = replace(
+            self, capacity=self.capacity or max(budget, 64 * KiB))
+        object.__setattr__(resolved, "copy_bw", node_spec.memory_copy_bw)
+        return resolved
 
     def copy_cost(self, nbytes: int) -> float:
         """Simulated seconds to memcpy ``nbytes`` (hit service, buffering)."""

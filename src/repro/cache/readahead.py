@@ -1,10 +1,10 @@
 """Sequential-read detection driving read-ahead prefetch.
 
 Each open file handle owns one :class:`ReadAhead` detector.  It watches
-the stream of read offsets: once ``readahead_min_run`` consecutive reads
+the stream of read offsets: once ``READAHEAD_MIN_RUN`` consecutive reads
 land exactly where the previous one ended, the stream is classified
 sequential and the next cache miss widens its backing fetch by up to
-``readahead_window`` bytes past the requested range.  The extra bytes go
+``READAHEAD_WINDOW`` bytes past the requested range.  The extra bytes go
 into the page cache, so the following reads hit DRAM instead of paying
 another RPC round trip — the aggregation win on the read path.
 
@@ -15,14 +15,13 @@ stream ramps up again from one window).
 
 from __future__ import annotations
 
-from repro.cache.config import CacheConfig
+from repro.cache.config import READAHEAD_MIN_RUN, READAHEAD_WINDOW
 
 
 class ReadAhead:
     """Per-handle sequentiality detector + prefetch window sizing."""
 
-    def __init__(self, config: CacheConfig):
-        self.config = config
+    def __init__(self):
         #: where the next read of a sequential stream would start
         self.next_expected = 0
         #: consecutive sequential reads observed (incl. the first)
@@ -32,7 +31,7 @@ class ReadAhead:
 
     @property
     def sequential(self) -> bool:
-        return self.run >= self.config.readahead_min_run
+        return self.run >= READAHEAD_MIN_RUN
 
     def observe(self, offset: int, nbytes: int) -> None:
         """Record one read; call before :meth:`window`."""
@@ -46,7 +45,7 @@ class ReadAhead:
         """Bytes to fetch *past* the current read, 0 if not sequential."""
         if not self.sequential:
             return 0
-        return self.config.readahead_window
+        return READAHEAD_WINDOW
 
     def note_prefetch(self, nbytes: int) -> None:
         self.prefetched_bytes += nbytes

@@ -5,11 +5,11 @@ handle in ``writeback`` mode.  Writes land in a dirty
 :class:`~repro.daos.vos.extent.ExtentTree` with adjacent-extent merging, so
 a stream of transfer-size writes coalesces into a handful of large
 contiguous extents; the flusher pops contiguous runs (capped at
-``wb_max_extent``) and issues them as single array writes — trading N
+``WB_MAX_EXTENT``) and issues them as single array writes — trading N
 per-RPC overheads for one, which is where the DFuse writeback bandwidth
 win comes from.
 
-Flush triggers (DESIGN.md §8): dirty bytes crossing ``wb_watermark``
+Flush triggers (DESIGN.md §8): dirty bytes crossing ``WB_WATERMARK``
 during a write, ``fsync``, ``close``, and IOR phase barriers (the runner
 fsync/close before each barrier).  A failed flush never drops data: the
 run is re-inserted, the storage error is latched, and the *next*
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Generator, List, Optional, Tuple
 
-from repro.cache.config import CacheConfig
+from repro.cache.config import WB_MAX_EXTENT, WB_WATERMARK
 from repro.daos.vos.extent import ExtentTree
 from repro.daos.vos.payload import Payload
 from repro.errors import CacheWritebackError
@@ -35,8 +35,7 @@ DIRTY_GAUGE = "cache.wb.dirty_bytes"
 class WriteBehind:
     """Per-handle dirty buffer with watermark/fsync/close flushing."""
 
-    def __init__(self, config: CacheConfig, sim, path: str = "?"):
-        self.config = config
+    def __init__(self, sim, path: str):
         self.sim = sim
         self.path = path
         self.dirty = ExtentTree()
@@ -60,7 +59,7 @@ class WriteBehind:
 
     @property
     def need_flush(self) -> bool:
-        return self.dirty.used_bytes >= self.config.wb_watermark
+        return self.dirty.used_bytes >= WB_WATERMARK
 
     def buffer(self, offset: int, payload: Payload) -> None:
         """Absorb a write without touching the store."""
@@ -86,7 +85,7 @@ class WriteBehind:
     def flush(self, write_fn) -> Generator:
         """Task helper: drain the buffer through ``write_fn(off, payload)``.
 
-        Pops lowest-offset contiguous runs capped at ``wb_max_extent``
+        Pops lowest-offset contiguous runs capped at ``WB_MAX_EXTENT``
         and writes each as one coalesced array write. On a storage
         error the run goes back into the buffer, the error latches, and
         this returns ``False`` — callers decide whether to surface it
@@ -95,9 +94,7 @@ class WriteBehind:
         """
         m = self._metrics
         while self.dirty.used_bytes:
-            offset, payload = self.dirty.pop_first_run(
-                self.config.wb_max_extent
-            )
+            offset, payload = self.dirty.pop_first_run(WB_MAX_EXTENT)
             self._gauge_add(-payload.nbytes)
             t0 = self.sim.now
             try:

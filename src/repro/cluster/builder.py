@@ -31,10 +31,10 @@ class _Machine:
         task = self.sim.spawn(gen)
         return self.sim.run_until_complete(task, limit=limit)
 
-    def observe(self, tracing: bool = True, metrics: bool = True,
+    def observe(self, tracing: bool = True,
                 timeline_interval: Optional[float] = None,
                 slo_rules=None):
-        """Enable span tracing and/or metrics on this cluster's simulator;
+        """Enable metrics, and span tracing, on this cluster's simulator;
         returns the ``(tracer, registry)`` pair. Purely additive: the
         simulated execution is identical with or without it (pinned by
         tests/faults/test_determinism.py and
@@ -47,25 +47,16 @@ class _Machine:
         return install(
             self.sim,
             tracing=tracing,
-            metrics=metrics,
             timeline_interval=timeline_interval,
             slo_rules=slo_rules,
         )
 
 
 def _machine(server_nodes: int, client_nodes: int, server_name: str,
-             engine_spec: Optional[EngineSpec],
-             fabric_spec: Optional[FabricSpec], seed: int) -> _Machine:
+             engine_spec: Optional[EngineSpec], seed: int) -> _Machine:
     """Dual-engine servers and engine-less clients on one fabric."""
     sim = Simulator()
-    fspec = fabric_spec or FabricSpec()
-    fabric = Fabric(
-        sim,
-        base_latency=fspec.base_latency,
-        msg_bandwidth=fspec.msg_bandwidth,
-        software_overhead=fspec.software_overhead,
-        rpc_timeout=fspec.rpc_timeout,
-    )
+    fabric = Fabric(sim, FabricSpec())
     server_spec = NodeSpec(engines=2, engine=engine_spec or EngineSpec())
     client_spec = NodeSpec(engines=0)
     servers = [
@@ -103,14 +94,12 @@ def build_cluster(
     server_nodes: int,
     client_nodes: int,
     engine_spec: Optional[EngineSpec] = None,
-    fabric_spec: Optional[FabricSpec] = None,
     capacity_per_target: int = 64 * GiB,
     seed: int = 0xDA05,
 ) -> Cluster:
     """Assemble and boot a cluster; returns once the pool exists and the
     metadata service has a stable leader."""
-    m = _machine(server_nodes, client_nodes, "server", engine_spec,
-                 fabric_spec, seed)
+    m = _machine(server_nodes, client_nodes, "server", engine_spec, seed)
     daos = DaosSystem(m.sim, m.fabric, m.servers, rng=m.rng)
 
     def boot():
@@ -147,7 +136,7 @@ def build_lustre_cluster(
     the DAOS-vs-parallel-filesystem contrast experiment."""
     from repro.lustre.fs import LustreFs
 
-    m = _machine(server_nodes, client_nodes, "oss", engine_spec, None, seed)
+    m = _machine(server_nodes, client_nodes, "oss", engine_spec, seed)
     fs = LustreFs(m.sim, m.fabric, m.servers, default_stripe_count=stripe_count)
     return LustreCluster(**vars(m), fs=fs)
 
@@ -176,14 +165,13 @@ def small_cluster(
     client_nodes: int = 2,
     targets_per_engine: int = 2,
     seed: int = 0xDA05,
-    capacity_per_target: int = 4 * GiB,
 ) -> Cluster:
-    """A cheap cluster for unit/integration tests."""
+    """A cheap cluster for unit/integration tests, 4 GiB per target."""
     espec = EngineSpec(targets=targets_per_engine)
     return build_cluster(
         server_nodes=server_nodes,
         client_nodes=client_nodes,
         engine_spec=espec,
-        capacity_per_target=capacity_per_target,
+        capacity_per_target=4 * GiB,
         seed=seed,
     )

@@ -31,6 +31,8 @@ _MISSING = object()
 #: characters a KV key may not contain — identical to the metric-label
 #: reservation so keys can always ride inside ``{k=v}`` label bodies
 RESERVED_KEY_CHARS = ",{}="
+#: keys one enumeration RPC returns at most
+PAGE = 1024
 
 
 def validate_key(key: str) -> None:
@@ -111,13 +113,13 @@ class DaosKV:
             return default
         return value
 
-    def list(self, prefix: str = "", limit: int = 1024,
+    def list(self, prefix: str = "",
              after: Optional[str] = None) -> Generator:
         """Task helper: one sorted page of keys starting with ``prefix``.
 
         ``after`` resumes strictly past a previously returned key (the
         pagination cursor :meth:`scan` drives). The page is truncated at
-        ``limit``; use :meth:`scan` to enumerate exhaustively.
+        ``PAGE`` keys; use :meth:`scan` to enumerate exhaustively.
         """
         raw = _encode(prefix) if prefix else b""
         if after is not None:
@@ -126,7 +128,7 @@ class DaosKV:
         else:
             lo = raw or None
         hi = prefix_upper_bound(raw) if raw else None
-        keys = yield from self.obj.list_dkeys(lo, hi, limit)
+        keys = yield from self.obj.list_dkeys(lo, hi, PAGE)
         out = []
         for key in keys:
             text = key.decode("utf-8")
@@ -135,15 +137,15 @@ class DaosKV:
                 out.append(text)
         return out
 
-    def scan(self, prefix: str = "", page: int = 1024) -> Generator:
+    def scan(self, prefix: str = "") -> Generator:
         """Task helper: every key with ``prefix``, in order, fetched in
-        ``page``-sized batches (each batch one enumeration RPC round)."""
+        ``PAGE``-sized batches (each batch one enumeration RPC round)."""
         out: List[str] = []
         cursor: Optional[str] = None
         while True:
-            batch = yield from self.list(prefix, limit=page, after=cursor)
+            batch = yield from self.list(prefix, after=cursor)
             out.extend(batch)
-            if len(batch) < page:
+            if len(batch) < PAGE:
                 return out
             cursor = batch[-1]
 

@@ -17,7 +17,6 @@ from repro.errors import DerInval
 _CLASS_SHIFT = 48
 _CLASS_MASK = 0xFFFF << _CLASS_SHIFT
 _LO_MASK = (1 << 64) - 1
-_HI_LOW_MASK = (1 << _CLASS_SHIFT) - 1
 
 
 @dataclass(frozen=True, order=True)
@@ -30,12 +29,9 @@ class ObjId:
             raise DerInval(f"oid out of range: ({self.hi:#x}, {self.lo:#x})")
 
     @classmethod
-    def generate(cls, oclass: ObjectClass, hi: int = 0, lo: int = 0) -> "ObjId":
+    def generate(cls, oclass: ObjectClass, lo: int = 0) -> "ObjId":
         """Embed ``oclass`` into the top 16 bits of ``hi``."""
-        if hi & _CLASS_MASK:
-            raise DerInval("hi bits 48..63 are reserved for the object class")
-        return cls((oclass_id(oclass) << _CLASS_SHIFT) | (hi & _HI_LOW_MASK),
-                   lo & _LO_MASK)
+        return cls(oclass_id(oclass) << _CLASS_SHIFT, lo & _LO_MASK)
 
     @property
     def oclass(self) -> ObjectClass:

@@ -68,14 +68,14 @@ class PoolMap:
     statuses: Dict[int, TargetStatus] = field(default_factory=dict)
     #: derived: targets that may not serve *reads* (anything non-UP —
     #: REBUILDING targets accept writes but their data is incomplete)
-    excluded: frozenset = frozenset()
+    excluded: frozenset = field(init=False, default=frozenset())
     #: derived: targets that may not receive *writes* (DOWN / DOWNOUT)
-    write_excluded: frozenset = frozenset()
+    write_excluded: frozenset = field(init=False, default=frozenset())
     #: derived: permanently evicted targets (spare substitution applies)
-    downout: frozenset = frozenset()
+    downout: frozenset = field(init=False, default=frozenset())
     #: derived: every DOWNOUT shard has been rebuilt onto its spare, so
     #: substituted slots are readable again
-    downout_ready: bool = True
+    downout_ready: bool = field(init=False, default=True)
 
     def derive(self) -> "PoolMap":
         statuses = self.statuses
@@ -328,11 +328,10 @@ class DaosSystem:
         yield from self._publish_map(pool_map, rsvc)
         return pool_map.version
 
-    def mark_downout_rebuilt(self, pool_uuid: str, tid: int, rsvc=None) -> Generator:
+    def mark_downout_rebuilt(self, pool_uuid: str, tid: int, rsvc) -> Generator:
         """Task helper (rebuild completion): flag a DOWNOUT target's shard
         as fully reconstructed on its spare (substituted slots become
         readable)."""
-        rsvc = rsvc or self.rsvc_client()
         pool_map = yield from self._load_map(pool_uuid, rsvc)
         current = pool_map.statuses.get(tid)
         if current is None or current.state != DOWNOUT or current.rebuilt:

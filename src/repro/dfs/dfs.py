@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Generator, List, Optional, Tuple
 
 from repro.cache.attrs import TtlCache
-from repro.cache.config import CacheConfig
+from repro.cache.config import DENTRY_TTL, CacheConfig
 from repro.daos.client import ContainerHandle
 from repro.daos.object import ObjectHandle
 from repro.daos.oclass import S1, oclass_by_name
@@ -58,7 +58,7 @@ class Dfs:
         #: cross-handle size-staleness fix, not a cache feature
         self._file_states: dict = {}
         self._dentry: Optional[TtlCache] = (
-            TtlCache(self.client.sim, self.cache.dentry_ttl, "cache.dentry",
+            TtlCache(self.client.sim, DENTRY_TTL, "cache.dentry",
                      labels={"node": self.client.node.name})
             if self.cache is not None else None
         )

@@ -66,11 +66,11 @@ class DfsFile:
         self._epoch_seen = self.shared.epoch
         cfg = dfs.cache
         self.wb: Optional[WriteBehind] = (
-            WriteBehind(cfg, dfs.client.sim, path)
+            WriteBehind(dfs.client.sim, path)
             if cfg is not None and cfg.writeback else None
         )
         self.ra: Optional[ReadAhead] = (
-            ReadAhead(cfg) if cfg is not None else None
+            ReadAhead() if cfg is not None else None
         )
         self._ra_buf: Optional[ExtentTree] = (
             ExtentTree() if cfg is not None else None

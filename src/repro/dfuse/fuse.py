@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Generator, Iterable, List, Optional, Tuple
 
 from repro.cache.attrs import TtlCache
-from repro.cache.config import CacheConfig
+from repro.cache.config import ATTR_TTL, CacheConfig
 from repro.cache.pages import PageCache
 from repro.daos.vos.payload import as_payload, concat_payloads
 from repro.dfs.dfs import Dfs
@@ -66,7 +66,7 @@ class DFuseMount(FileSystem):
             if cfg is not None else None
         )
         self._attrs: Optional[TtlCache] = (
-            TtlCache(sim, cfg.attr_ttl, "cache.attr", labels=node_labels)
+            TtlCache(sim, ATTR_TTL, "cache.attr", labels=node_labels)
             if cfg is not None else None
         )
 

@@ -33,7 +33,7 @@ class ConsensusError(ReproError):
 class NotLeaderError(ConsensusError):
     """A client sent a write to a replica that is not the current leader."""
 
-    def __init__(self, hint: int | None = None):
+    def __init__(self, hint: int | None):
         super().__init__(f"not the raft leader (hint={hint})")
         #: best-effort id of the actual leader, or None if unknown
         self.hint = hint
@@ -161,12 +161,12 @@ class CacheWritebackError(ReproError):
 class FsError(ReproError):
     """POSIX-layer error with an errno-style symbolic code."""
 
-    def __init__(self, errno_name: str, msg: str = ""):
-        super().__init__(f"[{errno_name}] {msg}" if msg else errno_name)
+    def __init__(self, errno_name: str, msg: str):
+        super().__init__(f"[{errno_name}] {msg}")
         self.errno_name = errno_name
 
 
-def fs_error_from_daos(err: DaosError, msg: str = "") -> FsError:
+def fs_error_from_daos(err: DaosError, msg: str) -> FsError:
     """Translate a DAOS error into the equivalent POSIX errno for VFS users."""
     mapping = {
         "DER_NONEXIST": "ENOENT",
@@ -180,4 +180,4 @@ def fs_error_from_daos(err: DaosError, msg: str = "") -> FsError:
         "DER_TIMEDOUT": "ETIMEDOUT",
         "DER_DATA_LOSS": "EIO",
     }
-    return FsError(mapping.get(err.code, "EIO"), msg or str(err))
+    return FsError(mapping.get(err.code, "EIO"), msg)

@@ -21,7 +21,7 @@ media (hardware)    :class:`MediaSlow` / :class:`MediaRestore`
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 
 class FaultEvent:
@@ -58,24 +58,22 @@ class Heal(FaultEvent):
 
 @dataclass(frozen=True)
 class DelayLink(FaultEvent):
-    """Add one-way extra latency between two nodes (0 clears)."""
+    """Add extra latency between two nodes, both ways (0 clears)."""
 
     src: str
     dst: str
     extra: float
-    bidirectional: bool = True
 
 
 @dataclass(frozen=True)
 class FlakyLink(FaultEvent):
-    """Drop each message between two nodes with probability ``drop_prob``
-    (0 clears). Draws come from the injector's ``faults:drop`` RNG stream,
-    so runs stay seed-deterministic."""
+    """Drop each message between two nodes, both ways, with probability
+    ``drop_prob`` (0 clears). Draws come from the injector's
+    ``faults:drop`` RNG stream, so runs stay seed-deterministic."""
 
     src: str
     dst: str
     drop_prob: float
-    bidirectional: bool = True
 
 
 # ------------------------------------------------------------------ engines
@@ -94,42 +92,34 @@ class RestartEngine(FaultEvent):
 # ------------------------------------------------------------------ targets
 @dataclass(frozen=True)
 class ExcludeTarget(FaultEvent):
-    """Mark a global target DOWN in the pool map (via the Raft service);
-    ``permanent=True`` evicts it for good (DOWNOUT) and queues a rebuild
-    onto its deterministic spare.
-
-    ``pool_uuid=None`` means the cluster's boot pool.
-    """
+    """Mark a global target of the cluster's pool DOWN in the pool map (via
+    the Raft service); ``permanent=True`` evicts it for good (DOWNOUT) and
+    queues a rebuild onto its deterministic spare."""
 
     tid: int
-    pool_uuid: Optional[str] = None
     permanent: bool = False
 
 
 @dataclass(frozen=True)
 class ReintegrateTarget(FaultEvent):
-    """Bring a DOWN target back: it enters REBUILDING (accepting writes,
-    serving no reads) and flips UP once the background resync converges."""
+    """Bring a DOWN target of the cluster's pool back: it enters
+    REBUILDING (accepting writes, serving no reads) and flips UP once the
+    background resync converges."""
 
     tid: int
-    pool_uuid: Optional[str] = None
 
 
 # ------------------------------------------------------------------ raft
 @dataclass(frozen=True)
 class CrashReplica(FaultEvent):
-    """Crash a metadata-service Raft replica (``node_id=None`` crashes
-    whoever is leader when the event fires — mid-commit leader loss)."""
-
-    node_id: Optional[int] = None
+    """Crash whichever metadata-service Raft replica leads when the event
+    fires — mid-commit leader loss."""
 
 
 @dataclass(frozen=True)
 class RestartReplica(FaultEvent):
-    """Restart a crashed replica (``node_id=None`` restarts every crashed
-    replica — the safe closer for leader-crash events)."""
-
-    node_id: Optional[int] = None
+    """Restart every crashed replica — the safe closer for leader-crash
+    events."""
 
 
 # ------------------------------------------------------------------ media

@@ -129,9 +129,7 @@ class FaultInjector:
         return ""
 
     def _do_delay_link(self, event: ev.DelayLink) -> str:
-        self.cluster.fabric.set_extra_delay(
-            event.src, event.dst, event.extra, event.bidirectional
-        )
+        self.cluster.fabric.set_extra_delay(event.src, event.dst, event.extra)
         return ""
 
     def _do_flaky_link(self, event: ev.FlakyLink) -> str:
@@ -143,9 +141,7 @@ class FaultInjector:
             def rule() -> bool:
                 return self.rng.uniform("faults:drop", 0.0, 1.0) < prob
 
-        self.cluster.fabric.set_drop_rule(
-            event.src, event.dst, rule, event.bidirectional
-        )
+        self.cluster.fabric.set_drop_rule(event.src, event.dst, rule)
         return ""
 
     # -- engines ----------------------------------------------------------
@@ -158,13 +154,8 @@ class FaultInjector:
         return ""
 
     # -- targets ----------------------------------------------------------
-    def _pool_uuid(self, event) -> str:
-        if event.pool_uuid is not None:
-            return event.pool_uuid
-        return self.cluster.pool.uuid
-
     def _do_exclude_target(self, event: ev.ExcludeTarget) -> str:
-        uuid = self._pool_uuid(event)
+        uuid = self.cluster.pool.uuid
 
         def task() -> Generator:
             version = yield from self.cluster.daos.exclude_target(
@@ -182,7 +173,7 @@ class FaultInjector:
         return "spawned"
 
     def _do_reintegrate_target(self, event: ev.ReintegrateTarget) -> str:
-        uuid = self._pool_uuid(event)
+        uuid = self.cluster.pool.uuid
 
         def task() -> Generator:
             version = yield from self.cluster.daos.reintegrate_target(
@@ -199,32 +190,20 @@ class FaultInjector:
         return "spawned"
 
     # -- raft -------------------------------------------------------------
-    def _do_crash_replica(self, event: ev.CrashReplica) -> str:
-        svc = self.cluster.daos.svc
-        if event.node_id is not None:
-            node = svc.nodes[event.node_id]
-        else:
-            node = svc.leader()
-            if node is None:
-                return "skipped: no leader"
-        if not node._alive:
-            return f"skipped: raft:{node.node_id} already down"
+    def _do_crash_replica(self, _event: ev.CrashReplica) -> str:
+        node = self.cluster.daos.svc.leader()
+        if node is None:
+            return "skipped: no leader"
         node.crash()
         return f"crashed raft:{node.node_id}"
 
-    def _do_restart_replica(self, event: ev.RestartReplica) -> str:
-        svc = self.cluster.daos.svc
-        if event.node_id is not None:
-            victims = [svc.nodes[event.node_id]]
-        else:
-            victims = [n for n in svc.nodes if not n._alive]
-        restarted = [n.node_id for n in victims if not n._alive]
+    def _do_restart_replica(self, _event: ev.RestartReplica) -> str:
+        victims = [n for n in self.cluster.daos.svc.nodes if not n._alive]
         for node in victims:
-            if not node._alive:
-                node.restart()
-        if not restarted:
+            node.restart()
+        if not victims:
             return "skipped: none down"
-        return "restarted " + ",".join(f"raft:{i}" for i in restarted)
+        return "restarted " + ",".join(f"raft:{n.node_id}" for n in victims)
 
     # -- media ------------------------------------------------------------
     def _do_media_slow(self, event: ev.MediaSlow) -> str:

@@ -149,6 +149,6 @@ class FaultSchedule:
                 sched.at(stop, ev.ReintegrateTarget(tid))
             elif kind == "replica":
                 # None = whoever leads at fire time: the interesting crash
-                sched.at(start, ev.CrashReplica(None))
-                sched.at(stop, ev.RestartReplica(None))
+                sched.at(start, ev.CrashReplica())
+                sched.at(stop, ev.RestartReplica())
         return sched

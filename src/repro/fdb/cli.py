@@ -68,8 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
     store.add_argument("--chunk-size", type=positive_size, metavar="SIZE",
                        help="array/file chunk size (default 1m)")
     pipe = parser.add_argument_group("pipeline")
-    pipe.add_argument("--depth", type=positive_int, default=8, metavar="N",
-                      help="event-queue depth (default 8)")
+    pipe.add_argument("--depth", type=positive_int, metavar="N",
+                      help="event-queue depth (default 8; not with --sync)")
     pipe.add_argument("--sync", action="store_true",
                       help="blocking one-field-at-a-time I/O instead of "
                            "the async event-queue pipeline")
@@ -93,9 +93,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def params_from_args(args) -> FdbParams:
     wanted = settings(args, tracing=args.trace)  # echoed in the report
+    # a flag left out keeps the FdbParams default
     store = {name: value for name, value in (
-        ("oclass", args.oclass), ("chunk_bytes", args.chunk_size))
-        if value is not None}
+        ("oclass", args.oclass), ("chunk_bytes", args.chunk_size),
+        ("depth", args.depth)) if value is not None}
     return FdbParams(
         backend=args.backend,
         index=args.index,
@@ -105,7 +106,6 @@ def params_from_args(args) -> FdbParams:
         n_members=args.members,
         n_dates=args.dates,
         field_bytes=args.field_size,
-        depth=args.depth,
         sync=args.sync,
         verify=not args.no_verify,
         server_nodes=args.servers,
@@ -129,6 +129,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             if value is not None:
                 parser.error(f"{flag}: the lustre backend stores plain "
                              "files and has no object class or chunk size")
+    if args.sync and args.depth is not None:
+        parser.error("--depth: --sync archives one field at a time")
     params = params_from_args(args)
     try:
         cluster = boot(params)

@@ -144,7 +144,6 @@ def run_fdb(params: FdbParams):
     if params.tracing or params.timeline_interval is not None:
         cluster.observe(
             tracing=params.tracing,
-            metrics=True,
             timeline_interval=params.timeline_interval,
             slo_rules=list(params.slo_rules) or None,
         )

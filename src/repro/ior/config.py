@@ -15,6 +15,9 @@ from repro.daos.vos.ec import cell_len
 from repro.daos.oclass import oclass_by_name
 from repro.units import MiB, parse_size
 
+#: working directory inside the filesystem under test
+TEST_DIR = "/ior"
+
 
 @dataclass
 class IorParams:
@@ -54,8 +57,6 @@ class IorParams:
     #: collective-buffering aggregate size per underlying call (ROMIO's
     #: cb_buffer_size; MPIIO/HDF5 collective runs only)
     cb_buffer: Union[int, str] = 16 * MiB
-    #: working directory inside the filesystem under test
-    test_dir: str = "/ior"
     #: client-side caching tier: none | readonly | writeback
     #: (dfuse --enable-caching / --enable-wb-cache analogue)
     cache_mode: str = "none"
@@ -146,8 +147,8 @@ class IorParams:
 
     def file_path(self, rank: int) -> str:
         if self.file_per_proc:
-            return f"{self.test_dir}/testFile.{rank:08d}"
-        return f"{self.test_dir}/testFile"
+            return f"{TEST_DIR}/testFile.{rank:08d}"
+        return f"{TEST_DIR}/testFile"
 
     def offset(self, nprocs: int, rank: int, segment: int, transfer: int) -> int:
         """File offset of one transfer, matching IOR's layouts."""

@@ -11,6 +11,7 @@ from repro.cluster.builder import Cluster, LustreCluster
 from repro.dfs import Dfs
 from repro.dfuse import DFuseMount
 from repro.errors import FsError
+from repro.ior import config
 from repro.ior.config import IorParams
 from repro.mpi import MpiWorld
 
@@ -45,7 +46,7 @@ class DaosIorEnv:
             chunk_size=self.params.chunk_size,
         )
         dfs = yield from Dfs.mount(cont)
-        yield from dfs.mkdir(self.params.test_dir)
+        yield from dfs.mkdir(config.TEST_DIR)
         dfs.umount()
         return None
 
@@ -78,7 +79,7 @@ class LustreIorEnv:
     def prepare(self) -> Generator:
         mount = self.cluster.mount(0, name="ior-prep")
         try:
-            yield from mount.mkdir(self.params.test_dir)
+            yield from mount.mkdir(config.TEST_DIR)
         except FsError as err:
             if err.errno_name != "EEXIST":  # left by a previous run: fine
                 raise

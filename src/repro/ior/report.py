@@ -41,7 +41,7 @@ class PhaseResult:
     verify_errors: int = 0
     #: per-rank seconds spent exclusively in each stack layer (populated
     #: when the cluster runs with tracing; see repro.obs.breakdown)
-    layer_seconds: Optional[Dict[str, float]] = None
+    layer_seconds: Optional[Dict[str, float]] = field(init=False, default=None)
 
     @property
     def bandwidth(self) -> float:
@@ -55,12 +55,12 @@ class IorResult:
     params: IorParams
     nprocs: int
     client_nodes: int
-    phases: List[PhaseResult] = field(default_factory=list)
+    phases: List[PhaseResult] = field(init=False, default_factory=list)
     #: per-rank latency percentiles (populated when metrics are enabled)
-    latency: List[LatencySummary] = field(default_factory=list)
+    latency: List[LatencySummary] = field(init=False, default_factory=list)
     #: the run's TimeSeriesStore (populated when the timeline scraper is
     #: enabled; see repro.obs.timeline)
-    timeline: Optional[object] = None
+    timeline: Optional[object] = field(init=False, default=None)
 
     def _best(self, op: str) -> Optional[PhaseResult]:
         candidates = [p for p in self.phases if p.op == op]

@@ -21,7 +21,7 @@ from typing import Dict, Generator, Iterable, List, Optional, Tuple
 from repro.daos.vos.payload import as_payload, concat_payloads
 from repro.errors import FsError
 from repro.hardware.node import ClientNode
-from repro.lustre.fs import LustreFs, Ost
+from repro.lustre.fs import OST_RPC_CPU, LustreFs, Ost
 from repro.lustre.ldlm import PR, PW, acquire
 from repro.lustre.mds import STRIPE_SIZE, Inode
 from repro.network.fabric import stream_moves
@@ -178,7 +178,7 @@ class LustreFile(FileHandle):
                 ost, stripe, mode, obj_offset, obj_offset + nbytes
             )
             rtt = 2 * fabric.msg_delay(self.mount.node.addr, ost.node.addr, 256)
-            widest = max(widest, rtt + ost.per_rpc_cpu)
+            widest = max(widest, rtt + OST_RPC_CPU)
         yield widest + self.mount.node.spec.client_cpu_per_op
         yield self._flow(direction).transfer(length)
         return pieces

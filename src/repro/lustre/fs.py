@@ -19,6 +19,9 @@ from repro.lustre.mds import Mds
 from repro.network.fabric import Fabric
 from repro.sim.core import Simulator
 
+#: OST service CPU per I/O RPC
+OST_RPC_CPU = 15e-6
+
 
 @dataclass
 class Ost:
@@ -28,10 +31,10 @@ class Ost:
     node: ServerNode
     hw: StorageTarget
     #: per-(ino, stripe-index) data and lock state
-    objects: Dict[Tuple[int, int], ExtentTree] = field(default_factory=dict)
-    locks: Dict[Tuple[int, int], LockSpace] = field(default_factory=dict)
-    #: OST service CPU per I/O RPC
-    per_rpc_cpu: float = 15e-6
+    objects: Dict[Tuple[int, int], ExtentTree] = field(
+        init=False, default_factory=dict)
+    locks: Dict[Tuple[int, int], LockSpace] = field(
+        init=False, default_factory=dict)
 
     def data(self, ino: int, stripe: int) -> ExtentTree:
         key = (ino, stripe)

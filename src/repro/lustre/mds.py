@@ -28,13 +28,12 @@ class Inode:
     is_dir: bool
     mode: int = 0o644
     #: directory entries (name -> ino)
-    children: Dict[str, int] = field(default_factory=dict)
+    children: Dict[str, int] = field(init=False, default_factory=dict)
     #: file stripe layout: OST indices, assigned round-robin at create
     stripe_osts: List[int] = field(default_factory=list)
     stripe_size: int = 0
     #: authoritative size, maintained by OST size callbacks on write
-    size: int = 0
-    nlink: int = 1
+    size: int = field(init=False, default=0)
 
 
 #: MDS service threads: intent RPCs in service at once

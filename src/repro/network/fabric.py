@@ -12,11 +12,15 @@ latency + serialization delay without occupying flow capacity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import (TYPE_CHECKING, Callable, Dict, Iterable, List, Optional,
+                    Set, Tuple)
 
 from repro.errors import NetworkError
 from repro.network.flows import Flow, FlowNetwork, Link
 from repro.sim.core import Simulator
+
+if TYPE_CHECKING:  # hardware imports this module
+    from repro.hardware.specs import FabricSpec
 
 
 @dataclass(frozen=True)
@@ -42,26 +46,19 @@ def stream_moves(client: NodeAddr, targets, direction: str) -> list:
 class Fabric:
     """Nodes + NIC links + latency model + endpoint registry."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        base_latency: float = 1.5e-6,
-        msg_bandwidth: float = 11e9,
-        software_overhead: float = 0.8e-6,
-        rpc_timeout: float = 5e-3,
-    ):
+    def __init__(self, sim: Simulator, spec: FabricSpec):
         self.sim = sim
         #: bulk-data bandwidth model
         self.flownet = FlowNetwork(sim)
         #: one-way wire latency between any two distinct nodes
-        self.base_latency = base_latency
+        self.base_latency = spec.base_latency
         #: serialization bandwidth applied to small (non-flow) messages
-        self.msg_bandwidth = msg_bandwidth
+        self.msg_bandwidth = spec.msg_bandwidth
         #: per-message CPU cost at each end (libfabric + provider stack)
-        self.software_overhead = software_overhead
+        self.software_overhead = spec.software_overhead
         #: RPC-caller timeout against an unresponsive peer (see
         #: :class:`~repro.hardware.specs.FabricSpec.rpc_timeout`)
-        self.rpc_timeout = rpc_timeout
+        self.rpc_timeout = spec.rpc_timeout
         self._nodes: Dict[str, Tuple[Link, Link]] = {}
         self._endpoints: Dict[str, "object"] = {}
         # -- fault plane state (see the fault-plane section below) --

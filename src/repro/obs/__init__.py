@@ -68,28 +68,24 @@ __all__ = [
 def install(
     sim,
     tracing: bool = True,
-    metrics: bool = True,
     timeline_interval: Optional[float] = None,
     slo_rules: Optional[List[object]] = None,
 ) -> Tuple[Optional[Tracer], Optional[MetricsRegistry]]:
-    """Attach a tracer and/or metrics registry to ``sim``.
+    """Attach a metrics registry, and with ``tracing`` a tracer, to ``sim``.
 
     Idempotent: already-installed instruments are kept. Returns the
-    ``(tracer, registry)`` pair (entries are None when not requested).
+    ``(tracer, registry)`` pair (the tracer is None when not requested).
 
     ``timeline_interval`` additionally attaches a
     :class:`~repro.obs.timeline.TimelineScraper` (``sim.timeline``)
-    sampling every that-many simulated seconds — this forces metrics
-    on, since the scraper has nothing to sample otherwise.
+    sampling the registry every that-many simulated seconds.
     ``slo_rules`` is a list of rule strings (see :mod:`repro.obs.slo`)
     or pre-parsed rule objects; when None, :func:`default_rules` (the
     stall watchdog) applies.
     """
-    if timeline_interval is not None:
-        metrics = True
     if tracing and sim.tracer is None:
         sim.tracer = Tracer(sim)
-    if metrics and sim.metrics is None:
+    if sim.metrics is None:
         sim.metrics = MetricsRegistry(sim)
     if timeline_interval is not None and sim.timeline is None:
         if slo_rules is None:

@@ -95,7 +95,8 @@ def add_arguments(parser: argparse.ArgumentParser, default_interval: float):
 
 
 def settings(args, tracing: bool = False, timeline: bool = False) -> dict:
-    """The ``Cluster.observe`` keywords the parsed flags ask for: spans
+    """The ``Cluster.observe`` keywords the parsed flags ask for, and
+    whether to observe at all (``metrics``, which ``observe`` drops): spans
     for ``--trace-out``; the sim-time scraper for ``--timeline-out`` or
     any ``--slo`` rule (a rule needs windows to be evaluated over);
     metrics with either or for ``--metrics-out``, so ``metrics`` is False
@@ -114,7 +115,7 @@ def settings(args, tracing: bool = False, timeline: bool = False) -> dict:
 def observe(cluster, args, **force) -> None:
     """Switch ``cluster`` to observed as :func:`settings` says."""
     wanted = settings(args, **force)
-    if wanted["metrics"]:
+    if wanted.pop("metrics"):
         cluster.observe(**wanted)
 
 

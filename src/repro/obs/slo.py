@@ -102,7 +102,7 @@ class SloBreach:
     windows: int
     value: Optional[float] = None
     threshold: Optional[float] = None
-    extra: Dict[str, Any] = field(default_factory=dict)
+    extra: Dict[str, Any] = field(init=False, default_factory=dict)
 
     def to_json(self) -> Dict[str, Any]:
         doc: Dict[str, Any] = {

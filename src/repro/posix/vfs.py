@@ -20,9 +20,9 @@ class StatResult:
 
     is_dir: bool
     size: int
-    mode: int = 0o644
+    mode: int
     #: preferred I/O size (st_blksize) — DFuse reports the DFS chunk size
-    blksize: int = 4096
+    blksize: int
 
 
 class FileHandle:

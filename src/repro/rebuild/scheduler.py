@@ -86,7 +86,7 @@ class _Item:
     src: int  # source global target id (flow accounting)
     epoch: int
     nbytes: int
-    offset: int = 0
+    offset: int  # of an extent; 0 for a single value
     payload: Optional[Payload] = None
     value: object = None
 
@@ -99,19 +99,21 @@ class RebuildJob:
     pool_uuid: str
     tid: int
     watermark: int = 0
-    status: str = "pending"  # pending|scanning|migrating|done|failed|cancelled
-    cancelled: bool = False
-    rounds: int = 0
-    objects_total: int = 0
-    objects_done: int = 0
-    items_total: int = 0
-    items_done: int = 0
-    bytes_total: int = 0
-    bytes_moved: int = 0
-    started: Optional[float] = None
-    finished: Optional[float] = None
-    map_version: Optional[int] = None
-    error: Optional[str] = None
+    # progress, which the scheduler updates as the job runs;
+    # status: pending | scanning | migrating | done | failed | cancelled
+    status: str = field(init=False, default="pending")
+    cancelled: bool = field(init=False, default=False)
+    rounds: int = field(init=False, default=0)
+    objects_total: int = field(init=False, default=0)
+    objects_done: int = field(init=False, default=0)
+    items_total: int = field(init=False, default=0)
+    items_done: int = field(init=False, default=0)
+    bytes_total: int = field(init=False, default=0)
+    bytes_moved: int = field(init=False, default=0)
+    started: Optional[float] = field(init=False, default=None)
+    finished: Optional[float] = field(init=False, default=None)
+    map_version: Optional[int] = field(init=False, default=None)
+    error: Optional[str] = field(init=False, default=None)
 
     @property
     def active(self) -> bool:
@@ -408,7 +410,7 @@ class RebuildManager:
                 if not _dest_has_single(dest_vc, oid, dkey, akey, epoch):
                     items.append(_Item(
                         cont, oid, dkey, akey, "single", dest, src, epoch,
-                        nbytes=_value_footprint(value), value=value,
+                        nbytes=_value_footprint(value), offset=0, value=value,
                     ))
             elif not is_ec:
                 _, dkey, akey, offset, payload, epoch = entry

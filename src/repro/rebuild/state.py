@@ -25,7 +25,7 @@ so clients can reason about which map revision a state belongs to.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 UP = "UP"
 DOWN = "DOWN"
@@ -60,15 +60,14 @@ class TargetStatus:
     watermark: int = 0
     rebuilt: bool = False
 
-    def advance(self, state: str, version: int,
-                rebuilt: Optional[bool] = None) -> "TargetStatus":
+    def advance(self, state: str, version: int) -> "TargetStatus":
         if not can_transition(self.state, state):
             raise ValueError(f"illegal target transition {self.state} -> {state}")
         return TargetStatus(
             state=state,
             version=version,
             watermark=self.watermark,
-            rebuilt=self.rebuilt if rebuilt is None else rebuilt,
+            rebuilt=self.rebuilt,
         )
 
     # ------------------------------------------------- raft serialization

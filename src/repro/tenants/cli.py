@@ -39,7 +39,6 @@ from repro.tenants.spec import (
     MetaStormWork,
     make_tenants,
 )
-from repro.units import MiB
 
 #: --mix choices
 MIXES = {
@@ -58,8 +57,9 @@ def build_parser() -> argparse.ArgumentParser:
     fleet = parser.add_argument_group("fleet")
     fleet.add_argument("--tenants", type=positive_int, default=16,
                        help="tenant count (default 16)")
-    fleet.add_argument("--rate", type=positive_float, default=2.0,
-                       help="per-tenant arrival rate, jobs/s (default 2)")
+    fleet.add_argument("--rate", type=positive_float,
+                       help="per-tenant arrival rate, jobs/s (default 2; "
+                            "not with --trace)")
     fleet.add_argument("--mix", choices=sorted(MIXES), default="default",
                        help="workload mix (default: bulk/kv/meta blend)")
     fleet.add_argument("--duration", type=positive_float, default=20.0,
@@ -70,9 +70,9 @@ def build_parser() -> argparse.ArgumentParser:
     qos = parser.add_argument_group("admission and QoS")
     qos.add_argument("--qos", action="store_true",
                      help="enable per-tenant byte-rate budgets")
-    qos.add_argument("--qos-bw", type=positive_float, default=8 * MiB,
-                     metavar="BYTES_PER_S",
-                     help="default per-tenant budget (default 8 MiB/s)")
+    qos.add_argument("--qos-bw", type=positive_float, metavar="BYTES_PER_S",
+                     help="default per-tenant budget with --qos "
+                          "(default 8 MiB/s)")
     qos.add_argument("--admit", type=positive_int, default=64, metavar="N",
                      help="global in-flight job bound (default 64)")
     qos.add_argument("--admit-per-tenant", type=positive_int, default=4,
@@ -101,12 +101,15 @@ def build_dispatcher(args) -> Dispatcher:
     it. ``DerInval`` / ``ValueError`` / ``OSError`` for a fleet, config or
     arrival trace that cannot be built — raised before anything is served.
     """
-    fleet = make_tenants(args.tenants, rate=args.rate, mix=MIXES[args.mix])
+    # a flag left out keeps the library's default
+    rate = {} if args.rate is None else {"rate": args.rate}
+    budget = {} if args.qos_bw is None else {"default_qos_bw": args.qos_bw}
+    fleet = make_tenants(args.tenants, mix=MIXES[args.mix], **rate)
     replay = TraceArrivals.from_file(args.trace) if args.trace else None
     config = ServingConfig(
         duration=args.duration,
         qos_enabled=args.qos,
-        default_qos_bw=args.qos_bw,
+        **budget,
         aio_depth=args.aio_depth,
         max_inflight=args.admit,
         max_inflight_per_tenant=args.admit_per_tenant,
@@ -128,6 +131,10 @@ def build_dispatcher(args) -> Dispatcher:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.qos_bw is not None and not args.qos:
+        parser.error("--qos-bw: a budget applies only with --qos")
+    if args.rate is not None and args.trace:
+        parser.error("--rate: a replayed --trace sets the arrivals")
     try:
         dispatcher = build_dispatcher(args)
     except (DerInval, ValueError, OSError) as exc:

@@ -57,11 +57,9 @@ class ServingConfig:
     duration: float = 30.0
     #: master switch for per-tenant byte-rate budgets
     qos_enabled: bool = False
-    #: byte-rate budget for tenants that do not set ``qos_bw``
+    #: byte-rate budget for tenants that do not set ``qos_bw`` (a tenant
+    #: that sets no ``qos_burst`` bursts one second's worth of its rate)
     default_qos_bw: float = 8 * MiB
-    #: token burst for tenants that do not set ``qos_burst``
-    #: (None -> one second's worth of the tenant's rate budget)
-    default_qos_burst: Optional[float] = None
     #: event-queue depth for each job's pipelined operations
     aio_depth: int = 4
     #: admission bounds
@@ -161,11 +159,7 @@ class Dispatcher:
             if cfg.qos_enabled:
                 rate = spec.qos_bw if spec.qos_bw is not None \
                     else cfg.default_qos_bw
-                burst = spec.qos_burst
-                if burst is None:
-                    burst = cfg.default_qos_burst
-                if burst is None:
-                    burst = rate
+                burst = spec.qos_burst if spec.qos_burst is not None else rate
                 bucket = TokenBucket(self.sim, rate=rate, burst=burst)
             kv = None
             if isinstance(spec.workload, KvBurstWork):

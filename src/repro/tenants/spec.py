@@ -31,6 +31,10 @@ from repro.units import KiB, MiB
 
 #: Nominal QoS byte charge for one metadata op (OID alloc + record).
 META_OP_BYTES = 4 * KiB
+#: Bytes of each KV-burst value.
+KV_VALUE_BYTES = 256
+#: Distinct keys a KV-burst tenant cycles through.
+KV_KEYSPACE = 64
 
 
 @dataclass(frozen=True)
@@ -39,13 +43,12 @@ class BulkWork:
 
     nbytes: int = 256 * KiB
     xfer: int = 64 * KiB
-    read_back: bool = False
 
     kind = "bulk"
 
     @property
     def qos_bytes(self) -> int:
-        return self.nbytes * (2 if self.read_back else 1)
+        return self.nbytes
 
 
 @dataclass(frozen=True)
@@ -53,14 +56,12 @@ class KvBurstWork:
     """Small-object KV burst: ``n_ops`` puts then reads of the same keys."""
 
     n_ops: int = 8
-    value_bytes: int = 256
-    keyspace: int = 64
 
     kind = "kv"
 
     @property
     def qos_bytes(self) -> int:
-        return self.n_ops * self.value_bytes
+        return self.n_ops * KV_VALUE_BYTES
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,8 @@ from typing import Generator, Optional
 
 from repro.daos import api as daos
 from repro.tenants.spec import (
+    KV_KEYSPACE,
+    KV_VALUE_BYTES,
     META_OP_BYTES,
     BulkWork,
     KvBurstWork,
@@ -94,16 +96,6 @@ def _bulk(ctx: TenantIoContext, eq, work: BulkWork) -> Generator:
                 array.write(offset, payload), name=f"array.write@{offset}"
             )
         daos.reap((yield from eq.drain()))
-        if work.read_back:
-            for index, _within, chunk in split_aligned(
-                0, work.nbytes, work.xfer
-            ):
-                yield from _charge(ctx, chunk)
-                offset = index * work.xfer
-                yield from eq.submit(
-                    array.read(offset, chunk), name=f"array.read@{offset}"
-                )
-            daos.reap((yield from eq.drain()))
     finally:
         array.close()
     return work.qos_bytes
@@ -111,13 +103,13 @@ def _bulk(ctx: TenantIoContext, eq, work: BulkWork) -> Generator:
 
 def _kv_burst(ctx: TenantIoContext, eq, work: KvBurstWork) -> Generator:
     """Small-object burst: put ``n_ops`` keys, then read them back."""
-    value = _KV_FILL * work.value_bytes
+    value = _KV_FILL * KV_VALUE_BYTES
     keys = []
     for _ in range(work.n_ops):
-        keys.append(f"{ctx.spec.id}/k{ctx.key_seq % work.keyspace:04d}")
+        keys.append(f"{ctx.spec.id}/k{ctx.key_seq % KV_KEYSPACE:04d}")
         ctx.key_seq += 1
     for key in keys:
-        yield from _charge(ctx, work.value_bytes)
+        yield from _charge(ctx, KV_VALUE_BYTES)
         yield from eq.submit(ctx.kv.put(key, value), name=f"kv.put:{key}")
     daos.reap((yield from eq.drain()))
     for key in keys:

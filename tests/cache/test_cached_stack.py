@@ -22,14 +22,14 @@ def cluster():
                          targets_per_engine=2)
 
 
-def mount_dfs(cluster, mode, name, **cfg_over):
+def mount_dfs(cluster, mode, name):
     """Task helper factory: a fresh container + Dfs in ``mode``."""
     client = cluster.new_client(0)
 
     def setup():
         pool = yield from client.connect_pool("tank")
         cont = yield from pool.create_container(name, oclass="S2")
-        cache = (CacheConfig(mode=mode, capacity="8m", **cfg_over)
+        cache = (CacheConfig(mode=mode, capacity="8m")
                  if mode != "none" else None)
         return (yield from Dfs.mount(cont, cache=cache))
 
@@ -85,7 +85,7 @@ def test_dfuse_roundtrip_and_stat(cluster, mode):
 
 
 def test_writeback_read_your_writes_before_flush(cluster):
-    dfs = mount_dfs(cluster, "writeback", "ryw", wb_watermark="64m")
+    dfs = mount_dfs(cluster, "writeback", "ryw")
 
     def go():
         f = yield from dfs.open_file("/f", create=True)
@@ -104,8 +104,7 @@ def test_writeback_read_your_writes_before_flush(cluster):
 def test_writeback_dirty_data_survives_lru_pressure(cluster):
     """Dirty write-behind data is never evicted — only the (clean) page
     cache obeys the LRU budget."""
-    dfs = mount_dfs(cluster, "writeback", "pressure",
-                    wb_watermark="64m")
+    dfs = mount_dfs(cluster, "writeback", "pressure")
     mount = DFuseMount(dfs, cache=dfs.cache)
 
     def go():
@@ -173,8 +172,8 @@ def test_writeback_beats_passthrough_on_dfuse_writes():
 
 
 def test_readahead_serves_sequential_stream(cluster):
-    dfs = mount_dfs(cluster, "readonly", "ra-seq", readahead_window="1m")
-    cluster.observe(tracing=False, metrics=True)
+    dfs = mount_dfs(cluster, "readonly", "ra-seq")
+    cluster.observe(tracing=False)
 
     def go():
         f = yield from dfs.open_file("/f", create=True)
@@ -199,7 +198,7 @@ def test_readahead_serves_sequential_stream(cluster):
 
 # ------------------------------------------------------------- metrics/obs
 def test_cache_metrics_and_spans_flow_through_obs(cluster):
-    cluster.observe(tracing=True, metrics=True)
+    cluster.observe(tracing=True)
     dfs = mount_dfs(cluster, "writeback", "obs")
     mount = DFuseMount(dfs, cache=dfs.cache)
 

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.cache.attrs import TtlCache
-from repro.cache.config import NODE_MEMORY_FRACTION, CacheConfig
+from repro.cache.config import (NODE_MEMORY_FRACTION, READAHEAD_MIN_RUN,
+                                READAHEAD_WINDOW, CacheConfig)
 from repro.cache.readahead import ReadAhead
 from repro.hardware.specs import NodeSpec
 from repro.units import GiB, KiB, MiB
@@ -29,13 +30,8 @@ def test_bad_mode_rejected():
 
 
 def test_size_fields_accept_suffix_strings():
-    cfg = CacheConfig(mode="readonly", capacity="256m",
-                      readahead_window="4m", wb_watermark="8m",
-                      wb_max_extent="32m")
+    cfg = CacheConfig(mode="readonly", capacity="256m")
     assert cfg.capacity == 256 * MiB
-    assert cfg.readahead_window == 4 * MiB
-    assert cfg.wb_watermark == 8 * MiB
-    assert cfg.wb_max_extent == 32 * MiB
 
 
 def test_resolve_budget_from_node_memory_split_by_ppn():
@@ -55,30 +51,26 @@ def test_resolve_floors_tiny_budgets():
 
 
 def test_copy_cost_scales_with_bandwidth():
-    cfg = CacheConfig(mode="readonly", capacity=MiB, copy_bw=1e9)
-    assert cfg.copy_cost(1_000_000) == pytest.approx(1e-3)
+    # the node's copy bandwidth, whatever the capacity
+    for capacity in (0, MiB):
+        cfg = CacheConfig(mode="readonly", capacity=capacity).resolve(
+            NodeSpec(memory_copy_bw=1e9))
+        assert cfg.copy_cost(1_000_000) == pytest.approx(1e-3)
 
 
 # ------------------------------------------------------------------ readahead
-def ra(min_run=2, window="1m"):
-    return ReadAhead(CacheConfig(mode="readonly", capacity=MiB,
-                                 readahead_min_run=min_run,
-                                 readahead_window=window))
-
-
 def test_sequential_detection_needs_min_run():
-    eng = ra(min_run=3)
-    eng.observe(0, 100)
-    assert not eng.sequential and eng.window() == 0
-    eng.observe(100, 100)
-    assert not eng.sequential
-    eng.observe(200, 100)
+    eng = ReadAhead()
+    for i in range(READAHEAD_MIN_RUN - 1):
+        eng.observe(i * 100, 100)
+        assert not eng.sequential and eng.window() == 0
+    eng.observe((READAHEAD_MIN_RUN - 1) * 100, 100)
     assert eng.sequential
-    assert eng.window() == MiB
+    assert eng.window() == READAHEAD_WINDOW
 
 
 def test_random_access_resets_run():
-    eng = ra()
+    eng = ReadAhead()
     eng.observe(0, 100)
     eng.observe(100, 100)
     assert eng.sequential
@@ -89,7 +81,7 @@ def test_random_access_resets_run():
 
 
 def test_backward_read_is_not_sequential():
-    eng = ra()
+    eng = ReadAhead()
     eng.observe(1000, 100)
     eng.observe(900, 100)
     assert not eng.sequential

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cache.config import CacheConfig
+from repro.cache import writeback
 from repro.cache.writeback import DIRTY_GAUGE, WriteBehind
 from repro.daos.vos.payload import PatternPayload
 from repro.errors import CacheWritebackError, DerTimedOut
@@ -51,9 +51,8 @@ def pat(origin, nbytes):
     return PatternPayload(13, origin, nbytes)
 
 
-def make_wb(**over):
-    cfg = CacheConfig(mode="writeback", capacity="1m", **over)
-    return WriteBehind(cfg, FakeSim(), path="/f")
+def make_wb():
+    return WriteBehind(FakeSim(), path="/f")
 
 
 def test_buffer_coalesces_sequential_writes():
@@ -64,16 +63,18 @@ def test_buffer_coalesces_sequential_writes():
     assert wb.pending() == [(0, 800)]  # one merged extent, not eight
 
 
-def test_watermark_threshold():
-    wb = make_wb(wb_watermark=300)
+def test_watermark_threshold(monkeypatch):
+    monkeypatch.setattr(writeback, "WB_WATERMARK", 300)
+    wb = make_wb()
     wb.buffer(0, pat(0, 200))
     assert not wb.need_flush
     wb.buffer(200, pat(200, 100))
     assert wb.need_flush
 
 
-def test_flush_issues_coalesced_writes_capped_at_max_extent():
-    wb = make_wb(wb_max_extent=256)
+def test_flush_issues_coalesced_writes_capped_at_max_extent(monkeypatch):
+    monkeypatch.setattr(writeback, "WB_MAX_EXTENT", 256)
+    wb = make_wb()
     for i in range(6):
         wb.buffer(i * 100, pat(i * 100, 100))
     calls = []

@@ -7,13 +7,14 @@ from hypothesis import strategies as st
 from repro.consensus.raft import LEADER, RaftCluster
 from repro.consensus.state_machine import AppendLogMachine, KvStateMachine
 from repro.errors import NotLeaderError
+from repro.hardware.specs import FabricSpec
 from repro.network import Fabric
 from repro.sim import RngStreams, Simulator
 
 
 def build_cluster(n=3, seed=1, machine=AppendLogMachine):
     sim = Simulator()
-    fabric = Fabric(sim)
+    fabric = Fabric(sim, FabricSpec())
     addrs = [fabric.add_node(f"n{i}", 10e9) for i in range(n)]
     cluster = RaftCluster(
         sim, fabric, addrs, machine, rng=RngStreams(seed=seed)
@@ -384,7 +385,7 @@ def test_rsvc_client_retries_through_election():
     from repro.consensus import RsvcClient
 
     sim = Simulator()
-    fabric = Fabric(sim)
+    fabric = Fabric(sim, FabricSpec())
     addrs = [fabric.add_node(f"m{i}", 10e9) for i in range(3)]
     service = RaftCluster(sim, fabric, addrs, KvStateMachine, rng=RngStreams(seed=2))
     client = RsvcClient(service)

@@ -12,7 +12,7 @@ from repro.errors import DerStale
 @pytest.fixture(scope="module")
 def cluster():
     c = small_cluster(server_nodes=2, client_nodes=1, targets_per_engine=2)
-    c.observe(metrics=True)
+    c.observe()
     return c
 
 

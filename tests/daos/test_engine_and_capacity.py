@@ -3,10 +3,11 @@ first-writer accounting, and stats."""
 
 import pytest
 
-from repro.cluster import small_cluster
+from repro.cluster import build_cluster, small_cluster
 from repro.daos.oclass import S1, S2
 from repro.daos.vos.payload import PatternPayload
 from repro.errors import DerNoSpace, DerNonexist
+from repro.hardware.specs import EngineSpec
 from repro.units import KiB, MiB
 
 
@@ -19,8 +20,9 @@ def used(cluster, pool):
 @pytest.fixture()
 def tiny_cluster():
     # 16 MiB per target: easy to fill
-    return small_cluster(server_nodes=2, client_nodes=1,
-                         targets_per_engine=2, capacity_per_target=16 * MiB)
+    return build_cluster(server_nodes=2, client_nodes=1,
+                         engine_spec=EngineSpec(targets=2),
+                         capacity_per_target=16 * MiB)
 
 
 def test_target_runs_out_of_space(tiny_cluster):

@@ -10,6 +10,7 @@ label grammar (same reserved characters).
 import pytest
 
 from repro.cluster import small_cluster
+from repro.daos import kv as kv_module
 from repro.daos.kv import (
     RESERVED_KEY_CHARS,
     DaosKV,
@@ -61,23 +62,29 @@ def test_prefix_filters_exactly(cluster, kv):
     assert cluster.run(kv.list(prefix="zzz")) == []
 
 
-def test_limit_truncates_in_order(cluster, kv):
-    head = cluster.run(kv.list(prefix="fc/", limit=5))
-    assert head == cluster.run(kv.list(prefix="fc/"))[:5]
+def test_limit_truncates_in_order(cluster, kv, monkeypatch):
+    everything = cluster.run(kv.list(prefix="fc/"))
+    monkeypatch.setattr(kv_module, "PAGE", 5)
+    assert cluster.run(kv.list(prefix="fc/")) == everything[:5]
 
 
-def test_after_cursor_resumes_without_overlap(cluster, kv):
-    first = cluster.run(kv.list(prefix="fc/", limit=6))
+def test_after_cursor_resumes_without_overlap(cluster, kv, monkeypatch):
+    everything = cluster.run(kv.list(prefix="fc/"))
+    monkeypatch.setattr(kv_module, "PAGE", 6)
+    first = cluster.run(kv.list(prefix="fc/"))
+    monkeypatch.undo()
     rest = cluster.run(kv.list(prefix="fc/", after=first[-1]))
-    assert first + rest == cluster.run(kv.list(prefix="fc/"))
+    assert first + rest == everything
 
 
-def test_scan_paginates_to_completion(cluster, kv):
-    # page far smaller than the key count: scan must stitch pages
-    assert cluster.run(kv.scan(prefix="fc/", page=4)) == cluster.run(
-        kv.list(prefix="fc/")
-    )
-    assert cluster.run(kv.scan(page=3)) == cluster.run(kv.list())
+def test_scan_paginates_to_completion(cluster, kv, monkeypatch):
+    # pages far smaller than the key count: scan must stitch pages
+    by_prefix, every_key = (cluster.run(kv.list(prefix="fc/")),
+                            cluster.run(kv.list()))
+    monkeypatch.setattr(kv_module, "PAGE", 4)
+    assert cluster.run(kv.scan(prefix="fc/")) == by_prefix
+    monkeypatch.setattr(kv_module, "PAGE", 3)
+    assert cluster.run(kv.scan()) == every_key
 
 
 def test_reserved_chars_rejected_like_metric_labels(cluster, kv):

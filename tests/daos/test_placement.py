@@ -64,16 +64,16 @@ def test_oclass_registry_roundtrip():
 
 
 def test_objid_embeds_class():
-    oid = ObjId.generate(S2, hi=0x1234, lo=99)
+    oid = ObjId.generate(S2, lo=99)
     assert oid.oclass is S2
-    assert oid.hi & ((1 << 48) - 1) == 0x1234  # the application's bits
+    assert oid.hi & ((1 << 48) - 1) == 0  # the class is all of hi
     assert oid.lo == 99
     assert str(oid).count(".") == 1
+    # the application's hi bits leave the class intact
+    assert ObjId(oid.hi | 0x1234, 99).oclass is S2
 
 
 def test_objid_reserved_bits_checked():
-    with pytest.raises(DerInval):
-        ObjId.generate(S1, hi=1 << 50)
     with pytest.raises(DerInval):
         ObjId(-1, 0)
 
@@ -200,7 +200,7 @@ def test_layouts_match_the_visited_set_probe_and_none_is_kept():
                     pmap.layout(ObjId.generate(oclass, lo=1))
                 continue
             for lo in (0, 1, 7, 2**40 + 3):
-                oid = ObjId.generate(oclass, hi=n_targets, lo=lo)
+                oid = ObjId(ObjId.generate(oclass).hi | n_targets, lo)
                 layout = pmap.layout(oid)
                 assert (layout.groups, layout.spares) == _visited_set_probe(
                     oid, n_targets

@@ -40,7 +40,7 @@ def writeback_crash_workload(cluster, inj):
     client = cluster.new_client(0)
     pool = yield from client.connect_pool("tank")
     cont = yield from pool.create_container("wb-chaos", oclass="S1")
-    cache = CacheConfig(mode="writeback", capacity="4m", wb_watermark="16m")
+    cache = CacheConfig(mode="writeback", capacity="4m")
     dfs = yield from Dfs.mount(cont, cache=cache)
     handle = yield from dfs.open_file("/f", create=True)
     payload = PatternPayload(99, 0, _NBYTES)

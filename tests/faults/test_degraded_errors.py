@@ -154,7 +154,7 @@ def test_reintegration_restores_readability():
 
 
 def test_data_loss_maps_to_eio_at_posix_layer():
-    err = fs_error_from_daos(DerDataLoss("all replicas excluded"))
+    err = fs_error_from_daos(DerDataLoss("all replicas excluded"), "/f")
     assert err.errno_name == "EIO"
     # ...and stays distinct from the not-found path.
-    assert fs_error_from_daos(DerNonexist("nope")).errno_name == "ENOENT"
+    assert fs_error_from_daos(DerNonexist("nope"), "/f").errno_name == "ENOENT"

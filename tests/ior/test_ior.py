@@ -5,7 +5,7 @@ import pytest
 from repro.cluster import build_lustre_cluster, small_cluster
 from repro.errors import DerInval, FsError, SimulationError
 from repro.hardware.specs import EngineSpec
-from repro.ior import IorParams, run_ior
+from repro.ior import IorParams, config, run_ior
 from repro.units import KiB, MiB
 
 
@@ -201,7 +201,7 @@ def test_ior_mpiio_on_lustre():
     assert result.verify_errors == 0
 
 
-def test_lustre_prepare_swallows_only_eexist():
+def test_lustre_prepare_swallows_only_eexist(monkeypatch):
     lustre = build_lustre_cluster(
         server_nodes=2, client_nodes=1, engine_spec=EngineSpec(targets=2)
     )
@@ -211,10 +211,9 @@ def test_lustre_prepare_swallows_only_eexist():
     assert run_ior(lustre, params, ppn=2).max_write_bw > 0
     # a missing parent is: the real mkdir error surfaces from prepare,
     # not an unrelated open() failure in some rank later
-    orphan = IorParams(api="POSIX", file_per_proc=True,
-                       test_dir="/missing/parent/ior", **SMALL)
+    monkeypatch.setattr(config, "TEST_DIR", "/missing/parent/ior")
     with pytest.raises(SimulationError) as raised:
-        run_ior(lustre, orphan, ppn=2)
+        run_ior(lustre, params, ppn=2)
     cause = raised.value.__cause__
     assert isinstance(cause, FsError) and cause.errno_name == "ENOENT"
     assert "prepare" in str(raised.value)

@@ -61,7 +61,8 @@ def test_series_and_figure_rendering():
     series_a.add(4, 8 * GiB)
     series_b = Series("beta")
     series_b.add(1, 1 * GiB)  # no point at x=4
-    fig = FigureData("Fig X", "demo", "nodes", "bw", [series_a, series_b])
+    fig = FigureData("Fig X", "demo", "nodes", "bw")
+    fig.series += [series_a, series_b]
     assert series_b.at(1) == GiB
     assert series_b.at(4) is None
     text = render_figure(fig)
@@ -71,14 +72,16 @@ def test_series_and_figure_rendering():
     assert "-" in text.splitlines()[-1]  # missing cell placeholder
 
 
-def test_every_ior_figure_is_the_one_sweep_loop():
-    from repro.bench import fig1_fpp
+def test_every_ior_figure_is_the_one_sweep_loop(monkeypatch):
+    from repro.bench import figures
     from repro.cluster import nextgenio
     from repro.ior import run_ior
 
-    read_fig, write_fig = fig1_fpp(node_counts=(1, 2), interfaces=("DFS",),
-                                   oclasses=("S1", "SX"), block_size="2m",
-                                   ppn=2)
+    # a small sweep: the module's constants shrunk for the test
+    monkeypatch.setattr(figures, "FIG1_INTERFACES", ("DFS",))
+    monkeypatch.setattr(figures, "FIG1_OCLASSES", ("S1", "SX"))
+    monkeypatch.setattr(figures, "PPN", 2)
+    read_fig, write_fig = figures.fig1_fpp(node_counts=(1, 2), block_size="2m")
     assert (read_fig.figure_id, write_fig.figure_id) == ("Fig 1a", "Fig 1b")
     assert read_fig.title == "IOR file-per-process: read"
     assert write_fig.title == "IOR file-per-process: write"

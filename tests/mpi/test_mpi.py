@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import MpiError
 from repro.hardware import ClientNode, NodeSpec
+from repro.hardware.specs import FabricSpec
 from repro.mpi import MpiWorld
 from repro.network import Fabric
 from repro.sim import Simulator
@@ -11,7 +12,7 @@ from repro.sim import Simulator
 
 def make_world(n_nodes=2, ppn=4, nprocs=None):
     sim = Simulator()
-    fabric = Fabric(sim)
+    fabric = Fabric(sim, FabricSpec())
     nodes = [
         ClientNode(fabric, f"c{i}", NodeSpec())
         for i in range(n_nodes)
@@ -31,7 +32,7 @@ def test_rank_placement_follows_ppn():
 
 def test_too_many_ranks_rejected():
     sim = Simulator()
-    fabric = Fabric(sim)
+    fabric = Fabric(sim, FabricSpec())
     nodes = [ClientNode(fabric, "c0", NodeSpec())]
     with pytest.raises(MpiError):
         MpiWorld(sim, fabric, nodes, ppn=2, nprocs=3)

@@ -5,6 +5,7 @@ import gc
 import pytest
 
 from repro.errors import DerNonexist, NetworkError
+from repro.hardware.specs import FabricSpec
 from repro.network import Endpoint, Fabric, Rpc, RpcServer
 from repro.obs import install
 from repro.sim import Simulator
@@ -12,8 +13,8 @@ from repro.sim import Simulator
 
 def make_fabric():
     sim = Simulator()
-    fabric = Fabric(sim, base_latency=1e-6, msg_bandwidth=1e9,
-                    software_overhead=0.5e-6)
+    fabric = Fabric(sim, FabricSpec(base_latency=1e-6, msg_bandwidth=1e9,
+                                    software_overhead=0.5e-6))
     return sim, fabric
 
 
@@ -459,7 +460,7 @@ def test_one_way_extra_delay_slows_one_direction():
 
 def test_drop_rule_discards_selected_messages():
     sim, fabric, ep_a, ep_b = _two_endpoints()
-    tracer, _ = install(sim, metrics=False)
+    tracer, _ = install(sim)
     flips = iter([True, False])
     fabric.set_drop_rule("a", "b", lambda: next(flips), bidirectional=False)
 

@@ -347,7 +347,7 @@ def test_utilization_gauge_drops_when_last_flow_closes():
     from repro.obs import install
 
     sim, net = make_net()
-    install(sim, tracing=False, metrics=True)
+    install(sim, tracing=False)
     busy = net.add_link("busy", 100.0)
     other = net.add_link("other", 100.0)
     keeper = net.open([(other, 1.0)], cap=50.0)

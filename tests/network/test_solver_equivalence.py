@@ -365,7 +365,7 @@ def test_forced_exit_metric_counted():
     from repro.obs import install
 
     sim = Simulator()
-    install(sim, tracing=False, metrics=True)
+    install(sim, tracing=False)
     net = FlowNetwork(sim)
     _build_forced_exit(net)
     assert net._allocator.forced_exits == 1

@@ -58,6 +58,11 @@ BAD_INPUT = [
     ("fdb", ["--backend", "lustre", "--index", "kv"], "no KV index"),
     ("fdb", ["--backend", "lustre", "--chunk-size", "512k"], "--chunk-size"),
     ("fdb", ["--backend", "lustre", "--oclass", "SX"], "--oclass"),
+    # a flag the run would ignore
+    ("fdb", ["--sync", "--depth", "3"], "--depth"),
+    ("tenants", _TENANTS + ["--qos-bw", "1000000"], "--qos-bw"),
+    ("tenants", ["--trace", str(pathlib.Path(__file__).with_name(
+        "nonfinite_arrivals.json")), "--rate", "3"], "--rate"),
     ("fdb", _FDB + ["--timeline-interval", "-1"], "--timeline-interval"),
     ("ior", _IOR + ["-O", "chunk_size=0"], "chunk_size must be positive"),
     ("ior", _IOR + ["-O", "oclass=EC_2P1GX", "-O", "chunk_size=3"],

@@ -14,7 +14,7 @@ from repro.sim.core import Simulator
 # ---------------------------------------------------------------- basics
 def test_span_nesting_within_a_task():
     sim = Simulator()
-    tracer, _ = install(sim, metrics=False)
+    tracer, _ = install(sim)
 
     def work():
         with tracer.span("outer", "client", node="n0"):
@@ -35,7 +35,7 @@ def test_span_nesting_within_a_task():
 def test_interleaved_tasks_do_not_cross_parent():
     """Two concurrent tasks each keep their own span stack."""
     sim = Simulator()
-    tracer, _ = install(sim, metrics=False)
+    tracer, _ = install(sim)
 
     def work(label, delay):
         with tracer.span(f"outer-{label}", "ior", node=label):
@@ -58,7 +58,7 @@ def test_spans_nest_across_client_engine_round_trip():
     span (via trace_ctx propagation) → engine service span; plus fabric
     message events hanging off the client span."""
     cluster = small_cluster(server_nodes=2, client_nodes=1)
-    tracer, _ = cluster.observe(metrics=False)
+    tracer, _ = cluster.observe()
 
     client = cluster.new_client()
 
@@ -117,7 +117,7 @@ def test_disabled_tracer_records_nothing():
         assert span is None
     assert sim.tracer is None
 
-    tracer, _ = install(sim, metrics=False)
+    tracer, _ = install(sim)
     with span_of(sim, "x", "client", "n0", nbytes=1) as span:
         assert (span.name, span.layer, span.node) == ("x", "client", "n0")
         assert span.attrs == {"nbytes": 1}
@@ -143,7 +143,7 @@ def test_untraced_cluster_adds_zero_events():
 # ------------------------------------------------------------- chrome export
 def test_trace_json_round_trips_with_monotonic_timestamps():
     cluster = small_cluster(server_nodes=2, client_nodes=1)
-    tracer, _ = cluster.observe(metrics=False)
+    tracer, _ = cluster.observe()
     client = cluster.new_client()
 
     def workload():

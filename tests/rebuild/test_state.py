@@ -38,7 +38,7 @@ def test_advance_validates_and_preserves_fields():
     assert reb.watermark == 17  # exclusion watermark survives transitions
     with pytest.raises(ValueError):
         down.advance(UP, 5)
-    out = reb.advance(DOWNOUT, 5, rebuilt=False)
+    out = reb.advance(DOWNOUT, 5)
     with pytest.raises(ValueError):
         out.advance(DOWN, 6)
 

@@ -20,7 +20,7 @@ import pytest
 
 from repro.cluster import build_cluster
 from repro.faults import ExcludeTarget, FaultSchedule
-from repro.hardware.specs import EngineSpec, FabricSpec
+from repro.hardware.specs import EngineSpec
 from repro.tenants import (
     BulkWork,
     Dispatcher,
@@ -43,16 +43,17 @@ SLO_RULE = (
 
 
 def _weak_cluster():
-    return build_cluster(
+    cluster = build_cluster(
         server_nodes=2,
         client_nodes=2,
         engine_spec=EngineSpec(
             targets=1, target_write_bw=200e6, target_read_bw=400e6
         ),
-        fabric_spec=FabricSpec(rpc_timeout=0.5),
         capacity_per_target=4 * GiB,
         seed=77,
     )
+    cluster.fabric.rpc_timeout = 0.5  # read only by RPCs to a down engine
+    return cluster
 
 
 def _fleet():
@@ -79,7 +80,6 @@ def _run(qos_enabled):
     cluster = _weak_cluster()
     cluster.observe(
         tracing=False,
-        metrics=True,
         timeline_interval=0.5,
         slo_rules=[SLO_RULE],
     )

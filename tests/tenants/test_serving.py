@@ -41,7 +41,7 @@ FAST_MIX = (
 def _serve(tenants, config, observe=True, slo_rules=None, cluster=None):
     cluster = cluster or small_cluster()
     if observe:
-        cluster.observe(tracing=False, metrics=True,
+        cluster.observe(tracing=False,
                         timeline_interval=1.0, slo_rules=slo_rules)
     dispatcher = Dispatcher(
         cluster, tenants, PoissonArrivals(cluster.rng), config

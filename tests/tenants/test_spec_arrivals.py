@@ -17,6 +17,7 @@ from repro.tenants import (
     TraceArrivals,
     make_tenants,
 )
+from repro.tenants.spec import KV_VALUE_BYTES
 
 
 # ----------------------------------------------------------------------- spec
@@ -57,8 +58,8 @@ def test_make_tenants_rejects_bad_inputs():
 
 
 def test_workload_qos_bytes():
-    assert BulkWork(nbytes=100, read_back=True).qos_bytes == 200
-    assert KvBurstWork(n_ops=4, value_bytes=10).qos_bytes == 40
+    assert BulkWork(nbytes=100).qos_bytes == 100
+    assert KvBurstWork(n_ops=4).qos_bytes == 4 * KV_VALUE_BYTES
     assert MetaStormWork(n_ops=2).qos_bytes > 0
     assert {w.kind for w, _ in DEFAULT_MIX} == {"bulk", "kv", "meta"}
 
