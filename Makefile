@@ -33,15 +33,20 @@ bench-flows:
 	$(PY) benchmarks/bench_flows.py --check
 
 # End-to-end benchmark (BENCHMARK.json): the driver's own smoke tests,
-# then the fig-1 workload in the contract form at the pinned seed with
-# the traced rep on, then the field database (untraced, ~20 s), whose
-# KV cell is the VOS record layer's heaviest user. run.py exits non-zero
-# on `"correct": false` (an operation failed or a pinned modelled number
+# then all four workloads at the pinned seed, each checked against its
+# pins in benchmarks/e2e/pins.json: the fig-1 workload in the contract
+# form with the traced rep on, then the interface sweep, the tenant
+# fleet and the field database, untraced. run.py exits non-zero on
+# `"correct": false` (an operation failed or a pinned modelled number
 # moved); the driver spans land in benchmarks/e2e/out/trace-fig1_fpp_dfs.json.
 bench-e2e:
 	$(PY) -m pytest benchmarks/e2e -q
 	$(PY) benchmarks/e2e/run.py --workload fig1_fpp_dfs --seed 0xDA05 \
 		--seconds 20 --trace 1
+	$(PY) benchmarks/e2e/run.py --workload ior_interfaces --seed 0xDA05 \
+		--seconds 0 --trace 0
+	$(PY) benchmarks/e2e/run.py --workload tenants_open_loop --seed 0xDA05 \
+		--seconds 0 --trace 0
 	$(PY) benchmarks/e2e/run.py --workload fdb_fields --seed 0xDA05 \
 		--seconds 0 --trace 0
 

@@ -7,7 +7,7 @@ implements — Raft-replicated pool/container metadata surviving a service
 leader crash, RP_2G1 (2-way replicated) objects surviving a storage
 target exclusion, and the online rebuild engine resyncing the excluded
 target back to full health while `pool_query` tracks progress
-(DESIGN.md §9).
+(DESIGN.md §7.5).
 
 Run:  python examples/failure_resilience.py
 """

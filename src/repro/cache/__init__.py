@@ -1,4 +1,4 @@
-"""Client-side caching & I/O aggregation subsystem (DESIGN.md §8).
+"""Client-side caching & I/O aggregation subsystem (DESIGN.md §8.2).
 
 Reusable building blocks wired into the stack at two points:
 
@@ -11,7 +11,7 @@ Reusable building blocks wired into the stack at two points:
 
 Cached byte ranges — clean pages, dirty write-behind data, the
 read-ahead window — are held in the stack's one interval map,
-:class:`repro.daos.vos.extent.ExtentTree` (DESIGN.md §2); this package
+:class:`repro.daos.vos.extent.ExtentTree` (DESIGN.md §7.3); this package
 adds the policies around it. All of it hangs off one
 :class:`CacheConfig`; the default ``none`` mode constructs nothing and
 leaves every code path untouched, so disabled runs are byte-identical to

@@ -1,7 +1,7 @@
 """Cache configuration and the consistency-mode contract.
 
 One :class:`CacheConfig` drives both wiring points of the caching tier
-(DESIGN.md §8): the DFuse mount (data page cache, attr/dentry TTL
+(DESIGN.md §8.2): the DFuse mount (data page cache, attr/dentry TTL
 caches) and the DFS file layer (write-behind buffering, read-ahead).
 
 Modes mirror dfuse's caching switches:

@@ -11,7 +11,7 @@ Consistency is epoch-based: every file carries an epoch (bumped by
 truncate/unlink/overwrite-through-another-path, see
 :class:`repro.dfs.file.SharedFileState`); a lookup presenting a newer
 epoch than the cached one drops the file's extents first, which is the
-"invalidation on size/epoch change" rule of the DESIGN.md §8
+"invalidation on size/epoch change" rule of the DESIGN.md §8.2
 consistency model.
 """
 

@@ -9,7 +9,7 @@ contiguous extents; the flusher pops contiguous runs (capped at
 per-RPC overheads for one, which is where the DFuse writeback bandwidth
 win comes from.
 
-Flush triggers (DESIGN.md §8): dirty bytes crossing ``WB_WATERMARK``
+Flush triggers (DESIGN.md §8.2): dirty bytes crossing ``WB_WATERMARK``
 during a write, ``fsync``, ``close``, and IOR phase barriers (the runner
 fsync/close before each barrier).  A failed flush never drops data: the
 run is re-inserted, the storage error is latched, and the *next*

@@ -4,24 +4,29 @@ Applications written against the simulated store should import from
 here rather than reaching into the implementation modules — the facade
 pins the supported names the way ``daos.h``/``daos_fs.h`` pin the real
 client API, so internal reshuffles don't break example or benchmark
-code. The client, pool, container and object handles are context
-managers (``close()`` on ``__exit__``)::
+code. Only the object handle is a context manager (``close()`` on
+``__exit__``)::
 
+    from repro.cluster import small_cluster
     from repro.daos import api as daos
 
-    with daos.DaosClient(system, node) as client:
-        # inside a sim task:
-        pool = yield from client.connect_pool("pool0")
-        cont = yield from pool.create_container("cont0", oclass="SX")
-        eq = daos.EventQueue(sim, depth=8)
-        ...
+    cluster = small_cluster(server_nodes=2, client_nodes=1)
+    client = daos.DaosClient(cluster.daos, cluster.clients[0])
 
-The async side (:class:`EventQueue` / :class:`Event`) mirrors the
-``daos_eq_* / daos_event_*`` model: a non-blocking op is the blocking op
-handed to the queue, ``event = yield from eq.submit(obj.write(...),
-name=...)``; ``reap((yield from eq.drain()))`` waits for all of them and
-re-raises the first held error. A completed event holds its finished
-task until reaped, so a long-running submitter reaps as it goes
+    def scenario():  # a sim task
+        pool = yield from client.connect_pool("tank")
+        cont = yield from pool.create_container("cont0", oclass="SX")
+        with cont.open_object((yield from cont.alloc_oid())) as obj:
+            eq = daos.EventQueue(cluster.sim, depth=8)  # daos_eq_create
+            for i in range(4):  # a non-blocking op is the blocking one, queued
+                yield from eq.submit(obj.write(i << 20, b"x" * (1 << 20)))
+            daos.reap((yield from eq.drain()))  # re-raises a held error
+            return (yield from obj.size())
+
+    assert cluster.run(scenario()) == 4 << 20
+
+A completed event holds its finished task until reaped, so a
+long-running submitter reaps as it goes
 (``eq.try_reap()`` after each submit, keeping only what it must report).
 """
 

@@ -154,7 +154,7 @@ class Engine:
         (standing in for the caller's RPC timeout). VOS shards live in
         persistent memory and survive, exactly like a real engine crash;
         data-plane unavailability is modelled by pool-map target exclusion
-        (see DESIGN.md §6)."""
+        (see DESIGN.md §10.2)."""
         if not self.up:
             return
         self.up = False

@@ -362,7 +362,7 @@ class ObjectHandle:
         DAOS buffers partial EC writes in a replicated staging space and
         migrates them at aggregation time; this reproduction requires
         stripe-aligned writes outright (IOR with transfer >= chunk size
-        satisfies it) — DESIGN.md §5.
+        satisfies it) — DESIGN.md §7.3.
         """
         k = self.oid.oclass.ec_k
         cell = ec.cell_len(chunk_size, k)

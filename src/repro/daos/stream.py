@@ -17,7 +17,7 @@ across ops is what makes a 64 MiB block write cost two heap events per
 transfer instead of a global reallocation per transfer — the key to
 simulating hundreds of concurrent IOR processes in reasonable wall time.
 
-Approximation (documented in DESIGN.md §5): the flow reserves its share
+Approximation (documented in DESIGN.md §6.2): the flow reserves its share
 for the duration of the op including the overhead portion, so highly
 overhead-dominated streams slightly over-reserve bandwidth.
 """

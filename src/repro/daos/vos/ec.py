@@ -84,7 +84,7 @@ def rebuild_cell(
     length (cell 0's when the parity is rebuilt). A data cell keeps its
     upper-bound length, that of cell ``pos - 1`` (the parity's for cell
     0): on a short final stripe that can add trailing zeros, which only
-    ``size()`` can see (DESIGN.md §9)."""
+    ``size()`` can see (DESIGN.md §7.3)."""
     sources = survivors([cell is not None for cell in cells], pos, k)
     if sources is None:
         return None

@@ -7,8 +7,7 @@ what it overlaps — newest data wins at the byte level, trimmed survivors
 keep their stamp — and a lookup covers a range with stored segments and
 holes. VOS array values (the evtree equivalent), Lustre OST objects, the
 page cache, the write-behind buffer and the read-ahead buffer all hold
-this class; what each passes as the stamp is in DESIGN.md §2 ("Byte
-ranges").
+this class; what each passes as the stamp is in DESIGN.md §7.3.
 
 Unlike the real evtree superseded versions are not retained (no
 snapshot-at-epoch reads on arrays); the KV layer keeps epoch history

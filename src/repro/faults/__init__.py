@@ -4,7 +4,7 @@ Compose a :class:`FaultSchedule` (explicitly or seed-driven via
 :meth:`FaultSchedule.random`), arm it on a booted cluster with a
 :class:`FaultInjector`, and assert distributed-systems safety with
 :mod:`repro.faults.invariants`. Same seed → byte-identical
-:class:`EventTrace`. See DESIGN.md §6 for the fault model.
+:class:`EventTrace`. See DESIGN.md §10.2 for the fault model.
 """
 
 from repro.faults.events import (

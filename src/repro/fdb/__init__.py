@@ -1,6 +1,6 @@
 """An NWP field database over the simulated storage interfaces.
 
-Facade for the FDB subsystem (DESIGN.md §14)::
+Facade for the FDB subsystem (DESIGN.md §9)::
 
     from repro import fdb
 

@@ -61,8 +61,8 @@ def build_parser() -> argparse.ArgumentParser:
     store.add_argument("--index", choices=("kv", "tree"), default="",
                        help="index kind (default: kv for native-object "
                             "backends, tree for file-per-field)")
-    # no default here: the lustre backend refuses either flag, so an
-    # explicit one must be told from an absent one (FdbParams holds SX, 1m)
+    # no default here: a backend that refuses a flag must tell an
+    # explicit one from an absent one (FdbParams holds SX, 1m)
     store.add_argument("--oclass",
                        help="object class for data objects (default SX)")
     store.add_argument("--chunk-size", type=positive_size, metavar="SIZE",
@@ -122,13 +122,12 @@ def params_from_args(args) -> FdbParams:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.backend == "lustre":
-        # the lustre branch of open_store uses neither
-        for flag, value in (("--oclass", args.oclass),
-                            ("--chunk-size", args.chunk_size)):
-            if value is not None:
-                parser.error(f"{flag}: the lustre backend stores plain "
-                             "files and has no object class or chunk size")
+    if args.backend == "lustre" and args.oclass is not None:
+        parser.error("--oclass: the lustre backend stores plain files "
+                     "and has no object class")
+    if args.backend in ("kv", "lustre") and args.chunk_size is not None:
+        parser.error(f"--chunk-size: the {args.backend} backend has no "
+                     "chunk size (only array and dfs chunk fields)")
     if args.sync and args.depth is not None:
         parser.error("--depth: --sync archives one field at a time")
     params = params_from_args(args)

@@ -1,6 +1,6 @@
 """HDF5-lite: a self-describing array file format with pluggable VFDs.
 
-Structurally modelled on HDF5 (not byte-compatible — see DESIGN.md §5):
+Structurally modelled on HDF5 (not byte-compatible — see DESIGN.md §8.4):
 
 - a fixed-location superblock pointing at the metadata catalog and
   tracking EOF and the *alignment* file-creation property,

@@ -1,7 +1,7 @@
 """On-disk framing for HDF5-lite metadata.
 
 Metadata is serialized as length-prefixed JSON frames (structural
-fidelity, not byte-format fidelity — DESIGN.md §5): a fixed 512-byte
+fidelity, not byte-format fidelity — DESIGN.md §8.4): a fixed 512-byte
 superblock at address 0 holding the catalog pointer, EOF and the
 alignment property, and a catalog frame re-written on flush holding
 every dataset header and the file attributes.

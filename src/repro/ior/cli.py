@@ -18,13 +18,9 @@ from typing import List, Optional
 from repro.cluster import build_system
 from repro.errors import DerInval
 from repro.ior.backends import available_apis, backend_class
-from repro.ior.config import IorParams
+from repro.ior.config import OPTIONS, IorParams
 from repro.ior.runner import run_ior
 from repro.obs.cli import add_arguments, observe, positive_int, write_artifacts
-
-
-#: -O keys, each an :class:`IorParams` field of the same name
-OPTIONS = ("oclass", "chunk_size", "cb_buffer")
 
 
 def _key_value(text: str) -> tuple:
@@ -115,7 +111,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (ValueError, DerInval) as exc:
         parser.error(str(exc))
     if args.read_only:
-        # a read-only run needs pre-existing data; run a silent write pass
+        # a read-only run needs pre-existing data: a write pass makes it
+        # and is not reported
         params.write = True
     if args.lustre and backend_class(params.api).needs_daos:
         parser.error(f"api {params.api} requires DAOS (drop --lustre)")
@@ -124,6 +121,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     cluster = build_system(args.lustre, args.servers, args.nodes, args.seed)
     observe(cluster, args)
     result = run_ior(cluster, params, ppn=args.ppn)
+    if args.read_only:
+        params.write = False
+        result.phases = [p for p in result.phases if p.op == "read"]
+        result.latency = [e for e in result.latency if e.op == "read"]
     print(result.summary())
     write_artifacts(cluster, args)
     return 1 if result.verify_errors else 0

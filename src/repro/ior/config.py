@@ -17,6 +17,8 @@ from repro.units import MiB, parse_size
 
 #: working directory inside the filesystem under test
 TEST_DIR = "/ior"
+#: ``-O KEY=VALUE`` keys, each an :class:`IorParams` field of the same name
+OPTIONS = ("oclass", "chunk_size", "cb_buffer")
 
 
 @dataclass
@@ -99,7 +101,7 @@ class IorParams:
             raise ValueError("chunk_size must be positive")
         if ec:
             cell_len(self.chunk_size, ec.ec_k)  # DerInval unless divisible
-        # full-stripe writes only (DESIGN.md §5)
+        # full-stripe writes only (DESIGN.md §7.3)
         if ec and self.transfer_size % self.chunk_size:
             raise ValueError(
                 f"{ec.name} needs stripe-aligned writes: transfer size "
@@ -165,7 +167,8 @@ class IorParams:
         )
 
     def cli(self) -> str:
-        """The equivalent real-IOR command line (for reports)."""
+        """The ``repro-ior`` flags that rebuild these parameters (for
+        reports); the cluster geometry is not part of them."""
         parts = [
             "ior",
             f"-a {self.api}",
@@ -174,20 +177,15 @@ class IorParams:
             f"-s {self.segments}",
             f"-i {self.repetitions}",
         ]
-        if self.file_per_proc:
-            parts.append("-F")
-        if self.collective:
-            parts.append("-c")
-        if self.fsync:
-            parts.append("-e")
-        if self.reorder_tasks:
-            parts.append("-C")
-        if self.write:
-            parts.append("-w")
-        if self.read:
-            parts.append("-r")
-        if self.verify:
-            parts.append("-R")
+        flags = {"-F": self.file_per_proc, "--interleaved": self.interleaved,
+                 "-c": self.collective, "-e": self.fsync,
+                 "-C" if self.reorder_tasks else "--no-reorder": True,
+                 # no phase flag runs both phases
+                 "-w": not self.read, "-r": not self.write, "-R": self.verify}
+        parts.extend(flag for flag, on in flags.items() if on)
+        # -O for each option off its default (the class attribute)
+        parts.extend(f"-O {key}={getattr(self, key)}" for key in OPTIONS
+                     if getattr(self, key) != getattr(IorParams, key))
         if self.cache_mode != "none":
             parts.append(f"--cache-mode {self.cache_mode}")
         if self.aio_queue_depth > 0:

@@ -14,7 +14,7 @@ package provides that standard filesystem so the contrast is measurable:
   on either unchanged.
 
 Client write-back caching is not modelled (I/O is write-through, the
-behaviour of ``O_DIRECT``/IOR ``-B`` runs); see DESIGN.md §5.
+behaviour of ``O_DIRECT``/IOR ``-B`` runs); see DESIGN.md §8.5.
 """
 
 from repro.lustre.fs import LustreFs

@@ -17,7 +17,7 @@ link saturates, the flows crossing it are fixed; when a flow reaches its
 cap, it is fixed; repeat. Only the connected component a change can
 reach is re-solved, by the scalar strategy here or the numpy one in
 :mod:`repro.network.dense` according to the component's size; both
-produce the same floats (DESIGN.md section 11).
+produce the same floats (DESIGN.md §6.1).
 """
 
 from __future__ import annotations

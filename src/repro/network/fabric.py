@@ -189,30 +189,25 @@ class Fabric:
         else:
             self._blocked.difference_update(pairs)
 
-    def set_extra_delay(
-        self, a: str, b: str, extra: float, bidirectional: bool = True
-    ) -> None:
-        """Add ``extra`` seconds of one-way latency between two nodes
-        (0 clears)."""
+    def set_extra_delay(self, a: str, b: str, extra: float) -> None:
+        """Add ``extra`` seconds of one-way latency to messages between
+        two nodes, both ways (0 clears)."""
         if extra < 0:
             raise NetworkError(f"negative extra delay: {extra}")
-        for pair in ((a, b), (b, a)) if bidirectional else ((a, b),):
+        for pair in ((a, b), (b, a)):
             if extra == 0:
                 self._extra_delay.pop(pair, None)
             else:
                 self._extra_delay[pair] = extra
 
     def set_drop_rule(
-        self,
-        a: str,
-        b: str,
-        rule: Optional[Callable[[], bool]] = None,
-        bidirectional: bool = True,
+        self, a: str, b: str, rule: Optional[Callable[[], bool]] = None
     ) -> None:
-        """Install a per-message drop predicate between two nodes (flaky
-        link); ``None`` clears. The rule must be deterministic for the
-        simulation to stay reproducible — draw from a named RNG stream."""
-        for pair in ((a, b), (b, a)) if bidirectional else ((a, b),):
+        """Install a per-message drop predicate between two nodes, both
+        ways (flaky link); ``None`` clears. The rule must be deterministic
+        for the simulation to stay reproducible — draw from a named RNG
+        stream."""
+        for pair in ((a, b), (b, a)):
             if rule is None:
                 self._drop_rules.pop(pair, None)
             else:

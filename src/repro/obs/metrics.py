@@ -1,11 +1,11 @@
 """Hierarchical metrics registry with histograms and export formats.
 
-Metric names follow ``layer.component.metric`` (DESIGN.md §7), e.g.
+Metric names follow ``layer.component.metric`` (DESIGN.md §10.1), e.g.
 ``engine.rpcs`` or ``ior.write.latency``, optionally carrying *labels*
 in a ``{key=value,...}`` suffix — ``ior.write.latency{rank=3}``,
 ``rebuild.bytes_moved{pool=tank,target=5}`` — so per-pool, per-tenant,
 per-target and per-rank traffic become separable series (DESIGN.md
-§12). Label keys are kept sorted, making the full name canonical; the
+§10.1). Label keys are kept sorted, making the full name canonical; the
 registry is keyed on that canonical full name. The registry offers three
 instrument kinds:
 

@@ -1,6 +1,6 @@
 """Declarative SLO and stall rules evaluated at timeline-scrape time.
 
-Rule grammar (DESIGN.md §12), one rule per string:
+Rule grammar (DESIGN.md §10.1), one rule per string:
 
 * Threshold rule::
 

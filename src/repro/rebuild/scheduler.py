@@ -27,7 +27,7 @@ Replicated groups copy whole extents from any UP survivor; EC groups
 rebuild the missing cell (or parity) per dkey with the stripe codec
 :mod:`repro.daos.vos.ec`, the one the degraded read uses.
 
-Deviations from real DAOS (see DESIGN.md §9): the scanner reads
+Deviations from real DAOS (see DESIGN.md §7.5): the scanner reads
 surviving VOS shards directly instead of issuing enumeration RPCs (so a
 rebuild can never deadlock against a crashed engine's RPC queue — the
 shards live in persistent memory), and its CPU cost is charged as an

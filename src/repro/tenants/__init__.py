@@ -1,6 +1,6 @@
 """Multi-tenant serving: open-loop traffic, admission control, QoS.
 
-Facade for the serving subsystem (DESIGN.md §13)::
+Facade for the serving subsystem (DESIGN.md §9)::
 
     from repro import tenants
 

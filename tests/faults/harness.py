@@ -7,7 +7,7 @@ settle, then assert every Raft safety invariant. The returned
 the same seed must produce byte-identical traces, which is itself one of
 the asserted properties (``tests/faults/test_determinism.py``).
 
-Writing a chaos test (see DESIGN.md §6):
+Writing a chaos test (see DESIGN.md §10.2):
 
 1. a *workload*: ``def workload(cluster, injector) -> generator`` doing
    real client I/O, using ``injector.note(...)`` to stamp progress into

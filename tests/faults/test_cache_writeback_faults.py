@@ -1,4 +1,4 @@
-"""Fault-correctness of the write-behind cache (DESIGN.md §8).
+"""Fault-correctness of the write-behind cache (DESIGN.md §8.2).
 
 The guarantee under test: an engine crash while write-behind data is
 still buffered must surface a typed :class:`CacheWritebackError` on

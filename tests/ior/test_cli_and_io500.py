@@ -25,6 +25,24 @@ def test_cli_option_passthrough():
     assert params.chunk_size == MiB
 
 
+@pytest.mark.parametrize("argv", [
+    [],
+    ["-a", "DFS", "-F", "-b", "4m", "-t", "1m", "-w", "-R", "-i", "2"],
+    ["-a", "POSIX", "-r", "--no-reorder", "-e", "--cache-mode", "writeback"],
+    ["-a", "DFS", "-b", "2m", "-t", "256k", "-s", "3", "--interleaved",
+     "-O", "oclass=S2", "-O", "chunk_size=512k"],
+    ["-a", "MPIIO", "-c", "--aio-depth", "4", "-O", "cb_buffer=1m"],
+    ["-a", "HDF5-DAOS", "-F", "--aio-depth", "2", "-O", "oclass=EC_2P1GX",
+     "-O", "chunk_size=2m", "-t", "2m"],
+])
+def test_cli_echo_rebuilds_the_same_params(argv):
+    parser = build_parser()
+    params = params_from_args(parser.parse_args(argv))
+    echo = params.cli().split()
+    assert echo[0] == "ior"
+    assert params_from_args(parser.parse_args(echo[1:])) == params
+
+
 def test_cli_bad_option_rejected():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["-O", "nonsense"])
@@ -56,7 +74,10 @@ def test_cli_read_only_writes_its_input_first(system, capsys):
     code = main(["-a", "POSIX", "-r", "-b", "1m", "-t", "256k", "-R",
                  "-N", "1", "--ppn", "2", "--servers", "2"] + system)
     assert code == 0
-    assert "Max Read" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    # the write pass that makes the input is simulated, not reported
+    assert "Max Read" in out and "Max Write" not in out
+    assert "-r" in out.splitlines()[0].split()
 
 
 def test_cli_lustre_rejects_daos_apis():

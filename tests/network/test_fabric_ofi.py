@@ -429,6 +429,7 @@ def test_extra_delay_slows_link():
     baseline = baseline_task.result
 
     fabric.set_extra_delay("a", "b", 5e-3)
+    assert fabric._extra_delay == {("a", "b"): 5e-3, ("b", "a"): 5e-3}
     sim2_task = sim.spawn(receiver())
     start = sim.now
     ep_a.send("ep-b", 2, nbytes=10)
@@ -436,6 +437,7 @@ def test_extra_delay_slows_link():
     assert sim2_task.result - start == pytest.approx(baseline + 5e-3)
 
     fabric.set_extra_delay("a", "b", 0.0)  # clears
+    assert not fabric._extra_delay
     sim3_task = sim.spawn(receiver())
     start = sim.now
     ep_a.send("ep-b", 3, nbytes=10)
@@ -443,26 +445,12 @@ def test_extra_delay_slows_link():
     assert sim3_task.result - start == pytest.approx(baseline)
 
 
-def test_one_way_extra_delay_slows_one_direction():
-    sim, fabric, ep_a, ep_b = _two_endpoints()
-    fabric.set_extra_delay("a", "b", 5e-3, bidirectional=False)
-
-    def arrival(endpoint):
-        yield endpoint.recv()
-        return sim.now
-
-    forward, back = sim.spawn(arrival(ep_b)), sim.spawn(arrival(ep_a))
-    ep_a.send("ep-b", 1, nbytes=10)
-    ep_b.send("ep-a", 2, nbytes=10)
-    sim.run()
-    assert forward.result == pytest.approx(back.result + 5e-3)
-
-
 def test_drop_rule_discards_selected_messages():
     sim, fabric, ep_a, ep_b = _two_endpoints()
     tracer, _ = install(sim)
     flips = iter([True, False])
-    fabric.set_drop_rule("a", "b", lambda: next(flips), bidirectional=False)
+    fabric.set_drop_rule("a", "b", lambda: next(flips))
+    assert set(fabric._drop_rules) == {("a", "b"), ("b", "a")}
 
     def receiver():
         message = yield ep_b.recv()

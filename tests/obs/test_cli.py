@@ -58,6 +58,7 @@ BAD_INPUT = [
     ("fdb", ["--backend", "lustre", "--index", "kv"], "no KV index"),
     ("fdb", ["--backend", "lustre", "--chunk-size", "512k"], "--chunk-size"),
     ("fdb", ["--backend", "lustre", "--oclass", "SX"], "--oclass"),
+    ("fdb", ["--backend", "kv", "--chunk-size", "1k"], "--chunk-size"),
     # a flag the run would ignore
     ("fdb", ["--sync", "--depth", "3"], "--depth"),
     ("tenants", _TENANTS + ["--qos-bw", "1000000"], "--qos-bw"),
@@ -97,7 +98,7 @@ BAD_INPUT = [
     ("fdb", _FDB + ["--members", "1001"], "1001 members run past the schema"),
     ("fdb", _FDB + ["--dates", "2773"], "2773 dates run past the schema"),
     ("fdb", _FDB + ["--retrieve-param", "nope"], "cannot retrieve 'nope'"),
-    # erasure-coded classes take full-stripe writes only (DESIGN.md §5)
+    # erasure-coded classes take full-stripe writes only (DESIGN.md §7.3)
     ("ior", _IOR + ["-t", "1m", "-O", "oclass=EC_2P1GX", "-a", "HDF5"],
      "unaligned metadata"),
     ("ior", _IOR + ["-t", "128k", "-O", "oclass=EC_2P1G1", "-a", "DFS"],
