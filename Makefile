@@ -15,7 +15,7 @@ export CHAOS_SEEDS
 # Tier-1: the full fast suite (chaos determinism/scenario tests included).
 # Every claim in EXPERIMENTS.md has its owning test here (DESIGN.md §4).
 test:
-	$(PY) -m pytest -x -q
+	$(PY) -m pytest -x -q --durations=15
 
 # The chaos suite alone, against the pinned seed matrix.
 chaos:

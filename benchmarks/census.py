@@ -44,7 +44,8 @@ RUNS = {"repro.ior.cli": [f"-a {line} -b 2m -N 1 --ppn 2 --servers 2" for line i
     f"DFS --timeline-out {OUT}/tl.json --timeline-interval 1e-4",
     "DAOS --aio-depth 4 -e", "DAOS -F -O oclass=EC_2P1GX", "POSIX --lustre -e",
     "POSIX -F --cache-mode readonly -e", "POSIX -F --cache-mode writeback -i 2",
-    "POSIX -F --lustre -r --seed 7", "MPIIO -e", "MPIIO -c -O cb_buffer=1m",
+    f"POSIX -F --lustre -r -i 2 --seed 7 --timeline-out {OUT}/tl.json "
+    "--timeline-interval 1e-4", "MPIIO -e", "MPIIO -c -O cb_buffer=1m",
     "MPIIO -c --aio-depth 2",
     "MPIIO -c --lustre --interleaved", "MPIIO -F -w", "HDF5 -e", "HDF5 -c",
     "HDF5 -F --lustre -e", "HDF5-DAOS", "HDF5-DAOS -F -R", "HDF5-DAOS --aio-depth 4",

@@ -3,27 +3,38 @@
 Facade for the FDB subsystem (DESIGN.md §9)::
 
     from repro import fdb
+    from repro.units import KiB
 
-    result, cluster = fdb.run_fdb(fdb.FdbParams(
-        backend="kv", n_params=4, n_steps=8, field_bytes=2 * MiB,
-    ))
-    report = fdb.build_report(result)
+    params = fdb.FdbParams(backend="kv", n_params=2, n_steps=4,
+                           field_bytes=64 * KiB)
+    result, cluster = fdb.run_fdb(params)
+    print(fdb.render_report(fdb.build_report(result)))
 
-Or piecewise, for custom drivers (chaos tests, benchmarks), inside a
-task on a booted cluster::
+An observed run boots, observes, then drives, as ``repro-fdb`` does::
 
-    params = fdb.FdbParams(backend="array", n_params=2, n_steps=4)
-    keys = fdb.make_fields(n_params=2, n_steps=4)
-    mapping, index = yield from fdb.open_store(cluster, params)
-    archiver = fdb.Archiver(cluster.sim, mapping, index, depth=8)
-    yield from archiver.setup(keys)
-    yield from archiver.archive(keys, params.field_bytes)
-    yield from archiver.flush("cycle-001")
-    yield from archiver.close()
-    retriever = fdb.Retriever(cluster.sim, mapping, index)
-    keys = yield from retriever.retrieve(fdb.FieldQuery(param="t2m"))
-    mapping.close()
-    index.close()
+    cluster = fdb.boot(params)
+    cluster.observe(timeline_interval=0.0002)
+    result = fdb.archive_and_retrieve(cluster, params)
+    report = fdb.build_report(result, store=cluster.sim.timeline.store)
+
+Or piecewise, for custom drivers (chaos tests, benchmarks), as a task::
+
+    def driver(cluster):
+        keys = fdb.make_fields(n_params=2, n_steps=4)
+        mapping, index = yield from fdb.open_store(cluster, params)
+        archiver = fdb.Archiver(cluster.sim, mapping, index, depth=8)
+        yield from archiver.setup(keys)
+        yield from archiver.archive(keys, params.field_bytes)
+        yield from archiver.flush("cycle-001")
+        yield from archiver.close()
+        retriever = fdb.Retriever(cluster.sim, mapping, index)
+        found = yield from retriever.retrieve(fdb.FieldQuery(param="t2m"))
+        mapping.close()
+        index.close()
+        return found
+
+    cluster = fdb.boot(params)
+    found = cluster.run(driver(cluster))
 """
 
 from repro.fdb.archiver import ARCHIVE_SPAN, Archiver
@@ -43,6 +54,8 @@ from repro.fdb.run import (
     BACKENDS,
     DAOS_BACKENDS,
     FdbParams,
+    archive_and_retrieve,
+    boot,
     default_index,
     open_store,
     run_fdb,
@@ -74,6 +87,8 @@ __all__ = [
     "RETRIEVE_SPAN",
     "Retriever",
     "TreeIndex",
+    "archive_and_retrieve",
+    "boot",
     "build_report",
     "default_index",
     "field_dir",

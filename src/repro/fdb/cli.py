@@ -24,10 +24,10 @@ from repro.fdb.run import BACKENDS, FdbParams, archive_and_retrieve, boot
 from repro.obs.cli import (
     add_arguments,
     artifact_path,
+    integer,
     observe,
     positive_int,
     positive_size,
-    settings,
     timeline_store,
     write_artifacts,
     write_json,
@@ -82,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     geom = parser.add_argument_group("cluster geometry")
     geom.add_argument("--servers", type=positive_int, default=2)
     geom.add_argument("--clients", type=positive_int, default=1)
-    geom.add_argument("--seed", type=int, default=0xDA05)
+    geom.add_argument("--seed", type=integer, default=0xDA05)
     obs = add_arguments(parser, default_interval=1.0)
     obs.add_argument("--trace", action="store_true",
                      help="record spans and report per-layer breakdowns")
@@ -92,7 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def params_from_args(args) -> FdbParams:
-    wanted = settings(args, tracing=args.trace)  # echoed in the report
     # a flag left out keeps the FdbParams default
     store = {name: value for name, value in (
         ("oclass", args.oclass), ("chunk_bytes", args.chunk_size),
@@ -112,9 +111,6 @@ def params_from_args(args) -> FdbParams:
         client_nodes=args.clients,
         seed=args.seed,
         retrieve_params=tuple(args.retrieve_param),
-        tracing=wanted["tracing"],
-        timeline_interval=wanted["timeline_interval"],
-        slo_rules=tuple(args.slo),
         **store,
     )
 

@@ -161,7 +161,7 @@ class LustreNamespace:
 
 
 class ArrayPerField:
-    """One DaosArray object per field (1-byte cells, chunked dkeys)."""
+    """One byte DaosArray object per field (chunked dkeys)."""
 
     name = "array"
     prepare = no_prepare
@@ -173,8 +173,7 @@ class ArrayPerField:
 
     def write(self, key, payload) -> Generator:
         array = yield from DaosArray.create(
-            self.cont, cell_size=1, chunk_cells=self.chunk_bytes,
-            oclass=self.oclass,
+            self.cont, self.chunk_bytes, oclass=self.oclass
         )
         try:
             yield from array.write(0, payload)
@@ -186,7 +185,7 @@ class ArrayPerField:
         hi, lo = location
         array = yield from DaosArray.open(self.cont, ObjId(hi, lo))
         try:
-            payload = yield from array.read(0, nbytes // array.cell_size)
+            payload = yield from array.read(0, nbytes)
         finally:
             array.close()
         return payload

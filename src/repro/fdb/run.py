@@ -17,8 +17,8 @@ timeline JSON (pinned by ``tests/fdb`` and the e2e ``fdb_fields`` pins).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-from typing import Generator, List, Optional, Tuple
+from dataclasses import asdict, dataclass
+from typing import Generator, List, Tuple
 
 from repro.cluster import build_system
 from repro.daos.api import DaosKV
@@ -72,9 +72,6 @@ class FdbParams:
     #: parameters to retrieve (one query per name); () retrieves every
     #: parameter the grid archived
     retrieve_params: Tuple[str, ...] = ()
-    tracing: bool = False
-    timeline_interval: Optional[float] = None
-    slo_rules: Tuple[str, ...] = ()
 
     def resolved_index(self) -> str:
         return self.index or default_index(self.backend)
@@ -139,14 +136,10 @@ def open_store(cluster, params: FdbParams) -> Generator:
 
 
 def run_fdb(params: FdbParams):
-    """Boot, archive, flush, retrieve; returns ``(result, cluster)``."""
+    """Unobserved :func:`boot` + :func:`archive_and_retrieve`; returns
+    ``(result, cluster)``. An observed run calls ``cluster.observe`` in
+    between."""
     cluster = boot(params)
-    if params.tracing or params.timeline_interval is not None:
-        cluster.observe(
-            tracing=params.tracing,
-            timeline_interval=params.timeline_interval,
-            slo_rules=list(params.slo_rules) or None,
-        )
     return archive_and_retrieve(cluster, params), cluster
 
 

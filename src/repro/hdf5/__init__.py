@@ -4,8 +4,8 @@ Structurally modelled on HDF5 (not byte-compatible — see DESIGN.md §8.4):
 
 - a fixed-location superblock pointing at the metadata catalog and
   tracking EOF and the *alignment* file-creation property,
-- datasets with dataspaces (N-d dims), datatypes, and contiguous or
-  chunked layouts, addressed through hyperslab selections,
+- datasets with dataspaces (N-d dims), datatypes and a contiguous
+  layout, addressed through hyperslab selections,
 - virtual file drivers: ``sec2`` (any POSIX-like mount — a DFuse mount
   in the paper) and ``mpio`` (collective I/O over MPI-IO),
 - virtual object layers (VOL, mirroring HDF5 1.12's plugin seam): the

@@ -2,9 +2,9 @@
 
 The dataset owns the *logical* description (dataspace, datatype, attrs)
 and the storage-assigned layout record; how a hyperslab maps to bytes on
-storage is the connector's business (:mod:`repro.hdf5.vol`): native
-layouts are contiguous or chunked-along-axis-0 file addresses, the DAOS
-connector maps element runs straight onto a byte array object.
+storage is the connector's business (:mod:`repro.hdf5.vol`): the native
+layout is one contiguous run of file addresses, the DAOS connector maps
+element runs straight onto a byte array object.
 """
 
 from __future__ import annotations

@@ -64,37 +64,27 @@ class H5File:
         h5._open = True
         return h5
 
-    def _metadata_dirty(self) -> Generator:
-        self._dirty = True
-        yield 0.0
-        return None
-
     # ------------------------------------------------------------- datasets
     def create_dataset(
         self,
         name: str,
         dims: Sequence[int],
         dtype: str = "u1",
-        chunk_rows: Optional[int] = None,
         attrs: Optional[Dict] = None,
     ) -> Generator:
-        """Task helper (collective in parallel files): define a dataset.
-
-        ``chunk_rows`` switches to the chunked layout, chunking along
-        the outermost axis every ``chunk_rows`` rows.
-        """
+        """Task helper (collective in parallel files): define a
+        contiguous dataset."""
         if not self._open:
             raise H5Error("file not open")
         if name in self.datasets:
             raise H5Error(f"dataset {name!r} exists")
         space = Dataspace(tuple(dims))
         datatype = Datatype(dtype)
-        if chunk_rows is not None and not (0 < chunk_rows <= dims[0]):
-            raise H5Error(f"bad chunk_rows {chunk_rows}")
         dataset = Dataset(self, name, space, datatype, {}, attrs)
-        yield from self.vol.dataset_added(self, dataset, chunk_rows)
+        yield from self.vol.dataset_added(self, dataset)
         self.datasets[name] = dataset
-        yield from self._metadata_dirty()
+        self._dirty = True
+        yield 0.0
         return dataset
 
     def dataset(self, name: str) -> Dataset:

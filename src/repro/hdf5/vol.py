@@ -24,7 +24,7 @@ VFD instance owns one file handle.
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional, Tuple
+from typing import Dict, Generator, List, Optional
 
 from repro.daos.vos.payload import Payload, ZeroPayload, concat_payloads
 from repro.errors import ReproError
@@ -36,7 +36,7 @@ from repro.hdf5.format import (
     unpack_superblock,
 )
 from repro.hdf5.vfd import MpioVfd, Vfd
-from repro.units import MiB, split_aligned
+from repro.units import MiB
 
 #: generous fixed region after the superblock reserved for the catalog;
 #: real HDF5 interleaves metadata with data, which is exactly why its
@@ -77,7 +77,7 @@ class Vol:
         ``{"alignment", "attrs", "datasets"}``."""
         raise NotImplementedError
 
-    def dataset_added(self, h5, dataset, chunk_rows: Optional[int]) -> Generator:
+    def dataset_added(self, h5, dataset) -> Generator:
         """Bind storage to a freshly defined dataset (sets its layout)."""
         raise NotImplementedError
 
@@ -171,94 +171,38 @@ class NativeVol(Vol):
         return addr
 
     # ------------------------------------------------------------- datasets
-    def dataset_added(self, h5, dataset, chunk_rows: Optional[int]) -> Generator:
-        if chunk_rows is None:
-            dataset.layout = {
-                "kind": "contiguous",
-                "addr": self._alloc_raw(h5, dataset.nbytes),
-            }
-        else:
-            dataset.layout = {
-                "kind": "chunked", "chunk_rows": chunk_rows, "chunks": {},
-            }
+    def dataset_added(self, h5, dataset) -> Generator:
+        dataset.layout = {
+            "kind": "contiguous",
+            "addr": self._alloc_raw(h5, dataset.nbytes),
+        }
         return None
         yield  # pragma: no cover - marks this as a (zero-hop) task helper
 
-    def _byte_runs(self, dataset, start, count) -> List[Tuple[int, int]]:
-        """(file_address, nbytes) runs for a selection, layout-resolved.
-
-        Chunked layouts may return runs with address -1 for chunks that
-        were never allocated (read as fill value)."""
-        item = dataset.dtype.itemsize
-        out: List[Tuple[int, int]] = []
-        if dataset.layout["kind"] == "contiguous":
-            base = dataset.layout["addr"]
-            for off_el, len_el in dataset.space.runs(start, count):
-                out.append((base + off_el * item, len_el * item))
-            return out
-        # chunked along axis 0
-        chunk_rows = dataset.layout["chunk_rows"]
-        row_bytes = (
-            dataset.space.n_elements // dataset.space.dims[0]
-        ) * item  # bytes per outermost row
-        chunk_bytes = chunk_rows * row_bytes
-        chunks: Dict[str, int] = dataset.layout["chunks"]
-        for off_el, len_el in dataset.space.runs(start, count):
-            for chunk_idx, within, take in split_aligned(
-                off_el * item, len_el * item, chunk_bytes
-            ):
-                addr = chunks.get(str(chunk_idx), -1)
-                out.append(
-                    (addr + within if addr >= 0 else -1, take)
-                )
-        return out
-
-    def _ensure_chunks(self, h5, dataset, start, count) -> Generator:
-        """Allocate the chunks a write touches (collective-deterministic)."""
-        if dataset.layout["kind"] != "chunked":
-            return None
-        chunk_rows = dataset.layout["chunk_rows"]
-        lo = start[0] // chunk_rows
-        hi = (start[0] + count[0] - 1) // chunk_rows
-        row_bytes = (
-            dataset.space.n_elements // dataset.space.dims[0]
-        ) * dataset.dtype.itemsize
-        chunk_bytes = chunk_rows * row_bytes
-        dirty = False
-        for chunk_idx in range(lo, hi + 1):
-            key = str(chunk_idx)
-            if key not in dataset.layout["chunks"]:
-                dataset.layout["chunks"][key] = self._alloc_raw(h5, chunk_bytes)
-                dirty = True
-        if dirty:
-            yield from h5._metadata_dirty()
-        return None
-
     def dataset_write(self, h5, dataset, start, count, payload) -> Generator:
-        yield from self._ensure_chunks(h5, dataset, start, count)
         aligned = self.data_aligned(h5)
+        item, base = dataset.dtype.itemsize, dataset.layout["addr"]
         cursor = 0
-        for addr, nbytes in self._byte_runs(dataset, start, count):
-            fragment = payload.slice(cursor, cursor + nbytes)
+        for off_el, len_el in dataset.space.runs(start, count):
+            nbytes = len_el * item
+            part = payload.slice(cursor, cursor + nbytes)
             cursor += nbytes
-            if addr < 0:
-                raise AssertionError("writing an unallocated chunk")
-            yield from self.vfd.write_raw(addr, fragment, aligned)
+            yield from self.vfd.write_raw(base + off_el * item, part, aligned)
         return payload.nbytes
 
     def dataset_read(self, h5, dataset, start, count) -> Generator:
         aligned = self.data_aligned(h5)
+        item, base = dataset.dtype.itemsize, dataset.layout["addr"]
         parts: List[Payload] = []
-        for addr, nbytes in self._byte_runs(dataset, start, count):
-            if addr < 0:
-                parts.append(ZeroPayload(nbytes))  # fill value
-            else:
-                part = yield from self.vfd.read_raw(addr, nbytes, aligned)
-                if part.nbytes < nbytes:  # sparse region past EOF
-                    part = concat_payloads(
-                        [part, ZeroPayload(nbytes - part.nbytes)]
-                    )
-                parts.append(part)
+        for off_el, len_el in dataset.space.runs(start, count):
+            nbytes = len_el * item
+            part = yield from self.vfd.read_raw(base + off_el * item, nbytes,
+                                                aligned)
+            if part.nbytes < nbytes:  # sparse region past EOF
+                part = concat_payloads(
+                    [part, ZeroPayload(nbytes - part.nbytes)]
+                )
+            parts.append(part)
         return concat_payloads(parts)
 
 
@@ -272,7 +216,7 @@ class DaosVol(Vol):
     - per file, a *root KV* holding the ``file`` record (alignment +
       file attrs) and one ``ds:<name>`` record per dataset (dataspace,
       datatype, attrs, and the backing array's OID);
-    - per dataset, a byte-cell :class:`DaosArray` holding the raw data
+    - per dataset, a byte :class:`DaosArray` holding the raw data
       in row-major linearized order. Unwritten extents read back as
       zeros — the object layer's hole semantics double as the HDF5
       fill value.
@@ -353,23 +297,15 @@ class DaosVol(Vol):
         return None
 
     # ------------------------------------------------------------- datasets
-    def dataset_added(self, h5, dataset, chunk_rows: Optional[int]) -> Generator:
+    def dataset_added(self, h5, dataset) -> Generator:
         from repro.daos.array import DaosArray
 
         array = yield from DaosArray.create(
-            self.cont,
-            cell_size=1,
-            chunk_cells=self.chunk_bytes,
-            oclass=self.oclass,
+            self.cont, self.chunk_bytes, oclass=self.oclass
         )
         dataset.layout = {
-            "kind": "daos-array",
-            "oid": [array.obj.oid.hi, array.obj.oid.lo],
-            "chunk_bytes": self.chunk_bytes,
+            "kind": "daos-array", "oid": [array.obj.oid.hi, array.obj.oid.lo],
         }
-        if chunk_rows is not None:
-            # descriptive only: the array is chunked by chunk_bytes
-            dataset.layout["chunk_rows"] = chunk_rows
         self._arrays[dataset.name] = array
         return None
 
@@ -414,11 +350,9 @@ def _punch_file(cont, root_oid) -> Generator:
     root = DaosKV.open(cont, root_oid)
     for key in (yield from root.scan("ds:")):
         record = yield from root.get(key)
-        layout = record.get("layout", {})
-        if layout.get("kind") == "daos-array" and "oid" in layout:
-            obj = cont.open_object(ObjId(*layout["oid"]))
-            yield from obj.punch_object()
-            obj.close()
+        obj = cont.open_object(ObjId(*record["layout"]["oid"]))
+        yield from obj.punch_object()
+        obj.close()
     yield from root.obj.punch_object()
     root.close()
     return None

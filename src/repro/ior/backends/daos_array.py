@@ -55,9 +55,7 @@ class DaosArrayBackend(Backend):
                     yield from obj.punch_object()
                 yield from catalog.obj.punch_dkey(path.encode("utf-8"))
             array = yield from DaosArray.create(
-                self.storage.cont,
-                cell_size=1,
-                chunk_cells=self.params.chunk_size,
+                self.storage.cont, self.params.chunk_size,
                 oclass=self._oclass(),
             )
             self._created[path] = array.obj.oid

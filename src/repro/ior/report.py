@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
 from repro.ior.config import IorParams
 from repro.units import fmt_bw, fmt_size, fmt_time
@@ -36,6 +37,7 @@ class PhaseResult:
 
     op: str  # "write" | "read"
     repetition: int
+    start: float  # simulated time of the synchronized start
     seconds: float
     nbytes: int
     verify_errors: int = 0
@@ -83,7 +85,9 @@ class IorResult:
         return sum(p.verify_errors for p in self.phases)
 
     def summary(self) -> str:
-        """An IOR-flavoured results block."""
+        """An IOR-flavoured results block over the ops ``params`` asks for."""
+        ops = {op for op in ("write", "read") if getattr(self.params, op)}
+        phases = [p for p in self.phases if p.op in ops]
         lines = [
             f"IOR (simulated): {self.params.cli()}",
             f"clients: {self.client_nodes} nodes x "
@@ -91,7 +95,7 @@ class IorResult:
             f"{self.nprocs} procs; "
             f"aggregate {fmt_size(self.params.total_bytes(self.nprocs))}",
         ]
-        for phase in self.phases:
+        for phase in phases:
             lines.append(
                 f"  {phase.op:5s} rep {phase.repetition}: "
                 f"{fmt_bw(phase.bandwidth)} in {fmt_time(phase.seconds)}"
@@ -100,12 +104,12 @@ class IorResult:
             )
             if phase.layer_seconds:
                 lines.extend(self._breakdown_lines(phase))
-        if self._best("write"):
+        if "write" in ops and self._best("write"):
             lines.append(f"Max Write: {fmt_bw(self.max_write_bw)}")
-        if self._best("read"):
+        if "read" in ops and self._best("read"):
             lines.append(f"Max Read:  {fmt_bw(self.max_read_bw)}")
-        lines.extend(self._latency_lines())
-        lines.extend(self._timeline_lines())
+        lines.extend(self._latency_lines(ops))
+        lines.extend(self._timeline_lines(phases))
         return "\n".join(lines)
 
     @staticmethod
@@ -121,18 +125,19 @@ class IorResult:
             )
         return lines
 
-    def _latency_lines(self) -> List[str]:
-        if not self.latency:
+    def _latency_lines(self, ops: Set[str]) -> List[str]:
+        latency = [entry for entry in self.latency if entry.op in ops]
+        if not latency:
             return []
         lines = [
             "per-rank op latency:",
             "  op    rank  count        mean         p50         p95         p99",
         ]
         shown = 0
-        for entry in self.latency:
+        for entry in latency:
             if shown >= _MAX_RANK_ROWS:
                 lines.append(
-                    f"  ... {len(self.latency) - shown} more ranks elided"
+                    f"  ... {len(latency) - shown} more ranks elided"
                 )
                 break
             lines.append(
@@ -143,52 +148,76 @@ class IorResult:
             shown += 1
         return lines
 
-    def _timeline_lines(self) -> List[str]:
+    def _timeline_lines(self, phases: List[PhaseResult]) -> List[str]:
+        """Sparklines over the run's scrape windows, or, when a phase goes
+        unreported (``-r``'s write pass), over only the windows that
+        overlap a reported phase."""
         store = self.timeline
         if store is None or not store.series:
             return []
+        ticks = None
+        if len(phases) == len(self.phases):
+            step = (store.end - store.origin) / SPARK_COLS
+            times = [store.origin + (col + 1) * step
+                     for col in range(SPARK_COLS)]
+        else:
+            ticks = phase_windows(store, phases)
+            n = len(ticks)
+            shown = ticks if n <= SPARK_COLS else [
+                ticks[(col + 1) * n // SPARK_COLS - 1]
+                for col in range(SPARK_COLS)]
+            # half a window of slack: a scrape's clock is a sum of delays
+            times = [store.origin + (k + 0.5) * store.interval for k in shown]
         lines = [
-            f"timeline ({store.n_windows} windows @ "
-            f"{fmt_time(store.interval)}):"
+            f"timeline ({store.n_windows if ticks is None else len(ticks)} "
+            f"windows @ {fmt_time(store.interval)}):"
         ]
-        shown = (
-            ("fabric.xfer.bytes:rate", "wire B/s", fmt_bw),
-            ("ior.write.latency:p99", "write p99", fmt_time),
-            ("ior.read.latency:p99", "read p99", fmt_time),
-        )
-        for name, label, fmt in shown:
+        rows = [("fabric.xfer.bytes:rate", "wire B/s", fmt_bw)] + [
+            (f"ior.{op}.latency:p99", f"{op} p99", fmt_time)
+            for op in ("write", "read") if any(p.op == op for p in phases)
+        ]
+        for name, label, fmt in rows:
             series = store.series.get(name)
             if series is None:
                 continue
             series.finalize()
-            if not series.points:
+            if not series.points or not times:
                 continue
-            values = resample(series, store.origin, store.end, SPARK_COLS)
-            peak = max(values)
+            values = resample(series, times)
             lines.append(
-                f"  {label:<9s} |{sparkline(values)}| peak {fmt(peak)}"
+                f"  {label:<9s} |{sparkline(values)}| peak {fmt(max(values))}"
             )
         for breach in store.breaches:
-            lines.append(
-                f"  SLO BREACH at t={fmt_time(breach.time)}: {breach.rule}"
-            )
+            k = round((breach.time - store.origin) / store.interval)
+            if ticks is None or k in ticks:
+                lines.append(
+                    f"  SLO BREACH at t={fmt_time(breach.time)}: {breach.rule}"
+                )
         return lines
 
 
-def resample(series, start: float, end: float, cols: int) -> List[float]:
-    """Step-wise resample of a compressed series onto ``cols`` columns.
+def phase_windows(store, phases: List[PhaseResult]) -> List[int]:
+    """Indices ``k`` of the scrape windows ``(t[k-1], t[k]]``, ``t[k] =
+    origin + k * interval``, that overlap a phase and were scraped: the
+    scraper ticks on that grid and never parks while a phase runs."""
+    last = round((store.end - store.origin) / store.interval)
+    ticks: Set[int] = set()
+    for phase in phases:
+        lo = (phase.start - store.origin) / store.interval
+        hi = lo + phase.seconds / store.interval
+        ticks.update(range(int(lo + 1e-9) + 1,
+                           min(math.ceil(hi - 1e-9), last) + 1))
+    return sorted(ticks)
 
-    ``series`` is any object with step-compressed ``points``.
-    """
-    if end <= start:
-        return [v for _t, v in series.points[:cols]] or [0.0]
-    step = (end - start) / cols
+
+def resample(series, times: List[float]) -> List[float]:
+    """A step-compressed series (any object with ``points``) at each of
+    the ascending ``times``: its last point at or before each."""
     points = series.points
     values: List[float] = []
     idx = 0
     current = 0.0
-    for col in range(cols):
-        t = start + (col + 1) * step
+    for t in times:
         while idx < len(points) and points[idx][0] <= t:
             current = points[idx][1]
             idx += 1

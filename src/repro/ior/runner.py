@@ -158,6 +158,7 @@ def _phase_write(ctx, params: IorParams, backend, depth: int,
     return PhaseResult(
         op="write",
         repetition=repetition,
+        start=start,
         seconds=end - start,
         nbytes=params.total_bytes(ctx.size),
     )
@@ -207,6 +208,7 @@ def _phase_read(ctx, params: IorParams, backend, depth: int,
     return PhaseResult(
         op="read",
         repetition=repetition,
+        start=start,
         seconds=end - start,
         nbytes=params.total_bytes(ctx.size),
         verify_errors=total_errors,

@@ -228,8 +228,8 @@ class Fabric:
                 tracer.instant(
                     "fabric.drop",
                     "fabric",
-                    node=src.name,
-                    attrs={"dst": target.addr.name, "tag": message.tag},
+                    attrs={"src": src.name, "dst": target.addr.name,
+                           "tag": message.tag},
                 )
             if self.sim.metrics is not None:
                 self.sim.metrics.incr("fabric.msgs.dropped")

@@ -23,6 +23,11 @@ from repro.obs.timeline import write_timeline
 from repro.units import parse_size
 
 
+def integer(text: str) -> int:
+    """argparse ``type=`` for seeds: any ``int(text, 0)`` literal (0xDA05)."""
+    return int(text, 0)
+
+
 def positive_int(text: str) -> int:
     """argparse ``type=`` for counts: an integer >= 1."""
     value = int(text)

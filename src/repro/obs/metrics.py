@@ -10,8 +10,9 @@ registry is keyed on that canonical full name. The registry offers three
 instrument kinds:
 
 * :class:`Counter` — monotonically increasing totals,
-* :class:`Gauge` — time-weighted values with a bounded timeline of
-  (t, value) points (per-edge fabric utilisation, queue depths),
+* :class:`Gauge` — time-weighted values with their extrema (per-edge
+  fabric utilisation, queue depths; the per-window curve is the
+  timeline scraper's, :mod:`repro.obs.timeline`),
 * :class:`Histogram` — log2-bucketed latency distributions with
   p50/p95/p99/p999 estimation.
 
@@ -25,16 +26,12 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 #: Smallest histogram bucket upper bound, in seconds (1 ns).
 _HIST_LO = 1e-9
 #: Number of log2 buckets; covers 1 ns .. ~584 years, plenty.
 _HIST_BUCKETS = 64
-
-#: Points kept per gauge timeline (utilisation curves, queue depths).
-GAUGE_TIMELINE_CAP = 4096
 
 #: The tail set every report and timeline publishes (stat key, quantile).
 QUANTILES = (("p50", 0.50), ("p95", 0.95), ("p99", 0.99), ("p999", 0.999))
@@ -124,16 +121,14 @@ class Counter:
 
 
 class Gauge:
-    """Time-weighted gauge with a bounded (t, value) timeline.
+    """Time-weighted gauge with its extrema.
 
     ``created`` pins the start of the observed window: a gauge first
     set at t>0 integrates no phantom 0 over [0, t) and its mean divides
-    only by time it observed. The timeline retains the most recent
-    :data:`GAUGE_TIMELINE_CAP` set-points so utilisation curves survive
-    into the JSON snapshot.
+    only by time it observed.
     """
 
-    __slots__ = ("name", "created", "last_t", "value", "integral", "timeline",
+    __slots__ = ("name", "created", "last_t", "value", "integral",
                  "vmin", "vmax")
 
     def __init__(self, name: str, created: float) -> None:
@@ -142,7 +137,6 @@ class Gauge:
         self.last_t = created
         self.value = 0.0
         self.integral = 0.0
-        self.timeline: deque = deque(maxlen=GAUGE_TIMELINE_CAP)
         self.vmin = math.inf
         self.vmax = -math.inf
 
@@ -152,7 +146,6 @@ class Gauge:
         self.value = value
         self.vmin = min(self.vmin, value)
         self.vmax = max(self.vmax, value)
-        self.timeline.append((now, value))
 
     def add(self, now: float, delta: float) -> None:
         self.set(now, self.value + delta)
@@ -339,7 +332,6 @@ class MetricsRegistry:
                     "mean": g.mean(now),
                     "min": None if g.vmin is math.inf else g.vmin,
                     "max": None if g.vmax is -math.inf else g.vmax,
-                    "timeline": [[t, v] for t, v in g.timeline],
                 }
                 for name, g in sorted(self.gauges.items())
             },

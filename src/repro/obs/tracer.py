@@ -227,10 +227,9 @@ class Tracer:
         self,
         name: str,
         layer: str,
-        node: Optional[str] = None,
         attrs: Optional[Dict[str, Any]] = None,
     ) -> Span:
-        """A zero-duration marker event (fault injections, pool-map bumps)."""
-        span = self.event(name, layer, node, self.sim.now, self.sim.now, attrs)
+        """A zero-duration marker on the running task's node."""
+        span = self.event(name, layer, None, self.sim.now, self.sim.now, attrs)
         span.kind = "i"
         return span

@@ -104,11 +104,9 @@ def validate_metrics_snapshot(doc: Any) -> List[str]:
             if not isinstance(g, dict):
                 problems.append(f"gauges[{name!r}]: not an object")
                 continue
-            if not isinstance(g.get("value"), _NUM):
-                problems.append(f"gauges[{name!r}]: missing/bad 'value'")
-            timeline = g.get("timeline")
-            if not isinstance(timeline, list):
-                problems.append(f"gauges[{name!r}]: missing/bad 'timeline'")
+            for key in ("value", "mean"):
+                if not isinstance(g.get(key), _NUM):
+                    problems.append(f"gauges[{name!r}]: missing/bad {key!r}")
     return problems
 
 

@@ -6,7 +6,7 @@ consumer acquires ``n`` tokens before issuing ``n`` units of work. It
 suits request-scoped traffic (per-tenant byte budgets in
 :mod:`repro.tenants`), where flows are too short for a standing rate
 cap; long-lived rebuild migrations take one instead
-(:class:`repro.rebuild.RebuildThrottle`).
+(:func:`repro.rebuild.scheduler.rebuild_cap`).
 
 The bucket runs on *debt accounting*: :meth:`TokenBucket.acquire`
 always deducts immediately, and when the level goes negative the

@@ -12,8 +12,8 @@ reproduces that control loop:
   watermarks;
 - :mod:`repro.rebuild.scheduler` — the scan/migrate engine driven by
   :class:`~repro.daos.system.DaosSystem` on state transitions, with the
-  throttle that caps rebuild traffic to a fraction of the engine/fabric
-  bandwidth.
+  throttle (:func:`~repro.rebuild.scheduler.rebuild_cap`) that caps
+  rebuild traffic to a fraction of the engine/fabric bandwidth.
 """
 
 from repro.rebuild.state import (
@@ -24,7 +24,7 @@ from repro.rebuild.state import (
     TargetStatus,
     can_transition,
 )
-from repro.rebuild.scheduler import RebuildJob, RebuildManager, RebuildThrottle
+from repro.rebuild.scheduler import RebuildJob, RebuildManager
 
 __all__ = [
     "UP",
@@ -33,7 +33,6 @@ __all__ = [
     "DOWNOUT",
     "TargetStatus",
     "can_transition",
-    "RebuildThrottle",
     "RebuildJob",
     "RebuildManager",
 ]

@@ -17,7 +17,7 @@ A job runs the DAOS scan/pull protocol in converge-loop form:
 2. **migrate** — replay the items onto the destination shard at their
    *original* epochs through one fluid flow spanning the source media /
    NIC links and the destination's media and target links, capped by the
-   :class:`RebuildThrottle` so foreground I/O keeps the remaining
+   :func:`rebuild_cap` so foreground I/O keeps the remaining
    bandwidth.
 3. repeat with the watermark advanced to the epoch observed at the start
    of the round; an empty scan means the destination has converged and
@@ -48,29 +48,20 @@ from repro.daos.vos.payload import Payload, ZeroPayload
 from repro.rebuild.state import DOWNOUT, UP
 
 
-class RebuildThrottle:
-    """Caps rebuild flows to a fraction of their bottleneck bandwidth.
+#: Share of a migration flow's bottleneck bandwidth rebuild takes: DAOS
+#: reserves one so that recovering a pool does not starve foreground I/O.
+REBUILD_FRACTION = 0.25
 
-    Real DAOS ships rebuild with a tunable share of engine bandwidth so
-    that recovering a pool does not starve foreground I/O. Every
-    migration flow here is opened with ``cap = fraction × bottleneck``:
-    the flow network enforces it while max-min fair sharing hands the
-    rest to foreground flows. ``fraction >= 1`` disables the throttle.
-    """
 
-    def __init__(self, fraction: float = 0.25):
-        self.fraction = float(fraction)
-
-    def cap_for(self, weighted_links: Iterable) -> Optional[float]:
-        """The cap of a flow over ``(link, weight)`` pairs: its binding
-        link has the smallest ``capacity / weight`` (a weight > 1 crosses
-        the link with multiplied consumption). ``None`` when disabled or
-        no weighted link binds."""
-        ratios = [link.capacity / weight for link, weight in weighted_links
-                  if weight > 0]
-        if self.fraction >= 1.0 or not ratios:
-            return None
-        return self.fraction * min(ratios)
+def rebuild_cap(weighted_links: Iterable) -> Optional[float]:
+    """The cap every migration flow opens with: :data:`REBUILD_FRACTION`
+    of its binding link's ``capacity / weight`` over ``(link, weight)``
+    pairs (a weight > 1 crosses the link with multiplied consumption).
+    The flow network enforces it while max-min fair sharing hands the
+    rest to foreground flows. ``None`` when no weighted link binds."""
+    ratios = [link.capacity / weight for link, weight in weighted_links
+              if weight > 0]
+    return REBUILD_FRACTION * min(ratios) if ratios else None
 
 
 @dataclass
@@ -141,7 +132,6 @@ class RebuildManager:
     def __init__(self, system):
         self.system = system
         self.sim = system.sim
-        self.throttle = RebuildThrottle()
         self.jobs: List[RebuildJob] = []
         self._queues: Dict[str, deque] = defaultdict(deque)
         self._runners: Dict[str, object] = {}  # pool_uuid -> runner Task
@@ -491,7 +481,7 @@ class RebuildManager:
                   item.nbytes / extent_bytes)
                  for item in items if item.kind == "extent"],
                 label=f"rebuild:{job.pool_uuid}:t{job.tid}",
-                cap=self.throttle.cap_for,
+                cap=rebuild_cap,
             )
         span = (
             tracer.begin(

@@ -22,6 +22,7 @@ from repro.errors import DerInval
 from repro.obs.cli import (
     add_arguments,
     artifact_path,
+    integer,
     observe,
     positive_float,
     positive_int,
@@ -86,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     geom.add_argument("--pools", type=positive_int, default=1)
     geom.add_argument("--containers", type=positive_int, default=4)
     geom.add_argument("--oclass", default="S1")
-    geom.add_argument("--seed", type=int, default=0xDA05)
+    geom.add_argument("--seed", type=integer, default=0xDA05)
     geom.add_argument("--chaos", action="store_true",
                       help="exclude a target mid-run and reintegrate it, "
                            "racing rebuild traffic against tenants")

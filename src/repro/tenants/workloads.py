@@ -84,9 +84,7 @@ def _charge(ctx: TenantIoContext, nbytes: float) -> Generator:
 
 def _bulk(ctx: TenantIoContext, eq, work: BulkWork) -> Generator:
     """IOR-style streaming transfer on a fresh array object."""
-    array = yield from daos.DaosArray.create(
-        ctx.cont, cell_size=1, chunk_cells=work.xfer
-    )
+    array = yield from daos.DaosArray.create(ctx.cont, work.xfer)
     try:
         for index, _within, chunk in split_aligned(0, work.nbytes, work.xfer):
             offset = index * work.xfer

@@ -15,6 +15,7 @@ from repro.dfuse import DFuseMount
 from repro.fdb import FdbParams, build_report, run_fdb
 from repro.hdf5 import H5File, NativeVol, Sec2Vfd
 from repro.posix.vfs import normalize
+from repro.rebuild import scheduler
 from repro.units import KiB, MiB
 from tests.acceptance.test_paper_shapes import point
 
@@ -168,14 +169,14 @@ def _open_rebuild_window(cluster, window_bytes):
     cluster.run(go())
 
 
-def test_rebuild_throttle_bounds_the_dent_in_foreground_bandwidth():
+def test_rebuild_throttle_bounds_the_dent_in_foreground_bandwidth(monkeypatch):
     """POSIX fpp on RP_2GX (1 node x 2 ppn, 2 MiB blocks) racing a 32 MiB
     resync: invisible at throttle fraction 0.05, writes at 0.45x healthy
-    with the throttle off; reads ride the surviving replica."""
+    at the full bottleneck; reads ride the surviving replica."""
     def run(fraction=None):
         cluster = nextgenio(client_nodes=1)
         if fraction is not None:
-            cluster.daos.rebuild.throttle.fraction = fraction
+            monkeypatch.setattr(scheduler, "REBUILD_FRACTION", fraction)
             _open_rebuild_window(cluster, 32 * MiB)
         return point(1, "POSIX", "RP_2GX", block="2m", ppn=2,
                      cluster=cluster)

@@ -29,50 +29,37 @@ def cont(cluster):
 
 def test_array_create_write_read(cluster, cont):
     def go():
-        arr = yield from DaosArray.create(cont, cell_size=8, chunk_cells=1024)
+        arr = yield from DaosArray.create(cont, 8 * 1024)
         written = yield from arr.write(0, b"x" * 64)
-        data = yield from arr.read(0, 8)
+        data = yield from arr.read(0, 64)
         arr.close()
         return written, data.materialize()
 
     written, data = cluster.run(go())
-    assert written == 8  # cells
+    assert written == 64  # bytes
     assert data == b"x" * 64
 
 
 def test_array_open_recovers_metadata(cluster, cont):
     def go():
-        arr = yield from DaosArray.create(cont, cell_size=4, chunk_cells=256)
-        yield from arr.write(10, b"abcd" * 3)
+        arr = yield from DaosArray.create(cont, 1024)
+        yield from arr.write(40, b"abcd" * 3)
         oid = arr.obj.oid
         arr.close()
         reopened = yield from DaosArray.open(cont, oid)
-        data = yield from reopened.read(10, 3)
-        meta = (reopened.cell_size, reopened.chunk_cells)
+        data = yield from reopened.read(40, 12)
+        chunk_bytes = reopened.chunk_bytes
         reopened.close()
-        return data.materialize(), meta
+        return data.materialize(), chunk_bytes
 
-    data, meta = cluster.run(go())
+    data, chunk_bytes = cluster.run(go())
     assert data == b"abcd" * 3
-    assert meta == (4, 256)
-
-
-def test_array_partial_cell_write_rejected(cluster, cont):
-    def go():
-        arr = yield from DaosArray.create(cont, cell_size=8, chunk_cells=16)
-        try:
-            yield from arr.write(0, b"123")
-        except DerInval:
-            return "rejected"
-        finally:
-            arr.close()
-
-    assert cluster.run(go()) == "rejected"
+    assert chunk_bytes == 1024
 
 
 def test_array_large_lazy_io(cluster, cont):
     def go():
-        arr = yield from DaosArray.create(cont, cell_size=1, chunk_cells=MiB)
+        arr = yield from DaosArray.create(cont, MiB)
         pattern = PatternPayload(seed=42, origin=0, nbytes=16 * MiB)
         yield from arr.write(0, pattern)
         back = yield from arr.read(0, 16 * MiB)

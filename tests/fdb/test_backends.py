@@ -8,20 +8,24 @@ separate clusters, same params — must produce byte-identical report
 """
 
 import json
+import re
+import textwrap
 
 import pytest
 
+from repro import fdb
 from repro.cluster import build_system
 from repro.fdb import (
     Archiver,
     FdbParams,
     FieldQuery,
     Retriever,
+    archive_and_retrieve,
+    boot,
     build_report,
     make_fields,
     open_store,
     render_report,
-    run_fdb,
 )
 from repro.fdb.index import LANDMARK_PREFIX, KvIndex
 from repro.fdb.mapping import LANDMARK_ROOT
@@ -38,8 +42,13 @@ def read_landmark(index, name):
     return (yield from index._read(f"{LANDMARK_ROOT}/{name}"))
 
 
-def _run(params):
-    result, cluster = run_fdb(params)
+def _run(params, **observe):
+    """One run, observed as ``repro-fdb`` does it: boot, then
+    ``cluster.observe(**observe)`` when asked, then drive."""
+    cluster = boot(params)
+    if observe:
+        cluster.observe(**observe)
+    result = archive_and_retrieve(cluster, params)
     store = cluster.sim.timeline.store if cluster.sim.timeline else None
     report = build_report(result, store=store)
     timeline = store.to_json() if store is not None else None
@@ -57,9 +66,9 @@ PAIRINGS = [("kv", ""), ("array", ""), ("dfs", ""), ("lustre", ""),
 )
 def test_round_trip_verified_and_deterministic(backend, index):
     # interval sized to the ~1ms simulated run so windows actually fire
-    params = FdbParams(backend=backend, index=index,
-                       timeline_interval=0.0002, **GRID)
-    result, report, timeline = _run(params)
+    params = FdbParams(backend=backend, index=index, **GRID)
+    observe = dict(tracing=False, timeline_interval=0.0002)
+    result, report, timeline = _run(params, **observe)
 
     assert timeline["n_windows"] > 0 and timeline["series"]
 
@@ -70,7 +79,7 @@ def test_round_trip_verified_and_deterministic(backend, index):
     assert report["landmarks"][0]["fields"] == 6
     render_report(report)  # must not raise
 
-    result2, report2, timeline2 = _run(params)
+    result2, report2, timeline2 = _run(params, **observe)
     assert json.dumps(report, sort_keys=True) == json.dumps(
         report2, sort_keys=True
     )
@@ -80,8 +89,8 @@ def test_round_trip_verified_and_deterministic(backend, index):
 
 
 def test_traced_sync_run_breakdown_sums_to_wall():
-    params = FdbParams(backend="kv", tracing=True, sync=True, **GRID)
-    _result, report, _timeline = _run(params)
+    params = FdbParams(backend="kv", sync=True, **GRID)
+    _result, report, _timeline = _run(params, tracing=True)
     for phase in ("archive", "retrieve"):
         breakdown = report[phase]["breakdown"]
         assert breakdown, phase
@@ -94,8 +103,8 @@ def test_traced_sync_run_breakdown_sums_to_wall():
 
 
 def test_traced_async_run_breakdown_shows_pipelining():
-    params = FdbParams(backend="kv", tracing=True, sync=False, **GRID)
-    _result, report, _timeline = _run(params)
+    params = FdbParams(backend="kv", sync=False, **GRID)
+    _result, report, _timeline = _run(params, tracing=True)
     breakdown = report["archive"]["breakdown"]
     assert breakdown["engine"] > 0
     # depth-4 pipelining overlaps spans, so total layer-seconds exceed
@@ -163,3 +172,12 @@ def test_landmark_reads_back_the_flush_record(backend, index):
     )
     assert landmark["fields"] == 6
     assert record == landmark
+
+
+def test_package_docstring_example_runs(capsys):
+    blocks = re.findall(r"::\n\n((?:    .*\n|\n)+)", fdb.__doc__)
+    namespace = {}
+    exec("\n".join(textwrap.dedent(block) for block in blocks), namespace)
+    assert namespace["report"]["retrieve"]["fields"] == 8
+    assert len(namespace["found"]) == 4  # the t2m steps
+    assert "fdb: 8 fields" in capsys.readouterr().out

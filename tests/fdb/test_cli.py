@@ -5,7 +5,14 @@ import json
 import pytest
 
 from repro.fdb.cli import build_parser, main, params_from_args
+from repro.obs.cli import settings
 from repro.units import MiB
+
+
+def _observed(argv):
+    """What ``main`` asks ``cluster.observe`` for on ``argv``."""
+    args = build_parser().parse_args(argv)
+    return settings(args, tracing=args.trace)
 
 
 def test_defaults_map_to_params():
@@ -28,13 +35,12 @@ def test_size_suffixes_parse():
 
 
 def test_slo_rule_forces_a_timeline():
-    args = build_parser().parse_args(
+    wanted = _observed(
         ["--slo", "fdb.field.latency{backend=kv,phase=archive} "
                   "p99 < 10 over 3 windows"]
     )
-    params = params_from_args(args)
-    assert params.timeline_interval is not None
-    assert len(params.slo_rules) == 1
+    assert wanted["timeline_interval"] is not None
+    assert len(wanted["slo_rules"]) == 1
 
 
 def test_end_to_end_writes_report_and_timeline(tmp_path):
@@ -58,15 +64,15 @@ def test_end_to_end_writes_report_and_timeline(tmp_path):
 
 
 def test_interval_alone_does_not_switch_observation_on():
-    args = build_parser().parse_args(["--timeline-interval", "0.5"])
-    params = params_from_args(args)
-    assert params.timeline_interval is None and not params.tracing
+    wanted = _observed(["--timeline-interval", "0.5"])
+    assert wanted["timeline_interval"] is None and not wanted["tracing"]
+    assert not wanted["metrics"]
 
 
 def test_trace_flag_and_trace_out_both_record_spans(tmp_path):
     for argv in (["--trace"], ["--trace-out", str(tmp_path / "t.json")]):
-        params = params_from_args(build_parser().parse_args(argv))
-        assert params.tracing and params.timeline_interval is None
+        wanted = _observed(argv)
+        assert wanted["tracing"] and wanted["timeline_interval"] is None
 
 
 def test_unmeetable_slo_exits_1_and_lands_in_the_report(tmp_path):
@@ -81,9 +87,8 @@ def test_unmeetable_slo_exits_1_and_lands_in_the_report(tmp_path):
     assert rc == 1
     report = json.loads(report_path.read_text())
     assert report["slo_breaches"]
-    assert report["config"]["tracing"] is True
-    assert report["config"]["timeline_interval"] == 0.0002
-    assert "breakdown" in report["archive"]
+    assert "breakdown" in report["archive"]  # --trace recorded spans
+    assert "tracing" not in report["config"]  # observing is not a param
 
 
 def test_unknown_backend_rejected():

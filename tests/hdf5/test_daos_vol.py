@@ -85,8 +85,7 @@ def test_2d_hyperslab_roundtrip(cluster, cont):
 def test_unwritten_extents_read_as_fill_value(cluster, cont):
     def go():
         h5 = yield from H5File.create(DaosVol(cont), "/sparse.h5")
-        ds = yield from h5.create_dataset("t", (16, 32), dtype="u1",
-                                          chunk_rows=4)
+        ds = yield from h5.create_dataset("t", (16, 32), dtype="u1")
         yield from ds.write((4, 0), (4, 32), b"\x07" * 128)
         data = yield from ds.read((0, 0), (16, 32))
         yield from h5.close()

@@ -79,36 +79,21 @@ def test_2d_hyperslab_roundtrip(cluster, mount):
     assert cluster.run(go()) == expected
 
 
-def test_chunked_dataset_allocation_and_fill(cluster, mount):
+def test_unwritten_rows_read_as_fill_value(cluster, mount):
+    """Rows before the written ones read back as the file's hole, rows
+    after them lie past EOF and read as zeros too."""
     def go():
-        h5 = yield from H5File.create(NativeVol(Sec2Vfd(mount)), "/chunky.h5")
-        ds = yield from h5.create_dataset(
-            "t", (16, 32), dtype="u1", chunk_rows=4
-        )
+        h5 = yield from H5File.create(NativeVol(Sec2Vfd(mount)), "/fill.h5")
+        ds = yield from h5.create_dataset("t", (16, 32), dtype="u1")
         yield from ds.write((4, 0), (4, 32), b"\x07" * 128)
         data = yield from ds.read((0, 0), (16, 32))
-        allocated = len(ds.layout["chunks"])
         yield from h5.close()
-        return data.materialize(), allocated
-
-    data, allocated = cluster.run(go())
-    assert allocated == 1  # only the touched chunk
-    assert data[:128] == b"\x00" * 128  # fill value
-    assert data[128:256] == b"\x07" * 128
-
-
-def test_chunked_persists_across_reopen(cluster, mount):
-    def go():
-        h5 = yield from H5File.create(NativeVol(Sec2Vfd(mount)), "/chunky2.h5")
-        ds = yield from h5.create_dataset("t", (8, 8), dtype="u1", chunk_rows=2)
-        yield from ds.write((2, 0), (2, 8), b"\x09" * 16)
-        yield from h5.close()
-        h5b = yield from H5File.open(NativeVol(Sec2Vfd(mount)), "/chunky2.h5")
-        data = yield from h5b.dataset("t").read((2, 0), (2, 8))
-        yield from h5b.close()
         return data.materialize()
 
-    assert cluster.run(go()) == b"\x09" * 16
+    data = cluster.run(go())
+    assert data[:128] == b"\x00" * 128
+    assert data[128:256] == b"\x07" * 128
+    assert data[256:] == b"\x00" * (16 * 32 - 256)
 
 
 def test_wrong_payload_size_rejected(cluster, mount):

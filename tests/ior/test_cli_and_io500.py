@@ -80,6 +80,25 @@ def test_cli_read_only_writes_its_input_first(system, capsys):
     assert "-r" in out.splitlines()[0].split()
 
 
+def test_cli_read_only_timeline_covers_only_the_reads(tmp_path, capsys):
+    """The timeline block of ``-r`` draws no write row, and its window
+    count and wire row cover only the windows of the read phases."""
+    argv = ["-a", "DFS", "-F", "-b", "2m", "-t", "1m", "-N", "1",
+            "--ppn", "2", "--servers", "2", "--timeline-interval", "0.0005",
+            "--timeline-out", str(tmp_path / "tl.json")]
+    windows = {}
+    for phase in ([], ["-r"]):
+        assert main(argv + phase) == 0
+        out = capsys.readouterr().out
+        block = out.split("timeline (", 1)[1]
+        windows[tuple(phase)] = int(block.split(" windows", 1)[0])
+        rows = [line.split("|")[0].strip() for line in block.splitlines()[1:]]
+        assert rows == (["wire B/s", "read p99"] if phase else
+                        ["wire B/s", "write p99", "read p99"])
+    # the write+read run scrapes every window; -r keeps the reads' two
+    assert windows[()] == 5 and windows[("-r",)] == 2
+
+
 def test_cli_lustre_rejects_daos_apis():
     with pytest.raises(SystemExit):
         main(["-a", "DFS", "--lustre", "-N", "1", "--servers", "2"])

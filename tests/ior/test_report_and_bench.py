@@ -32,9 +32,11 @@ def test_verify_accepts_equal_bytes_content():
 
 
 def test_phase_result_bandwidth():
-    phase = PhaseResult(op="write", repetition=0, seconds=2.0, nbytes=4 * GiB)
+    phase = PhaseResult(op="write", repetition=0, start=0.0, seconds=2.0,
+                        nbytes=4 * GiB)
     assert phase.bandwidth == pytest.approx(2 * GiB)
-    zero = PhaseResult(op="write", repetition=0, seconds=0.0, nbytes=1)
+    zero = PhaseResult(op="write", repetition=0, start=0.0, seconds=0.0,
+                       nbytes=1)
     assert zero.bandwidth == 0.0
 
 
@@ -42,9 +44,9 @@ def test_ior_result_max_selection_and_summary():
     params = IorParams(api="DFS", block_size=MiB, transfer_size=MiB)
     result = IorResult(params=params, nprocs=4, client_nodes=2)
     result.phases = [
-        PhaseResult("write", 0, 2.0, 4 * GiB),
-        PhaseResult("write", 1, 1.0, 4 * GiB),
-        PhaseResult("read", 0, 1.0, 4 * GiB, verify_errors=3),
+        PhaseResult("write", 0, 0.0, 2.0, 4 * GiB),
+        PhaseResult("write", 1, 2.0, 1.0, 4 * GiB),
+        PhaseResult("read", 0, 3.0, 1.0, 4 * GiB, verify_errors=3),
     ]
     assert result.max_write_bw == pytest.approx(4 * GiB)
     assert result.max_read_bw == pytest.approx(4 * GiB)

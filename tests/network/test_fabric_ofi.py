@@ -463,8 +463,8 @@ def test_drop_rule_discards_selected_messages():
     assert task.result == "second"
     assert fabric.dropped_messages == 1
     assert fabric.delivered_messages == 1
-    # the drop is an instant on the sender's track
-    assert [(span.kind, span.node, span.attrs["dst"])
+    # the drop is an instant naming both ends
+    assert [(span.kind, span.attrs["src"], span.attrs["dst"])
             for span in tracer.spans if span.name == "fabric.drop"] == [
         ("i", "a", "b")]
     fabric.set_drop_rule("a", "b", None)

@@ -358,10 +358,10 @@ def test_utilization_gauge_drops_when_last_flow_closes():
     net.close(flow)
     sim.run(until=2.0)
     assert gauge.value == busy.utilization() == 0.0
-    assert gauge.timeline[-1] == (1.0, 0.0)
+    assert gauge.last_t == 1.0  # set when the flow closed
     # the untouched component was not resampled
-    assert len(sim.metrics.gauge(
-        "fabric.link.utilization{link=other}").timeline) == 1
+    assert sim.metrics.gauge(
+        "fabric.link.utilization{link=other}").last_t == 0.0
     net.close(keeper)
 
 
@@ -448,7 +448,7 @@ def test_bulk_flow_weights_match_summed_weights_and_share_one_float():
 
     from repro.cluster import small_cluster
     from repro.network.fabric import stream_moves
-    from repro.rebuild import RebuildThrottle
+    from repro.rebuild.scheduler import rebuild_cap
 
     cluster = small_cluster(server_nodes=1, client_nodes=1,
                             targets_per_engine=4)
@@ -494,7 +494,6 @@ def test_bulk_flow_weights_match_summed_weights_and_share_one_float():
     fabric = cluster.fabric
     items = [(0, 5, 3 << 20), (1, 5, (1 << 20) + 17), (2, 3, 300 << 10),
              (6, 5, 77_777), (4, 1, 5 << 20), (0, 5, 12_345)]
-    throttle = RebuildThrottle(0.25)
     # a target end lists its NIC (when the nodes differ), media channel
     # and service link, in move order
     cross = ["nic_tx:server0", "media_rd:server0.e0", "tgt_rd:server0.e0.t0",
@@ -518,10 +517,10 @@ def test_bulk_flow_weights_match_summed_weights_and_share_one_float():
         flow = fabric.open_bulk_flow(
             [(cluster.daos.target(s).hw, cluster.daos.target(d).hw,
               nbytes / total) for s, d, nbytes in batch],
-            label="rebuild", cap=throttle.cap_for,
+            label="rebuild", cap=rebuild_cap,
         )
         weights = dict(zip(flow.links, flow.weights))
         assert weights == dict(summed)
         assert order is None or [link.name for link in flow.links] == order
-        assert flow.cap == throttle.cap_for(summed.items())
+        assert flow.cap == rebuild_cap(summed.items())
         fabric.flownet.close(flow)

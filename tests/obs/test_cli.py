@@ -129,6 +129,18 @@ def test_ec_runs_that_write_whole_stripes_still_complete(api, capsys):
     assert "Max Read" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("cli,argv", [
+    ("ior", _IOR), ("tenants", _TENANTS), ("fdb", _FDB)])
+def test_seed_takes_any_int_literal(cli, argv, capsys):
+    """``--seed 0xDA05`` is the default seed, spelled as the e2e driver
+    spells it."""
+    outputs = []
+    for seed in ([], ["--seed", "0xDA05"]):
+        assert CLIS[cli].main(argv + seed) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
 def _observability_flags(parser):
     group = next(g for g in parser._action_groups
                  if g.title == "observability")

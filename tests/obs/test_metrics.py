@@ -6,7 +6,6 @@ import math
 import pytest
 
 from repro.obs.metrics import (
-    GAUGE_TIMELINE_CAP,
     QUANTILES,
     Histogram,
     MetricsRegistry,
@@ -47,16 +46,6 @@ def test_gauge_time_weighted_mean_and_extrema():
     # 2.0 over [0,1) + 4.0 over [1,2) = 6.0 over a 2 s window
     assert g.mean(2.0) == pytest.approx(3.0)
     assert g.vmin == 0.0 and g.vmax == 4.0
-    assert list(g.timeline) == [(0.0, 2.0), (1.0, 4.0), (2.0, 0.0)]
-
-
-def test_gauge_timeline_is_bounded():
-    reg = MetricsRegistry(_Clock())
-    g = reg.gauge("x")
-    for i in range(GAUGE_TIMELINE_CAP + 100):
-        g.set(float(i), float(i))
-    assert len(g.timeline) == GAUGE_TIMELINE_CAP
-    assert g.timeline[0][0] == 100.0  # oldest points evicted
 
 
 # -------------------------------------------------------------- histograms
@@ -105,7 +94,9 @@ def test_snapshot_is_json_serialisable_and_complete():
     snap = json.loads(json.dumps(reg.snapshot()))
     assert snap["sim_time"] == 1.0
     assert snap["counters"]["fabric.msgs.delivered"] == 3
-    assert snap["gauges"]["engine.e0.t0.inflight"]["value"] == 2.0
+    gauge = snap["gauges"]["engine.e0.t0.inflight"]
+    assert set(gauge) == {"value", "mean", "min", "max"}
+    assert gauge["value"] == 2.0
     hist = snap["histograms"]["ior.write.latency"]
     assert hist["count"] == 1 and hist["p50"] == pytest.approx(0.004)
     assert "reservoirs" not in snap
@@ -113,6 +104,9 @@ def test_snapshot_is_json_serialisable_and_complete():
     assert validate_metrics_snapshot(snap) == []
     assert validate_metrics_snapshot({**snap, "reservoirs": {}}) == []
     assert validate_metrics_snapshot({**snap, "reservoirs": {"a=b": {}}})
+    no_mean = {"engine.e0.t0.inflight": {**gauge, "mean": None}}
+    assert validate_metrics_snapshot({**snap, "gauges": no_mean}) == [
+        "gauges['engine.e0.t0.inflight']: missing/bad 'mean'"]
     unsorted = {**snap, "counters": {"c{b=1,a=2}": 1}}
     assert validate_metrics_snapshot(unsorted) == [
         "counters['c{b=1,a=2}']: labels out of order, canonical 'c{a=2,b=1}'"]

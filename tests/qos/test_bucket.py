@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import DerInval
 from repro.qos import TokenBucket
-from repro.rebuild import RebuildThrottle
+from repro.rebuild.scheduler import REBUILD_FRACTION, rebuild_cap
 from repro.sim.core import Simulator
 
 
@@ -16,40 +16,31 @@ class _Link:
 
 # --------------------------------------------------------------- bottleneck
 # The rebuild cap is the one bottleneck rule in the tree; the tenant QoS
-# layer does not share it. These cases pin RebuildThrottle.cap_for.
+# layer does not share it. These cases pin rebuild_cap.
 def test_bottleneck_cap_picks_binding_link():
     links = [(_Link(100.0), 1.0), (_Link(400.0), 8.0), (_Link(60.0), 1.0)]
     # binding ratio is 400/8 = 50; a quarter of that is 12.5
-    assert RebuildThrottle(0.25).cap_for(links) == pytest.approx(12.5)
-
-
-def test_bottleneck_cap_disabled_at_full_fraction():
-    links = [(_Link(100.0), 1.0)]
-    assert RebuildThrottle(1.0).cap_for(links) is None
-    assert RebuildThrottle(2.0).cap_for(links) is None
+    assert rebuild_cap(links) == pytest.approx(12.5)
 
 
 def test_bottleneck_cap_ignores_zero_weights():
     links = [(_Link(10.0), 0.0)]
-    assert RebuildThrottle(0.5).cap_for(links) is None
-    assert RebuildThrottle(0.5).cap_for([]) is None
+    assert rebuild_cap(links) is None
+    assert rebuild_cap([]) is None
 
 
 def test_rebuild_throttle_is_a_thin_wrapper():
-    """cap_for is exactly ``fraction * min(capacity / weight)``."""
+    """rebuild_cap is exactly ``REBUILD_FRACTION * min(capacity /
+    weight)``."""
     links = [
         (_Link(3.337e9), 1.0),
         (_Link(7.5e9), 2.25),
         (_Link(11.2e9), 3.125),
     ]
-    for fraction in (0.05, 0.25, 0.33333333, 0.9999, 1.0):
-        expected = None
-        if fraction < 1.0:
-            expected = fraction * min(
-                link.capacity / weight for link, weight in links
-            )
-        got = RebuildThrottle(fraction).cap_for(links)
-        assert got == expected  # exact float equality, not approx
+    expected = REBUILD_FRACTION * min(
+        link.capacity / weight for link, weight in links
+    )
+    assert rebuild_cap(links) == expected  # exact float equality
 
 
 # --------------------------------------------------------------- token bucket

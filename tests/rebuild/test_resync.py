@@ -14,6 +14,7 @@ import pytest
 from repro.cluster import small_cluster
 from repro.daos.oclass import oclass_by_name
 from repro.daos.vos.payload import PatternPayload
+from repro.rebuild import scheduler
 from repro.units import MiB
 
 BASE = PatternPayload(seed=1, origin=0, nbytes=2 * MiB)
@@ -96,10 +97,10 @@ def test_rebuilt_parity_cell_serves_degraded_reads():
     assert len(statuses) == 1  # only the data slot excluded for the read
 
 
-def test_re_excluding_a_rebuilding_target_cancels_its_resync():
+def test_re_excluding_a_rebuilding_target_cancels_its_resync(monkeypatch):
     cluster = small_cluster(server_nodes=2, client_nodes=1,
                             targets_per_engine=2, seed=19)
-    cluster.daos.rebuild.throttle.fraction = 0.05  # a long migration
+    monkeypatch.setattr(scheduler, "REBUILD_FRACTION", 0.05)  # a long migration
     client = cluster.new_client(0)
 
     def go():
@@ -211,14 +212,14 @@ def test_stale_client_write_is_fenced_and_retried():
     assert got == "v1"
 
 
-def test_throttle_fraction_bounds_rebuild_bandwidth():
+def test_throttle_fraction_bounds_rebuild_bandwidth(monkeypatch):
     """The same rebuild takes substantially longer at a 5% bandwidth
-    fraction than with the throttle disabled."""
+    fraction than at the full bottleneck."""
 
     def rebuild_seconds(fraction):
         cluster = small_cluster(server_nodes=2, client_nodes=1,
                                 targets_per_engine=2, seed=19)
-        cluster.daos.rebuild.throttle.fraction = fraction
+        monkeypatch.setattr(scheduler, "REBUILD_FRACTION", fraction)
         client = cluster.new_client(0)
 
         def go():

@@ -131,3 +131,46 @@ def test_fig1_claims_hold_on_every_paper_scale_row_but_the_listed():
         "Mismatches with the claims above", 1)[1].split("\n\n", 1)[0]
     for key, numbers in failures.items():
         assert numbers and numbers in listed, key
+
+
+# ---------------------------------- Figure 2 and contrast shape claims
+#: "similar performance achieved across interfaces": a row's spread,
+#: (max - min) / max, is at most 8 %
+SPREAD = 0.08
+#: "file-per-process and shared-file give similar overall performance":
+#: DFS/SX shared (Fig. 2) within 25 % of file-per-process (Fig. 1)
+SIMILAR = 0.25
+#: the Lustre shared file "collapses by ~9x": at least 8x below fpp
+COLLAPSE = 8
+
+
+def _fig2_claim_failures(generated):
+    """``{(figure, claim, nodes): the numbers that break it}`` for every
+    row where a ✓ claim of EXPERIMENTS.md's Figure 2 or contrast
+    sections does not hold."""
+    failures = {}
+    for fig, fpp_fig in (("2a", "1a"), ("2b", "1b")):
+        shared, fpp = _figure(generated, fig), _figure(generated, fpp_fig)
+        for nodes in NODES:
+            row = {api: shared[(api, nodes)] for api in INTERFACES}
+            best, worst = max(row.values()), min(row.values())
+            if (best - worst) / best > SPREAD:
+                failures[(fig, "spread <= 8 %", nodes)] = (
+                    f"{(best - worst) / best:.4f}")
+            if row["DAOS"] != best:
+                failures[(fig, "DFS tops every row", nodes)] = ""
+            ratio = row["DAOS"] / fpp[("DAOS SX", nodes)]
+            if abs(ratio - 1) > SIMILAR:
+                failures[(fig, "shared ~ fpp", nodes)] = f"{ratio:.3f}"
+    contrast = _numeric_rows(generated, "Write bandwidth, easy vs hard:")
+    (daos_fpp, daos_shared), (lustre_fpp, lustre_shared) = contrast
+    if daos_shared < daos_fpp:
+        failures[("contrast", "DAOS hard costs nothing", None)] = ""
+    if lustre_fpp < COLLAPSE * lustre_shared:
+        failures[("contrast", "Lustre shared collapses", None)] = ""
+    return failures
+
+
+def test_fig2_and_contrast_claims_hold_on_every_paper_scale_row():
+    generated = (REPO / "figures_full.txt").read_text()
+    assert _fig2_claim_failures(generated) == {}
