@@ -69,8 +69,9 @@ gcprobe:
 # tests did (TEST-SET), with a totals line for each; fails on a NEVER
 # function that is neither a dunder nor an interface stub, on a TESTONLY
 # function that census.py's KEEP allowlist gives no reason for, on a
-# KEEP entry that covers nothing any more (stale), and on any NEVER-SET
-# parameter or field outside the calibration table hardware/specs.py.
+# KEEP entry that covers nothing any more (stale), on any NEVER-SET
+# parameter or field outside the calibration table hardware/specs.py, and
+# on a TEST-SET total above census.py's TEST_SET_CEILING.
 census:
 	$(PY) benchmarks/census.py
 

@@ -11,9 +11,10 @@ passes a value other than the default. The hook is on before ``repro`` is
 imported, and what import runs (a module-level class table) counts as shipped.
 Exits 1 on a NEVER one that is neither a dunder nor a stub (a body that only
 documents or raises), on a TESTONLY one that no KEEP key covers, on a KEEP
-key that covers nothing (a stale entry), and on a NEVER-SET parameter or field
-that no KEEP key covers; and, before anything runs, on a KEEP reason that
-opens with no bucket of BUCKETS."""
+key that covers nothing (a stale entry), on a NEVER-SET parameter or field
+that no KEEP key covers, and on a TEST-SET total above its TEST_SET_CEILING;
+and, before anything runs, on a KEEP reason that opens with no bucket of
+BUCKETS."""
 import ast
 import collections
 import dataclasses
@@ -82,6 +83,9 @@ FAULT = "oracle/safety: a fault plane the chaos suite drives, no shipped run"
 BUCKETS = ("oracle/safety", "E2", "reachable", "kernel", "calibration")
 #: The one place each bucket that is bound to a place may be used.
 PLACES = {"kernel": "sim", "calibration": "hardware/specs.py"}
+#: The most defaulted parameters and fields only tests may set: a TEST-SET
+#: option may go, never come (lower a ceiling when a total falls).
+TEST_SET_CEILING = {"parameters": 21, "fields": 9}
 #: Why each TESTONLY function, or unset calibration field, stays. A key
 #: names a function or class (``path::Qualname``, path under src/repro), a
 #: module (``path.py``) or a package, and covers everything inside it.
@@ -205,6 +209,13 @@ def bad_reasons(keep=KEEP):
                 key == place or key.startswith(place + "/")
                 or key.startswith(place + "::")):
             yield key, reason
+
+
+def over_ceiling(set_by, ceiling=TEST_SET_CEILING):
+    """``(kind, total, limit)`` of each TEST-SET total above its ceiling."""
+    for kind, limit in ceiling.items():
+        if set_by[kind, "TEST-SET"] > limit:
+            yield kind, set_by[kind, "TEST-SET"], limit
 
 
 def functions(node, prefix=""):
@@ -462,7 +473,11 @@ def main():
         print(f"stale KEEP entry {key}: covers nothing TESTONLY or unset",
               file=sys.stderr)
     never_set = set_by["parameters", "NEVER-SET"] + set_by["fields", "NEVER-SET"]
-    return 1 if orphans or unkept or stale or never_set else 0
+    over = list(over_ceiling(set_by))
+    for kind, total, limit in over:
+        print(f"TEST-SET {kind}: {total}, above the ceiling {limit}",
+              file=sys.stderr)
+    return 1 if orphans or unkept or stale or never_set or over else 0
 
 
 if __name__ == "__main__":

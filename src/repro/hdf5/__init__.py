@@ -1,11 +1,12 @@
-"""HDF5-lite: a self-describing array file format with pluggable VFDs.
+"""HDF5-lite: a self-describing byte-dataset file format with pluggable VFDs.
 
 Structurally modelled on HDF5 (not byte-compatible — see DESIGN.md §8.4):
 
 - a fixed-location superblock pointing at the metadata catalog and
   tracking EOF and the *alignment* file-creation property,
-- datasets with dataspaces (N-d dims), datatypes and a contiguous
-  layout, addressed through hyperslab selections,
+- contiguous 1-D byte datasets addressed by byte offset — the one
+  shape IOR's HDF5 backends create (no N-d dataspaces, datatypes or
+  attributes),
 - virtual file drivers: ``sec2`` (any POSIX-like mount — a DFuse mount
   in the paper) and ``mpio`` (collective I/O over MPI-IO),
 - virtual object layers (VOL, mirroring HDF5 1.12's plugin seam): the
@@ -24,12 +25,9 @@ staging entirely via collective buffering (the shared-file result).
 """
 
 from repro.hdf5.file import H5File
-from repro.hdf5.datatype import Datatype
-from repro.hdf5.dataspace import Dataspace
 from repro.hdf5.vfd import MpioVfd, Sec2Vfd
 from repro.hdf5.vol import DaosVol, NativeVol, Vol
 
 __all__ = [
-    "H5File", "Datatype", "Dataspace", "Sec2Vfd", "MpioVfd",
-    "Vol", "NativeVol", "DaosVol",
+    "H5File", "Sec2Vfd", "MpioVfd", "Vol", "NativeVol", "DaosVol",
 ]

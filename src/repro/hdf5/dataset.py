@@ -1,86 +1,67 @@
-"""Datasets: hyperslab-addressed arrays, stored by the file's VOL.
+"""Datasets: one contiguous run of bytes, stored by the file's VOL.
 
-The dataset owns the *logical* description (dataspace, datatype, attrs)
-and the storage-assigned layout record; how a hyperslab maps to bytes on
-storage is the connector's business (:mod:`repro.hdf5.vol`): the native
-layout is one contiguous run of file addresses, the DAOS connector maps
-element runs straight onto a byte array object.
+A dataset is what IOR's HDF5 backends create: ``nbytes`` bytes
+addressed by byte offset. The dataset owns its extent and the
+storage-assigned layout record; where the bytes land is the connector's
+business (:mod:`repro.hdf5.vol`): one run of file addresses in the
+native layout, one byte array object under the DAOS connector. Every
+read or write is one contiguous transfer.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Generator, Optional, Sequence
+from typing import Dict, Generator
 
 from repro.daos.vos.payload import as_payload
-from repro.hdf5.dataspace import Dataspace
-from repro.hdf5.datatype import Datatype
 
 
 class Dataset:
     """An open dataset inside an :class:`~repro.hdf5.file.H5File`."""
 
-    def __init__(
-        self,
-        file,
-        name: str,
-        space: Dataspace,
-        dtype: Datatype,
-        layout: Dict,
-        attrs: Optional[Dict] = None,
-    ):
+    def __init__(self, file, name: str, nbytes: int, layout: Dict):
         self.file = file
         self.name = name
-        self.space = space
-        self.dtype = dtype
+        self.nbytes = nbytes
         self.layout = layout
-        self.attrs = attrs if attrs is not None else {}
 
     # ------------------------------------------------------------- records
     def to_record(self) -> Dict:
+        # the HDF5 header fields of a 1-D byte dataset with no attributes
         return {
-            "space": self.space.to_record(),
-            "dtype": self.dtype.to_record(),
+            "space": [self.nbytes],
+            "dtype": "u1",
             "layout": self.layout,
-            "attrs": self.attrs,
+            "attrs": {},
         }
 
     @classmethod
     def from_record(cls, file, name: str, record: Dict) -> "Dataset":
-        return cls(
-            file,
-            name,
-            Dataspace.from_record(record["space"]),
-            Datatype.from_record(record["dtype"]),
-            record["layout"],
-            record.get("attrs", {}),
-        )
+        (nbytes,) = record["space"]
+        return cls(file, name, nbytes, record["layout"])
 
-    # ------------------------------------------------------------- helpers
-    @property
-    def nbytes(self) -> int:
-        return self.space.n_elements * self.dtype.itemsize
+    def _check_extent(self, offset: int, nbytes: int) -> None:
+        if offset < 0 or nbytes <= 0 or offset + nbytes > self.nbytes:
+            raise ValueError(
+                f"selection [{offset}, {offset + nbytes}) outside extent "
+                f"{self.nbytes}"
+            )
 
     # ------------------------------------------------------------- I/O
-    def write(
-        self, start: Sequence[int], count: Sequence[int], data
-    ) -> Generator:
-        """Task helper: write a hyperslab (row-major source payload)."""
+    def write(self, offset: int, data) -> Generator:
+        """Task helper: write ``data`` at byte ``offset``."""
         payload = as_payload(data)
-        expected = self.space.selection_elements(count) * self.dtype.itemsize
-        if payload.nbytes != expected:
-            raise ValueError(
-                f"payload is {payload.nbytes} B, selection needs {expected} B"
-            )
+        self._check_extent(offset, payload.nbytes)
         return (
             yield from self.file.vol.dataset_write(
-                self.file, self, start, count, payload
+                self.file, self, offset, payload
             )
         )
 
-    def read(self, start: Sequence[int], count: Sequence[int]) -> Generator:
-        """Task helper: read a hyperslab; returns a row-major payload."""
+    def read(self, offset: int, nbytes: int) -> Generator:
+        """Task helper: read ``nbytes`` bytes at byte ``offset``."""
+        self._check_extent(offset, nbytes)
         return (
             yield from self.file.vol.dataset_read(
-                self.file, self, start, count
+                self.file, self, offset, nbytes
             )
         )

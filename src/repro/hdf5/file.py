@@ -13,11 +13,9 @@ format over a :class:`~repro.hdf5.vfd.Vfd` is
 
 from __future__ import annotations
 
-from typing import Dict, Generator, Optional, Sequence
+from typing import Dict, Generator
 
 from repro.hdf5.dataset import Dataset
-from repro.hdf5.dataspace import Dataspace
-from repro.hdf5.datatype import Datatype
 from repro.hdf5.vol import CATALOG_REGION, H5Error, Vol
 
 __all__ = ["H5File", "H5Error", "CATALOG_REGION"]
@@ -36,7 +34,6 @@ class H5File:
         self.vol = vol
         self.alignment = max(1, alignment)
         self.datasets: Dict[str, Dataset] = {}
-        self.attrs: Dict[str, object] = {}
         self._dirty = False
         self._open = False
 
@@ -58,29 +55,22 @@ class H5File:
         """Task helper: open an existing file, loading its catalog."""
         record = yield from _connector(vol).open_file(path)
         h5 = cls(vol, record["alignment"])
-        h5.attrs = record.get("attrs", {})
-        for name, ds_record in record.get("datasets", {}).items():
+        for name, ds_record in record["datasets"].items():
             h5.datasets[name] = Dataset.from_record(h5, name, ds_record)
         h5._open = True
         return h5
 
     # ------------------------------------------------------------- datasets
-    def create_dataset(
-        self,
-        name: str,
-        dims: Sequence[int],
-        dtype: str = "u1",
-        attrs: Optional[Dict] = None,
-    ) -> Generator:
+    def create_dataset(self, name: str, nbytes: int) -> Generator:
         """Task helper (collective in parallel files): define a
-        contiguous dataset."""
+        contiguous dataset of ``nbytes`` bytes."""
         if not self._open:
             raise H5Error("file not open")
         if name in self.datasets:
             raise H5Error(f"dataset {name!r} exists")
-        space = Dataspace(tuple(dims))
-        datatype = Datatype(dtype)
-        dataset = Dataset(self, name, space, datatype, {}, attrs)
+        if nbytes <= 0:
+            raise ValueError(f"bad dataset size {nbytes}")
+        dataset = Dataset(self, name, nbytes, {})
         yield from self.vol.dataset_added(self, dataset)
         self.datasets[name] = dataset
         self._dirty = True
@@ -95,8 +85,9 @@ class H5File:
 
     # ------------------------------------------------------------- metadata I/O
     def _catalog_record(self) -> Dict:
+        # native frames keep HDF5's (empty) file-attribute table
         return {
-            "attrs": self.attrs,
+            "attrs": {},
             "datasets": {
                 name: ds.to_record() for name, ds in self.datasets.items()
             },

@@ -4,7 +4,7 @@ Metadata is serialized as length-prefixed JSON frames (structural
 fidelity, not byte-format fidelity — DESIGN.md §8.4): a fixed 512-byte
 superblock at address 0 holding the catalog pointer, EOF and the
 alignment property, and a catalog frame re-written on flush holding
-every dataset header and the file attributes.
+every dataset header and the (empty) file-attribute table.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ from repro.mpiio.file import MpiFile
 from repro.posix.vfs import FileSystem, rw_flags
 
 
-#: per-H5D operation software cost (dataspace/datatype checks)
+#: software cost of one H5Dread/H5Dwrite call, paid once per raw transfer
 H5_OP_CPU = 30e-6
 
 

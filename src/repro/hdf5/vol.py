@@ -24,9 +24,9 @@ VFD instance owns one file handle.
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional
+from typing import Dict, Generator, Optional
 
-from repro.daos.vos.payload import Payload, ZeroPayload, concat_payloads
+from repro.daos.vos.payload import ZeroPayload, concat_payloads
 from repro.errors import ReproError
 from repro.hdf5.format import (
     SUPERBLOCK_SIZE,
@@ -74,17 +74,17 @@ class Vol:
 
     def open_file(self, path: str) -> Generator:
         """Open an existing file; returns the catalog record
-        ``{"alignment", "attrs", "datasets"}``."""
+        ``{"alignment", "datasets"}``."""
         raise NotImplementedError
 
     def dataset_added(self, h5, dataset) -> Generator:
         """Bind storage to a freshly defined dataset (sets its layout)."""
         raise NotImplementedError
 
-    def dataset_write(self, h5, dataset, start, count, payload) -> Generator:
+    def dataset_write(self, h5, dataset, offset, payload) -> Generator:
         raise NotImplementedError
 
-    def dataset_read(self, h5, dataset, start, count) -> Generator:
+    def dataset_read(self, h5, dataset, offset, nbytes) -> Generator:
         raise NotImplementedError
 
     def flush_meta(self, h5) -> Generator:
@@ -126,7 +126,6 @@ class NativeVol(Vol):
             catalog = unpack_catalog(raw_catalog.materialize())
         return {
             "alignment": record["alignment"],
-            "attrs": catalog.get("attrs", {}),
             "datasets": catalog.get("datasets", {}),
         }
 
@@ -179,31 +178,19 @@ class NativeVol(Vol):
         return None
         yield  # pragma: no cover - marks this as a (zero-hop) task helper
 
-    def dataset_write(self, h5, dataset, start, count, payload) -> Generator:
-        aligned = self.data_aligned(h5)
-        item, base = dataset.dtype.itemsize, dataset.layout["addr"]
-        cursor = 0
-        for off_el, len_el in dataset.space.runs(start, count):
-            nbytes = len_el * item
-            part = payload.slice(cursor, cursor + nbytes)
-            cursor += nbytes
-            yield from self.vfd.write_raw(base + off_el * item, part, aligned)
+    def dataset_write(self, h5, dataset, offset, payload) -> Generator:
+        yield from self.vfd.write_raw(
+            dataset.layout["addr"] + offset, payload, self.data_aligned(h5)
+        )
         return payload.nbytes
 
-    def dataset_read(self, h5, dataset, start, count) -> Generator:
-        aligned = self.data_aligned(h5)
-        item, base = dataset.dtype.itemsize, dataset.layout["addr"]
-        parts: List[Payload] = []
-        for off_el, len_el in dataset.space.runs(start, count):
-            nbytes = len_el * item
-            part = yield from self.vfd.read_raw(base + off_el * item, nbytes,
-                                                aligned)
-            if part.nbytes < nbytes:  # sparse region past EOF
-                part = concat_payloads(
-                    [part, ZeroPayload(nbytes - part.nbytes)]
-                )
-            parts.append(part)
-        return concat_payloads(parts)
+    def dataset_read(self, h5, dataset, offset, nbytes) -> Generator:
+        part = yield from self.vfd.read_raw(
+            dataset.layout["addr"] + offset, nbytes, self.data_aligned(h5)
+        )
+        if part.nbytes < nbytes:  # sparse region past EOF
+            part = concat_payloads([part, ZeroPayload(nbytes - part.nbytes)])
+        return part
 
 
 class DaosVol(Vol):
@@ -213,11 +200,12 @@ class DaosVol(Vol):
 
     - a namespace KV at the reserved OID ``(S1, lo=NAMESPACE_LO)``
       mapping file paths to per-file root-KV OIDs;
-    - per file, a *root KV* holding the ``file`` record (alignment +
-      file attrs) and one ``ds:<name>`` record per dataset (dataspace,
-      datatype, attrs, and the backing array's OID);
-    - per dataset, a byte :class:`DaosArray` holding the raw data
-      in row-major linearized order. Unwritten extents read back as
+    - per file, a *root KV* holding the ``file`` record (the alignment
+      property) and one ``ds:<name>`` record per dataset (its
+      :meth:`~repro.hdf5.dataset.Dataset.to_record`: the byte extent
+      and the backing array's OID);
+    - per dataset, a byte :class:`DaosArray` holding the raw data at
+      the dataset's own byte offsets. Unwritten extents read back as
       zeros — the object layer's hole semantics double as the HDF5
       fill value.
     """
@@ -267,16 +255,10 @@ class DaosVol(Vol):
         datasets: Dict[str, Dict] = {}
         for key in (yield from root.scan("ds:")):
             datasets[key[3:]] = yield from root.get(key)
-        return {
-            "alignment": meta["alignment"],
-            "attrs": meta.get("attrs", {}),
-            "datasets": datasets,
-        }
+        return {"alignment": meta["alignment"], "datasets": datasets}
 
     def flush_meta(self, h5) -> Generator:
-        yield from self._root.put(
-            "file", {"alignment": h5.alignment, "attrs": h5.attrs}
-        )
+        yield from self._root.put("file", {"alignment": h5.alignment})
         for name, dataset in h5.datasets.items():
             yield from self._root.put("ds:" + name, dataset.to_record())
         return None
@@ -320,26 +302,15 @@ class DaosVol(Vol):
             self._arrays[dataset.name] = array
         return array
 
-    def dataset_write(self, h5, dataset, start, count, payload) -> Generator:
+    def dataset_write(self, h5, dataset, offset, payload) -> Generator:
         array = yield from self._array(dataset)
-        item = dataset.dtype.itemsize
-        cursor = 0
-        for off_el, len_el in dataset.space.runs(start, count):
-            nbytes = len_el * item
-            fragment = payload.slice(cursor, cursor + nbytes)
-            cursor += nbytes
-            yield from array.write(off_el * item, fragment)
+        yield from array.write(offset, payload)
         return payload.nbytes
 
-    def dataset_read(self, h5, dataset, start, count) -> Generator:
+    def dataset_read(self, h5, dataset, offset, nbytes) -> Generator:
         array = yield from self._array(dataset)
-        item = dataset.dtype.itemsize
-        parts: List[Payload] = []
-        for off_el, len_el in dataset.space.runs(start, count):
-            # the object layer zero-fills holes, so fill value is free
-            part = yield from array.read(off_el * item, len_el * item)
-            parts.append(part)
-        return concat_payloads(parts)
+        # the object layer zero-fills holes, so fill value is free
+        return (yield from array.read(offset, nbytes))
 
 
 def _punch_file(cont, root_oid) -> Generator:

@@ -63,9 +63,7 @@ class Hdf5Backend(Backend):
 
     def _create(self, path: str) -> Generator:
         h5 = yield from H5File.create(self._vol(), path)
-        dataset = yield from h5.create_dataset(
-            DATASET, (self._dataset_bytes(),), dtype="u1"
-        )
+        dataset = yield from h5.create_dataset(DATASET, self._dataset_bytes())
         yield from h5.flush()
         return (h5, dataset)
 
@@ -89,9 +87,7 @@ class Hdf5Backend(Backend):
         with span_of(self.ctx.sim, "hdf5.dataset_write", "hdf5",
                      self.ctx.node.name, offset=offset,
                      nbytes=payload.nbytes, vol=vol):
-            nbytes = (
-                yield from dataset.write((offset,), (payload.nbytes,), payload)
-            )
+            nbytes = yield from dataset.write(offset, payload)
         self._count("write", vol, payload.nbytes)
         return nbytes
 
@@ -101,7 +97,7 @@ class Hdf5Backend(Backend):
         with span_of(self.ctx.sim, "hdf5.dataset_read", "hdf5",
                      self.ctx.node.name, offset=offset, nbytes=nbytes,
                      vol=vol):
-            payload = yield from dataset.read((offset,), (nbytes,))
+            payload = yield from dataset.read(offset, nbytes)
         self._count("read", vol, nbytes)
         return payload
 

@@ -11,7 +11,7 @@ rank, file-per-process *and* shared-file.
 
 Shared files need no collective machinery: rank 0 creates the file and
 dataset and flushes the KV catalog, the other ranks open it after a
-barrier, and every rank writes its hyperslab independently.
+barrier, and every rank writes its byte range independently.
 """
 
 from __future__ import annotations

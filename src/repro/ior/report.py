@@ -188,7 +188,7 @@ class IorResult:
                 f"  {label:<9s} |{sparkline(values)}| peak {fmt(max(values))}"
             )
         for breach in store.breaches:
-            k = round((breach.time - store.origin) / store.interval)
+            k = window_index(store, breach.time)
             if ticks is None or k in ticks:
                 lines.append(
                     f"  SLO BREACH at t={fmt_time(breach.time)}: {breach.rule}"
@@ -199,8 +199,9 @@ class IorResult:
 def phase_windows(store, phases: List[PhaseResult]) -> List[int]:
     """Indices ``k`` of the scrape windows ``(t[k-1], t[k]]``, ``t[k] =
     origin + k * interval``, that overlap a phase and were scraped: the
-    scraper ticks on that grid and never parks while a phase runs."""
-    last = round((store.end - store.origin) / store.interval)
+    scraper ticks on that grid and never parks while a phase runs. The
+    run's last window may close off the grid, at ``store.end``."""
+    last = window_index(store, store.end)
     ticks: Set[int] = set()
     for phase in phases:
         lo = (phase.start - store.origin) / store.interval
@@ -208,6 +209,11 @@ def phase_windows(store, phases: List[PhaseResult]) -> List[int]:
         ticks.update(range(int(lo + 1e-9) + 1,
                            min(math.ceil(hi - 1e-9), last) + 1))
     return sorted(ticks)
+
+
+def window_index(store, t: float) -> int:
+    """Index ``k`` of the scrape window ``(t[k-1], t[k]]`` holding ``t``."""
+    return math.ceil((t - store.origin) / store.interval - 1e-9)
 
 
 def resample(series, times: List[float]) -> List[float]:

@@ -27,7 +27,9 @@ the event heap non-empty forever and mask
 :class:`~repro.errors.DeadlockError`. The scraper therefore **parks**
 whenever it finds the heap empty at a tick, and is revived by a poke
 from :meth:`repro.sim.core.Simulator.spawn` (``sim.timeline``). Tick
-times stay aligned to ``origin + k*interval`` across park gaps.
+times stay aligned to ``origin + k*interval`` across park gaps; only
+the partial window that reading :attr:`TimelineScraper.store` closes
+ends off the grid.
 
 The SLO/stall watchdog (rules from :mod:`repro.obs.slo`) is evaluated
 at every tick over the freshly closed window; breaches land in the
@@ -163,7 +165,7 @@ class TimelineScraper:
         self.interval = interval
         self.rules = list(rules or [])
         self.origin = sim.now
-        self.store = TimeSeriesStore(interval, origin=self.origin)
+        self._store = TimeSeriesStore(interval, origin=self.origin)
         # Park/revive state: start parked, first spawn pokes us alive.
         self._parked = True
         self._k = 0  # index of the last sampled tick (origin + k*interval)
@@ -212,10 +214,25 @@ class TimelineScraper:
         else:
             self._parked = True
 
+    @property
+    def store(self) -> TimeSeriesStore:
+        """The series so far, with the open partial window closed.
+
+        A run can end between ticks (``cluster.run`` returns when its
+        task does, leaving the next tick queued), so reading the store
+        while a tick is pending samples ``now`` first: the run's last
+        ops land in one final, off-grid window, and no heap event is
+        pushed. A parked scraper has nothing unsampled, and a second
+        read at the same instant samples nothing.
+        """
+        if not self._parked and self.sim.now > self._last_t:
+            self._sample(self.sim.now)
+        return self._store
+
     # -------------------------------------------------------------- sampling
     def _sample(self, now: float) -> None:
         reg = self.registry
-        store = self.store
+        store = self._store
         elapsed = now - self._last_t
         self._win_elapsed = elapsed
         self._win_counter_delta.clear()
@@ -328,7 +345,7 @@ class TimelineScraper:
                 breach.extra["guard_mean"] = self._win_gauge_mean.get(
                     rule.guard
                 )
-            self.store.breaches.append(breach)
+            self._store.breaches.append(breach)
             self.registry.incr("obs.slo.breaches")
             if self.tracer is not None:
                 self.tracer.instant(

@@ -89,12 +89,11 @@ def _h5_fpp_write_bw(alignment, procs=4, nbytes=4 * MiB):
             NativeVol(Sec2Vfd(DFuseMount(dfs))), f"/f{i}.h5",
             alignment=alignment,
         )
-        ds = yield from h5.create_dataset("data", (nbytes,), dtype="u1")
+        ds = yield from h5.create_dataset("data", nbytes)
         start = cluster.sim.now
         for k in range(nbytes // MiB):
             yield from ds.write(
-                (k * MiB,), (MiB,),
-                PatternPayload(seed=i, origin=k * MiB, nbytes=MiB),
+                k * MiB, PatternPayload(seed=i, origin=k * MiB, nbytes=MiB)
             )
         elapsed = cluster.sim.now - start
         yield from h5.close()

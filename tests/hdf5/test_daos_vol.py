@@ -30,9 +30,9 @@ def cont(cluster):
 def test_create_write_read_roundtrip(cluster, cont):
     def go():
         h5 = yield from H5File.create(DaosVol(cont), "/exp.h5")
-        ds = yield from h5.create_dataset("temp", (64,), dtype="u1")
-        yield from ds.write((0,), (64,), bytes(range(64)))
-        data = yield from ds.read((10,), (4,))
+        ds = yield from h5.create_dataset("temp", 64)
+        yield from ds.write(0, bytes(range(64)))
+        data = yield from ds.read(10, 4)
         kind = h5.vol.kind
         yield from h5.close()
         return data.materialize(), kind
@@ -45,63 +45,42 @@ def test_create_write_read_roundtrip(cluster, cont):
 def test_reopen_recovers_catalog_from_kv(cluster, cont):
     def go():
         h5 = yield from H5File.create(DaosVol(cont), "/persist.h5")
-        h5.attrs["experiment"] = "ior"
-        ds = yield from h5.create_dataset(
-            "field", (4, 8), dtype="f8", attrs={"units": "K"}
-        )
-        yield from ds.write((0, 0), (4, 8), b"\x01" * (4 * 8 * 8))
+        ds = yield from h5.create_dataset("field", 256)
+        yield from ds.write(0, b"\x01" * 256)
         yield from h5.close()
 
         h5b = yield from H5File.open(DaosVol(cont), "/persist.h5")
         ds2 = h5b.dataset("field")
-        data = yield from ds2.read((1, 0), (1, 8))
-        meta = (h5b.attrs, ds2.attrs, ds2.space.dims, ds2.dtype.code,
-                ds2.layout["kind"])
+        data = yield from ds2.read(64, 64)
+        meta = (ds2.nbytes, ds2.layout["kind"])
         yield from h5b.close()
         return data.materialize(), meta
 
     data, meta = cluster.run(go())
     assert data == b"\x01" * 64
-    assert meta == (
-        {"experiment": "ior"}, {"units": "K"}, (4, 8), "f8", "daos-array"
-    )
-
-
-def test_2d_hyperslab_roundtrip(cluster, cont):
-    def go():
-        h5 = yield from H5File.create(DaosVol(cont), "/grid.h5")
-        ds = yield from h5.create_dataset("g", (8, 16), dtype="u1")
-        yield from ds.write((0, 0), (8, 16), bytes(range(128)))
-        block = yield from ds.read((2, 4), (3, 5))
-        yield from h5.close()
-        return block.materialize()
-
-    expected = bytes(
-        (row * 16 + col) % 256 for row in range(2, 5) for col in range(4, 9)
-    )
-    assert cluster.run(go()) == expected
+    assert meta == (256, "daos-array")
 
 
 def test_unwritten_extents_read_as_fill_value(cluster, cont):
     def go():
         h5 = yield from H5File.create(DaosVol(cont), "/sparse.h5")
-        ds = yield from h5.create_dataset("t", (16, 32), dtype="u1")
-        yield from ds.write((4, 0), (4, 32), b"\x07" * 128)
-        data = yield from ds.read((0, 0), (16, 32))
+        ds = yield from h5.create_dataset("t", 512)
+        yield from ds.write(128, b"\x07" * 128)
+        data = yield from ds.read(0, 512)
         yield from h5.close()
         return data.materialize()
 
     data = cluster.run(go())
     assert data[:128] == b"\x00" * 128  # array holes double as fill value
     assert data[128:256] == b"\x07" * 128
-    assert data[256:] == b"\x00" * (16 * 32 - 256)
+    assert data[256:] == b"\x00" * 256
 
 
 def test_create_truncates_an_existing_file(cluster, cont):
     def go():
         h5 = yield from H5File.create(DaosVol(cont), "/trunc.h5")
-        ds = yield from h5.create_dataset("old", (32,), dtype="u1")
-        yield from ds.write((0,), (32,), b"\xaa" * 32)
+        ds = yield from h5.create_dataset("old", 32)
+        yield from ds.write(0, b"\xaa" * 32)
         yield from h5.close()
 
         h5b = yield from H5File.create(DaosVol(cont), "/trunc.h5")

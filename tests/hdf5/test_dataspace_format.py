@@ -1,11 +1,7 @@
-"""Unit tests for dataspaces, datatypes and the metadata framing."""
+"""Unit tests for the HDF5-lite metadata framing."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.hdf5.dataspace import Dataspace
-from repro.hdf5.datatype import Datatype
 from repro.hdf5.format import (
     SUPERBLOCK_SIZE,
     FormatError,
@@ -14,77 +10,6 @@ from repro.hdf5.format import (
     unpack_catalog,
     unpack_superblock,
 )
-
-
-def test_datatype_sizes():
-    assert Datatype("u1").itemsize == 1
-    assert Datatype("f8").itemsize == 8
-    with pytest.raises(ValueError):
-        Datatype("x3")
-
-
-def test_dataspace_validation():
-    with pytest.raises(ValueError):
-        Dataspace(())
-    with pytest.raises(ValueError):
-        Dataspace((0,))
-    space = Dataspace((4, 4))
-    with pytest.raises(ValueError):
-        space.validate_selection((0,), (1,))
-    with pytest.raises(ValueError):
-        space.validate_selection((3, 0), (2, 1))
-
-
-def test_runs_1d():
-    space = Dataspace((100,))
-    assert list(space.runs((10,), (20,))) == [(10, 20)]
-
-
-def test_runs_2d_full_rows_coalesce():
-    space = Dataspace((4, 8))
-    # two full rows: one contiguous run
-    assert list(space.runs((1, 0), (2, 8))) == [(8, 16)]
-
-
-def test_runs_2d_partial_rows():
-    space = Dataspace((4, 8))
-    runs = list(space.runs((1, 2), (2, 3)))
-    assert runs == [(10, 3), (18, 3)]
-
-
-def test_runs_3d():
-    space = Dataspace((2, 3, 4))
-    runs = list(space.runs((0, 1, 0), (2, 2, 4)))
-    # full trailing dim (4), partial middle: runs of 8 at each outer index
-    assert runs == [(4, 8), (16, 8)]
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    dims=st.lists(st.integers(1, 6), min_size=1, max_size=3),
-    data=st.data(),
-)
-def test_property_runs_cover_selection_exactly(dims, data):
-    space = Dataspace(tuple(dims))
-    start = [data.draw(st.integers(0, d - 1)) for d in dims]
-    count = [data.draw(st.integers(1, d - s)) for s, d in zip(start, dims)]
-    covered = set()
-    for offset, length in space.runs(start, count):
-        for el in range(offset, offset + length):
-            assert el not in covered  # no overlap
-            covered.add(el)
-    # exact element set: reconstruct coordinates
-    import itertools
-
-    expected = set()
-    strides = [1] * len(dims)
-    for axis in range(len(dims) - 2, -1, -1):
-        strides[axis] = strides[axis + 1] * dims[axis + 1]
-    for coords in itertools.product(
-        *[range(s, s + c) for s, c in zip(start, count)]
-    ):
-        expected.add(sum(c * st_ for c, st_ in zip(coords, strides)))
-    assert covered == expected
 
 
 def test_superblock_roundtrip():

@@ -95,8 +95,9 @@ def test_cli_read_only_timeline_covers_only_the_reads(tmp_path, capsys):
         rows = [line.split("|")[0].strip() for line in block.splitlines()[1:]]
         assert rows == (["wire B/s", "read p99"] if phase else
                         ["wire B/s", "write p99", "read p99"])
-    # the write+read run scrapes every window; -r keeps the reads' two
-    assert windows[()] == 5 and windows[("-r",)] == 2
+    # the write+read run scrapes every window; -r keeps the reads' three,
+    # the last of which the run's end closes off the scrape grid
+    assert windows[()] == 6 and windows[("-r",)] == 3
 
 
 def test_cli_lustre_rejects_daos_apis():

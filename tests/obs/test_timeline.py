@@ -289,6 +289,41 @@ def test_rates_use_actual_elapsed_across_park_gaps():
     assert gap_rates and all(v < 1000.0 / 4.0 for v in gap_rates)
 
 
+def test_run_ending_between_ticks_lands_its_last_ops_in_a_window(
+        monkeypatch):
+    """An IOR run returns with a tick still queued: reading the store
+    closes that partial window, so every histogram's per-window counts
+    sum to its count, without a heap push or a second sample."""
+    from repro.cluster import build_system
+    from repro.ior import IorParams, run_ior
+
+    window_counts = {}
+    record = Series.record
+
+    def spy(series, t, v):  # every sample, before step compression
+        if series.name.endswith(":count"):
+            window_counts.setdefault(series.name, []).append(v)
+        record(series, t, v)
+
+    monkeypatch.setattr(Series, "record", spy)
+    cluster = build_system(False, 2, 1, 0xDA05)
+    cluster.observe(timeline_interval=0.0005)
+    params = IorParams(api="DFS", file_per_proc=True, block_size="2m",
+                       transfer_size="1m")
+    run_ior(cluster, params, ppn=2)
+    sim = cluster.sim
+    pushes = sim._seq
+    store = sim.timeline.store
+    windows = store.n_windows
+    assert sim.timeline.store.n_windows == windows  # one final sample
+    assert sim._seq == pushes
+    assert sim._heap  # the run did end between ticks
+    histograms = sim.metrics.histograms
+    assert "ior.read.latency" in histograms
+    for name, hist in histograms.items():
+        assert sum(window_counts[f"{name}:count"]) == hist.count, name
+
+
 # --------------------------------------------------------------- SLO rules
 def test_parse_threshold_rule():
     rule = parse_slo("ior.write.latency p99 < 2e-3 over 3 windows")

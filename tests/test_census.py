@@ -2,6 +2,7 @@
 default test, KEEP key coverage and reasons, and the dataclass-field watch,
 without the full run ``make census`` makes."""
 
+import collections
 import importlib
 import importlib.util
 import os
@@ -72,6 +73,16 @@ def test_bad_reasons_checks_the_bucket_and_its_place():
     assert [key for key, _ in census.bad_reasons(keep)] == [
         "dfs/dfs.py::Dfs.stat", "simx/core.py::f", "cache/config.py",
         "daos/array.py"]
+
+
+def test_a_test_set_total_above_its_ceiling_fails():
+    set_by = collections.Counter({("parameters", "TEST-SET"): 3,
+                                  ("fields", "TEST-SET"): 2,
+                                  ("fields", "drives"): 40})
+    assert list(census.over_ceiling(
+        set_by, {"parameters": 3, "fields": 2})) == []
+    assert list(census.over_ceiling(
+        set_by, {"parameters": 2, "fields": 2})) == [("parameters", 3, 2)]
 
 
 @pytest.fixture
