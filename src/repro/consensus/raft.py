@@ -26,10 +26,9 @@ from typing import Any, Callable, Dict, Generator, List, Optional
 
 from repro.errors import ConsensusError, NotLeaderError
 from repro.network.fabric import Fabric, NodeAddr
-from repro.network.ofi import Endpoint, Message
 from repro.sim.core import Simulator
 from repro.sim.rng import RngStreams
-from repro.sim.sync import Gate
+from repro.sim.sync import Gate, Queue
 
 FOLLOWER = "follower"
 CANDIDATE = "candidate"
@@ -66,7 +65,6 @@ class RaftNode:
         fabric: Fabric,
         addr: NodeAddr,
         node_id: int,
-        peer_names: List[str],
         apply_fn: Callable[[Any], Any],
         rng: RngStreams,
         reset_fn: Optional[Callable[[], Callable[[Any], Any]]] = None,
@@ -74,11 +72,15 @@ class RaftNode:
         self.sim = sim
         self.node_id = node_id
         self.name = f"raft:{node_id}"
-        self.peer_names = [p for p in peer_names if p != self.name]
+        self.fabric = fabric
+        self.addr = addr
+        #: delivered messages, drained by the main loop
+        self.inbox = Queue(sim)
+        #: name -> the other replicas (filled by :class:`RaftCluster`)
+        self.peers: Dict[str, RaftNode] = {}
         self.apply_fn = apply_fn
         self.reset_fn = reset_fn
         self.rng = rng
-        self.endpoint = Endpoint(fabric, addr, self.name)
 
         # Persistent state (survives crash/restart).
         self.current_term = 0
@@ -121,7 +123,7 @@ class RaftNode:
         return self._alive and self.state == LEADER
 
     def _quorum(self) -> int:
-        return (len(self.peer_names) + 1) // 2 + 1
+        return (len(self.peers) + 1) // 2 + 1
 
     def _send(self, dst: str, kind: str, body: dict) -> None:
         if not self._alive:
@@ -130,7 +132,9 @@ class RaftNode:
         body["kind"] = kind
         body["from"] = self.name
         body["from_id"] = self.node_id
-        self.endpoint.send(dst, body, nbytes=RPC_BYTES, tag="raft")
+        peer = self.peers[dst]
+        self.fabric.send(self.addr, peer.addr, RPC_BYTES, peer.inbox.put,
+                         body, "raft")
 
     # ------------------------------------------------------------------ timers
     def _arm_election_timer(self) -> None:
@@ -166,7 +170,7 @@ class RaftNode:
         self.voted_for = self.name
         self._votes = 1
         self.leader_hint = None
-        for peer in self.peer_names:
+        for peer in self.peers:
             self._send(
                 peer,
                 "request_vote",
@@ -183,7 +187,7 @@ class RaftNode:
         self.state = LEADER
         self.leader_hint = self.node_id
         self.leadership_history.append((self.current_term, self.node_id))
-        for peer in self.peer_names:
+        for peer in self.peers:
             self.next_index[peer] = self.last_log_index + 1
             self.match_index[peer] = 0
         # A fresh timer generation ends the election timer's relevance and
@@ -212,7 +216,7 @@ class RaftNode:
 
     # ------------------------------------------------------------------ replication
     def _broadcast_append_entries(self) -> None:
-        for peer in self.peer_names:
+        for peer in self.peers:
             self._send_append_entries(peer)
 
     def _send_append_entries(self, peer: str) -> None:
@@ -236,10 +240,9 @@ class RaftNode:
     # ------------------------------------------------------------------ main loop
     def _main_loop(self) -> Generator:
         while True:
-            message: Message = yield self.endpoint.recv(tag="raft")
+            body = yield self.inbox.get()
             if not self._alive:
                 continue
-            body = message.payload
             kind = body["kind"]
             if body["term"] > self.current_term:
                 self._step_down(body["term"])
@@ -423,7 +426,6 @@ class RaftCluster:
     ):
         self.sim = sim
         self.rng = rng or RngStreams()
-        names = [f"raft:{i}" for i in range(len(addrs))]
         self.machines = [state_machine_factory() for _ in addrs]
         self.nodes: List[RaftNode] = []
         for i, addr in enumerate(addrs):
@@ -441,12 +443,13 @@ class RaftCluster:
                     fabric,
                     addr,
                     i,
-                    names,
                     self.machines[i].apply,
                     self.rng,
                     reset_fn=make_reset(i),
                 )
             )
+        for node in self.nodes:
+            node.peers = {p.name: p for p in self.nodes if p is not node}
 
     def leader(self) -> Optional[RaftNode]:
         leaders = [n for n in self.nodes if n.is_leader]

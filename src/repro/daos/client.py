@@ -18,7 +18,7 @@ from repro.daos.placement import PlacementMap
 from repro.daos.system import DaosSystem, PoolMap
 from repro.errors import DerExist, DerNonexist
 from repro.hardware.node import ClientNode
-from repro.network.ofi import Endpoint, Rpc
+from repro.network.ofi import Rpc
 from repro.units import MiB
 
 _client_seq = itertools.count(1)
@@ -28,7 +28,7 @@ OID_BATCH = 1 << 10
 
 
 class DaosClient:
-    """Per-process client context (endpoint, RPC, metadata session)."""
+    """Per-process client context (RPC, metadata session)."""
 
     def __init__(self, system: DaosSystem, node: ClientNode, name: str = ""):
         self.system = system
@@ -36,8 +36,7 @@ class DaosClient:
         self.fabric = system.fabric
         self.node = node
         self.name = name or f"daosc:{node.name}:{next(_client_seq)}"
-        self.endpoint = Endpoint(self.fabric, node.addr, self.name)
-        self.rpc = Rpc(self.endpoint)
+        self.rpc = Rpc(self.fabric, node.addr, self.name)
         self.rsvc = system.rsvc_client()
 
     def connect_pool(self, label: str) -> Generator:
@@ -75,7 +74,7 @@ class PoolHandle:
         # Create the shard on every engine (broadcast, fanned out in turn).
         for engine in self.client.system.engines:
             yield from self.client.rpc.call(
-                engine.name,
+                engine.server,
                 "cont_create",
                 {"pool": self.pool_map.uuid, "cont": uuid},
             )

@@ -155,7 +155,7 @@ class ObjectHandle:
             **extra,
         }
         return self.client.rpc.call(
-            ref.engine.name, op, args, req_bytes, rep_bytes
+            ref.engine.server, op, args, req_bytes, rep_bytes
         )
 
     def _writers(self, dkey) -> List[int]:

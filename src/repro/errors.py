@@ -23,7 +23,7 @@ class DeadlockError(SimulationError):
 
 
 class NetworkError(ReproError):
-    """Fabric/flow-model failures (unknown endpoint, link down, ...)."""
+    """Fabric/flow-model failures (unknown node, link down, ...)."""
 
 
 class ConsensusError(ReproError):

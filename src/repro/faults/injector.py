@@ -117,7 +117,7 @@ class FaultInjector:
         leader = self.cluster.daos.svc.leader()
         if leader is None:
             return "skipped: no leader"
-        name = leader.endpoint.addr.name
+        name = leader.addr.name
         others = [s.name for s in self.cluster.servers if s.name != name]
         if not others:
             return "skipped: single server"

@@ -9,13 +9,13 @@ each target), which is what lets a single flow model a DAOS object-class
 stripe exactly.
 
 :mod:`repro.network.fabric` builds per-node NIC links plus a message
-latency model; :mod:`repro.network.ofi` layers OFI-like endpoints (tagged
-messages, RPC, bulk RDMA) on top.
+latency model (a message is a callback run on the other node after its
+delay); :mod:`repro.network.ofi` layers RPC on those messages.
 """
 
 from repro.network.flows import FlowNetwork, Link, Flow
 from repro.network.fabric import Fabric, NodeAddr
-from repro.network.ofi import Endpoint, Rpc, RpcServer
+from repro.network.ofi import Rpc, RpcServer
 
 __all__ = [
     "FlowNetwork",
@@ -23,7 +23,6 @@ __all__ = [
     "Flow",
     "Fabric",
     "NodeAddr",
-    "Endpoint",
     "Rpc",
     "RpcServer",
 ]

@@ -2,7 +2,7 @@
 
 The fabric assumes a non-blocking fat-tree / dragonfly-class core (true of
 NEXTGenIO's Omni-Path deployment at the scales benchmarked), so contention
-is modelled at the NIC endpoints only. Every node gets a transmit link and
+is modelled at the NICs only. Every node gets a transmit link and
 a receive link in the shared :class:`~repro.network.flows.FlowNetwork`;
 bulk data movement opens flows across those links (plus storage-device
 links supplied by the caller), while small control messages pay a simple
@@ -44,7 +44,7 @@ def stream_moves(client: NodeAddr, targets, direction: str) -> list:
 
 
 class Fabric:
-    """Nodes + NIC links + latency model + endpoint registry."""
+    """Nodes + NIC links + latency model + message delivery."""
 
     def __init__(self, sim: Simulator, spec: FabricSpec):
         self.sim = sim
@@ -60,7 +60,6 @@ class Fabric:
         #: :class:`~repro.hardware.specs.FabricSpec.rpc_timeout`)
         self.rpc_timeout = spec.rpc_timeout
         self._nodes: Dict[str, Tuple[Link, Link]] = {}
-        self._endpoints: Dict[str, "object"] = {}
         # -- fault plane state (see the fault-plane section below) --
         #: directed (src_node, dst_node) pairs whose messages are dropped
         self._blocked: Set[Tuple[str, str]] = set()
@@ -151,7 +150,7 @@ class Fabric:
 
     # -- fault plane -------------------------------------------------------------
     # Partitions, flaky links and latency spikes operate on *node pairs*:
-    # every endpoint message between the pair is affected, which is exactly
+    # every message between the pair is affected, which is exactly
     # how a fabric failure presents (Raft, engine RPC and client traffic all
     # degrade together). Bulk fluid flows are modelled separately; degrading
     # them goes through FlowNetwork.set_link_capacity.
@@ -213,12 +212,13 @@ class Fabric:
             else:
                 self._drop_rules[pair] = rule
 
-    def transmit(self, src: NodeAddr, target: "object", message: "object") -> None:
-        """Deliver ``message`` (an :class:`~repro.network.ofi.Message`) to
-        ``target`` (an Endpoint), subject to the fault plane: partitioned
+    def send(self, src: NodeAddr, dst: NodeAddr, nbytes: int,
+             deliver: Callable, payload: object, tag: str) -> None:
+        """Call ``deliver(payload)`` on ``dst`` once an ``nbytes`` message
+        from ``src`` arrives, subject to the fault plane: partitioned
         pairs drop silently, flaky rules may drop, per-pair extra latency
-        adds to the base model."""
-        pair = (src.name, target.addr.name)
+        adds to the base model. ``tag`` only labels the trace."""
+        pair = (src.name, dst.name)
         tracer = self.sim.tracer
         if pair in self._blocked or (
             (rule := self._drop_rules.get(pair)) is not None and rule()
@@ -228,13 +228,12 @@ class Fabric:
                 tracer.instant(
                     "fabric.drop",
                     "fabric",
-                    attrs={"src": src.name, "dst": target.addr.name,
-                           "tag": message.tag},
+                    attrs={"src": src.name, "dst": dst.name, "tag": tag},
                 )
             if self.sim.metrics is not None:
                 self.sim.metrics.incr("fabric.msgs.dropped")
             return
-        delay = self.msg_delay(src, target.addr, message.nbytes)
+        delay = self.msg_delay(src, dst, nbytes)
         delay += self._extra_delay.get(pair, 0.0)
         self.delivered_messages += 1
         if tracer is not None:
@@ -244,24 +243,8 @@ class Fabric:
                 node=src.name,
                 start=self.sim.now,
                 end=self.sim.now + delay,
-                attrs={
-                    "dst": target.addr.name,
-                    "nbytes": message.nbytes,
-                    "tag": message.tag,
-                },
+                attrs={"dst": dst.name, "nbytes": nbytes, "tag": tag},
             )
         if self.sim.metrics is not None:
             self.sim.metrics.incr("fabric.msgs.delivered")
-        self.sim.schedule(delay, target._deliver, message)
-
-    # -- endpoint registry -------------------------------------------------------
-    def register_endpoint(self, name: str, endpoint: "object") -> None:
-        if name in self._endpoints:
-            raise NetworkError(f"duplicate endpoint {name!r}")
-        self._endpoints[name] = endpoint
-
-    def endpoint(self, name: str) -> "object":
-        try:
-            return self._endpoints[name]
-        except KeyError:
-            raise NetworkError(f"unknown endpoint {name!r}") from None
+        self.sim.schedule(delay, deliver, payload)

@@ -220,6 +220,8 @@ class FlowNetwork:
             # stays >0 across a close() that strands transfers, which is
             # exactly the silent-hang signature the watchdog looks for.
             metrics.gauge("fabric.xfer.inflight").add(self.sim.now, 1)
+            # counted on completion, rated by the scraper as they move
+            metrics.counter("fabric.xfer.bytes").lead = self._moved
         transfer._generation += 1
         if flow.rate > EPS:  # else stalled; a future reallocation reschedules
             self.sim.schedule(transfer.remaining / flow.rate, self._complete,
@@ -244,6 +246,17 @@ class FlowNetwork:
             metrics.incr("fabric.xfer.bytes", transfer.nbytes)
             metrics.gauge("fabric.xfer.inflight").add(self.sim.now, -1)
         transfer.gate.open(self.sim.now)
+
+    def _moved(self, now: float) -> float:
+        """Bytes the unfinished transfers on live flows have moved by
+        ``now``."""
+        moved = 0.0
+        for flow in self._flows:
+            rate = flow.rate
+            for transfer in flow._transfers:
+                left = transfer.remaining - rate * (now - transfer.last_t)
+                moved += transfer.nbytes - (left if left > 0 else 0.0)
+        return moved
 
     # -- allocation --------------------------------------------------------------
     def _reallocate(self) -> None:

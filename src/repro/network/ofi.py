@@ -1,10 +1,11 @@
-"""OFI-like messaging endpoints: tagged messages, RPC, and bulk RDMA.
+"""RPC over the fabric's messages, and where bulk RDMA goes.
 
 DAOS uses Mercury/CART over libfabric; MPI uses its own transport. Both
-reduce, for simulation purposes, to the three primitives provided here:
+reduce, for simulation purposes, to the three primitives used here:
 
-- :meth:`Endpoint.send` / :meth:`Endpoint.recv` — asynchronous message
-  passing with latency + serialization delay,
+- :meth:`Fabric.send <repro.network.fabric.Fabric.send>` — a message is
+  a callback run on the other node after latency + serialization delay,
+  subject to the fault plane,
 - :class:`Rpc` / :class:`RpcServer` — request/response with one
   server-side task per request (handlers are generators and may perform
   arbitrary simulated work before replying),
@@ -19,76 +20,15 @@ for real); ``nbytes`` tells the model how large the wire message would be.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, Generator, Optional
+from typing import Callable, Dict, Generator, Optional
 
 from repro.errors import NetworkError
 from repro.network.fabric import Fabric, NodeAddr
-from repro.sim.core import Simulator
 from repro.sim.sync import Gate, Queue
 
-_rpc_ids = itertools.count(1)
 
-
-@dataclass(slots=True)
-class Message:
-    """A delivered message: sender endpoint name, tag, payload."""
-
-    src: str
-    tag: str
-    payload: Any
-    nbytes: int = 0
-
-
-class Endpoint:
-    """A named mailbox attached to a fabric node."""
-
-    def __init__(self, fabric: Fabric, addr: NodeAddr, name: str):
-        self.fabric = fabric
-        self.sim: Simulator = fabric.sim
-        self.addr = addr
-        self.name = name
-        #: tag -> mailbox, made on first use ("" is the untagged inbox)
-        self._queues: Dict[str, Queue] = {}
-        #: tag -> callback that takes the message at delivery, in place of
-        #: a queue and a task blocked on it (:class:`Rpc` replies)
-        self._sinks: Dict[str, Callable[[Message], None]] = {}
-        fabric.register_endpoint(name, self)
-
-    # -- send/recv ---------------------------------------------------------
-    def send(self, dst: str, payload: Any, nbytes: int = 64, tag: str = "") -> None:
-        """Asynchronously deliver ``payload`` to endpoint ``dst``.
-
-        Delivery goes through :meth:`Fabric.transmit`, which applies the
-        fault plane (partitions, flaky links, latency spikes).
-        """
-        target = self.fabric.endpoint(dst)
-        if not isinstance(target, Endpoint):
-            raise NetworkError(f"endpoint {dst!r} is not a message endpoint")
-        message = Message(src=self.name, tag=tag, payload=payload, nbytes=nbytes)
-        self.fabric.transmit(self.addr, target, message)
-
-    def _queue(self, tag: str) -> Queue:
-        queue = self._queues.get(tag)
-        if queue is None:
-            queue = self._queues[tag] = Queue(self.sim)
-        return queue
-
-    def _deliver(self, message: Message) -> None:
-        sink = self._sinks.get(message.tag)
-        if sink is not None:
-            sink(message)
-        else:
-            self._queue(message.tag).put(message)
-
-    def recv(self, tag: str = ""):
-        """Awaitable for the next message (optionally on a specific tag)."""
-        return self._queue(tag).get()
-
-
-class RpcServer(Endpoint):
-    """Endpoint that dispatches requests to registered handler generators.
+class RpcServer:
+    """A server that dispatches requests to registered handler generators.
 
     A handler has signature ``handler(src_name, **args) -> generator`` and
     its return value becomes the RPC reply. Handler exceptions are shipped
@@ -97,7 +37,12 @@ class RpcServer(Endpoint):
     """
 
     def __init__(self, fabric: Fabric, addr: NodeAddr, name: str):
-        super().__init__(fabric, addr, name)
+        self.fabric = fabric
+        self.sim = fabric.sim
+        self.addr = addr
+        self.name = name
+        #: delivered requests, drained by the dispatcher task
+        self.requests = Queue(self.sim)
         self._handlers: Dict[str, Callable[..., Generator]] = {}
         self._dispatcher = self.sim.spawn(self._dispatch_loop(), f"rpc:{name}")
         #: simulated per-request server CPU cost before the handler runs
@@ -120,17 +65,16 @@ class RpcServer(Endpoint):
 
     def _dispatch_loop(self) -> Generator:
         while True:
-            message = yield self.recv(tag="rpc-req")
+            request = yield self.requests.get()
             # The serve task takes its first step once the dispatch CPU
             # cost has elapsed: one event for the spawn and the sleep.
             self.sim.spawn(
-                self._serve(message, self.sim.now),
-                f"rpc:{self.name}:{message.payload['op']}",
+                self._serve(request, self.sim.now),
+                f"rpc:{self.name}:{request['op']}",
                 delay=self.dispatch_overhead,
             )
 
-    def _serve(self, message: Message, arrived: float) -> Generator:
-        request = message.payload
+    def _serve(self, request: dict, arrived: float) -> Generator:
         op = request["op"]
         handler = self._handlers.get(op)
         tracer = self.sim.tracer
@@ -144,7 +88,7 @@ class RpcServer(Endpoint):
                 "rpc",
                 node=self.addr.name,
                 parent_id=request.get("trace_ctx"),
-                attrs={"src": message.src},
+                attrs={"src": request["src"]},
             )
             if span is not None:
                 span.start = arrived  # the dispatch cost is ours too
@@ -159,65 +103,52 @@ class RpcServer(Endpoint):
                 )
             else:
                 try:
-                    result = yield from handler(message.src, **request["args"])
+                    result = yield from handler(request["src"],
+                                                **request["args"])
                     outcome = ("ok", result)
                 except Exception as exc:  # noqa: BLE001 - shipped to caller
                     outcome = ("err", exc)
         finally:
             if tracer is not None:
                 tracer.end(span)
-        self.send(
-            request["reply_to"],
-            {"id": request["id"], "outcome": outcome},
-            nbytes=request.get("rep_bytes", 256),
-            tag="rpc-rep",
-        )
-        # A shipped error's traceback holds this frame: drop the outcome
-        # so refcounting, not the cyclic collector, frees the error.
-        del outcome
+        self.fabric.send(self.addr, request["addr"], request["rep_bytes"],
+                         request["gate"].open, outcome, "rpc-rep")
+        # A shipped error's traceback holds this frame, and the request's
+        # gate will hold the outcome: drop both so refcounting, not the
+        # cyclic collector, frees the error.
+        del outcome, request
 
 
 class Rpc:
-    """Client-side RPC helper bound to an :class:`Endpoint`."""
+    """Client-side RPC helper for the caller ``name`` on node ``addr``."""
 
-    def __init__(self, endpoint: Endpoint):
-        self.endpoint = endpoint
-        self.sim = endpoint.sim
-        self._pending: Dict[int, Gate] = {}
-        endpoint._sinks["rpc-rep"] = self._on_reply
-
-    def _on_reply(self, message: Message) -> None:
-        """Open the caller's gate at delivery; a reply nobody waits for
-        any more is dropped."""
-        gate = self._pending.pop(message.payload["id"], None)
-        if gate is not None:
-            gate.open(message.payload["outcome"])
+    def __init__(self, fabric: Fabric, addr: NodeAddr, name: str):
+        self.fabric = fabric
+        self.sim = fabric.sim
+        self.addr = addr
+        self.name = name
 
     def call(
         self,
-        dst: str,
+        server: RpcServer,
         op: str,
         args: Optional[dict] = None,
         req_bytes: int = 256,
         rep_bytes: int = 256,
     ) -> Generator:
-        """Task helper: ``result = yield from rpc.call(...)``."""
-        rpc_id = next(_rpc_ids)
+        """Task helper: ``result = yield from rpc.call(...)``. The reply's
+        delivery opens the request's own gate."""
         gate = Gate(self.sim)
-        self._pending[rpc_id] = gate
-        request = {
-            "op": op,
-            "id": rpc_id,
-            "args": args or {},
-            "reply_to": self.endpoint.name,
-            "rep_bytes": rep_bytes,
-        }
+        request = {"op": op, "args": args or {}, "src": self.name,
+                   "addr": self.addr, "gate": gate, "rep_bytes": rep_bytes}
         tracer = self.sim.tracer
         if tracer is not None:
             # Span propagation rides the payload dict; nbytes (the modelled
             # wire size) is untouched, so tracing cannot change timing.
             request["trace_ctx"] = tracer.current_span_id()
-        self.endpoint.send(dst, request, nbytes=req_bytes, tag="rpc-req")
+        self.fabric.send(self.addr, server.addr, req_bytes,
+                         server.requests.put, request, "rpc-req")
+        del request  # it holds the gate
         status, value = yield gate
         del gate  # its value is the outcome
         if status == "err":

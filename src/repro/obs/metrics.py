@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 #: Smallest histogram bucket upper bound, in seconds (1 ns).
 _HIST_LO = 1e-9
@@ -108,13 +108,16 @@ def canonical_metric_name(full: str) -> str:
 
 
 class Counter:
-    """Monotonic counter."""
+    """Monotonic counter. ``lead``, when set, maps ``now`` to what it
+    will add for work already done (bytes an unfinished transfer has
+    moved); the timeline scraper adds it, snapshots do not."""
 
-    __slots__ = ("name", "value")
+    __slots__ = ("name", "value", "lead")
 
     def __init__(self, name: str) -> None:
         self.name = name
         self.value = 0.0
+        self.lead: Optional[Callable[[float], float]] = None
 
     def incr(self, amount: float = 1.0) -> None:
         self.value += amount

@@ -240,9 +240,10 @@ class TimelineScraper:
         self._win_hist.clear()
 
         for name, c in reg.counters.items():
+            value = c.value if c.lead is None else c.value + c.lead(now)
             last = self._last_counters.get(name, 0.0)
-            delta = c.value - last
-            self._last_counters[name] = c.value
+            delta = value - last
+            self._last_counters[name] = value
             self._win_counter_delta[name] = delta
             rate = delta / elapsed if elapsed > 0 else 0.0
             store.record(f"{name}:rate", "rate", now, rate)

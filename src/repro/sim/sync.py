@@ -88,7 +88,7 @@ class Queue:
     """Unbounded FIFO channel between tasks.
 
     ``put`` never blocks; ``get()`` returns an awaitable that delivers the
-    oldest item. Used for mailboxes (OFI endpoints, engine work queues).
+    oldest item. Used for mailboxes (RPC requests, Raft inboxes).
     """
 
     __slots__ = ("sim", "_items", "_getters")

@@ -243,13 +243,13 @@ from repro.faults.invariants import (  # noqa: E402
 
 
 def _fabric_of(cluster):
-    return cluster.nodes[0].endpoint.fabric
+    return cluster.nodes[0].fabric
 
 
 def _isolate_leader(fabric, cluster, leader):
-    name = leader.endpoint.addr.name
+    name = leader.addr.name
     others = [
-        n.endpoint.addr.name for n in cluster.nodes if n is not leader
+        n.addr.name for n in cluster.nodes if n is not leader
     ]
     return fabric.partition([name], others)
 
@@ -430,7 +430,7 @@ def _leader_in_state(n, terms, current_term, match, commit_index):
     node.current_term = current_term
     node.log = [LogEntry(0, None)]
     node.log += [LogEntry(term, ("cmd", i)) for i, term in enumerate(terms)]
-    node.match_index = dict(zip(node.peer_names, match))
+    node.match_index = dict(zip(node.peers, match))
     node.commit_index = node.last_applied = commit_index
     return node
 

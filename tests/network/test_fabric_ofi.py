@@ -1,4 +1,4 @@
-"""Tests for the fabric latency model and OFI-like endpoints/RPC."""
+"""Tests for the fabric latency model, its messages and RPC."""
 
 import gc
 
@@ -6,9 +6,9 @@ import pytest
 
 from repro.errors import DerNonexist, NetworkError
 from repro.hardware.specs import FabricSpec
-from repro.network import Endpoint, Fabric, Rpc, RpcServer
+from repro.network import Fabric, Rpc, RpcServer
 from repro.obs import install
-from repro.sim import Simulator
+from repro.sim import Queue, Simulator
 
 
 def make_fabric():
@@ -47,45 +47,18 @@ def test_endpoint_send_recv_roundtrip():
     sim, fabric = make_fabric()
     a = fabric.add_node("a", 1e9)
     b = fabric.add_node("b", 1e9)
-    ep_a = Endpoint(fabric, a, "ep-a")
-    ep_b = Endpoint(fabric, b, "ep-b")
+    inbox = Queue(sim)
 
     def receiver():
-        message = yield ep_b.recv()
-        return (message.src, message.payload, sim.now)
+        src, payload = yield inbox.get()
+        return (src, payload, sim.now)
 
     task = sim.spawn(receiver())
-    ep_a.send("ep-b", {"x": 1}, nbytes=100)
+    fabric.send(a, b, 100, inbox.put, ("ep-a", {"x": 1}), "")
     sim.run()
     src, payload, t = task.result
     assert src == "ep-a" and payload == {"x": 1}
     assert t > 0
-
-
-def test_tagged_recv_separates_streams():
-    sim, fabric = make_fabric()
-    a = fabric.add_node("a", 1e9)
-    ep = Endpoint(fabric, a, "ep")
-    ep2 = Endpoint(fabric, a, "ep2")
-
-    def receiver():
-        msg_b = yield ep.recv(tag="beta")
-        msg_a = yield ep.recv(tag="alpha")
-        return [msg_a.payload, msg_b.payload]
-
-    task = sim.spawn(receiver())
-    ep2.send("ep", "A", tag="alpha")
-    ep2.send("ep", "B", tag="beta")
-    sim.run()
-    assert task.result == ["A", "B"]
-
-
-def test_unknown_endpoint_raises():
-    sim, fabric = make_fabric()
-    a = fabric.add_node("a", 1e9)
-    ep = Endpoint(fabric, a, "ep")
-    with pytest.raises(NetworkError):
-        ep.send("nowhere", "x")
 
 
 def test_rpc_roundtrip_and_handler_work():
@@ -99,10 +72,10 @@ def test_rpc_roundtrip_and_handler_work():
         return x + y
 
     server.register("add", handle_add)
-    client = Rpc(Endpoint(fabric, a, "cli"))
+    client = Rpc(fabric, a, "cli")
 
     def caller():
-        result = yield from client.call("srv", "add", {"x": 2, "y": 3})
+        result = yield from client.call(server, "add", {"x": 2, "y": 3})
         return (result, sim.now)
 
     task = sim.spawn(caller())
@@ -122,11 +95,11 @@ def test_rpc_handler_exception_propagates_to_caller():
         raise ValueError("remote failure")
 
     server.register("boom", handler)
-    client = Rpc(Endpoint(fabric, a, "cli"))
+    client = Rpc(fabric, a, "cli")
 
     def caller():
         try:
-            yield from client.call("srv", "boom")
+            yield from client.call(server, "boom")
         except ValueError as exc:
             return str(exc)
 
@@ -147,13 +120,13 @@ def test_remote_errors_are_freed_by_refcounting():
         raise DerNonexist("no such key")
 
     server.register("miss", handler)
-    client = Rpc(Endpoint(fabric, a, "cli"))
+    client = Rpc(fabric, a, "cli")
     caught = []
 
     def caller():
         for _ in range(50):
             try:
-                yield from client.call("srv", "miss")
+                yield from client.call(server, "miss")
             except DerNonexist:
                 caught.append(True)
 
@@ -171,12 +144,12 @@ def test_remote_errors_are_freed_by_refcounting():
 def test_rpc_unknown_op_is_error():
     sim, fabric = make_fabric()
     a = fabric.add_node("a", 1e9)
-    RpcServer(fabric, a, "srv")
-    client = Rpc(Endpoint(fabric, a, "cli"))
+    server = RpcServer(fabric, a, "srv")
+    client = Rpc(fabric, a, "cli")
 
     def caller():
         try:
-            yield from client.call("srv", "nope")
+            yield from client.call(server, "nope")
         except NetworkError:
             return "err"
 
@@ -196,11 +169,11 @@ def test_concurrent_rpcs_matched_by_id():
         return token
 
     server.register("echo", handler)
-    client = Rpc(Endpoint(fabric, a, "cli"))
+    client = Rpc(fabric, a, "cli")
 
     def caller(delay, token):
         result = yield from client.call(
-            "srv", "echo", {"delay": delay, "token": token}
+            server, "echo", {"delay": delay, "token": token}
         )
         return result
 
@@ -232,7 +205,7 @@ def make_rpc_pair(handler_time=1e-3):
 
 def test_rpc_round_trip_costs_six_events_and_one_task():
     sim, fabric, a, b, server, _served = make_rpc_pair()
-    client = Rpc(Endpoint(fabric, a, "cli"))
+    client = Rpc(fabric, a, "cli")
     spawns = [0]
     spawn = sim.spawn
 
@@ -245,7 +218,7 @@ def test_rpc_round_trip_costs_six_events_and_one_task():
         # pushes (sim._seq) include the ones that bypass schedule().
         sim.spawn = counting_spawn
         pushed = sim._seq
-        yield from client.call("srv", "echo", {"token": 1})
+        yield from client.call(server, "echo", {"token": 1})
         return sim._seq - pushed, spawns[0]
 
     task = sim.spawn(caller())
@@ -257,11 +230,11 @@ def test_rpc_round_trip_costs_six_events_and_one_task():
 def test_rpc_reply_time_is_the_sum_of_its_parts():
     handler_time = 1e-3
     sim, fabric, a, b, server, _served = make_rpc_pair(handler_time)
-    client = Rpc(Endpoint(fabric, a, "cli"))
+    client = Rpc(fabric, a, "cli")
 
     def caller():
         yield from client.call(
-            "srv", "echo", {"token": 1}, req_bytes=512, rep_bytes=4096
+            server, "echo", {"token": 1}, req_bytes=512, rep_bytes=4096
         )
         return sim.now
 
@@ -280,12 +253,12 @@ def test_rpcs_delivered_together_are_served_and_answered_fifo():
     times = set()
 
     def caller(client, token):
-        yield from client.call("srv", "echo", {"token": token})
+        yield from client.call(server, "echo", {"token": token})
         answered.append(token)
         times.add(sim.now)
 
     for token in range(8):
-        client = Rpc(Endpoint(fabric, a, f"cli{token}"))
+        client = Rpc(fabric, a, f"cli{token}")
         sim.spawn(caller(client, token))
     sim.run()
     assert served == list(range(8))
@@ -296,7 +269,7 @@ def test_rpcs_delivered_together_are_served_and_answered_fifo():
 def test_unavailable_server_is_checked_when_service_starts():
     sim, fabric, a, b, server, served = make_rpc_pair()
     server.unavailable_delay = 5e-3
-    client = Rpc(Endpoint(fabric, a, "cli"))
+    client = Rpc(fabric, a, "cli")
     delivery = fabric.msg_delay(a, b, 256)
     # Up at delivery, down by the time the dispatch cost has been paid.
     sim.schedule(
@@ -307,7 +280,7 @@ def test_unavailable_server_is_checked_when_service_starts():
 
     def caller():
         try:
-            yield from client.call("srv", "echo", {"token": 1})
+            yield from client.call(server, "echo", {"token": 1})
         except NetworkError as exc:
             return (str(exc), sim.now)
 
@@ -321,22 +294,9 @@ def test_unavailable_server_is_checked_when_service_starts():
     assert served == []
 
     server.set_unavailable(None)
-    again = sim.spawn(client.call("srv", "echo", {"token": 2}))
+    again = sim.spawn(client.call(server, "echo", {"token": 2}))
     sim.run()
     assert again.result == 2
-
-
-def test_reply_with_no_pending_call_is_dropped():
-    sim, fabric, a, b, server, _served = make_rpc_pair()
-    client = Rpc(Endpoint(fabric, a, "cli"))
-    server.send(
-        "cli", {"id": -1, "outcome": ("ok", "stale")}, tag="rpc-rep"
-    )
-    sim.run()
-    assert not client._pending
-    task = sim.spawn(client.call("srv", "echo", {"token": 7}))
-    sim.run()
-    assert task.result == 7
 
 
 def test_server_node_builds_links():
@@ -373,25 +333,30 @@ def test_engine_spec_media_bandwidths():
 
 # ---------------------------------------------------------------------------
 # Fault plane: partition / heal / delay / drop, all centralized in
-# Fabric.transmit so every endpoint (raft, RPC, engines) is covered.
+# Fabric.send so every message (raft, RPC, engines) is covered.
 # ---------------------------------------------------------------------------
 
 
-def _two_endpoints():
+def _two_nodes():
+    """A fabric with nodes a and b, and a ``send(payload)`` of a 10-byte
+    message from a into the queue ``inbox`` on b."""
     sim, fabric = make_fabric()
     a = fabric.add_node("a", 1e9)
     b = fabric.add_node("b", 1e9)
-    ep_a = Endpoint(fabric, a, "ep-a")
-    ep_b = Endpoint(fabric, b, "ep-b")
-    return sim, fabric, ep_a, ep_b
+    inbox = Queue(sim)
+
+    def send(payload):
+        fabric.send(a, b, 10, inbox.put, payload, "")
+
+    return sim, fabric, send, inbox
 
 
 def test_partition_blocks_both_directions_and_heal_restores():
-    sim, fabric, ep_a, ep_b = _two_endpoints()
+    sim, fabric, send, inbox = _two_nodes()
     pairs = fabric.partition(["a"], ["b"])
     assert {("a", "b"), ("b", "a")} <= fabric._blocked
 
-    ep_a.send("ep-b", "lost", nbytes=10)
+    send("lost")
     sim.run()
     assert fabric.dropped_messages == 1
 
@@ -399,11 +364,11 @@ def test_partition_blocks_both_directions_and_heal_restores():
     assert not fabric._blocked
 
     def receiver():
-        message = yield ep_b.recv()
-        return message.payload
+        payload = yield inbox.get()
+        return payload
 
     task = sim.spawn(receiver())
-    ep_a.send("ep-b", "through", nbytes=10)
+    send("through")
     sim.run()
     assert task.result == "through"
     # the partitioned-away message is gone for good, not delayed
@@ -411,20 +376,20 @@ def test_partition_blocks_both_directions_and_heal_restores():
 
 
 def test_partition_rejects_node_on_both_sides():
-    sim, fabric, *_ = _two_endpoints()
+    sim, fabric, *_ = _two_nodes()
     with pytest.raises(NetworkError):
         fabric.partition(["a"], ["a", "b"])
 
 
 def test_extra_delay_slows_link():
-    sim, fabric, ep_a, ep_b = _two_endpoints()
+    sim, fabric, send, inbox = _two_nodes()
 
     def receiver():
-        message = yield ep_b.recv()
+        yield inbox.get()
         return sim.now
 
     baseline_task = sim.spawn(receiver())
-    ep_a.send("ep-b", 1, nbytes=10)
+    send(1)
     sim.run()
     baseline = baseline_task.result
 
@@ -432,7 +397,7 @@ def test_extra_delay_slows_link():
     assert fabric._extra_delay == {("a", "b"): 5e-3, ("b", "a"): 5e-3}
     sim2_task = sim.spawn(receiver())
     start = sim.now
-    ep_a.send("ep-b", 2, nbytes=10)
+    send(2)
     sim.run()
     assert sim2_task.result - start == pytest.approx(baseline + 5e-3)
 
@@ -440,25 +405,25 @@ def test_extra_delay_slows_link():
     assert not fabric._extra_delay
     sim3_task = sim.spawn(receiver())
     start = sim.now
-    ep_a.send("ep-b", 3, nbytes=10)
+    send(3)
     sim.run()
     assert sim3_task.result - start == pytest.approx(baseline)
 
 
 def test_drop_rule_discards_selected_messages():
-    sim, fabric, ep_a, ep_b = _two_endpoints()
+    sim, fabric, send, inbox = _two_nodes()
     tracer, _ = install(sim)
     flips = iter([True, False])
     fabric.set_drop_rule("a", "b", lambda: next(flips))
     assert set(fabric._drop_rules) == {("a", "b"), ("b", "a")}
 
     def receiver():
-        message = yield ep_b.recv()
-        return message.payload
+        payload = yield inbox.get()
+        return payload
 
     task = sim.spawn(receiver())
-    ep_a.send("ep-b", "first", nbytes=10)   # dropped
-    ep_a.send("ep-b", "second", nbytes=10)  # delivered
+    send("first")   # dropped
+    send("second")  # delivered
     sim.run()
     assert task.result == "second"
     assert fabric.dropped_messages == 1

@@ -324,6 +324,29 @@ def test_run_ending_between_ticks_lands_its_last_ops_in_a_window(
         assert sum(window_counts[f"{name}:count"]) == hist.count, name
 
 
+def test_wire_bytes_count_in_the_windows_they_move():
+    """``fabric.xfer.bytes`` counts a transfer when it completes, yet a
+    window with bytes moving and none landing reads their rate: 1 kB at
+    1 kB/s reads 1 kB/s in each 0.1 s window, not 0 and then 10 kB/s
+    in the window it lands. The counter's total is unchanged."""
+    from repro.network.flows import FlowNetwork
+
+    sim = _observed_sim(interval=0.1)
+    net = FlowNetwork(sim)
+    flow = net.open([(net.add_link("wire", 1000.0), 1.0)])
+
+    def move():
+        yield flow.transfer(1000.0)
+
+    sim.run_until_complete(sim.spawn(move(), "move"))
+    rate = sim.timeline.store.series["fabric.xfer.bytes:rate"]
+    rate.finalize()
+    for t in (0.1, 0.5, 0.9):
+        assert value_at(rate, t) == pytest.approx(1000.0), t
+    assert max(v for _t, v in rate.points) == pytest.approx(1000.0)
+    assert sim.metrics.counters["fabric.xfer.bytes"].value == 1000.0
+
+
 # --------------------------------------------------------------- SLO rules
 def test_parse_threshold_rule():
     rule = parse_slo("ior.write.latency p99 < 2e-3 over 3 windows")
