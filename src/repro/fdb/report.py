@@ -3,8 +3,9 @@
 The archiver and retriever keep *exact* per-field latency samples, so
 the tails here are nearest-rank order statistics over the real sample
 set, through the same :func:`repro.obs.latency_stats` as the serving
-reports. The bucketed per-window views live in the timeline JSON for SLO
-rules; this report is the run-level summary the benchmarks gate on.
+reports. The per-window views (the same rule over each window's
+samples) live in the timeline JSON for SLO rules; this report is the
+run-level summary the benchmarks gate on.
 
 Everything in :func:`build_report` is a pure function of the run result
 (simulated clock only — no wall time, no environment), so same-seed runs

@@ -60,15 +60,16 @@ def _attach_observability(result: IorResult, sim, nprocs: int) -> None:
                 )
                 if hist is None or hist.count == 0:
                     continue
+                stats = hist.summary()
                 result.latency.append(
                     LatencySummary(
                         op=op,
                         rank=rank,
-                        count=hist.count,
-                        mean=hist.mean,
-                        p50=hist.p50,
-                        p95=hist.p95,
-                        p99=hist.p99,
+                        count=stats["count"],
+                        mean=stats["mean"],
+                        p50=stats["p50"],
+                        p95=stats["p95"],
+                        p99=stats["p99"],
                     )
                 )
     timeline = getattr(sim, "timeline", None)

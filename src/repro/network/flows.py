@@ -122,6 +122,16 @@ class Transfer:
         self.gate._subscribe(callback)
 
 
+def _add_moved(moved: float, flow: Flow, now: float) -> float:
+    """``moved`` plus the bytes ``flow``'s unfinished transfers have
+    moved by ``now``."""
+    rate = flow.rate
+    for transfer in flow._transfers:
+        left = transfer.remaining - rate * (now - transfer.last_t)
+        moved += transfer.nbytes - (left if left > 0 else 0.0)
+    return moved
+
+
 class FlowNetwork:
     """Links, flows and transfers; rates come from ``allocator``.
 
@@ -144,6 +154,8 @@ class FlowNetwork:
         #: flows x reallocations when untouched components are skipped)
         self.solved_flows = 0
         self._next_serial = 0
+        #: bytes moved by transfers a close stranded (they never complete)
+        self._stranded = 0.0
 
     # -- topology ------------------------------------------------------------
     def add_link(self, name: str, capacity: float) -> Link:
@@ -197,6 +209,10 @@ class FlowNetwork:
         """Deregister a flow (any unfinished transfers on it stall forever)."""
         if flow not in self._flows:
             return
+        if flow._transfers:
+            # bank what the stranded transfers moved, so the lead of
+            # fabric.xfer.bytes never falls
+            self._stranded = _add_moved(self._stranded, flow, self.sim.now)
         del self._flows[flow]
         for link in flow.links:
             del link._flows[flow]
@@ -248,14 +264,11 @@ class FlowNetwork:
         transfer.gate.open(self.sim.now)
 
     def _moved(self, now: float) -> float:
-        """Bytes the unfinished transfers on live flows have moved by
-        ``now``."""
-        moved = 0.0
+        """Bytes the unfinished transfers have moved by ``now``: those on
+        live flows, plus what closed flows stranded."""
+        moved = self._stranded
         for flow in self._flows:
-            rate = flow.rate
-            for transfer in flow._transfers:
-                left = transfer.remaining - rate * (now - transfer.last_t)
-                moved += transfer.nbytes - (left if left > 0 else 0.0)
+            moved = _add_moved(moved, flow, now)
         return moved
 
     # -- allocation --------------------------------------------------------------

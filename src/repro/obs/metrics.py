@@ -13,24 +13,26 @@ instrument kinds:
 * :class:`Gauge` — time-weighted values with their extrema (per-edge
   fabric utilisation, queue depths; the per-window curve is the
   timeline scraper's, :mod:`repro.obs.timeline`),
-* :class:`Histogram` — log2-bucketed latency distributions with
-  p50/p95/p99/p999 estimation.
+* :class:`Histogram` — every latency sample, so count, mean, extrema
+  and p50/p95/p99/p999 are exact (nearest rank, :func:`exact_quantile`).
 
 Exports: :meth:`MetricsRegistry.to_prometheus` (text exposition format,
-with cumulative ``_bucket{le=...}`` lines for histograms) and
+with cumulative log2 ``_bucket{le=...}`` lines for histograms, counted
+from the samples at export) and
 :meth:`MetricsRegistry.snapshot` (JSON-serialisable dict);
 :func:`write_metrics` picks the format from the file extension.
 """
 
 from __future__ import annotations
 
+import collections
 import json
 import math
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-#: Smallest histogram bucket upper bound, in seconds (1 ns).
+#: Smallest Prometheus histogram bucket upper bound, in seconds (1 ns).
 _HIST_LO = 1e-9
-#: Number of log2 buckets; covers 1 ns .. ~584 years, plenty.
+#: Number of log2 export buckets; covers 1 ns .. ~584 years, plenty.
 _HIST_BUCKETS = 64
 
 #: The tail set every report and timeline publishes (stat key, quantile).
@@ -159,38 +161,24 @@ class Gauge:
         return total / window if window > 0 else self.value
 
 
-def bucket_upper(idx: int) -> float:
+def _bucket_upper(idx: int) -> float:
     """Upper bound of log2 bucket ``idx`` in seconds."""
     return _HIST_LO * (2.0 ** idx)
 
 
-def bucket_quantile(buckets: List[int], count: int, q: float) -> float:
-    """Estimated q-quantile of a log2 bucket-count array (unclamped).
-
-    The interpolation is identical to :meth:`Histogram.quantile` minus
-    the observed-extrema clamp, so it works on *bucket deltas* — the
-    per-window histograms of :mod:`repro.obs.timeline` — where exact
-    extrema are not tracked. Returns 0.0 when ``count`` is 0.
-    """
-    if count <= 0:
-        return 0.0
-    rank = max(q, 0.0) * count
-    seen = 0
-    for idx, n in enumerate(buckets):
-        if n == 0:
-            continue
-        if seen + n >= rank:
-            lo = 0.0 if idx == 0 else bucket_upper(idx - 1)
-            hi = bucket_upper(idx)
-            frac = (rank - seen) / n
-            return lo + (hi - lo) * frac
-        seen += n
-    return bucket_upper(_HIST_BUCKETS - 1)
+def _bucket_index(value: float) -> int:
+    """The log2 bucket holding ``value``: bucket i holds
+    (lo * 2^(i-1), lo * 2^i], bucket 0 everything <= lo."""
+    if value <= _HIST_LO:
+        return 0
+    idx = int(math.ceil(math.log2(value / _HIST_LO)))
+    return min(max(idx, 0), _HIST_BUCKETS - 1)
 
 
 def exact_quantile(sorted_values: Sequence[float], q: float) -> float:
-    """Nearest-rank quantile of an already-sorted sample list (the exact
-    twin of :func:`bucket_quantile`'s estimate); 0.0 when empty."""
+    """Nearest-rank quantile of an already-sorted sample list; 0.0 when
+    empty. The one quantile rule: reports, histograms, timeline windows
+    and SLO rules all use it."""
     n = len(sorted_values)
     if n == 0:
         return 0.0
@@ -216,67 +204,36 @@ def latency_stats(latencies: Sequence[float]) -> dict:
 
 
 class Histogram:
-    """Log2-bucketed histogram of non-negative values (latencies).
+    """Every observed value (latencies), in observation order.
 
-    Bucket i holds values in (lo * 2^(i-1), lo * 2^i]; bucket 0 holds
-    everything <= lo. Quantiles interpolate within the matched bucket,
-    clamped by the exact observed min/max.
+    Its statistics are exact (:meth:`summary`); the timeline scraper
+    reads a window as the samples observed since its last scrape.
     """
 
-    __slots__ = ("name", "buckets", "count", "total", "vmin", "vmax")
+    __slots__ = ("name", "samples")
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self.buckets = [0] * _HIST_BUCKETS
-        self.count = 0
-        self.total = 0.0
-        self.vmin = math.inf
-        self.vmax = -math.inf
+        self.samples: List[float] = []
 
     def observe(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-        self.vmin = min(self.vmin, value)
-        self.vmax = max(self.vmax, value)
-        self.buckets[self._index(value)] += 1
-
-    @staticmethod
-    def _index(value: float) -> int:
-        if value <= _HIST_LO:
-            return 0
-        idx = int(math.ceil(math.log2(value / _HIST_LO)))
-        return min(max(idx, 0), _HIST_BUCKETS - 1)
-
-    def quantile(self, q: float) -> float:
-        """Estimated q-quantile (q in [0, 1]); 0.0 when empty."""
-        if self.count == 0:
-            return 0.0
-        if q <= 0:
-            return self.vmin
-        if q >= 1:
-            return self.vmax
-        est = bucket_quantile(self.buckets, self.count, q)
-        return min(max(est, self.vmin), self.vmax)
+        self.samples.append(value)
 
     @property
-    def p50(self) -> float:
-        return self.quantile(0.50)
+    def count(self) -> int:
+        return len(self.samples)
 
-    @property
-    def p95(self) -> float:
-        return self.quantile(0.95)
-
-    @property
-    def p99(self) -> float:
-        return self.quantile(0.99)
-
-    @property
-    def p999(self) -> float:
-        return self.quantile(0.999)
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
+    def summary(self) -> Dict[str, Any]:
+        """:func:`latency_stats` of the samples plus their min (min and
+        max are None when empty). The mean sums in observation order."""
+        samples = self.samples
+        stats = latency_stats(samples)
+        if samples:
+            stats["mean"] = sum(samples) / len(samples)
+            stats["min"] = min(samples)
+        else:
+            stats["min"] = stats["max"] = None
+        return stats
 
 
 class MetricsRegistry:
@@ -339,16 +296,7 @@ class MetricsRegistry:
                 for name, g in sorted(self.gauges.items())
             },
             "histograms": {
-                name: {
-                    "count": h.count,
-                    "mean": h.mean,
-                    "min": None if h.vmin is math.inf else h.vmin,
-                    "max": None if h.vmax is -math.inf else h.vmax,
-                    "p50": h.p50,
-                    "p95": h.p95,
-                    "p99": h.p99,
-                    "p999": h.p999,
-                }
+                name: h.summary()
                 for name, h in sorted(self.histograms.items())
             },
         }
@@ -358,8 +306,9 @@ class MetricsRegistry:
 
         Base names are sanitised to ``[a-zA-Z0-9_]``; labels render in
         Prometheus syntax (``{k="v"}``). Histograms emit the real
-        ``histogram`` type — cumulative ``_bucket{le="..."}`` lines up
-        to the highest occupied log2 bucket plus ``+Inf``, then
+        ``histogram`` type — cumulative ``_bucket{le="..."}`` lines, the
+        samples counted into log2 buckets, up to the highest occupied
+        bucket plus ``+Inf``, then
         ``_sum``/``_count`` — so downstream tooling can aggregate them
         (summary quantiles cannot be merged across series).
         """
@@ -405,18 +354,15 @@ class MetricsRegistry:
         for name, h in sorted(self.histograms.items()):
             metric, lbl = split(name)
             type_line(metric, "histogram")
-            highest = -1
-            for idx, n in enumerate(h.buckets):
-                if n:
-                    highest = idx
+            buckets = collections.Counter(map(_bucket_index, h.samples))
             cumulative = 0
-            for idx in range(highest + 1):
-                cumulative += h.buckets[idx]
-                le = merge_labels(lbl, f'le="{bucket_upper(idx):g}"')
+            for idx in range(max(buckets, default=-1) + 1):
+                cumulative += buckets[idx]
+                le = merge_labels(lbl, f'le="{_bucket_upper(idx):g}"')
                 lines.append(f"{metric}_bucket{le} {cumulative}")
             inf = merge_labels(lbl, 'le="+Inf"')
             lines.append(f"{metric}_bucket{inf} {h.count}")
-            lines.append(f"{metric}_sum{lbl} {h.total:g}")
+            lines.append(f"{metric}_sum{lbl} {sum(h.samples):g}")
             lines.append(f"{metric}_count{lbl} {h.count}")
         return "\n".join(lines) + "\n"
 

@@ -10,10 +10,10 @@ simulated seconds into a :class:`TimeSeriesStore`:
 * gauges become instantaneous **values** (``name:value``) and
   per-window time-weighted **means** (``name:mean``, integral deltas),
 * histograms become per-window **counts** (``name:count``) and
-  per-window **quantiles** (``name:p50/p95/p99/p999``) computed
-  from bucket-count deltas via the same clamp-free interpolation as
-  :func:`repro.obs.metrics.bucket_quantile` — per-window tail latency,
-  not just cumulative.
+  per-window **quantiles** (``name:p50/p95/p99/p999``): the
+  nearest-rank :func:`repro.obs.metrics.exact_quantile` of the samples
+  observed since the previous scrape, so a window's tail never exceeds
+  what the window saw.
 
 Zero perturbation: tick callbacks only *read* simulation state — no RNG
 draws, no task scheduling, no state mutation outside the scraper's own
@@ -42,12 +42,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.obs.metrics import (
-    _HIST_BUCKETS,
-    QUANTILES,
-    MetricsRegistry,
-    bucket_quantile,
-)
+from repro.obs.metrics import QUANTILES, MetricsRegistry, exact_quantile
 from repro.obs.slo import SloBreach, SloRule, StallRule
 
 #: Default scrape interval in simulated seconds (10 ms).
@@ -174,12 +169,12 @@ class TimelineScraper:
         # Previous-sample state for window deltas.
         self._last_counters: Dict[str, float] = {}
         self._last_gauge_integrals: Dict[str, float] = {}
-        self._last_hist: Dict[str, Tuple[int, List[int], float]] = {}
+        self._last_count: Dict[str, int] = {}
         # Current-window stats for rule evaluation.
         self._win_elapsed = 0.0
         self._win_counter_delta: Dict[str, float] = {}
         self._win_gauge_mean: Dict[str, float] = {}
-        self._win_hist: Dict[str, Tuple[int, List[int], float]] = {}
+        self._win_samples: Dict[str, List[float]] = {}  # sorted
         self._streaks: List[int] = [0] * len(self.rules)
 
     # ------------------------------------------------------------- lifecycle
@@ -237,7 +232,7 @@ class TimelineScraper:
         self._win_elapsed = elapsed
         self._win_counter_delta.clear()
         self._win_gauge_mean.clear()
-        self._win_hist.clear()
+        self._win_samples.clear()
 
         for name, c in reg.counters.items():
             value = c.value if c.lead is None else c.value + c.lead(now)
@@ -258,21 +253,14 @@ class TimelineScraper:
             store.record(f"{name}:mean", "mean", now, mean)
 
         for name, h in reg.histograms.items():
-            lcount, lbuckets, ltotal = self._last_hist.get(
-                name, (0, [0] * _HIST_BUCKETS, 0.0)
-            )
-            dcount = h.count - lcount
-            dbuckets = [b - lb for b, lb in zip(h.buckets, lbuckets)]
-            dtotal = h.total - ltotal
-            self._last_hist[name] = (h.count, list(h.buckets), h.total)
-            self._win_hist[name] = (dcount, dbuckets, dtotal)
-            store.record(f"{name}:count", "count", now, float(dcount))
-            if dcount > 0:
+            window = sorted(h.samples[self._last_count.get(name, 0):])
+            self._last_count[name] = h.count
+            self._win_samples[name] = window
+            store.record(f"{name}:count", "count", now, float(len(window)))
+            if window:
                 for label, q in QUANTILES:
-                    store.record(
-                        f"{name}:{label}", "quantile", now,
-                        bucket_quantile(dbuckets, dcount, q),
-                    )
+                    store.record(f"{name}:{label}", "quantile", now,
+                                 exact_quantile(window, q))
 
         store.n_windows += 1
         store.end = now
@@ -299,20 +287,16 @@ class TimelineScraper:
         if stat == "mean":
             if metric in self._win_gauge_mean:
                 return self._win_gauge_mean[metric]
-            hist = self._win_hist.get(metric)
-            if hist is None or hist[0] == 0:
-                return None
-            return hist[2] / hist[0]
+            window = self._win_samples.get(metric)
+            return sum(window) / len(window) if window else None
         if stat == "count":
-            hist = self._win_hist.get(metric)
-            return None if hist is None else float(hist[0])
+            window = self._win_samples.get(metric)
+            return None if window is None else float(len(window))
         q = dict(QUANTILES).get(stat)
-        if q is None:
+        window = self._win_samples.get(metric)
+        if q is None or not window:
             return None
-        hist = self._win_hist.get(metric)
-        if hist is None or hist[0] == 0:
-            return None
-        return bucket_quantile(hist[1], hist[0], q)
+        return exact_quantile(window, q)
 
     # ----------------------------------------------------------------- rules
     def _evaluate_rules(self, now: float) -> None:

@@ -12,15 +12,17 @@ delays the next arrival.
 
 Accounting is two-layered, deliberately:
 
-* **Exact samples** (per-tenant latency lists, byte/job counts) are
-  kept in plain dicts on the dispatcher — the report computes exact
-  p99/p999 and the Jain fairness index from these, with or without a
-  metrics registry installed.
+* **Run samples** (per-tenant latency lists, byte/job counts) are kept
+  in plain dicts on the dispatcher — the report computes p99/p999 and
+  the Jain fairness index from these, with or without a metrics
+  registry installed.
 * **Labeled metrics** (``tenant.arrivals{tenant=...}`` and friends plus
   fleet-wide aggregates) are emitted when the cluster has observability
-  installed, which is what the PR-7 timeline scraper and SLO rules
-  consume (e.g. ``tenant.request.latency{tenant=t01} p99 < 0.5 over 3
-  windows``).
+  installed, which is what the timeline scraper and SLO rules consume
+  (e.g. ``tenant.request.latency{tenant=t01} p99 < 0.5 over 3
+  windows``). The latency histograms hold the same samples as the
+  lists, and every quantile is nearest rank, so a report and an SLO
+  rule read one latency the same way.
 """
 
 from __future__ import annotations

@@ -1,10 +1,9 @@
 """Serving-run reports: exact tails, fairness, per-tenant SLO breaches.
 
-The dispatcher keeps *exact* per-tenant latency samples, so tail
+The dispatcher keeps every per-tenant latency sample, so tail
 percentiles here are nearest-rank order statistics over the real sample
-set — not the log2-bucket estimates the timeline scraper publishes.
-Both views matter: the exact ones for run-level assertions and tables,
-the bucketed per-window ones for SLO rules during the run.
+set — the same rule the timeline scraper applies to each window's
+samples for SLO rules during the run.
 
 Fairness is the Jain index over per-tenant delivered bytes,
 

@@ -52,35 +52,40 @@ def test_gauge_time_weighted_mean_and_extrema():
 def test_histogram_percentiles_bracket_known_distribution():
     h = Histogram("lat")
     values = [0.001 * (i + 1) for i in range(100)]  # 1 ms .. 100 ms
-    for v in values:
+    for v in reversed(values):
         h.observe(v)
-    assert h.count == 100
-    assert h.mean == pytest.approx(sum(values) / 100)
-    # log2 buckets are coarse: accept a factor-of-two bracket around the
-    # exact quantile, plus the exact-extrema clamp.
-    assert 0.025 <= h.p50 <= 0.1
-    assert 0.05 <= h.p95 <= 0.1
-    assert h.quantile(0.0) == h.vmin == pytest.approx(0.001)
-    assert h.quantile(1.0) == h.vmax == pytest.approx(0.1)
-    assert h.p50 <= h.p95 <= h.p99
+    stats = h.summary()
+    assert h.count == stats["count"] == 100
+    assert h.samples == values[::-1]  # kept in observation order
+    # the mean sums in observation order, as a running total would
+    total = 0.0
+    for v in reversed(values):
+        total += v
+    assert stats["mean"] == total / 100
+    # nearest rank over every sample: each quantile is a sample
+    assert (stats["p50"], stats["p95"], stats["p99"]) == (
+        values[49], values[94], values[98])
+    assert stats["min"] == 0.001 and stats["max"] == values[-1]
 
 
 def test_histogram_empty_and_tiny_values():
     h = Histogram("lat")
-    assert h.quantile(0.5) == 0.0 and h.mean == 0.0
-    h.observe(0.0)  # below the smallest bucket bound
-    assert h.p50 == 0.0
+    assert h.summary() == {
+        "count": 0, "mean": 0.0, "min": None, "max": None,
+        "p50": 0.0, "p95": 0.0, "p99": 0.0, "p999": 0.0,
+    }
+    h.observe(0.0)  # below the smallest Prometheus bucket bound
+    assert h.summary()["p50"] == 0.0
     h.observe(5.0)
-    assert h.vmax == 5.0
-    assert h.p99 <= 5.0
+    assert h.summary()["max"] == h.summary()["p99"] == 5.0
 
 
 def test_histogram_single_value_quantiles_are_exact():
     h = Histogram("lat")
     h.observe(0.25)
-    # interpolation is clamped by the observed extrema
-    for q in (0.01, 0.5, 0.95, 0.99):
-        assert h.quantile(q) == pytest.approx(0.25)
+    stats = h.summary()
+    for key, _q in QUANTILES:
+        assert stats[key] == 0.25
 
 
 # ------------------------------------------------------------------ export

@@ -8,9 +8,9 @@ import pytest
 from repro.errors import DeadlockError
 from repro.obs import install
 from repro.obs.metrics import (
-    Histogram,
+    QUANTILES,
     MetricsRegistry,
-    bucket_quantile,
+    exact_quantile,
     format_metric_name,
     parse_metric_name,
 )
@@ -115,40 +115,34 @@ def test_registry_keys_on_canonical_labeled_name():
 
 # ----------------------------------------------- windowed percentile math
 def test_window_quantiles_match_brute_force_recompute():
-    """The per-window quantile (bucket deltas) must equal the quantile of
-    a histogram built from only that window's raw values."""
-    full = Histogram("lat")
+    """A window's quantiles are the nearest-rank quantiles of only the
+    values observed in that window, whatever came before."""
+    sim = _observed_sim(interval=0.1)
+    reg = sim.metrics
     warmup = [0.001 * (i + 1) for i in range(50)]
-    for v in warmup:
-        full.observe(v)
-    before = (full.count, list(full.buckets))
+    window_values = [0.0004 * (37 - i) for i in range(37)]  # unsorted
 
-    window_values = [0.0004 * (i + 1) for i in range(37)]
-    for v in window_values:
-        full.observe(v)
+    def work():
+        for v in warmup:
+            reg.observe("lat", v)
+        yield 0.15  # the first window closes at 0.1 with the warmup
+        for v in window_values:
+            reg.observe("lat", v)
+        yield 0.1
 
-    dcount = full.count - before[0]
-    dbuckets = [b - lb for b, lb in zip(full.buckets, before[1])]
-
-    brute = Histogram("window-only")
-    for v in window_values:
-        brute.observe(v)
-
-    assert dcount == brute.count
-    assert dbuckets == brute.buckets
-    for q in (0.5, 0.95, 0.99, 0.999):
-        assert bucket_quantile(dbuckets, dcount, q) == bucket_quantile(
-            brute.buckets, brute.count, q
+    sim.run_until_complete(sim.spawn(work(), "work"))
+    scraper = sim.timeline
+    store = scraper.store
+    for label, q in QUANTILES:
+        series = store.series[f"lat:{label}"]
+        assert value_at(series, 0.1) == exact_quantile(warmup, q)
+        assert value_at(series, 0.2) == exact_quantile(
+            sorted(window_values), q
         )
-
-
-def test_bucket_quantile_edge_cases():
-    assert bucket_quantile([0] * 64, 0, 0.5) == 0.0
-    h = Histogram("one")
-    h.observe(0.25)
-    est = bucket_quantile(h.buckets, 1, 0.5)
-    # unclamped interpolation lands inside the matched log2 bucket
-    assert 0.125 < est <= 0.5
+    assert value_at(store.series["lat:count"], 0.2) == 37.0
+    # the rule lookup reads the same exact window
+    assert scraper.window_stat("lat", "count") == 0.0  # last window empty
+    assert scraper.window_stat("lat", "p99") is None
 
 
 # ------------------------------------------------------------- scraping
@@ -215,14 +209,9 @@ def test_window_quantile_series_match_per_window_observations():
     store = scraper.store
     p99 = store.series["ior.write.latency:p99"]
     store.series["ior.write.latency:p99"].finalize()
-    # each window held exactly one observation: its p99 is that value's
-    # bucket interpolation, computable by brute force per window
+    # each window held exactly one observation: its p99 is that value
     for i, v in enumerate(per_window):
-        t = 0.1 * (i + 1)
-        brute = Histogram("w")
-        brute.observe(v)
-        expected = bucket_quantile(brute.buckets, 1, 0.99)
-        assert value_at(p99, t) == pytest.approx(expected)
+        assert value_at(p99, 0.1 * (i + 1)) == v
     # the count series records every window, including empty ones
     count = store.series["ior.write.latency:count"]
     assert value_at(count, 0.1 * len(per_window)) == 1.0
@@ -345,6 +334,35 @@ def test_wire_bytes_count_in_the_windows_they_move():
         assert value_at(rate, t) == pytest.approx(1000.0), t
     assert max(v for _t, v in rate.points) == pytest.approx(1000.0)
     assert sim.metrics.counters["fabric.xfer.bytes"].value == 1000.0
+
+
+def test_a_closed_flow_keeps_the_bytes_its_stranded_transfers_moved():
+    """Closing a flow strands its unfinished transfers; the bytes they
+    moved stay in the lead, so no window reads a negative rate: 1 kB at
+    1 kB/s closed at t = 0.35 s reads 500 B/s in (0.3, 0.4], then 0."""
+    from repro.network.flows import FlowNetwork
+
+    sim = _observed_sim(interval=0.1)
+    net = FlowNetwork(sim)
+    flow = net.open([(net.add_link("wire", 1000.0), 1.0)])
+
+    def move():
+        yield flow.transfer(1000.0)
+
+    def close():
+        yield 0.35
+        net.close(flow)
+        yield 0.3  # scrape past the close
+
+    sim.spawn(move(), "move")
+    sim.run_until_complete(sim.spawn(close(), "close"))
+    rate = sim.timeline.store.series["fabric.xfer.bytes:rate"]
+    rate.finalize()
+    assert min(v for _t, v in rate.points) >= 0.0
+    assert value_at(rate, 0.3) == pytest.approx(1000.0)
+    assert value_at(rate, 0.4) == pytest.approx(500.0)
+    assert value_at(rate, 0.6) == 0.0
+    assert sim.metrics.counters["fabric.xfer.bytes"].value == 0.0
 
 
 # --------------------------------------------------------------- SLO rules
