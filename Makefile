@@ -51,8 +51,8 @@ bench-e2e:
 		--seconds 0 --trace 0
 
 # Cyclic-collector cost (~45 s): each e2e workload in a fresh interpreter
-# at seed 7, printing per cell the heap pushes, reallocations and solved
-# flows beside the collections and collector seconds per generation, the
+# at seed 7, printing per cell the heap pushes, tasks spawned,
+# reallocations and solved flows beside the collections and collector seconds per generation, the
 # RSS high-water mark and what one untimed collection frees once the cell
 # is dropped. The table also lands in artifacts/gcprobe.txt.
 # A report, not a gate: collection counts depend on the Python version.

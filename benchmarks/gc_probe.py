@@ -8,6 +8,7 @@ probe prints the exact work counters beside the collector numbers:
 
 - ``sim._seq`` (heap pushes), ``network.reallocations`` and
   ``network.solved_flows``, which a host-side change must leave equal;
+- ``sim._next_tid``: the tasks the cell spawned;
 - collections and collector seconds in generations 0, 1 and 2, and the
   objects they freed;
 - the cell's wall seconds, of which the collector seconds are a part;
@@ -76,6 +77,7 @@ def child_main(workload: str, seed: int) -> None:
         maxrss_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         row = {
             "cell": cell.id, "seq": cluster.sim._seq,
+            "tasks": cluster.sim._next_tid,
             "reallocations": net.reallocations,
             "solved_flows": net.solved_flows,
             "collections": list(counts), "gc_s": list(seconds),
@@ -97,7 +99,8 @@ def main(argv=None) -> int:
         child_main(args.child, args.seed)
         return 0
     print(f"# gc probe, seed {args.seed}, Python {sys.version.split()[0]}")
-    print(f"{'cell':<40} {'sim._seq':>9} {'realloc':>7} {'solved':>8}"
+    print(f"{'cell':<40} {'sim._seq':>9} {'tasks':>7}"
+          f" {'realloc':>7} {'solved':>8}"
           f" {'gen0/1/2':>14} {'gc s (0/1/2)':>20} {'freed':>7} {'wall s':>7}"
           f" {'maxrss MiB':>10} {'teardown':>8}")
     env = dict(os.environ, PYTHONHASHSEED="0")
@@ -108,6 +111,7 @@ def main(argv=None) -> int:
             env=env, check=True, capture_output=True, text=True,
         ).stdout
         total = [0, 0, 0]
+        seq = tasks = 0
         gc_s = 0.0
         wall = 0.0
         peak = 0.0
@@ -116,15 +120,19 @@ def main(argv=None) -> int:
             gens = "/".join(str(c) for c in row["collections"])
             secs = "/".join(f"{s:.2f}" for s in row["gc_s"])
             print(f"{workload + ':' + row['cell']:<40} {row['seq']:>9}"
+                  f" {row['tasks']:>7}"
                   f" {row['reallocations']:>7} {row['solved_flows']:>8}"
                   f" {gens:>14} {secs:>20} {row['freed']:>7}"
                   f" {row['wall_s']:>7.2f} {row['maxrss_mib']:>10.2f}"
                   f" {row['teardown']:>8}")
             total = [t + c for t, c in zip(total, row["collections"])]
+            seq += row["seq"]
+            tasks += row["tasks"]
             gc_s += sum(row["gc_s"])
             wall += row["wall_s"]
             peak = max(peak, row["maxrss_mib"])
-        print(f"{workload + ' total':<40} {'':>9} {'':>7} {'':>8}"
+        print(f"{workload + ' total':<40} {seq:>9} {tasks:>7} {'':>7}"
+              f" {'':>8}"
               f" {'/'.join(map(str, total)):>14} {gc_s:>20.2f} {'':>7}"
               f" {wall:>7.2f} {peak:>10.2f}")
     return 0

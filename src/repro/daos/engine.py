@@ -19,15 +19,15 @@ first-writer tree-creation accounting used by that path.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import islice
-from typing import Dict, Generator, Set, Tuple
+from functools import partial
+from typing import Callable, Dict, Set, Tuple
 
 from repro.daos.vos.container import EpochClock, VosContainer
 from repro.daos.vos.pool import VosPool
 from repro.errors import DerNonexist, DerStale, DerTimedOut
-from repro.hardware.node import EngineSlot, StorageTarget
+from repro.hardware.node import EngineSlot
 from repro.network.fabric import Fabric
-from repro.network.ofi import RpcServer
+from repro.network.ofi import Reply, RpcServer
 from repro.sim.core import Simulator
 from repro.sim.sync import Semaphore
 
@@ -104,9 +104,6 @@ class Engine:
     ) -> VosContainer:
         return self.shard(pool_uuid, local_tid).open_container(cont_uuid)
 
-    def target_hw(self, local_tid: int) -> StorageTarget:
-        return self.slot.targets[local_tid]
-
     # ------------------------------------------------------------- stream support
     def tree_create_cost(
         self, pool: str, cont: str, oid, local_tid: int, write: bool
@@ -172,12 +169,14 @@ class Engine:
         self.server.set_unavailable(None)
 
     # ------------------------------------------------------------- RPC timing
-    def _service(self, pool: str, cont: str, local_tid: int,
-                 map_version=None, media_ops: int = 1,
-                 media_bytes: int = 0, read: bool = False) -> Generator:
-        """The sequence every shard RPC shares: fence, then credits +
-        CPU + media latency, then resolve the container shard the
-        handler applies its VOS call to (returned).
+    def _service(self, reply: Reply, vos_call: Callable, args: tuple,
+                 pool: str, cont: str, local_tid: int, map_version=None,
+                 media_ops: int = 1, media_bytes: int = 0,
+                 read: bool = False) -> None:
+        """The callback sequence every shard RPC shares: fence, take a
+        credit (or park on its FIFO) and charge CPU + media latency
+        (:meth:`_granted`), then release it and reply with
+        ``vos_call(container shard, *args)`` (:meth:`_served`).
 
         ``map_version`` is a mutating op's client map version (fenced
         by :meth:`check_map_version` before any time is charged; reads
@@ -185,134 +184,116 @@ class Engine:
         charge at the target's media bandwidth (write by default, read
         bandwidth when ``read``) under the same ULT credit — the timing
         model for KV values large enough that moving the bytes dominates
-        the fixed per-record cost. Zero (the default) leaves the
-        historical fixed-cost arithmetic untouched.
+        the fixed per-record cost.
         """
         self.check_map_version(pool, map_version)
+        tracer = self.sim.tracer
+        wait_span = None if tracer is None else tracer.open(
+            "engine.credit_wait", "engine", self.slot.node.name,
+            reply.span.span_id, {"tid": local_tid})
+        streaming = media_bytes and media_bytes / (
+            self.spec.target_read_bw if read else self.spec.target_write_bw)
+        job = (reply, vos_call, args, pool, cont, local_tid, media_ops,
+               streaming, self.sim.now, wait_span)
+        if self._credits[local_tid].take():
+            self._granted(*job, None)
+        else:
+            self._credits[local_tid].park(partial(self._granted, *job))
+
+    def _granted(self, reply: Reply, vos_call: Callable, args: tuple,
+                 pool: str, cont: str, local_tid: int, media_ops: int,
+                 streaming: float, started: float, wait_span,
+                 _woken) -> None:
+        """A credit is held (``_woken`` is a parked wait's wake-up
+        value): charge the cost, then :meth:`_served`."""
         sim = self.sim
-        tracer = sim.tracer
-        metrics = sim.metrics
-        node = self.slot.node.name
-        sem = self._credits[local_tid]
-        started = sim.now
-        wait_span = (
-            tracer.begin(
-                "engine.credit_wait",
-                "engine",
-                node=node,
-                attrs={"tid": local_tid},
-            )
-            if tracer is not None
-            else None
+        span = None
+        if sim.tracer is not None:
+            sim.tracer.end(wait_span)
+            span = sim.tracer.open(
+                "engine.service", "engine", self.slot.node.name,
+                reply.span.span_id, {"tid": local_tid, "media_ops": media_ops})
+        if sim.metrics is not None:
+            self._meter_inflight(local_tid)  # ULT credits in use right now
+            sim.metrics.incr(f"engine.rpcs{{rank={self.rank}}}")
+        self.stats["rpcs"] += 1
+        cost = self.spec.per_rpc_cpu + media_ops * (
+            self.spec.module.access_latency + self.media_latency_extra
         )
-        if not sem.take():
-            yield sem.acquire()
-        if tracer is not None:
-            tracer.end(wait_span)
-        if metrics is not None:
-            # Queue depth: ULT credits in use on this xstream right now.
-            metrics.set_gauge(
-                f"engine.target.inflight{{rank={self.rank},target={local_tid}}}",
-                self.spec.target_inflight - sem.available,
-            )
-            metrics.incr(f"engine.rpcs{{rank={self.rank}}}")
-        span = (
-            tracer.begin(
-                "engine.service",
-                "engine",
-                node=node,
-                attrs={"tid": local_tid, "media_ops": media_ops},
-            )
-            if tracer is not None
-            else None
-        )
+        if streaming:
+            cost += streaming
+        sim.schedule(cost, self._served, reply, vos_call, args, pool, cont,
+                     local_tid, started, span)
+
+    def _served(self, reply: Reply, vos_call: Callable, args: tuple,
+                pool: str, cont: str, local_tid: int, started: float,
+                span) -> None:
+        """The cost has elapsed: release the credit, then reply with what
+        the VOS call returns (or raises)."""
+        sim = self.sim
+        self._credits[local_tid].release()
+        if sim.tracer is not None:
+            sim.tracer.end(span)
+        if sim.metrics is not None:
+            self._meter_inflight(local_tid)
+            sim.metrics.observe(f"engine.service.latency{{rank={self.rank}}}",
+                                sim.now - started)
         try:
-            self.stats["rpcs"] += 1
-            cost = self.spec.per_rpc_cpu + media_ops * (
-                self.spec.module.access_latency + self.media_latency_extra
-            )
-            if media_bytes:
-                bw = (self.spec.target_read_bw if read
-                      else self.spec.target_write_bw)
-                cost += media_bytes / bw
-            yield cost
-        finally:
-            sem.release()
-            if tracer is not None:
-                tracer.end(span)
-            if metrics is not None:
-                metrics.set_gauge(
-                    f"engine.target.inflight{{rank={self.rank},target={local_tid}}}",
-                    self.spec.target_inflight - sem.available,
-                )
-                metrics.observe(
-                    f"engine.service.latency{{rank={self.rank}}}",
-                    sim.now - started,
-                )
-        return self.container_shard(pool, local_tid, cont)
+            value = vos_call(self.container_shard(pool, local_tid, cont),
+                             *args)
+        except Exception as exc:  # noqa: BLE001 - shipped to caller
+            value = exc
+        reply(value)
+
+    def _meter_inflight(self, local_tid: int) -> None:
+        self.sim.metrics.set_gauge(
+            f"engine.target.inflight{{rank={self.rank},target={local_tid}}}",
+            self.spec.target_inflight - self._credits[local_tid].available,
+        )
 
     # ------------------------------------------------------------- handlers
-    def _h_cont_create(self, _src, pool: str, cont: str) -> Generator:
+    def _h_cont_create(self, _src, reply: Reply, pool: str, cont: str) -> None:
         for local_tid, shard in self.pools.get(pool, {}).items():
             if cont not in shard.containers:
                 shard.create_container(cont)
-        yield self.spec.per_rpc_cpu
-        return True
+        self.sim.schedule(self.spec.per_rpc_cpu, reply, True)
 
-    def _h_kv_update(
-        self, _src, pool: str, cont: str, local_tid: int, oid, dkey, akey, value,
-        map_version=None, nbytes: int = 0,
-    ) -> Generator:
-        vc = yield from self._service(
-            pool, cont, local_tid, map_version, media_ops=2, media_bytes=nbytes
-        )
-        return vc.update_single(oid, dkey, akey, value)
+    def _h_kv_update(self, _src, reply: Reply, pool: str, cont: str,
+                     local_tid: int, oid, dkey, akey, value,
+                     map_version=None, nbytes: int = 0) -> None:
+        self._service(reply, VosContainer.update_single,
+                      (oid, dkey, akey, value), pool, cont, local_tid,
+                      map_version, media_ops=2, media_bytes=nbytes)
 
-    def _h_kv_fetch(
-        self, _src, pool: str, cont: str, local_tid: int, oid, dkey, akey,
-        nbytes: int = 0,
-    ) -> Generator:
-        vc = yield from self._service(
-            pool, cont, local_tid, media_bytes=nbytes, read=True
-        )
-        return vc.fetch_single(oid, dkey, akey)
+    def _h_kv_fetch(self, _src, reply: Reply, pool: str, cont: str,
+                    local_tid: int, oid, dkey, akey, nbytes: int = 0) -> None:
+        self._service(reply, VosContainer.fetch_single, (oid, dkey, akey),
+                      pool, cont, local_tid, media_bytes=nbytes, read=True)
 
-    def _h_list_dkeys(
-        self, _src, pool: str, cont: str, local_tid: int, oid, lo=None, hi=None,
-        limit: int = 1024,
-    ) -> Generator:
-        vc = yield from self._service(pool, cont, local_tid)
-        return list(islice(vc.list_dkeys(oid, lo, hi), limit))
+    def _h_list_dkeys(self, _src, reply: Reply, pool: str, cont: str,
+                      local_tid: int, oid, lo=None, hi=None,
+                      limit: int = 1024) -> None:
+        self._service(reply, VosContainer.list_dkeys, (oid, lo, hi, limit),
+                      pool, cont, local_tid)
 
-    def _h_punch_dkey(
-        self, _src, pool: str, cont: str, local_tid: int, oid, dkey,
-        map_version=None,
-    ) -> Generator:
-        vc = yield from self._service(
-            pool, cont, local_tid, map_version, media_ops=2
-        )
-        return vc.punch_dkey(oid, dkey)
+    def _h_punch_dkey(self, _src, reply: Reply, pool: str, cont: str,
+                      local_tid: int, oid, dkey, map_version=None) -> None:
+        self._service(reply, VosContainer.punch_dkey, (oid, dkey),
+                      pool, cont, local_tid, map_version, media_ops=2)
 
-    def _h_punch_object(
-        self, _src, pool: str, cont: str, local_tid: int, oid,
-        map_version=None,
-    ) -> Generator:
-        vc = yield from self._service(
-            pool, cont, local_tid, map_version, media_ops=2
-        )
-        return vc.punch_object(oid)
+    def _h_punch_object(self, _src, reply: Reply, pool: str, cont: str,
+                        local_tid: int, oid, map_version=None) -> None:
+        self._service(reply, VosContainer.punch_object, (oid,),
+                      pool, cont, local_tid, map_version, media_ops=2)
 
-    def _h_array_sizes(
-        self, _src, pool: str, cont: str, local_tid: int, oid, akey
-    ) -> Generator:
-        vc = yield from self._service(pool, cont, local_tid)
-        return list(vc.dkey_array_sizes(oid, akey))
+    def _h_array_sizes(self, _src, reply: Reply, pool: str, cont: str,
+                       local_tid: int, oid, akey) -> None:
+        self._service(reply, VosContainer.dkey_array_sizes, (oid, akey),
+                      pool, cont, local_tid)
 
-    def _h_array_punch(
-        self, _src, pool: str, cont: str, local_tid: int, oid, dkey, akey,
-        offset: int, length: int, map_version=None,
-    ) -> Generator:
-        vc = yield from self._service(
-            pool, cont, local_tid, map_version, media_ops=2
-        )
-        return vc.punch_array(oid, dkey, akey, offset, length)
+    def _h_array_punch(self, _src, reply: Reply, pool: str, cont: str,
+                       local_tid: int, oid, dkey, akey, offset: int,
+                       length: int, map_version=None) -> None:
+        self._service(reply, VosContainer.punch_array,
+                      (oid, dkey, akey, offset, length),
+                      pool, cont, local_tid, map_version, media_ops=2)

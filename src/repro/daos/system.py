@@ -43,10 +43,10 @@ class TargetRef:
     tid: int
     engine: Engine
     local_tid: int
+    hw: StorageTarget = field(init=False)
 
-    @property
-    def hw(self) -> StorageTarget:
-        return self.engine.target_hw(self.local_tid)
+    def __post_init__(self) -> None:
+        self.hw = self.engine.slot.targets[self.local_tid]
 
 
 @dataclass

@@ -21,7 +21,7 @@ latest view only).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from itertools import groupby
+from itertools import groupby, islice
 from operator import itemgetter
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
@@ -209,17 +209,18 @@ class VosContainer:
         return freed
 
     # ------------------------------------------------------------- enumeration / punch
-    def list_dkeys(self, oid: Any, lo: Any = None, hi: Any = None) -> Iterator[Any]:
-        """Distinct dkeys with ``lo <= dkey < hi`` in order; a missing
-        bound is open."""
+    def list_dkeys(self, oid: Any, lo: Any = None, hi: Any = None,
+                   limit: Optional[int] = None) -> List[Any]:
+        """The first ``limit`` (all when None) distinct dkeys with ``lo <=
+        dkey < hi``, in order; a missing bound is open."""
         keys, _values = self.objects.get(oid, _NO_INDEX)
         start = 0 if lo is None else bisect_left(keys, lo, key=_DKEY)
         stop = len(keys) if hi is None else bisect_left(keys, hi, key=_DKEY)
-        return (dkey for dkey, _akeys
-                in groupby(keys[at][0] for at in range(start, stop)))
+        return list(islice((dkey for dkey, _akeys in groupby(
+            keys[at][0] for at in range(start, stop))), limit))
 
-    def dkey_array_sizes(self, oid: Any, akey: Any) -> Iterator[Tuple[Any, int]]:
-        """``(dkey, extent-tree size)`` of the highest dkey holding a
+    def dkey_array_sizes(self, oid: Any, akey: Any) -> List[Tuple[Any, int]]:
+        """``[(dkey, extent-tree size)]`` of the highest dkey holding a
         non-empty ``akey`` array — at most one pair.
 
         That pair alone decides the object's size: a chunk (or EC cell)
@@ -230,8 +231,8 @@ class VosContainer:
         for at in reversed(range(len(keys))):
             held = values[at]
             if keys[at][1] == akey and isinstance(held, ExtentTree) and len(held):
-                yield keys[at][0], held.size
-                return
+                return [(keys[at][0], held.size)]
+        return []
 
     def _uncharge(self, oid: Any, dkey: Any = None) -> None:
         """Hand back the bytes a punch is about to drop: an array's

@@ -6,9 +6,10 @@ reduce, for simulation purposes, to the three primitives used here:
 - :meth:`Fabric.send <repro.network.fabric.Fabric.send>` — a message is
   a callback run on the other node after latency + serialization delay,
   subject to the fault plane,
-- :class:`Rpc` / :class:`RpcServer` — request/response with one
-  server-side task per request (handlers are generators and may perform
-  arbitrary simulated work before replying),
+- :class:`Rpc` / :class:`RpcServer` — request/response: a server's
+  dispatcher task hands each request, after the dispatch CPU cost, to
+  a plain-function handler that answers through a :class:`Reply`, at
+  once or from a later callback; serving spawns no task,
 - bulk transfers — RDMA-style byte movement expressed as fluid flows;
   the *caller* decides which links the flow crosses (client NIC, server
   NIC, storage target...), because only the storage layer knows the
@@ -28,12 +29,13 @@ from repro.sim.sync import Gate, Queue
 
 
 class RpcServer:
-    """A server that dispatches requests to registered handler generators.
+    """A server that dispatches requests to registered handlers.
 
-    A handler has signature ``handler(src_name, **args) -> generator`` and
-    its return value becomes the RPC reply. Handler exceptions are shipped
-    back to the caller and re-raised there, mirroring how a real RPC stack
-    surfaces remote faults.
+    A handler is a plain function ``handler(src_name, reply, **args)``:
+    it calls ``reply(value)`` now or from a later callback, and that
+    value becomes the RPC reply. An exception it raises, or passes as
+    the value, is shipped back to the caller and re-raised there,
+    mirroring how a real RPC stack surfaces remote faults.
     """
 
     def __init__(self, fabric: Fabric, addr: NodeAddr, name: str):
@@ -43,7 +45,7 @@ class RpcServer:
         self.name = name
         #: delivered requests, drained by the dispatcher task
         self.requests = Queue(self.sim)
-        self._handlers: Dict[str, Callable[..., Generator]] = {}
+        self._handlers: Dict[str, Callable[..., None]] = {}
         self._dispatcher = self.sim.spawn(self._dispatch_loop(), f"rpc:{name}")
         #: simulated per-request server CPU cost before the handler runs
         self.dispatch_overhead = 0.5e-6
@@ -53,7 +55,7 @@ class RpcServer:
         self._unavailable: Optional[Callable[[], Exception]] = None
         self.unavailable_delay = fabric.rpc_timeout
 
-    def register(self, op: str, handler: Callable[..., Generator]) -> None:
+    def register(self, op: str, handler: Callable[..., None]) -> None:
         self._handlers[op] = handler
 
     def set_unavailable(
@@ -64,59 +66,65 @@ class RpcServer:
         self._unavailable = error_factory
 
     def _dispatch_loop(self) -> Generator:
+        sim = self.sim
         while True:
             request = yield self.requests.get()
-            # The serve task takes its first step once the dispatch CPU
-            # cost has elapsed: one event for the spawn and the sleep.
-            self.sim.spawn(
-                self._serve(request, self.sim.now),
-                f"rpc:{self.name}:{request['op']}",
-                delay=self.dispatch_overhead,
-            )
+            # Service starts after the dispatch CPU cost: one event. No
+            # timeline revival is due (``Simulator.spawn``): the scraper
+            # parks only on a drained heap, and a request rides the heap.
+            sim.schedule(self.dispatch_overhead, self._serve, request, sim.now)
 
-    def _serve(self, request: dict, arrived: float) -> Generator:
+    def _serve(self, request: dict, arrived: float) -> None:
         op = request["op"]
-        handler = self._handlers.get(op)
         tracer = self.sim.tracer
         span = None
         if tracer is not None:
             # Adopt the caller's span (shipped in the request) as parent so
             # the server-side work hangs off the client op in the trace;
-            # the handler runs in this task, so its spans nest under ours.
-            span = tracer.begin(
-                f"rpc.{op}",
-                "rpc",
-                node=self.addr.name,
-                parent_id=request.get("trace_ctx"),
-                attrs={"src": request["src"]},
-            )
-            if span is not None:
-                span.start = arrived  # the dispatch cost is ours too
+            # the handler opens its spans under ``reply.span``.
+            span = tracer.open(f"rpc.{op}", "rpc", self.addr.name,
+                               request.get("trace_ctx"),
+                               {"src": request["src"]})
+            span.start = arrived  # the dispatch cost is ours too
+        reply = Reply(self, request, span)
+        if self._unavailable is not None:
+            self.sim.schedule(self.unavailable_delay, reply,
+                              self._unavailable())
+            return
         try:
-            if self._unavailable is not None:
-                yield self.unavailable_delay
-                outcome = ("err", self._unavailable())
-            elif handler is None:
-                outcome = (
-                    "err",
-                    NetworkError(f"{self.name}: no handler for {op!r}"),
-                )
-            else:
-                try:
-                    result = yield from handler(request["src"],
-                                                **request["args"])
-                    outcome = ("ok", result)
-                except Exception as exc:  # noqa: BLE001 - shipped to caller
-                    outcome = ("err", exc)
-        finally:
-            if tracer is not None:
-                tracer.end(span)
-        self.fabric.send(self.addr, request["addr"], request["rep_bytes"],
-                         request["gate"].open, outcome, "rpc-rep")
-        # A shipped error's traceback holds this frame, and the request's
-        # gate will hold the outcome: drop both so refcounting, not the
-        # cyclic collector, frees the error.
-        del outcome, request
+            handler = self._handlers.get(op)
+            if handler is None:
+                raise NetworkError(f"{self.name}: no handler for {op!r}")
+            handler(request["src"], reply, **request["args"])
+        except Exception as exc:  # noqa: BLE001 - shipped to caller
+            reply(exc)
+
+
+class Reply:
+    """The answer to one served request, sent by calling it once with
+    the value (an exception is raised at the caller). ``span`` is the
+    request's ``rpc.<op>`` span, ``None`` untraced: the parent of the
+    spans its handler opens."""
+
+    __slots__ = ("server", "request", "span")
+
+    def __init__(self, server: RpcServer, request: dict, span):
+        self.server = server
+        self.request = request
+        self.span = span
+
+    def __call__(self, value) -> None:
+        server = self.server
+        if self.span is not None:
+            server.sim.tracer.end(self.span)
+        if isinstance(value, Exception):
+            # A remote error crosses the wire without its server frames,
+            # which would hold this request (and through its gate, the
+            # error): refcounting, not the cyclic collector, frees it.
+            value.__traceback__ = None
+        request = self.request
+        server.fabric.send(server.addr, request["addr"], request["rep_bytes"],
+                           request["gate"].open, value, "rpc-rep")
 
 
 class Rpc:
@@ -149,9 +157,9 @@ class Rpc:
         self.fabric.send(self.addr, server.addr, req_bytes,
                          server.requests.put, request, "rpc-req")
         del request  # it holds the gate
-        status, value = yield gate
-        del gate  # its value is the outcome
-        if status == "err":
+        value = yield gate
+        del gate  # it holds the reply
+        if isinstance(value, Exception):
             try:
                 raise value
             finally:

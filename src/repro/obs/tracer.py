@@ -13,9 +13,10 @@ Parent resolution is *per simulated task*: the simulator exposes the
 task currently being stepped, and each task carries its own span stack,
 so interleaved ranks never adopt each other's spans. Crossing a task
 boundary (client RPC -> server handler) is explicit: the caller ships
-``tracer.current_span_id()`` inside the request and the server opens its
-span with that ``parent_id``; the handler runs in the server's task, so
-nested engine spans attach underneath.
+``tracer.current_span_id()`` inside the request, and the server, which
+serves it by callbacks rather than a task, opens its span with that
+``parent_id`` through :meth:`Tracer.open`, which pushes it on no stack;
+the engine opens its own spans under that one the same way.
 
 The tracer never yields, never schedules events and never draws random
 numbers — enabling it cannot perturb a simulation (a property pinned by
@@ -146,7 +147,8 @@ class Tracer:
         parent_id: Optional[int] = None,
         attrs: Optional[Dict[str, Any]] = None,
     ) -> Span:
-        """Open a span; the matching :meth:`end` closes it.
+        """Open a span on the running task's stack; the matching
+        :meth:`end` closes it.
 
         ``parent_id=None`` adopts the running task's innermost open span.
         ``node=None`` inherits the parent's node attribution.
@@ -155,16 +157,27 @@ class Tracer:
         stack = self._stacks.get(key)
         if parent_id is None and stack:
             parent_id = stack[-1].span_id
+        span = self.open(name, layer, node, parent_id, attrs)
+        if stack is None:
+            stack = self._stacks[key] = []
+        stack.append(span)
+        span._key = key
+        return span
+
+    def open(self, name: str, layer: str, node: Optional[str],
+             parent_id: Optional[int],
+             attrs: Optional[Dict[str, Any]]) -> Span:
+        """Open a span under ``parent_id`` on no task's stack; :meth:`end`
+        closes it. For work served by callbacks rather than a task (an
+        engine RPC): a span on the no-task stack would become the parent
+        of whatever the next callback records. ``node=None`` inherits
+        the parent's node attribution."""
         if node is None and parent_id is not None:
             parent = self._by_id.get(parent_id)
             if parent is not None:
                 node = parent.node
         span = Span(self._next_id, parent_id, name, layer, node, self.sim.now)
         self._next_id += 1
-        if stack is None:
-            stack = self._stacks[key] = []
-        stack.append(span)
-        span._key = key
         self.spans.append(span)
         self._by_id[span.span_id] = span
         if attrs:
@@ -172,7 +185,8 @@ class Tracer:
         return span
 
     def end(self, span: Optional[Span], **attrs: Any) -> None:
-        """Close a span opened with :meth:`begin` (no-op on ``None``)."""
+        """Close a span from :meth:`begin` or :meth:`open` (no-op on
+        ``None``)."""
         if span is None:
             return
         span.end = self.sim.now
@@ -208,19 +222,9 @@ class Tracer:
         """Record a completed span with explicit times (e.g. an in-flight
         fabric message whose delivery is scheduled, not awaited), under
         the running task's innermost open span."""
-        parent_id = self.current_span_id()
-        node_resolved = node
-        if node_resolved is None and parent_id is not None:
-            parent = self._by_id.get(parent_id)
-            if parent is not None:
-                node_resolved = parent.node
-        span = Span(self._next_id, parent_id, name, layer, node_resolved, start)
-        self._next_id += 1
+        span = self.open(name, layer, node, self.current_span_id(), attrs)
+        span.start = start
         span.end = end
-        if attrs:
-            span.attrs.update(attrs)
-        self.spans.append(span)
-        self._by_id[span.span_id] = span
         return span
 
     def instant(

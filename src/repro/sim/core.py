@@ -250,16 +250,16 @@ class Simulator:
         self._seq += 1
         heapq.heappush(self._heap, (self._now, self._seq, callback, args))
 
-    def spawn(self, gen: TaskGen, name: str = "", delay: float = 0.0) -> Task:
-        """Start a new task from a generator; it takes its first step
-        ``delay`` simulated seconds from now."""
+    def spawn(self, gen: TaskGen, name: str = "") -> Task:
+        """Start a new task from a generator; it takes its first step at
+        the current time, after the events already due then."""
         if not hasattr(gen, "send"):
             raise SimulationError(
                 f"spawn() needs a generator (got {type(gen).__name__}); "
                 "did you forget to call the generator function?"
             )
         task = Task(self, gen, name)
-        self.schedule(delay, task._resume)
+        self.schedule(0.0, task._resume)
         if self.timeline is not None:
             # Revive a parked metrics scraper (repro.obs.timeline); the
             # scraper parks whenever the heap drains so it cannot mask

@@ -153,12 +153,17 @@ class Semaphore:
         A free credit costs no event and cannot jump the queue:
         :meth:`release` hands a credit straight to the oldest waiter, so
         the count is only positive while nobody waits. Callers fall back
-        to ``yield sem.acquire()``.
+        to ``yield sem.acquire()``, or to :meth:`park` outside a task.
         """
         if self._count > 0:
             self._count -= 1
             return True
         return False
+
+    def park(self, callback: Callable[[Any], None]) -> None:
+        """A callback chain's ``yield self.acquire()`` after a failed
+        :meth:`take`: :meth:`release` wakes ``callback(None)`` in turn."""
+        self._waiters.append(callback)
 
     def held(self) -> Generator[Any, Any, "_SemGuard"]:
         """Task helper: ``guard = yield from sem.held()`` ... ``guard.release()``;
@@ -176,11 +181,9 @@ class _SemAcquire(_Ready):
         self.sim = sem.sim
 
     def _ready(self, callback: Callable[[Any], None]) -> Optional[tuple]:
-        sem = self.sem
-        if sem._count > 0:
-            sem._count -= 1
+        if self.sem.take():
             return (None,)
-        sem._waiters.append(callback)
+        self.sem.park(callback)
         return None
 
 

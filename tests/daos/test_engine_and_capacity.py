@@ -1,6 +1,8 @@
 """Engine-level behaviours: capacity exhaustion, service queueing,
 first-writer accounting, and stats."""
 
+import heapq
+
 import pytest
 
 from repro.cluster import build_cluster, small_cluster
@@ -191,3 +193,59 @@ def test_kv_on_unknown_container_shard_fails():
             obj.close()
 
     assert cluster.run(go()) == "missing"
+
+
+def test_credits_serve_a_burst_in_arrival_order_by_lindley_recursion():
+    """More ``kv_fetch`` RPCs than one target has credits, delivered
+    together: each is served in arrival order, starting once its
+    dispatch cost has elapsed and a credit is free,
+    ``start = max(arrival + dispatch_overhead, earliest free)``, and
+    holding the credit for its cost, ``end = start + cost``. Its reply
+    lands one message delay after ``end``; a parked request's credit
+    wait closes at its ``start``."""
+    cluster = small_cluster(server_nodes=1, client_nodes=1,
+                            targets_per_engine=1)
+    tracer, _registry = cluster.observe()
+    client = cluster.new_client(0)
+    engine = cluster.daos.engines[0]
+    server = engine.server
+
+    def setup():
+        pool = yield from client.connect_pool("tank")
+        cont = yield from pool.create_container("burst", oclass="S1")
+        oid = yield from cont.alloc_oid(S1)
+        address = {"pool": pool.pool_map.uuid, "cont": cont.uuid,
+                   "local_tid": 0, "oid": oid, "dkey": b"d", "akey": b"a"}
+        yield from client.rpc.call(server, "kv_update",
+                                   {**address, "value": b"v"})
+        return address
+
+    address = cluster.run(setup())
+    n = 2 * engine.spec.target_inflight + 3
+    replies = []
+
+    def fetch(i):
+        value = yield from client.rpc.call(server, "kv_fetch", address)
+        replies.append((i, value, cluster.sim.now))
+
+    sent = cluster.sim.now
+    waits_before = sum(s.name == "engine.credit_wait" for s in tracer.spans)
+    for task in [cluster.sim.spawn(fetch(i)) for i in range(n)]:
+        cluster.sim.run_until_complete(task)
+
+    src, dst = client.node.addr, server.addr
+    arrival = sent + cluster.fabric.msg_delay(src, dst, 256)
+    cost = engine.spec.per_rpc_cpu + 1 * (
+        engine.spec.module.access_latency + engine.media_latency_extra)
+    free = [0.0] * engine.spec.target_inflight  # when each credit frees
+    starts, expected = [], []
+    for i in range(n):
+        start = max(arrival + server.dispatch_overhead, heapq.heappop(free))
+        end = start + cost
+        heapq.heappush(free, end)
+        starts.append(start)
+        expected.append((i, b"v", end + cluster.fabric.msg_delay(dst, src, 256)))
+    assert replies == expected
+    assert len(set(starts)) == 3  # three rounds of credits
+    waits = [s for s in tracer.spans if s.name == "engine.credit_wait"]
+    assert [s.end for s in waits[waits_before:]] == starts

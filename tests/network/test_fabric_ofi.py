@@ -67,9 +67,8 @@ def test_rpc_roundtrip_and_handler_work():
     b = fabric.add_node("b", 1e9)
     server = RpcServer(fabric, b, "srv")
 
-    def handle_add(_src, x, y):
-        yield 1e-3  # simulated service time
-        return x + y
+    def handle_add(_src, reply, x, y):
+        sim.schedule(1e-3, reply, x + y)  # simulated service time
 
     server.register("add", handle_add)
     client = Rpc(fabric, a, "cli")
@@ -90,8 +89,7 @@ def test_rpc_handler_exception_propagates_to_caller():
     a = fabric.add_node("a", 1e9)
     server = RpcServer(fabric, a, "srv")
 
-    def handler(_src):
-        yield 0.0
+    def handler(_src, reply):
         raise ValueError("remote failure")
 
     server.register("boom", handler)
@@ -110,18 +108,28 @@ def test_rpc_handler_exception_propagates_to_caller():
 
 def test_remote_errors_are_freed_by_refcounting():
     """A shipped ``Der*`` error holds no cycle through the server's or
-    the caller's frame, so the cyclic collector finds nothing to free."""
+    the caller's frame, so the cyclic collector finds nothing to free:
+    neither when the handler raises it nor when a later callback catches
+    it and replies with it."""
     sim, fabric = make_fabric()
     a = fabric.add_node("a", 1e9)
     server = RpcServer(fabric, a, "srv")
+    caught = []
 
-    def handler(_src):
-        yield 0.0
-        raise DerNonexist("no such key")
+    def handler(_src, reply):
+        def later():
+            try:
+                raise DerNonexist("no such key")
+            except DerNonexist as exc:
+                reply(exc)
+
+        if len(caught) % 2:
+            sim.schedule(0.0, later)
+        else:
+            raise DerNonexist("no such key")
 
     server.register("miss", handler)
     client = Rpc(fabric, a, "cli")
-    caught = []
 
     def caller():
         for _ in range(50):
@@ -164,9 +172,8 @@ def test_concurrent_rpcs_matched_by_id():
     b = fabric.add_node("b", 1e9)
     server = RpcServer(fabric, b, "srv")
 
-    def handler(_src, delay, token):
-        yield delay
-        return token
+    def handler(_src, reply, delay, token):
+        sim.schedule(delay, reply, token)
 
     server.register("echo", handler)
     client = Rpc(fabric, a, "cli")
@@ -194,16 +201,15 @@ def make_rpc_pair(handler_time=1e-3):
     server = RpcServer(fabric, b, "srv")
     served = []
 
-    def echo(_src, token):
+    def echo(_src, reply, token):
         served.append(token)
-        yield handler_time
-        return token
+        sim.schedule(handler_time, reply, token)
 
     server.register("echo", echo)
     return sim, fabric, a, b, server, served
 
 
-def test_rpc_round_trip_costs_six_events_and_one_task():
+def test_rpc_round_trip_costs_six_events_and_no_task():
     sim, fabric, a, b, server, _served = make_rpc_pair()
     client = Rpc(fabric, a, "cli")
     spawns = [0]
@@ -224,7 +230,7 @@ def test_rpc_round_trip_costs_six_events_and_one_task():
     task = sim.spawn(caller())
     sim.run()
     # deliver, dispatcher hop, serve, handler sleep, reply deliver, resume
-    assert task.result == (6, 1)
+    assert task.result == (6, 0)
 
 
 def test_rpc_reply_time_is_the_sum_of_its_parts():

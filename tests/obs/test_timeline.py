@@ -255,6 +255,31 @@ def test_scraper_parks_and_revives_across_idle_gaps():
         assert abs(k - round(k)) < 1e-9, t
 
 
+def test_serving_an_rpc_never_finds_the_scraper_parked(monkeypatch):
+    """Serving a request spawns no task, so it cannot revive a parked
+    scraper. It need not: the scraper parks only on a drained heap, and
+    a delivered request came out of the heap."""
+    from repro.cluster import small_cluster
+    from repro.ior import IorParams, run_ior
+    from repro.network import RpcServer
+    from repro.units import MiB
+
+    cluster = small_cluster(server_nodes=2, client_nodes=1)
+    cluster.observe(timeline_interval=1e-3)
+    parked = []
+    serve = RpcServer._serve
+
+    def watched(server, request, arrived):
+        parked.append(server.sim.timeline._parked)
+        serve(server, request, arrived)
+
+    monkeypatch.setattr(RpcServer, "_serve", watched)
+    params = IorParams(api="DFS", file_per_proc=True,
+                       block_size=4 * MiB, transfer_size=MiB)
+    run_ior(cluster, params, ppn=4)
+    assert parked and not any(parked)
+
+
 def test_rates_use_actual_elapsed_across_park_gaps():
     sim = _observed_sim(interval=0.1)
 

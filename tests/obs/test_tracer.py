@@ -88,8 +88,9 @@ def test_spans_nest_across_client_engine_round_trip():
         assert rpc.layer == "rpc"
         assert rpc.start >= put.start and rpc.end <= put.end + 1e-9
 
-    # The handler runs inside the serve task, so the rpc span parents the
-    # engine's credit wait and service spans and covers the dispatch cost.
+    # The engine opens its spans under the request's rpc span, so the rpc
+    # span parents the credit wait and service spans and covers the
+    # dispatch cost.
     rpc_by_id = {r.span_id: r for r in rpcs}
     overhead = cluster.daos.engines[0].server.dispatch_overhead
     for name in ("engine.credit_wait", "engine.service"):

@@ -89,4 +89,4 @@ def test_target_refs_resolve_hardware():
         ref = cluster.daos.target(tid)
         assert ref.tid == tid
         assert ref.hw.write_link.capacity > 0
-        assert ref.engine.target_hw(ref.local_tid) is ref.hw
+        assert ref.engine.slot.targets[ref.local_tid] is ref.hw
