@@ -71,7 +71,7 @@ class RpcServer:
             request = yield self.requests.get()
             # Service starts after the dispatch CPU cost: one event. No
             # timeline revival is due (``Simulator.spawn``): the scraper
-            # parks only on a drained heap, and a request rides the heap.
+            # parks only on a drained heap, and this request came out of it.
             sim.schedule(self.dispatch_overhead, self._serve, request, sim.now)
 
     def _serve(self, request: dict, arrived: float) -> None:
