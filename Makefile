@@ -50,11 +50,13 @@ bench-e2e:
 	$(PY) benchmarks/e2e/run.py --workload fdb_fields --seed 0xDA05 \
 		--seconds 0 --trace 0
 
-# Cyclic-collector cost (~45 s): each e2e workload in a fresh interpreter
+# Cyclic-collector cost (~90 s): each e2e workload in a fresh interpreter
 # at seed 7, printing per cell the heap pushes, tasks spawned,
 # reallocations and solved flows beside the collections and collector seconds per generation, the
 # RSS high-water mark and what one untimed collection frees once the cell
-# is dropped. The table also lands in artifacts/gcprobe.txt.
+# is dropped; then per workload the peak RSS of one contract-form rep
+# (no collection between cells), to tell an RSS move from collector
+# timing. The table also lands in artifacts/gcprobe.txt.
 # A report, not a gate: collection counts depend on the Python version.
 gcprobe:
 	@mkdir -p artifacts

@@ -19,6 +19,12 @@ probe prints the exact work counters beside the collector numbers:
   That collection is outside every cell's counts, so the next cell's
   ``freed`` is its own garbage, not the previous cluster's.
 
+Per workload it then prints a second peak RSS, from one timed rep of
+``benchmarks/e2e/run.py``'s contract form: every module imported, the
+cells built up front, each dropped after use, no collection in
+between. A ``peak_rss_mib`` move that the probe's collected peak does
+not share is collector timing, not live data.
+
 Collection counts depend on the Python version, which the header names.
 
 Usage::
@@ -89,6 +95,15 @@ def child_main(workload: str, seed: int) -> None:
         print(json.dumps(row), flush=True)
 
 
+def contract_peak(workload: str, seed: int) -> float:
+    """Peak RSS (MiB) of one timed contract-form rep of ``workload``."""
+    if E2E not in sys.path:
+        sys.path.insert(0, E2E)
+    import run  # benchmarks/e2e/run.py, imported read-only
+
+    return run.spawn_child(workload, seed)["peak_rss_mib"]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--seed", type=lambda s: int(s, 0), default=7)
@@ -135,6 +150,8 @@ def main(argv=None) -> int:
               f" {'':>8}"
               f" {'/'.join(map(str, total)):>14} {gc_s:>20.2f} {'':>7}"
               f" {wall:>7.2f} {peak:>10.2f}")
+        print(f"{workload + ' uncollected':<40} {'':>86}"
+              f" {contract_peak(workload, args.seed):>10.2f}")
     return 0
 
 

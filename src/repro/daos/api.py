@@ -17,7 +17,7 @@ code. Only the object handle is a context manager (``close()`` on
         pool = yield from client.connect_pool("tank")
         cont = yield from pool.create_container("cont0", oclass="SX")
         with cont.open_object((yield from cont.alloc_oid())) as obj:
-            eq = daos.EventQueue(cluster.sim, depth=8)  # daos_eq_create
+            eq = daos.EventQueue(cluster.sim, depth=8, name="eq0")  # daos_eq_create
             for i in range(4):  # a non-blocking op is the blocking one, queued
                 yield from eq.submit(obj.write(i << 20, b"x" * (1 << 20)))
             daos.reap((yield from eq.drain()))  # re-raises a held error

@@ -8,7 +8,6 @@ the Raft-backed metadata service; data-plane operations go through
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, Generator, Optional
 
 from repro.daos.objid import ObjId
@@ -20,8 +19,6 @@ from repro.errors import DerExist, DerNonexist
 from repro.hardware.node import ClientNode
 from repro.network.ofi import Rpc
 from repro.units import MiB
-
-_client_seq = itertools.count(1)
 
 #: OID ranges are leased in batches, like the real DAOS OID allocator
 OID_BATCH = 1 << 10
@@ -35,7 +32,7 @@ class DaosClient:
         self.sim = system.sim
         self.fabric = system.fabric
         self.node = node
-        self.name = name or f"daosc:{node.name}:{next(_client_seq)}"
+        self.name = name or f"daosc:{node.name}:{next(system.client_seq)}"
         self.rpc = Rpc(self.fabric, node.addr, self.name)
         self.rsvc = system.rsvc_client()
 

@@ -28,14 +28,11 @@ maintains a ``client.eq.inflight{eq=<name>}`` gauge.
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Generator, List, Optional
 
 from repro.errors import DerBusy, DerCanceled, DerInval
 from repro.sim.core import Simulator, Task
 from repro.sim.sync import Condition
-
-_eq_seq = itertools.count(1)
 
 #: Event states, mirroring daos_event_t's lifecycle.
 EV_READY = "ready"        # initialised, not yet launched
@@ -124,13 +121,13 @@ class EventQueue:
     their own pipelining.
     """
 
-    def __init__(self, sim: Simulator, depth: Optional[int] = None,
-                 name: str = "", metered: bool = True):
+    def __init__(self, sim: Simulator, depth: Optional[int] = None, *,
+                 name: str, metered: bool = True):
         if depth is not None and depth < 1:
             raise DerInval(f"event queue depth must be >= 1, got {depth}")
         self.sim = sim
         self.depth = depth
-        self.name = name or f"eq{next(_eq_seq)}"
+        self.name = name
         #: whether this queue exports its own labeled in-flight gauge;
         #: short-lived per-job queues pass False so a 1000-job run does
         #: not mint 1000 one-shot gauge series for the scraper to walk.

@@ -13,9 +13,10 @@ I/O operation then charges:
   + bulk time        (bytes moved through the flow at its fair-share rate)
 
 and finally applies the real VOS mutations/reads. Keeping the flow open
-across ops is what makes a 64 MiB block write cost two heap events per
-transfer instead of a global reallocation per transfer — the key to
-simulating hundreds of concurrent IOR processes in reasonable wall time.
+across ops, and pumping its batches by callbacks, is what makes a
+blocking op on an open stream cost five heap events and no task instead
+of a global reallocation per transfer — the key to simulating hundreds
+of concurrent IOR processes in reasonable wall time.
 
 Approximation (documented in DESIGN.md §6.2): the flow reserves its share
 for the duration of the op including the overhead portion, so highly
@@ -24,11 +25,13 @@ overhead-dominated streams slightly over-reserve bandwidth.
 
 from __future__ import annotations
 
-from typing import Callable, Generator, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Generator, List, Optional, Sequence
 
 from repro.errors import DerDataLoss, DerTimedOut
 from repro.network.fabric import stream_moves
 from repro.network.flows import Flow
+from repro.obs.tracer import span_of
 from repro.sim.sync import Gate
 
 
@@ -71,12 +74,12 @@ class IoStream:
         self._last_target: Optional[int] = None
         #: batch accumulating while the wire is busy (None when idle)
         self._pending: Optional[_Batch] = None
-        #: task draining batches onto the flow (None when idle)
-        self._pump_task = None
+        #: a pump callback chain is draining batches onto the flow
+        self._pumping = False
         #: ops currently inside :meth:`io` (pipelined handles overlap them)
         self._active = 0
-        #: close() arrived while ops/pump were still running
-        self._close_deferred = False
+        #: close() arrived; the flow goes once no op or batch is left
+        self._closing = False
 
     # ------------------------------------------------------------- lifecycle
     def open(self) -> None:
@@ -92,24 +95,15 @@ class IoStream:
         """Release the flow. Deferred while pipelined ops are still in
         flight (a concurrent op refreshing the pool map must not stall a
         sibling's transfer forever): the last finisher closes."""
-        if self._active > 0 or self._pump_task is not None:
-            self._close_deferred = True
-            return
-        self._really_close()
-
-    def _really_close(self) -> None:
-        self._close_deferred = False
-        if self._flow is not None:
-            self.client.fabric.flownet.close(self._flow)
-            self._flow = None
+        self._closing = True
+        self._maybe_close()
 
     def _maybe_close(self) -> None:
-        if (
-            self._close_deferred
-            and self._active == 0
-            and self._pump_task is None
-        ):
-            self._really_close()
+        if self._closing and self._active == 0 and not self._pumping:
+            self._closing = False
+            if self._flow is not None:
+                self.client.fabric.flownet.close(self._flow)
+                self._flow = None
 
     @property
     def rate(self) -> float:
@@ -121,11 +115,11 @@ class IoStream:
 
         Concurrent ops on one stream coalesce: while a wire transfer is
         in flight, arriving ops pool their bytes into the next batch and
-        a single pump issues one flow transfer per batch — pipelined
-        handles get batched wire transfers instead of a per-op round
-        trip (and never multiply the flow's bandwidth by issuing
-        parallel transfers on it). With one op in flight the batch is
-        that op alone and timing matches the direct transfer exactly.
+        the pump issues one flow transfer per batch — pipelined handles
+        get batched wire transfers instead of a per-op round trip (and
+        never multiply the flow's bandwidth by issuing parallel
+        transfers on it). With one op in flight the batch is that op
+        alone and timing matches the direct transfer exactly.
         """
         if nbytes <= 0:
             return
@@ -134,32 +128,38 @@ class IoStream:
         batch = self._pending
         batch.nbytes += nbytes
         batch.ops += 1
-        if self._pump_task is None:
-            self._pump_task = self.sim.spawn(
-                self._pump(), name=f"pump:{self.client.name}:{self.direction}"
-            )
+        if not self._pumping:
+            # No timeline-scraper revival (Simulator.spawn's): the
+            # scraper parks only on a drained heap, and this runs inside
+            # a popped event.
+            self._pumping = True
+            self.sim.wake(self._pump)
         yield batch.gate
 
-    def _pump(self) -> Generator:
+    def _pump(self, landed: Optional[_Batch] = None, _value=None) -> None:
+        """Callback: release the ops of the batch that just ``landed``,
+        then put the pending batch on the wire, to call back here when
+        it lands; with none pending the stream goes idle."""
+        if landed is not None:
+            landed.gate.open(self.sim.now)
+        batch = self._pending
+        if batch is None:
+            self._pumping = False
+            self._maybe_close()
+            return
+        self._pending = None
         metrics = self.sim.metrics
-        while self._pending is not None:
-            batch = self._pending
-            self._pending = None
-            if metrics is not None:
-                dir_label = f"{{dir={self.direction}}}"
-                metrics.incr(f"client.stream.batches{dir_label}")
+        if metrics is not None:
+            dir_label = f"{{dir={self.direction}}}"
+            metrics.incr(f"client.stream.batches{dir_label}")
+            metrics.incr(f"client.stream.batched_ops{dir_label}", batch.ops)
+            if batch.ops > 1:
                 metrics.incr(
-                    f"client.stream.batched_ops{dir_label}", batch.ops
+                    f"client.stream.coalesced_bytes{dir_label}", batch.nbytes
                 )
-                if batch.ops > 1:
-                    metrics.incr(
-                        f"client.stream.coalesced_bytes{dir_label}",
-                        batch.nbytes,
-                    )
-            yield self._flow.transfer(batch.nbytes)
-            batch.gate.open(self.sim.now)
-        self._pump_task = None
-        self._maybe_close()
+        self._flow.transfer(batch.nbytes)._subscribe(
+            partial(self._pump, batch)
+        )
 
     # ------------------------------------------------------------- one op
     def io(self, pieces: List[IoPiece], context, map_version=None) -> Generator:
@@ -247,42 +247,21 @@ class IoStream:
             self._last_target = primary
 
         total = sum(p.nbytes for p in pieces)
-        tracer = self.sim.tracer
-        if tracer is None:
-            if overhead > 0:
-                yield overhead
-            if total > 0:
-                yield from self._bulk(total)
-            return [piece.apply_fn() for piece in pieces]
-
-        # Traced variant: same yields, with the op decomposed into its
-        # RPC-fanout, bulk-flow and per-piece VOS children.
+        # The op decomposes into its RPC-fanout, bulk-flow and per-piece
+        # VOS spans (no-ops when tracing is off).
+        sim = self.sim
         if overhead > 0:
-            with tracer.span(
-                "rpc.fanout",
-                "rpc",
-                attrs={"targets": len(seen), "widest": widest},
-            ):
+            with span_of(sim, "rpc.fanout", "rpc", None,
+                         targets=len(seen), widest=widest):
                 yield overhead
         if total > 0:
-            with tracer.span(
-                "fabric.flow",
-                "fabric",
-                attrs={
-                    "nbytes": total,
-                    "rate": self.rate,
-                    "direction": self.direction,
-                },
-            ):
+            with span_of(sim, "fabric.flow", "fabric", None, nbytes=total,
+                         rate=self.rate, direction=self.direction):
                 yield from self._bulk(total)
         results = []
         for piece in pieces:
-            ref = self.system.target(piece.tid)
-            with tracer.span(
-                "vos.apply",
-                "vos",
-                node=ref.engine.slot.node.name,
-                attrs={"tid": piece.tid, "nbytes": piece.nbytes},
-            ):
+            node = self.system.target(piece.tid).engine.slot.node.name
+            with span_of(sim, "vos.apply", "vos", node,
+                         tid=piece.tid, nbytes=piece.nbytes):
                 results.append(piece.apply_fn())
         return results

@@ -170,6 +170,10 @@ class DaosSystem:
             rng=self.rng,
         )
         self._uuid_seq = itertools.count(1)
+        #: number this system's client contexts (``daosc:<node>:<n>``)
+        #: and the containers front-ends label (``ior-<nnnn>``)
+        self.client_seq = itertools.count(1)
+        self.label_seq = itertools.count(1)
         self._pool_maps: Dict[str, PoolMap] = {}
         # deferred import: repro.rebuild imports daos sub-layers
         from repro.rebuild.scheduler import RebuildManager

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Generator, Optional
 
@@ -14,8 +13,6 @@ from repro.errors import FsError
 from repro.ior import config
 from repro.ior.config import IorParams
 from repro.mpi import MpiWorld
-
-_env_seq = itertools.count(1)
 
 
 @dataclass
@@ -34,7 +31,7 @@ class DaosIorEnv:
     def __init__(self, cluster: Cluster, params: IorParams):
         self.cluster = cluster
         self.params = params
-        self.label = f"ior-{next(_env_seq):04d}"
+        self.label = f"ior-{next(cluster.daos.label_seq):04d}"
 
     def prepare(self) -> Generator:
         """Task helper: create the container and the test directory."""

@@ -15,7 +15,6 @@ flow across the stripe OSTs, write-through.
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, Generator, Iterable, List, Optional, Tuple
 
 from repro.daos.vos.payload import as_payload, concat_payloads
@@ -28,8 +27,6 @@ from repro.network.fabric import stream_moves
 from repro.network.flows import Flow
 from repro.posix.vfs import FileHandle, FileSystem, StatResult, normalize, validate_flags
 from repro.units import split_aligned
-
-_client_seq = itertools.count(1)
 
 #: lock-server CPU per LDLM enqueue, on top of the round trip
 LDLM_ENQUEUE_CPU = 20e-6
@@ -47,7 +44,7 @@ class LustreMount(FileSystem):
         self.sim = fs.sim
         self.fabric = fs.fabric
         self.node = node
-        self.name = name or f"lclient:{node.name}:{next(_client_seq)}"
+        self.name = name or f"lclient:{node.name}:{next(fs.client_seq)}"
         self.blksize = STRIPE_SIZE
         #: client-side syscall cost (no FUSE here: native kernel client)
         self.syscall_cost = 2.0e-6

@@ -9,6 +9,7 @@ file data itself (an extent tree per OST object).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
@@ -85,3 +86,5 @@ class LustreFs:
             n_osts=len(self.osts),
             default_stripe_count=min(default_stripe_count, len(self.osts)),
         )
+        #: numbers this filesystem's mounts (``lclient:<node>:<n>``)
+        self.client_seq = itertools.count(1)

@@ -42,7 +42,7 @@ def run_task(sim, gen):
 # ---------------------------------------------------------------- lifecycle
 def test_launch_completes_and_holds_result():
     sim = Simulator()
-    eq = EventQueue(sim)
+    eq = EventQueue(sim, name="eq")
 
     def submitter():
         event = yield from eq.submit(op(sim, 1.5, "payload"), name="w0")
@@ -63,7 +63,7 @@ def test_launch_completes_and_holds_result():
 def test_poll_reaps_in_completion_order():
     """``drain`` is the blocking reap (``daos_eq_poll`` until empty)."""
     sim = Simulator()
-    eq = EventQueue(sim)
+    eq = EventQueue(sim, name="eq")
 
     def submitter():
         events = []
@@ -78,7 +78,7 @@ def test_poll_reaps_in_completion_order():
 
 def test_error_surfaces_on_result_not_at_launch():
     sim = Simulator()
-    eq = EventQueue(sim)
+    eq = EventQueue(sim, name="eq")
 
     def bad():
         yield 1.0
@@ -96,7 +96,7 @@ def test_error_surfaces_on_result_not_at_launch():
 
 def test_abort_cancels_and_marks_aborted():
     sim = Simulator()
-    eq = EventQueue(sim)
+    eq = EventQueue(sim, name="eq")
     record = []
 
     def closer():
@@ -113,7 +113,7 @@ def test_abort_cancels_and_marks_aborted():
 
 def test_close_aborts_everything_in_flight():
     sim = Simulator()
-    eq = EventQueue(sim)
+    eq = EventQueue(sim, name="eq")
 
     def closer():
         events = []
@@ -138,7 +138,7 @@ def test_close_aborts_everything_in_flight():
 # ------------------------------------------------------------------ window
 def test_submit_enforces_inflight_window():
     sim = Simulator()
-    eq = EventQueue(sim, depth=2)
+    eq = EventQueue(sim, depth=2, name="eq")
     live, peaks = [0], []
 
     def tracked():
@@ -158,7 +158,7 @@ def test_submit_enforces_inflight_window():
 
 def test_depth_one_serializes():
     sim = Simulator()
-    eq = EventQueue(sim, depth=1)
+    eq = EventQueue(sim, depth=1, name="eq")
     record = []
 
     def submitter():
@@ -173,7 +173,7 @@ def test_depth_one_serializes():
 
 def test_unbounded_depth_runs_all_concurrently():
     sim = Simulator()
-    eq = EventQueue(sim)
+    eq = EventQueue(sim, name="eq")
     record = []
 
     def submitter():
@@ -188,14 +188,14 @@ def test_unbounded_depth_runs_all_concurrently():
 def test_bad_depth_rejected():
     sim = Simulator()
     with pytest.raises(DerInval):
-        EventQueue(sim, depth=0)
+        EventQueue(sim, depth=0, name="eq")
 
 
 # ------------------------------------------------------------- determinism
 def test_reap_order_is_seed_deterministic():
     def one_run():
         sim = Simulator()
-        eq = EventQueue(sim, depth=4)
+        eq = EventQueue(sim, depth=4, name="eq")
         order = []
 
         def submitter():

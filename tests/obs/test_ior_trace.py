@@ -100,6 +100,24 @@ def test_tracing_does_not_change_results():
     assert bw(False) == bw(True)
 
 
+def test_a_second_run_in_one_process_names_things_the_same():
+    """Client and container names count per run, not per process, so
+    an identical second run records identical spans, ``src`` (the
+    calling client's name) verbatim."""
+    params = IorParams(api="DFS", file_per_proc=True, oclass="SX", **SMALL)
+
+    def records():
+        cluster = small_cluster(server_nodes=2, client_nodes=1)
+        tracer, _metrics = cluster.observe()
+        run_ior(cluster, params, ppn=2)
+        return [(s.span_id, s.parent_id, s.name, s.node, s.start, s.end,
+                 s.attrs) for s in tracer.spans]
+
+    first = records()
+    assert any("src" in attrs for *_, attrs in first)
+    assert records() == first
+
+
 def test_cli_trace_out_writes_valid_chrome_trace(tmp_path, capsys):
     trace = tmp_path / "trace.json"
     metrics = tmp_path / "metrics.json"

@@ -280,6 +280,32 @@ def test_serving_an_rpc_never_finds_the_scraper_parked(monkeypatch):
     assert parked and not any(parked)
 
 
+def test_a_pump_never_finds_the_scraper_parked(monkeypatch):
+    """Starting a stream's pump spawns no task, so it cannot revive a
+    parked scraper either. It need not: an op reaches the wire from
+    inside a popped event, and the scraper parks only on a drained
+    heap."""
+    from repro.cluster import small_cluster
+    from repro.daos.stream import IoStream
+    from repro.ior import IorParams, run_ior
+    from repro.units import MiB
+
+    cluster = small_cluster(server_nodes=2, client_nodes=1)
+    cluster.observe(timeline_interval=1e-3)
+    parked = []
+    bulk = IoStream._bulk
+
+    def watched(stream, nbytes):
+        parked.append(stream.sim.timeline._parked)
+        return (yield from bulk(stream, nbytes))
+
+    monkeypatch.setattr(IoStream, "_bulk", watched)
+    params = IorParams(api="DFS", file_per_proc=True,
+                       block_size=4 * MiB, transfer_size=MiB)
+    run_ior(cluster, params, ppn=4)
+    assert parked and not any(parked)
+
+
 def test_rates_use_actual_elapsed_across_park_gaps():
     sim = _observed_sim(interval=0.1)
 
