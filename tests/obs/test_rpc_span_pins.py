@@ -30,11 +30,11 @@ PARAMS = {
 PINS = {
     "dfs-fpp": (
         584,
-        "bca447f0ae57ef24b4a2812e1739643516bf1434325882b2bf8cca440919c683",
+        "741c6e609d6e27346edcbebf0b375ca56227dba5dbc6946d858f739397278cf2",
         "51c0314d17f3044eec313f3ebcb0f272decb7e779a40273842cab66fa113aff3"),
     "hdf5-daos-shared-q4": (
         940,
-        "9e4dbbecd8a4cb1ae032e71d8ada90fa361d5c7ee289213a371bbc388019b1ae",
+        "81cf9b1dde3bade13ba05493052e463db59016cadf9b4202a14a928e44d6f43e",
         "f3921af3e39a0253a46d4f50dfd95f92cb3f931a3f3b0b9c2c275abb1646bee5"),
 }
 
@@ -54,25 +54,17 @@ def _observed_run(name):
 
 
 def _records(tracer):
-    """One record per span. A client's name carries a process-wide
-    sequence number, so each ``src`` is recorded as the order in which
-    it first appears."""
+    """One record per span, attributes verbatim: a client's name counts
+    per run, so a ``src`` is the same in every run of one seed."""
     by_id = {span.span_id: span for span in tracer.spans}
-    sources = {}
-    records = []
-    for span in tracer.spans:
-        attrs = dict(span.attrs)
-        if "src" in attrs:
-            attrs["src"] = sources.setdefault(attrs["src"], len(sources))
-        records.append((
-            span.name,
-            by_id[span.parent_id].name if span.parent_id else None,
-            span.node,
-            span.start.hex(),
-            None if span.end is None else span.end.hex(),
-            sorted(attrs.items()),
-        ))
-    return records
+    return [(
+        span.name,
+        by_id[span.parent_id].name if span.parent_id else None,
+        span.node,
+        span.start.hex(),
+        None if span.end is None else span.end.hex(),
+        sorted(span.attrs.items()),
+    ) for span in tracer.spans]
 
 
 def _digest(obj):
