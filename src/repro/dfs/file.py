@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional, Tuple
+from functools import partial
+from typing import Generator, List, Optional
 
 from repro.cache.readahead import ReadAhead
 from repro.cache.writeback import WriteBehind
@@ -17,12 +18,12 @@ from repro.obs.tracer import span_of
 class SharedFileState:
     """Per-file state shared by every open handle on the same mount.
 
-    Fixes cross-handle staleness of the per-handle size cache: a writer
-    extending the file raises ``high_water`` here, and every other
-    handle's read clamp takes it as an extra lower bound, so handle B
+    ``high_water`` is the file size every handle reads against: a store
+    write or a size query raises it, a truncate sets it, so handle B
     sees handle A's growth without a fresh size query.  ``epoch`` bumps
-    whenever the file shrinks or is replaced (truncate, unlink) so the
-    caching tier can invalidate stale data and size state.
+    whenever the file shrinks or is replaced (truncate, unlink); every
+    handle checks it before its next I/O and drops its size and cached
+    data.
     """
 
     __slots__ = ("high_water", "epoch")
@@ -36,17 +37,17 @@ class DfsFile:
     """An open regular file: an array object + its chunk size.
 
     Size semantics follow DFS: the apparent size is derived from the
-    array object's highest extent. The handle keeps a local high-water
-    mark so that a writer does not need a size query per operation; a
-    fresh query happens on :meth:`get_size` / ``stat``. Handles on the
-    same mount additionally share a :class:`SharedFileState`, so size
-    growth through one handle is visible to reads through another.
+    array object's highest extent. One size rule holds in every mode: a
+    handle reads against its mount's :class:`SharedFileState`
+    ``high_water``, plus its own unflushed bytes in ``writeback`` mode.
+    The store is asked once per handle, at its first read (or
+    :meth:`get_size`), and again after another handle's truncate or
+    unlink bumps the shared epoch.
 
     With the caching tier enabled (``dfs.cache``), the handle grows a
     write-behind buffer (``writeback`` mode) and a read-ahead engine —
     see :mod:`repro.cache`.  In the default ``none`` mode neither object
-    exists and the I/O paths below are byte-identical to the uncached
-    build.
+    exists and a read is one array read.
     """
 
     def __init__(self, dfs, entry: InodeEntry, obj: ObjectHandle,
@@ -56,11 +57,10 @@ class DfsFile:
         self.obj = obj
         self.path = path
         self.chunk_size = entry.chunk_size
-        self._local_high = 0
-        #: size learned from the store (None until first queried). Reads
-        #: clamp against this cached value — one size query per handle,
-        #: not one per read, matching dfuse attribute caching.
-        self._size_cache = None
+        #: the store was asked for the size since the last epoch seen —
+        #: one size query per handle, not one per read, matching dfuse
+        #: attribute caching
+        self._sized = False
         self._closed = False
         self.shared: SharedFileState = dfs.file_state(entry)
         self._epoch_seen = self.shared.epoch
@@ -89,85 +89,69 @@ class DfsFile:
         """React to a truncate/replace through another handle."""
         if self.shared.epoch != self._epoch_seen:
             self._epoch_seen = self.shared.epoch
-            self._size_cache = None
-            self._local_high = 0
+            self._sized = False
             if self._ra_buf is not None:
                 self._ra_buf.clear()
 
-    def write(self, offset: int, data) -> Generator:
-        """Task helper: write at ``offset``; returns bytes written."""
-        payload = as_payload(data)
+    def _size(self) -> int:
+        """The size rule: the shared high-water mark, plus this handle's
+        unflushed bytes in writeback mode."""
         if self.wb is not None:
-            return (yield from self._write_buffered(offset, payload))
-        with span_of(self._sim, "dfs.write", "dfs", self._node,
-                     offset=offset, nbytes=payload.nbytes):
-            nbytes = yield from self.obj.write(
-                offset, payload, chunk_size=self.chunk_size
-            )
-        self._local_high = max(self._local_high, offset + nbytes)
-        if self._size_cache is not None:
-            self._size_cache = max(self._size_cache, self._local_high)
-        self.shared.high_water = max(self.shared.high_water, self._local_high)
-        return nbytes
+            return max(self.shared.high_water, self.wb.high_water())
+        return self.shared.high_water
+
+    def write(self, offset: int, data) -> Generator:
+        """Task helper: write at ``offset``; returns bytes written. The
+        generator is the store write's, or the write-behind buffer's."""
+        payload = as_payload(data)
+        self._check_epoch()
+        if self.wb is not None:
+            return self._write_buffered(offset, payload)
+        return self._store(offset, payload)
 
     def _write_buffered(self, offset: int, payload: Payload) -> Generator:
         """Writeback mode: absorb into the dirty buffer; flush on watermark."""
-        self._check_epoch()
         with span_of(self._sim, "cache.wb.write", "cache", self._node,
                      offset=offset, nbytes=payload.nbytes):
             yield self.dfs.cache.copy_cost(payload.nbytes)
             self.wb.buffer(offset, payload)
-        self._local_high = max(self._local_high, offset + payload.nbytes)
-        if self._size_cache is not None:
-            self._size_cache = max(self._size_cache, self._local_high)
         if self.wb.need_flush:
             # watermark flush; a failure latches inside the buffer and
             # surfaces on the next fsync/close, never here
             yield from self.flush()
         return payload.nbytes
 
-    def _commit(self, offset: int, payload: Payload) -> Generator:
-        """Issue one coalesced store write on behalf of the flusher."""
+    def _store(self, offset: int, payload: Payload, **attrs) -> Generator:
+        """One array write: an uncached write, or a coalesced commit of
+        the flusher (``coalesced=True``)."""
         with span_of(self._sim, "dfs.write", "dfs", self._node,
-                     offset=offset, nbytes=payload.nbytes, coalesced=True):
+                     offset=offset, nbytes=payload.nbytes, **attrs):
             nbytes = yield from self.obj.write(
                 offset, payload, chunk_size=self.chunk_size
             )
-        self.shared.high_water = max(self.shared.high_water, offset + nbytes)
+        if nbytes:
+            self.shared.high_water = max(self.shared.high_water,
+                                         offset + nbytes)
         return nbytes
 
     def read(self, offset: int, length: int) -> Generator:
-        """Task helper: read up to ``length`` bytes; short read at EOF."""
-        if self.ra is None and self.wb is None:
-            with span_of(self._sim, "dfs.read", "dfs", self._node,
-                         offset=offset, nbytes=length):
-                if self._size_cache is None:
-                    yield from self.get_size()
-                size = max(self._size_cache, self._local_high,
-                           self.shared.high_water)
-                if offset >= size:
-                    return as_payload(b"")
-                length = min(length, size - offset)
-                payload = yield from self.obj.read(
-                    offset, length, chunk_size=self.chunk_size
-                )
-            return payload
-        return (yield from self._read_cached(offset, length))
+        """Task helper: read up to ``length`` bytes; short read at EOF.
 
-    def _read_cached(self, offset: int, length: int) -> Generator:
-        """Cached read: write-behind overlay + read-ahead buffer + store."""
+        Uncached, one array read; cached, the write-behind overlay, the
+        read-ahead buffer and the store each serve their pieces."""
         self._check_epoch()
         with span_of(self._sim, "dfs.read", "dfs", self._node,
                      offset=offset, nbytes=length):
-            if self._size_cache is None:
+            if not self._sized:
                 yield from self.get_size()
-            size = max(self._size_cache, self._local_high,
-                       self.shared.high_water)
-            if self.wb is not None:
-                size = max(size, self.wb.high_water())
+            size = self._size()
             if length <= 0 or offset >= size:
                 return as_payload(b"")
             length = min(length, size - offset)
+            if self.ra is None:
+                return (yield from self.obj.read(
+                    offset, length, chunk_size=self.chunk_size
+                ))
             self.ra.observe(offset, length)
             metrics = self.dfs.client.sim.metrics
             parts: List[Payload] = []
@@ -200,8 +184,7 @@ class DfsFile:
                 with span_of(self._sim, "cache.read.copy", "cache",
                              self._node, nbytes=copy_bytes):
                     yield self.dfs.cache.copy_cost(copy_bytes)
-            result = concat_payloads(parts)
-        return result
+            return concat_payloads(parts)
 
     def _fetch(self, start: int, need: int, req_stop: int,
                size: int) -> Generator:
@@ -227,12 +210,13 @@ class DfsFile:
         return payload
 
     def get_size(self) -> Generator:
-        """Task helper: file size from the array object (authoritative)."""
+        """Task helper: the size rule's value, after raising the shared
+        high-water mark to what the array object reports."""
+        self._check_epoch()
         size = yield from self.obj.size(chunk_size=self.chunk_size)
-        self._local_high = max(self._local_high, size)
-        self._size_cache = self._local_high
-        self.shared.high_water = max(self.shared.high_water, self._local_high)
-        return self._local_high
+        self.shared.high_water = max(self.shared.high_water, size)
+        self._sized = True
+        return self._size()
 
     def truncate(self, size: int) -> Generator:
         """Task helper: punch everything past ``size``."""
@@ -250,8 +234,6 @@ class DfsFile:
             yield from self.obj.write(
                 size - 1, b"\x00", chunk_size=self.chunk_size
             )
-        self._local_high = size
-        self._size_cache = size
         self.shared.high_water = size
         self.shared.epoch += 1
         self._epoch_seen = self.shared.epoch
@@ -268,7 +250,7 @@ class DfsFile:
         if self.wb is not None and self.wb.dirty_bytes:
             with span_of(self._sim, "cache.wb.flush", "cache", self._node,
                          dirty_bytes=self.wb.dirty_bytes):
-                yield from self.wb.flush(self._commit)
+                yield from self.wb.flush(partial(self._store, coalesced=True))
         return None
 
     def sync(self) -> Generator:

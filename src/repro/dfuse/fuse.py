@@ -45,8 +45,8 @@ class DFuseMount(FileSystem):
     mount grows a data page cache and an attribute TTL cache; writeback
     additionally skips the per-window FUSE request segmentation on
     writes, handing whole buffers to the DFS write-behind layer. The
-    default ``none`` mode constructs neither and every path is
-    byte-identical to the uncached build.
+    default ``none`` mode constructs neither: a read is the same window
+    loop over one uncached segment.
     """
 
     #: FUSE max_read/max_write (dfuse default: 1 MiB)
@@ -139,7 +139,8 @@ class DFuseMount(FileSystem):
 
 
 class DFuseFile(FileHandle):
-    """An open fd on a DFuse mount."""
+    """An open fd on a DFuse mount. A read has one path in every mode;
+    sizes and cross-handle truncates are the inner :class:`DfsFile`'s."""
 
     def __init__(self, mount: DFuseMount, inner: DfsFile):
         self.mount = mount
@@ -186,25 +187,10 @@ class DFuseFile(FileHandle):
         return written
 
     def pread(self, offset: int, length: int) -> Generator:
-        if self.mount.page is not None:
-            return (yield from self._pread_cached(offset, length))
-        with span_of(self._sim, "dfuse.pread", "dfuse", self._node,
-                     offset=offset, nbytes=length):
-            yield SYSCALL_COST
-            parts = []
-            got = 0
-            for window_offset, take in self.mount._windows(offset, length):
-                yield REQUEST_COST
-                part = yield from self.inner.read(window_offset, take)
-                parts.append(part)
-                got += part.nbytes
-                if part.nbytes < take:  # EOF inside this window
-                    break
-        return concat_payloads(parts)
-
-    def _pread_cached(self, offset: int, length: int) -> Generator:
-        """Serve from the page cache; read holes through and fill them."""
-        page = self.mount.page
+        """Read through FUSE windows; with a page cache, cached segments
+        are copied out and holes are read through and filled."""
+        mount = self.mount
+        page = mount.page
         key = self.inner.path
         epoch = self.inner.shared.epoch
         with span_of(self._sim, "dfuse.pread", "dfuse", self._node,
@@ -213,22 +199,22 @@ class DFuseFile(FileHandle):
             parts = []
             copy_bytes = 0
             eof = False
-            for seg_start, seg_len, cached in page.lookup(
-                key, epoch, offset, length
-            ):
+            segments = (
+                [(offset, length, None)] if page is None
+                else page.lookup(key, epoch, offset, length)
+            )
+            for seg_start, seg_len, cached in segments:
                 if eof:
                     break
                 if cached is not None:
                     parts.append(cached)
                     copy_bytes += seg_len
                     continue
-                for window_offset, take in self.mount._windows(
-                    seg_start, seg_len
-                ):
+                for window_offset, take in mount._windows(seg_start, seg_len):
                     yield REQUEST_COST
                     part = yield from self.inner.read(window_offset, take)
-                    if part.nbytes:
-                        parts.append(part)
+                    parts.append(part)
+                    if page is not None and part.nbytes:
                         page.insert(key, epoch, window_offset, part)
                     if part.nbytes < take:  # EOF inside this window
                         eof = True
@@ -236,7 +222,7 @@ class DFuseFile(FileHandle):
             if copy_bytes:
                 with span_of(self._sim, "cache.page.copy", "cache",
                              self._node, nbytes=copy_bytes):
-                    yield self.mount.cache.copy_cost(copy_bytes)
+                    yield mount.cache.copy_cost(copy_bytes)
         return concat_payloads(parts)
 
     def fsync(self) -> Generator:

@@ -1,12 +1,15 @@
 """DfsFile edge cases: cross-handle size visibility, zero-length I/O,
 chunk-boundary straddling at the stripe edge, and EOF clamping.
 
-All of these run in the default ``none`` cache mode — they pin the base
-file-layer semantics the caching tier is layered on top of.
+Most of these run in the default ``none`` cache mode — they pin the base
+file-layer semantics the caching tier is layered on top of. The size
+rule's tests run in every cache mode: what a read returns must not
+depend on it.
 """
 
 import pytest
 
+from repro.cache.config import CacheConfig
 from repro.cluster import small_cluster
 from repro.daos.vos.payload import PatternPayload
 from repro.dfs import Dfs
@@ -35,6 +38,31 @@ def dfs(cluster):
 
 def pat(origin, nbytes, seed=37):
     return PatternPayload(seed, origin, nbytes)
+
+
+@pytest.fixture(scope="module")
+def mounted(cluster):
+    """One Dfs per cache mode, each on its own S2 container."""
+    client = cluster.new_client(0)
+    mounts = {}
+
+    def mount(mode):
+        if mode not in mounts:
+            def setup():
+                pool = yield from client.connect_pool("tank")
+                cont = yield from pool.create_container(f"edges-{mode}",
+                                                        oclass="S2")
+                cache = (CacheConfig(mode=mode, capacity="8m")
+                         if mode != "none" else None)
+                return (yield from Dfs.mount(cont, cache=cache))
+
+            mounts[mode] = cluster.run(setup())
+        return mounts[mode]
+
+    return mount
+
+
+MODES = ["none", "readonly", "writeback"]
 
 
 # --------------------------------------------------- cross-handle size
@@ -71,6 +99,60 @@ def test_shared_state_is_per_file_not_per_mount(cluster, dfs):
         return size_b
 
     assert cluster.run(go()) == 0  # /sep-a's growth must not leak
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_truncate_holds_for_every_handle(cluster, mounted, mode):
+    """B and D learn the size, then A truncates. B's next read must stop
+    at the new size; D's write, with no read in between, must not put
+    D's old size back; every handle, and one opened afterwards, then
+    reads the truncated file. Writeback handles flush before another
+    handle reads."""
+    dfs = mounted(mode)
+
+    def go():
+        a = yield from dfs.open_file("/trunc", create=True)
+        yield from a.write(0, pat(0, MiB))
+        yield from a.flush()
+        b = yield from dfs.open_file("/trunc")
+        d = yield from dfs.open_file("/trunc")
+        before = [(yield from b.get_size()), (yield from d.get_size())]
+        yield from a.truncate(64 * KiB)
+        after = yield from b.read(0, MiB)
+        yield from d.write(0, pat(0, 4 * KiB, seed=5))
+        yield from d.flush()
+        c = yield from dfs.open_file("/trunc")
+        reads = []
+        for handle in (a, b, c, d):
+            reads.append((yield from handle.read(0, MiB)).materialize())
+            handle.close()
+        return before, after.nbytes, reads
+
+    before, after, reads = cluster.run(go())
+    want = (pat(0, 4 * KiB, seed=5).materialize()
+            + pat(0, 64 * KiB).materialize()[4 * KiB:])
+    assert (before, after) == ([MiB, MiB], 64 * KiB)
+    assert [len(got) for got in reads] == [64 * KiB] * 4
+    assert reads == [want] * 4
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_zero_length_write_extends_nothing(cluster, mounted, mode):
+    dfs = mounted(mode)
+
+    def go():
+        f = yield from dfs.open_file("/zero-ext", create=True)
+        wrote = yield from f.write(4 * KiB, b"")
+        yield from f.flush()
+        size = yield from f.get_size()
+        mine = yield from f.read(0, 4 * KiB)
+        g = yield from dfs.open_file("/zero-ext")
+        theirs = yield from g.read(0, 4 * KiB)
+        f.close()
+        g.close()
+        return wrote, size, mine.nbytes, theirs.nbytes
+
+    assert cluster.run(go()) == (0, 0, 0, 0)
 
 
 # --------------------------------------------------- zero-length I/O
