@@ -69,8 +69,6 @@ class PoolMap:
     #: derived: targets that may not serve *reads* (anything non-UP —
     #: REBUILDING targets accept writes but their data is incomplete)
     excluded: frozenset = field(init=False, default=frozenset())
-    #: derived: targets that may not receive *writes* (DOWN / DOWNOUT)
-    write_excluded: frozenset = field(init=False, default=frozenset())
     #: derived: permanently evicted targets (spare substitution applies)
     downout: frozenset = field(init=False, default=frozenset())
     #: derived: every DOWNOUT shard has been rebuilt onto its spare, so
@@ -81,9 +79,6 @@ class PoolMap:
         statuses = self.statuses
         self.excluded = frozenset(
             t for t, s in statuses.items() if s.state != UP
-        )
-        self.write_excluded = frozenset(
-            t for t, s in statuses.items() if s.state in (DOWN, DOWNOUT)
         )
         self.downout = frozenset(
             t for t, s in statuses.items() if s.state == DOWNOUT

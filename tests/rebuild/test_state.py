@@ -59,9 +59,8 @@ def test_pool_map_derives_exclusion_sets():
         3: TargetStatus(state=DOWNOUT, version=4, watermark=6),
     }
     pm.derive()
-    # reads avoid every non-UP target; writes still reach REBUILDING
+    # reads avoid every non-UP target
     assert pm.excluded == frozenset({1, 2, 3})
-    assert pm.write_excluded == frozenset({1, 3})
     assert pm.downout == frozenset({3})
     assert pm.downout_ready is False
     assert pm.state_of(0) == UP and pm.state_of(2) == REBUILDING
@@ -81,4 +80,3 @@ def test_pool_map_record_roundtrip_keeps_statuses():
     assert back.version == 7
     assert back.statuses == pm.statuses
     assert back.excluded == frozenset({2})
-    assert back.write_excluded == frozenset({2})
