@@ -302,9 +302,10 @@ class Dfs:
         if self._dentry is not None:
             self._dentry.invalidate(self._canon(parents + [name]))
         # a new file at this path gets fresh shared state; surviving
-        # handles see the epoch bump and drop their cached size/data
+        # handles see the epoch bump and re-learn the punched object's size
         state = self._file_states.pop((entry.oid_hi, entry.oid_lo), None)
         if state is not None:
+            state.high_water = 0
             state.epoch += 1
         obj = self.cont.open_object(entry.oid)
         try:

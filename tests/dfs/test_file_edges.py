@@ -137,6 +137,28 @@ def test_a_truncate_holds_for_every_handle(cluster, mounted, mode):
 
 
 @pytest.mark.parametrize("mode", MODES)
+def test_an_unlink_empties_every_open_handle(cluster, mounted, mode):
+    """The unlink punches the object, so a handle still open on it reads
+    nothing and reports size 0, whatever it learned before."""
+    dfs = mounted(mode)
+
+    def go():
+        a = yield from dfs.open_file("/gone", create=True)
+        yield from a.write(0, pat(0, 64 * KiB))
+        yield from a.flush()
+        b = yield from dfs.open_file("/gone")
+        yield from b.get_size()
+        yield from dfs.unlink("/gone")
+        got = yield from b.read(0, 64 * KiB)
+        size = yield from b.get_size()
+        a.close()
+        b.close()
+        return got.nbytes, size
+
+    assert cluster.run(go()) == (0, 0)
+
+
+@pytest.mark.parametrize("mode", MODES)
 def test_a_zero_length_write_extends_nothing(cluster, mounted, mode):
     dfs = mounted(mode)
 
