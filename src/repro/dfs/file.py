@@ -19,8 +19,8 @@ class SharedFileState:
     """Per-file state shared by every open handle on the same mount.
 
     ``high_water`` is the file size every handle reads against: a store
-    write or a size query raises it, a truncate sets it, so handle B
-    sees handle A's growth without a fresh size query.  ``epoch`` bumps
+    write or a size query raises it, a truncate or unlink sets it, so
+    handle B sees handle A's growth without a fresh size query.  ``epoch`` bumps
     whenever the file shrinks or is replaced (truncate, unlink); every
     handle checks it before its next I/O and drops its size and cached
     data.
