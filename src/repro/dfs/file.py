@@ -20,10 +20,10 @@ class SharedFileState:
 
     ``high_water`` is the file size every handle reads against: a store
     write or a size query raises it, a truncate or unlink sets it, so
-    handle B sees handle A's growth without a fresh size query.  ``epoch`` bumps
-    whenever the file shrinks or is replaced (truncate, unlink); every
-    handle checks it before its next I/O and drops its size and cached
-    data.
+    handle B sees handle A's growth without a fresh size query.
+    ``epoch`` bumps whenever the file shrinks or is replaced (truncate,
+    unlink); every handle checks it before its next I/O and drops its
+    size and cached data.
     """
 
     __slots__ = ("high_water", "epoch")
@@ -104,13 +104,13 @@ class DfsFile:
         """Task helper: write at ``offset``; returns bytes written. The
         generator is the store write's, or the write-behind buffer's."""
         payload = as_payload(data)
-        self._check_epoch()
         if self.wb is not None:
             return self._write_buffered(offset, payload)
         return self._store(offset, payload)
 
     def _write_buffered(self, offset: int, payload: Payload) -> Generator:
         """Writeback mode: absorb into the dirty buffer; flush on watermark."""
+        self._check_epoch()
         with span_of(self._sim, "cache.wb.write", "cache", self._node,
                      offset=offset, nbytes=payload.nbytes):
             yield self.dfs.cache.copy_cost(payload.nbytes)
@@ -124,6 +124,7 @@ class DfsFile:
     def _store(self, offset: int, payload: Payload, **attrs) -> Generator:
         """One array write: an uncached write, or a coalesced commit of
         the flusher (``coalesced=True``)."""
+        self._check_epoch()
         with span_of(self._sim, "dfs.write", "dfs", self._node,
                      offset=offset, nbytes=payload.nbytes, **attrs):
             nbytes = yield from self.obj.write(
@@ -132,6 +133,9 @@ class DfsFile:
         if nbytes:
             self.shared.high_water = max(self.shared.high_water,
                                          offset + nbytes)
+            if self._ra_buf is not None:
+                # this handle's later reads must see what it wrote
+                self._ra_buf.punch(offset, nbytes)
         return nbytes
 
     def read(self, offset: int, length: int) -> Generator:

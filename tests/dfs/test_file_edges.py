@@ -177,6 +177,28 @@ def test_a_zero_length_write_extends_nothing(cluster, mounted, mode):
     assert cluster.run(go()) == (0, 0, 0, 0)
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_a_handle_reads_its_own_write_over_read_ahead(cluster, mounted, mode):
+    """Sequential reads prefetch past the last one; a write through the
+    same handle into the prefetched range must win over the prefetch."""
+    dfs = mounted(mode)
+
+    def go():
+        f = yield from dfs.open_file("/ra-own", create=True,
+                                     chunk_size=4 * KiB)
+        yield from f.write(0, pat(0, 64 * KiB))
+        yield from f.flush()
+        for i in range(4):
+            yield from f.read(i * 4 * KiB, 4 * KiB)
+        yield from f.write(4 * 4 * KiB, pat(0, 4 * KiB, seed=5))
+        yield from f.flush()
+        got = yield from f.read(4 * 4 * KiB, 4 * KiB)
+        f.close()
+        return got.materialize()
+
+    assert cluster.run(go()) == pat(0, 4 * KiB, seed=5).materialize()
+
+
 # --------------------------------------------------- zero-length I/O
 def test_zero_length_write_is_a_noop(cluster, dfs):
     def go():
