@@ -12,7 +12,7 @@ must not depend on the cache mode.
 import itertools
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache.config import CacheConfig
@@ -24,7 +24,6 @@ from repro.units import KiB
 CHUNK = 4 * KiB
 SPAN = 6 * CHUNK  # offsets and lengths stay within a few chunks
 MODES = ["none", "readonly", "writeback"]
-_paths = itertools.count()
 
 offsets = st.integers(0, SPAN)
 lengths = st.integers(0, 2 * CHUNK)
@@ -67,10 +66,16 @@ def mounts(cluster):
     return cluster.run(setup())
 
 
-def run_script(cluster, dfs, script):
-    """Run ``script`` on two fresh handles; return the first step whose
-    answer differs from the model, as ``(step, got, want)``, or None."""
-    path = f"/m{next(_paths)}"
+@pytest.fixture(scope="module")
+def paths():
+    """A fresh file name per example."""
+    return (f"/m{n}" for n in itertools.count())
+
+
+def run_script(cluster, dfs, path, script):
+    """Run ``script`` on two fresh handles on ``path``; return the first
+    step whose answer differs from the model, as ``(step, got, want)``,
+    or None."""
     model = bytearray()
 
     def go():
@@ -115,8 +120,8 @@ def run_script(cluster, dfs, script):
 
 
 @pytest.mark.parametrize("mode", MODES)
-@settings(max_examples=40, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=40, deadline=None)
 @given(script=steps)
-def test_two_handles_agree_with_a_bytearray(cluster, mounts, mode, script):
-    assert run_script(cluster, mounts[mode], script) is None
+def test_two_handles_agree_with_a_bytearray(cluster, mounts, paths, mode,
+                                            script):
+    assert run_script(cluster, mounts[mode], next(paths), script) is None
