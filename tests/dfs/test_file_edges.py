@@ -40,29 +40,26 @@ def pat(origin, nbytes, seed=37):
     return PatternPayload(seed, origin, nbytes)
 
 
+MODES = ["none", "readonly", "writeback"]
+
+
 @pytest.fixture(scope="module")
 def mounted(cluster):
     """One Dfs per cache mode, each on its own S2 container."""
     client = cluster.new_client(0)
-    mounts = {}
 
-    def mount(mode):
-        if mode not in mounts:
-            def setup():
-                pool = yield from client.connect_pool("tank")
-                cont = yield from pool.create_container(f"edges-{mode}",
-                                                        oclass="S2")
-                cache = (CacheConfig(mode=mode, capacity="8m")
-                         if mode != "none" else None)
-                return (yield from Dfs.mount(cont, cache=cache))
+    def setup():
+        pool = yield from client.connect_pool("tank")
+        mounts = {}
+        for mode in MODES:
+            cont = yield from pool.create_container(f"edges-{mode}",
+                                                    oclass="S2")
+            cache = (CacheConfig(mode=mode, capacity="8m")
+                     if mode != "none" else None)
+            mounts[mode] = yield from Dfs.mount(cont, cache=cache)
+        return mounts
 
-            mounts[mode] = cluster.run(setup())
-        return mounts[mode]
-
-    return mount
-
-
-MODES = ["none", "readonly", "writeback"]
+    return cluster.run(setup())
 
 
 # --------------------------------------------------- cross-handle size
@@ -108,7 +105,7 @@ def test_a_truncate_holds_for_every_handle(cluster, mounted, mode):
     D's old size back; every handle, and one opened afterwards, then
     reads the truncated file. Writeback handles flush before another
     handle reads."""
-    dfs = mounted(mode)
+    dfs = mounted[mode]
 
     def go():
         a = yield from dfs.open_file("/trunc", create=True)
@@ -140,7 +137,7 @@ def test_a_truncate_holds_for_every_handle(cluster, mounted, mode):
 def test_an_unlink_empties_every_open_handle(cluster, mounted, mode):
     """The unlink punches the object, so a handle still open on it reads
     nothing and reports size 0, whatever it learned before."""
-    dfs = mounted(mode)
+    dfs = mounted[mode]
 
     def go():
         a = yield from dfs.open_file("/gone", create=True)
@@ -160,7 +157,7 @@ def test_an_unlink_empties_every_open_handle(cluster, mounted, mode):
 
 @pytest.mark.parametrize("mode", MODES)
 def test_a_zero_length_write_extends_nothing(cluster, mounted, mode):
-    dfs = mounted(mode)
+    dfs = mounted[mode]
 
     def go():
         f = yield from dfs.open_file("/zero-ext", create=True)
@@ -181,7 +178,7 @@ def test_a_zero_length_write_extends_nothing(cluster, mounted, mode):
 def test_a_handle_reads_its_own_write_over_read_ahead(cluster, mounted, mode):
     """Sequential reads prefetch past the last one; a write through the
     same handle into the prefetched range must win over the prefetch."""
-    dfs = mounted(mode)
+    dfs = mounted[mode]
 
     def go():
         f = yield from dfs.open_file("/ra-own", create=True,
@@ -190,9 +187,9 @@ def test_a_handle_reads_its_own_write_over_read_ahead(cluster, mounted, mode):
         yield from f.flush()
         for i in range(4):
             yield from f.read(i * 4 * KiB, 4 * KiB)
-        yield from f.write(4 * 4 * KiB, pat(0, 4 * KiB, seed=5))
+        yield from f.write(16 * KiB, pat(0, 4 * KiB, seed=5))
         yield from f.flush()
-        got = yield from f.read(4 * 4 * KiB, 4 * KiB)
+        got = yield from f.read(16 * KiB, 4 * KiB)
         f.close()
         return got.materialize()
 
